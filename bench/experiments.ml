@@ -1596,7 +1596,7 @@ let availability setup =
 (* ------------------------------------------------------------------ *)
 (* Detan: static determinacy analysis driving choice-point elision and *)
 (* shallow backtracking.  Certified try chains compile to              *)
-(* det_try/det_retry/det_trust; answers must stay bit-identical, the   *)
+(* shallow try/retry/trust; answers must stay bit-identical, the       *)
 (* replay oracle must find no backtrack into an elided alternative,    *)
 (* and the choice-point area must shed references at every PE count.   *)
 (* The cache simulator then prices the saving as a Figure-4            *)
@@ -1738,7 +1738,7 @@ let detan setup =
 (* ------------------------------------------------------------------ *)
 (* Bindan: static binding & instantiation analysis driving trail-check *)
 (* elision and deref-free specialized unification.  Certified          *)
-(* argument registers compile to _u/_r get variants, no-trail binds    *)
+(* argument registers compile to rigid/uncond gets, no-trail binds     *)
 (* and uninitialized-output passing; answers must stay bit-identical,  *)
 (* the baseline-trace replay oracle must find no uncertified window,   *)
 (* and the trail area must shed references at every PE count.  The     *)

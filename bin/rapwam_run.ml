@@ -245,8 +245,9 @@ let det_arg =
     & info [ "det" ]
         ~doc:
           "Run the static determinacy analysis first and compile certified \
-           try chains choice-point free (det_try/det_retry/det_trust with \
-           shallow backtracking).  The per-predicate profile and the \
+           try chains choice-point free (try/retry/trust with the shallow \
+           chain attribute: shallow backtracking).  The per-predicate \
+           profile and the \
            cp_created/cp_elided counters quantify the effect.")
 
 let bind_arg =

@@ -19,7 +19,7 @@ type result = {
   parcalls : int;
   goals_stolen : int;
   cp_created : int;  (** choice points pushed (try) *)
-  cp_elided : int;  (** certified chains entered shallow (det_try) *)
+  cp_elided : int;  (** certified chains entered shallow (shallow try) *)
   trail_elided : int;
       (** certified bindings made without a trail check (lib/bindan) *)
   deref_skipped : int;

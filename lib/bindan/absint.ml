@@ -7,20 +7,20 @@
    - [uninit p j]   -- every call reaches argument [j] of [p] with a
      fresh, unaliased, unbound cell created after every live restore
      point, and [p]'s head writes it before anything reads it.  Drives
-     the [_u] head specializations (deref-free, trail-free bind) and
-     [put_uninit] at the call sites.
+     the [Uncond] head gets (deref-free, trail-free bind) and the
+     [uncond] [put_variable] at the call sites.
    - [rigid1 p]     -- [p] is first-argument indexed and always called
      with its first argument bound: the switch has already dereferenced
      the register, so the head instruction sees deref depth 0 and
-     compiles to the [_r] forms.
+     compiles to the [Rigid] gets.
    - [nt_builtin p b] -- every occurrence of builtin [b] (=/2 or is/2)
      in [p]'s bodies only binds certified-unconditional cells, so the
-     occurrence compiles to [builtin_nt] (trailing elided).
+     occurrence compiles to an [uncond] [builtin] (trailing elided).
    - [value_nt p j] -- in a globally choice-point-free program every
      binding is unconditional (a failed parcall recovery can only
      propagate to total failure, never to a retry that could observe a
      stale cell), so repeat-variable head arguments compile to
-     [get_value_u].
+     [get_value] with [Uncond].
 
    Conditionality is a window argument: a binding is unconditional
    when no real choice point and no observable trail floor separates
@@ -76,7 +76,7 @@ type site = {
 
 (* Head-argument shape of one clause, for the [uninit] rule. *)
 type shape =
-  | Sh_nonvar  (** compiles to a [_u] get under the certificate *)
+  | Sh_nonvar  (** compiles to an [Uncond] get under the certificate *)
   | Sh_pass of (key * int) * bool
       (** single-use head variable handed to exactly one callee
           argument (clean?): certified iff that target is [uninit] *)

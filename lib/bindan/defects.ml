@@ -30,7 +30,7 @@ let all =
       description =
         "certify every shape-compatible argument as uninitialized \
          output, ignoring freeness, written-first flow and dispatch \
-         determinacy; qsort's bound list arguments then hit _u gets \
+         determinacy; qsort's bound list arguments then hit uncond gets \
          whose baseline windows never write the cell";
       probes = [];
     };
@@ -65,7 +65,7 @@ let all =
       name = "uninit_escape";
       detector = "oracle";
       description =
-        "compile every first-occurrence variable put as put_uninit \
+        "compile every first-occurrence variable put as uncond put_variable \
          regardless of the callee certificate; a consumer that reads \
          before writing sees the never-initialized cell";
       probes = [ Fixtures.esc ];
@@ -75,7 +75,7 @@ let all =
       detector = "lint";
       description =
         "extend the no-trail certificate to =</2; wamlint's nt-builtin \
-         rule rejects the emitted builtin_nt";
+         rule rejects the emitted uncond builtin";
       probes = [];
     };
   ]

@@ -9,7 +9,7 @@
    out of the nondeterministic [pick/1], so its cell predates the live
    choice point.  Sound analysis: the site is dirty (a user call
    precedes it) and pick's dispatch is nondet, [uninit] refused;
-   [cond_blind] defect: certified, [get_structure_u] overwrites the
+   [cond_blind] defect: certified, the [Uncond] [get_structure] overwrites the
    query cell without trailing and the retried iteration re-reads the
    stale binding (oracle: stale-bind). *)
 let gen =
@@ -50,7 +50,7 @@ let alt =
    dereferences both sides), so [e/1]'s call may NOT pass [Y]
    uninitialized.  Sound analysis: the repeated head variable refuses
    the shape; [uninit_escape] defect: every first-occurrence put
-   compiles to [put_uninit] and the baseline window reads the
+   compiles to an [uncond] [put_variable] and the baseline window reads the
    never-initialized cell (oracle: uninit-read). *)
 let esc =
   {

@@ -1,31 +1,32 @@
 (* Dynamic soundness oracle for binding-certified specialization.
 
-   The bind-mode compiler replaces exactly one baseline instruction
-   per certified site, so an index-wise diff of the baseline and
-   bind-mode code arrays (same det plan on both) recovers every
-   rewrite.  The oracle then replays the BASELINE trace and audits
-   each site against what its specialized replacement would have
-   assumed:
+   The bind-mode compiler only sets instruction attributes, so an
+   index-wise diff of the baseline and bind-mode code arrays (same det
+   plan on both) recovers every certified site.  The oracle then
+   replays the BASELINE trace and audits each site against what its
+   certified attribute would have assumed:
 
-   - [_u] gets (uninit certificate): the baseline window must consist
+   - [Uncond] term gets and atomic gets with the [uncond] flag (uninit
+     certificate): the baseline window must consist
      of one dereference read of the argument cell followed by a write
      of that same cell.  Extra reads before the write mean the
      argument was a deref chain or already bound ("deref-depth" /
-     "bound-arg" violations) -- the [_u] form would have overwritten
+     "bound-arg" violations) -- the certified get would have overwritten
      or misread it.
-   - [_r] gets (rigid certificate): the baseline window must show no
+   - [Rigid] gets (rigid certificate): the baseline window must show no
      binding write and at most the depth-0 accesses ("free-arg" /
      "deref-depth" violations).
-   - [get_value_u] / [builtin_nt] (no-trail certificate): every cell
-     the baseline window binds joins a watch set [S]; a later
+   - [Uncond] [get_value] / [uncond] [builtin] (no-trail
+     certificate): every cell the baseline window binds joins a watch
+     set [S]; a later
      trail-restore of a watched cell (a write immediately preceded by
      a Trail read) followed by a re-read is a "stale-bind" violation
      -- the elided trail entry would have left the stale binding in
      place.  A write without the trail-read prefix (heap reuse after a
      deep backtrack, shallow-log restore) retires the watch.
-   - [put_uninit]: the cell the baseline [put_variable] initializes
+   - [uncond] [put_variable]: the cell the baseline put initializes
      joins a pending set [P]; any read of it before a write is an
-     "uninit-read" violation (the specialized put skips the
+     "uninit-read" violation (the certified put skips the
      self-reference initialization).  The dereference self-read inside
      a window that writes the cell later is exempt.
 
@@ -76,42 +77,26 @@ let pp_violation fmt v =
     v.v_kind v.v_site v.v_pred v.v_addr (Trace.Area.slug v.v_area)
 
 (* Diff one instruction pair into a site kind.  [None] = identical,
-   [Some (Error ())] = a diff the bind plan cannot produce. *)
+   [Some (Error ())] = a diff the bind plan cannot produce: anything
+   but a baseline instruction gaining one binding attribute. *)
 let site_of_pair (base : Wam.Instr.t) (bind : Wam.Instr.t) =
   if base = bind then None
+  else if base <> Wam.Instr.plain bind then Some (Error ())
   else
     Some
-      (match (base, bind) with
-      | Wam.Instr.Get_structure (f, a), Wam.Instr.Get_structure_u (f', a')
-        when f = f' && a = a' ->
+      (match bind with
+      | Wam.Instr.Get_structure (_, _, Wam.Instr.Uncond)
+      | Wam.Instr.Get_list (_, Wam.Instr.Uncond)
+      | Wam.Instr.Get_constant (_, _, true)
+      | Wam.Instr.Get_integer (_, _, true)
+      | Wam.Instr.Get_nil (_, true) ->
         Ok K_uninit_get
-      | Wam.Instr.Get_list a, Wam.Instr.Get_list_u a' when a = a' ->
-        Ok K_uninit_get
-      | Wam.Instr.Get_constant (c, a), Wam.Instr.Get_constant_u (c', a')
-        when c = c' && a = a' ->
-        Ok K_uninit_get
-      | Wam.Instr.Get_integer (n, a), Wam.Instr.Get_integer_u (n', a')
-        when n = n' && a = a' ->
-        Ok K_uninit_get
-      | Wam.Instr.Get_nil a, Wam.Instr.Get_nil_u a' when a = a' ->
-        Ok K_uninit_get
-      | Wam.Instr.Get_structure (f, a), Wam.Instr.Get_structure_r (f', a')
-        when f = f' && a = a' ->
-        Ok K_rigid_struct
-      | Wam.Instr.Get_list a, Wam.Instr.Get_list_r a' when a = a' ->
-        Ok K_rigid_list
-      | Wam.Instr.Get_value (r, a), Wam.Instr.Get_value_r (r', a')
-        when r = r' && a = a' ->
-        Ok K_rigid_value
-      | Wam.Instr.Get_value (r, a), Wam.Instr.Get_value_u (r', a')
-        when r = r' && a = a' ->
-        Ok K_value_nt
-      | Wam.Instr.Put_variable (r, a), Wam.Instr.Put_uninit (r', a')
-        when r = r' && a = a' ->
-        Ok K_put_uninit
-      | Wam.Instr.Builtin (b, n), Wam.Instr.Builtin_nt (b', n')
-        when b = b' && n = n' ->
-        Ok K_builtin_nt
+      | Wam.Instr.Get_structure (_, _, Wam.Instr.Rigid) -> Ok K_rigid_struct
+      | Wam.Instr.Get_list (_, Wam.Instr.Rigid) -> Ok K_rigid_list
+      | Wam.Instr.Get_value (_, _, Wam.Instr.Rigid) -> Ok K_rigid_value
+      | Wam.Instr.Get_value (_, _, Wam.Instr.Uncond) -> Ok K_value_nt
+      | Wam.Instr.Put_variable (_, _, true) -> Ok K_put_uninit
+      | Wam.Instr.Builtin (_, _, true) -> Ok K_builtin_nt
       | _ -> Error ())
 
 type access = { w_op : Trace.Ref_record.op; w_addr : int; w_area : Trace.Area.t }

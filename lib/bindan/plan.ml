@@ -1,7 +1,7 @@
 (* Turn an analysis result into the compiler's {!Wam.Compile.bind_plan}.
 
    Head-argument precedence: an uninit certificate beats rigid (the
-   [_u] forms skip both the deref loop and the trail machinery), rigid
+   [Uncond] gets skip both the deref loop and the trail machinery), rigid
    applies to the indexed first argument only (the switch has already
    dereferenced it), and [Cert_value_nt] is only consulted by the
    compiler at repeat-variable positions, so returning it broadly for

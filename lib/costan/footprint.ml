@@ -78,8 +78,9 @@ let instr ~nargs (i : Wam.Instr.t) : t =
   let envp x = add_area fp Trace.Area.Env_pvar x in
   let cp x = add_area fp Trace.Area.Choice_point x in
   (match i with
-  | Put_variable (X _, _) -> heap (point 1)
-  | Put_variable (Y _, _) -> envp (point 1)
+  | Put_variable (_, _, true) -> () (* the self-reference init is untraced *)
+  | Put_variable (X _, _, false) -> heap (point 1)
+  | Put_variable (Y _, _, false) -> envp (point 1)
   | Put_value (r, _) -> env_read r fp
   | Put_unsafe_value _ ->
     (* read the slot, deref; globalization adds a heap cell, a stack
@@ -90,22 +91,37 @@ let instr ~nargs (i : Wam.Instr.t) : t =
   | Put_constant _ | Put_integer _ | Put_nil _ | Put_list _ -> ()
   | Put_structure _ -> heap (point 1)
   | Get_variable (r, _) -> env_read r fp
-  | Get_value (r, _) ->
+  | Get_value (r, _, cert) ->
     env_read r fp;
     heap unify_heap;
-    trail unify_trail;
+    (* Uncond: full unification, trail entries elided *)
+    if cert <> Uncond then trail unify_trail;
     pdl unify_pdl
-  | Get_constant _ | Get_integer _ | Get_nil _ ->
+  | Get_constant (_, _, false) | Get_integer (_, _, false) | Get_nil (_, false)
+    ->
     heap (add d (itv 0 1));
     trail (itv 0 1)
-  | Get_structure _ ->
+  | Get_structure (_, _, Plain) ->
     (* read mode: deref + functor read; write mode: functor push +
        str binding *)
     heap (itv 1 3);
     trail (itv 0 1)
-  | Get_list _ ->
+  | Get_list (_, Plain) ->
     heap (add d (itv 0 1));
     trail (itv 0 1)
+  (* binding-certified attributes (lib/bindan): no deref hop, no trail
+     entry on the certified argument *)
+  | Get_structure (_, _, Rigid) -> heap (point 1) (* functor read only *)
+  | Get_list (_, Rigid) -> ()
+  | Get_structure (_, _, Uncond) ->
+    heap (point 2) (* functor push + cell overwrite *)
+  | Get_list (_, Uncond)
+  | Get_constant (_, _, true)
+  | Get_integer (_, _, true)
+  | Get_nil (_, true) ->
+    (* one direct overwrite of the certified-free cell *)
+    heap (itv 0 1);
+    add_area fp Trace.Area.Env_pvar (itv 0 1)
   | Unify_variable r ->
     env_read r fp;
     heap (point 1) (* write: push; read: read the cell at S *)
@@ -128,12 +144,12 @@ let instr ~nargs (i : Wam.Instr.t) : t =
   | Allocate _ -> envc (point 3)
   | Deallocate -> envc (point 2)
   | Call _ | Execute _ | Proceed | Jump _ | Halt_ok -> ()
-  | Try _ -> cp (point (nargs + 9))
-  | Retry _ -> cp (point 2)
-  | Trust _ -> cp (itv 2 4)
+  | Try (_, Deep) -> cp (point (nargs + 9))
+  | Retry (_, Deep) -> cp (point 2)
+  | Trust (_, Deep) -> cp (itv 2 4)
   (* shallow frames live in processor registers: no choice-point
      words; a commit may flush logged bindings to the trail *)
-  | Det_try _ | Det_retry _ | Det_trust _ -> ()
+  | Try (_, Shallow) | Retry (_, Shallow) | Trust (_, Shallow) -> ()
   | Switch_on_term _ -> heap d
   | Switch_on_constant _ | Switch_on_integer _ -> heap d
   | Switch_on_structure _ -> heap (add d (itv 0 1))
@@ -142,7 +158,7 @@ let instr ~nargs (i : Wam.Instr.t) : t =
   | Cut_to _ ->
     envp (point 1);
     cp (itv 0 2)
-  | Builtin (b, ar) -> (
+  | Builtin (b, ar, false) -> (
     match b with
     | True_b | Fail_b | Halt_b -> ()
     | Is ->
@@ -166,33 +182,14 @@ let instr ~nargs (i : Wam.Instr.t) : t =
       trail (itv 0 2)
     | Arg_b -> heap (itv 2 4)
     | Univ -> heap (itv 2 (4 + (2 * max 1 ar))))
-  (* binding-certified specializations (lib/bindan): no deref hop, no
-     trail entry on the certified argument *)
-  | Get_structure_r _ -> heap (point 1) (* functor read only *)
-  | Get_list_r _ -> ()
-  | Get_value_r (r, _) ->
-    env_read r fp;
-    heap unify_heap;
-    trail unify_trail;
-    pdl unify_pdl
-  | Get_value_u (r, _) ->
-    (* full unification, trail entries elided *)
-    env_read r fp;
-    heap unify_heap;
-    pdl unify_pdl
-  | Get_structure_u _ -> heap (point 2) (* functor push + cell overwrite *)
-  | Get_list_u _ | Get_constant_u _ | Get_integer_u _ | Get_nil_u _ ->
-    (* one direct overwrite of the certified-free cell *)
-    heap (itv 0 1);
-    add_area fp Trace.Area.Env_pvar (itv 0 1)
-  | Builtin_nt (b, _) -> (
+  | Builtin (b, _, true) -> (
+    (* certified-unconditional bindings: no trail entries *)
     match b with
     | Is -> heap (itv 1 6)
     | Unify ->
       heap (itv 1 6);
       pdl (itv 0 4)
     | _ -> ())
-  | Put_uninit _ -> () (* the self-reference init is untraced *)
   | Check_ground _ -> heap (itv 1 16)
   | Check_indep _ -> heap (itv 2 24)
   | Check_size (_, k, _) -> heap (itv 1 (max 1 k))

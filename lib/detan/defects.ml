@@ -61,8 +61,8 @@ let all =
       name = "orphan_chain";
       detector = "lint";
       description =
-        "emit certified chains headed by det_retry instead of \
-         det_try; wamlint's orphan-chain rule rejects the code";
+        "emit certified chains headed by a shallow retry instead of \
+         a try; wamlint's orphan-chain rule rejects the code";
       probes = [];
     };
   ]

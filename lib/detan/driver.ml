@@ -63,7 +63,7 @@ type pe_run = {
   base_total_refs : int;
   det_total_refs : int;
   det_cp_created : int;  (** try executions left in the det build *)
-  det_cp_elided : int;  (** det_try executions (shallow entries) *)
+  det_cp_elided : int;  (** shallow try executions *)
 }
 
 type report = {

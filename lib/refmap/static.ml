@@ -126,7 +126,7 @@ let step st (i : Wam.Instr.t) =
   let open Wam.Instr in
   let open Prolog.Abspat in
   match i with
-  | Put_variable (r, a) ->
+  | Put_variable (r, a, _) ->
     write_reg st r Free;
     write_reg st (X a) Free
   | Put_value (r, a) -> write_reg st (X a) (read_reg st r)
@@ -137,46 +137,29 @@ let step st (i : Wam.Instr.t) =
     write_reg st (X a) Any;
     st.sm <- Sw
   | Get_variable (r, a) -> write_reg st r (read_reg st (X a))
-  | Get_value (r, a) ->
+  | Get_value (r, a, _) ->
     let g =
       if read_reg st r = Ground || read_reg st (X a) = Ground then Ground
       else Any
     in
     write_reg st r g;
     write_reg st (X a) g
-  | Get_constant (_, a) | Get_integer (_, a) | Get_nil a ->
+  | Get_constant (_, a, _) | Get_integer (_, a, _) | Get_nil (a, _) ->
     write_reg st (X a) Ground
-  | Get_structure (_, a) | Get_list a ->
+  | Get_structure (_, a, Plain) | Get_list (a, Plain) ->
     if read_reg st (X a) = Ground then st.sm <- Sg
     else begin
       write_reg st (X a) Any;
       st.sm <- Su
     end
-  (* binding-certified specializations behave like their baseline
-     forms for groundness purposes *)
-  | Get_value_r (r, a) | Get_value_u (r, a) ->
-    let g =
-      if read_reg st r = Ground || read_reg st (X a) = Ground then Ground
-      else Any
-    in
-    write_reg st r g;
-    write_reg st (X a) g
-  | Get_constant_u (_, a) | Get_integer_u (_, a) | Get_nil_u a ->
-    write_reg st (X a) Ground
-  | Get_structure_r (_, a) ->
+  | Get_structure (_, a, Rigid) | Get_list (a, Rigid) ->
     (* rigid depth-0 certificate: the argument is bound, not ground *)
     write_reg st (X a) Any;
     st.sm <- Su
-  | Get_list_r a ->
-    write_reg st (X a) Any;
-    st.sm <- Su
-  | Get_structure_u (_, a) | Get_list_u a ->
+  | Get_structure (_, a, Uncond) | Get_list (a, Uncond) ->
     (* certified free: the head term is built in write mode *)
     write_reg st (X a) Any;
     st.sm <- Sw
-  | Put_uninit (r, a) ->
-    write_reg st r Free;
-    write_reg st (X a) Free
   | Unify_variable r ->
     write_reg st r (match st.sm with Sg -> Ground | Sw -> Free | Su -> Any)
   | Unify_value r | Unify_local_value r ->
@@ -187,7 +170,7 @@ let step st (i : Wam.Instr.t) =
   | Deallocate -> Array.fill st.y 0 (Array.length st.y) Any
   | Call _ -> degrade_after_call st
   | Par_join -> degrade_after_call st
-  | Builtin (b, n) | Builtin_nt (b, n) ->
+  | Builtin (b, n, _) ->
     (* builtins may bind their arguments in place *)
     for i = 1 to min n (max_x - 1) do
       if st.x.(i) <> Ground then st.x.(i) <- Any
@@ -199,8 +182,7 @@ let step st (i : Wam.Instr.t) =
        through a label, which reseeds *)
     kill_x st;
     Array.fill st.y 0 (Array.length st.y) Any
-  | Try _ | Retry _ | Trust _ | Det_try _ | Det_retry _ | Det_trust _
-  | Switch_on_term _ | Switch_on_constant _
+  | Try _ | Retry _ | Trust _ | Switch_on_term _ | Switch_on_constant _
   | Switch_on_integer _ | Switch_on_structure _ | Neck_cut | Cut_to _
   | Check_ground _ | Check_indep _ | Check_size _ | Alloc_parcall _
   | Push_goal _ ->
@@ -215,8 +197,7 @@ let targets code ~entry ~stop =
   let add tbl l = if l >= entry && l < stop then Hashtbl.replace tbl l () in
   for addr = entry to stop - 1 do
     match Wam.Code.fetch code addr with
-    | Wam.Instr.Try l | Wam.Instr.Retry l | Wam.Instr.Trust l
-    | Wam.Instr.Det_try l | Wam.Instr.Det_retry l | Wam.Instr.Det_trust l ->
+    | Wam.Instr.Try (l, _) | Wam.Instr.Retry (l, _) | Wam.Instr.Trust (l, _) ->
       add dispatch l
     | Wam.Instr.Switch_on_term { var_l; con_l; int_l; lis_l; str_l } ->
       List.iter (add dispatch) [ var_l; con_l; int_l; lis_l; str_l ]
@@ -237,9 +218,7 @@ let targets code ~entry ~stop =
      itself with restored arguments: seed there too *)
   for addr = entry to stop - 1 do
     match Wam.Code.fetch code addr with
-    | Wam.Instr.Retry _ | Wam.Instr.Trust _ | Wam.Instr.Det_retry _
-    | Wam.Instr.Det_trust _ ->
-      Hashtbl.replace dispatch addr ()
+    | Wam.Instr.Retry _ | Wam.Instr.Trust _ -> Hashtbl.replace dispatch addr ()
     | _ -> ()
   done;
   (dispatch, unknown)

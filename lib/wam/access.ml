@@ -71,11 +71,17 @@ let builtin (b : Builtin.t) =
   | Builtin.Arg_b -> deref @ [ rd Heap ] @ bind
   | Builtin.Univ -> deref @ [ rd Heap ] @ hpush @ bind
 
+(* Certified-unconditional bindings: the trail write is elided. *)
+let untrailed accs = List.filter (fun a -> a.area <> Trail) accs
+
 let of_instr ?(ctx = conservative) (i : Instr.t) =
   match i with
   (* put group *)
-  | Instr.Put_variable (Instr.X _, _) -> hpush
-  | Instr.Put_variable (Instr.Y _, _) -> [ wr Env_pvar ]
+  | Instr.Put_variable (Instr.X _, _, false) -> hpush
+  | Instr.Put_variable (Instr.Y _, _, false) -> [ wr Env_pvar ]
+  | Instr.Put_variable (_, _, true) ->
+    (* the dead self-reference init is an untraced store *)
+    []
   | Instr.Put_value (r, _) -> get_reg r
   | Instr.Put_unsafe_value _ -> [ rd Env_pvar ] @ deref @ hpush @ bind
   | Instr.Put_constant _ | Instr.Put_integer _ | Instr.Put_nil _
@@ -84,16 +90,32 @@ let of_instr ?(ctx = conservative) (i : Instr.t) =
   | Instr.Put_structure _ -> hpush
   (* get group: ground argument => pure read-mode matching *)
   | Instr.Get_variable (r, _) -> set_reg r
-  | Instr.Get_value (r, _) ->
-    if ctx.ground r then get_reg r @ deref @ pdl @ [ rd Heap ]
-    else get_reg r @ unify_full
-  | Instr.Get_constant (_, a) | Instr.Get_integer (_, a) ->
+  | Instr.Get_value (r, _, cert) ->
+    (* a rigid certificate elides the argument's deref loop; the
+       unification that follows can still bind (and trail) subterm
+       variables *)
+    let accs =
+      if ctx.ground r then get_reg r @ deref @ pdl @ [ rd Heap ]
+      else get_reg r @ unify_full
+    in
+    if cert = Instr.Uncond then untrailed accs else accs
+  | Instr.Get_constant (_, a, false)
+  | Instr.Get_integer (_, a, false)
+  | Instr.Get_nil (a, false) ->
     if ctx.ground (Instr.X a) then deref else deref @ bind
-  | Instr.Get_nil a ->
-    if ctx.ground (Instr.X a) then deref else deref @ bind
-  | Instr.Get_structure (_, a) | Instr.Get_list a ->
+  | Instr.Get_structure (_, a, Instr.Plain) | Instr.Get_list (a, Instr.Plain) ->
     if ctx.ground (Instr.X a) then deref @ [ rd Heap ]
     else deref @ [ rd Heap ] @ hpush @ bind
+  (* certified attributes: no deref reads (the Ref chase is skipped),
+     and an unconditional bind skips the trail write *)
+  | Instr.Get_structure (_, _, Instr.Rigid) -> [ rd Heap ]
+  | Instr.Get_list (_, Instr.Rigid) -> []
+  | Instr.Get_structure (_, _, Instr.Uncond)
+  | Instr.Get_list (_, Instr.Uncond)
+  | Instr.Get_constant (_, _, true)
+  | Instr.Get_integer (_, _, true)
+  | Instr.Get_nil (_, true) ->
+    [ wr Heap; wr Env_pvar ]
   (* unify group: a ground structure being read never binds its own
      cells; register-side terms may still be bound unless also ground *)
   | Instr.Unify_variable r ->
@@ -114,14 +136,17 @@ let of_instr ?(ctx = conservative) (i : Instr.t) =
   | Instr.Halt_ok ->
     []
   (* choice *)
-  | Instr.Try _ -> [ wr Choice_point ]
-  | Instr.Retry _ -> [ rd Choice_point; wr Choice_point ]
-  | Instr.Trust _ -> [ rd Choice_point ]
-  (* determinacy-certified chains: the shallow frame lives in
-     processor registers, so the chain instructions themselves touch
-     no memory (commit-time trail flushes are charged to the binding
-     instructions, whose footprints already include the trail write) *)
-  | Instr.Det_try _ | Instr.Det_retry _ | Instr.Det_trust _ -> []
+  | Instr.Try (_, Instr.Deep) -> [ wr Choice_point ]
+  | Instr.Retry (_, Instr.Deep) -> [ rd Choice_point; wr Choice_point ]
+  | Instr.Trust (_, Instr.Deep) -> [ rd Choice_point ]
+  (* shallow chains: the frame lives in processor registers, so the
+     chain instructions themselves touch no memory (commit-time trail
+     flushes are charged to the binding instructions, whose footprints
+     already include the trail write) *)
+  | Instr.Try (_, Instr.Shallow)
+  | Instr.Retry (_, Instr.Shallow)
+  | Instr.Trust (_, Instr.Shallow) ->
+    []
   (* indexing *)
   | Instr.Switch_on_term _ | Instr.Switch_on_constant _
   | Instr.Switch_on_integer _ ->
@@ -132,33 +157,8 @@ let of_instr ?(ctx = conservative) (i : Instr.t) =
   | Instr.Get_level _ -> [ wr Env_pvar ]
   | Instr.Cut_to _ -> [ rd Env_pvar; rd Choice_point ]
   (* escapes *)
-  | Instr.Builtin (b, _) -> builtin b
-  | Instr.Builtin_nt (b, _) ->
-    (* certified-unconditional bindings: the trail write is elided *)
-    List.filter (fun a -> a.area <> Trail) (builtin b)
-  (* binding-certified specializations: no deref reads ([_r]/[_u] skip
-     the Ref chase), and the [_u] binds skip the trail write *)
-  | Instr.Get_structure_r _ -> [ rd Heap ]
-  | Instr.Get_list_r _ -> []
-  | Instr.Get_value_r (r, _) ->
-    (* the elision is the argument's deref loop; the unification that
-       follows can still bind (and trail) subterm variables *)
-    if ctx.ground r then get_reg r @ deref @ pdl @ [ rd Heap ]
-    else get_reg r @ unify_full
-  | Instr.Get_structure_u _ | Instr.Get_list_u _ ->
-    [ wr Heap; wr Env_pvar ]
-  | Instr.Get_constant_u _ | Instr.Get_integer_u _ | Instr.Get_nil_u _ ->
-    [ wr Heap; wr Env_pvar ]
-  | Instr.Put_uninit _ ->
-    (* the dead self-reference init is an untraced store *)
-    []
-  | Instr.Get_value_u (r, _) ->
-    (* full unification, certified-unconditional bindings: the trail
-       write is elided *)
-    List.filter
-      (fun a -> a.area <> Trail)
-      (if ctx.ground r then get_reg r @ deref @ pdl @ [ rd Heap ]
-       else get_reg r @ unify_full)
+  | Instr.Builtin (b, _, false) -> builtin b
+  | Instr.Builtin (b, _, true) -> untrailed (builtin b)
   (* parallel extensions *)
   | Instr.Check_ground (r, _) -> get_reg r @ deref @ [ rd Heap ]
   | Instr.Check_indep (r1, r2, _) ->
@@ -187,12 +187,9 @@ let may_fail (i : Instr.t) =
   | Instr.Unify_value _ | Instr.Unify_local_value _ | Instr.Unify_constant _
   | Instr.Unify_integer _ | Instr.Unify_nil | Instr.Switch_on_term _
   | Instr.Switch_on_constant _ | Instr.Switch_on_integer _
-  | Instr.Switch_on_structure _ | Instr.Par_join
-  | Instr.Get_structure_r _ | Instr.Get_list_r _ | Instr.Get_value_r _
-  | Instr.Get_structure_u _ | Instr.Get_list_u _ | Instr.Get_constant_u _
-  | Instr.Get_integer_u _ | Instr.Get_nil_u _ | Instr.Get_value_u _ ->
+  | Instr.Switch_on_structure _ | Instr.Par_join ->
     true
-  | Instr.Builtin (b, _) | Instr.Builtin_nt (b, _) -> begin
+  | Instr.Builtin (b, _, _) -> begin
     match b with
     | Builtin.True_b | Builtin.Write_t | Builtin.Print_t | Builtin.Nl
     | Builtin.Halt_b ->

@@ -99,14 +99,14 @@ let goal_kind db g =
    every call to a predicate: that an argument is always a
    first-occurrence free variable whose binding is unconditional
    (no choice point or parcall redo can ever untrail it), or that it
-   is always bound rigid with dereference depth 0.  The compiler
-   rewrites head instructions 1:1 into the [_u] / [_r] specializations
-   of {!Instr}, swaps certified builtins to [builtin_nt], and turns a
-   certified first-occurrence argument put into [put_uninit].  Every
-   rewrite replaces exactly one instruction, so a plan-compiled code
-   area stays address-aligned with the baseline — the trace-replay
-   oracle in lib/bindan diffs the two arrays to find the certified
-   sites and audits each against a baseline trace. *)
+   is always bound rigid with dereference depth 0.  The compiler sets
+   the certificate as an attribute of the head get ({!Instr.cert}, or
+   the [uncond] flag of the atomic gets), of a certified builtin, and
+   of a certified first-occurrence argument put.  A plan only ever
+   changes attributes, so a plan-compiled code area equals the
+   baseline once {!Instr.plain} is applied — the trace-replay oracle
+   in lib/bindan diffs the two arrays to find the certified sites and
+   audits each against a baseline trace. *)
 type arg_cert =
   | Cert_none
   | Cert_rigid  (** always bound, deref depth 0 at the head *)
@@ -206,37 +206,39 @@ let compile_head ctx ?bind head =
       Queue.add (t_reg, t) queue
   in
   let get_term ?(spec = Cert_none) ~into t =
-    match (t, spec) with
-    | Prolog.Term.Var v, _ ->
+    (* [Uncond] means a certified-free argument on the term gets but
+       certified-unconditional bindings on get_value *)
+    let uncond = spec = Cert_uninit in
+    let term_cert =
+      match spec with
+      | Cert_rigid -> Instr.Rigid
+      | Cert_uninit -> Instr.Uncond
+      | Cert_none | Cert_value_nt -> Instr.Plain
+    in
+    match t with
+    | Prolog.Term.Var v ->
       (* A void head argument needs no instruction. *)
       if not (is_void ctx v) then
         if first_occ v then emit (Instr.Get_variable (reg_of ctx v, into))
-        else if spec = Cert_rigid then
-          emit (Instr.Get_value_r (reg_of ctx v, into))
-        else if spec = Cert_value_nt then
-          emit (Instr.Get_value_u (reg_of ctx v, into))
-        else emit (Instr.Get_value (reg_of ctx v, into))
-    | Prolog.Term.Int n, Cert_uninit -> emit (Instr.Get_integer_u (n, into))
-    | Prolog.Term.Int n, _ -> emit (Instr.Get_integer (n, into))
-    | Prolog.Term.Atom "[]", Cert_uninit -> emit (Instr.Get_nil_u into)
-    | Prolog.Term.Atom "[]", _ -> emit (Instr.Get_nil into)
-    | Prolog.Term.Atom a, Cert_uninit ->
-      emit (Instr.Get_constant_u (Symbols.atom ctx.symbols a, into))
-    | Prolog.Term.Atom a, _ ->
-      emit (Instr.Get_constant (Symbols.atom ctx.symbols a, into))
-    | Prolog.Term.Struct (".", [ h; tl ]), _ ->
-      (match spec with
-      | Cert_uninit -> emit (Instr.Get_list_u into)
-      | Cert_rigid -> emit (Instr.Get_list_r into)
-      | Cert_none | Cert_value_nt -> emit (Instr.Get_list into));
+        else
+          let value_cert =
+            match spec with
+            | Cert_rigid -> Instr.Rigid
+            | Cert_value_nt -> Instr.Uncond
+            | Cert_none | Cert_uninit -> Instr.Plain
+          in
+          emit (Instr.Get_value (reg_of ctx v, into, value_cert))
+    | Prolog.Term.Int n -> emit (Instr.Get_integer (n, into, uncond))
+    | Prolog.Term.Atom "[]" -> emit (Instr.Get_nil (into, uncond))
+    | Prolog.Term.Atom a ->
+      emit (Instr.Get_constant (Symbols.atom ctx.symbols a, into, uncond))
+    | Prolog.Term.Struct (".", [ h; tl ]) ->
+      emit (Instr.Get_list (into, term_cert));
       unify_arg h;
       unify_arg tl
-    | Prolog.Term.Struct (f, args), _ ->
+    | Prolog.Term.Struct (f, args) ->
       let fid = Symbols.functor_ ctx.symbols f (List.length args) in
-      (match spec with
-      | Cert_uninit -> emit (Instr.Get_structure_u (fid, into))
-      | Cert_rigid -> emit (Instr.Get_structure_r (fid, into))
-      | Cert_none | Cert_value_nt -> emit (Instr.Get_structure (fid, into)));
+      emit (Instr.Get_structure (fid, into, term_cert));
       List.iter unify_arg args
   in
   let name, head_args = goal_parts head in
@@ -310,8 +312,8 @@ and prepare_unify_arg ctx seen t =
    put_unsafe_value when the variable's first occurrence was not a
    top-level head argument.  [uninit] marks argument positions the
    binding plan certifies as uninitialized output of the callee: a
-   first-occurrence variable there is created with [put_uninit]
-   (untraced self-reference) instead of [put_variable]. *)
+   first-occurrence variable there is created by a [put_variable]
+   with the [uncond] flag (untraced self-reference). *)
 let put_args ctx seen ?(uninit = no_uninit) ~last args =
   let emit i = ignore (Code.emit ctx.code i) in
   let put_one i t =
@@ -321,8 +323,7 @@ let put_args ctx seen ?(uninit = no_uninit) ~last args =
       let info = Hashtbl.find ctx.vars v in
       if not (Hashtbl.mem seen v) then begin
         Hashtbl.add seen v ();
-        if uninit into then emit (Instr.Put_uninit (reg_of ctx v, into))
-        else emit (Instr.Put_variable (reg_of ctx v, into))
+        emit (Instr.Put_variable (reg_of ctx v, into, uninit into))
       end
       else begin
         match reg_of ctx v with
@@ -363,7 +364,7 @@ let flush_synth code alloc =
   List.iter
     (fun (fid, b, arity) ->
       let addr = Code.here code in
-      ignore (Code.emit code (Instr.Builtin (b, arity)));
+      ignore (Code.emit code (Instr.Builtin (b, arity, false)));
       ignore (Code.emit code Instr.Proceed);
       Code.set_entry code fid addr)
     (List.rev alloc.pending);
@@ -587,9 +588,7 @@ let compile_clause ~parallel ?bind symbols code db alloc
             | Some p -> p.bind_builtin ~pred:clause_pred b
             | None -> false
           in
-          emit
-            (if nt then Instr.Builtin_nt (b, arity)
-             else Instr.Builtin (b, arity));
+          emit (Instr.Builtin (b, arity, nt));
           emit_items (idx + 1) rest
         | G_user ->
           let fid = Symbols.functor_ ctx.symbols name arity in
@@ -617,7 +616,7 @@ let compile_clause ~parallel ?bind symbols code db alloc
           | Prolog.Term.Var v when not (Hashtbl.mem seen v) ->
             Hashtbl.replace seen v ();
             let a = alloc_temp ctx in
-            emit (Instr.Put_variable (reg_of ctx v, a));
+            emit (Instr.Put_variable (reg_of ctx v, a, false));
             free_temp ctx a
           | Prolog.Term.Var _ | Prolog.Term.Atom _ | Prolog.Term.Int _
           | Prolog.Term.Struct _ ->
@@ -682,7 +681,7 @@ let compile_clause ~parallel ?bind symbols code db alloc
          match goal_kind db inline_arm with
          | G_builtin b ->
            put_args ctx seen ~last:false args;
-           emit (Instr.Builtin (b, arity))
+           emit (Instr.Builtin (b, arity, false))
          | G_user ->
            let fid = Symbols.functor_ ctx.symbols name arity in
            put_args ctx seen ~uninit:(uninit_of bind (name, arity))
@@ -718,7 +717,7 @@ let compile_clause ~parallel ?bind symbols code db alloc
               match goal_kind db arm with
               | G_builtin b ->
                 put_args ctx seen_before ~last:false args;
-                emit (Instr.Builtin (b, arity))
+                emit (Instr.Builtin (b, arity, false))
               | G_user ->
                 let fid = Symbols.functor_ ctx.symbols name arity in
                 put_args ctx seen_before
@@ -743,8 +742,8 @@ let compile_clause ~parallel ?bind symbols code db alloc
 
 (* Determinacy-driven chain elision (lib/detan supplies the plan).
 
-   A chain the plan certifies is emitted with det_try/det_retry/
-   det_trust: the machine keeps a register-resident shallow frame
+   A chain the plan certifies is emitted with the [Shallow] chain
+   attribute: the machine keeps a register-resident shallow frame
    instead of pushing a choice point, and discards the remaining
    alternatives at the clause's first committing instruction (call,
    proceed, neck_cut, parcall...).  That is sound only when the
@@ -756,7 +755,7 @@ let compile_clause ~parallel ?bind symbols code db alloc
    prunes the variable-dispatch chain of switch_on_term when the
    analysis proves the first argument is always instantiated at call
    time.  [det_orphan_sabotage] deliberately mis-emits certified
-   chains headed by det_retry (no det_try): the seeded defect the
+   chains headed by a shallow retry (no try): the seeded defect the
    wamlint orphan-chain rule must catch. *)
 type det_plan = {
   det_certify :
@@ -769,14 +768,14 @@ type det_plan = {
   det_orphan_sabotage : bool;
 }
 
-(* One emitted try/retry/trust (or det) chain, for the elision stats
+(* One emitted try/retry/trust chain (deep or shallow), for the elision stats
    and the trace-replay oracle: [ci_clauses] are indices into the
    predicate's clause list, in chain order, so a later analysis can
    re-derive the certificate for the exact alternatives emitted. *)
 type chain_info = {
   ci_pred : string * int;
   ci_bucket : string;  (** "seq" | "var" | "lis" | "con" | "int" | "str" | "default" *)
-  ci_start : int;  (** address of the try (or det_try) *)
+  ci_start : int;  (** address of the try *)
   ci_alts : int;
   ci_det : bool;
   ci_clauses : int list;
@@ -799,18 +798,14 @@ let first_arg_of symbols (clause : Prolog.Database.clause) =
   | Prolog.Term.Struct (_, []) | Prolog.Term.Int _ | Prolog.Term.Var _ ->
     FA_var
 
-(* Chain instruction for position [i] of [n] alternatives.  The det
-   variants keep the frame in registers; [sabotage] mis-heads the
-   chain with det_retry (seeded defect for the orphan-chain lint). *)
+(* Chain instruction for position [i] of [n] alternatives.  A det
+   chain keeps the frame in registers; [sabotage] mis-heads it with a
+   retry (seeded defect for the orphan-chain lint). *)
 let chain_instr ~det ~sabotage i n target =
-  if det then
-    if i = 0 then
-      if sabotage then Instr.Det_retry target else Instr.Det_try target
-    else if i = n - 1 then Instr.Det_trust target
-    else Instr.Det_retry target
-  else if i = 0 then Instr.Try target
-  else if i = n - 1 then Instr.Trust target
-  else Instr.Retry target
+  let chain = if det then Instr.Shallow else Instr.Deep in
+  if i = 0 && not (det && sabotage) then Instr.Try (target, chain)
+  else if i = n - 1 then Instr.Trust (target, chain)
+  else Instr.Retry (target, chain)
 
 (* Emit a try/retry/trust chain over clause addresses.  A single
    address needs no chain. *)

@@ -32,7 +32,7 @@ type det_plan = {
     bool;
       (** Asked once per multi-clause chain, with the alternatives in
           chain order.  Answering [true] makes the compiler emit the
-          chain as det_try/det_retry/det_trust — choice-point free —
+          chain with the [Shallow] attribute — choice-point free —
           so the answer must prove that every non-last alternative
           either leads with a cut or is mutually exclusive with all
           later ones (see {!Detan.Exclusion}). *)
@@ -41,8 +41,8 @@ type det_plan = {
           call: the switch_on_term variable-dispatch chain is dead and
           compiles to fail instead of being emitted. *)
   det_orphan_sabotage : bool;
-      (** Seeded defect: head certified chains with det_retry instead
-          of det_try (caught by the wamlint orphan-chain rule). *)
+      (** Seeded defect: head certified chains with a shallow retry
+          instead of a try (caught by the wamlint orphan-chain rule). *)
 }
 (** Determinacy plan supplied by lib/detan; [det_certify] is trusted
     blindly, the dynamic oracle audits it against traces. *)
@@ -50,17 +50,18 @@ type det_plan = {
 type arg_cert =
   | Cert_none
   | Cert_rigid
-      (** always bound with dereference depth 0 at the head: the [_r]
-          get specializations skip the deref loop *)
+      (** always bound with dereference depth 0 at the head: the
+          [Rigid] gets skip the deref loop *)
   | Cert_uninit
       (** always a free first-occurrence variable whose binding is
-          unconditional: the [_u] get specializations bind directly
-          with the trail check elided *)
+          unconditional: the [Uncond] term gets (and the atomic gets
+          with the [uncond] flag) bind directly with the trail check
+          elided *)
   | Cert_value_nt
       (** repeat-variable argument position in a program certified
           free of live choice points: the head [get_value] keeps its
           full unification semantics but elides every trail test and
-          write ([get_value_u]) *)
+          write ([get_value] with [Uncond]) *)
 
 type bind_plan = {
   bind_head : pred:string * int -> arg:int -> arg_cert;
@@ -72,28 +73,28 @@ type bind_plan = {
           bindings, a deep backtrack cannot). *)
   bind_uninit : callee:string * int -> arg:int -> bool;
       (** [true] when the callee's argument is certified uninitialized
-          output: a first-occurrence variable put compiles to
-          [put_uninit] (untraced self-reference) instead of
-          [put_variable]. *)
+          output: a first-occurrence variable put compiles to a
+          [put_variable] with the [uncond] flag (untraced
+          self-reference). *)
   bind_builtin : pred:string * int -> Builtin.t -> bool;
       (** [true] when every occurrence of the builtin in the
           predicate's clause bodies only makes certified-unconditional
-          bindings: those sites compile to [builtin_nt].  Only =/2 and
+          bindings: those sites compile with the [uncond] flag.  Only =/2 and
           is/2 are eligible (enforced by the wamlint [nt-builtin]
           rule). *)
 }
-(** Binding/instantiation plan supplied by lib/bindan.  Every rewrite
-    it triggers replaces exactly one baseline instruction, keeping the
-    code address-aligned with a plan-free compilation of the same
-    database — the lib/bindan trace-replay oracle relies on that to
-    locate and audit the certified sites. *)
+(** Binding/instantiation plan supplied by lib/bindan.  It only sets
+    instruction attributes, so the code equals a plan-free compilation
+    of the same database once {!Instr.plain} is applied — the
+    lib/bindan trace-replay oracle relies on that to locate and audit
+    the certified sites. *)
 
 type chain_info = {
   ci_pred : string * int;
   ci_bucket : string;
       (** ["seq"] (non-indexed), ["var"], ["lis"], ["con"], ["int"],
           ["str"] or ["default"] (unknown-key fallback). *)
-  ci_start : int;  (** address of the try / det_try *)
+  ci_start : int;  (** address of the (deep or shallow) try *)
   ci_alts : int;
   ci_det : bool;
   ci_clauses : int list;

@@ -226,7 +226,7 @@ let untrail_to m (w : worker) saved_tr =
 (* Shallow fail: restore the register snapshot, reset the logged
    bindings to unbound and continue at the frame's next alternative.
    No choice-point words are read, nothing was trailed, and the frame
-   stays active for the rest of the chain (the det_retry/det_trust at
+   stays active for the rest of the chain (the shallow retry/trust at
    [sh_alt] updates or deactivates it). *)
 let shallow_fail m (w : worker) =
   let sh = w.shallow in
@@ -275,15 +275,10 @@ let commits = function
   | Instr.Unify_variable _ | Instr.Unify_value _ | Instr.Unify_local_value _
   | Instr.Unify_constant _ | Instr.Unify_integer _ | Instr.Unify_nil
   | Instr.Unify_void _ | Instr.Allocate _ | Instr.Deallocate | Instr.Jump _
-  | Instr.Try _ | Instr.Retry _ | Instr.Trust _ | Instr.Det_try _
-  | Instr.Det_retry _ | Instr.Det_trust _ | Instr.Switch_on_term _
+  | Instr.Try _ | Instr.Retry _ | Instr.Trust _ | Instr.Switch_on_term _
   | Instr.Switch_on_constant _ | Instr.Switch_on_integer _
   | Instr.Switch_on_structure _ | Instr.Get_level _ | Instr.Builtin _
-  | Instr.Check_ground _ | Instr.Check_indep _ | Instr.Check_size _
-  | Instr.Get_structure_r _ | Instr.Get_list_r _ | Instr.Get_value_r _
-  | Instr.Get_structure_u _ | Instr.Get_list_u _ | Instr.Get_constant_u _
-  | Instr.Get_integer_u _ | Instr.Get_nil_u _ | Instr.Builtin_nt _
-  | Instr.Put_uninit _ | Instr.Get_value_u _ ->
+  | Instr.Check_ground _ | Instr.Check_indep _ | Instr.Check_size _ ->
     false
 
 let maybe_commit m (w : worker) instr =
@@ -903,14 +898,39 @@ let call_entry m (w : worker) fid ~tail =
     w.b0 <- w.b;
     w.p <- entry
 
+(* Run [f] with trailing elided: the certificate says every binding it
+   makes is unconditional, so [bind] skips the trail for this one
+   instruction. *)
+let untrailed (w : worker) f =
+  w.no_trail <- true;
+  match f () with
+  | ok ->
+    w.no_trail <- false;
+    ok
+  | exception e ->
+    w.no_trail <- false;
+    raise e
+
+(* The cell an [Uncond] get overwrites: the register holds a Ref to an
+   unbound depth-0 cell, so no deref read.  A non-Ref contradicts the
+   freeness certificate and fails ([-1]). *)
+let uncond_target m (w : worker) ai =
+  m.deref_skipped <- m.deref_skipped + 1;
+  let c = w.x.(ai) in
+  if Cell.is_ref c then Cell.payload c
+  else begin
+    fail m w;
+    -1
+  end
+
 let step_core m (w : worker) instr =
   match instr with
   (* ---- put ---- *)
-  | Instr.Put_variable (Instr.X n, ai) ->
+  | Instr.Put_variable (Instr.X n, ai, false) ->
     let a = fresh_heap_var m w in
     w.x.(n) <- Cell.ref_ a;
     w.x.(ai) <- Cell.ref_ a
-  | Instr.Put_variable (Instr.Y n, ai) ->
+  | Instr.Put_variable (Instr.Y n, ai, false) ->
     let addr = w.e + 3 + n in
     wr m w ~area:Trace.Area.Env_pvar addr (Cell.ref_ addr);
     w.x.(ai) <- Cell.ref_ addr
@@ -938,9 +958,9 @@ let step_core m (w : worker) instr =
     w.mode_write <- true
   (* ---- get ---- *)
   | Instr.Get_variable (r, ai) -> set_reg m w r w.x.(ai)
-  | Instr.Get_value (r, ai) ->
+  | Instr.Get_value (r, ai, Instr.Plain) ->
     if not (unify m w (get_reg m w r) w.x.(ai)) then fail m w
-  | Instr.Get_constant (c, ai) -> begin
+  | Instr.Get_constant (c, ai, false) -> begin
     match Cell.view (deref m w w.x.(ai)) with
     | Cell.Ref a -> bind m w a (Cell.con c)
     | Cell.Con c' when c' = c -> ()
@@ -948,7 +968,7 @@ let step_core m (w : worker) instr =
     | Cell.Raw _ ->
       fail m w
   end
-  | Instr.Get_integer (n, ai) -> begin
+  | Instr.Get_integer (n, ai, false) -> begin
     match Cell.view (deref m w w.x.(ai)) with
     | Cell.Ref a -> bind m w a (Cell.num n)
     | Cell.Num n' when n' = n -> ()
@@ -956,7 +976,7 @@ let step_core m (w : worker) instr =
     | Cell.Raw _ ->
       fail m w
   end
-  | Instr.Get_nil ai -> begin
+  | Instr.Get_nil (ai, false) -> begin
     match Cell.view (deref m w w.x.(ai)) with
     | Cell.Ref a -> bind m w a (Cell.con m.nil_atom)
     | Cell.Con c when c = m.nil_atom -> ()
@@ -964,7 +984,7 @@ let step_core m (w : worker) instr =
     | Cell.Raw _ ->
       fail m w
   end
-  | Instr.Get_structure (f, ai) -> begin
+  | Instr.Get_structure (f, ai, Instr.Plain) -> begin
     match Cell.view (deref m w w.x.(ai)) with
     | Cell.Ref a ->
       let sa = hpush m w (Cell.fun_ f) in
@@ -979,7 +999,7 @@ let step_core m (w : worker) instr =
     | Cell.Con _ | Cell.Lis _ | Cell.Num _ | Cell.Fun _ | Cell.Raw _ ->
       fail m w
   end
-  | Instr.Get_list ai -> begin
+  | Instr.Get_list (ai, Instr.Plain) -> begin
     match Cell.view (deref m w w.x.(ai)) with
     | Cell.Ref a ->
       bind m w a (Cell.lis w.h);
@@ -1077,15 +1097,15 @@ let step_core m (w : worker) instr =
     m.halted <- true;
     w.status <- Halted
   (* ---- choice ---- *)
-  | Instr.Try l ->
+  | Instr.Try (l, Instr.Deep) ->
     m.cp_created <- m.cp_created + 1;
     push_choice_point m w ~next_alt:w.p;
     w.p <- l
-  | Instr.Retry l ->
+  | Instr.Retry (l, Instr.Deep) ->
     let n = Cell.payload (rd m w ~area:Trace.Area.Choice_point w.b) in
     wr m w ~area:Trace.Area.Choice_point (w.b + n + 4) (Cell.raw w.p);
     w.p <- l
-  | Instr.Trust l ->
+  | Instr.Trust (l, Instr.Deep) ->
     let b = w.b in
     let n = Cell.payload (rd m w ~area:Trace.Area.Choice_point b) in
     let prev = Cell.payload (rd m w ~area:Trace.Area.Choice_point (b + n + 3)) in
@@ -1108,10 +1128,10 @@ let step_core m (w : worker) instr =
     w.cst <- b;
     w.p <- l
   (* ---- determinacy-certified chains ---- *)
-  | Instr.Det_try l ->
+  | Instr.Try (l, Instr.Shallow) ->
     let sh = w.shallow in
     if sh.sh_active then
-      runtime_error "det_try: shallow frame already active (PE %d)" w.id;
+      runtime_error "shallow try: shallow frame already active (PE %d)" w.id;
     let n = w.nargs in
     sh.sh_active <- true;
     sh.sh_alt <- w.p;
@@ -1128,10 +1148,10 @@ let step_core m (w : worker) instr =
     sh.sh_nt_log <- [];
     m.cp_elided <- m.cp_elided + 1;
     w.p <- l
-  | Instr.Det_retry l ->
+  | Instr.Retry (l, Instr.Shallow) ->
     w.shallow.sh_alt <- w.p;
     w.p <- l
-  | Instr.Det_trust l ->
+  | Instr.Trust (l, Instr.Shallow) ->
     (* last alternative: from here a failure is a real failure *)
     w.shallow.sh_active <- false;
     w.shallow.sh_log <- [];
@@ -1196,24 +1216,12 @@ let step_core m (w : worker) instr =
     in
     cut_to_level m w target
   (* ---- escapes ---- *)
-  | Instr.Builtin (b, arity) ->
+  | Instr.Builtin (b, arity, false) ->
     if not (exec_builtin m w b arity) then fail m w
-  | Instr.Builtin_nt (b, arity) ->
-    (* bindings certified unconditional: [bind] skips trailing for the
-       builtin's duration (the flag is scoped to this one escape) *)
-    w.no_trail <- true;
-    let ok =
-      try exec_builtin m w b arity
-      with e ->
-        w.no_trail <- false;
-        raise e
-    in
-    w.no_trail <- false;
-    if not ok then fail m w
-  (* ---- binding-certified specializations (lib/bindan) ---- *)
-  | Instr.Get_structure_r (f, ai) -> begin
-    (* rigid at depth 0: the register holds the final cell, no deref.
-       A Ref contradicts the certificate: fail rather than mis-read *)
+  | Instr.Builtin (b, arity, true) ->
+    if not (untrailed w (fun () -> exec_builtin m w b arity)) then fail m w
+  (* ---- binding-certified attributes (lib/bindan) ---- *)
+  | Instr.Get_structure (f, ai, Instr.Rigid) -> begin
     m.deref_skipped <- m.deref_skipped + 1;
     match Cell.view w.x.(ai) with
     | Cell.Str sa ->
@@ -1226,7 +1234,7 @@ let step_core m (w : worker) instr =
     | Cell.Raw _ ->
       fail m w
   end
-  | Instr.Get_list_r ai -> begin
+  | Instr.Get_list (ai, Instr.Rigid) -> begin
     m.deref_skipped <- m.deref_skipped + 1;
     match Cell.view w.x.(ai) with
     | Cell.Lis la ->
@@ -1236,79 +1244,41 @@ let step_core m (w : worker) instr =
     | Cell.Raw _ ->
       fail m w
   end
-  | Instr.Get_value_r (r, ai) ->
+  | Instr.Get_value (r, ai, Instr.Rigid) ->
     m.deref_skipped <- m.deref_skipped + 1;
     if Cell.is_ref w.x.(ai) then fail m w
     else if not (unify m w (get_reg m w r) w.x.(ai)) then fail m w
-  | Instr.Get_value_u (r, ai) ->
-    (* full [Get_value] control semantics; every binding the
-       unification makes is certified unconditional, so [bind] skips
-       trailing for the instruction's duration (same scoping as
-       [Builtin_nt]) *)
-    w.no_trail <- true;
-    let ok =
-      try unify m w (get_reg m w r) w.x.(ai)
-      with e ->
-        w.no_trail <- false;
-        raise e
-    in
-    w.no_trail <- false;
-    if not ok then fail m w
-  | Instr.Get_structure_u (f, ai) -> begin
-    (* certified free and unconditional: the register holds a Ref to
-       an unbound depth-0 cell; overwrite it directly (no deref read,
-       no trail test or write).  A non-Ref contradicts the freeness
-       certificate *)
-    m.deref_skipped <- m.deref_skipped + 1;
-    match Cell.view w.x.(ai) with
-    | Cell.Ref a ->
+  | Instr.Get_value (r, ai, Instr.Uncond) ->
+    if not (untrailed w (fun () -> unify m w (get_reg m w r) w.x.(ai))) then
+      fail m w
+  | Instr.Get_structure (f, ai, Instr.Uncond) ->
+    let a = uncond_target m w ai in
+    if a >= 0 then begin
       let sa = hpush m w (Cell.fun_ f) in
       bind_nt m w a (Cell.str sa);
       w.mode_write <- true
-    | Cell.Con _ | Cell.Str _ | Cell.Lis _ | Cell.Num _ | Cell.Fun _
-    | Cell.Raw _ ->
-      fail m w
-  end
-  | Instr.Get_list_u ai -> begin
-    m.deref_skipped <- m.deref_skipped + 1;
-    match Cell.view w.x.(ai) with
-    | Cell.Ref a ->
+    end
+  | Instr.Get_list (ai, Instr.Uncond) ->
+    let a = uncond_target m w ai in
+    if a >= 0 then begin
       bind_nt m w a (Cell.lis w.h);
       w.mode_write <- true
-    | Cell.Con _ | Cell.Str _ | Cell.Lis _ | Cell.Num _ | Cell.Fun _
-    | Cell.Raw _ ->
-      fail m w
-  end
-  | Instr.Get_constant_u (c, ai) -> begin
-    m.deref_skipped <- m.deref_skipped + 1;
-    match Cell.view w.x.(ai) with
-    | Cell.Ref a -> bind_nt m w a (Cell.con c)
-    | Cell.Con _ | Cell.Str _ | Cell.Lis _ | Cell.Num _ | Cell.Fun _
-    | Cell.Raw _ ->
-      fail m w
-  end
-  | Instr.Get_nil_u ai -> begin
-    m.deref_skipped <- m.deref_skipped + 1;
-    match Cell.view w.x.(ai) with
-    | Cell.Ref a -> bind_nt m w a (Cell.con m.nil_atom)
-    | Cell.Con _ | Cell.Str _ | Cell.Lis _ | Cell.Num _ | Cell.Fun _
-    | Cell.Raw _ ->
-      fail m w
-  end
-  | Instr.Get_integer_u (n, ai) -> begin
-    m.deref_skipped <- m.deref_skipped + 1;
-    match Cell.view w.x.(ai) with
-    | Cell.Ref a -> bind_nt m w a (Cell.num n)
-    | Cell.Con _ | Cell.Str _ | Cell.Lis _ | Cell.Num _ | Cell.Fun _
-    | Cell.Raw _ ->
-      fail m w
-  end
-  | Instr.Put_uninit (Instr.X n, ai) ->
+    end
+  | Instr.Get_constant (c, ai, true) ->
+    let a = uncond_target m w ai in
+    if a >= 0 then bind_nt m w a (Cell.con c)
+  | Instr.Get_integer (n, ai, true) ->
+    let a = uncond_target m w ai in
+    if a >= 0 then bind_nt m w a (Cell.num n)
+  | Instr.Get_nil (ai, true) ->
+    let a = uncond_target m w ai in
+    if a >= 0 then bind_nt m w a (Cell.con m.nil_atom)
+  | Instr.Put_variable (Instr.X n, ai, true) ->
     (* uninitialized output: the self-reference init of the fresh heap
-       cell is dead (every consumer reaches it through a certified _u
-       overwrite before any read), so the cell is allocated with an
-       untraced store -- the heap write the baseline put_variable pays
-       is the reference this instruction deletes *)
+       cell is dead (every consumer reaches it through a certified
+       Uncond overwrite before any read), so the cell is allocated with
+       an untraced store -- the heap write the baseline put_variable
+       pays is the reference the attribute deletes *)
     if w.h >= Layout.heap_limit w.id then
       runtime_error "heap overflow (PE %d)" w.id;
     let a = w.h in
@@ -1317,7 +1287,7 @@ let step_core m (w : worker) instr =
     if w.h > w.max_h then w.max_h <- w.h;
     w.x.(n) <- Cell.ref_ a;
     w.x.(ai) <- Cell.ref_ a
-  | Instr.Put_uninit (Instr.Y n, ai) ->
+  | Instr.Put_variable (Instr.Y n, ai, true) ->
     let addr = w.e + 3 + n in
     Memory.poke m.mem addr (Cell.ref_ addr);
     w.x.(ai) <- Cell.ref_ addr

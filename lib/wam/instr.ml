@@ -2,14 +2,22 @@
    unify groups, control, choice, indexing, cut) plus the parallel
    extensions (CGE checks, parcall allocation, goal pushing, join).
 
+   Statically certified facts (lib/detan, lib/bindan) are attributes
+   of the base instructions, not extra opcodes: a [chain] on
+   try/retry/trust, a [cert] on the compound/value gets, and an
+   [uncond] flag on the atomic gets, put_variable and builtin.
+
    Labels are absolute code addresses (patched by the compiler); [-1]
    as a switch target means "fail". *)
 
 type reg = X of int | Y of int
 
+type chain = Deep | Shallow
+type cert = Plain | Rigid | Uncond
+
 type t =
   (* put group: load argument registers before a call *)
-  | Put_variable of reg * int
+  | Put_variable of reg * int * bool (* uncond: untraced init *)
   | Put_value of reg * int
   | Put_unsafe_value of int * int (* Y index, A *)
   | Put_constant of int * int (* atom id, A *)
@@ -19,12 +27,12 @@ type t =
   | Put_list of int
   (* get group: head argument unification *)
   | Get_variable of reg * int
-  | Get_value of reg * int
-  | Get_constant of int * int
-  | Get_integer of int * int
-  | Get_nil of int
-  | Get_structure of int * int
-  | Get_list of int
+  | Get_value of reg * int * cert
+  | Get_constant of int * int * bool (* uncond *)
+  | Get_integer of int * int * bool
+  | Get_nil of int * bool
+  | Get_structure of int * int * cert
+  | Get_list of int * cert
   (* unify group: structure arguments, in read or write mode *)
   | Unify_variable of reg
   | Unify_value of reg
@@ -42,37 +50,9 @@ type t =
   | Jump of int
   | Halt_ok (* query succeeded *)
   (* choice *)
-  | Try of int
-  | Retry of int
-  | Trust of int
-  (* determinacy-certified chains (lib/detan): same alternative layout
-     as try/retry/trust, but the frame is a worker-private shallow
-     snapshot (registers + an undo log) — no choice-point-area words
-     are written and nothing is trailed until the clause commits *)
-  | Det_try of int
-  | Det_retry of int
-  | Det_trust of int
-  (* binding-certified specializations (lib/bindan): the analysis
-     proves an argument's instantiation and binding conditionality at
-     compile time, so the generic deref / trail-test / heap-cell work
-     can be dropped.  [_r] variants read a rigid depth-0 argument (the
-     register already holds a non-reference cell: no deref loop, a Ref
-     is a certified-fact violation and fails).  [_u] variants bind a
-     certified-unconditional free argument (a self-reference the caller
-     created after every enclosing choice point and parcall trail
-     floor): the cell is overwritten directly, no deref read and no
-     trail test or write *)
-  | Get_structure_r of int * int
-  | Get_list_r of int
-  | Get_value_r of reg * int
-  | Get_structure_u of int * int
-  | Get_list_u of int
-  | Get_constant_u of int * int
-  | Get_integer_u of int * int
-  | Get_nil_u of int
-  | Builtin_nt of Builtin.t * int
-  | Put_uninit of reg * int
-  | Get_value_u of reg * int
+  | Try of int * chain
+  | Retry of int * chain
+  | Trust of int * chain
   (* indexing *)
   | Switch_on_term of {
       var_l : int;
@@ -89,7 +69,7 @@ type t =
   | Get_level of int (* Yn := B0 *)
   | Cut_to of int (* cut to choice point saved in Yn *)
   (* escapes *)
-  | Builtin of Builtin.t * int (* builtin, arity *)
+  | Builtin of Builtin.t * int * bool (* builtin, arity, uncond *)
   (* RAP-WAM parallel extensions *)
   | Check_ground of reg * int (* else-label: run sequential version *)
   | Check_indep of reg * reg * int
@@ -99,154 +79,161 @@ type t =
   | Par_join
   | Goal_done (* return point of a parallel goal *)
 
+(* The opcode table.  Each [def] appends one mnemonic and returns its
+   position, so the numbering and the names come from this one ordered
+   list. *)
+let mnemonics = ref []
+
+let def name =
+  mnemonics := name :: !mnemonics;
+  List.length !mnemonics - 1
+
+let op_put_variable = def "put_variable"
+let op_put_value = def "put_value"
+let op_put_unsafe_value = def "put_unsafe_value"
+let op_put_constant = def "put_constant"
+let op_put_integer = def "put_integer"
+let op_put_nil = def "put_nil"
+let op_put_structure = def "put_structure"
+let op_put_list = def "put_list"
+let op_get_variable = def "get_variable"
+let op_get_value = def "get_value"
+let op_get_constant = def "get_constant"
+let op_get_integer = def "get_integer"
+let op_get_nil = def "get_nil"
+let op_get_structure = def "get_structure"
+let op_get_list = def "get_list"
+let op_unify_variable = def "unify_variable"
+let op_unify_value = def "unify_value"
+let op_unify_local_value = def "unify_local_value"
+let op_unify_constant = def "unify_constant"
+let op_unify_integer = def "unify_integer"
+let op_unify_nil = def "unify_nil"
+let op_unify_void = def "unify_void"
+let op_allocate = def "allocate"
+let op_deallocate = def "deallocate"
+let op_call = def "call"
+let op_execute = def "execute"
+let op_proceed = def "proceed"
+let op_jump = def "jump"
+let op_halt = def "halt"
+let op_try = def "try"
+let op_retry = def "retry"
+let op_trust = def "trust"
+let op_switch_on_term = def "switch_on_term"
+let op_switch_on_constant = def "switch_on_constant"
+let op_switch_on_integer = def "switch_on_integer"
+let op_switch_on_structure = def "switch_on_structure"
+let op_neck_cut = def "neck_cut"
+let op_get_level = def "get_level"
+let op_cut_to = def "cut_to"
+let op_builtin = def "builtin"
+let op_check_ground = def "check_ground"
+let op_check_indep = def "check_indep"
+let op_alloc_parcall = def "alloc_parcall"
+let op_push_goal = def "push_goal"
+let op_par_join = def "par_join"
+let op_goal_done = def "goal_done"
+let op_check_size = def "check_size"
+let opcode_names = Array.of_list (List.rev !mnemonics)
+let opcode_count = Array.length opcode_names
+let opcode_name n = opcode_names.(n)
+
 let opcode = function
-  | Put_variable _ -> 0
-  | Put_value _ -> 1
-  | Put_unsafe_value _ -> 2
-  | Put_constant _ -> 3
-  | Put_integer _ -> 4
-  | Put_nil _ -> 5
-  | Put_structure _ -> 6
-  | Put_list _ -> 7
-  | Get_variable _ -> 8
-  | Get_value _ -> 9
-  | Get_constant _ -> 10
-  | Get_integer _ -> 11
-  | Get_nil _ -> 12
-  | Get_structure _ -> 13
-  | Get_list _ -> 14
-  | Unify_variable _ -> 15
-  | Unify_value _ -> 16
-  | Unify_local_value _ -> 17
-  | Unify_constant _ -> 18
-  | Unify_integer _ -> 19
-  | Unify_nil -> 20
-  | Unify_void _ -> 21
-  | Allocate _ -> 22
-  | Deallocate -> 23
-  | Call _ -> 24
-  | Execute _ -> 25
-  | Proceed -> 26
-  | Jump _ -> 27
-  | Halt_ok -> 28
-  | Try _ -> 29
-  | Retry _ -> 30
-  | Trust _ -> 31
-  | Switch_on_term _ -> 32
-  | Switch_on_constant _ -> 33
-  | Switch_on_integer _ -> 34
-  | Switch_on_structure _ -> 35
-  | Neck_cut -> 36
-  | Get_level _ -> 37
-  | Cut_to _ -> 38
-  | Builtin _ -> 39
-  | Check_ground _ -> 40
-  | Check_indep _ -> 41
-  | Alloc_parcall _ -> 42
-  | Push_goal _ -> 43
-  | Par_join -> 44
-  | Goal_done -> 45
-  | Check_size _ -> 46
-  | Det_try _ -> 47
-  | Det_retry _ -> 48
-  | Det_trust _ -> 49
-  | Get_structure_r _ -> 50
-  | Get_list_r _ -> 51
-  | Get_value_r _ -> 52
-  | Get_structure_u _ -> 53
-  | Get_list_u _ -> 54
-  | Get_constant_u _ -> 55
-  | Get_nil_u _ -> 56
-  | Builtin_nt _ -> 57
-  | Put_uninit _ -> 58
-  | Get_integer_u _ -> 59
-  | Get_value_u _ -> 60
+  | Put_variable _ -> op_put_variable
+  | Put_value _ -> op_put_value
+  | Put_unsafe_value _ -> op_put_unsafe_value
+  | Put_constant _ -> op_put_constant
+  | Put_integer _ -> op_put_integer
+  | Put_nil _ -> op_put_nil
+  | Put_structure _ -> op_put_structure
+  | Put_list _ -> op_put_list
+  | Get_variable _ -> op_get_variable
+  | Get_value _ -> op_get_value
+  | Get_constant _ -> op_get_constant
+  | Get_integer _ -> op_get_integer
+  | Get_nil _ -> op_get_nil
+  | Get_structure _ -> op_get_structure
+  | Get_list _ -> op_get_list
+  | Unify_variable _ -> op_unify_variable
+  | Unify_value _ -> op_unify_value
+  | Unify_local_value _ -> op_unify_local_value
+  | Unify_constant _ -> op_unify_constant
+  | Unify_integer _ -> op_unify_integer
+  | Unify_nil -> op_unify_nil
+  | Unify_void _ -> op_unify_void
+  | Allocate _ -> op_allocate
+  | Deallocate -> op_deallocate
+  | Call _ -> op_call
+  | Execute _ -> op_execute
+  | Proceed -> op_proceed
+  | Jump _ -> op_jump
+  | Halt_ok -> op_halt
+  | Try _ -> op_try
+  | Retry _ -> op_retry
+  | Trust _ -> op_trust
+  | Switch_on_term _ -> op_switch_on_term
+  | Switch_on_constant _ -> op_switch_on_constant
+  | Switch_on_integer _ -> op_switch_on_integer
+  | Switch_on_structure _ -> op_switch_on_structure
+  | Neck_cut -> op_neck_cut
+  | Get_level _ -> op_get_level
+  | Cut_to _ -> op_cut_to
+  | Builtin _ -> op_builtin
+  | Check_ground _ -> op_check_ground
+  | Check_indep _ -> op_check_indep
+  | Alloc_parcall _ -> op_alloc_parcall
+  | Push_goal _ -> op_push_goal
+  | Par_join -> op_par_join
+  | Goal_done -> op_goal_done
+  | Check_size _ -> op_check_size
 
-let opcode_count = 61
-
-let opcode_name = function
-  | 0 -> "put_variable"
-  | 1 -> "put_value"
-  | 2 -> "put_unsafe_value"
-  | 3 -> "put_constant"
-  | 4 -> "put_integer"
-  | 5 -> "put_nil"
-  | 6 -> "put_structure"
-  | 7 -> "put_list"
-  | 8 -> "get_variable"
-  | 9 -> "get_value"
-  | 10 -> "get_constant"
-  | 11 -> "get_integer"
-  | 12 -> "get_nil"
-  | 13 -> "get_structure"
-  | 14 -> "get_list"
-  | 15 -> "unify_variable"
-  | 16 -> "unify_value"
-  | 17 -> "unify_local_value"
-  | 18 -> "unify_constant"
-  | 19 -> "unify_integer"
-  | 20 -> "unify_nil"
-  | 21 -> "unify_void"
-  | 22 -> "allocate"
-  | 23 -> "deallocate"
-  | 24 -> "call"
-  | 25 -> "execute"
-  | 26 -> "proceed"
-  | 27 -> "jump"
-  | 28 -> "halt"
-  | 29 -> "try"
-  | 30 -> "retry"
-  | 31 -> "trust"
-  | 32 -> "switch_on_term"
-  | 33 -> "switch_on_constant"
-  | 34 -> "switch_on_integer"
-  | 35 -> "switch_on_structure"
-  | 36 -> "neck_cut"
-  | 37 -> "get_level"
-  | 38 -> "cut_to"
-  | 39 -> "builtin"
-  | 40 -> "check_ground"
-  | 41 -> "check_indep"
-  | 42 -> "alloc_parcall"
-  | 43 -> "push_goal"
-  | 44 -> "par_join"
-  | 45 -> "goal_done"
-  | 46 -> "check_size"
-  | 47 -> "det_try"
-  | 48 -> "det_retry"
-  | 49 -> "det_trust"
-  | 50 -> "get_structure_r"
-  | 51 -> "get_list_r"
-  | 52 -> "get_value_r"
-  | 53 -> "get_structure_u"
-  | 54 -> "get_list_u"
-  | 55 -> "get_constant_u"
-  | 56 -> "get_nil_u"
-  | 57 -> "builtin_nt"
-  | 58 -> "put_uninit"
-  | 59 -> "get_integer_u"
-  | 60 -> "get_value_u"
-  | n -> Printf.sprintf "op%d" n
+let plain = function
+  | Put_variable (r, a, _) -> Put_variable (r, a, false)
+  | Get_value (r, a, _) -> Get_value (r, a, Plain)
+  | Get_constant (c, a, _) -> Get_constant (c, a, false)
+  | Get_integer (n, a, _) -> Get_integer (n, a, false)
+  | Get_nil (a, _) -> Get_nil (a, false)
+  | Get_structure (f, a, _) -> Get_structure (f, a, Plain)
+  | Get_list (a, _) -> Get_list (a, Plain)
+  | Try (l, _) -> Try (l, Deep)
+  | Retry (l, _) -> Retry (l, Deep)
+  | Trust (l, _) -> Trust (l, Deep)
+  | Builtin (b, n, _) -> Builtin (b, n, false)
+  | i -> i
 
 let pp_reg fmt = function
   | X n -> Format.fprintf fmt "X%d" n
   | Y n -> Format.fprintf fmt "Y%d" n
 
+(* A non-default attribute, printed after the operands. *)
+let attribute = function
+  | Try (_, Shallow) | Retry (_, Shallow) | Trust (_, Shallow) -> " [shallow]"
+  | Get_value (_, _, Rigid) | Get_structure (_, _, Rigid) | Get_list (_, Rigid)
+    ->
+    " [rigid]"
+  | Get_value (_, _, Uncond)
+  | Get_structure (_, _, Uncond)
+  | Get_list (_, Uncond)
+  | Get_constant (_, _, true)
+  | Get_integer (_, _, true)
+  | Get_nil (_, true)
+  | Put_variable (_, _, true)
+  | Builtin (_, _, true) ->
+    " [uncond]"
+  | _ -> ""
+
 let pp fmt i =
   let name = opcode_name (opcode i) in
-  match i with
-  | Put_variable (r, a) | Put_value (r, a) | Get_variable (r, a)
-  | Get_value (r, a) | Get_value_r (r, a) | Get_value_u (r, a)
-  | Put_uninit (r, a) ->
+  (match i with
+  | Put_variable (r, a, _) | Put_value (r, a) | Get_variable (r, a)
+  | Get_value (r, a, _) ->
     Format.fprintf fmt "%s %a, A%d" name pp_reg r a
   | Put_unsafe_value (y, a) -> Format.fprintf fmt "%s Y%d, A%d" name y a
   | Put_constant (c, a) | Put_integer (c, a) | Put_structure (c, a)
-  | Get_constant (c, a) | Get_integer (c, a) | Get_structure (c, a)
-  | Get_structure_r (c, a) | Get_structure_u (c, a) | Get_constant_u (c, a)
-  | Get_integer_u (c, a) ->
+  | Get_constant (c, a, _) | Get_integer (c, a, _) | Get_structure (c, a, _) ->
     Format.fprintf fmt "%s %d, A%d" name c a
-  | Put_nil a | Put_list a | Get_nil a | Get_list a | Get_list_r a
-  | Get_list_u a | Get_nil_u a ->
+  | Put_nil a | Put_list a | Get_nil (a, _) | Get_list (a, _) ->
     Format.fprintf fmt "%s A%d" name a
   | Unify_variable r | Unify_value r | Unify_local_value r ->
     Format.fprintf fmt "%s %a" name pp_reg r
@@ -254,9 +241,8 @@ let pp fmt i =
   | Unify_nil | Deallocate | Proceed | Halt_ok | Neck_cut | Par_join
   | Goal_done ->
     Format.pp_print_string fmt name
-  | Unify_void n | Allocate n | Call n | Execute n | Jump n | Try n
-  | Retry n | Trust n | Det_try n | Det_retry n | Det_trust n
-  | Get_level n | Cut_to n ->
+  | Unify_void n | Allocate n | Call n | Execute n | Jump n | Try (n, _)
+  | Retry (n, _) | Trust (n, _) | Get_level n | Cut_to n ->
     Format.fprintf fmt "%s %d" name n
   | Alloc_parcall (k, join) ->
     Format.fprintf fmt "%s %d, join:%d" name k join
@@ -271,12 +257,12 @@ let pp fmt i =
          (Array.to_list
             (Array.map (fun (k, l) -> Printf.sprintf "%d->%d" k l) tbl)))
       d
-  | Builtin (b, n) | Builtin_nt (b, n) ->
-    Format.fprintf fmt "%s %s/%d" name (Builtin.name b) n
+  | Builtin (b, _, _) -> Format.fprintf fmt "%s %s" name (Builtin.name b)
   | Check_ground (r, l) -> Format.fprintf fmt "%s %a, else:%d" name pp_reg r l
   | Check_indep (r1, r2, l) ->
     Format.fprintf fmt "%s %a, %a, else:%d" name pp_reg r1 pp_reg r2 l
   | Check_size (r, k, l) ->
     Format.fprintf fmt "%s %a, %d, else:%d" name pp_reg r k l
   | Push_goal (slot, f, n) ->
-    Format.fprintf fmt "%s slot:%d pred:%d/%d" name slot f n
+    Format.fprintf fmt "%s slot:%d pred:%d/%d" name slot f n);
+  Format.pp_print_string fmt (attribute i)

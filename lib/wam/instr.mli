@@ -6,11 +6,46 @@ type reg =
   | X of int  (** temporary/argument register (no memory traffic) *)
   | Y of int  (** permanent variable slot in the environment *)
 
+(** Attributes: a statically certified fact about one instruction
+    site, set by the compiler from the lib/detan and lib/bindan plans.
+    The default value ([Deep], [Plain], [false]) is the baseline WAM
+    instruction; each other value skips work the certificate proves
+    unnecessary.  A certified specialization is a new attribute value,
+    never a new constructor. *)
+
+type chain =
+  | Deep  (** a choice point in the control stack *)
+  | Shallow
+      (** a determinacy-certified chain: the worker-private shallow
+          frame (registers + an undo log) stands in for the choice
+          point, so no choice-point words are written and nothing is
+          trailed until the clause commits *)
+
+type cert =
+  | Plain
+  | Rigid
+      (** the argument is certified bound at deref depth 0: the
+          register already holds the final non-reference cell, so the
+          deref loop is skipped; a Ref contradicts the certificate and
+          fails *)
+  | Uncond
+      (** for [Get_structure]/[Get_list]: the argument is certified free
+          and unconditional (the caller created the cell after every
+          enclosing choice point and parcall trail floor), so the
+          self-reference is overwritten directly — no deref read, no
+          trail test or write.  For [Get_value]: full unification, with
+          every binding certified unconditional, so the trail test and
+          write are elided for the instruction's duration *)
+
 type t =
   (* put group: load argument registers before a call *)
-  | Put_variable of reg * int
+  | Put_variable of reg * int * bool
       (** create an unbound variable (heap for X, environment for Y)
-          and load it into A_i *)
+          and load it into A_i.  With the [uncond] flag the argument is
+          an output every consumer writes through a certified
+          [Uncond] get before reading it, so the self-reference
+          initialization is dead: the cell is allocated with an
+          untraced store *)
   | Put_value of reg * int
   | Put_unsafe_value of int * int
       (** like [Put_value Y] but globalizes a still-unbound environment
@@ -22,13 +57,15 @@ type t =
   | Put_list of int
   (* get group: head argument unification *)
   | Get_variable of reg * int
-  | Get_value of reg * int
-  | Get_constant of int * int
-  | Get_integer of int * int
-  | Get_nil of int
-  | Get_structure of int * int
+  | Get_value of reg * int * cert
+  | Get_constant of int * int * bool
+      (** atom id, A_i, [uncond]: with the flag the argument is
+          certified free and unconditional, as for [Uncond] *)
+  | Get_integer of int * int * bool
+  | Get_nil of int * bool
+  | Get_structure of int * int * cert
       (** read mode on a matching structure, write mode on a variable *)
-  | Get_list of int
+  | Get_list of int * cert
   (* unify group: structure arguments, read or write mode *)
   | Unify_variable of reg
   | Unify_value of reg
@@ -48,51 +85,13 @@ type t =
   | Jump of int
   | Halt_ok  (** the query succeeded *)
   (* choice *)
-  | Try of int  (** push a choice point, continue at the label *)
-  | Retry of int  (** update the alternative, continue at the label *)
-  | Trust of int  (** pop the choice point, continue at the label *)
-  | Det_try of int
-      (** enter a determinacy-certified chain: snapshot the registers
-          into the worker-private shallow frame (no choice-point words
-          written, nothing trailed until the clause commits) *)
-  | Det_retry of int
-      (** shallow analogue of [Retry]: update the frame's alternative *)
-  | Det_trust of int
-      (** deactivate the shallow frame and run the last alternative *)
-  (* binding-certified specializations (lib/bindan) *)
-  | Get_structure_r of int * int
-      (** [Get_structure] for an argument certified rigid at deref
-          depth 0: the register holds a non-reference cell, so the
-          deref loop is skipped entirely.  A Ref cell contradicts the
-          certificate and fails *)
-  | Get_list_r of int
-  | Get_value_r of reg * int
-      (** depth-0 rigid [Get_value]: full unification without first
-          dereferencing the argument register *)
-  | Get_structure_u of int * int
-      (** [Get_structure] for an argument certified free and
-          unconditional (the caller created the cell after every
-          enclosing choice point and parcall trail floor): overwrite
-          the self-reference directly — no deref read, no trail test,
-          no trail write *)
-  | Get_list_u of int
-  | Get_constant_u of int * int
-  | Get_integer_u of int * int
-  | Get_nil_u of int
-  | Builtin_nt of Builtin.t * int
-      (** builtin whose bindings are certified unconditional: the
-          worker's bind skips trailing for the builtin's duration *)
-  | Put_uninit of reg * int
-      (** [Put_variable] for an output argument every consumer reads
-          through a certified [_u] write: the heap cell's
-          self-reference initialization is dead (the first real access
-          is the callee's overwrite), so it is elided — the cell is
-          allocated with an untraced store *)
-  | Get_value_u of reg * int
-      (** [Get_value] whose bindings are certified unconditional (no
-          live choice point can predate any cell the unification
-          touches): full unification semantics, every trail test and
-          write elided for the instruction's duration *)
+  | Try of int * chain
+      (** push a choice point (or snapshot the shallow frame), continue
+          at the label *)
+  | Retry of int * chain  (** update the alternative, continue at the label *)
+  | Trust of int * chain
+      (** pop the choice point (or deactivate the shallow frame) and
+          run the last alternative *)
   (* indexing *)
   | Switch_on_term of {
       var_l : int;
@@ -111,7 +110,10 @@ type t =
   | Get_level of int  (** Y_n := B0 *)
   | Cut_to of int  (** discard down to the level saved in Y_n *)
   (* escapes *)
-  | Builtin of Builtin.t * int  (** builtin, arity (args in A1..An) *)
+  | Builtin of Builtin.t * int * bool
+      (** builtin, arity (args in A1..An), [uncond]: with the flag the
+          builtin's bindings are certified unconditional, so the
+          worker's bind skips trailing for the builtin's duration *)
   (* RAP-WAM parallel extensions *)
   | Check_ground of reg * int
       (** jump to the sequential version unless the register holds a
@@ -136,7 +138,17 @@ type t =
   | Goal_done  (** return point of popped and stolen goals *)
 
 val opcode : t -> int
+(** Position of the instruction's mnemonic in the opcode table;
+    attributes do not change it. *)
+
 val opcode_count : int
 val opcode_name : int -> string
+(** @raise Invalid_argument outside [0, opcode_count). *)
+
+val plain : t -> t
+(** The same instruction with every attribute reset to its default. *)
+
 val pp_reg : Format.formatter -> reg -> unit
 val pp : Format.formatter -> t -> unit
+(** Mnemonic and operands, then a non-default attribute as a suffix
+    ([ [shallow]], [ [rigid]], [ [uncond]]). *)

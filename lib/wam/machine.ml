@@ -41,9 +41,10 @@ type exec_entry =
   | Section_ctx of goal_ctx
 
 (* Worker-private shallow frame for determinacy-certified chains
-   (det_try/det_retry/det_trust).  It plays the role of a choice point
-   — enough state to retry the next alternative — but lives entirely
-   in processor registers: no choice-point-area words are written, and
+   (try/retry/trust with the [Shallow] attribute).  It plays the role
+   of a choice point — enough state to retry the next alternative —
+   but lives entirely in processor registers: no choice-point-area
+   words are written, and
    conditional bindings go to [log] instead of the trail until the
    clause commits (reaches its first call/execute/proceed or parcall
    instruction), at which point surviving entries are flushed to the
@@ -60,7 +61,7 @@ type shallow = {
   mutable sh_lst : int;
   mutable sh_log : int list; (* bound addresses predating the frame *)
   mutable sh_nt_log : int list;
-  (* addresses bound by trail-elided (_u / builtin_nt) writes under
+  (* addresses bound by trail-elided (uncond-certified) writes under
      this frame: restored on a shallow retry like [sh_log], but
      DROPPED at commit — the certificate says no live choice point or
      parcall floor predates the cell, so the flush is the write the
@@ -87,9 +88,9 @@ type worker = {
   mutable gs_bot : int; (* goal stack: oldest live frame *)
   mutable mode_write : bool;
   mutable no_trail : bool;
-  (* set for the duration of a [builtin_nt] escape: [bind] skips the
-     trail test and write (logging to [sh_nt_log] under an active
-     shallow frame instead) *)
+  (* set for the duration of an uncond builtin or get_value: [bind]
+     skips the trail test and write (logging to [sh_nt_log] under an
+     active shallow frame instead) *)
   x : int array; (* X/A registers (1-based use; 4096 of them) *)
   mutable nargs : int; (* arity at last call *)
   mutable status : status;
@@ -131,9 +132,9 @@ type t = {
   mutable goals_pushed : int;
   mutable goals_stolen : int; (* goals executed by a PE other than pusher *)
   mutable cp_created : int; (* choice points pushed (try) *)
-  mutable cp_elided : int; (* certified chains entered shallow (det_try) *)
-  mutable trail_elided : int; (* trail tests+writes skipped (_u, builtin_nt) *)
-  mutable deref_skipped : int; (* deref loops skipped (_r, _u reads) *)
+  mutable cp_elided : int; (* certified chains entered shallow (shallow try) *)
+  mutable trail_elided : int; (* trail tests+writes skipped (uncond binds) *)
+  mutable deref_skipped : int; (* deref loops skipped (rigid, uncond reads) *)
   mutable halted : bool;
   mutable failed : bool;
   out : Format.formatter; (* for write/1, nl/0 *)

@@ -32,10 +32,11 @@ type exec_entry =
   | Section_ctx of goal_ctx
 
 (** Worker-private shallow frame for determinacy-certified chains
-    (det_try/det_retry/det_trust): the register snapshot needed to
-    retry the next alternative plus an undo log of bound addresses
-    that predate the frame.  No choice-point-area words are written
-    and nothing is trailed until the clause commits. *)
+    (try/retry/trust with the [Shallow] attribute): the register
+    snapshot needed to retry the next alternative plus an undo log of
+    bound addresses that predate the frame.  No choice-point-area
+    words are written and nothing is trailed until the clause
+    commits. *)
 type shallow = {
   mutable sh_active : bool;
   mutable sh_alt : int;  (** code address of the next alternative *)
@@ -48,7 +49,7 @@ type shallow = {
   mutable sh_lst : int;
   mutable sh_log : int list;  (** bound addresses predating the frame *)
   mutable sh_nt_log : int list;
-      (** addresses bound by trail-elided (_u / builtin_nt) writes
+      (** addresses bound by trail-elided (uncond-certified) writes
           under this frame: restored on a shallow retry, dropped at
           commit (the elision's certificate says nothing older needs
           them trailed) *)
@@ -74,8 +75,9 @@ type worker = {
   mutable gs_bot : int;  (** goal stack: oldest live frame *)
   mutable mode_write : bool;
   mutable no_trail : bool;
-      (** set for the duration of a [builtin_nt] escape: [bind] skips
-          trailing (logging to [sh_nt_log] under a shallow frame) *)
+      (** set for the duration of an uncond builtin or get_value:
+          [bind] skips trailing (logging to [sh_nt_log] under a
+          shallow frame) *)
   x : int array;  (** X/A registers (1-based use) *)
   mutable nargs : int;
   mutable status : status;
@@ -114,10 +116,10 @@ type t = {
   mutable goals_pushed : int;
   mutable goals_stolen : int;
   mutable cp_created : int;  (** choice points pushed (try) *)
-  mutable cp_elided : int;  (** certified chains entered shallow (det_try) *)
+  mutable cp_elided : int;  (** certified chains entered (shallow try) *)
   mutable trail_elided : int;
       (** trail tests+writes skipped by binding-certified code
-          (_u gets, builtin_nt) *)
+          (uncond gets and builtins) *)
   mutable deref_skipped : int;
       (** deref loops skipped by rigid/uninit-certified reads *)
   mutable halted : bool;

@@ -21,13 +21,13 @@ type counters = {
   entry : int;  (** entry instruction index *)
   mutable calls : int;
   mutable instrs : int;  (** instruction fetches in this range *)
-  mutable cp_created : int;  (** try fetches: choice points pushed *)
-  mutable cp_elided : int;  (** det_try fetches: certified chains *)
+  mutable cp_created : int;  (** deep try fetches: choice points pushed *)
+  mutable cp_elided : int;  (** shallow try fetches: certified chains *)
   mutable trail_elided : int;
       (** fetches of binding-certified instructions that skip the
-          trail check ([_u] gets, builtin_nt, put_uninit) *)
+          trail check (uncond gets, builtins and put_variable) *)
   mutable deref_skipped : int;
-      (** fetches of [_r]/[_u] gets that skip the argument deref *)
+      (** fetches of rigid or uncond gets that skip the argument deref *)
   refs : int array;  (** data references, indexed by [Trace.Area.to_int] *)
 }
 
@@ -92,16 +92,22 @@ let on_record t (r : Trace.Ref_record.t) =
       if idx = p.entry then p.calls <- p.calls + 1;
       if idx >= 0 && idx < Code.length t.code then begin
         match Code.fetch t.code idx with
-        | Instr.Try _ -> p.cp_created <- p.cp_created + 1
-        | Instr.Det_try _ -> p.cp_elided <- p.cp_elided + 1
-        | Instr.Get_structure_r _ | Instr.Get_list_r _ | Instr.Get_value_r _
-          ->
+        | Instr.Try (_, Instr.Deep) -> p.cp_created <- p.cp_created + 1
+        | Instr.Try (_, Instr.Shallow) -> p.cp_elided <- p.cp_elided + 1
+        | Instr.Get_structure (_, _, Instr.Rigid)
+        | Instr.Get_list (_, Instr.Rigid)
+        | Instr.Get_value (_, _, Instr.Rigid) ->
           p.deref_skipped <- p.deref_skipped + 1
-        | Instr.Get_structure_u _ | Instr.Get_list_u _
-        | Instr.Get_constant_u _ | Instr.Get_integer_u _ | Instr.Get_nil_u _ ->
+        | Instr.Get_structure (_, _, Instr.Uncond)
+        | Instr.Get_list (_, Instr.Uncond)
+        | Instr.Get_constant (_, _, true)
+        | Instr.Get_integer (_, _, true)
+        | Instr.Get_nil (_, true) ->
           p.deref_skipped <- p.deref_skipped + 1;
           p.trail_elided <- p.trail_elided + 1
-        | Instr.Builtin_nt _ | Instr.Put_uninit _ | Instr.Get_value_u _ ->
+        | Instr.Builtin (_, _, true)
+        | Instr.Put_variable (_, _, true)
+        | Instr.Get_value (_, _, Instr.Uncond) ->
           p.trail_elided <- p.trail_elided + 1
         | _ -> ()
       end

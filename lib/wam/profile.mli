@@ -11,14 +11,16 @@ type counters = {
   entry : int;
   mutable calls : int;
   mutable instrs : int;
-  mutable cp_created : int;  (** [try] fetches: choice points pushed *)
+  mutable cp_created : int;  (** deep [try] fetches: choice points pushed *)
   mutable cp_elided : int;
-      (** [det_try] fetches: certified chains entered shallow instead *)
+      (** shallow [try] fetches: certified chains entered shallow instead *)
   mutable trail_elided : int;
       (** fetches of binding-certified instructions that skip the trail
-          check ([_u] gets, [builtin_nt], [put_uninit]) *)
+          check ([Uncond] gets; gets, builtins and [put_variable] with
+          the [uncond] flag) *)
   mutable deref_skipped : int;
-      (** fetches of [_r]/[_u] gets that skip the argument dereference *)
+      (** fetches of [Rigid]/[Uncond] gets that skip the argument
+          dereference *)
   refs : int array;  (** data references, indexed by [Trace.Area.to_int] *)
 }
 

@@ -30,8 +30,8 @@ type state = {
          frame live.  Fuels the env-drift rule. *)
   in_chain : bool;
       (* the textually preceding instruction on this path was a
-         try/retry (or det_try/det_retry), i.e. a live alternative
-         frame covers the next chain instruction.  Fuels the
+         try/retry (deep or shallow), i.e. a live alternative frame
+         covers the next chain instruction.  Fuels the
          orphan-chain rule: a retry/trust reached on a path without
          it would pop or update a choice point nobody pushed. *)
 }
@@ -91,6 +91,8 @@ let structural_agree a b =
      | Some (k1, _), Some (k2, _) -> k1 = k2
      | Some _, None | None, Some _ -> false)
 
+let show i = Format.asprintf "%a" Instr.pp i
+
 let check symbols code =
   let len = Code.length code in
   let diags : (int * string, diag) Hashtbl.t = Hashtbl.create 16 in
@@ -126,33 +128,22 @@ let check symbols code =
         end
     end
   in
-  (* ---- structural pre-pass: retry/trust must continue a chain ---- *)
+  (* ---- structural pre-pass: retry/trust must continue a chain.
+     Deep and shallow chains may not mix: the shallow frame and the
+     choice point have different layouts. ---- *)
   for addr = 0 to len - 1 do
     match Code.fetch code addr with
-    | Instr.Retry _ | Instr.Trust _ ->
+    | (Instr.Retry (_, chain) | Instr.Trust (_, chain)) as i ->
       let chained =
         addr > 0
         &&
         match Code.fetch code (addr - 1) with
-        | Instr.Try _ | Instr.Retry _ -> true
+        | Instr.Try (_, c) | Instr.Retry (_, c) -> c = chain
         | _ -> false
       in
       if not chained then
         report ~addr ~pred:"" ~rule:"broken-chain"
-          "retry/trust not preceded by try/retry"
-    | Instr.Det_retry _ | Instr.Det_trust _ ->
-      (* det chains may not mix with plain ones: the shallow frame and
-         the choice point have different layouts *)
-      let chained =
-        addr > 0
-        &&
-        match Code.fetch code (addr - 1) with
-        | Instr.Det_try _ | Instr.Det_retry _ -> true
-        | _ -> false
-      in
-      if not chained then
-        report ~addr ~pred:"" ~rule:"broken-chain"
-          "det_retry/det_trust not preceded by det_try/det_retry"
+          "%s not preceded by a try/retry of the same chain" (show i)
     | _ -> ()
   done;
   (* ---- dataflow ---- *)
@@ -244,8 +235,7 @@ let check symbols code =
                 ( Trace.Area.Parcall_global | Trace.Area.Parcall_count
                 | Trace.Area.Goal_frame ) ) ->
               report "shared-write-unframed"
-                "%s writes %s outside an open parcall region"
-                (Instr.opcode_name (Instr.opcode i))
+                "%s writes %s outside an open parcall region" (show i)
                 (Trace.Area.name a.Access.area)
             | _ -> ())
           (Access.of_instr i));
@@ -254,17 +244,15 @@ let check symbols code =
        update or pop was never pushed (the shape a buggy chain rewrite
        leaves behind) *)
     (match instr with
-    | Instr.Retry _ | Instr.Trust _ | Instr.Det_retry _ | Instr.Det_trust _
-      ->
+    | Instr.Retry _ | Instr.Trust _ ->
       if not st.in_chain then
         report "orphan-chain"
-          "%s reachable with no live preceding try on some path"
-          (Instr.opcode_name (Instr.opcode instr))
+          "%s reachable with no live preceding try on some path" (show instr)
     | _ -> ());
     let st = { st with in_chain = false } in
     match instr with
     (* ---- put group ---- *)
-    | Instr.Put_variable (r, a) ->
+    | Instr.Put_variable (r, a, _) ->
       let st = exit_struct st in
       next (def_x (def_reg st r) a)
     | Instr.Put_value (r, a) ->
@@ -286,52 +274,20 @@ let check symbols code =
       let st = exit_struct st in
       use_x st a;
       next (def_reg st r)
-    | Instr.Get_value (r, a) ->
+    | Instr.Get_value (r, a, _) ->
       let st = exit_struct st in
       use_reg st r;
       use_x st a;
       next st
-    | Instr.Get_constant (_, a)
-    | Instr.Get_integer (_, a)
-    | Instr.Get_nil a ->
+    | Instr.Get_constant (_, a, _)
+    | Instr.Get_integer (_, a, _)
+    | Instr.Get_nil (a, _) ->
       let st = exit_struct st in
       use_x st a;
       next st
-    | Instr.Get_structure (_, a) | Instr.Get_list a ->
+    | Instr.Get_structure (_, a, _) | Instr.Get_list (a, _) ->
       use_x st a;
       next { st with in_struct = true }
-    (* ---- binding-certified specializations (lib/bindan) ---- *)
-    | Instr.Put_uninit (r, a) ->
-      let st = exit_struct st in
-      next (def_x (def_reg st r) a)
-    | Instr.Get_value_r (r, a) | Instr.Get_value_u (r, a) ->
-      let st = exit_struct st in
-      use_reg st r;
-      use_x st a;
-      next st
-    | Instr.Get_constant_u (_, a) | Instr.Get_integer_u (_, a)
-    | Instr.Get_nil_u a ->
-      let st = exit_struct st in
-      use_x st a;
-      next st
-    | Instr.Get_structure_r (_, a) | Instr.Get_list_r a
-    | Instr.Get_structure_u (_, a) | Instr.Get_list_u a ->
-      use_x st a;
-      next { st with in_struct = true }
-    | Instr.Builtin_nt (b, n) ->
-      let st = exit_struct st in
-      use_args st n;
-      (* the trail-elision certificate only covers builtins whose
-         bindings the binding analysis can see: =/2 and is/2.  Anything
-         else here is a compiler-bridge bug (the not-unify trial-undo
-         protocol in particular must never run untrailed) *)
-      (match b with
-      | Builtin.Unify | Builtin.Is -> ()
-      | _ ->
-        report "nt-builtin" "builtin_nt %s/%d: only =/2 and is/2 may run \
-                             with trailing elided"
-          (Builtin.name b) n);
-      next st
     (* ---- unify group ---- *)
     | Instr.Unify_variable r ->
       need_struct st;
@@ -424,33 +380,20 @@ let check symbols code =
     | Instr.Jump l -> [ (l, exit_struct st) ]
     | Instr.Halt_ok -> []
     (* ---- choice ---- *)
-    | Instr.Try l | Instr.Retry l ->
+    | Instr.Try (l, chain) | Instr.Retry (l, chain) ->
       let st = exit_struct st in
       (* the chain continues; the target runs with A1..An restored *)
       (if addr + 1 < len then
          match Code.fetch code (addr + 1) with
-         | Instr.Retry _ | Instr.Trust _ -> ()
+         | (Instr.Retry (_, c) | Instr.Trust (_, c)) when c = chain -> ()
          | _ ->
            report "broken-chain"
-             "try/retry not followed by retry/trust");
+             "%s not followed by a retry/trust of the same chain" (show instr));
       [
         (l, entry_state ~nargs:st.nargs);
         (addr + 1, { st with in_chain = true });
       ]
-    | Instr.Trust l -> [ (l, entry_state ~nargs:(exit_struct st).nargs) ]
-    | Instr.Det_try l | Instr.Det_retry l ->
-      let st = exit_struct st in
-      (if addr + 1 < len then
-         match Code.fetch code (addr + 1) with
-         | Instr.Det_retry _ | Instr.Det_trust _ -> ()
-         | _ ->
-           report "broken-chain"
-             "det_try/det_retry not followed by det_retry/det_trust");
-      [
-        (l, entry_state ~nargs:st.nargs);
-        (addr + 1, { st with in_chain = true });
-      ]
-    | Instr.Det_trust l -> [ (l, entry_state ~nargs:(exit_struct st).nargs) ]
+    | Instr.Trust (l, _) -> [ (l, entry_state ~nargs:(exit_struct st).nargs) ]
     (* ---- indexing ---- *)
     | Instr.Switch_on_term { var_l; con_l; int_l; lis_l; str_l } ->
       let st = exit_struct st in
@@ -495,9 +438,16 @@ let check symbols code =
       | _ -> ());
       next st
     (* ---- escapes ---- *)
-    | Instr.Builtin (_, n) ->
+    | Instr.Builtin (b, n, uncond) ->
       let st = exit_struct st in
       use_args st n;
+      (* the trail-elision certificate only covers builtins whose
+         bindings the binding analysis can see: =/2 and is/2.  Anything
+         else with the flag is a compiler-bridge bug (the not-unify
+         trial-undo protocol in particular must never run untrailed) *)
+      if uncond && b <> Builtin.Unify && b <> Builtin.Is then
+        report "nt-builtin" "%s: only =/2 and is/2 may run with trailing elided"
+          (show instr);
       next st
     (* ---- RAP-WAM ---- *)
     | Instr.Check_ground (r, l) ->
@@ -533,7 +483,7 @@ let check symbols code =
          | Instr.Par_join -> ()
          | i ->
            report "bad-join" "parcall join %d is %s, not par_join" join
-             (Instr.opcode_name (Instr.opcode i)));
+             (show i));
       (match st.parcall with
       | Some _ -> report "open-parcall" "alloc_parcall inside a parcall"
       | None -> ());

@@ -14,13 +14,12 @@
       [execute] or [proceed] (no dangling-frame access).
     - [put_unsafe_value] only reads a defined in-bounds Y slot of a
       live environment.
-    - [try]/[retry]/[trust] chains (and their shallow
-      [det_try]/[det_retry]/[det_trust] counterparts) are well-formed
+    - [try]/[retry]/[trust] chains, deep or shallow, are well-formed
       (contiguous, trust last, no mixing of the two kinds) and their
       targets, switch targets and jump targets are in bounds ([-1] =
       fail is legal in switch tables only).
-    - orphan-chain: a [retry]/[trust] (or [det_retry]/[det_trust])
-      reachable on some control-flow path whose predecessor was not
+    - orphan-chain: a [retry]/[trust] of either kind reachable on
+      some control-flow path whose predecessor was not
       the matching try/retry — it would update or pop a frame nobody
       pushed, the shape a buggy choice-point elision leaves behind.
     - [alloc_parcall] points at a [par_join]; each of its goal slots
@@ -44,8 +43,9 @@
       [allocate] ran only builtins and data instructions -- an
       allocate/deallocate imbalance no call could excuse, so each
       activation leaks a frame and the stack drifts upward.
-    - trail-elision discipline ([nt-builtin]): [builtin_nt] may only
-      name =/2 or is/2 -- the only builtins whose bindings the binding
+    - trail-elision discipline ([nt-builtin]): a [builtin] with the
+      [uncond] flag may only name =/2 or is/2 -- the only builtins
+      whose bindings the binding
       analysis certifies; in particular the \=/2 trial-undo protocol
       must never run with trailing elided. *)
 

@@ -47,8 +47,8 @@ let test_clean_and_trail_drop () =
         r.Bindan.Driver.runs)
     [ "deriv"; "qsort"; "tak" ]
 
-(* Deref-free gets actually fire where certified (deriv's _u heads,
-   qsort's _r/_u heads). *)
+(* Deref-free gets actually fire where certified (deriv's Uncond
+   heads, qsort's Rigid/Uncond heads). *)
 let test_deref_skipped () =
   List.iter
     (fun name ->
@@ -149,8 +149,30 @@ let test_fixtures_clean () =
        && r.Bindan.Driver.trace_ok && r.Bindan.Driver.lint_clean))
     Bindan.Fixtures.all
 
+(* The bind plan only sets attributes: with the same det plan, the two
+   code areas of every benchmark agree once [Instr.plain] is applied,
+   and the plan does certify sites somewhere. *)
+let test_plans_align () =
+  let code (p : Wam.Program.t) f =
+    let c = p.Wam.Program.code in
+    Array.init (Wam.Code.length c) (fun i -> f (Wam.Code.fetch c i))
+  in
+  let certified =
+    List.filter
+      (fun (b : Benchlib.Programs.benchmark) ->
+        let a = Bindan.Driver.analyze b in
+        let base = a.Bindan.Driver.base_prog and bind = a.Bindan.Driver.bind_prog in
+        if code base Wam.Instr.plain <> code bind Wam.Instr.plain then
+          Alcotest.failf "%s: det and det+bind code differ beyond attributes"
+            b.Benchlib.Programs.name;
+        code base Fun.id <> code bind Fun.id)
+      (Benchlib.Inputs.small_benchmarks () @ Benchlib.Large.population ())
+  in
+  Alcotest.(check bool) "some benchmark certified" true (certified <> [])
+
 let suite =
   [
+    Alcotest.test_case "det and det+bind code align" `Quick test_plans_align;
     Alcotest.test_case "deriv/qsort/tak: clean and trail drops at 1/4/8"
       `Quick test_clean_and_trail_drop;
     Alcotest.test_case "deref-free gets fire" `Quick test_deref_skipped;

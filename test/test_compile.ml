@@ -185,8 +185,35 @@ let test_listing_renders () =
   Alcotest.(check bool) "has label" true (contains s "append/3");
   Alcotest.(check bool) "has get_list" true (contains s "get_list")
 
+(* One opcode table: 47 distinct mnemonics, no numbering past the end,
+   and every attribute value visible in the listing (the default ones
+   print nothing). *)
+let test_opcode_table () =
+  let open Wam.Instr in
+  Alcotest.(check int) "opcode count" 47 opcode_count;
+  let names = List.init opcode_count opcode_name in
+  Alcotest.(check int) "unique names" opcode_count
+    (List.length (List.sort_uniq compare names));
+  Alcotest.check_raises "past the table" (Invalid_argument "index out of bounds")
+    (fun () -> ignore (opcode_name opcode_count));
+  List.iter
+    (fun (i, want) ->
+      Alcotest.(check string) want want (Format.asprintf "%a" pp i))
+    [
+      (Try (7, Deep), "try 7");
+      (Retry (7, Shallow), "retry 7 [shallow]");
+      (Get_structure (3, 1, Plain), "get_structure 3, A1");
+      (Get_list (2, Rigid), "get_list A2 [rigid]");
+      (Get_value (Y 0, 2, Uncond), "get_value Y0, A2 [uncond]");
+      (Get_nil (1, false), "get_nil A1");
+      (Get_integer (5, 1, true), "get_integer 5, A1 [uncond]");
+      (Put_variable (X 4, 2, true), "put_variable X4, A2 [uncond]");
+      (Builtin (Wam.Builtin.Is, 2, true), "builtin is/2 [uncond]");
+    ]
+
 let suite =
   [
+    Alcotest.test_case "opcode table" `Quick test_opcode_table;
     Alcotest.test_case "fact" `Quick test_fact_is_proceed;
     Alcotest.test_case "LCO single call" `Quick test_lco_single_call_no_env;
     Alcotest.test_case "two calls env" `Quick test_two_calls_need_env;

@@ -25,4 +25,5 @@ let () =
       ("bindan", Test_bindan.suite);
       ("cli-parity", Test_cli_parity.suite);
       ("properties", Test_properties.suite);
+      ("trace-pin", Test_trace_pin.suite);
     ]

@@ -39,7 +39,7 @@ let test_clean_handmade () =
     fixture (fun symbols code ->
         let open Wam.Instr in
         ignore (entry symbols code "p" 1);
-        emit code (Get_nil 1);
+        emit code (Get_nil (1, false));
         emit code Proceed)
   in
   check_clean "fact p(nil)" diags
@@ -58,7 +58,7 @@ let test_clean_env_roundtrip () =
         emit code Deallocate;
         emit code (Execute q);
         ignore (entry symbols code "q" 1);
-        emit code (Get_nil 1);
+        emit code (Get_nil (1, false));
         emit code Proceed)
   in
   check_clean "allocate/call/deallocate" diags
@@ -121,9 +121,48 @@ let test_broken_trust_chain () =
         emit code Proceed;
         ignore (entry symbols code "p" 0);
         (* trust without a preceding try/retry *)
-        emit code (Trust clause))
+        emit code (Trust (clause, Deep)))
   in
   check_has "broken-chain" diags
+
+(* Deep and shallow chains may not mix: a shallow try continued by a
+   deep trust is broken, the same chain with matching kinds is not. *)
+let test_mixed_chain () =
+  let chain second =
+    fixture (fun symbols code ->
+        let open Wam.Instr in
+        let clause = Wam.Code.here code in
+        emit code Proceed;
+        ignore (entry symbols code "p" 0);
+        emit code (Try (clause, Shallow));
+        emit code (Trust (clause, second)))
+  in
+  check_has "broken-chain" (chain Wam.Instr.Deep);
+  check_clean "shallow try/trust" (chain Wam.Instr.Shallow)
+
+let test_orphan_shallow_retry () =
+  let diags =
+    fixture (fun symbols code ->
+        let open Wam.Instr in
+        let clause = Wam.Code.here code in
+        emit code Proceed;
+        ignore (entry symbols code "p" 0);
+        (* the chain's head pushes no frame for the retry to update *)
+        emit code (Retry (clause, Shallow));
+        emit code (Trust (clause, Shallow)))
+  in
+  check_has "orphan-chain" diags
+
+let test_uncond_write () =
+  let diags =
+    fixture (fun symbols code ->
+        let open Wam.Instr in
+        ignore (entry symbols code "p" 1);
+        (* only =/2 and is/2 may run with trailing elided *)
+        emit code (Builtin (Wam.Builtin.Write_t, 1, true));
+        emit code Proceed)
+  in
+  check_has "nt-builtin" diags
 
 let test_dangling_frame () =
   let diags =
@@ -258,7 +297,7 @@ let test_unreachable () =
         ignore (entry symbols code "p" 0);
         emit code Proceed;
         (* dead code after the clause, no entry points here *)
-        emit code (Get_nil 1))
+        emit code (Get_nil (1, false)))
   in
   check_has "unreachable" diags
 
@@ -269,7 +308,7 @@ let test_trail_discipline_clean () =
         ignore (entry symbols code "p" 1);
         emit code (Allocate 1);
         emit code (Get_level 0);
-        emit code (Get_nil 1);
+        emit code (Get_nil (1, false));
         emit code (Cut_to 0);
         emit code Deallocate;
         emit code Proceed)
@@ -312,7 +351,7 @@ let test_trail_discipline_partial_path () =
         ignore (entry symbols code "p" 1);
         emit code (Allocate 1);
         (* the level is saved on only one of the two paths to the cut *)
-        let sw = Wam.Code.emit code (Get_nil 1) in
+        let sw = Wam.Code.emit code (Get_nil (1, false)) in
         ignore sw;
         let branch = Wam.Code.emit code (Jump 0) in
         emit code (Get_level 0);
@@ -345,7 +384,7 @@ let test_env_drift () =
         let open Wam.Instr in
         ignore (entry symbols code "p" 0);
         emit code (Allocate 2);
-        emit code (Builtin (Wam.Builtin.True_b, 0));
+        emit code (Builtin (Wam.Builtin.True_b, 0, false));
         emit code Proceed)
   in
   check_has "env-drift" diags
@@ -398,6 +437,10 @@ let suite =
     Alcotest.test_case "bad env slot" `Quick test_bad_env_slot;
     Alcotest.test_case "no env" `Quick test_no_env;
     Alcotest.test_case "broken trust chain" `Quick test_broken_trust_chain;
+    Alcotest.test_case "shallow try, deep trust" `Quick test_mixed_chain;
+    Alcotest.test_case "chain headed by a shallow retry" `Quick
+      test_orphan_shallow_retry;
+    Alcotest.test_case "write/1 with trailing elided" `Quick test_uncond_write;
     Alcotest.test_case "dangling frame" `Quick test_dangling_frame;
     Alcotest.test_case "undefined predicate" `Quick test_undefined_predicate;
     Alcotest.test_case "bad parcall join" `Quick test_bad_join;
