@@ -1424,89 +1424,6 @@ let costan setup =
      changing any answer.  Recorded to BENCH_costan.json.@."
 
 (* ------------------------------------------------------------------ *)
-(* Refmap: static per-predicate memory-area access summaries checked   *)
-(* against the dynamic traces -- soundness oracle at 1/4/8 PEs,        *)
-(* parcall race-freedom certification (with tracecheck as the dynamic  *)
-(* cross-check), and shareability-tag precision/recall against the     *)
-(* per-address ground truth.  Recorded to BENCH_refmap.json.           *)
-
-let refmap setup =
-  section "Refmap: static access summaries vs dynamic traces";
-  let reports =
-    List.map (fun b -> Refmap.Driver.run ~pes:[ 1; 4; 8 ] b) setup.benchmarks
-  in
-  let t =
-    Stats.Table.create ~title:"certification, oracle and predicted tags"
-      ~headers:
-        [ "bench"; "preds"; "certified"; "static_safe"; "precision";
-          "baseline"; "recall"; "violations"; "analysis (ms)" ]
-      ~aligns:
-        [ Stats.Table.Left; Stats.Table.Right; Stats.Table.Right;
-          Stats.Table.Right; Stats.Table.Right; Stats.Table.Right;
-          Stats.Table.Right; Stats.Table.Right; Stats.Table.Right ]
-      ()
-  in
-  List.iter
-    (fun (r : Refmap.Driver.report) ->
-      let cert = r.Refmap.Driver.a.Refmap.Driver.certify in
-      Stats.Table.add_row t
-        [
-          r.Refmap.Driver.a.Refmap.Driver.bench.Benchlib.Programs.name;
-          Stats.Table.cell_int
-            (Hashtbl.length
-               r.Refmap.Driver.a.Refmap.Driver.static.Refmap.Static.preds);
-          Printf.sprintf "%d/%d" cert.Refmap.Certify.certified
-            cert.Refmap.Certify.total;
-          Stats.Table.cell_int
-            r.Refmap.Driver.a.Refmap.Driver.stats.Prolog.Annotate.static_safe;
-          Printf.sprintf "%.3f" r.Refmap.Driver.tags.Refmap.Oracle.precision;
-          Printf.sprintf "%.3f"
-            r.Refmap.Driver.tags.Refmap.Oracle.baseline_precision;
-          Printf.sprintf "%.3f" r.Refmap.Driver.tags.Refmap.Oracle.recall;
-          Stats.Table.cell_int
-            (List.fold_left
-               (fun acc (run : Refmap.Driver.pe_run) ->
-                 acc + List.length run.Refmap.Driver.violations)
-               0 r.Refmap.Driver.runs);
-          Printf.sprintf "%.1f" r.Refmap.Driver.a.Refmap.Driver.analysis_ms;
-        ])
-    reports;
-  Stats.Table.print t;
-  let all_certified (r : Refmap.Driver.report) =
-    let c = r.Refmap.Driver.a.Refmap.Driver.certify in
-    c.Refmap.Certify.total > 0
-    && c.Refmap.Certify.certified = c.Refmap.Certify.total
-  in
-  Format.printf
-    "invariants: oracle_ok %b, recall_one %b, precision_ge_baseline %b, \
-     uncertified_but_raced %d, certified_tracecheck_clean %b, \
-     any_bench_all_certified %b@."
-    (List.for_all (fun r -> r.Refmap.Driver.oracle_ok) reports)
-    (List.for_all
-       (fun r -> r.Refmap.Driver.tags.Refmap.Oracle.recall = 1.0)
-       reports)
-    (List.for_all
-       (fun (r : Refmap.Driver.report) ->
-         r.Refmap.Driver.tags.Refmap.Oracle.precision
-         >= r.Refmap.Driver.tags.Refmap.Oracle.baseline_precision)
-       reports)
-    (List.fold_left
-       (fun acc r -> acc + r.Refmap.Driver.uncertified_but_raced)
-       0 reports)
-    (List.for_all
-       (fun r -> r.Refmap.Driver.certified_tracecheck_clean)
-       reports)
-    (List.exists all_certified reports);
-  Resilience.Atomic_io.write_string "BENCH_refmap.json"
-    ("{\n  \"schema\": \"rapwam-refmap/1\",\n  \"benchmarks\": "
-    ^ Refmap.Driver.json_of_reports reports
-    ^ "}\n");
-  Format.printf
-    "Static area/mode summaries bound every dynamic access; groups@.\
-     whose arms stay within the area discipline are certified race-free@.\
-     without tracechecking.  Recorded to BENCH_refmap.json.@."
-
-(* ------------------------------------------------------------------ *)
 (* The query server: three-phase zipfian traffic (memo off / cold /   *)
 (* warm) over the shared answer table, answers cross-checked against  *)
 (* direct engine runs, measured latency compared with the M/G/1       *)
@@ -1594,306 +1511,93 @@ let availability setup =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Detan: static determinacy analysis driving choice-point elision and *)
-(* shallow backtracking.  Certified try chains compile to              *)
-(* shallow try/retry/trust; answers must stay bit-identical, the       *)
-(* replay oracle must find no backtrack into an elided alternative,    *)
-(* and the choice-point area must shed references at every PE count.   *)
-(* The cache simulator then prices the saving as a Figure-4            *)
-(* traffic-ratio delta.  Recorded to BENCH_detan.json.                 *)
+(* Certification: refmap, detan and bindan through the one harness --  *)
+(* each benchmark at 1/4/8 PEs against the analysis' trace-replay      *)
+(* oracle, answer comparison, wamlint and tracecheck.  Where the       *)
+(* analysis compiles a variant (detan's det plan, bindan's bind plan)  *)
+(* the cache simulator prices the base and variant traces of those     *)
+(* same runs as a Figure-4 traffic-ratio delta (hybrid, 1024 words,    *)
+(* best allocation).  Recorded to BENCH_<analysis>.json.               *)
 
-let detan_pes = [ 1; 4; 8 ]
-
-let detan setup =
-  section "Detan: determinacy-driven choice-point elision";
-  let reports =
-    List.map (fun b -> Detan.Driver.run ~pes:detan_pes b) setup.benchmarks
-  in
-  let t =
-    Stats.Table.create ~title:"analysis, oracle and elision (8 PEs)"
-      ~headers:
-        [ "bench"; "preds"; "det"; "det arms"; "chains det"; "cp refs";
-          "trail refs"; "elided"; "oracle"; "answers" ]
-      ~aligns:
-        [ Stats.Table.Left; Stats.Table.Right; Stats.Table.Right;
-          Stats.Table.Right; Stats.Table.Right; Stats.Table.Right;
-          Stats.Table.Right; Stats.Table.Right; Stats.Table.Right;
-          Stats.Table.Right ]
-      ()
-  in
-  List.iter
-    (fun (r : Detan.Driver.report) ->
-      let a = r.Detan.Driver.a in
-      let el = a.Detan.Driver.elision in
-      let last = List.nth r.Detan.Driver.runs (List.length r.Detan.Driver.runs - 1) in
-      Stats.Table.add_row t
-        [
-          a.Detan.Driver.bench.Benchlib.Programs.name;
-          Stats.Table.cell_int (List.length a.Detan.Driver.counts);
-          Stats.Table.cell_int a.Detan.Driver.det_preds;
-          Stats.Table.cell_int a.Detan.Driver.det_arms;
-          Printf.sprintf "%d/%d" el.Detan.Driver.chains_det
-            el.Detan.Driver.chains_total;
-          Printf.sprintf "%d -> %d"
-            (last.Detan.Driver.base_cp_reads + last.Detan.Driver.base_cp_writes)
-            (last.Detan.Driver.det_cp_reads + last.Detan.Driver.det_cp_writes);
-          Printf.sprintf "%d -> %d"
-            (last.Detan.Driver.base_trail_reads
-            + last.Detan.Driver.base_trail_writes)
-            (last.Detan.Driver.det_trail_reads
-            + last.Detan.Driver.det_trail_writes);
-          Stats.Table.cell_int last.Detan.Driver.det_cp_elided;
-          (if r.Detan.Driver.oracle_ok then "ok" else "VIOLATED");
-          (if r.Detan.Driver.answers_ok then "ok" else "DIFFER");
-        ])
-    reports;
-  Stats.Table.print t;
-  (* Figure-4 pricing: base vs det traces through the hybrid protocol
-     at 1024-word caches (best allocation), at each PE count.  The
-     analysis and both runs are recomputed here because transformed
-     programs bypass the run memo. *)
-  let traffic =
-    List.map
-      (fun b ->
-        let a = Detan.Driver.analyze b in
-        let point n_pes det =
-          let r =
-            Benchlib.Runner.run_rapwam ~keep_trace:true
-              ~transform:a.Detan.Driver.transform ?det ~n_pes b
-          in
-          let m, _ =
-            Cachesim.Multi.simulate_best ~kind:Cachesim.Protocol.Hybrid
-              ~cache_words:1024 ~n_pes:(max n_pes 1)
-              r.Benchlib.Runner.trace
-          in
-          (Cachesim.Metrics.traffic_ratio m, m.Cachesim.Metrics.bus_words)
-        in
-        ( b.Benchlib.Programs.name,
-          List.map
-            (fun n_pes ->
-              (n_pes, point n_pes None, point n_pes (Some a.Detan.Driver.plan)))
-            detan_pes ))
-      setup.benchmarks
-  in
-  Format.printf
-    "@.Figure-4 traffic ratios (hybrid, 1024 words, best allocation);@.\
-     bus words in brackets -- the elided references are the@.\
-     best-cached ones, so the ratio can rise while traffic falls:@.";
-  List.iter
-    (fun (name, points) ->
-      Format.printf "  %-12s %s@." name
-        (String.concat "  "
-           (List.map
-              (fun (n_pes, (base, bbus), (det, dbus)) ->
-                Printf.sprintf "%dpe %.3f -> %.3f [%d -> %dw]" n_pes base det
-                  bbus dbus)
-              points)))
-    traffic;
-  let named = [ "deriv"; "qsort"; "tak" ] in
-  let named_reports =
-    List.filter
-      (fun (r : Detan.Driver.report) ->
-        List.mem r.Detan.Driver.a.Detan.Driver.bench.Benchlib.Programs.name
-          named)
-      reports
-  in
-  Format.printf
-    "invariants: oracle_ok %b, answers_ok %b, lint_clean %b, \
-     cp_drop_deriv_qsort_tak %b, trail_drop %b@."
-    (List.for_all (fun (r : Detan.Driver.report) -> r.Detan.Driver.oracle_ok) reports)
-    (List.for_all (fun (r : Detan.Driver.report) -> r.Detan.Driver.answers_ok) reports)
-    (List.for_all (fun (r : Detan.Driver.report) -> r.Detan.Driver.lint_clean) reports)
-    (named_reports <> []
-    && List.for_all
-         (fun (r : Detan.Driver.report) -> r.Detan.Driver.cp_drop)
-         named_reports)
-    (List.for_all
-       (fun (r : Detan.Driver.report) -> r.Detan.Driver.trail_drop)
-       named_reports);
-  let traffic_json =
-    String.concat ",\n    "
-      (List.map
-         (fun (name, points) ->
-           Printf.sprintf "{\"bench\": %S, \"points\": [%s]}" name
-             (String.concat ", "
-                (List.map
-                   (fun (n_pes, (base, bbus), (det, dbus)) ->
-                     Printf.sprintf
-                       "{\"pes\": %d, \"base_traffic_ratio\": %.6f, \
-                        \"det_traffic_ratio\": %.6f, \"delta\": %.6f, \
-                        \"base_bus_words\": %d, \"det_bus_words\": %d}"
-                       n_pes base det (det -. base) bbus dbus)
-                   points)))
-         traffic)
-  in
-  Resilience.Atomic_io.write_string "BENCH_detan.json"
-    ("{\n  \"schema\": \"rapwam-detan/1\",\n  \"benchmarks\": "
-    ^ Detan.Driver.json_of_reports reports
-    ^ ",\n  \"traffic\": [\n    " ^ traffic_json ^ "\n  ]\n}\n");
-  Format.printf
-    "Certified chains run choice-point free under shallow backtracking:@.\
-     the choice-point and trail areas shed references at every PE count@.\
-     with bit-identical answers.  Recorded to BENCH_detan.json.@."
-
-(* ------------------------------------------------------------------ *)
-(* Bindan: static binding & instantiation analysis driving trail-check *)
-(* elision and deref-free specialized unification.  Certified          *)
-(* argument registers compile to rigid/uncond gets, no-trail binds     *)
-(* and uninitialized-output passing; answers must stay bit-identical,  *)
-(* the baseline-trace replay oracle must find no uncertified window,   *)
-(* and the trail area must shed references at every PE count.  The     *)
-(* cache simulator prices the saving as a Figure-4 traffic-ratio       *)
-(* delta.  Recorded to BENCH_bindan.json.                              *)
-
-let bindan_pes = [ 1; 4; 8 ]
-
-let bindan setup =
-  section "Bindan: binding-driven trail elision and deref-free unification";
-  let reports =
-    List.map (fun b -> Bindan.Driver.run ~pes:bindan_pes b) setup.benchmarks
-  in
-  let t =
-    Stats.Table.create ~title:"certificates, oracle and trail elision (8 PEs)"
-      ~headers:
-        [ "bench"; "uninit"; "rigid"; "value-nt"; "nt-bi"; "trail refs";
-          "heap refs"; "elided"; "deref"; "oracle"; "answers" ]
-      ~aligns:
-        [ Stats.Table.Left; Stats.Table.Right; Stats.Table.Right;
-          Stats.Table.Right; Stats.Table.Right; Stats.Table.Right;
-          Stats.Table.Right; Stats.Table.Right; Stats.Table.Right;
-          Stats.Table.Right; Stats.Table.Right ]
-      ()
-  in
-  let area_refs (run : Bindan.Driver.pe_run) ar =
-    let d =
-      List.find
-        (fun (d : Bindan.Driver.area_delta) -> d.Bindan.Driver.ad_area = ar)
-        run.Bindan.Driver.areas
+let certification (module A : Certification.ANALYSIS) setup =
+  let module H = Certification.Make (A) in
+  section (A.name ^ ": " ^ A.doc);
+  let price n_pes buf =
+    let m, _ =
+      Cachesim.Multi.simulate_best ~kind:Cachesim.Protocol.Hybrid
+        ~cache_words:1024 ~n_pes:(max n_pes 1) buf
     in
-    ( d.Bindan.Driver.ad_base_reads + d.Bindan.Driver.ad_base_writes,
-      d.Bindan.Driver.ad_bind_reads + d.Bindan.Driver.ad_bind_writes )
+    (Cachesim.Metrics.traffic_ratio m, m.Cachesim.Metrics.bus_words)
   in
-  List.iter
-    (fun (r : Bindan.Driver.report) ->
-      let a = r.Bindan.Driver.a in
-      let p = a.Bindan.Driver.plan in
-      let last =
-        List.nth r.Bindan.Driver.runs (List.length r.Bindan.Driver.runs - 1)
-      in
-      let tb, ts = area_refs last Trace.Area.Trail in
-      let hb, hs = area_refs last Trace.Area.Heap in
-      Stats.Table.add_row t
-        [
-          a.Bindan.Driver.bench.Benchlib.Programs.name;
-          Stats.Table.cell_int p.Bindan.Plan.n_uninit;
-          Stats.Table.cell_int p.Bindan.Plan.n_rigid;
-          Stats.Table.cell_int p.Bindan.Plan.n_value_nt;
-          Stats.Table.cell_int p.Bindan.Plan.n_nt_builtin;
-          Printf.sprintf "%d -> %d" tb ts;
-          Printf.sprintf "%d -> %d" hb hs;
-          Stats.Table.cell_int last.Bindan.Driver.trail_elided;
-          Stats.Table.cell_int last.Bindan.Driver.deref_skipped;
-          (if r.Bindan.Driver.oracle_ok then "ok" else "VIOLATED");
-          (if r.Bindan.Driver.answers_ok then "ok" else "DIFFER");
-        ])
-    reports;
-  Stats.Table.print t;
-  (* Figure-4 pricing: base (det-plan only) vs bind traces through the
-     hybrid protocol at 1024-word caches (best allocation), at each PE
-     count.  Recomputed here because transformed programs bypass the
-     run memo. *)
-  let traffic =
+  let priced =
     List.map
-      (fun b ->
-        let a = Bindan.Driver.analyze b in
-        let det_a = a.Bindan.Driver.det_a in
-        let point n_pes bind =
-          let r =
-            Benchlib.Runner.run_rapwam ~keep_trace:true
-              ~transform:det_a.Detan.Driver.transform
-              ~det:det_a.Detan.Driver.plan ?bind ~n_pes b
-          in
-          let m, _ =
-            Cachesim.Multi.simulate_best ~kind:Cachesim.Protocol.Hybrid
-              ~cache_words:1024 ~n_pes:(max n_pes 1)
-              r.Benchlib.Runner.trace
-          in
-          (Cachesim.Metrics.traffic_ratio m, m.Cachesim.Metrics.bus_words)
+      (fun (b : Benchlib.Programs.benchmark) ->
+        let points = ref [] in
+        let observe ~n_pes ~base ~variant =
+          Option.iter
+            (fun v ->
+              points := (n_pes, price n_pes base, price n_pes v) :: !points)
+            variant
         in
-        ( b.Benchlib.Programs.name,
-          List.map
-            (fun n_pes ->
-              ( n_pes,
-                point n_pes None,
-                point n_pes (Some a.Bindan.Driver.plan.Bindan.Plan.plan) ))
-            bindan_pes ))
+        let r = H.run ~observe b in
+        H.pp_report ~verbose:false Format.std_formatter r;
+        (r, List.rev !points))
       setup.benchmarks
   in
+  let reports = List.map fst priced in
+  let all f = List.for_all f reports in
   Format.printf
-    "@.Figure-4 traffic ratios (hybrid, 1024 words, best allocation);@.\
-     bus words in brackets -- elided trail checks were the@.\
-     best-cached references, so the ratio can rise while traffic falls:@.";
-  List.iter
-    (fun (name, points) ->
-      Format.printf "  %-12s %s@." name
-        (String.concat "  "
-           (List.map
-              (fun (n_pes, (base, bbus), (bind, sbus)) ->
-                Printf.sprintf "%dpe %.3f -> %.3f [%d -> %dw]" n_pes base
-                  bind bbus sbus)
-              points)))
-    traffic;
-  let named = [ "deriv"; "qsort"; "tak" ] in
-  let named_reports =
-    List.filter
-      (fun (r : Bindan.Driver.report) ->
-        List.mem r.Bindan.Driver.a.Bindan.Driver.bench.Benchlib.Programs.name
-          named)
-      reports
+    "verdicts: oracle_ok %b, answers_ok %b, tracecheck_ok %b, lint_clean %b, \
+     audit_ok %b@."
+    (all (fun r -> r.oracle_ok))
+    (all (fun r -> r.answers_ok))
+    (all (fun r -> r.trace_ok))
+    (all (fun r -> r.lint_clean))
+    (all (fun r -> r.audit_ok));
+  let traffic =
+    match A.variant with
+    | None -> ""
+    | Some (label, _) ->
+      Format.printf
+        "@.Figure-4 traffic ratios, base -> %s; bus words in brackets (the@.\
+         elided references are the best-cached ones, so the ratio can rise@.\
+         while traffic falls):@."
+        label;
+      List.iter
+        (fun ((r : _ Certification.report), points) ->
+          Format.printf "  %-12s %s@." r.front.bench.name
+            (String.concat "  "
+               (List.map
+                  (fun (n_pes, (base, bbus), (v, vbus)) ->
+                    Printf.sprintf "%dpe %.3f -> %.3f [%d -> %dw]" n_pes base v
+                      bbus vbus)
+                  points)))
+        priced;
+      let point (n_pes, (base, bbus), (v, vbus)) =
+        Printf.sprintf
+          "{\"pes\": %d, \"base_traffic_ratio\": %.6f, \"%s_traffic_ratio\": \
+           %.6f, \"delta\": %.6f, \"base_bus_words\": %d, \"%s_bus_words\": %d}"
+          n_pes base label v (v -. base) bbus label vbus
+      in
+      ",\n  \"traffic\": [\n    "
+      ^ String.concat ",\n    "
+          (List.map
+             (fun ((r : _ Certification.report), points) ->
+               Printf.sprintf "{\"bench\": %S, \"points\": [%s]}"
+                 r.front.bench.name
+                 (String.concat ", " (List.map point points)))
+             priced)
+      ^ "\n  ]\n"
   in
-  Format.printf
-    "invariants: oracle_ok %b, answers_ok %b, tracecheck_ok %b, \
-     lint_clean %b, trail_drop_deriv_qsort_tak %b@."
-    (List.for_all
-       (fun (r : Bindan.Driver.report) -> r.Bindan.Driver.oracle_ok)
-       reports)
-    (List.for_all
-       (fun (r : Bindan.Driver.report) -> r.Bindan.Driver.answers_ok)
-       reports)
-    (List.for_all
-       (fun (r : Bindan.Driver.report) -> r.Bindan.Driver.trace_ok)
-       reports)
-    (List.for_all
-       (fun (r : Bindan.Driver.report) -> r.Bindan.Driver.lint_clean)
-       reports)
-    (named_reports <> []
-    && List.for_all
-         (fun (r : Bindan.Driver.report) -> r.Bindan.Driver.trail_drop)
-         named_reports);
-  let traffic_json =
-    String.concat ",\n    "
-      (List.map
-         (fun (name, points) ->
-           Printf.sprintf "{\"bench\": %S, \"points\": [%s]}" name
-             (String.concat ", "
-                (List.map
-                   (fun (n_pes, (base, bbus), (bind, sbus)) ->
-                     Printf.sprintf
-                       "{\"pes\": %d, \"base_traffic_ratio\": %.6f, \
-                        \"bind_traffic_ratio\": %.6f, \"delta\": %.6f, \
-                        \"base_bus_words\": %d, \"bind_bus_words\": %d}"
-                       n_pes base bind (bind -. base) bbus sbus)
-                   points)))
-         traffic)
-  in
-  Resilience.Atomic_io.write_string "BENCH_bindan.json"
-    ("{\n  \"schema\": \"rapwam-bindan/1\",\n  \"benchmarks\": "
-    ^ Bindan.Driver.json_of_reports reports
-    ^ ",\n  \"traffic\": [\n    " ^ traffic_json ^ "\n  ]\n}\n");
-  Format.printf
-    "Certified binds run trail-check free and certified gets skip the@.\
-     dereference loop: the trail area sheds references at every PE@.\
-     count with bit-identical answers.  Recorded to BENCH_bindan.json.@."
+  let file = "BENCH_" ^ A.name ^ ".json" in
+  Resilience.Atomic_io.write_string file
+    (Printf.sprintf "{\n  \"schema\": \"rapwam-%s/1\",\n  \"benchmarks\": %s%s}\n"
+       A.name (H.json_of_reports reports) traffic);
+  Format.printf "Recorded to %s.@." file
+
+let refmap = certification (module Refmap.Instance)
+let detan = certification (module Detan.Instance)
+let bindan = certification (module Bindan.Instance)
 
 (* ------------------------------------------------------------------ *)
 (* Pre-warming: the (benchmark, PE-count) emulation runs each          *)

@@ -103,8 +103,8 @@ let run_cmd bench_names pes protocol_name line sizes jobs check check_static
       List.exists
         (fun name ->
           let b = lookup_bench ~quick name in
-          let a = Refmap.Driver.analyze b in
-          let c = a.Refmap.Driver.certify in
+          let module R = Certification.Make (Refmap.Instance) in
+          let c = (R.analyze b).a.Refmap.Instance.certify in
           let all =
             c.Refmap.Certify.total = c.Refmap.Certify.certified
           in

@@ -9,9 +9,10 @@
    For each (benchmark, mode, PE count) the tool generates the trace
    (sequential WAM when the PE count is 0, RAP-WAM otherwise), runs
    the checker, and prints a one-line verdict; --defect damages each
-   trace first and expects the checker to object.  Exit status is 0
-   iff every checked trace matched the expectation (clean normally,
-   flagged under --defect). *)
+   trace first and expects the checker to object.  Exit status is 1
+   exactly when a trace had violations (under --defect: the damage
+   was detected), 0 otherwise; see Benchlib.Cli for the error
+   codes. *)
 
 let check_one ~label ~max_violations buf =
   let t0 = Unix.gettimeofday () in
@@ -44,16 +45,7 @@ let run_cmd bench_names pes_list seq_only par_only quick defect trace_file
           d label
       end
   in
-  (match trace_file with
-  | Some path ->
-    let buf = damage (Trace.Tracefile.read path) in
-    judge ~label:path (check_one ~label:path ~max_violations buf)
-  | None ->
-    let pool =
-      if quick then Benchlib.Inputs.small_benchmarks ()
-      else Benchlib.Inputs.default_benchmarks ()
-    in
-    let benchmarks = Benchlib.Cli.select ~pool bench_names in
+  let check_benchmarks benchmarks =
     let modes =
       (if par_only then [] else [ `Seq ])
       @ if seq_only then [] else [ `Par ]
@@ -82,17 +74,31 @@ let run_cmd bench_names pes_list seq_only par_only quick defect trace_file
                 judge ~label (check_one ~label ~max_violations buf))
               pes_of_mode)
           modes)
-      benchmarks);
-  Benchlib.Cli.write_json json_out
-    ("[\n  " ^ String.concat ",\n  " (List.rev !json_rows) ^ "\n]\n");
-  if !missed > 0 then
-    Format.printf "%d damaged trace(s) escaped detection@." !missed;
-  (* exit is non-zero exactly when violations were found, so a CI
-     defect fixture asserts detection with a plain `!` negation *)
-  if !dirty > 0 then begin
-    if defect = None then Format.printf "%d trace(s) had violations@." !dirty;
-    exit 1
-  end
+      benchmarks
+  in
+  let checked =
+    match trace_file with
+    | Some path ->
+      let buf = damage (Trace.Tracefile.read path) in
+      Ok (judge ~label:path (check_one ~label:path ~max_violations buf))
+    | None ->
+      let pool =
+        if quick then Benchlib.Inputs.small_benchmarks ()
+        else Benchlib.Inputs.default_benchmarks ()
+      in
+      Result.map check_benchmarks (Benchlib.Cli.select ~pool bench_names)
+  in
+  match checked with
+  | Error msg -> `Error (true, msg)
+  | Ok () ->
+    if !missed > 0 then
+      Format.printf "%d damaged trace(s) escaped detection@." !missed;
+    if !dirty > 0 && defect = None then
+      Format.printf "%d trace(s) had violations@." !dirty;
+    `Ok
+      (Benchlib.Cli.finish ~json_out
+         ("[\n  " ^ String.concat ",\n  " (List.rev !json_rows) ^ "\n]\n")
+         (if !dirty > 0 then 1 else 0))
 
 open Cmdliner
 
@@ -126,9 +132,10 @@ let cmd =
   Cmd.v
     (Cmd.info "tracecheck" ~doc)
     Term.(
-      const
-        (fun bench _benchmarks pes seq par quick defect trace_file maxv json ->
-          run_cmd bench pes seq par quick defect trace_file maxv json)
+      ret
+        (const
+           (fun bench _benchmarks pes seq par quick defect trace_file maxv json ->
+             run_cmd bench pes seq par quick defect trace_file maxv json)
       $ Benchlib.Cli.bench_arg ~doc:"Benchmark(s) to check (default: all)."
           Benchlib.Programs.all_names
       $ Benchlib.Cli.benchmarks_flag
@@ -138,11 +145,11 @@ let cmd =
       $ Benchlib.Cli.defect_arg
           ~doc:
             "Damage each trace with the named seeded defect first and \
-             expect the checker to flag it (exit 1 when a damaged trace \
-             comes back clean)."
+             expect the checker to flag it (exit 1 when it does, 0 when \
+             every damaged trace comes back clean)."
           (List.map
              (fun (d : Tracecheck.Defects.defect) -> d.name)
              Tracecheck.Defects.all)
-      $ trace_file_arg $ max_violations_arg $ Benchlib.Cli.json_arg)
+      $ trace_file_arg $ max_violations_arg $ Benchlib.Cli.json_arg))
 
 let () = Benchlib.Cli.eval cmd

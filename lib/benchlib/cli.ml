@@ -1,13 +1,18 @@
-(* Shared cmdliner vocabulary of the analysis CLIs.
+(* Shared cmdliner vocabulary of the checking CLIs.
 
-   Every analysis binary (detan, refmap, tracecheck, bindan, ...)
-   parses the same argument families: a benchmark selection drawn
-   from a pool, PE-count lists, the --quick trace-size switch, a
-   seeded-defect selector, --verbose and --json FILE.  This module
-   holds the converters, the argument builders (parameterized on the
-   name pool and defaults) and the two helpers every tool repeats:
-   resolving a selection against its pool and writing a JSON report
-   file. *)
+   certify and tracecheck parse the same argument families: a
+   benchmark selection drawn from a pool, PE-count lists, the --quick
+   trace-size switch, a seeded-defect selector, --verbose and --json
+   FILE.  This module holds the converters, the argument builders
+   (parameterized on the name pool and defaults), the helpers both
+   tools repeat (resolving a selection against its pool, writing the
+   JSON report) and the exit-status convention:
+
+     0    clean (or, under --defect, the defect escaped)
+     1    something was flagged (under --defect: detected)
+     123  the --json report could not be written
+     124  usage error (cmdliner)
+     125  internal error (cmdliner) *)
 
 open Cmdliner
 
@@ -65,27 +70,30 @@ let json_arg =
 
 (* Resolve a --bench selection against the tool's pool (cmdliner's
    enum already rejected unknown names, but a name can still miss the
-   pool when --quick swaps input sizes). *)
-let select ~pool = function
-  | [] -> pool
-  | names ->
-    List.map
-      (fun n ->
-        match
-          List.find_opt (fun (b : Programs.benchmark) -> b.Programs.name = n) pool
-        with
-        | Some b -> b
-        | None -> invalid_arg ("unknown benchmark " ^ n))
-      names
+   pool of the selected tool or analysis). *)
+let select ~pool names =
+  let find n =
+    List.find_opt (fun (b : Programs.benchmark) -> b.Programs.name = n) pool
+  in
+  match List.find_opt (fun n -> find n = None) names with
+  | Some n -> Error ("benchmark " ^ n ^ " is not in this pool")
+  | None -> Ok (if names = [] then pool else List.filter_map find names)
 
-(* Write a report file when --json was given. *)
-let write_json json_out contents =
-  Option.iter
-    (fun path ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc contents))
-    json_out
+(* Write the --json report atomically and return the exit status:
+   [status], or 123 (one line on stderr) when the write fails. *)
+let finish ~json_out contents status =
+  let failed path why =
+    Format.eprintf "cannot write %s: %s@." path why;
+    Cmd.Exit.some_error
+  in
+  match json_out with
+  | None -> status
+  | Some path -> (
+    try
+      Resilience.Atomic_io.write_string path contents;
+      status
+    with
+    | Sys_error msg -> failed path msg
+    | Unix.Unix_error (err, _, _) -> failed path (Unix.error_message err))
 
-let eval cmd = match Cmd.eval_value cmd with Ok _ -> () | Error _ -> exit 1
+let eval cmd = exit (Cmd.eval' cmd)

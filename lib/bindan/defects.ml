@@ -1,42 +1,40 @@
 (* Seeded binding-analysis defects.
 
    Each defect weakens exactly one rule of the binding analysis or its
-   plan bridge; the driver runs the full pipeline with the weakened
-   plan and the named detector must flag it:
+   plan bridge; the certification harness runs the full pipeline with
+   the weakened plan and the named detector must flag it:
 
-   - "oracle": replaying the baseline trace against the certified
+   - [Oracle]: replaying the baseline trace against the certified
                sites finds a bound-arg / free-arg / stale-bind /
                uninit-read violation;
-   - "lint":   wamlint's nt-builtin rule rejects the emitted code.
+   - [Lint]:   wamlint's nt-builtin rule rejects the emitted code.
 
-   (Several oracle defects also corrupt the answer set; the driver
+   (Several oracle defects also corrupt the answer set; the harness
    reports both, the oracle is the primary detector.)
 
-   [probes] lists extra fixture programs (beyond the paper's
-   benchmarks) shaped to trip the specific weakened rule. *)
+   [probes] names the programs each defect trips on: a fixture shaped
+   for the weakened rule, or the benchmark that exercises it. *)
 
-type t = {
-  name : string;
-  detector : string;  (** "oracle" | "lint" *)
-  description : string;
-  probes : Benchlib.Programs.benchmark list;
-}
+let quick name =
+  List.find
+    (fun (b : Benchlib.Programs.benchmark) -> b.Benchlib.Programs.name = name)
+    (Benchlib.Inputs.small_benchmarks ())
 
-let all =
+let all : Certification.defect list =
   [
     {
       name = "force_uninit";
-      detector = "oracle";
+      detector = Oracle;
       description =
         "certify every shape-compatible argument as uninitialized \
          output, ignoring freeness, written-first flow and dispatch \
          determinacy; qsort's bound list arguments then hit uncond gets \
          whose baseline windows never write the cell";
-      probes = [];
+      probes = [ quick "qsort" ];
     };
     {
       name = "cond_blind";
-      detector = "oracle";
+      detector = Oracle;
       description =
         "treat every call site as clean and every dispatch as det: a \
          cell bound after a nondeterministic generator counts as \
@@ -45,7 +43,7 @@ let all =
     };
     {
       name = "rigid_any";
-      detector = "oracle";
+      detector = Oracle;
       description =
         "certify rigid first arguments without the groundness proof; \
          an indexed predicate called with a free argument binds inside \
@@ -54,7 +52,7 @@ let all =
     };
     {
       name = "nt_alias";
-      detector = "oracle";
+      detector = Oracle;
       description =
         "any variable side of =/2 counts as definitely free; a \
          conditional bind goes untrailed and the retry re-reads the \
@@ -63,31 +61,28 @@ let all =
     };
     {
       name = "uninit_escape";
-      detector = "oracle";
+      detector = Oracle;
       description =
         "compile every first-occurrence variable put as uncond put_variable \
          regardless of the callee certificate; a consumer that reads \
          before writing sees the never-initialized cell";
-      probes = [ Fixtures.esc ];
+      probes = [ quick "qsort" ];
     };
     {
       name = "nt_wrong_builtin";
-      detector = "lint";
+      detector = Lint;
       description =
         "extend the no-trail certificate to =</2; wamlint's nt-builtin \
          rule rejects the emitted uncond builtin";
-      probes = [];
+      probes = [ quick "tak" ];
     };
   ]
-
-let names = List.map (fun d -> d.name) all
-let find name = List.find_opt (fun d -> d.name = name) all
 
 (* Analysis weakening + plan flags for a defect. *)
 let weakening ?defect () =
   match defect with
   | None -> Absint.sound
-  | Some d -> (
+  | Some (d : Certification.defect) -> (
     match d.name with
     | "force_uninit" -> { Absint.sound with wk_force_uninit = true }
     | "cond_blind" -> { Absint.sound with wk_cond_blind = true }
@@ -98,6 +93,6 @@ let weakening ?defect () =
 
 let plan_flags ?defect () =
   match defect with
-  | Some d when d.name = "uninit_escape" -> (true, false)
+  | Some (d : Certification.defect) when d.name = "uninit_escape" -> (true, false)
   | Some d when d.name = "nt_wrong_builtin" -> (false, true)
   | _ -> (false, false)

@@ -50,8 +50,9 @@ let alt =
    dereferences both sides), so [e/1]'s call may NOT pass [Y]
    uninitialized.  Sound analysis: the repeated head variable refuses
    the shape; [uninit_escape] defect: every first-occurrence put
-   compiles to an [uncond] [put_variable] and the baseline window reads the
-   never-initialized cell (oracle: uninit-read). *)
+   compiles to an [uncond] [put_variable] and the bind run reads the
+   never-initialized cell.  Tracecheck flags that read (read-before-write)
+   but the window oracle does not, so the defect's probe is qsort. *)
 let esc =
   {
     Benchlib.Programs.name = "bd_esc";

@@ -1,40 +1,39 @@
 (* Seeded analysis defects.
 
    Each defect weakens exactly one rule of the determinacy analysis or
-   its compiler bridge; the driver runs the full pipeline with the
-   weakened plan and the named detector must flag it:
+   its compiler bridge; the certification harness runs the full
+   pipeline with the weakened plan and the named detector must flag
+   it:
 
-   - "oracle":  replaying the baseline trace finds a backtrack that
+   - [Oracle]:  replaying the baseline trace finds a backtrack that
                 commits inside an alternative det-mode would have
                 elided;
-   - "answers": the det-mode answer set differs from the baseline's;
-   - "lint":    the wamlint orphan-chain rule rejects the emitted
+   - [Answers]: the det-mode answer set differs from the baseline's;
+   - [Lint]:    the wamlint orphan-chain rule rejects the emitted
                 det code.
 
-   [probes] lists extra fixture programs (beyond the paper's
-   benchmarks) shaped to trip the specific weakened rule. *)
+   [probes] names the programs each defect trips on: a fixture shaped
+   for the weakened rule, or deriv where the benchmark suffices. *)
 
-type t = {
-  name : string;
-  detector : string;  (** "oracle" | "answers" | "lint" *)
-  description : string;
-  probes : Benchlib.Programs.benchmark list;
-}
+let quick name =
+  List.find
+    (fun (b : Benchlib.Programs.benchmark) -> b.Benchlib.Programs.name = name)
+    (Benchlib.Inputs.small_benchmarks ())
 
-let all =
+let all : Certification.defect list =
   [
     {
       name = "force_certify";
-      detector = "oracle";
+      detector = Oracle;
       description =
         "certify every multi-clause chain unconditionally; the \
          failure-driven once_d/2 loop in deriv backtracks into its \
          elided second clause";
-      probes = [];
+      probes = [ quick "deriv" ];
     };
     {
       name = "guard_operands";
-      detector = "oracle";
+      detector = Oracle;
       description =
         "arithmetic-guard exclusion compares operators only, ignoring \
          operand paths: X<Y and Z>=X count as complementary";
@@ -42,7 +41,7 @@ let all =
     };
     {
       name = "cut_after_call";
-      detector = "oracle";
+      detector = Oracle;
       description =
         "cut rule accepts a cut anywhere in the body, even after a \
          user call that commits the shallow frame first";
@@ -50,7 +49,7 @@ let all =
     };
     {
       name = "var_head_blind";
-      detector = "answers";
+      detector = Answers;
       description =
         "declare every switch_on_term variable chain dead regardless \
          of the call pattern; calls with an unbound first argument \
@@ -59,22 +58,19 @@ let all =
     };
     {
       name = "orphan_chain";
-      detector = "lint";
+      detector = Lint;
       description =
         "emit certified chains headed by a shallow retry instead of \
          a try; wamlint's orphan-chain rule rejects the code";
-      probes = [];
+      probes = [ quick "deriv" ];
     };
   ]
-
-let names = List.map (fun d -> d.name) all
-let find name = List.find_opt (fun d -> d.name = name) all
 
 (* The weakened plan for a defect (or the sound plan for [None]). *)
 let plan ?defect ?patterns () =
   match defect with
   | None -> Exclusion.plan ?patterns ()
-  | Some d -> (
+  | Some (d : Certification.defect) -> (
     match d.name with
     | "force_certify" -> Exclusion.plan ~force_certify:true ?patterns ()
     | "guard_operands" -> Exclusion.plan ~sloppy_guards:true ?patterns ()

@@ -5,66 +5,56 @@
    the footprint tables forgot), one corrupts the certification
    decision itself.  The soundness oracle must flag the weakened
    summaries with predicate/area/mode diagnostics; the certification
-   audit must flag the corrupted certifier.  Used by the defect
-   fixtures in the test suite and the [refmap --defect] CLI. *)
+   audit must flag the corrupted certifier.  The summary defects show
+   on qsort; force-certify needs a benchmark with an uncertified group,
+   which is matrix. *)
 
-type defect = {
-  name : string;
-  detector : string;  (** "oracle" or "audit": which check must fire *)
-  description : string;
-}
+let quick name =
+  List.find
+    (fun (b : Benchlib.Programs.benchmark) -> b.Benchlib.Programs.name = name)
+    (Benchlib.Inputs.small_benchmarks ())
 
-let all =
+let all : Certification.defect list =
+  let oracle name description =
+    {
+      Certification.name;
+      detector = Oracle;
+      description;
+      probes = [ quick "qsort" ];
+    }
+  in
   [
-    {
-      name = "trail-blind";
-      detector = "oracle";
-      description =
-        "summaries forget the trail: binding writes no longer record \
-         their undo entries";
-    };
-    {
-      name = "heap-read-only";
-      detector = "oracle";
-      description =
-        "heap modes capped at read: structure building and bindings \
-         invisible to the analysis";
-    };
-    {
-      name = "env-blind";
-      detector = "oracle";
-      description =
-        "environment areas erased: permanent variables and frame \
-         control words unaccounted";
-    };
-    {
-      name = "choice-blind";
-      detector = "oracle";
-      description =
-        "choice-point area erased: clause selection and failure \
-         restore unaccounted";
-    };
+    oracle "trail-blind"
+      "summaries forget the trail: binding writes no longer record their \
+       undo entries";
+    oracle "heap-read-only"
+      "heap modes capped at read: structure building and bindings \
+       invisible to the analysis";
+    oracle "env-blind"
+      "environment areas erased: permanent variables and frame control \
+       words unaccounted";
+    oracle "choice-blind"
+      "choice-point area erased: clause selection and failure restore \
+       unaccounted";
     {
       name = "force-certify";
-      detector = "audit";
+      detector = Audit;
       description =
-        "certifier answers yes unconditionally, marking conditional \
-         groups static_safe";
+        "certifier answers yes unconditionally, marking conditional groups \
+         static_safe";
+      probes = [ quick "matrix" ];
     };
   ]
 
-let names = List.map (fun d -> d.name) all
-let find name = List.find_opt (fun d -> d.name = name) all
-
-let forces_certify name = name = "force-certify"
+let forces_certify (d : Certification.defect) = d.name = "force-certify"
 
 let erase s area = Summary.set s area Mode.Nil
 
 let cap_at s area m =
   if not (Mode.leq (Summary.get s area) m) then Summary.set s area m
 
-let weaken_summary name s =
-  match name with
+let weaken_summary (d : Certification.defect) s =
+  match d.name with
   | "trail-blind" -> erase s Trace.Area.Trail
   | "heap-read-only" -> cap_at s Trace.Area.Heap Mode.Read
   | "env-blind" ->
@@ -72,14 +62,12 @@ let weaken_summary name s =
     erase s Trace.Area.Env_control
   | "choice-blind" -> erase s Trace.Area.Choice_point
   | "force-certify" -> ()
-  | _ -> invalid_arg (Printf.sprintf "Refmap.Defects.apply: %s" name)
+  | other -> invalid_arg (Printf.sprintf "Refmap.Defects.apply: %s" other)
 
 (* Damage [static] in place (summaries are mode vectors; the table
    structure is untouched). *)
-let apply name (static : Static.t) =
-  if find name = None then
-    invalid_arg (Printf.sprintf "Refmap.Defects.apply: %s" name);
-  let f = weaken_summary name in
+let apply d (static : Static.t) =
+  let f = weaken_summary d in
   Hashtbl.iter
     (fun _ (p : Static.pred) ->
       f p.Static.own;

@@ -1,6 +1,9 @@
-(* lib/bindan: binding/instantiation certificates, specialized-compile
-   soundness (oracle, answers, tracecheck, lint) and the seeded-defect
-   detectors. *)
+(* lib/bindan: binding/instantiation certificates and
+   specialized-compile soundness (oracle, answers, tracecheck, lint).
+   Defect detection is checked for every analysis at once in
+   test_certify. *)
+
+module B = Certification.Make (Bindan.Instance)
 
 let quick name =
   List.find
@@ -9,42 +12,30 @@ let quick name =
 
 let pes = [ 1; 4; 8 ]
 
-let trail_refs (r : Bindan.Driver.pe_run) =
-  let d =
-    List.find
-      (fun (d : Bindan.Driver.area_delta) ->
-        d.Bindan.Driver.ad_area = Trace.Area.Trail)
-      r.Bindan.Driver.areas
-  in
-  ( d.Bindan.Driver.ad_base_reads + d.Bindan.Driver.ad_base_writes,
-    d.Bindan.Driver.ad_bind_reads + d.Bindan.Driver.ad_bind_writes )
-
 (* The acceptance triple: deriv, qsort and tak must run bind-certified
    with bit-identical answers, a clean oracle/tracecheck/lint, and
    strictly fewer trail references at every PE count. *)
 let test_clean_and_trail_drop () =
   List.iter
     (fun name ->
-      let r = Bindan.Driver.run ~pes (quick name) in
-      Alcotest.(check bool) (name ^ " oracle ok") true r.Bindan.Driver.oracle_ok;
+      let r = B.run ~pes (quick name) in
+      Alcotest.(check bool) (name ^ " oracle ok") true r.oracle_ok;
+      Alcotest.(check bool) (name ^ " answers equal") true r.answers_ok;
+      Alcotest.(check bool) (name ^ " tracecheck clean") true r.trace_ok;
+      Alcotest.(check bool) (name ^ " lint clean") true r.lint_clean;
       Alcotest.(check bool)
-        (name ^ " answers equal") true r.Bindan.Driver.answers_ok;
-      Alcotest.(check bool)
-        (name ^ " tracecheck clean") true r.Bindan.Driver.trace_ok;
-      Alcotest.(check bool) (name ^ " lint clean") true r.Bindan.Driver.lint_clean;
-      Alcotest.(check bool)
-        (name ^ " trail drop flag") true r.Bindan.Driver.trail_drop;
+        (name ^ " trail drop flag") true (Bindan.Instance.trail_drop r);
       List.iter
-        (fun (run : Bindan.Driver.pe_run) ->
-          let base, bind = trail_refs run in
+        (fun (run : Bindan.Instance.oracle Certification.run) ->
+          let base, bind = Bindan.Instance.trail_pair run in
           if base <= bind then
-            Alcotest.failf "%s @%dpe: trail %d -> %d (no drop)" name
-              run.Bindan.Driver.n_pes base bind;
+            Alcotest.failf "%s @%dpe: trail %d -> %d (no drop)" name run.n_pes
+              base bind;
           Alcotest.(check bool)
             (name ^ " trail elided > 0")
             true
-            (run.Bindan.Driver.trail_elided > 0))
-        r.Bindan.Driver.runs)
+            ((Bindan.Instance.bind run).trail_elided > 0))
+        r.runs)
     [ "deriv"; "qsort"; "tak" ]
 
 (* Deref-free gets actually fire where certified (deriv's Uncond
@@ -52,34 +43,30 @@ let test_clean_and_trail_drop () =
 let test_deref_skipped () =
   List.iter
     (fun name ->
-      let r = Bindan.Driver.run ~pes:[ 1 ] (quick name) in
+      let r = B.run ~pes:[ 1 ] (quick name) in
       List.iter
-        (fun (run : Bindan.Driver.pe_run) ->
+        (fun (run : Bindan.Instance.oracle Certification.run) ->
           Alcotest.(check bool)
             (name ^ " deref skipped > 0")
             true
-            (run.Bindan.Driver.deref_skipped > 0))
-        r.Bindan.Driver.runs)
+            ((Bindan.Instance.bind run).deref_skipped > 0))
+        r.runs)
     [ "deriv"; "qsort" ]
 
 (* The oracle actually audits sites on every certified benchmark. *)
 let test_oracle_replays_windows () =
-  let r = Bindan.Driver.run ~pes:[ 1 ] (quick "qsort") in
+  let r = B.run ~pes:[ 1 ] (quick "qsort") in
   List.iter
-    (fun (run : Bindan.Driver.pe_run) ->
-      Alcotest.(check bool)
-        "sites found" true
-        (run.Bindan.Driver.oracle.Bindan.Oracle.sites_checked > 0);
-      Alcotest.(check bool)
-        "windows replayed" true
-        (run.Bindan.Driver.oracle.Bindan.Oracle.windows > 0))
-    r.Bindan.Driver.runs
+    (fun (run : Bindan.Instance.oracle Certification.run) ->
+      Alcotest.(check bool) "sites found" true (run.oracle.sites_checked > 0);
+      Alcotest.(check bool) "windows replayed" true (run.oracle.windows > 0))
+    r.runs
 
 (* Certificates the analysis must derive (and refuse) on the paper's
    benchmarks. *)
 let test_certificates () =
-  let a = Bindan.Driver.analyze (quick "deriv") in
-  let r = a.Bindan.Driver.absr in
+  let absr b = (B.analyze b).a.Bindan.Instance.absr in
+  let r = absr (quick "deriv") in
   Alcotest.(check bool) "d/3 arg3 uninit" true (r.Bindan.Absint.uninit ("d", 3) 3);
   Alcotest.(check bool)
     "d/3 arg1 not uninit (indexed)" false
@@ -89,8 +76,7 @@ let test_certificates () =
   Alcotest.(check bool)
     "d is/2 no-trail" true
     (r.Bindan.Absint.nt_builtin ("d", 3) Wam.Builtin.Is);
-  let a = Bindan.Driver.analyze (quick "qsort") in
-  let r = a.Bindan.Driver.absr in
+  let r = absr (quick "qsort") in
   Alcotest.(check bool) "qsort cp-free" true r.Bindan.Absint.global_cp_free;
   Alcotest.(check bool)
     "partition/4 arg3 uninit" true
@@ -101,8 +87,7 @@ let test_certificates () =
   Alcotest.(check bool)
     "qs/3 arg3 not uninit (repeat head var)" false
     (r.Bindan.Absint.uninit ("qs", 3) 3);
-  let a = Bindan.Driver.analyze Bindan.Fixtures.esc in
-  let r = a.Bindan.Driver.absr in
+  let r = absr Bindan.Fixtures.esc in
   Alcotest.(check bool)
     "id/2 arg2 not uninit (read-before-write)" false
     (r.Bindan.Absint.uninit ("id", 2) 2)
@@ -114,40 +99,10 @@ let contains hay needle =
   go 0
 
 let test_facts_json () =
-  let a = Bindan.Driver.analyze (quick "deriv") in
-  let j = Bindan.Facts.json_of_facts a.Bindan.Driver.absr.Bindan.Absint.facts in
+  let a = (B.analyze (quick "deriv")).a in
+  let j = Bindan.Facts.json_of_facts a.Bindan.Instance.absr.Bindan.Absint.facts in
   Alcotest.(check bool) "has d/3" true (contains j {|"pred":"d/3"|});
   Alcotest.(check bool) "has uninit:true" true (contains j {|"uninit":true|})
-
-(* Every seeded defect must be caught by its designated detector on
-   its probe set. *)
-let test_defects_detected () =
-  List.iter
-    (fun (d : Bindan.Defects.t) ->
-      let probes =
-        match d.Bindan.Defects.name with
-        | "force_uninit" | "uninit_escape" -> [ quick "qsort" ]
-        | "nt_wrong_builtin" -> [ quick "tak" ]
-        | _ -> d.Bindan.Defects.probes
-      in
-      let reports =
-        List.map (fun b -> Bindan.Driver.run ~defect:d ~pes:[ 1 ] b) probes
-      in
-      if not (Bindan.Driver.defect_detected ~defect:d reports) then
-        Alcotest.failf "seeded defect %s escaped detection (%s)"
-          d.Bindan.Defects.name d.Bindan.Defects.detector)
-    Bindan.Defects.all
-
-(* The sound analysis must stay quiet on the defect fixtures too. *)
-let test_fixtures_clean () =
-  List.iter
-    (fun b ->
-      let r = Bindan.Driver.run ~pes:[ 1; 4 ] b in
-      Alcotest.(check bool)
-        (b.Benchlib.Programs.name ^ " clean") true
-        (r.Bindan.Driver.oracle_ok && r.Bindan.Driver.answers_ok
-       && r.Bindan.Driver.trace_ok && r.Bindan.Driver.lint_clean))
-    Bindan.Fixtures.all
 
 (* The bind plan only sets attributes: with the same det plan, the two
    code areas of every benchmark agree once [Instr.plain] is applied,
@@ -160,8 +115,8 @@ let test_plans_align () =
   let certified =
     List.filter
       (fun (b : Benchlib.Programs.benchmark) ->
-        let a = Bindan.Driver.analyze b in
-        let base = a.Bindan.Driver.base_prog and bind = a.Bindan.Driver.bind_prog in
+        let r = B.analyze b in
+        let base = r.base_build.prog and bind = (Option.get r.variant_build).prog in
         if code base Wam.Instr.plain <> code bind Wam.Instr.plain then
           Alcotest.failf "%s: det and det+bind code differ beyond attributes"
             b.Benchlib.Programs.name;
@@ -181,8 +136,4 @@ let suite =
     Alcotest.test_case "certificates derived and refused" `Quick
       test_certificates;
     Alcotest.test_case "facts JSON export" `Quick test_facts_json;
-    Alcotest.test_case "all seeded defects detected" `Quick
-      test_defects_detected;
-    Alcotest.test_case "fixtures clean under sound analysis" `Quick
-      test_fixtures_clean;
   ]

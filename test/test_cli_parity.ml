@@ -1,8 +1,9 @@
 (* The two interactive front ends must agree on what they measure:
    [repl --time] and [rapwam_run --profile --stats] run the same
    compiled program through the same machine, so their inference
-   counts over a benchmark must be identical.  Exercised end-to-end
-   through the built binaries (the dune test deps pin them). *)
+   counts over a benchmark must be identical.  The checking CLIs keep
+   their exit-status contract.  Exercised end-to-end through the built
+   binaries (the dune test deps pin them). *)
 
 (* The binaries live next to the test inside _build
    (.../default/test/test_main.exe -> .../default/bin/<name>.exe);
@@ -17,6 +18,7 @@ let bin name =
 let repl_exe = bin "repl.exe"
 let rapwam_run_exe = bin "rapwam_run.exe"
 let serve_exe = bin "serve.exe"
+let certify_exe = bin "certify.exe"
 
 let small name =
   List.find
@@ -153,6 +155,48 @@ let test_serve_rejects_duplicate_faults () =
       (contains out "sim-step")
   | _, out -> Alcotest.failf "serve did not exit normally:\n%s" out
 
+(* certify: 0 clean, 1 flagged (under --defect: detected), 124 for a
+   usage error such as another analysis' defect, and a failed --json
+   write is one line and 123 -- neither 1 nor an uncaught exception. *)
+let test_certify_exit_status () =
+  let contains hay needle =
+    let nh = String.length hay and nn = String.length needle in
+    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+    go 0
+  in
+  let status args =
+    match
+      run_expect_failure
+        (Printf.sprintf "%s --quick --bench qsort --pes 4 %s" certify_exe args)
+    with
+    | Unix.WEXITED code, out -> (code, out)
+    | _, out -> Alcotest.failf "certify %s did not exit normally:\n%s" args out
+  in
+  List.iter
+    (fun (analysis, defect, foreign) ->
+      let expect what args code =
+        let got, out = status ("--analysis " ^ analysis ^ " " ^ args) in
+        if got <> code then
+          Alcotest.failf "%s %s: expected exit %d, got %d\n%s" analysis what code
+            got out
+      in
+      expect "clean" "" 0;
+      expect "defect" ("--defect " ^ defect) 1;
+      expect "foreign defect" ("--defect " ^ foreign) 124)
+    [
+      ("refmap", "trail-blind", "force_certify");
+      ("detan", "guard_operands", "rigid_any");
+      ("bindan", "rigid_any", "env-blind");
+    ];
+  let code, out =
+    status "--analysis refmap --json /nonexistent-dir/certify.json"
+  in
+  Alcotest.(check int) "bad --json path exits 123, not 1" 123 code;
+  Alcotest.(check bool) "no uncaught exception" false
+    (contains out "exception" || contains out "Fatal error");
+  Alcotest.(check bool) "names the path" true
+    (contains out "/nonexistent-dir/certify.json")
+
 let suite =
   [
     Alcotest.test_case "repl/rapwam_run agree on deriv" `Quick
@@ -161,4 +205,6 @@ let suite =
       test_parity_qsort;
     Alcotest.test_case "serve rejects duplicate --faults entries" `Quick
       test_serve_rejects_duplicate_faults;
+    Alcotest.test_case "certify exit-status contract" `Quick
+      test_certify_exit_status;
   ]

@@ -3,10 +3,12 @@
    certification decisions, the dynamic replay oracle at 1/4/8 PEs,
    choice-point elision accounting (machine counters and per-predicate
    profile), first-argument indexing edge cases under det compilation,
-   parcall failure recovery across the trail-condition floors, and the
-   seeded-defect fixtures. *)
+   and parcall failure recovery across the trail-condition floors.
+   Defect detection is checked for every analysis at once in
+   test_certify. *)
 
 open QCheck
+module D = Certification.Make (Detan.Instance)
 
 let bench_names = [ "deriv"; "tak"; "qsort"; "matrix" ]
 
@@ -22,7 +24,7 @@ let report =
     match Hashtbl.find_opt tbl name with
     | Some r -> r
     | None ->
-      let r = Detan.Driver.run (small name) in
+      let r = D.run (small name) in
       Hashtbl.add tbl name r;
       r
 
@@ -142,31 +144,28 @@ let test_benchmark_certification () =
   let expect = [ ("deriv", true); ("tak", true); ("qsort", true); ("matrix", true) ] in
   List.iter
     (fun (name, any) ->
-      let a = (report name).Detan.Driver.a in
+      let r = report name in
       Alcotest.(check bool) (name ^ " certified chains") any
-        (a.Detan.Driver.certified <> []);
-      let el = a.Detan.Driver.elision in
+        (r.a.Detan.Instance.certified <> []);
+      let el = Detan.Instance.elision r in
       Alcotest.(check bool) (name ^ " det <= total") true
-        (el.Detan.Driver.chains_det <= el.Detan.Driver.chains_total);
-      Alcotest.(check int) (name ^ " per-pred sums")
-        el.Detan.Driver.chains_total
-        (List.fold_left
-           (fun acc (_, (t, _)) -> acc + t)
-           0 el.Detan.Driver.per_pred))
+        (el.chains_det <= el.chains_total);
+      Alcotest.(check int) (name ^ " per-pred sums") el.chains_total
+        (List.fold_left (fun acc (_, (t, _)) -> acc + t) 0 el.per_pred))
     expect
 
 let test_fixtures_uncertified () =
   (* the defect probes are shaped so the SOUND analysis refuses them *)
   List.iter
     (fun (b : Benchlib.Programs.benchmark) ->
-      let a = Detan.Driver.analyze b in
+      let a = (D.analyze b).a in
       Alcotest.(check (list string))
         (b.Benchlib.Programs.name ^ " nothing certified")
         []
         (List.map
            (fun (ci : Wam.Compile.chain_info) ->
              Printf.sprintf "%s/%d" (fst ci.ci_pred) (snd ci.ci_pred))
-           (a.Detan.Driver.certified @ a.Detan.Driver.dead)))
+           (a.Detan.Instance.certified @ a.Detan.Instance.dead)))
     Detan.Fixtures.all
 
 (* ---- the dynamic oracle and the savings ---- *)
@@ -177,11 +176,11 @@ let test_oracle_and_answers () =
       let r = report name in
       Alcotest.(check (list int))
         (name ^ " PE counts") [ 1; 4; 8 ]
-        (List.map (fun (p : Detan.Driver.pe_run) -> p.Detan.Driver.n_pes)
-           r.Detan.Driver.runs);
-      Alcotest.(check bool) (name ^ " oracle_ok") true r.Detan.Driver.oracle_ok;
-      Alcotest.(check bool) (name ^ " answers_ok") true r.Detan.Driver.answers_ok;
-      Alcotest.(check bool) (name ^ " lint_clean") true r.Detan.Driver.lint_clean)
+        (List.map (fun (p : _ Certification.run) -> p.n_pes) r.runs);
+      Alcotest.(check bool) (name ^ " oracle_ok") true r.oracle_ok;
+      Alcotest.(check bool) (name ^ " answers_ok") true r.answers_ok;
+      Alcotest.(check bool) (name ^ " lint_clean") true r.lint_clean;
+      Alcotest.(check bool) (name ^ " det trace clean") true r.trace_ok)
     bench_names
 
 let test_cp_refs_drop () =
@@ -190,20 +189,20 @@ let test_cp_refs_drop () =
   List.iter
     (fun name ->
       let r = report name in
-      Alcotest.(check bool) (name ^ " cp_drop") true r.Detan.Driver.cp_drop;
-      Alcotest.(check bool) (name ^ " trail_drop") true r.Detan.Driver.trail_drop;
+      Alcotest.(check bool) (name ^ " cp_drop") true (Detan.Instance.cp_drop r);
+      Alcotest.(check bool) (name ^ " trail_drop") true
+        (Detan.Instance.trail_drop r);
       List.iter
-        (fun (p : Detan.Driver.pe_run) ->
+        (fun (p : Detan.Instance.oracle Certification.run) ->
+          let base, det = Detan.Instance.area_pair p Trace.Area.Choice_point in
           Alcotest.(check bool)
-            (Printf.sprintf "%s@%dPE cp strictly lower" name p.Detan.Driver.n_pes)
-            true
-            (p.Detan.Driver.det_cp_reads + p.Detan.Driver.det_cp_writes
-            < p.Detan.Driver.base_cp_reads + p.Detan.Driver.base_cp_writes);
+            (Printf.sprintf "%s@%dPE cp strictly lower" name p.n_pes)
+            true (det < base);
           Alcotest.(check bool)
-            (Printf.sprintf "%s@%dPE something elided" name p.Detan.Driver.n_pes)
+            (Printf.sprintf "%s@%dPE something elided" name p.n_pes)
             true
-            (p.Detan.Driver.det_cp_elided > 0))
-        r.Detan.Driver.runs)
+            ((Detan.Instance.det p).cp_elided > 0))
+        r.runs)
     [ "deriv"; "tak"; "qsort" ]
 
 let test_det_qcheck =
@@ -211,8 +210,8 @@ let test_det_qcheck =
      never backtracks into an elided alternative *)
   Test.make ~name:"det answers equal baseline at random PE counts" ~count:6
     (pair (oneofl bench_names) (int_range 1 8)) (fun (name, n_pes) ->
-      let r = Detan.Driver.run ~pes:[ n_pes ] (small name) in
-      r.Detan.Driver.oracle_ok && r.Detan.Driver.answers_ok)
+      let r = D.run ~pes:[ n_pes ] (small name) in
+      r.oracle_ok && r.answers_ok)
 
 (* ---- elision counters: machine and per-predicate profile ---- *)
 
@@ -323,17 +322,15 @@ let test_parcall_failure_recovery () =
     }
   in
   let seq = Benchlib.Runner.run_wam b in
-  let a = Detan.Driver.analyze b in
+  let r = D.analyze b in
+  let transform = r.front.transform in
   Alcotest.(check int) "s/2 chain certified" 1
-    (List.length a.Detan.Driver.certified);
+    (List.length r.a.Detan.Instance.certified);
   List.iter
     (fun n_pes ->
-      let base =
-        Benchlib.Runner.run_rapwam ~transform:a.Detan.Driver.transform ~n_pes b
-      in
+      let base = Benchlib.Runner.run_rapwam ~transform ~n_pes b in
       let det =
-        Benchlib.Runner.run_rapwam ~transform:a.Detan.Driver.transform
-          ~det:a.Detan.Driver.plan ~n_pes b
+        Benchlib.Runner.run_rapwam ~transform ~det:r.a.Detan.Instance.plan ~n_pes b
       in
       Alcotest.(check bool)
         (Printf.sprintf "recovery matches WAM at %d PEs" n_pes)
@@ -349,44 +346,18 @@ let test_parcall_failure_recovery () =
         (det.Benchlib.Runner.cp_elided > 0))
     [ 1; 2; 4 ]
 
-(* ---- seeded defects ---- *)
-
-let defect_bench (d : Detan.Defects.t) =
-  match d.Detan.Defects.probes with
-  | probe :: _ -> probe
-  | [] -> small "deriv"
-
-let test_defects_detected () =
-  List.iter
-    (fun (d : Detan.Defects.t) ->
-      let r = Detan.Driver.run ~defect:d ~pes:[ 4 ] (defect_bench d) in
-      Alcotest.(check bool)
-        (d.Detan.Defects.name ^ " detected by " ^ d.Detan.Defects.detector)
-        true
-        (Detan.Driver.defect_detected ~defect:d [ r ]))
-    Detan.Defects.all
-
-let test_clean_runs_not_flagged () =
-  List.iter
-    (fun (d : Detan.Defects.t) ->
-      let reports = List.map report bench_names in
-      Alcotest.(check bool) (d.Detan.Defects.name ^ " silent on clean runs")
-        false
-        (Detan.Driver.defect_detected ~defect:d reports))
-    Detan.Defects.all
-
 (* ---- annotator det-arms stat ---- *)
 
 let test_det_arms_stat () =
   (* deriv's CGE arms all call d/3, which the lattice grades
      deterministic, so every emitted arm is counted; an always-false
      judgment counts none *)
-  let a = (report "deriv").Detan.Driver.a in
-  Alcotest.(check bool) "deriv has det arms" true (a.Detan.Driver.det_arms > 0);
+  let r = report "deriv" in
+  Alcotest.(check bool) "deriv has det arms" true (r.a.Detan.Instance.det_arms > 0);
   let b = small "deriv" in
   let db = Prolog.Database.of_string b.Benchlib.Programs.src in
   let _, stats =
-    Prolog.Annotate.database_stats ~patterns:a.Detan.Driver.patterns
+    Prolog.Annotate.database_stats ~patterns:r.front.patterns
       ~determinacy:(fun _ -> false)
       db
   in
@@ -417,8 +388,5 @@ let suite =
     QCheck_alcotest.to_alcotest test_det_answers_qcheck;
     Alcotest.test_case "parcall failure recovery" `Quick
       test_parcall_failure_recovery;
-    Alcotest.test_case "seeded defects detected" `Quick test_defects_detected;
-    Alcotest.test_case "clean runs not flagged" `Quick
-      test_clean_runs_not_flagged;
     Alcotest.test_case "annotator det-arms stat" `Quick test_det_arms_stat;
   ]

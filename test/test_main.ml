@@ -23,6 +23,7 @@ let () =
       ("refmap", Test_refmap.suite);
       ("detan", Test_detan.suite);
       ("bindan", Test_bindan.suite);
+      ("certify", Test_certify.suite);
       ("cli-parity", Test_cli_parity.suite);
       ("properties", Test_properties.suite);
       ("trace-pin", Test_trace_pin.suite);

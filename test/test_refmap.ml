@@ -2,9 +2,12 @@
    lattice, the soundness oracle (every dynamic access inside the
    static summary, on every benchmark at 1/4/8 PEs), the parcall
    certification decisions and their agreement with tracecheck, the
-   predicted shareability tags, and the seeded-defect fixtures. *)
+   predicted shareability tags, and the oracle's diagnostics under a
+   seeded defect.  Defect detection itself is checked for every
+   analysis at once in test_certify. *)
 
 open QCheck
+module R = Certification.Make (Refmap.Instance)
 
 let bench_names = [ "deriv"; "tak"; "qsort"; "matrix" ]
 
@@ -20,7 +23,7 @@ let report =
     match Hashtbl.find_opt tbl name with
     | Some r -> r
     | None ->
-      let r = Refmap.Driver.run (small name) in
+      let r = R.run (small name) in
       Hashtbl.add tbl name r;
       r
 
@@ -67,16 +70,15 @@ let test_oracle_sound () =
       let r = report name in
       Alcotest.(check (list int))
         (name ^ " PE counts") [ 1; 4; 8 ]
-        (List.map (fun (p : Refmap.Driver.pe_run) -> p.Refmap.Driver.n_pes)
-           r.Refmap.Driver.runs);
+        (List.map (fun (p : _ Certification.run) -> p.n_pes) r.runs);
       List.iter
-        (fun (p : Refmap.Driver.pe_run) ->
+        (fun (p : Refmap.Instance.oracle Certification.run) ->
           Alcotest.(check int)
-            (Printf.sprintf "%s@%dPE violations" name p.Refmap.Driver.n_pes)
+            (Printf.sprintf "%s@%dPE violations" name p.n_pes)
             0
-            (List.length p.Refmap.Driver.violations))
-        r.Refmap.Driver.runs;
-      Alcotest.(check bool) (name ^ " oracle_ok") true r.Refmap.Driver.oracle_ok)
+            (List.length p.oracle.violations))
+        r.runs;
+      Alcotest.(check bool) (name ^ " oracle_ok") true r.oracle_ok)
     bench_names
 
 (* The qcheck form of the same oracle: a random benchmark at a random
@@ -84,13 +86,12 @@ let test_oracle_sound () =
 let test_oracle_qcheck =
   Test.make ~name:"dynamic access set within static summary" ~count:8
     (pair (oneofl bench_names) (int_range 1 8)) (fun (name, n_pes) ->
-      let r = Refmap.Driver.run ~pes:[ n_pes ] (small name) in
-      r.Refmap.Driver.oracle_ok)
+      let r = R.run ~pes:[ n_pes ] (small name) in
+      r.oracle_ok)
 
 (* ---- certification ---- *)
 
-let cert name =
-  (report name).Refmap.Driver.a.Refmap.Driver.certify
+let cert name = (report name).a.Refmap.Instance.certify
 
 let test_certification () =
   let expect = [ ("deriv", 4, 4); ("tak", 1, 1); ("qsort", 1, 1); ("matrix", 1, 2) ] in
@@ -109,8 +110,8 @@ let test_static_safe_stat () =
       let r = report name in
       Alcotest.(check int) (name ^ " static_safe")
         (cert name).Refmap.Certify.certified
-        r.Refmap.Driver.a.Refmap.Driver.stats.Prolog.Annotate.static_safe;
-      Alcotest.(check bool) (name ^ " audit_ok") true r.Refmap.Driver.audit_ok)
+        r.a.Refmap.Instance.stats.Prolog.Annotate.static_safe;
+      Alcotest.(check bool) (name ^ " audit_ok") true r.audit_ok)
     bench_names
 
 let test_certified_groups_race_free () =
@@ -121,10 +122,11 @@ let test_certified_groups_race_free () =
       let r = report name in
       Alcotest.(check bool)
         (name ^ " certified groups tracecheck-clean")
-        true r.Refmap.Driver.certified_tracecheck_clean;
+        true r.trace_ok;
       Alcotest.(check int)
         (name ^ " uncertified-but-raced")
-        0 r.Refmap.Driver.uncertified_but_raced)
+        0
+        (Refmap.Instance.uncertified_but_raced r))
     bench_names
 
 let test_uncertified_reason () =
@@ -146,7 +148,7 @@ let test_uncertified_reason () =
 let test_tags () =
   List.iter
     (fun name ->
-      let t = (report name).Refmap.Driver.tags in
+      let t = Refmap.Instance.tags (report name) in
       Alcotest.(check (float 0.0)) (name ^ " recall") 1.0 t.Refmap.Oracle.recall;
       Alcotest.(check bool)
         (name ^ " precision >= baseline")
@@ -160,29 +162,18 @@ let test_tags () =
 
 (* ---- seeded defects ---- *)
 
-(* matrix is the one benchmark with an uncertified group, so it is
-   where force-certify changes an answer; the summary-weakening
-   defects use qsort *)
-let defect_bench name = if name = "force-certify" then "matrix" else "qsort"
-
-let test_defects_detected () =
-  List.iter
-    (fun (d : Refmap.Defects.defect) ->
-      let name = d.Refmap.Defects.name in
-      let r =
-        Refmap.Driver.run ~defect:name ~pes:[ 4 ] (small (defect_bench name))
-      in
-      Alcotest.(check bool) (name ^ " detected") true
-        (Refmap.Driver.defect_detected ~defect:name r))
-    Refmap.Defects.all
-
 let test_defect_diagnostics () =
   (* oracle violations carry predicate/area/mode detail *)
-  let r = Refmap.Driver.run ~defect:"trail-blind" ~pes:[ 4 ] (small "qsort") in
+  let trail_blind =
+    List.find
+      (fun (d : Certification.defect) -> d.name = "trail-blind")
+      Refmap.Instance.defects
+  in
+  let r = R.run ~defect:trail_blind ~pes:[ 4 ] (small "qsort") in
   let vs =
     List.concat_map
-      (fun (p : Refmap.Driver.pe_run) -> p.Refmap.Driver.violations)
-      r.Refmap.Driver.runs
+      (fun (p : Refmap.Instance.oracle Certification.run) -> p.oracle.violations)
+      r.runs
   in
   Alcotest.(check bool) "violations reported" true (vs <> []);
   List.iter
@@ -195,15 +186,6 @@ let test_defect_diagnostics () =
         (Refmap.Mode.name v.Refmap.Oracle.mode))
     vs
 
-let test_clean_run_not_flagged () =
-  List.iter
-    (fun (d : Refmap.Defects.defect) ->
-      let name = d.Refmap.Defects.name in
-      let r = report (defect_bench name) in
-      Alcotest.(check bool) (name ^ " silent on clean run") false
-        (Refmap.Driver.defect_detected ~defect:name r))
-    Refmap.Defects.all
-
 (* ---- static tables ---- *)
 
 let test_summaries_closed () =
@@ -211,7 +193,7 @@ let test_summaries_closed () =
      is closed, so certification can trust the mode bounds *)
   List.iter
     (fun name ->
-      let s = (report name).Refmap.Driver.a.Refmap.Driver.static in
+      let s = (report name).a.Refmap.Instance.static in
       Hashtbl.iter
         (fun _ (p : Refmap.Static.pred) ->
           Alcotest.(check bool)
@@ -236,9 +218,7 @@ let suite =
       test_uncertified_reason;
     Alcotest.test_case "tag recall 1.0, precision over baseline" `Quick
       test_tags;
-    Alcotest.test_case "seeded defects detected" `Slow test_defects_detected;
     Alcotest.test_case "defect diagnostics name pred/area/mode" `Quick
       test_defect_diagnostics;
-    Alcotest.test_case "clean runs not flagged" `Quick test_clean_run_not_flagged;
     Alcotest.test_case "benchmark summaries closed" `Quick test_summaries_closed;
   ]

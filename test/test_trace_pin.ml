@@ -16,22 +16,23 @@ let digest (buf : Trace.Sink.Buffer_sink.t) =
   Trace.Sink.Buffer_sink.iter_packed (fun w -> Buffer.add_int64_le b (Int64.of_int w)) buf;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
+module Bind = Certification.Make (Bindan.Instance)
+
 let runs name =
   let b = quick name in
-  let a = Bindan.Driver.analyze b in
-  let det_a = a.Bindan.Driver.det_a in
-  let transform = det_a.Detan.Driver.transform and det = det_a.Detan.Driver.plan in
+  let r = Bind.analyze b in
+  let transform = r.front.transform in
+  let plans = (Option.get r.variant_build).plans in
   let rap n = Benchlib.Runner.run_rapwam ~n_pes:n b in
   [
     ("wam", fun () -> Benchlib.Runner.run_wam b);
     ("rapwam-1pe", fun () -> rap 1);
     ("rapwam-4pe", fun () -> rap 4);
     ("rapwam-8pe", fun () -> rap 8);
-    ("rapwam-8pe-det", fun () -> Benchlib.Runner.run_rapwam ~transform ~det ~n_pes:8 b);
+    ("rapwam-8pe-det", fun () -> Benchlib.Runner.run_rapwam ~transform ?det:plans.det ~n_pes:8 b);
     ( "rapwam-8pe-det-bind",
       fun () ->
-        Benchlib.Runner.run_rapwam ~transform ~det ~bind:a.Bindan.Driver.plan.Bindan.Plan.plan
-          ~n_pes:8 b );
+        Benchlib.Runner.run_rapwam ~transform ?det:plans.det ?bind:plans.bind ~n_pes:8 b );
   ]
 
 let expected =
