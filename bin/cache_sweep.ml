@@ -93,6 +93,26 @@ let run_cmd bench_names pes protocol_name line sizes jobs check check_static
     prerr_endline "cache_sweep: --resume requires --journal FILE";
     exit 2
   end;
+  let selected =
+    match protocol_name with
+    | None -> protocols
+    | Some n -> List.filter (fun (name, _) -> name = n) protocols
+  in
+  let grid_of benchmarks =
+    {
+      Engine.Sweep.benchmarks;
+      pe_counts = [ pes ];
+      protocols = List.map snd selected;
+      cache_sizes = sizes;
+      line_words = line;
+      alloc = Engine.Sweep.Default;
+    }
+  in
+  (* reject a grid the simulator cannot run before any emulation *)
+  (try Engine.Sweep.check_grid (grid_of [])
+   with Invalid_argument msg ->
+     prerr_endline ("cache_sweep: " ^ msg);
+     exit 2);
   (* --check-static: certify parcall groups with the static access
      analysis first; when every group of every selected benchmark is
      static_safe the dynamic tracecheck replay is skipped, otherwise
@@ -115,23 +135,8 @@ let run_cmd bench_names pes protocol_name line sizes jobs check check_static
           not all)
         bench_names
   in
-  let selected =
-    match protocol_name with
-    | None -> protocols
-    | Some n -> List.filter (fun (name, _) -> name = n) protocols
-  in
   let watchdog =
     Option.map (fun timeout_s -> Engine.Job.watchdog ~timeout_s ()) watchdog_s
-  in
-  let grid_of benchmarks =
-    {
-      Engine.Sweep.benchmarks;
-      pe_counts = [ pes ];
-      protocols = List.map snd selected;
-      cache_sizes = sizes;
-      line_words = line;
-      alloc = Engine.Sweep.Default;
-    }
   in
   let outcome =
     try

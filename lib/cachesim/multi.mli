@@ -3,6 +3,13 @@
     Processes packed RAP-WAM traces and produces traffic statistics
     per protocol (paper, §3.2).
 
+    Data layout: each line address is interned as a dense id on first
+    sight (an open-addressing table with linear probing); the
+    directory and the per-PE LRU caches ({!Cache}) are flat arrays
+    indexed by that id, so a reference does only array indexing and
+    never allocates.  The directory keeps one bit per PE in an int,
+    hence {!max_pes}.
+
     Domain-safety: all simulator state (caches, directory, counters)
     lives in the [t] made by {!create} — there are no module-level
     mutables — so each simulation is confined to the domain that
@@ -12,6 +19,9 @@
     shared across domains. *)
 
 type t
+
+val max_pes : int
+(** 62: the most PEs (caches) one simulation can have. *)
 
 val create :
   ?locality_override:bool ->

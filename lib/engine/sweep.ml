@@ -85,8 +85,31 @@ let checked key thunk () =
       (Format.asprintf "tracecheck %s: %a" key Tracecheck.pp_summary s);
   buf
 
+let check_grid g =
+  List.iter
+    (fun n_pes ->
+      if n_pes > Cachesim.Multi.max_pes then
+        invalid_arg
+          (Printf.sprintf "Sweep: %d PEs, but the cache simulator takes at most %d"
+             n_pes Cachesim.Multi.max_pes))
+    g.pe_counts;
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun cache_words ->
+          try
+            ignore
+              (Cachesim.Protocol.make ~line_words:g.line_words ~kind ~cache_words ())
+          with Invalid_argument msg ->
+            invalid_arg
+              (Printf.sprintf "Sweep: %d-word cache with %d-word lines: %s"
+                 cache_words g.line_words msg))
+        g.cache_sizes)
+    g.protocols
+
 let run ?jobs ?(echo = false) ?(check = false) ?(traces = []) ?faults
     ?watchdog ?journal ?(resume = false) grid =
+  check_grid grid;
   let t0 = Unix.gettimeofday () in
   let jobs_requested =
     match jobs with Some j -> max 1 j | None -> Pool.default_jobs ()

@@ -31,6 +31,13 @@ type grid = {
 val cells_of_grid : grid -> int
 (** Stage-2 job count: benchmarks x PE counts x protocols x sizes. *)
 
+val check_grid : grid -> unit
+(** Raise [Invalid_argument] if the cache simulator would refuse some
+    cell of the grid: a (protocol, size, line) that
+    {!Cachesim.Protocol.make} rejects, or more PEs than
+    {!Cachesim.Multi.max_pes}.  {!run} calls it before it produces any
+    trace. *)
+
 type outcome = {
   cells : Results.cell list;  (** sorted by configuration *)
   stages : Report.stage list;

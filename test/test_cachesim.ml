@@ -23,27 +23,27 @@ let simulate ?line_words ?write_allocate ~kind ~cache_words ~n_pes refs =
 let test_lru_basics () =
   let c = Cachesim.Cache.create ~lines:2 in
   Alcotest.(check bool) "empty" false (Cachesim.Cache.resident c 1);
-  Alcotest.(check bool) "no evict" true (Cachesim.Cache.insert c 1 ~dirty:false = None);
+  Alcotest.(check int) "no evict" (-1) (Cachesim.Cache.insert c 1 ~dirty:false);
   ignore (Cachesim.Cache.insert c 2 ~dirty:false);
   Alcotest.(check int) "occupancy" 2 (Cachesim.Cache.occupancy c);
   (* touching 1 makes 2 the LRU victim *)
   (match Cachesim.Cache.find c 1 with
-  | Some node -> Cachesim.Cache.touch c node
-  | None -> Alcotest.fail "line 1 missing");
+  | -1 -> Alcotest.fail "line 1 missing"
+  | slot -> Cachesim.Cache.touch c slot);
   (match Cachesim.Cache.insert c 3 ~dirty:false with
-  | Some (victim, dirty) ->
+  | -1 -> Alcotest.fail "expected eviction"
+  | victim ->
     Alcotest.(check int) "LRU victim" 2 victim;
-    Alcotest.(check bool) "clean victim" false dirty
-  | None -> Alcotest.fail "expected eviction");
+    Alcotest.(check bool) "clean victim" false (Cachesim.Cache.evicted_dirty c));
   Alcotest.(check bool) "1 still resident" true (Cachesim.Cache.resident c 1)
 
 let test_lru_dirty_eviction () =
   let c = Cachesim.Cache.create ~lines:1 in
   ignore (Cachesim.Cache.insert c 7 ~dirty:true);
   match Cachesim.Cache.insert c 8 ~dirty:false with
-  | Some (7, true) -> ()
-  | Some (l, d) -> Alcotest.failf "wrong eviction (%d, %b)" l d
-  | None -> Alcotest.fail "expected eviction"
+  | -1 -> Alcotest.fail "expected eviction"
+  | 7 when Cachesim.Cache.evicted_dirty c -> ()
+  | l -> Alcotest.failf "wrong eviction (%d, %b)" l (Cachesim.Cache.evicted_dirty c)
 
 let test_lru_invalidate () =
   let c = Cachesim.Cache.create ~lines:4 in
@@ -296,6 +296,147 @@ let test_tag_ablation_ordering () =
   Alcotest.(check bool) "ablation extremes differ" true
     (all_global -. all_local > 0.01)
 
+(* ---------------- against the hash-table reference ---------------- *)
+
+(* [Simref] is the simulator as it was before its directory and caches
+   became arrays indexed by dense line ids.  The two must agree on
+   every counter, under every protocol x allocation policy x hybrid tag
+   override. *)
+let configs =
+  List.concat_map
+    (fun kind ->
+      List.concat_map
+        (fun write_allocate ->
+          List.map
+            (fun locality_override -> (kind, write_allocate, locality_override))
+            [ None; Some true; Some false ])
+        [ true; false ])
+    Cachesim.Protocol.all_kinds
+
+(* Does the array simulator match the reference on one configuration,
+   both over the packed trace and fed record by record through
+   [reference] (the online path [Rapwam.Memmodel] takes)? *)
+let agrees ~n_pes ~line_words ~cache_words buf (kind, write_allocate, locality_override) =
+  let config =
+    Cachesim.Protocol.make ~line_words ~write_allocate ~kind ~cache_words ()
+  in
+  let expected =
+    let m = Simref.Multi.create ?locality_override ~n_pes config in
+    Simref.Multi.run_trace m buf;
+    Simref.Multi.stats m
+  in
+  let packed = Cachesim.Multi.create ?locality_override ~n_pes config in
+  Cachesim.Multi.run_trace packed buf;
+  let online = Cachesim.Multi.create ?locality_override ~n_pes config in
+  Trace.Sink.Buffer_sink.iter (Cachesim.Multi.reference online) buf;
+  Cachesim.Multi.stats packed = expected && Cachesim.Multi.stats online = expected
+
+type random_trace = {
+  pes : int;
+  line : int; (* words per line *)
+  lines : int; (* cache size in lines *)
+  refs : (int * int * int * int) list; (* pe, word address, area, op: 0 read 1 write 2 sync *)
+}
+
+(* 1-8 PEs; up to 64 distinct lines spread over six 4M-word PE
+   regions; random areas and operations, with sync events mixed in. *)
+let random_trace_gen =
+  let open QCheck.Gen in
+  let* pes = int_range 1 8 in
+  let* line = oneofl [ 1; 2; 4; 8 ] in
+  let* lines = int_range 1 8 in
+  let* pool = list_size (int_range 1 64) (pair (int_bound 5) (int_bound 255)) in
+  let pool = Array.of_list pool in
+  let+ refs =
+    list_size (int_range 1 400)
+      (let* pe = int_bound (pes - 1) in
+       let* region, l = oneofa pool in
+       let* word = int_bound (line - 1) in
+       let* area = int_bound (Trace.Area.count - 1) in
+       let+ op = frequency [ (5, return 0); (4, return 1); (1, return 2) ] in
+       (pe, (region lsl Wam.Layout.region_bits) + (l * line) + word, area, op))
+  in
+  { pes; line; lines; refs }
+
+let buffer_of_random t =
+  let buf = Trace.Sink.Buffer_sink.create () in
+  let sink = Trace.Sink.buffer buf in
+  List.iter
+    (fun (pe, addr, area, op) ->
+      if op = 2 then
+        Trace.Sink.emit_sync sink { Trace.Ref_record.spe = pe; saddr = addr; kind = Acquire }
+      else
+        Trace.Sink.emit sink
+          {
+            Trace.Ref_record.pe;
+            addr;
+            area = Trace.Area.of_int area;
+            op = (if op = 1 then Trace.Ref_record.Write else Trace.Ref_record.Read);
+          })
+    t.refs;
+  buf
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"random traces = hash-table reference"
+    ~count:300 ~long_factor:100
+    (QCheck.make random_trace_gen ~print:(fun t ->
+         Printf.sprintf "%d PEs, %d-word lines, %d-line caches, refs [%s]" t.pes t.line
+           t.lines
+           (String.concat "; "
+              (List.map
+                 (fun (pe, addr, area, op) -> Printf.sprintf "(%d,%d,%d,%d)" pe addr area op)
+                 t.refs))))
+    (fun t ->
+      let buf = buffer_of_random t in
+      List.for_all
+        (agrees ~n_pes:t.pes ~line_words:t.line ~cache_words:(t.lines * t.line) buf)
+        configs)
+
+(* The quick traces at 1/4/8 PEs, at line sizes the pins do not cover:
+   12 traces x 30 configurations. *)
+let test_matches_reference_on_quick_traces () =
+  List.iter
+    (fun (b : Benchlib.Programs.benchmark) ->
+      List.iter
+        (fun (n_pes, line_words, cache_words) ->
+          let buf = (Benchlib.Runner.run_rapwam ~n_pes b).Benchlib.Runner.trace in
+          List.iter
+            (fun ((kind, write_allocate, locality_override) as c) ->
+              if not (agrees ~n_pes ~line_words ~cache_words buf c) then
+                Alcotest.failf
+                  "%s at %d PEs, %d-word lines, %d words, %s, allocate %b, override %s"
+                  b.Benchlib.Programs.name n_pes line_words cache_words
+                  (Cachesim.Protocol.kind_name kind) write_allocate
+                  (match locality_override with None -> "none" | Some v -> string_of_bool v))
+            configs)
+        [ (1, 8, 1024); (4, 2, 128); (8, 1, 64) ])
+    (Benchlib.Inputs.small_benchmarks ())
+
+(* The reference path allocates nothing: what [simulate] allocates on
+   the minor heap is its set-up, a small fraction of a word per
+   reference over a whole trace. *)
+let test_no_allocation_per_reference () =
+  let b =
+    List.find
+      (fun (x : Benchlib.Programs.benchmark) -> x.Benchlib.Programs.name = "qsort")
+      (Benchlib.Inputs.small_benchmarks ())
+  in
+  let buf = (Benchlib.Runner.run_rapwam ~n_pes:8 b).Benchlib.Runner.trace in
+  List.iter
+    (fun cache_words ->
+      List.iter
+        (fun kind ->
+          let before = Gc.minor_words () in
+          let m = Cachesim.Multi.simulate ~kind ~cache_words ~n_pes:8 buf in
+          let per_ref =
+            (Gc.minor_words () -. before) /. float_of_int (Cachesim.Metrics.refs m)
+          in
+          if per_ref >= 0.25 then
+            Alcotest.failf "%s at %d words: %.3f minor words per reference"
+              (Cachesim.Protocol.kind_name kind) cache_words per_ref)
+        Cachesim.Protocol.all_kinds)
+    [ 64; 1024 ]
+
 let suite =
   [
     Alcotest.test_case "LRU basics" `Quick test_lru_basics;
@@ -327,4 +468,9 @@ let suite =
     Alcotest.test_case "timing: monotone" `Quick test_timing_monotone_in_traffic;
     Alcotest.test_case "timing: fixed point" `Quick
       test_timing_fixed_point_consistent;
+    QCheck_alcotest.to_alcotest prop_matches_reference;
+    Alcotest.test_case "quick traces = hash-table reference" `Quick
+      test_matches_reference_on_quick_traces;
+    Alcotest.test_case "no allocation per reference" `Quick
+      test_no_allocation_per_reference;
   ]

@@ -209,6 +209,28 @@ let test_sweep_matches_direct_simulation () =
       got.Cachesim.Metrics.bus_words
   | cells -> Alcotest.failf "expected one ok cell, got %d" (List.length cells)
 
+let test_sweep_rejects_bad_grid () =
+  (* a grid the simulator cannot run fails once, up front, instead of
+     emulating every trace and then failing every cell *)
+  let g = small_grid () in
+  Engine.Sweep.check_grid { g with Engine.Sweep.pe_counts = [ 0; 62 ] };
+  List.iter
+    (fun (what, bad) ->
+      match Engine.Sweep.run ~jobs:1 bad with
+      | exception Invalid_argument msg ->
+        if not (contains ~affix:"Sweep:" msg) then
+          Alcotest.failf "%s: unexpected message %S" what msg
+      | o ->
+        Alcotest.failf "%s: ran %d cells instead of raising" what
+          (List.length o.Engine.Sweep.cells))
+    [
+      ("size 63", { g with Engine.Sweep.cache_sizes = [ 256; 63 ] });
+      ("size 0", { g with Engine.Sweep.cache_sizes = [ 0 ] });
+      ("line 0", { g with Engine.Sweep.line_words = 0 });
+      ("line 3", { g with Engine.Sweep.cache_sizes = [ 64 ]; line_words = 3 });
+      ("70 PEs", { g with Engine.Sweep.pe_counts = [ 2; 70 ] });
+    ]
+
 let test_sweep_area_invariant () =
   (* the per-area ledger the sweep keeps must cover the trace exactly:
      one row per area, and reads+writes summed across areas equal to
@@ -321,5 +343,7 @@ let suite =
       test_sweep_matches_direct_simulation;
     Alcotest.test_case "sweep: per-area ledger covers the trace" `Quick
       test_sweep_area_invariant;
+    Alcotest.test_case "sweep: invalid grid rejected before tracing" `Quick
+      test_sweep_rejects_bad_grid;
     qt prop_tracefile_roundtrip;
   ]

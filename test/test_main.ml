@@ -27,4 +27,5 @@ let () =
       ("cli-parity", Test_cli_parity.suite);
       ("properties", Test_properties.suite);
       ("trace-pin", Test_trace_pin.suite);
+      ("sim-pin", Test_sim_pin.suite);
     ]

@@ -208,12 +208,12 @@ let prop_lru_matches_model =
              end);
           let cache_hit =
             match Cachesim.Cache.find cache line with
-            | Some node ->
-              Cachesim.Cache.touch cache node;
-              true
-            | None ->
+            | -1 ->
               ignore (Cachesim.Cache.insert cache line ~dirty:false);
               false
+            | slot ->
+              Cachesim.Cache.touch cache slot;
+              true
           in
           cache_hit = model_hit)
         accesses)
