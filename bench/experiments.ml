@@ -6,6 +6,10 @@
    ones so the *shape* (orderings, thresholds, trends) can be checked.
    EXPERIMENTS.md records a snapshot of this output. *)
 
+module J = Obs.Json
+
+let write_json path v = Resilience.Atomic_io.write_string path (J.to_string v)
+
 let fig4_sizes = [ 64; 128; 256; 512; 1024; 2048; 4096; 8192 ]
 let fig4_pes = [ 1; 2; 4; 8 ]
 
@@ -932,26 +936,28 @@ let annotation_row (b : Benchlib.Programs.benchmark) =
   }
 
 let write_annotation_json path rows =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"rapwam-annotation/1\",\n";
-  Buffer.add_string buf "  \"benchmarks\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"name\": %S, \"parallel_calls_local\": %d, \
-            \"checks_local\": %d, \"abandoned_local\": %d, \
-            \"parallel_calls_analysis\": %d, \"checks_analysis\": %d, \
-            \"abandoned_analysis\": %d, \"checks_discharged\": %d, \
-            \"iterations\": %d, \"reached\": %d, \"predicates\": %d}%s\n"
-           r.a_name r.par_off r.checks_off r.abandoned_off r.par_on
-           r.checks_on r.abandoned_on r.discharged r.iterations r.reached
-           r.predicates
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  Resilience.Atomic_io.write_string path (Buffer.contents buf)
+  let row r =
+    J.Obj
+      [
+        ("name", J.String r.a_name);
+        ("parallel_calls_local", J.Int r.par_off);
+        ("checks_local", J.Int r.checks_off);
+        ("abandoned_local", J.Int r.abandoned_off);
+        ("parallel_calls_analysis", J.Int r.par_on);
+        ("checks_analysis", J.Int r.checks_on);
+        ("abandoned_analysis", J.Int r.abandoned_on);
+        ("checks_discharged", J.Int r.discharged);
+        ("iterations", J.Int r.iterations);
+        ("reached", J.Int r.reached);
+        ("predicates", J.Int r.predicates);
+      ]
+  in
+  write_json path
+    (J.Obj
+       [
+         ("schema", J.String "rapwam-annotation/1");
+         ("benchmarks", J.List (List.map row rows));
+       ])
 
 let annotation setup =
   section
@@ -1016,23 +1022,25 @@ type tracecheck_row = {
 }
 
 let write_tracecheck_json path rows =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"rapwam-tracecheck/1\",\n";
-  Buffer.add_string buf "  \"traces\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"label\": %S, \"accesses\": %d, \"syncs\": %d, \
-            \"violations\": %d, \"generate_s\": %.6f, \"check_s\": %.6f, \
-            \"overhead\": %.4f}%s\n"
-           r.t_label r.t_accesses r.t_syncs r.t_violations r.gen_s r.check_s
-           (if r.gen_s > 0. then r.check_s /. r.gen_s else 0.)
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  Resilience.Atomic_io.write_string path (Buffer.contents buf)
+  let row r =
+    J.Obj
+      [
+        ("label", J.String r.t_label);
+        ("accesses", J.Int r.t_accesses);
+        ("syncs", J.Int r.t_syncs);
+        ("violations", J.Int r.t_violations);
+        ("generate_s", J.Float r.gen_s);
+        ("check_s", J.Float r.check_s);
+        ( "overhead",
+          J.Float (if r.gen_s > 0. then r.check_s /. r.gen_s else 0.) );
+      ]
+  in
+  write_json path
+    (J.Obj
+       [
+         ("schema", J.String "rapwam-tracecheck/1");
+         ("traces", J.List (List.map row rows));
+       ])
 
 let tracecheck setup =
   section "Tracecheck: happens-before checker overhead";
@@ -1220,69 +1228,60 @@ type costan_sweep_point = {
 }
 
 let write_costan_json path rows sweep gran_rows equal =
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"rapwam-costan/1\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"accepted_ratio\": %.1f,\n" costan_accepted_ratio);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"granularity_threshold\": %d,\n" costan_threshold);
-  Buffer.add_string buf "  \"benchmarks\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf "    {\"name\": %S, \"class\": %S, " r.k_name
-           r.k_class);
-      (match r.k_pred_steps with
-      | Some s ->
-        Buffer.add_string buf (Printf.sprintf "\"predicted_steps\": %d, " s)
-      | None ->
-        Buffer.add_string buf
-          (Printf.sprintf "\"unpredicted\": %S, " r.k_reason));
-      Buffer.add_string buf
-        (Printf.sprintf "\"measured_steps\": %d, \"ok\": %b, \"areas\": ["
-           r.k_steps r.k_ok);
-      List.iteri
-        (fun j a ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               "%s{\"area\": %S, \"lo\": %d, \"hi\": %d, \"mid\": %d, \
-                \"measured\": %d, \"ratio\": %.3f}"
-               (if j = 0 then "" else ", ")
-               a.ca_area a.ca_lo a.ca_hi a.ca_mid a.ca_measured a.ca_ratio))
-        r.k_areas;
-      Buffer.add_string buf
-        (Printf.sprintf "]}%s\n"
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf "  \"deriv_sweep\": [\n";
-  List.iteri
-    (fun i s ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"pes\": %d, \"parcalls_off\": %d, \"parcalls_on\": %d, \
-            \"refs_off\": %d, \"refs_on\": %d, \"answers_agree\": %b}%s\n"
-           s.s_pes s.s_parcalls_off s.s_parcalls_on s.s_refs_off s.s_refs_on
-           s.s_agree
-           (if i = List.length sweep - 1 then "" else ",")))
-    sweep;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf "  \"granularity\": [\n";
-  List.iteri
-    (fun i (name, off, on, agree) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"name\": %S, \"parcalls_off\": %d, \"parcalls_on\": %d, \
-            \"answers_agree\": %b}%s\n"
-           name off on agree
-           (if i = List.length gran_rows - 1 then "" else ",")))
-    gran_rows;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"answers_equal_all_benchmarks\": %b\n" equal);
-  Buffer.add_string buf "}\n";
-  Resilience.Atomic_io.write_string path (Buffer.contents buf)
+  let area a =
+    J.Obj
+      [
+        ("area", J.String a.ca_area);
+        ("lo", J.Int a.ca_lo);
+        ("hi", J.Int a.ca_hi);
+        ("mid", J.Int a.ca_mid);
+        ("measured", J.Int a.ca_measured);
+        ("ratio", J.Float a.ca_ratio);
+      ]
+  in
+  let row r =
+    J.Obj
+      ([ ("name", J.String r.k_name); ("class", J.String r.k_class) ]
+      @ (match r.k_pred_steps with
+        | Some s -> [ ("predicted_steps", J.Int s) ]
+        | None -> [ ("unpredicted", J.String r.k_reason) ])
+      @ [
+          ("measured_steps", J.Int r.k_steps);
+          ("ok", J.Bool r.k_ok);
+          ("areas", J.List (List.map area r.k_areas));
+        ])
+  in
+  let point s =
+    J.Obj
+      [
+        ("pes", J.Int s.s_pes);
+        ("parcalls_off", J.Int s.s_parcalls_off);
+        ("parcalls_on", J.Int s.s_parcalls_on);
+        ("refs_off", J.Int s.s_refs_off);
+        ("refs_on", J.Int s.s_refs_on);
+        ("answers_agree", J.Bool s.s_agree);
+      ]
+  in
+  let gran (name, off, on, agree) =
+    J.Obj
+      [
+        ("name", J.String name);
+        ("parcalls_off", J.Int off);
+        ("parcalls_on", J.Int on);
+        ("answers_agree", J.Bool agree);
+      ]
+  in
+  write_json path
+    (J.Obj
+       [
+         ("schema", J.String "rapwam-costan/1");
+         ("accepted_ratio", J.Float costan_accepted_ratio);
+         ("granularity_threshold", J.Int costan_threshold);
+         ("benchmarks", J.List (List.map row rows));
+         ("deriv_sweep", J.List (List.map point sweep));
+         ("granularity", J.List (List.map gran gran_rows));
+         ("answers_equal_all_benchmarks", J.Bool equal);
+       ])
 
 let costan setup =
   section "Costan: static cost bounds vs traced reality";
@@ -1556,7 +1555,7 @@ let certification (module A : Certification.ANALYSIS) setup =
     (all (fun r -> r.audit_ok));
   let traffic =
     match A.variant with
-    | None -> ""
+    | None -> []
     | Some (label, _) ->
       Format.printf
         "@.Figure-4 traffic ratios, base -> %s; bus words in brackets (the@.\
@@ -1574,25 +1573,37 @@ let certification (module A : Certification.ANALYSIS) setup =
                   points)))
         priced;
       let point (n_pes, (base, bbus), (v, vbus)) =
-        Printf.sprintf
-          "{\"pes\": %d, \"base_traffic_ratio\": %.6f, \"%s_traffic_ratio\": \
-           %.6f, \"delta\": %.6f, \"base_bus_words\": %d, \"%s_bus_words\": %d}"
-          n_pes base label v (v -. base) bbus label vbus
+        J.Obj
+          [
+            ("pes", J.Int n_pes);
+            ("base_traffic_ratio", J.Float base);
+            (label ^ "_traffic_ratio", J.Float v);
+            ("delta", J.Float (v -. base));
+            ("base_bus_words", J.Int bbus);
+            (label ^ "_bus_words", J.Int vbus);
+          ]
       in
-      ",\n  \"traffic\": [\n    "
-      ^ String.concat ",\n    "
-          (List.map
-             (fun ((r : _ Certification.report), points) ->
-               Printf.sprintf "{\"bench\": %S, \"points\": [%s]}"
-                 r.front.bench.name
-                 (String.concat ", " (List.map point points)))
-             priced)
-      ^ "\n  ]\n"
+      [
+        ( "traffic",
+          J.List
+            (List.map
+               (fun ((r : _ Certification.report), points) ->
+                 J.Obj
+                   [
+                     ("bench", J.String r.front.bench.name);
+                     ("points", J.List (List.map point points));
+                   ])
+               priced) );
+      ]
   in
   let file = "BENCH_" ^ A.name ^ ".json" in
-  Resilience.Atomic_io.write_string file
-    (Printf.sprintf "{\n  \"schema\": \"rapwam-%s/1\",\n  \"benchmarks\": %s%s}\n"
-       A.name (H.json_of_reports reports) traffic);
+  write_json file
+    (J.Obj
+       ([
+          ("schema", J.String ("rapwam-" ^ A.name ^ "/1"));
+          ("benchmarks", H.json_of_reports reports);
+        ]
+       @ traffic));
   Format.printf "Recorded to %s.@." file
 
 let refmap = certification (module Refmap.Instance)

@@ -4,7 +4,6 @@
      dune exec bench/main.exe -- table2    -- one experiment
      dune exec bench/main.exe -- --quick   -- smaller inputs
      dune exec bench/main.exe -- --jobs 4  -- parallel emulation/sweeps
-     dune exec bench/main.exe -- --perf    -- Bechamel micro-benchmarks
 
    Experiments: table1 table2 table3 figure2 figure4 mlips timing
                 ablation-tags ablation-sched ablation-line ablation-alloc
@@ -22,7 +21,7 @@
 
 let usage () =
   print_endline
-    "usage: main.exe [--quick] [--perf] [--jobs N] [table1|table2|table3|\n\
+    "usage: main.exe [--quick] [--jobs N] [table1|table2|table3|\n\
     \       figure2|figure4|mlips|ablation-tags|ablation-sched|\n\
     \       ablation-line|ablation-alloc|tracecheck|costan|server|\n\
     \       refmap|detan|bindan|availability]...";
@@ -30,16 +29,12 @@ let usage () =
 
 let parse_args args =
   let quick = ref false in
-  let perf = ref false in
   let jobs = ref None in
   let wanted = ref [] in
   let rec go = function
     | [] -> ()
     | "--quick" :: rest ->
       quick := true;
-      go rest
-    | "--perf" :: rest ->
-      perf := true;
       go rest
     | "--jobs" :: n :: rest -> (
       match int_of_string_opt n with
@@ -62,54 +57,51 @@ let parse_args args =
         go rest)
   in
   go args;
-  (!quick, !perf, !jobs, List.rev !wanted)
+  (!quick, !jobs, List.rev !wanted)
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  let quick, perf, jobs, wanted = parse_args args in
+  let quick, jobs, wanted = parse_args args in
   let setup =
     if quick then Experiments.quick_setup ?jobs ()
     else Experiments.full_setup ?jobs ()
   in
-  if perf then Perf.run ()
-  else begin
-    let dispatch = function
-      | "table1" -> Experiments.table1 setup
-      | "table2" -> Experiments.table2 setup
-      | "table3" -> Experiments.table3 setup
-      | "figure2" -> Experiments.figure2 setup
-      | "figure2-all" -> Experiments.figure2_all setup
-      | "figure4" -> Experiments.figure4 setup
-      | "mlips" -> Experiments.mlips setup
-      | "timing" -> Experiments.timing setup
-      | "timing-integrated" -> Experiments.timing_integrated setup
-      | "annotation" -> Experiments.annotation setup
-      | "ablation-tags" -> Experiments.ablation_tags setup
-      | "ablation-sched" -> Experiments.ablation_sched setup
-      | "ablation-line" -> Experiments.ablation_line setup
-      | "ablation-alloc" -> Experiments.ablation_alloc setup
-      | "ablation-granularity" -> Experiments.ablation_granularity setup
-      | "tracecheck" -> Experiments.tracecheck setup
-      | "costan" -> Experiments.costan setup
-      | "refmap" -> Experiments.refmap setup
-      | "detan" -> Experiments.detan setup
-      | "bindan" -> Experiments.bindan setup
-      | "server" -> Experiments.server setup
-      | "availability" -> Experiments.availability setup
-      | "all" -> Experiments.all setup
-      | other ->
-        Printf.eprintf "unknown experiment %S\n" other;
-        usage ()
-    in
-    let names = match wanted with [] -> [ "all" ] | names -> names in
-    (* parallel pre-generation of every emulation run the selected
-       experiments will read; printing below stays sequential *)
-    Experiments.prewarm setup names;
-    match wanted with
-    | [] ->
-      Format.printf
-        "RAP-WAM memory-performance reproduction (Hermenegildo & Tick, \
-         ICPP 1988)@.";
-      Experiments.all setup
-    | names -> List.iter dispatch names
-  end
+  let dispatch = function
+    | "table1" -> Experiments.table1 setup
+    | "table2" -> Experiments.table2 setup
+    | "table3" -> Experiments.table3 setup
+    | "figure2" -> Experiments.figure2 setup
+    | "figure2-all" -> Experiments.figure2_all setup
+    | "figure4" -> Experiments.figure4 setup
+    | "mlips" -> Experiments.mlips setup
+    | "timing" -> Experiments.timing setup
+    | "timing-integrated" -> Experiments.timing_integrated setup
+    | "annotation" -> Experiments.annotation setup
+    | "ablation-tags" -> Experiments.ablation_tags setup
+    | "ablation-sched" -> Experiments.ablation_sched setup
+    | "ablation-line" -> Experiments.ablation_line setup
+    | "ablation-alloc" -> Experiments.ablation_alloc setup
+    | "ablation-granularity" -> Experiments.ablation_granularity setup
+    | "tracecheck" -> Experiments.tracecheck setup
+    | "costan" -> Experiments.costan setup
+    | "refmap" -> Experiments.refmap setup
+    | "detan" -> Experiments.detan setup
+    | "bindan" -> Experiments.bindan setup
+    | "server" -> Experiments.server setup
+    | "availability" -> Experiments.availability setup
+    | "all" -> Experiments.all setup
+    | other ->
+      Printf.eprintf "unknown experiment %S\n" other;
+      usage ()
+  in
+  let names = match wanted with [] -> [ "all" ] | names -> names in
+  (* parallel pre-generation of every emulation run the selected
+     experiments will read; printing below stays sequential *)
+  Experiments.prewarm setup names;
+  match wanted with
+  | [] ->
+    Format.printf
+      "RAP-WAM memory-performance reproduction (Hermenegildo & Tick, ICPP \
+       1988)@.";
+    Experiments.all setup
+  | names -> List.iter dispatch names

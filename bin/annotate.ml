@@ -17,13 +17,6 @@
    depends on an input size get a size_ge/2 guard in the CGE
    condition. *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let annotate_db ~no_analysis ~dump ~granularity ~run_query db =
   let granularity =
     match granularity with
@@ -48,7 +41,7 @@ let annotate_db ~no_analysis ~dump ~granularity ~run_query db =
       granularity )
 
 let run_cmd src_path run_query pes no_analysis dump granularity dump_costs =
-  let src = read_file src_path in
+  let src = In_channel.(with_open_bin src_path input_all) in
   let db = Prolog.Database.of_string src in
   if dump_costs then begin
     let an = Costan.Analyze.analyze db in

@@ -221,7 +221,8 @@ let run_cmd bench_names pes protocol_name line sizes jobs check check_static
   Option.iter
     (fun path ->
       Resilience.Atomic_io.write_string path
-        (Engine.Results.to_json outcome.Engine.Sweep.cells))
+        (Obs.Json.to_string
+           (Engine.Results.to_json outcome.Engine.Sweep.cells)))
     json_out;
   Option.iter
     (fun path ->

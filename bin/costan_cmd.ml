@@ -12,13 +12,6 @@
    --measure reruns each benchmark on the traced sequential machine
    and reports the measured counts next to the predicted intervals. *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let pp_prediction fmt (p : Costan.Eval.prediction) =
   Format.fprintf fmt "steps %a, data refs %a (%d activations%s)"
     Costan.Domain.pp_interval p.Costan.Eval.p_steps
@@ -28,34 +21,30 @@ let pp_prediction fmt (p : Costan.Eval.prediction) =
     (if p.Costan.Eval.p_exactness = Costan.Eval.Yes then ""
      else ", approximate")
 
+let print_json v = print_string (Obs.Json.to_string v)
+
 let file_report path query threshold budget json =
-  let db = Prolog.Database.of_string (read_file path) in
-  let an = Costan.Analyze.analyze db in
+  let src = In_channel.(with_open_bin path input_all) in
+  let an = Costan.Analyze.analyze (Prolog.Database.of_string src) in
+  let predict q =
+    Costan.Eval.predict ~budget an (Analysis.Analyze.entry_of_string q)
+  in
   if json then begin
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf "{\"predicates\": ";
-    Costan.Report.json_predicates buf an;
-    (match query with
-    | Some q ->
-      let goal = Analysis.Analyze.entry_of_string q in
-      Buffer.add_string buf ", \"prediction\": ";
-      (match Costan.Eval.predict ~budget an goal with
-      | Ok p -> Costan.Report.json_prediction buf p
-      | Error reason ->
-        Buffer.add_string buf
-          (Printf.sprintf "{\"unknown\": \"%s\"}"
-             (Costan.Report.json_escape reason)))
-    | None -> ());
-    Buffer.add_string buf "}\n";
-    print_string (Buffer.contents buf)
+    let prediction =
+      match query with
+      | Some q -> [ ("prediction", Costan.Report.json_prediction (predict q)) ]
+      | None -> []
+    in
+    print_json
+      (Obs.Json.Obj
+         (("predicates", Costan.Report.json_predicates an) :: prediction))
   end
   else begin
     Costan.Report.pp_costs ?threshold Format.std_formatter an;
     match query with
     | None -> ()
-    | Some q ->
-      let goal = Analysis.Analyze.entry_of_string q in
-      (match Costan.Eval.predict ~budget an goal with
+    | Some q -> (
+      match predict q with
       | Ok p -> Format.printf "query: %a@." pp_prediction p
       | Error reason -> Format.printf "query: no bound (%s)@." reason)
   end
@@ -73,80 +62,69 @@ let entry_class an (goal : Prolog.Term.t) =
     | None -> Costan.Domain.Unknown)
   | None -> Costan.Domain.Unknown
 
-let bench_report measure budget json =
-  let buf = Buffer.create 4096 in
-  if json then Buffer.add_string buf "{\"benchmarks\": [";
-  let first = ref true in
-  List.iter
-    (fun (b : Benchlib.Programs.benchmark) ->
-      let db = Prolog.Database.of_string b.src in
-      let an = Costan.Analyze.analyze db in
-      let goal = Analysis.Analyze.entry_of_string b.query in
-      let cls = entry_class an goal in
-      let pred = Costan.Eval.predict ~budget an goal in
-      if json then begin
-        if not !first then Buffer.add_string buf ", ";
-        first := false;
-        Buffer.add_string buf
-          (Printf.sprintf "{\"name\": \"%s\", \"class\": \"%s\", " b.name
-             (Costan.Domain.cls_name cls));
-        Buffer.add_string buf "\"prediction\": ";
-        (match pred with
-        | Ok p -> Costan.Report.json_prediction buf p
-        | Error reason ->
-          Buffer.add_string buf
-            (Printf.sprintf "{\"unknown\": \"%s\"}"
-               (Costan.Report.json_escape reason)));
-        if measure then begin
-          let r = Benchlib.Runner.run_wam b in
-          Buffer.add_string buf
-            (Printf.sprintf ", \"measured\": {\"steps\": %d, "
-               r.Benchlib.Runner.inferences);
-          let stats = r.Benchlib.Runner.area_stats in
-          Buffer.add_string buf "\"refs\": {";
-          let f = ref true in
-          List.iter
-            (fun area ->
-              let n = Trace.Areastats.refs stats area in
-              if n > 0 then begin
-                if not !f then Buffer.add_string buf ", ";
-                f := false;
-                Buffer.add_string buf
-                  (Printf.sprintf "\"%s\": %d" (Trace.Area.name area) n)
-              end)
-            Trace.Area.all;
-          Buffer.add_string buf "}}"
-        end;
-        Buffer.add_string buf "}"
-      end
-      else begin
-        Format.printf "@.== %s: class %s@." b.name
-          (Costan.Domain.cls_name cls);
-        (match pred with
-        | Ok p -> Format.printf "  predicted: %a@." pp_prediction p
-        | Error reason -> Format.printf "  predicted: no bound (%s)@." reason);
-        if measure then begin
-          let r = Benchlib.Runner.run_wam b in
-          Format.printf "  measured:  steps %d, data refs %d@."
-            r.Benchlib.Runner.inferences r.Benchlib.Runner.data_refs;
-          match pred with
-          | Ok p ->
-            List.iter
-              (fun area ->
-                let meas = Trace.Areastats.refs r.Benchlib.Runner.area_stats area in
-                let prd = p.Costan.Eval.p_refs.(Trace.Area.to_int area) in
-                if meas > 0 || not (Costan.Domain.is_zero prd) then
-                  Format.printf "    %-14s predicted %a, measured %d@."
-                    (Trace.Area.name area) Costan.Domain.pp_interval prd meas)
-              Trace.Area.all
-          | Error _ -> ()
-        end
-      end)
-    (benchmark_list ());
-  if json then begin
-    Buffer.add_string buf "]}\n";
-    print_string (Buffer.contents buf)
+let bench_prediction budget (b : Benchlib.Programs.benchmark) =
+  let an = Costan.Analyze.analyze (Prolog.Database.of_string b.src) in
+  let goal = Analysis.Analyze.entry_of_string b.query in
+  (entry_class an goal, Costan.Eval.predict ~budget an goal)
+
+let bench_json measure budget (b : Benchlib.Programs.benchmark) =
+  let cls, pred = bench_prediction budget b in
+  let measured () =
+    let r = Benchlib.Runner.run_wam b in
+    let refs =
+      List.filter_map
+        (fun area ->
+          let n = Trace.Areastats.refs r.Benchlib.Runner.area_stats area in
+          if n > 0 then Some (Trace.Area.name area, Obs.Json.Int n) else None)
+        Trace.Area.all
+    in
+    Obs.Json.Obj
+      [
+        ("steps", Obs.Json.Int r.Benchlib.Runner.inferences);
+        ("refs", Obs.Json.Obj refs);
+      ]
+  in
+  Obs.Json.Obj
+    ([
+       ("name", Obs.Json.String b.name);
+       ("class", Obs.Json.String (Costan.Domain.cls_name cls));
+       ("prediction", Costan.Report.json_prediction pred);
+     ]
+    @ if measure then [ ("measured", measured ()) ] else [])
+
+let bench_text measure budget (b : Benchlib.Programs.benchmark) =
+  let cls, pred = bench_prediction budget b in
+  Format.printf "@.== %s: class %s@." b.name (Costan.Domain.cls_name cls);
+  (match pred with
+  | Ok p -> Format.printf "  predicted: %a@." pp_prediction p
+  | Error reason -> Format.printf "  predicted: no bound (%s)@." reason);
+  if measure then begin
+    let r = Benchlib.Runner.run_wam b in
+    Format.printf "  measured:  steps %d, data refs %d@."
+      r.Benchlib.Runner.inferences r.Benchlib.Runner.data_refs;
+    match pred with
+    | Ok p ->
+      List.iter
+        (fun area ->
+          let meas = Trace.Areastats.refs r.Benchlib.Runner.area_stats area in
+          let prd = p.Costan.Eval.p_refs.(Trace.Area.to_int area) in
+          if meas > 0 || not (Costan.Domain.is_zero prd) then
+            Format.printf "    %-14s predicted %a, measured %d@."
+              (Trace.Area.name area) Costan.Domain.pp_interval prd meas)
+        Trace.Area.all
+    | Error _ -> ()
   end
+
+let bench_report measure budget json =
+  if json then
+    print_json
+      (Obs.Json.Obj
+         [
+           ( "benchmarks",
+             Obs.Json.List
+               (List.map (bench_json measure budget) (benchmark_list ())) );
+         ])
+  else List.iter (bench_text measure budget) (benchmark_list ())
 
 let run_cmd src_path benchmarks query threshold budget measure json =
   match (benchmarks, src_path) with

@@ -5,16 +5,13 @@
      rapwam_run --sequential --stats --query ... file.pl
      rapwam_run --listing --query ... file.pl                          *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let run_cmd src_path query pes sequential stats listing disasm_only prelude
     json_out profile det bind =
-  let src = match src_path with Some p -> read_file p | None -> "" in
+  let src =
+    match src_path with
+    | Some p -> In_channel.(with_open_bin p input_all)
+    | None -> ""
+  in
   let src = if prelude then Prolog.Prelude.source ^ "\n" ^ src else src in
   (* --bind rides on the det plan: the binding analysis seeds its
      conditionality half from the det compile's chain certificates *)
@@ -76,28 +73,29 @@ let run_cmd src_path query pes sequential stats listing disasm_only prelude
     | Some p -> Trace.Sink.tee sink (Wam.Profile.sink p)
   in
   let write_json path m rounds =
-    let b = Buffer.create 256 in
-    Buffer.add_string b "{\n";
-    Printf.bprintf b "  \"instructions\": %d,\n" (Wam.Machine.total_instr m);
-    Printf.bprintf b "  \"inferences\": %d,\n" m.Wam.Machine.inferences;
-    Printf.bprintf b "  \"data_refs\": %d,\n"
-      (Trace.Areastats.data_refs area_stats);
-    Printf.bprintf b "  \"total_refs\": %d,\n" (Trace.Areastats.total area_stats);
-    Printf.bprintf b "  \"parcalls\": %d,\n" m.Wam.Machine.parcalls;
-    Printf.bprintf b "  \"goals_stolen\": %d,\n" m.Wam.Machine.goals_stolen;
-    Printf.bprintf b "  \"cp_created\": %d,\n" m.Wam.Machine.cp_created;
-    Printf.bprintf b "  \"cp_elided\": %d,\n" m.Wam.Machine.cp_elided;
-    Printf.bprintf b "  \"trail_elided\": %d,\n" m.Wam.Machine.trail_elided;
-    Printf.bprintf b "  \"deref_skipped\": %d,\n" m.Wam.Machine.deref_skipped;
-    Printf.bprintf b "  \"rounds\": %d" rounds;
-    (match profiler with
-    | None -> Buffer.add_string b "\n"
-    | Some p ->
-      Buffer.add_string b ",\n  \"profile\": ";
-      Wam.Profile.to_json b p;
-      Buffer.add_string b "\n");
-    Buffer.add_string b "}\n";
-    Resilience.Atomic_io.write_string path (Buffer.contents b)
+    let module J = Obs.Json in
+    let counts =
+      [
+        ("instructions", J.Int (Wam.Machine.total_instr m));
+        ("inferences", J.Int m.Wam.Machine.inferences);
+        ("data_refs", J.Int (Trace.Areastats.data_refs area_stats));
+        ("total_refs", J.Int (Trace.Areastats.total area_stats));
+        ("parcalls", J.Int m.Wam.Machine.parcalls);
+        ("goals_stolen", J.Int m.Wam.Machine.goals_stolen);
+        ("cp_created", J.Int m.Wam.Machine.cp_created);
+        ("cp_elided", J.Int m.Wam.Machine.cp_elided);
+        ("trail_elided", J.Int m.Wam.Machine.trail_elided);
+        ("deref_skipped", J.Int m.Wam.Machine.deref_skipped);
+        ("rounds", J.Int rounds);
+      ]
+    in
+    let profile =
+      match profiler with
+      | None -> []
+      | Some p -> [ ("profile", Wam.Profile.to_json p) ]
+    in
+    Resilience.Atomic_io.write_string path
+      (J.to_string (J.Obj (counts @ profile)))
   in
   let report_machine m rounds =
     Option.iter (fun path -> write_json path m rounds) json_out;

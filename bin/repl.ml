@@ -18,17 +18,10 @@ type state = {
   mutable time : bool; (* per-query wall clock + per-predicate profile *)
 }
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let program_text st = String.concat "\n" (List.map snd st.sources)
 
 let consult st path =
-  match read_file path with
+  match In_channel.(with_open_bin path input_all) with
   | text ->
     (* verify it loads before keeping it *)
     (try

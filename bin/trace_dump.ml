@@ -6,13 +6,6 @@
      trace_dump --bench deriv --area trail
      trace_dump --query 'tak(8,4,2,A)' --src tak.pl --pes 2 -o trace.txt *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let run_cmd bench_name src_path query pes limit out_path include_code binary
     quick area =
   let lookup name =
@@ -32,7 +25,10 @@ let run_cmd bench_name src_path query pes limit out_path include_code binary
     | None, Some q ->
       {
         Benchlib.Programs.name = "user";
-        src = (match src_path with Some p -> read_file p | None -> "");
+        src =
+          (match src_path with
+          | Some p -> In_channel.(with_open_bin p input_all)
+          | None -> "");
         query = q;
         answer_var = "";
       }

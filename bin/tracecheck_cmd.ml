@@ -97,7 +97,7 @@ let run_cmd bench_names pes_list seq_only par_only quick defect trace_file
       Format.printf "%d trace(s) had violations@." !dirty;
     `Ok
       (Benchlib.Cli.finish ~json_out
-         ("[\n  " ^ String.concat ",\n  " (List.rev !json_rows) ^ "\n]\n")
+         (Obs.Json.List (List.rev !json_rows))
          (if !dirty > 0 then 1 else 0))
 
 open Cmdliner

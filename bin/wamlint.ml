@@ -11,13 +11,6 @@
    try/retry/trust chains, switch and check targets, parcall/join
    structure, reachability.  Exit status 1 when any diagnostic fires. *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let lint_one ~label ~parallel ~listing ~src ~query =
   match Wam.Program.prepare ~parallel ~src ~query () with
   | exception Wam.Compile.Error msg ->
@@ -34,7 +27,7 @@ let lint_one ~label ~parallel ~listing ~src ~query =
     List.length diags
 
 let lint_file ~parallel ~listing path =
-  let src = read_file path in
+  let src = In_channel.(with_open_bin path input_all) in
   lint_one
     ~label:(Filename.basename path)
     ~parallel ~listing ~src ~query:"true"

@@ -81,7 +81,7 @@ let select ~pool names =
 
 (* Write the --json report atomically and return the exit status:
    [status], or 123 (one line on stderr) when the write fails. *)
-let finish ~json_out contents status =
+let finish ~json_out report status =
   let failed path why =
     Format.eprintf "cannot write %s: %s@." path why;
     Cmd.Exit.some_error
@@ -90,7 +90,7 @@ let finish ~json_out contents status =
   | None -> status
   | Some path -> (
     try
-      Resilience.Atomic_io.write_string path contents;
+      Resilience.Atomic_io.write_string path (Obs.Json.to_string report);
       status
     with
     | Sys_error msg -> failed path msg

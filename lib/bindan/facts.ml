@@ -5,40 +5,28 @@
    call-time instantiation and binding conditionality of every
    argument, whether every dispatch chain is determinacy-certified,
    and which arguments are certified uninitialized outputs.  This
-   module renders {!Dom.pred_fact} lists as JSON (hand-rolled, like
-   the rest of the repo's exporters). *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+   module renders {!Dom.pred_fact} lists as JSON. *)
 
 let json_of_fact (f : Dom.pred_fact) =
-  let args =
-    Array.to_list f.pf_args
-    |> List.mapi (fun i (a : Dom.arg_fact) ->
-           Printf.sprintf
-             {|{"arg":%d,"inst":"%s","cond":"%s","uninit":%b}|} (i + 1)
-             (Dom.inst_to_string a.a_inst)
-             (Dom.cond_to_string a.a_cond)
-             f.pf_uninit.(i))
-    |> String.concat ","
+  let module J = Obs.Json in
+  let arg i (a : Dom.arg_fact) =
+    J.Obj
+      [
+        ("arg", J.Int (i + 1));
+        ("inst", J.String (Dom.inst_to_string a.a_inst));
+        ("cond", J.String (Dom.cond_to_string a.a_cond));
+        ("uninit", J.Bool f.pf_uninit.(i));
+      ]
   in
-  Printf.sprintf {|{"pred":"%s/%d","ddet":%b,"args":[%s]}|}
-    (json_escape (fst f.pf_pred))
-    (snd f.pf_pred) f.pf_ddet args
+  let name, arity = f.pf_pred in
+  J.Obj
+    [
+      ("pred", J.String (Printf.sprintf "%s/%d" name arity));
+      ("ddet", J.Bool f.pf_ddet);
+      ("args", J.List (List.mapi arg (Array.to_list f.pf_args)));
+    ]
 
-let json_of_facts (facts : Dom.pred_fact list) =
-  "[" ^ String.concat "," (List.map json_of_fact facts) ^ "]"
+let json_of_facts facts = Obs.Json.List (List.map json_of_fact facts)
 
 let pp fmt (facts : Dom.pred_fact list) =
   List.iter (fun f -> Format.fprintf fmt "%a@." Dom.pp_pred f) facts

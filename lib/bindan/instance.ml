@@ -95,40 +95,48 @@ let run_summary (run : oracle Certification.run) =
     (bind run).trail_elided (bind run).deref_skipped
 
 let json_fields (r : report) =
+  let module J = Obs.Json in
   let p = r.a.plan in
-  Printf.sprintf
-    "\"analysis_ms\": %.3f, \"global_cp_free\": %b, \"sites_scanned\": %d, \
-     \"uninit_certs\": %d, \"rigid_certs\": %d, \"value_nt_certs\": %d, \
-     \"nt_builtin_certs\": %d, \"facts\": %s, \"oracle_ok\": %b, \
-     \"answers_ok\": %b, \"tracecheck_ok\": %b, \"lint_clean\": %b, \
-     \"trail_drop\": %b"
-    r.analysis_ms r.a.absr.global_cp_free r.a.absr.n_sites p.n_uninit p.n_rigid
-    p.n_value_nt p.n_nt_builtin
-    (Facts.json_of_facts r.a.absr.facts)
-    r.oracle_ok r.answers_ok r.trace_ok r.lint_clean (trail_drop r)
+  [
+    ("analysis_ms", J.Float r.analysis_ms);
+    ("global_cp_free", J.Bool r.a.absr.global_cp_free);
+    ("sites_scanned", J.Int r.a.absr.n_sites);
+    ("uninit_certs", J.Int p.n_uninit);
+    ("rigid_certs", J.Int p.n_rigid);
+    ("value_nt_certs", J.Int p.n_value_nt);
+    ("nt_builtin_certs", J.Int p.n_nt_builtin);
+    ("facts", Facts.json_of_facts r.a.absr.facts);
+    ("oracle_ok", J.Bool r.oracle_ok);
+    ("answers_ok", J.Bool r.answers_ok);
+    ("tracecheck_ok", J.Bool r.trace_ok);
+    ("lint_clean", J.Bool r.lint_clean);
+    ("trail_drop", J.Bool (trail_drop r));
+  ]
 
 let json_run (run : oracle Certification.run) =
+  let module J = Obs.Json in
   let v = bind run in
   let base_st = run.base.area_stats and bind_st = v.area_stats in
-  Printf.sprintf
-    "\"records\": %d, \"oracle_sites\": %d, \"oracle_windows\": %d, \
-     \"oracle_violations\": %d, \"answers_equal\": %b, \
-     \"tracecheck_violations\": %d, \"base_total_refs\": %d, \
-     \"bind_total_refs\": %d, \"trail_elided\": %d, \"deref_skipped\": %d, \
-     \"areas\": [%s]"
-    run.base.total_refs run.oracle.sites_checked run.oracle.windows
-    (List.length run.oracle.violations)
-    run.answers_equal run.trace.n_violations run.base.total_refs
-    v.total_refs v.trail_elided v.deref_skipped
-    (String.concat ", "
-       (List.map
-          (fun ar ->
-            Printf.sprintf
-              "{\"area\": \"%s\", \"base_reads\": %d, \"base_writes\": %d, \
-               \"bind_reads\": %d, \"bind_writes\": %d}"
-              (Trace.Area.slug ar)
-              (Trace.Areastats.reads base_st ar)
-              (Trace.Areastats.writes base_st ar)
-              (Trace.Areastats.reads bind_st ar)
-              (Trace.Areastats.writes bind_st ar))
-          Trace.Area.all))
+  let area ar =
+    J.Obj
+      [
+        ("area", J.String (Trace.Area.slug ar));
+        ("base_reads", J.Int (Trace.Areastats.reads base_st ar));
+        ("base_writes", J.Int (Trace.Areastats.writes base_st ar));
+        ("bind_reads", J.Int (Trace.Areastats.reads bind_st ar));
+        ("bind_writes", J.Int (Trace.Areastats.writes bind_st ar));
+      ]
+  in
+  [
+    ("records", J.Int run.base.total_refs);
+    ("oracle_sites", J.Int run.oracle.sites_checked);
+    ("oracle_windows", J.Int run.oracle.windows);
+    ("oracle_violations", J.Int (List.length run.oracle.violations));
+    ("answers_equal", J.Bool run.answers_equal);
+    ("tracecheck_violations", J.Int run.trace.n_violations);
+    ("base_total_refs", J.Int run.base.total_refs);
+    ("bind_total_refs", J.Int v.total_refs);
+    ("trail_elided", J.Int v.trail_elided);
+    ("deref_skipped", J.Int v.deref_skipped);
+    ("areas", J.List (List.map area Trace.Area.all));
+  ]

@@ -170,10 +170,10 @@ module type ANALYSIS = sig
   val summary : (t, oracle) report -> string
   val run_summary : oracle run -> string
 
-  val json_fields : (t, oracle) report -> string
+  val json_fields : (t, oracle) report -> (string * Obs.Json.t) list
   (** The report's fields between ["bench"] and ["runs"]. *)
 
-  val json_run : oracle run -> string
+  val json_run : oracle run -> (string * Obs.Json.t) list
   (** A run's fields after ["pes"]. *)
 end
 
@@ -313,14 +313,13 @@ module Make (A : ANALYSIS) = struct
     if verbose then Format.fprintf fmt "%a" A.dump r.a
 
   let json_of_report r =
-    Printf.sprintf "{\"bench\": %S, %s, \"runs\": [%s]}"
-      r.front.bench.Benchlib.Programs.name (A.json_fields r)
-      (String.concat ", "
-         (List.map
-            (fun run ->
-              Printf.sprintf "{\"pes\": %d, %s}" run.n_pes (A.json_run run))
-            r.runs))
+    let run run =
+      Obs.Json.Obj (("pes", Obs.Json.Int run.n_pes) :: A.json_run run)
+    in
+    Obs.Json.Obj
+      ((("bench", Obs.Json.String r.front.bench.Benchlib.Programs.name)
+        :: A.json_fields r)
+      @ [ ("runs", Obs.Json.List (List.map run r.runs)) ])
 
-  let json_of_reports rs =
-    "[\n  " ^ String.concat ",\n  " (List.map json_of_report rs) ^ "\n]\n"
+  let json_of_reports rs = Obs.Json.List (List.map json_of_report rs)
 end

@@ -1,6 +1,6 @@
 (* Rendering: the per-predicate cost table (deterministic, in the
-   shared SCC order -- CI diffs two runs of it) and JSON fragments for
-   the CLI and the bench harness. *)
+   shared SCC order -- CI diffs two runs of it) and the CLI's JSON
+   values. *)
 
 open Domain
 
@@ -36,72 +36,52 @@ let pp_costs ?threshold fmt an =
     (Analyze.order an)
 
 (* ------------------------------------------------------------------ *)
-(* JSON (hand-rolled, like the bench harness's writers). *)
+(* JSON values for the CLI. *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module J = Obs.Json
 
-let json_interval buf (i : interval) =
-  Buffer.add_string buf
-    (Printf.sprintf "{\"lo\": %d, \"hi\": %d, \"mid\": %d}" i.lo i.hi (mid i))
+let json_interval (i : interval) =
+  J.Obj [ ("lo", J.Int i.lo); ("hi", J.Int i.hi); ("mid", J.Int (mid i)) ]
 
-let json_refs buf (refs : Footprint.t) =
-  Buffer.add_string buf "{";
-  let first = ref true in
-  List.iter
-    (fun area ->
-      let i = refs.(Trace.Area.to_int area) in
-      if not (is_zero i) then begin
-        if not !first then Buffer.add_string buf ", ";
-        first := false;
-        Buffer.add_string buf
-          (Printf.sprintf "\"%s\": " (json_escape (Trace.Area.name area)));
-        json_interval buf i
-      end)
-    Trace.Area.all;
-  Buffer.add_string buf "}"
+(* Nonzero areas only. *)
+let json_refs (refs : Footprint.t) =
+  J.Obj
+    (List.filter_map
+       (fun area ->
+         let i = refs.(Trace.Area.to_int area) in
+         if is_zero i then None
+         else Some (Trace.Area.name area, json_interval i))
+       Trace.Area.all)
 
-let json_prediction buf (p : Eval.prediction) =
-  Buffer.add_string buf "{\"steps\": ";
-  json_interval buf p.Eval.p_steps;
-  Buffer.add_string buf ", \"refs\": ";
-  json_refs buf p.Eval.p_refs;
-  Buffer.add_string buf
-    (Printf.sprintf ", \"evals\": %d, \"exact\": %b}" p.Eval.p_evals
-       (p.Eval.p_exactness = Eval.Yes))
+let json_prediction = function
+  | Ok (p : Eval.prediction) ->
+    J.Obj
+      [
+        ("steps", json_interval p.Eval.p_steps);
+        ("refs", json_refs p.Eval.p_refs);
+        ("evals", J.Int p.Eval.p_evals);
+        ("exact", J.Bool (p.Eval.p_exactness = Eval.Yes));
+      ]
+  | Error reason -> J.Obj [ ("unknown", J.String reason) ]
 
-let json_predicates buf an =
-  Buffer.add_string buf "[";
-  let first = ref true in
-  List.iter
-    (fun key ->
-      match Analyze.find an key with
-      | None -> ()
-      | Some p ->
-        if not !first then Buffer.add_string buf ", ";
-        first := false;
-        Buffer.add_string buf
-          (Printf.sprintf
-             "{\"name\": \"%s\", \"arity\": %d, \"class\": \"%s\", \
-              \"dec\": %s, \"unit_cost\": %d, \"unit_hi\": %d, \
-              \"determinate\": %b}"
-             (json_escape (fst key))
-             (snd key)
-             (cls_name p.Analyze.cls)
-             (match p.Analyze.dec with
-             | Some i -> string_of_int i
-             | None -> "null")
-             p.Analyze.unit_cost p.Analyze.unit_hi p.Analyze.det))
-    (Analyze.order an);
-  Buffer.add_string buf "]"
+let json_predicates an =
+  J.List
+    (List.filter_map
+       (fun key ->
+         Option.map
+           (fun p ->
+             J.Obj
+               [
+                 ("name", J.String (fst key));
+                 ("arity", J.Int (snd key));
+                 ("class", J.String (cls_name p.Analyze.cls));
+                 ( "dec",
+                   match p.Analyze.dec with
+                   | Some i -> J.Int i
+                   | None -> J.Null );
+                 ("unit_cost", J.Int p.Analyze.unit_cost);
+                 ("unit_hi", J.Int p.Analyze.unit_hi);
+                 ("determinate", J.Bool p.Analyze.det);
+               ])
+           (Analyze.find an key))
+       (Analyze.order an))

@@ -174,33 +174,51 @@ let run_summary (run : oracle Certification.run) =
     run.base.total_refs run.oracle.trials cb cd tb td (det run).cp_elided
 
 let json_fields (r : report) =
+  let module J = Obs.Json in
   let el = elision r in
-  Printf.sprintf
-    "\"analysis_ms\": %.3f, \"preds\": %d, \"det_preds\": %d, \"det_arms\": \
-     %d, \"chains_total\": %d, \"chains_det\": %d, \"dead_var_chains\": %d, \
-     \"certified_chains\": %d, \"elision\": [%s], \"oracle_ok\": %b, \
-     \"answers_ok\": %b, \"lint_clean\": %b, \"cp_drop\": %b, \"trail_drop\": \
-     %b, \"tracecheck_ok\": %b"
-    r.analysis_ms (List.length r.a.counts) r.a.det_preds r.a.det_arms
-    el.chains_total el.chains_det el.dead_var_chains
-    (List.length r.a.certified)
-    (String.concat ", "
-       (List.map
-          (fun ((name, arity), (t, d)) ->
-            Printf.sprintf "{\"pred\": \"%s/%d\", \"chains\": %d, \"det\": %d}"
-              name arity t d)
-          el.per_pred))
-    r.oracle_ok r.answers_ok r.lint_clean (cp_drop r) (trail_drop r) r.trace_ok
+  [
+    ("analysis_ms", J.Float r.analysis_ms);
+    ("preds", J.Int (List.length r.a.counts));
+    ("det_preds", J.Int r.a.det_preds);
+    ("det_arms", J.Int r.a.det_arms);
+    ("chains_total", J.Int el.chains_total);
+    ("chains_det", J.Int el.chains_det);
+    ("dead_var_chains", J.Int el.dead_var_chains);
+    ("certified_chains", J.Int (List.length r.a.certified));
+    ( "elision",
+      J.List
+        (List.map
+           (fun ((name, arity), (t, d)) ->
+             J.Obj
+               [
+                 ("pred", J.String (Printf.sprintf "%s/%d" name arity));
+                 ("chains", J.Int t);
+                 ("det", J.Int d);
+               ])
+           el.per_pred) );
+    ("oracle_ok", J.Bool r.oracle_ok);
+    ("answers_ok", J.Bool r.answers_ok);
+    ("lint_clean", J.Bool r.lint_clean);
+    ("cp_drop", J.Bool (cp_drop r));
+    ("trail_drop", J.Bool (trail_drop r));
+    ("tracecheck_ok", J.Bool r.trace_ok);
+  ]
 
 let json_run (run : oracle Certification.run) =
+  let module J = Obs.Json in
   let cb, cd = area_pair run Trace.Area.Choice_point in
   let tb, td = area_pair run Trace.Area.Trail in
-  Printf.sprintf
-    "\"records\": %d, \"oracle_violations\": %d, \"oracle_trials\": %d, \
-     \"answers_equal\": %b, \"base_cp_refs\": %d, \"det_cp_refs\": %d, \
-     \"base_trail_refs\": %d, \"det_trail_refs\": %d, \"base_total_refs\": %d, \
-     \"det_total_refs\": %d, \"det_cp_created\": %d, \"det_cp_elided\": %d"
-    run.base.total_refs
-    (List.length run.oracle.violations)
-    run.oracle.trials run.answers_equal cb cd tb td run.base.total_refs
-    (det run).total_refs (det run).cp_created (det run).cp_elided
+  [
+    ("records", J.Int run.base.total_refs);
+    ("oracle_violations", J.Int (List.length run.oracle.violations));
+    ("oracle_trials", J.Int run.oracle.trials);
+    ("answers_equal", J.Bool run.answers_equal);
+    ("base_cp_refs", J.Int cb);
+    ("det_cp_refs", J.Int cd);
+    ("base_trail_refs", J.Int tb);
+    ("det_trail_refs", J.Int td);
+    ("base_total_refs", J.Int run.base.total_refs);
+    ("det_total_refs", J.Int (det run).total_refs);
+    ("det_cp_created", J.Int (det run).cp_created);
+    ("det_cp_elided", J.Int (det run).cp_elided);
+  ]

@@ -67,33 +67,32 @@ let pp_stage fmt (s : stage) =
 (* BENCH_engine.json: the perf trajectory future PRs compare against. *)
 
 let write_perf_record ~path ~jobs ~wall_s ?(extra = []) (stages : stage list) =
-  let buf = Buffer.create 512 in
+  let module J = Obs.Json in
   let total_jobs = List.fold_left (fun a (s : stage) -> a + s.total) 0 stages in
   let failed = List.fold_left (fun a (s : stage) -> a + s.failed) 0 stages in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"rapwam-engine-perf/1\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"jobs\": %d,\n" jobs);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"host_domains\": %d,\n"
-       (Domain.recommended_domain_count ()));
-  Buffer.add_string buf (Printf.sprintf "  \"total_jobs\": %d,\n" total_jobs);
-  Buffer.add_string buf (Printf.sprintf "  \"failed_jobs\": %d,\n" failed);
-  Buffer.add_string buf (Printf.sprintf "  \"wall_s\": %.6f,\n" wall_s);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"jobs_per_sec\": %.6f,\n"
-       (float_of_int total_jobs /. Float.max 1e-9 wall_s));
-  List.iter
-    (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "  %S: %.6f,\n" k v))
-    extra;
-  Buffer.add_string buf "  \"stages\": [\n";
-  List.iteri
-    (fun i (s : stage) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"label\": %S, \"jobs\": %d, \"failed\": %d, \"wall_s\": \
-            %.6f, \"job_wall_s\": %.6f, \"jobs_per_sec\": %.6f}%s\n"
-           s.label s.total s.failed s.wall_s s.job_wall_s s.jobs_per_sec
-           (if i = List.length stages - 1 then "" else ",")))
-    stages;
-  Buffer.add_string buf "  ]\n}\n";
-  Resilience.Atomic_io.write_string path (Buffer.contents buf)
+  let stage (s : stage) =
+    J.Obj
+      [
+        ("label", J.String s.label);
+        ("jobs", J.Int s.total);
+        ("failed", J.Int s.failed);
+        ("wall_s", J.Float s.wall_s);
+        ("job_wall_s", J.Float s.job_wall_s);
+        ("jobs_per_sec", J.Float s.jobs_per_sec);
+      ]
+  in
+  Resilience.Atomic_io.write_string path
+    (J.to_string
+       (J.Obj
+          ([
+             ("schema", J.String "rapwam-engine-perf/1");
+             ("jobs", J.Int jobs);
+             ("host_domains", J.Int (Domain.recommended_domain_count ()));
+             ("total_jobs", J.Int total_jobs);
+             ("failed_jobs", J.Int failed);
+             ("wall_s", J.Float wall_s);
+             ( "jobs_per_sec",
+               J.Float (float_of_int total_jobs /. Float.max 1e-9 wall_s) );
+           ]
+          @ List.map (fun (k, v) -> (k, J.Float v)) extra
+          @ [ ("stages", J.List (List.map stage stages)) ])))

@@ -73,66 +73,42 @@ let decode_cell payload =
     | None -> None)
 
 (* ------------------------------------------------------------------ *)
-(* Rendering.  Floats are printed with a fixed number of decimals and
-   counters as plain ints, so output bytes depend only on the cell
-   values, never on scheduling. *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let add_config buf c =
-  Buffer.add_string buf
-    (Printf.sprintf
-       "\"bench\": \"%s\", \"pes\": %d, \"protocol\": \"%s\", \
-        \"line_words\": %d, \"cache_words\": %d"
-       (json_escape c.bench) c.n_pes
-       (json_escape (Cachesim.Protocol.kind_name c.protocol))
-       c.line_words c.cache_words)
+(* Rendering.  Output bytes depend only on the cell values, never on
+   scheduling. *)
 
 let to_json cells =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "[\n";
-  List.iteri
-    (fun i cell ->
-      Buffer.add_string buf "  {";
-      add_config buf cell.config;
-      (match cell.metrics with
-      | Ok m ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             ", \"reads\": %d, \"writes\": %d, \"read_misses\": %d, \
-              \"write_misses\": %d, \"fills\": %d, \"writebacks\": %d, \
-              \"wt_words\": %d, \"invalidations\": %d, \"updates\": %d, \
-              \"bus_words\": %d, \"traffic_ratio\": %.6f, \"miss_ratio\": \
-              %.6f"
-             m.Cachesim.Metrics.reads m.Cachesim.Metrics.writes
-             m.Cachesim.Metrics.read_misses m.Cachesim.Metrics.write_misses
-             m.Cachesim.Metrics.fills m.Cachesim.Metrics.writebacks
-             m.Cachesim.Metrics.wt_words m.Cachesim.Metrics.invalidations
-             m.Cachesim.Metrics.updates m.Cachesim.Metrics.bus_words
-             (Cachesim.Metrics.traffic_ratio m)
-             (Cachesim.Metrics.miss_ratio m))
-      | Error e ->
-        Buffer.add_string buf
-          (Printf.sprintf ", \"error\": \"%s\"" (json_escape e)));
-      Buffer.add_string buf
-        (if i = List.length cells - 1 then "}\n" else "},\n"))
-    cells;
-  Buffer.add_string buf "]\n";
-  Buffer.contents buf
+  let module J = Obs.Json in
+  let cell c =
+    let config =
+      [
+        ("bench", J.String c.config.bench);
+        ("pes", J.Int c.config.n_pes);
+        ("protocol", J.String (Cachesim.Protocol.kind_name c.config.protocol));
+        ("line_words", J.Int c.config.line_words);
+        ("cache_words", J.Int c.config.cache_words);
+      ]
+    in
+    match c.metrics with
+    | Ok m ->
+      J.Obj
+        (config
+        @ [
+            ("reads", J.Int m.Cachesim.Metrics.reads);
+            ("writes", J.Int m.Cachesim.Metrics.writes);
+            ("read_misses", J.Int m.Cachesim.Metrics.read_misses);
+            ("write_misses", J.Int m.Cachesim.Metrics.write_misses);
+            ("fills", J.Int m.Cachesim.Metrics.fills);
+            ("writebacks", J.Int m.Cachesim.Metrics.writebacks);
+            ("wt_words", J.Int m.Cachesim.Metrics.wt_words);
+            ("invalidations", J.Int m.Cachesim.Metrics.invalidations);
+            ("updates", J.Int m.Cachesim.Metrics.updates);
+            ("bus_words", J.Int m.Cachesim.Metrics.bus_words);
+            ("traffic_ratio", J.Float (Cachesim.Metrics.traffic_ratio m));
+            ("miss_ratio", J.Float (Cachesim.Metrics.miss_ratio m));
+          ])
+    | Error e -> J.Obj (config @ [ ("error", J.String e) ])
+  in
+  J.List (List.map cell cells)
 
 let csv_header =
   "bench,pes,protocol,line_words,cache_words,reads,writes,read_misses,\

@@ -37,7 +37,7 @@ val encode_cell : string -> Cachesim.Metrics.t -> string
 val decode_cell : string -> (string * Cachesim.Metrics.t) option
 (** Inverse of {!encode_cell}; [None] on a malformed payload. *)
 
-val to_json : cell list -> string
+val to_json : cell list -> Obs.Json.t
 
 val to_csv :
   ?areas:((string * int) * (string * (int * int)) list) list ->

@@ -89,28 +89,34 @@ let run_summary (run : oracle Certification.run) =
   Printf.sprintf "%d records" run.oracle.records
 
 let json_fields (r : (t, oracle) Certification.report) =
+  let module J = Obs.Json in
   let cert = r.a.certify and tg = tags r in
-  Printf.sprintf
-    "\"preds\": %d, \"parallel\": %b, \"analysis_ms\": %.3f, \
-     \"closure_iterations\": %d, \"groups_total\": %d, \"groups_certified\": \
-     %d, \"all_certified\": %b, \"static_safe\": %d, \"auto_groups\": %d, \
-     \"audit_ok\": %b, \"tag_addrs\": %d, \"tag_dyn_shared\": %d, \
-     \"tag_predicted_shared\": %d, \"tag_precision\": %.4f, \"tag_recall\": \
-     %.4f, \"baseline_precision\": %.4f, \"precision_ge_baseline\": %b, \
-     \"oracle_ok\": %b, \"certified_tracecheck_clean\": %b, \
-     \"uncertified_but_raced\": %d"
-    (Hashtbl.length r.a.static.preds)
-    r.a.static.parallel r.analysis_ms r.a.static.iterations cert.total
-    cert.certified
-    (cert.total > 0 && cert.certified = cert.total)
-    r.a.stats.static_safe r.a.stats.groups r.audit_ok tg.addrs tg.dyn_shared
-    tg.predicted_shared tg.precision tg.recall tg.baseline_precision
-    (tg.precision >= tg.baseline_precision)
-    r.oracle_ok r.trace_ok (uncertified_but_raced r)
+  [
+    ("preds", J.Int (Hashtbl.length r.a.static.preds));
+    ("parallel", J.Bool r.a.static.parallel);
+    ("analysis_ms", J.Float r.analysis_ms);
+    ("closure_iterations", J.Int r.a.static.iterations);
+    ("groups_total", J.Int cert.total);
+    ("groups_certified", J.Int cert.certified);
+    ("all_certified", J.Bool (cert.total > 0 && cert.certified = cert.total));
+    ("static_safe", J.Int r.a.stats.static_safe);
+    ("auto_groups", J.Int r.a.stats.groups);
+    ("audit_ok", J.Bool r.audit_ok);
+    ("tag_addrs", J.Int tg.addrs);
+    ("tag_dyn_shared", J.Int tg.dyn_shared);
+    ("tag_predicted_shared", J.Int tg.predicted_shared);
+    ("tag_precision", J.Float tg.precision);
+    ("tag_recall", J.Float tg.recall);
+    ("baseline_precision", J.Float tg.baseline_precision);
+    ("precision_ge_baseline", J.Bool (tg.precision >= tg.baseline_precision));
+    ("oracle_ok", J.Bool r.oracle_ok);
+    ("certified_tracecheck_clean", J.Bool r.trace_ok);
+    ("uncertified_but_raced", J.Int (uncertified_but_raced r));
+  ]
 
 let json_run (run : oracle Certification.run) =
-  Printf.sprintf
-    "\"records\": %d, \"oracle_violations\": %d, \"tracecheck_clean\": %b"
-    run.oracle.records
-    (List.length run.oracle.violations)
-    (Tracecheck.ok run.trace)
+  [
+    ("records", Obs.Json.Int run.oracle.records);
+    ("oracle_violations", Obs.Json.Int (List.length run.oracle.violations));
+    ("tracecheck_clean", Obs.Json.Bool (Tracecheck.ok run.trace));
+  ]

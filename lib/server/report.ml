@@ -1,226 +1,213 @@
-(* BENCH_server.json writer + text summary.  Hand-rolled JSON, like
-   the bench harness's other writers; floats are printed with enough
-   digits to round-trip. *)
+(* BENCH_server.json and BENCH_chaos.json as Obs.Json values, plus
+   the text summaries. *)
 
 open Harness
+module J = Obs.Json
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let latency (s : Metrics.summary) =
+  J.Obj
+    [
+      ("n", J.Int s.Metrics.n);
+      ("mean_s", J.Float s.Metrics.mean_s);
+      ("p50_s", J.Float s.Metrics.p50_s);
+      ("p95_s", J.Float s.Metrics.p95_s);
+      ("p99_s", J.Float s.Metrics.p99_s);
+      ("max_s", J.Float s.Metrics.max_s);
+    ]
 
-let fl x =
-  if Float.is_finite x then Printf.sprintf "%.6g" x
-  else Printf.sprintf "%S" (Float.to_string x)
-
-let add_latency buf (s : Metrics.summary) =
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"n\": %d, \"mean_s\": %s, \"p50_s\": %s, \"p95_s\": %s, \
-        \"p99_s\": %s, \"max_s\": %s}"
-       s.Metrics.n (fl s.Metrics.mean_s) (fl s.Metrics.p50_s)
-       (fl s.Metrics.p95_s) (fl s.Metrics.p99_s) (fl s.Metrics.max_s))
-
-let add_phase buf (ph : phase) =
+let phase (ph : phase) =
   let st = ph.ph_stats in
   let sv = ph.ph_sup in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "    {\"phase\": %S, \"requests\": %d, \"wall_s\": %s, \
-        \"throughput_qps\": %s, \"hit_rate\": %s, \"latency\": "
-       ph.ph_name ph.ph_requests (fl ph.ph_wall_s) (fl ph.ph_qps)
-       (fl ph.ph_hit_rate));
-  add_latency buf ph.ph_latency;
-  Buffer.add_string buf ", \"service\": ";
-  add_latency buf ph.ph_service;
-  Buffer.add_string buf
-    (Printf.sprintf
-       ", \"lanes\": {\"hits\": %d, \"inline\": %d, \"pooled\": %d}, \
-        \"waves\": %d, \"max_queue_depth\": %d, \"faulted\": %d, \
-        \"errors\": %d, \"availability\": %s, \"outcomes\": {\"ok\": %d, \
-        \"retried\": %d, \"timeout\": %d, \"shed\": %d, \"crashed\": %d, \
-        \"faulted\": %d}, \"breaker\": {\"opens\": %d, \"fastfails\": %d}, \
-        \"pool_respawns\": %d}"
-       st.Serve.hits st.Serve.inline_ st.Serve.pooled st.Serve.waves
-       st.Serve.max_depth st.Serve.faulted st.Serve.errors
-       (fl ph.ph_availability) sv.Supervise.ok sv.Supervise.retried
-       sv.Supervise.timeouts sv.Supervise.shed sv.Supervise.crashed
-       sv.Supervise.faulted sv.Supervise.breaker_opens
-       sv.Supervise.breaker_fastfails sv.Supervise.pool_respawns)
+  J.Obj
+    [
+      ("phase", J.String ph.ph_name);
+      ("requests", J.Int ph.ph_requests);
+      ("wall_s", J.Float ph.ph_wall_s);
+      ("throughput_qps", J.Float ph.ph_qps);
+      ("hit_rate", J.Float ph.ph_hit_rate);
+      ("latency", latency ph.ph_latency);
+      ("service", latency ph.ph_service);
+      ( "lanes",
+        J.Obj
+          [
+            ("hits", J.Int st.Serve.hits);
+            ("inline", J.Int st.Serve.inline_);
+            ("pooled", J.Int st.Serve.pooled);
+          ] );
+      ("waves", J.Int st.Serve.waves);
+      ("max_queue_depth", J.Int st.Serve.max_depth);
+      ("faulted", J.Int st.Serve.faulted);
+      ("errors", J.Int st.Serve.errors);
+      ("availability", J.Float ph.ph_availability);
+      ( "outcomes",
+        J.Obj
+          [
+            ("ok", J.Int sv.Supervise.ok);
+            ("retried", J.Int sv.Supervise.retried);
+            ("timeout", J.Int sv.Supervise.timeouts);
+            ("shed", J.Int sv.Supervise.shed);
+            ("crashed", J.Int sv.Supervise.crashed);
+            ("faulted", J.Int sv.Supervise.faulted);
+          ] );
+      ( "breaker",
+        J.Obj
+          [
+            ("opens", J.Int sv.Supervise.breaker_opens);
+            ("fastfails", J.Int sv.Supervise.breaker_fastfails);
+          ] );
+      ("pool_respawns", J.Int sv.Supervise.pool_respawns);
+    ]
 
-let to_json_string (o : outcome) =
-  let p = o.o_params in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"rapwam-server/1\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"params\": {\"mix\": %S, \"seed\": %d, \"zipf_s\": %s, \
-        \"requests\": %d, \"batch\": %d, \"pes\": %d, \"workers\": %d, \
-        \"memo_words\": %d, \"memo_shards\": %d, \"threshold\": %d, \
-        \"max_queue\": %d, \"max_solutions\": %d, \"faults\": %S},\n"
-       (Traffic.mix_to_string p.mix) p.seed (fl p.zipf_s) p.requests p.batch
-       p.pes p.workers p.memo_words p.memo_shards p.threshold p.max_queue
-       p.max_solutions
-       (match p.faults with
-       | None -> ""
-       | Some plan -> Resilience.Fault.to_string plan));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"pool_size\": %d,\n" o.o_pool_size);
-  Buffer.add_string buf "  \"phases\": [\n";
-  List.iteri
-    (fun i ph ->
-      add_phase buf ph;
-      Buffer.add_string buf (if i = 2 then "\n" else ",\n"))
-    [ o.o_off; o.o_cold; o.o_warm ];
-  Buffer.add_string buf "  ],\n";
-  let m = o.o_memo in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"memo\": {\"hits\": %d, \"misses\": %d, \"inserts\": %d, \
-        \"duplicates\": %d, \"evictions\": %d, \"entries\": %d, \
-        \"words\": %d, \"hit_rate\": %s},\n"
-       m.Memo.Table.hits m.Memo.Table.misses m.Memo.Table.inserts
-       m.Memo.Table.duplicates m.Memo.Table.evictions m.Memo.Table.entries
-       m.Memo.Table.words
-       (fl (Memo.Table.hit_rate m)));
-  let q = o.o_mg1 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"mg1\": {\"lambda_per_worker\": %s, \"service_s\": %s, \
-        \"cs2\": %s, \"capped_for_stability\": %b, \"predicted_mean_s\": \
-        %s, \"measured_mean_s\": %s, \"predicted_over_measured\": %s},\n"
-       (fl q.q_lambda) (fl q.q_service_s) (fl q.q_cs2) q.q_capped
-       (fl q.q_predicted_s) (fl q.q_measured_s) (fl q.q_ratio));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"answers_checked\": %d,\n" o.o_answers_checked);
-  (match o.o_mismatches with
-  | [] -> ()
+let faults = function
+  | None -> J.String ""
+  | Some plan -> J.String (Resilience.Fault.to_string plan)
+
+(* Present only when some answer differed. *)
+let mismatches = function
+  | [] -> []
   | ms ->
-    Buffer.add_string buf "  \"mismatches\": [\n";
-    List.iteri
-      (fun i (query, served, want) ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "    {\"query\": \"%s\", \"served\": \"%s\", \"direct\": \
-              \"%s\"}%s\n"
-             (json_escape query) (json_escape served) (json_escape want)
-             (if i = List.length ms - 1 then "" else ",")))
-      ms;
-    Buffer.add_string buf "  ],\n");
-  Buffer.add_string buf
-    (Printf.sprintf "  \"answers_equal\": %b,\n" o.o_answers_equal);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"hit_rate_ok\": %b,\n" (hit_rate_ok o));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"warm_speedup_ok\": %b,\n" (warm_speedup_ok o));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"p99_finite\": %b,\n" (p99_finite o));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"mg1_ratio_ok\": %b\n" (mg1_ratio_ok o));
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+    [
+      ( "mismatches",
+        J.List
+          (List.map
+             (fun (query, served, want) ->
+               J.Obj
+                 [
+                   ("query", J.String query);
+                   ("served", J.String served);
+                   ("direct", J.String want);
+                 ])
+             ms) );
+    ]
+
+let to_json (o : outcome) =
+  let p = o.o_params in
+  let m = o.o_memo in
+  let q = o.o_mg1 in
+  J.Obj
+    ([
+       ("schema", J.String "rapwam-server/1");
+       ( "params",
+         J.Obj
+           [
+             ("mix", J.String (Traffic.mix_to_string p.mix));
+             ("seed", J.Int p.seed);
+             ("zipf_s", J.Float p.zipf_s);
+             ("requests", J.Int p.requests);
+             ("batch", J.Int p.batch);
+             ("pes", J.Int p.pes);
+             ("workers", J.Int p.workers);
+             ("memo_words", J.Int p.memo_words);
+             ("memo_shards", J.Int p.memo_shards);
+             ("threshold", J.Int p.threshold);
+             ("max_queue", J.Int p.max_queue);
+             ("max_solutions", J.Int p.max_solutions);
+             ("faults", faults p.faults);
+           ] );
+       ("pool_size", J.Int o.o_pool_size);
+       ("phases", J.List (List.map phase [ o.o_off; o.o_cold; o.o_warm ]));
+       ( "memo",
+         J.Obj
+           [
+             ("hits", J.Int m.Memo.Table.hits);
+             ("misses", J.Int m.Memo.Table.misses);
+             ("inserts", J.Int m.Memo.Table.inserts);
+             ("duplicates", J.Int m.Memo.Table.duplicates);
+             ("evictions", J.Int m.Memo.Table.evictions);
+             ("entries", J.Int m.Memo.Table.entries);
+             ("words", J.Int m.Memo.Table.words);
+             ("hit_rate", J.Float (Memo.Table.hit_rate m));
+           ] );
+       ( "mg1",
+         J.Obj
+           [
+             ("lambda_per_worker", J.Float q.q_lambda);
+             ("service_s", J.Float q.q_service_s);
+             ("cs2", J.Float q.q_cs2);
+             ("capped_for_stability", J.Bool q.q_capped);
+             ("predicted_mean_s", J.Float q.q_predicted_s);
+             ("measured_mean_s", J.Float q.q_measured_s);
+             ("predicted_over_measured", J.Float q.q_ratio);
+           ] );
+       ("answers_checked", J.Int o.o_answers_checked);
+     ]
+    @ mismatches o.o_mismatches
+    @ [
+        ("answers_equal", J.Bool o.o_answers_equal);
+        ("hit_rate_ok", J.Bool (hit_rate_ok o));
+        ("warm_speedup_ok", J.Bool (warm_speedup_ok o));
+        ("p99_finite", J.Bool (p99_finite o));
+        ("mg1_ratio_ok", J.Bool (mg1_ratio_ok o));
+      ])
 
 let write_json path o =
-  Resilience.Atomic_io.write_string path (to_json_string o)
+  Resilience.Atomic_io.write_string path (J.to_string (to_json o))
 
-(* ---------------------------------------------------------------- *)
-(* BENCH_chaos.json: the availability experiment.  Same grep-friendly
-   shape — the gates CI watches are pre-evaluated booleans. *)
+let policy (pol : Supervise.policy) =
+  let opt f = function Some x -> f x | None -> J.Null in
+  J.Obj
+    [
+      ("deadline_s", opt (fun d -> J.Float d) pol.Supervise.deadline_s);
+      ("retries", J.Int pol.Supervise.retries);
+      ( "breaker",
+        opt
+          (fun b ->
+            J.Obj
+              [
+                ("window", J.Int b.Supervise.window);
+                ("trip_ratio", J.Float b.Supervise.trip_ratio);
+                ("min_samples", J.Int b.Supervise.min_samples);
+                ("cooldown", J.Int b.Supervise.cooldown);
+              ])
+          pol.Supervise.breaker );
+      ("shed_watermark", opt (fun w -> J.Int w) pol.Supervise.shed_watermark);
+      ("lethal_crash", J.Bool pol.Supervise.lethal_crash);
+    ]
 
-let add_policy buf (pol : Supervise.policy) =
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"deadline_s\": %s, \"retries\": %d, \"breaker\": %s, \
-        \"shed_watermark\": %s, \"lethal_crash\": %b}"
-       (match pol.Supervise.deadline_s with Some d -> fl d | None -> "null")
-       pol.Supervise.retries
-       (match pol.Supervise.breaker with
-       | None -> "null"
-       | Some b ->
-         Printf.sprintf
-           "{\"window\": %d, \"trip_ratio\": %s, \"min_samples\": %d, \
-            \"cooldown\": %d}"
-           b.Supervise.window (fl b.Supervise.trip_ratio)
-           b.Supervise.min_samples b.Supervise.cooldown)
-       (match pol.Supervise.shed_watermark with
-       | Some w -> string_of_int w
-       | None -> "null")
-       pol.Supervise.lethal_crash)
-
-let chaos_to_json_string (c : chaos) =
+let chaos_to_json (c : chaos) =
   let p = c.c_params in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"rapwam-chaos/1\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"params\": {\"mix\": %S, \"seed\": %d, \"zipf_s\": %s, \
-        \"requests\": %d, \"batch\": %d, \"pes\": %d, \"workers\": %d, \
-        \"threshold\": %d, \"max_queue\": %d, \"faults\": %S, \"policy\": "
-       (Traffic.mix_to_string p.mix) p.seed (fl p.zipf_s) p.requests p.batch
-       p.pes p.workers p.threshold p.max_queue
-       (match p.faults with
-       | None -> ""
-       | Some plan -> Resilience.Fault.to_string plan));
-  add_policy buf p.policy;
-  Buffer.add_string buf "},\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"pool_size\": %d,\n" c.c_pool_size);
-  Buffer.add_string buf "  \"phases\": [\n";
-  List.iteri
-    (fun i ph ->
-      add_phase buf ph;
-      Buffer.add_string buf (if i = 2 then "\n" else ",\n"))
-    [ c.c_chaos; c.c_warm; c.c_restart ];
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"snapshot\": {\"saved_entries\": %d, \"restored_entries\": %d, \
-        \"skipped\": %d, \"torn\": %b},\n"
-       c.c_snapshot_entries c.c_restore.Memo.Snapshot.entries
-       c.c_restore.Memo.Snapshot.skipped c.c_restore.Memo.Snapshot.torn);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"availability\": %s,\n"
-       (fl c.c_chaos.ph_availability));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"hit_rate_delta\": %s,\n" (fl c.c_hit_delta));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"answers_checked\": %d,\n" c.c_answers_checked);
-  (match c.c_mismatches with
-  | [] -> ()
-  | ms ->
-    Buffer.add_string buf "  \"mismatches\": [\n";
-    List.iteri
-      (fun i (query, served, want) ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "    {\"query\": \"%s\", \"served\": \"%s\", \"direct\": \
-              \"%s\"}%s\n"
-             (json_escape query) (json_escape served) (json_escape want)
-             (if i = List.length ms - 1 then "" else ",")))
-      ms;
-    Buffer.add_string buf "  ],\n");
-  Buffer.add_string buf
-    (Printf.sprintf "  \"answers_equal\": %b,\n" c.c_answers_equal);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"availability_ok\": %b,\n" (availability_ok c));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"warm_restart_ok\": %b\n" (warm_restart_ok c));
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+  J.Obj
+    ([
+       ("schema", J.String "rapwam-chaos/1");
+       ( "params",
+         J.Obj
+           [
+             ("mix", J.String (Traffic.mix_to_string p.mix));
+             ("seed", J.Int p.seed);
+             ("zipf_s", J.Float p.zipf_s);
+             ("requests", J.Int p.requests);
+             ("batch", J.Int p.batch);
+             ("pes", J.Int p.pes);
+             ("workers", J.Int p.workers);
+             ("threshold", J.Int p.threshold);
+             ("max_queue", J.Int p.max_queue);
+             ("faults", faults p.faults);
+             ("policy", policy p.policy);
+           ] );
+       ("pool_size", J.Int c.c_pool_size);
+       ( "phases",
+         J.List (List.map phase [ c.c_chaos; c.c_warm; c.c_restart ]) );
+       ( "snapshot",
+         J.Obj
+           [
+             ("saved_entries", J.Int c.c_snapshot_entries);
+             ("restored_entries", J.Int c.c_restore.Memo.Snapshot.entries);
+             ("skipped", J.Int c.c_restore.Memo.Snapshot.skipped);
+             ("torn", J.Bool c.c_restore.Memo.Snapshot.torn);
+           ] );
+       ("availability", J.Float c.c_chaos.ph_availability);
+       ("hit_rate_delta", J.Float c.c_hit_delta);
+       ("answers_checked", J.Int c.c_answers_checked);
+     ]
+    @ mismatches c.c_mismatches
+    @ [
+        ("answers_equal", J.Bool c.c_answers_equal);
+        ("availability_ok", J.Bool (availability_ok c));
+        ("warm_restart_ok", J.Bool (warm_restart_ok c));
+      ])
 
 let write_chaos_json path c =
-  Resilience.Atomic_io.write_string path (chaos_to_json_string c)
+  Resilience.Atomic_io.write_string path (J.to_string (chaos_to_json c))
 
 let pp_chaos fmt (c : chaos) =
   let p = c.c_params in

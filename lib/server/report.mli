@@ -1,5 +1,6 @@
 (** Rendering for the traffic experiment: the BENCH_server.json
     artifact (written atomically) and a human-readable summary.
+    Non-finite floats print as [null] (see {!Obs.Json.to_string}).
 
     The JSON carries the acceptance invariants as pre-evaluated
     booleans ([answers_equal], [hit_rate_ok], [warm_speedup_ok],
@@ -7,7 +8,7 @@
     floats. *)
 
 val write_json : string -> Harness.outcome -> unit
-val to_json_string : Harness.outcome -> string
+val to_json : Harness.outcome -> Obs.Json.t
 val pp : Format.formatter -> Harness.outcome -> unit
 
 (** The availability experiment's artifact, BENCH_chaos.json: phases
@@ -16,5 +17,5 @@ val pp : Format.formatter -> Harness.outcome -> unit
     [answers_equal]. *)
 
 val write_chaos_json : string -> Harness.chaos -> unit
-val chaos_to_json_string : Harness.chaos -> string
+val chaos_to_json : Harness.chaos -> Obs.Json.t
 val pp_chaos : Format.formatter -> Harness.chaos -> unit

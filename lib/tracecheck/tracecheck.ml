@@ -421,33 +421,31 @@ let pp_summary fmt (s : summary) =
   end
 
 let json_of_summary ?(label = "") (s : summary) =
-  let b = Buffer.create 256 in
-  Buffer.add_string b "{";
-  if label <> "" then
-    Buffer.add_string b (Printf.sprintf "\"label\": %S, " label);
-  Buffer.add_string b
-    (Printf.sprintf
-       "\"accesses\": %d, \"syncs\": %d, \"distinct_addrs\": %d, \
-        \"n_pes\": %d, \"violations\": %d"
-       s.accesses s.syncs s.distinct_addrs s.n_pes s.n_violations);
-  if s.violations <> [] then begin
-    Buffer.add_string b ", \"first\": [";
-    List.iteri
-      (fun i v ->
-        if i > 0 then Buffer.add_string b ", ";
-        Buffer.add_string b
-          (Printf.sprintf
-             "{\"rule\": %S, \"pe\": %d, \"other_pe\": %d, \"addr\": %d, \
-              \"area\": %S}"
-             v.rule v.pe v.other_pe v.addr
-             (match v.area with
-             | Some a -> Trace.Area.name a
-             | None -> "")))
-      s.violations;
-    Buffer.add_string b "]"
-  end;
-  Buffer.add_string b "}";
-  Buffer.contents b
+  let module J = Obs.Json in
+  let violation v =
+    J.Obj
+      [
+        ("rule", J.String v.rule);
+        ("pe", J.Int v.pe);
+        ("other_pe", J.Int v.other_pe);
+        ("addr", J.Int v.addr);
+        ( "area",
+          J.String
+            (match v.area with Some a -> Trace.Area.name a | None -> "") );
+      ]
+  in
+  J.Obj
+    ((if label = "" then [] else [ ("label", J.String label) ])
+    @ [
+        ("accesses", J.Int s.accesses);
+        ("syncs", J.Int s.syncs);
+        ("distinct_addrs", J.Int s.distinct_addrs);
+        ("n_pes", J.Int s.n_pes);
+        ("violations", J.Int s.n_violations);
+      ]
+    @
+    if s.violations = [] then []
+    else [ ("first", J.List (List.map violation s.violations)) ])
 
 (* ------------------------------------------------------------------ *)
 (* Seeded-defect transforms.

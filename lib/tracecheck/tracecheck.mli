@@ -68,7 +68,7 @@ val ok : summary -> bool
 
 val pp_summary : Format.formatter -> summary -> unit
 
-val json_of_summary : ?label:string -> summary -> string
+val json_of_summary : ?label:string -> summary -> Obs.Json.t
 (** One JSON object: counts plus the retained violations. *)
 
 (** {1 Seeded-defect transforms}

@@ -172,29 +172,25 @@ let pp fmt t =
   if other > 0 then
     Format.fprintf fmt "%-22s %8s %10s %10d@." "(scheduler)" "-" "-" other
 
-let to_json buf t =
-  Buffer.add_string buf "[";
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"predicate\": %S, \"calls\": %d, \"instrs\": %d, \
-            \"cp_created\": %d, \"cp_elided\": %d, \
-            \"trail_elided\": %d, \"deref_skipped\": %d, \"refs\": {"
-           (spec t c) c.calls c.instrs c.cp_created c.cp_elided
-           c.trail_elided c.deref_skipped);
-      let first = ref true in
-      List.iter
-        (fun a ->
-          let n = c.refs.(Trace.Area.to_int a) in
-          if n > 0 then begin
-            if not !first then Buffer.add_string buf ", ";
-            first := false;
-            Buffer.add_string buf
-              (Printf.sprintf "%S: %d" (Trace.Area.name a) n)
-          end)
-        Trace.Area.all;
-      Buffer.add_string buf "}}")
-    (ranked t);
-  Buffer.add_string buf "]"
+let to_json t =
+  let module J = Obs.Json in
+  let row c =
+    J.Obj
+      [
+        ("predicate", J.String (spec t c));
+        ("calls", J.Int c.calls);
+        ("instrs", J.Int c.instrs);
+        ("cp_created", J.Int c.cp_created);
+        ("cp_elided", J.Int c.cp_elided);
+        ("trail_elided", J.Int c.trail_elided);
+        ("deref_skipped", J.Int c.deref_skipped);
+        ( "refs",
+          J.Obj
+            (List.filter_map
+               (fun a ->
+                 let n = c.refs.(Trace.Area.to_int a) in
+                 if n > 0 then Some (Trace.Area.name a, J.Int n) else None)
+               Trace.Area.all) );
+      ]
+  in
+  J.List (List.map row (ranked t))

@@ -43,4 +43,5 @@ val ranked : t -> counters list
     deterministic order. *)
 
 val pp : Format.formatter -> t -> unit
-val to_json : Buffer.t -> t -> unit
+val to_json : t -> Obs.Json.t
+(** {!ranked}, one object per predicate. *)

@@ -197,6 +197,38 @@ let test_certify_exit_status () =
   Alcotest.(check bool) "names the path" true
     (contains out "/nonexistent-dir/certify.json")
 
+(* JSON artifacts stay strictly parseable whatever bytes a name holds.
+   A UTF-8 predicate name or label reads back unchanged; a lone 0xE9
+   byte (a Latin-1 source) reads back as U+00E9. *)
+let profiled_names atom =
+  let src = Filename.temp_file "parity_names" ".pl" in
+  let json = Filename.temp_file "parity_names" ".json" in
+  Fun.protect ~finally:(fun () -> List.iter Sys.remove [ src; json ])
+  @@ fun () ->
+  Out_channel.with_open_bin src (fun oc ->
+      Printf.fprintf oc "%s(1).\nmain(X) :- %s(X).\n" atom atom);
+  ignore
+    (run_capture
+       (Printf.sprintf "%s --pes 4 --profile --json %s --query 'main(X)' %s"
+          rapwam_run_exe (Filename.quote json) (Filename.quote src)));
+  match Json_reader.(member "profile" (of_file json)) with
+  | Obs.Json.List rows -> List.map (Json_reader.member "predicate") rows
+  | _ -> Alcotest.fail "profile is not an array"
+
+let test_json_names () =
+  let cafe = Obs.Json.String "caf\xc3\xa9/1" in
+  Alcotest.(check bool) "UTF-8 predicate name reads back" true
+    (List.mem cafe (profiled_names "'caf\xc3\xa9'"));
+  Alcotest.(check bool) "lone 0xE9 byte reads back as U+00E9" true
+    (List.mem cafe (profiled_names "'caf\xe9'"));
+  let label = "/tmp/caf\xc3\xa9.trace" in
+  let summary =
+    Tracecheck.check_buffer (Benchlib.Runner.run_wam (small "deriv")).trace
+  in
+  let printed = Obs.Json.to_string (Tracecheck.json_of_summary ~label summary) in
+  Alcotest.(check bool) "tracecheck label reads back" true
+    (Json_reader.(member "label" (of_string printed)) = Obs.Json.String label)
+
 let suite =
   [
     Alcotest.test_case "repl/rapwam_run agree on deriv" `Quick
@@ -207,4 +239,6 @@ let suite =
       test_serve_rejects_duplicate_faults;
     Alcotest.test_case "certify exit-status contract" `Quick
       test_certify_exit_status;
+    Alcotest.test_case "non-ASCII names give strict JSON" `Quick
+      test_json_names;
   ]

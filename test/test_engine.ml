@@ -158,8 +158,8 @@ let test_sweep_jobs_deterministic () =
     (List.length o1.Engine.Sweep.cells);
   Alcotest.(check string)
     "JSON byte-identical across --jobs"
-    (Engine.Results.to_json o1.Engine.Sweep.cells)
-    (Engine.Results.to_json o4.Engine.Sweep.cells);
+    (Obs.Json.to_string (Engine.Results.to_json o1.Engine.Sweep.cells))
+    (Obs.Json.to_string (Engine.Results.to_json o4.Engine.Sweep.cells));
   Alcotest.(check string)
     "CSV byte-identical across --jobs"
     (Engine.Results.to_csv o1.Engine.Sweep.cells)

@@ -24,6 +24,7 @@ let () =
       ("detan", Test_detan.suite);
       ("bindan", Test_bindan.suite);
       ("certify", Test_certify.suite);
+      ("obs", Test_obs.suite);
       ("cli-parity", Test_cli_parity.suite);
       ("properties", Test_properties.suite);
       ("trace-pin", Test_trace_pin.suite);

@@ -379,7 +379,7 @@ let tiny_grid () =
   }
 
 let cells_json (o : Engine.Sweep.outcome) =
-  Engine.Results.to_json o.Engine.Sweep.cells
+  Obs.Json.to_string (Engine.Results.to_json o.Engine.Sweep.cells)
 
 let test_sweep_crash_then_resume_identical () =
   let grid = tiny_grid () in

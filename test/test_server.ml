@@ -169,7 +169,7 @@ let test_harness_invariants () =
   Alcotest.(check int) "all requests served in each phase" 60
     o.Server.Harness.o_off.Server.Harness.ph_requests;
   (* the report serializes without raising, with greppable invariants *)
-  let json = Server.Report.to_json_string o in
+  let json = Obs.Json.to_string (Server.Report.to_json o) in
   let contains needle =
     let nh = String.length json and nn = String.length needle in
     let rec go i = i + nn <= nh && (String.sub json i nn = needle || go (i + 1)) in
@@ -549,7 +549,7 @@ let test_run_chaos_smoke () =
   Alcotest.(check bool) "answers equal" true
     (Server.Harness.chaos_answers_ok c);
   (* the chaos report serializes with greppable gates *)
-  let json = Server.Report.chaos_to_json_string c in
+  let json = Obs.Json.to_string (Server.Report.chaos_to_json c) in
   List.iter
     (fun needle ->
       Alcotest.(check bool)
