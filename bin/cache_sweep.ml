@@ -385,7 +385,7 @@ let faults_arg =
     & info [ "faults" ] ~docv:"SPEC"
         ~doc:
           "Inject deterministic faults: $(b,seed:N) for a seeded plan, or \
-           comma-separated $(b,SITE:KIND\\@N) items (sites: trace-write, \
+           comma-separated $(b,SITE:KIND@N) items (sites: trace-write, \
            block-flush, cell-start, sim-step, journal-append; kinds: \
            truncate, bit-flip, eio, stall, crash), optionally with \
            $(b,stall-s:SECONDS).")

@@ -256,8 +256,10 @@ let pos_int_arg ~flag s =
     Printf.eprintf "repl: %s: expected a positive count, got %S\n" flag s;
     exit 2
 
+let usage_line = "usage: repl [--pes N] [--time] [file.pl ...]"
+
 let usage () =
-  prerr_endline "usage: repl [--pes N] [--time] [file.pl ...]";
+  prerr_endline usage_line;
   exit 2
 
 let () =
@@ -274,6 +276,9 @@ let () =
   (* flags, then files to consult at startup *)
   let rec parse_args = function
     | [] -> []
+    | arg :: _ when arg = "--help" || String.starts_with ~prefix:"--help=" arg ->
+      print_endline usage_line;
+      exit 0
     | "--time" :: rest ->
       st.time <- true;
       parse_args rest

@@ -226,7 +226,7 @@ let faults_arg =
     & info [ "faults" ] ~docv:"SPEC"
         ~doc:
           "Inject deterministic faults into the cold phase \
-           ($(b,SITE:KIND\\@N) items or $(b,seed:N); admission passes \
+           ($(b,SITE:KIND@N) items or $(b,seed:N); admission passes \
            cell-start, execution passes sim-step).  The supervisor \
            contains a planned crash to its request unless \
            $(b,--lethal-crash) is set.")

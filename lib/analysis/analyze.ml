@@ -14,4 +14,4 @@ let database ?entries ?modes ?widen_after db =
   in
   Summary.make ~patterns:outcome.Fixpoint.patterns ~stats ~sccs
 
-let entry_of_string ?ops s = Prolog.Parser.term_of_string ?ops s
+let entry_of_string s = Prolog.Parser.term_of_string s

@@ -26,5 +26,5 @@ val database :
   Prolog.Database.t ->
   Summary.t
 
-val entry_of_string : ?ops:Prolog.Ops.t -> string -> Prolog.Term.t
+val entry_of_string : string -> Prolog.Term.t
 (** Parse a query/entry goal (conjunctions allowed). *)

@@ -1,6 +1,6 @@
 (* Canonical forms for table keys and answers: rename variables to
    _G0, _G1, ... in first-occurrence order and print.  The printer
-   round-trips under the default operator table, so textual equality
+   round-trips under the fixed operator table, so textual equality
    is variant equality. *)
 
 open Prolog
@@ -30,29 +30,29 @@ let rec rename_with rn (t : Term.t) : Term.t =
 
 let rename_canonical t = rename_with (renamer ()) t
 
-let key_of_term ?ops t =
+let key_of_term t =
   let spec =
     match Term.functor_of t with
     | Some (name, arity) -> Printf.sprintf "%s/%d" name arity
     | None -> "?/0"
   in
   let canon = rename_canonical t in
-  { spec; text = Pretty.to_string ?ops canon; words = Term.size t }
+  { spec; text = Pretty.to_string canon; words = Term.size t }
 
-let key_of_query ?ops q =
-  match Parser.term_of_string ?ops q with
-  | t -> Ok (key_of_term ?ops t)
+let key_of_query q =
+  match Parser.term_of_string q with
+  | t -> Ok (key_of_term t)
   | exception Parser.Error (msg, pos) ->
     Error (Printf.sprintf "syntax error at %d: %s" pos msg)
 
-let answer_text ?ops (a : answer) =
+let answer_text (a : answer) =
   let a = List.sort (fun (x, _) (y, _) -> compare x y) a in
   (* one renamer across all bindings: sharing between them survives *)
   let rn = renamer () in
   String.concat ", "
     (List.map
        (fun (v, t) ->
-         Printf.sprintf "%s = %s" v (Pretty.to_string ?ops (rename_with rn t)))
+         Printf.sprintf "%s = %s" v (Pretty.to_string (rename_with rn t)))
        a)
 
 let answer_words (a : answer) =

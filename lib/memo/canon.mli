@@ -15,19 +15,19 @@ type key = private {
   words : int;  (** size of the call term, for capacity accounting *)
 }
 
-val key_of_term : ?ops:Prolog.Ops.t -> Prolog.Term.t -> key
+val key_of_term : Prolog.Term.t -> key
 (** Canonicalize a call term.  Atoms and structures key by functor;
     an integer or variable call keys under the pseudo-spec ["?/0"]
     (the machine would reject it, but the table stays total). *)
 
-val key_of_query : ?ops:Prolog.Ops.t -> string -> (key, string) result
+val key_of_query : string -> (key, string) result
 (** Parse one query term and canonicalize it; [Error msg] on syntax
     errors. *)
 
 type answer = (string * Prolog.Term.t) list
 (** One solution: bindings of the query's variables. *)
 
-val answer_text : ?ops:Prolog.Ops.t -> answer -> string
+val answer_text : answer -> string
 (** Canonical text of one answer: bindings sorted by variable name,
     residual variables renamed consistently {e across} the whole
     answer (shared variables stay visibly shared). *)

@@ -23,7 +23,7 @@ exception Snapshot_error of string
 
 let header_len = String.length magic + 8
 
-let payload ?ops key_text (answers : Canon.answer list) =
+let payload key_text (answers : Canon.answer list) =
   let b = Buffer.create 128 in
   Buffer.add_string b "K ";
   Buffer.add_string b key_text;
@@ -35,7 +35,7 @@ let payload ?ops key_text (answers : Canon.answer list) =
           Buffer.add_string b "\nB ";
           Buffer.add_string b v;
           Buffer.add_string b " = ";
-          Buffer.add_string b (Prolog.Pretty.to_string ?ops t))
+          Buffer.add_string b (Prolog.Pretty.to_string t))
         answer)
     answers;
   Buffer.contents b
@@ -43,14 +43,14 @@ let payload ?ops key_text (answers : Canon.answer list) =
 (* One entry back from its payload.  Any damage — unparsable key or
    term, stray line — rejects the whole entry; restore counts it
    skipped and the server recomputes it on demand. *)
-let entry_of_payload ?ops payload =
+let entry_of_payload payload =
   let exception Reject of string in
   try
     match String.split_on_char '\n' payload with
     | first :: rest when String.length first >= 2 && String.sub first 0 2 = "K "
       -> (
       let key_text = String.sub first 2 (String.length first - 2) in
-      match Canon.key_of_query ?ops key_text with
+      match Canon.key_of_query key_text with
       | Error e -> Error (Printf.sprintf "bad key %S: %s" key_text e)
       | Ok key ->
         let binding line =
@@ -63,7 +63,7 @@ let entry_of_payload ?ops payload =
                  && s.[i + 1] = '=' && s.[i + 2] = ' ' ->
             let v = String.sub s 0 i in
             let text = String.sub s (i + 3) (String.length s - i - 3) in
-            (v, Prolog.Parser.term_of_string ?ops text)
+            (v, Prolog.Parser.term_of_string text)
           | _ -> raise (Reject (Printf.sprintf "bad binding line %S" line))
         in
         let answers =
@@ -84,7 +84,7 @@ let entry_of_payload ?ops payload =
   | Reject e -> Error e
   | Prolog.Parser.Error (e, _) -> Error ("bad term: " ^ e)
 
-let save ?ops ?plan table path =
+let save ?plan table path =
   let entries =
     Table.fold table (fun k answers acc -> (k, answers) :: acc) []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
@@ -96,7 +96,7 @@ let save ?ops ?plan table path =
   Buffer.add_bytes b b8;
   List.iter
     (fun (k, answers) ->
-      Buffer.add_string b (Resilience.Journal.frame (payload ?ops k answers)))
+      Buffer.add_string b (Resilience.Journal.frame (payload k answers)))
     entries;
   let bytes = Buffer.contents b in
   let bytes =
@@ -129,7 +129,7 @@ let save ?ops ?plan table path =
 
 type restore_stats = { entries : int; skipped : int; torn : bool }
 
-let restore ?ops table path =
+let restore table path =
   let s = In_channel.with_open_bin path In_channel.input_all in
   if String.length s < header_len
      || String.sub s 0 (String.length magic) <> magic
@@ -143,7 +143,7 @@ let restore ?ops table path =
   let entries = ref 0 and skipped = ref r.Resilience.Journal.skipped_frames in
   List.iter
     (fun payload ->
-      match entry_of_payload ?ops payload with
+      match entry_of_payload payload with
       | Ok (key, answers) ->
         ignore (Table.insert table key answers);
         incr entries

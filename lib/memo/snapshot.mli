@@ -13,8 +13,7 @@ val version : int
 
 exception Snapshot_error of string
 
-val save :
-  ?ops:Prolog.Ops.t -> ?plan:Resilience.Fault.plan -> Table.t -> string -> int
+val save : ?plan:Resilience.Fault.plan -> Table.t -> string -> int
 (** [save table path] writes the snapshot and returns the number of
     entries written.  [plan] arms the ["snapshot-write"] fault site:
     [Truncate] tears the image in half, [Bit_flip] corrupts one frame,
@@ -28,7 +27,7 @@ type restore_stats = {
   torn : bool;  (** the image ended mid-frame *)
 }
 
-val restore : ?ops:Prolog.Ops.t -> Table.t -> string -> restore_stats
+val restore : Table.t -> string -> restore_stats
 (** Merge a snapshot's surviving entries into [table] (via
     variant-checking {!Table.insert}, so restoring over a live table
     is safe).

@@ -637,9 +637,9 @@ let pp_clause fmt (clause : Database.clause) =
       fmt body
   in
   match clause.Database.body with
-  | [] -> Format.fprintf fmt "%a." (Pretty.pp ?ops:None) clause.Database.head
+  | [] -> Format.fprintf fmt "%a." Pretty.pp clause.Database.head
   | body ->
-    Format.fprintf fmt "@[<hv 4>%a :-@ %a.@]" (Pretty.pp ?ops:None)
+    Format.fprintf fmt "@[<hv 4>%a :-@ %a.@]" Pretty.pp
       clause.Database.head pp_body body
 
 let pp_database fmt db =

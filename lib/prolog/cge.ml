@@ -71,12 +71,12 @@ let item_vars = function
     List.concat_map Term.vars terms
 
 let pp_check fmt = function
-  | Ground x -> Format.fprintf fmt "ground(%a)" (Pretty.pp ?ops:None) x
+  | Ground x -> Format.fprintf fmt "ground(%a)" Pretty.pp x
   | Indep (x, y) ->
-    Format.fprintf fmt "indep(%a,%a)" (Pretty.pp ?ops:None) x
-      (Pretty.pp ?ops:None) y
+    Format.fprintf fmt "indep(%a,%a)" Pretty.pp x
+      Pretty.pp y
   | Size_ge (x, k) ->
-    Format.fprintf fmt "size_ge(%a,%d)" (Pretty.pp ?ops:None) x k
+    Format.fprintf fmt "size_ge(%a,%d)" Pretty.pp x k
 
 let pp_item fmt = function
   | Lit g -> Pretty.pp fmt g
@@ -88,5 +88,5 @@ let pp_item fmt = function
       checks
       (Format.pp_print_list
          ~pp_sep:(fun fmt () -> Format.pp_print_string fmt " & ")
-         (Pretty.pp ?ops:None))
+         Pretty.pp)
       arms

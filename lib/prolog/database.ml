@@ -26,6 +26,11 @@ exception Load_error of string
 let create () =
   { preds = Hashtbl.create 64; order = []; aux_count = 0; directives = [] }
 
+let copy db =
+  let preds = Hashtbl.copy db.preds in
+  Hashtbl.filter_map_inplace (fun _ cell -> Some (ref !cell)) preds;
+  { db with preds }
+
 let key_of_head = function
   | Term.Atom name -> (name, 0)
   | Term.Struct (name, args) -> (name, List.length args)
@@ -140,12 +145,12 @@ let assert_term db t =
   | Term.Int _ | Term.Var _ ->
     raise (Load_error "a clause must be an atom, structure or ':-'/2")
 
-let load_string ?ops db src =
-  List.iter (assert_term db) (Parser.clauses_of_string ?ops src)
+let load_string db src =
+  List.iter (assert_term db) (Parser.clauses_of_string src)
 
-let of_string ?ops src =
+let of_string src =
   let db = create () in
-  load_string ?ops db src;
+  load_string db src;
   db
 
 (* Strip every CGE: each Par item becomes its arms in textual order.

@@ -19,13 +19,18 @@ exception Load_error of string
 
 val create : unit -> t
 
+val copy : t -> t
+(** An independent database with the same clauses, predicate order,
+    auxiliary-name counter and directives: asserting into the copy
+    leaves the original unchanged. *)
+
 val assert_term : t -> Term.t -> unit
 (** Add one parsed clause or directive ([:- D] / [?- D]). *)
 
-val load_string : ?ops:Ops.t -> t -> string -> unit
+val load_string : t -> string -> unit
 (** Parse and assert every clause in the source text. *)
 
-val of_string : ?ops:Ops.t -> string -> t
+val of_string : string -> t
 (** [create] + [load_string]. *)
 
 val add_clause : t -> clause -> unit

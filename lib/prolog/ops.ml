@@ -3,62 +3,36 @@
    Standard Prolog operators plus the &-Prolog extensions used by
    RAP-WAM sources: '&' (parallel conjunction, binding tighter than ','
    as in &-Prolog/Ciao) and '|' / '=>' for conditional graph
-   expressions. *)
+   expressions.  The table is fixed, so each lookup is one match on the
+   name and its results are static constants. *)
 
 type assoc = Xfx | Xfy | Yfx
 type pre_assoc = Fy | Fx
 
-type t = {
-  infix : (string, int * assoc) Hashtbl.t;
-  prefix : (string, int * pre_assoc) Hashtbl.t;
-}
-
-let add_infix t name prio assoc = Hashtbl.replace t.infix name (prio, assoc)
-let add_prefix t name prio assoc = Hashtbl.replace t.prefix name (prio, assoc)
-
-let default () =
-  let t = { infix = Hashtbl.create 64; prefix = Hashtbl.create 16 } in
-  add_infix t ":-" 1200 Xfx;
-  add_infix t "-->" 1200 Xfx;
-  add_prefix t ":-" 1200 Fx;
-  add_prefix t "?-" 1200 Fx;
-  (* declaration heads, as in ISO's dynamic/discontiguous *)
-  add_prefix t "mode" 1150 Fx;
-  add_infix t ";" 1100 Xfy;
-  add_infix t "|" 1100 Xfy;
-  add_infix t "->" 1050 Xfy;
-  add_infix t "=>" 1050 Xfy;
-  add_infix t "," 1000 Xfy;
+let lookup_infix = function
+  | ":-" | "-->" -> Some (1200, Xfx)
+  | ";" | "|" -> Some (1100, Xfy)
+  | "->" | "=>" -> Some (1050, Xfy)
+  | "," -> Some (1000, Xfy)
   (* Parallel conjunction: tighter than ',' so `a, b & c` groups as
      `a, (b & c)` (the &-Prolog convention). *)
-  add_infix t "&" 974 Xfy;
-  List.iter
-    (fun name -> add_infix t name 700 Xfx)
-    [
-      "="; "\\="; "=="; "\\=="; "is"; "=:="; "=\\="; "<"; ">"; "=<"; ">=";
-      "@<"; "@>"; "@=<"; "@>="; "=..";
-    ];
-  add_infix t "+" 500 Yfx;
-  add_infix t "-" 500 Yfx;
-  add_infix t "/\\" 500 Yfx;
-  add_infix t "\\/" 500 Yfx;
-  add_infix t "*" 400 Yfx;
-  add_infix t "/" 400 Yfx;
-  add_infix t "//" 400 Yfx;
-  add_infix t "mod" 400 Yfx;
-  add_infix t "rem" 400 Yfx;
-  add_infix t ">>" 400 Yfx;
-  add_infix t "<<" 400 Yfx;
-  add_infix t "**" 200 Xfx;
-  add_infix t "^" 200 Xfy;
-  add_prefix t "-" 200 Fy;
-  add_prefix t "+" 200 Fy;
-  add_prefix t "\\+" 900 Fy;
-  add_prefix t "\\" 200 Fy;
-  t
+  | "&" -> Some (974, Xfy)
+  | "=" | "\\=" | "==" | "\\==" | "is" | "=:=" | "=\\=" | "<" | ">" | "=<"
+  | ">=" | "@<" | "@>" | "@=<" | "@>=" | "=.." ->
+    Some (700, Xfx)
+  | "+" | "-" | "/\\" | "\\/" -> Some (500, Yfx)
+  | "*" | "/" | "//" | "mod" | "rem" | ">>" | "<<" -> Some (400, Yfx)
+  | "**" -> Some (200, Xfx)
+  | "^" -> Some (200, Xfy)
+  | _ -> None
 
-let lookup_infix t name = Hashtbl.find_opt t.infix name
-let lookup_prefix t name = Hashtbl.find_opt t.prefix name
+let lookup_prefix = function
+  | ":-" | "?-" -> Some (1200, Fx)
+  (* declaration heads, as in ISO's dynamic/discontiguous *)
+  | "mode" -> Some (1150, Fx)
+  | "\\+" -> Some (900, Fy)
+  | "-" | "+" | "\\" -> Some (200, Fy)
+  | _ -> None
 
 (* Argument priority on each side of an infix operator. *)
 let arg_prios prio assoc =

@@ -11,7 +11,6 @@ exception Error of string * int
 
 type state = {
   lx : Lexer.t;
-  ops : Ops.t;
   mutable fresh : int;
 }
 
@@ -43,12 +42,12 @@ and parse_infix st max_prio left left_prio =
   in
   match Lexer.peek st.lx with
   | Lexer.Atom name -> begin
-    match Ops.lookup_infix st.ops name with
+    match Ops.lookup_infix name with
     | Some (prio, assoc) -> continue_with name prio assoc
     | None -> left
   end
   | Lexer.Punct ("," as name) | Lexer.Punct ("|" as name) -> begin
-    match Ops.lookup_infix st.ops name with
+    match Ops.lookup_infix name with
     | Some (prio, assoc) -> continue_with name prio assoc
     | None -> left
   end
@@ -86,7 +85,7 @@ and parse_primary st max_prio =
 
 and parse_atom_or_prefix st max_prio name =
   let next_tok = Lexer.peek st.lx in
-  match Ops.lookup_prefix st.ops name with
+  match Ops.lookup_prefix name with
   | Some (prio, assoc) when prio <= max_prio && starts_term next_tok ->
     (* '-' or '+' immediately before an integer literal is a sign. *)
     if (name = "-" || name = "+") && is_int_token next_tok then begin
@@ -164,8 +163,8 @@ and expect st punct =
 
 (* ------------------------------------------------------------------ *)
 
-let term_of_string ?(ops = Ops.default ()) src =
-  let st = { lx = Lexer.make src; ops; fresh = 0 } in
+let term_of_string src =
+  let st = { lx = Lexer.make src; fresh = 0 } in
   let t = parse st 1200 in
   match Lexer.peek st.lx with
   | Lexer.Eof | Lexer.Punct "." -> t
@@ -174,8 +173,8 @@ let term_of_string ?(ops = Ops.default ()) src =
     fail st "trailing tokens after term"
 
 (* Read every '.'-terminated clause in [src]. *)
-let clauses_of_string ?(ops = Ops.default ()) src =
-  let st = { lx = Lexer.make src; ops; fresh = 0 } in
+let clauses_of_string src =
+  let st = { lx = Lexer.make src; fresh = 0 } in
   let rec go acc =
     match Lexer.peek st.lx with
     | Lexer.Eof -> List.rev acc

@@ -26,7 +26,7 @@ let config ?(pes = 1) ?(workers = Engine.Pool.default_jobs ())
 type t = {
   cfg : config;
   an : Costan.Analyze.t;
-  db : Prolog.Database.t;  (* parsed once; read-only after analysis *)
+  image : Wam.Program.image;  (* compiled once; shared read-only *)
   served : int Atomic.t;
   hits_ : int Atomic.t;
   inline_ : int Atomic.t;
@@ -41,10 +41,11 @@ type t = {
 
 let create cfg =
   let db = Prolog.Database.of_string cfg.src in
+  let an = Costan.Analyze.analyze db in
   {
     cfg;
-    an = Costan.Analyze.analyze db;
-    db;
+    an;
+    image = Wam.Program.image ~parallel:(cfg.pes > 1) db;
     served = Atomic.make 0;
     hits_ = Atomic.make 0;
     inline_ = Atomic.make 0;
@@ -75,24 +76,23 @@ type response = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Execution: one query straight through the chosen engine.  Compiles
-   fresh every time (the machines are single-shot), so this is safe on
-   any domain. *)
+(* Execution: one query straight through the chosen engine.  The query
+   is compiled onto the server's database image, which it only reads,
+   and runs on a fresh single-shot machine, so this is safe on any
+   domain. *)
 
 exception Run_error of string
 
 let run_answers t query =
+  let prog = Wam.Program.with_query t.image ~query in
   if t.cfg.pes <= 1 then begin
     let solutions, m =
-      Wam.Seq.solve_all ~max_solutions:t.cfg.max_solutions ~src:t.cfg.src
-        ~query ()
+      Wam.Seq.run_all ~max_solutions:t.cfg.max_solutions prog
     in
     (solutions, m.Wam.Machine.inferences)
   end
   else begin
-    let result, sim =
-      Rapwam.Sim.solve ~n_workers:t.cfg.pes ~src:t.cfg.src ~query ()
-    in
+    let result, sim = Rapwam.Sim.run ~n_workers:t.cfg.pes prog in
     match result with
     | Wam.Seq.Success bindings ->
       ([ bindings ], sim.Rapwam.Sim.m.Wam.Machine.inferences)

@@ -14,9 +14,12 @@
        [max_queue] (queue-depth backpressure: a deeper backlog waits
        for the current wave to drain).}}
 
-    Every execution parses and compiles the database fresh (the
-    machines are single-shot), so worker domains share nothing but the
-    memo table — which is what its sharded locks are for.  Computed
+    The database is parsed and compiled once, into a
+    {!Wam.Program.image}; every execution compiles only its query onto
+    copies of the image and runs it on a fresh single-shot machine.
+    Worker domains share the image read-only, so the only shared
+    mutable state is the memo table — which is what its sharded locks
+    are for.  Computed
     answer sets are inserted back into the table from whichever domain
     finished first; variant-checking dedupes the race.
 
@@ -50,9 +53,11 @@ val config :
 type t
 
 val create : config -> t
-(** Parses the database and runs the cost analysis once.
-    @raise Prolog.Parser.Error or {!Prolog.Database.Load_error} on a
-    bad source. *)
+(** Parses the database, runs the cost analysis and compiles the
+    database image once (sequential for [pes = 1], parallel
+    otherwise).
+    @raise Prolog.Parser.Error, {!Prolog.Database.Load_error} or
+    {!Wam.Compile.Error} on a bad source. *)
 
 val config_of : t -> config
 

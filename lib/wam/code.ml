@@ -17,6 +17,13 @@ let create () =
     blocks = Vec.create ~dummy:(0, 0);
   }
 
+let copy t =
+  {
+    instrs = Vec.copy t.instrs;
+    entries = Hashtbl.copy t.entries;
+    blocks = Vec.copy t.blocks;
+  }
+
 let here t = Vec.length t.instrs
 
 let emit t i =

@@ -8,6 +8,10 @@ type t
 
 val create : unit -> t
 
+val copy : t -> t
+(** An independent code area with the same instructions and entries;
+    emitting into the copy leaves the original unchanged. *)
+
 val here : t -> int
 (** Address of the next instruction to be emitted. *)
 

@@ -345,30 +345,20 @@ let put_args ctx seen ?(uninit = no_uninit) ~last args =
 (* ------------------------------------------------------------------ *)
 (* Clause compilation.                                                *)
 
-type pred_entry_alloc = {
-  mutable synth_count : int; (* synthetic predicates for builtin arms *)
-  mutable pending : (int * Builtin.t * int) list; (* fid, builtin, arity *)
-}
+(* The builtin arms met so far and the arms whose predicates are still
+   to be emitted (fid, builtin, arity; newest first).  Immutable, so a
+   database image can carry it to every query compiled on top of it;
+   compilation threads it through a ref. *)
+type arms = { arm_count : int; arm_pending : (int * Builtin.t * int) list }
 
 (* A builtin appearing as a parallel arm needs a real code entry for
-   its goal frame; the one-instruction predicate is emitted after the
-   current clause (entries resolve at run time). *)
+   its goal frame; the one-instruction predicate is emitted after every
+   other predicate (entries resolve at run time). *)
 let synth_builtin_pred ctx alloc b arity =
-  alloc.synth_count <- alloc.synth_count + 1;
-  let name = Printf.sprintf "$builtin_arm_%d" alloc.synth_count in
-  let fid = Symbols.functor_ ctx.symbols name arity in
-  alloc.pending <- (fid, b, arity) :: alloc.pending;
+  let n = !alloc.arm_count + 1 in
+  let fid = Symbols.functor_ ctx.symbols (Printf.sprintf "$builtin_arm_%d" n) arity in
+  alloc := { arm_count = n; arm_pending = (fid, b, arity) :: !alloc.arm_pending };
   fid
-
-let flush_synth code alloc =
-  List.iter
-    (fun (fid, b, arity) ->
-      let addr = Code.here code in
-      ignore (Code.emit code (Instr.Builtin (b, arity, false)));
-      ignore (Code.emit code Instr.Proceed);
-      Code.set_entry code fid addr)
-    (List.rev alloc.pending);
-  alloc.pending <- []
 
 (* Count of body items that transfer control to user code. *)
 let body_needs_env items ~has_deep_cut ~n_perm db =
@@ -1004,13 +994,32 @@ let compile_predicate ~parallel ?det ?bind ?chains symbols code db alloc key =
 let halt_addr = 0
 let goal_done_addr = 1
 
-let compile_db ?(parallel = true) ?det ?bind ?chains symbols db =
+let start () =
   let code = Code.create () in
   assert (Code.emit code Instr.Halt_ok = halt_addr);
   assert (Code.emit code Instr.Goal_done = goal_done_addr);
-  let alloc = { synth_count = 0; pending = [] } in
+  (code, { arm_count = 0; arm_pending = [] })
+
+let compile_predicates ?(parallel = true) ?det ?bind ?chains symbols code arms
+    db keys =
+  let alloc = ref arms in
   List.iter
     (fun key -> compile_predicate ~parallel ?det ?bind ?chains symbols code db alloc key)
-    (Prolog.Database.predicates db);
-  flush_synth code alloc;
+    keys;
+  !alloc
+
+let finish code arms =
+  List.iter
+    (fun (fid, b, arity) ->
+      let addr = Code.here code in
+      ignore (Code.emit code (Instr.Builtin (b, arity, false)));
+      ignore (Code.emit code Instr.Proceed);
+      Code.set_entry code fid addr)
+    (List.rev arms.arm_pending)
+
+let compile_db ?parallel ?det ?bind ?chains symbols db =
+  let code, arms = start () in
+  finish code
+    (compile_predicates ?parallel ?det ?bind ?chains symbols code arms db
+       (Prolog.Database.predicates db));
   code

@@ -103,6 +103,37 @@ type chain_info = {
 (** One emitted multi-alternative chain, logged for elision statistics
     and for the trace-replay soundness oracle. *)
 
+(** {1 Incremental compilation}
+
+    A database image compiles its predicates once; each query is then
+    compiled onto a copy of the image's code area.  The one-instruction
+    predicates of builtin parallel arms are emitted after every other
+    predicate, query included, exactly as {!compile_db} emits them. *)
+
+type arms
+(** The builtin arms met so far whose predicates are not yet emitted. *)
+
+val start : unit -> Code.t * arms
+(** A code area holding only the two return points, and no arms. *)
+
+val compile_predicates :
+  ?parallel:bool ->
+  ?det:det_plan ->
+  ?bind:bind_plan ->
+  ?chains:chain_info list ref ->
+  Symbols.t ->
+  Code.t ->
+  arms ->
+  Prolog.Database.t ->
+  (string * int) list ->
+  arms
+(** Compile the listed predicates of the database onto the end of the
+    code area, in list order; the arms they meet join the pending ones.
+    The options are those of {!compile_db}. *)
+
+val finish : Code.t -> arms -> unit
+(** Emit the pending arms' predicates. *)
+
 val compile_db :
   ?parallel:bool ->
   ?det:det_plan ->
@@ -111,8 +142,10 @@ val compile_db :
   Symbols.t ->
   Prolog.Database.t ->
   Code.t
-(** Compile every predicate.  [parallel = false] flattens CGEs into
-    plain conjunctions (the sequential WAM baseline).  [det] enables
+(** Compile every predicate: {!start}, {!compile_predicates} over
+    {!Prolog.Database.predicates}, {!finish}.  [parallel = false]
+    flattens CGEs into plain conjunctions (the sequential WAM
+    baseline).  [det] enables
     determinacy-driven choice-point elision; [bind] enables
     binding-certified instruction specialization; [chains] accumulates
     a log of every emitted try chain (in reverse emission order). *)

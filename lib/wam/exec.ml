@@ -537,38 +537,54 @@ let rec eval_arith m w cell =
 (* ------------------------------------------------------------------ *)
 (* Answer decoding (untraced; used by write/1 and the drivers).       *)
 
-let rec decode m w cell =
-  let cell =
-    (* untraced deref *)
-    let rec go c =
-      if Cell.is_ref c then begin
-        let v = Memory.peek m.mem (Cell.payload c) in
-        if v = c then c else go v
-      end
-      else c
+(* Decode a heap term.  [path] holds the structure and list cells on
+   the walk from the root: re-entering one means the term is cyclic
+   (a binding made without occurs check), which has no finite answer. *)
+let decode m _w cell =
+  let path = Hashtbl.create 16 in
+  let rec decode cell =
+    let cell =
+      (* untraced deref *)
+      let rec go c =
+        if Cell.is_ref c then begin
+          let v = Memory.peek m.mem (Cell.payload c) in
+          if v = c then c else go v
+        end
+        else c
+      in
+      go cell
     in
-    go cell
+    let enter a args =
+      if Hashtbl.mem path a then runtime_error "decode: cyclic term";
+      Hashtbl.add path a ();
+      let t = args () in
+      Hashtbl.remove path a;
+      t
+    in
+    match Cell.view cell with
+    | Cell.Ref a -> Prolog.Term.Var (Printf.sprintf "_%d" a)
+    | Cell.Num n -> Prolog.Term.Int n
+    | Cell.Con c -> Prolog.Term.Atom (Symbols.atom_name m.symbols c)
+    | Cell.Lis a ->
+      enter a (fun () ->
+          Prolog.Term.Struct
+            ( ".",
+              [ decode (Memory.peek m.mem a); decode (Memory.peek m.mem (a + 1)) ] ))
+    | Cell.Str a -> begin
+      match Cell.view (Memory.peek m.mem a) with
+      | Cell.Fun fid ->
+        let name = Symbols.functor_name m.symbols fid in
+        let arity = Symbols.functor_arity m.symbols fid in
+        enter a (fun () ->
+            Prolog.Term.Struct
+              (name, List.init arity (fun i -> decode (Memory.peek m.mem (a + 1 + i)))))
+      | Cell.Ref _ | Cell.Str _ | Cell.Lis _ | Cell.Con _ | Cell.Num _
+      | Cell.Raw _ ->
+        runtime_error "decode: corrupt structure"
+    end
+    | Cell.Fun _ | Cell.Raw _ -> runtime_error "decode: raw cell"
   in
-  match Cell.view cell with
-  | Cell.Ref a -> Prolog.Term.Var (Printf.sprintf "_%d" a)
-  | Cell.Num n -> Prolog.Term.Int n
-  | Cell.Con c -> Prolog.Term.Atom (Symbols.atom_name m.symbols c)
-  | Cell.Lis a ->
-    Prolog.Term.Struct
-      ( ".",
-        [ decode m w (Memory.peek m.mem a); decode m w (Memory.peek m.mem (a + 1)) ] )
-  | Cell.Str a -> begin
-    match Cell.view (Memory.peek m.mem a) with
-    | Cell.Fun fid ->
-      let name = Symbols.functor_name m.symbols fid in
-      let arity = Symbols.functor_arity m.symbols fid in
-      Prolog.Term.Struct
-        (name, List.init arity (fun i -> decode m w (Memory.peek m.mem (a + 1 + i))))
-    | Cell.Ref _ | Cell.Str _ | Cell.Lis _ | Cell.Con _ | Cell.Num _
-    | Cell.Raw _ ->
-      runtime_error "decode: corrupt structure"
-  end
-  | Cell.Fun _ | Cell.Raw _ -> runtime_error "decode: raw cell"
+  decode cell
 
 (* Encode a ground-or-variable source term onto a worker's heap;
    variables share bindings through [env] (name -> heap address). *)
@@ -694,7 +710,7 @@ let exec_builtin m (w : worker) b _arity =
   | Builtin.Ground_p -> is_ground m w (a 1)
   | Builtin.Indep_p -> independent m w (a 1) (a 2)
   | Builtin.Write_t | Builtin.Print_t ->
-    Format.fprintf m.out "%a" (Prolog.Pretty.pp ?ops:None) (decode m w (a 1));
+    Format.fprintf m.out "%a" Prolog.Pretty.pp (decode m w (a 1));
     true
   | Builtin.Nl ->
     Format.fprintf m.out "@.";

@@ -50,7 +50,9 @@ val eval_arith : Machine.t -> Machine.worker -> int -> int
 (** {1 Source-term conversion} *)
 
 val decode : Machine.t -> Machine.worker -> int -> Prolog.Term.t
-(** Cell to source term (untraced reads). *)
+(** Cell to source term (untraced reads).  A shared subterm decodes
+    once per occurrence.
+    @raise Machine.Runtime_error on a cyclic term. *)
 
 val encode :
   Machine.t -> Machine.worker -> (string, int) Hashtbl.t -> Prolog.Term.t ->

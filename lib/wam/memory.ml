@@ -1,41 +1,56 @@
 (* The simulated shared memory.
 
-   Word-addressed, chunk-allocated on demand (64K-word chunks) so large
-   PE counts don't preallocate gigabytes.  Every [read]/[write] emits a
-   tagged reference record to the machine's trace sink; [peek]/[poke]
-   bypass tracing (used by answer decoding, debugging and tests). *)
+   Word-addressed and backed by fixed 4K-word pages, allocated on the
+   first write to them.  Every PE reserves a 4M-word stack set
+   ([Layout]), but a served query touches a few hundred words of each
+   area and every run starts on a fresh machine, so a run should pay
+   for the words it touches, not for its reservation: a page costs
+   32 KB to allocate and zero.  A page that was never written reads as
+   0 through one shared zero page.  Every [read]/[write] emits a tagged
+   reference record to the machine's trace sink; [peek]/[poke] bypass
+   tracing (used by answer decoding, debugging and tests). *)
 
-let chunk_bits = 16
-let chunk_words = 1 lsl chunk_bits
+let page_bits = 12
+let page_words = 1 lsl page_bits
+
+(* Stands in for every page not yet written; [poke] replaces it
+   before storing, so it stays all zeros and domains may share it. *)
+let zero_page = Array.make page_words 0
 
 type t = {
-  mutable chunks : int array option array;
+  mutable pages : int array array;
   mutable sink : Trace.Sink.t;
 }
 
 let create ?(sink = Trace.Sink.null) () =
-  { chunks = Array.make 64 None; sink }
+  { pages = Array.make 1024 zero_page; sink }
 
 let set_sink t sink = t.sink <- sink
 
-let chunk_of t addr =
-  let idx = addr lsr chunk_bits in
-  if idx >= Array.length t.chunks then begin
-    let bigger = Array.make (max (idx + 1) (2 * Array.length t.chunks)) None in
-    Array.blit t.chunks 0 bigger 0 (Array.length t.chunks);
-    t.chunks <- bigger
-  end;
-  match t.chunks.(idx) with
-  | Some c -> c
-  | None ->
-    let c = Array.make chunk_words 0 in
-    t.chunks.(idx) <- Some c;
-    c
-
-let peek t addr = (chunk_of t addr).(addr land (chunk_words - 1))
+let peek t addr =
+  let idx = addr lsr page_bits in
+  if idx < Array.length t.pages then t.pages.(idx).(addr land (page_words - 1))
+  else 0
 
 let poke t addr word =
-  (chunk_of t addr).(addr land (chunk_words - 1)) <- word
+  let idx = addr lsr page_bits in
+  if idx >= Array.length t.pages then begin
+    let bigger =
+      Array.make (max (idx + 1) (2 * Array.length t.pages)) zero_page
+    in
+    Array.blit t.pages 0 bigger 0 (Array.length t.pages);
+    t.pages <- bigger
+  end;
+  let page = t.pages.(idx) in
+  let page =
+    if page == zero_page then begin
+      let fresh = Array.make page_words 0 in
+      t.pages.(idx) <- fresh;
+      fresh
+    end
+    else page
+  in
+  page.(addr land (page_words - 1)) <- word
 
 let read t ~pe ~area addr =
   t.sink.Trace.Sink.emit

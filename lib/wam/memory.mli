@@ -1,10 +1,12 @@
-(** The simulated shared memory: word-addressed, chunk-allocated on
-    demand.  Every {!read}/{!write} emits a tagged reference record to
-    the attached trace sink; {!peek}/{!poke} bypass tracing (answer
-    decoding, debugging, spin-wait polls). *)
+(** The simulated shared memory: word-addressed, backed by fixed
+    4K-word pages allocated on their first write.  A page never
+    written reads as 0 and is not allocated by the read.  Every
+    {!read}/{!write} emits a tagged reference record to the attached
+    trace sink; {!peek}/{!poke} bypass tracing (answer decoding,
+    debugging, spin-wait polls). *)
 
 type t = {
-  mutable chunks : int array option array;
+  mutable pages : int array array;
   mutable sink : Trace.Sink.t;
 }
 

@@ -19,6 +19,14 @@ let create () =
     functor_defs = Vec.create ~dummy:(0, 0);
   }
 
+let copy t =
+  {
+    atoms = Hashtbl.copy t.atoms;
+    atom_names = Vec.copy t.atom_names;
+    functors = Hashtbl.copy t.functors;
+    functor_defs = Vec.copy t.functor_defs;
+  }
+
 let atom t name =
   match Hashtbl.find_opt t.atoms name with
   | Some id -> id

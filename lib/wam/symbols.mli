@@ -8,6 +8,10 @@ type t
 
 val create : unit -> t
 
+val copy : t -> t
+(** An independent table with the same ids: interning into the copy
+    leaves the original unchanged. *)
+
 val atom : t -> string -> int
 (** Intern (or look up) an atom. *)
 

@@ -10,6 +10,8 @@ let create ~dummy = { data = Array.make 16 dummy; len = 0; dummy }
 
 let length t = t.len
 
+let copy t = { t with data = Array.copy t.data }
+
 let ensure t cap =
   if cap > Array.length t.data then begin
     let bigger = Array.make (max cap (2 * Array.length t.data)) t.dummy in

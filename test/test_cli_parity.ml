@@ -229,8 +229,29 @@ let test_json_names () =
   Alcotest.(check bool) "tracecheck label reads back" true
     (Json_reader.(member "label" (of_string printed)) = Obs.Json.String label)
 
+(* Every built CLI prints its help page and exits 0; cmdliner reports
+   a malformed doc string as "cmdliner error" above the page. *)
+let clis =
+  [ "rapwam_run"; "trace_dump"; "cache_sweep"; "annotate"; "repl"; "wamlint"; "serve";
+    "certify"; "tracecheck"; "costan" ]
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
+  at 0
+
+let test_help_pages () =
+  List.iter
+    (fun name ->
+      let page = run_capture (Filename.quote (bin (name ^ ".exe")) ^ " --help=plain 2>&1") in
+      if contains page "cmdliner error" then Alcotest.failf "%s --help:\n%s" name page;
+      if List.mem name [ "serve"; "cache_sweep" ] && not (contains page "SITE:KIND@N") then
+        Alcotest.failf "%s --help does not show the fault syntax SITE:KIND@N" name)
+    clis
+
 let suite =
   [
+    Alcotest.test_case "every CLI prints its help page" `Quick test_help_pages;
     Alcotest.test_case "repl/rapwam_run agree on deriv" `Quick
       test_parity_deriv;
     Alcotest.test_case "repl/rapwam_run agree on qsort" `Quick

@@ -29,4 +29,5 @@ let () =
       ("properties", Test_properties.suite);
       ("trace-pin", Test_trace_pin.suite);
       ("sim-pin", Test_sim_pin.suite);
+      ("listing-pin", Test_listing_pin.suite);
     ]

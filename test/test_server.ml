@@ -94,6 +94,41 @@ let test_bad_query_is_an_error () =
       (Server.Serve.stats t).Server.Serve.errors
   | _ -> Alcotest.fail "expected one response"
 
+(* A cyclic answer fails its own request; the next request of the
+   same batch is still answered. *)
+let test_cyclic_answer_is_an_error () =
+  let t =
+    Server.Serve.create
+      (Server.Serve.config ~workers:1 ~src:"p(X) :- X = f(X).\nhello(world).\n" ())
+  in
+  match
+    Deadline.within ~seconds:2.0 (fun () ->
+        Server.Serve.serve t [ request 0 "p(X)"; request 1 "hello(X)" ])
+  with
+  | [ cyclic; hello ] ->
+    Alcotest.(check bool) "cyclic answer reported" true (cyclic.Server.Serve.rs_error <> None);
+    Alcotest.(check (option string)) "next request answered" None hello.Server.Serve.rs_error;
+    Alcotest.(check string) "next answer" "X = world" (answers_text hello.Server.Serve.rs_answers)
+  | _ -> Alcotest.fail "expected two responses"
+
+(* A miss compiles only its query onto the server's database image and
+   touches a few simulated-memory pages: one run of a small query on
+   serve-churn's database stays far below the 2 MB of 64K-word chunks
+   and the whole-database compile a miss used to cost. *)
+let test_miss_allocation () =
+  let churn = [ ("deriv", 1000); ("qsort", 1000); ("tak", 24); ("matrix", 500) ] in
+  let t =
+    Server.Serve.create (Server.Serve.config ~workers:1 ~src:(Server.Traffic.database churn) ())
+  in
+  (* the domain's counters advance at collections: flush both ends *)
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  let answers = Server.Serve.run_direct t "tak(6, 3, 2, A)" in
+  Gc.minor ();
+  let words = (Gc.quick_stat ()).Gc.major_words -. before in
+  Alcotest.(check string) "answer" "A = 3" (answers_text answers);
+  if words >= 65536. then Alcotest.failf "one miss allocated %.0f major words" words
+
 (* ---------------- traffic ---------------- *)
 
 let test_parse_mix () =
@@ -573,6 +608,9 @@ let suite =
       test_admission_lanes;
     Alcotest.test_case "bad query is a per-request error" `Quick
       test_bad_query_is_an_error;
+    Alcotest.test_case "cyclic answer is a per-request error" `Quick
+      test_cyclic_answer_is_an_error;
+    Alcotest.test_case "a miss allocates what its query uses" `Quick test_miss_allocation;
     Alcotest.test_case "parse_mix" `Quick test_parse_mix;
     Alcotest.test_case "traffic is seed-deterministic" `Quick
       test_traffic_deterministic;

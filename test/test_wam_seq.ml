@@ -232,8 +232,36 @@ let test_all_solutions_bindings_independent () =
   Alcotest.(check (list string)) "terms" [ "f(1)"; "g(2)" ]
     (List.map (fun b -> Prolog.Pretty.to_string (List.assoc "T" b)) solutions)
 
+(* An answer bound to a cyclic term (no occurs check) ends in a typed
+   error from every engine; a shared, acyclic subterm still decodes. *)
+let cyclic_src =
+  "p(X) :- X = f(X).\n\
+   l(L) :- L = [a | L].\n\
+   q(Y) :- X = g(a, b), Y = h(X, X, [X, X]).\n"
+
+let raises_cyclic what f =
+  match Deadline.within ~seconds:2.0 f with
+  | _ -> Alcotest.failf "%s: a cyclic answer decoded" what
+  | exception Wam.Machine.Runtime_error _ -> ()
+
+let test_cyclic_answer () =
+  List.iter
+    (fun query ->
+      let prog parallel = Wam.Program.prepare ~parallel ~src:cyclic_src ~query () in
+      raises_cyclic ("WAM " ^ query) (fun () -> ignore (Wam.Seq.run_all (prog false)));
+      raises_cyclic ("RAP-WAM 4 PEs " ^ query) (fun () ->
+          ignore (Rapwam.Sim.run ~n_workers:4 (prog true))))
+    [ "p(X)"; "l(X)" ];
+  let g = "g(a, b)" in
+  match Deadline.within ~seconds:2.0 (fun () -> Wam.Seq.solve ~src:cyclic_src ~query:"q(Y)" ()) with
+  | Wam.Seq.Success [ ("Y", y) ], _ ->
+    Alcotest.(check string) "shared subterm" (Printf.sprintf "h(%s, %s, [%s, %s])" g g g g)
+      (Prolog.Pretty.to_string y)
+  | _ -> Alcotest.fail "q(Y) should succeed once"
+
 let suite =
   [
+    Alcotest.test_case "cyclic answer is a typed error" `Quick test_cyclic_answer;
     Alcotest.test_case "facts" `Quick test_facts;
     Alcotest.test_case "unify builtin" `Quick test_unify_builtin;
     Alcotest.test_case "arithmetic" `Quick test_arith;
