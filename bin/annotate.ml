@@ -99,7 +99,9 @@ let run_arg =
     & info [ "run" ] ~docv:"GOAL" ~doc:"Also run this query in parallel.")
 
 let pes_arg =
-  Arg.(value & opt int 4 & info [ "p"; "pes" ] ~docv:"N" ~doc:"Workers.")
+  Arg.(
+    value & opt Benchlib.Cli.pe_count 4
+    & info [ "p"; "pes" ] ~docv:"N" ~doc:"Workers.")
 
 let no_analysis_arg =
   Arg.(
@@ -142,5 +144,4 @@ let cmd =
       const run_cmd $ src_arg $ run_arg $ pes_arg $ no_analysis_arg
       $ dump_arg $ granularity_arg $ dump_costs_arg)
 
-let () =
-  match Cmd.eval_value cmd with Ok _ -> () | Error _ -> exit 1
+let () = Benchlib.Cli.eval cmd

@@ -70,21 +70,11 @@ let print_tables ~pes ~line ~sizes ~selected cells =
     benches
 
 (* Typed exit codes, so the CI chaos job (and any wrapper script) can
-   tell data corruption from an injected crash from failed cells. *)
-let exit_dataerr = 65 (* corrupt/truncated trace file (EX_DATAERR) *)
+   tell data corruption (a corrupt or truncated trace file exits
+   Benchlib.Cli.exit_dataerr, 65) from an injected crash from failed
+   cells. *)
 let exit_crash = 70 (* injected crash fault: "process killed" (EX_SOFTWARE) *)
 let exit_failed_cells = 4
-
-let lookup_bench ~quick name =
-  if quick then
-    match
-      List.find_opt
-        (fun b -> b.Benchlib.Programs.name = name)
-        (Benchlib.Inputs.small_benchmarks ())
-    with
-    | Some b -> b
-    | None -> Benchlib.Inputs.benchmark name
-  else Benchlib.Inputs.benchmark name
 
 let run_cmd bench_names pes protocol_name line sizes jobs check check_static
     json_out csv_out perf_record baseline_wall verbose trace_file quick
@@ -122,7 +112,7 @@ let run_cmd bench_names pes protocol_name line sizes jobs check check_static
     else
       List.exists
         (fun name ->
-          let b = lookup_bench ~quick name in
+          let b = Benchlib.Inputs.benchmark ~quick name in
           let module R = Certification.Make (Refmap.Instance) in
           let c = (R.analyze b).a.Refmap.Instance.certify in
           let all =
@@ -156,25 +146,25 @@ let run_cmd bench_names pes protocol_name line sizes jobs check check_static
         Printf.eprintf "trace: %d references\n%!"
           (Trace.Sink.Buffer_sink.length buf);
         let name = List.hd bench_names in
-        let bench = lookup_bench ~quick name in
+        let bench = Benchlib.Inputs.benchmark ~quick name in
         Engine.Sweep.run ?jobs ~echo:verbose ~check ?faults ?watchdog
           ?journal ~resume
           ~traces:[ ((name, pes), buf) ]
           (grid_of [ bench ])
       | None ->
-        let benchmarks = List.map (lookup_bench ~quick) bench_names in
+        let benchmarks = List.map (Benchlib.Inputs.benchmark ~quick) bench_names in
         Engine.Sweep.run ?jobs ~echo:true ~check ?faults ?watchdog ?journal
           ~resume (grid_of benchmarks)
     with
     | Trace.Tracefile.Bad_file msg ->
       Printf.eprintf "cache_sweep: not a usable trace file: %s\n%!" msg;
-      exit exit_dataerr
+      exit Benchlib.Cli.exit_dataerr
     | Trace.Tracefile.Trace_error { offset; reason } ->
       Printf.eprintf
         "cache_sweep: corrupt trace at byte %d: %s\n\
          (re-run with --salvage to sweep the intact prefix)\n%!"
         offset reason;
-      exit exit_dataerr
+      exit Benchlib.Cli.exit_dataerr
     | Resilience.Fault.Injected
         { site; kind = Resilience.Fault.Crash; occurrence } ->
       Printf.eprintf
@@ -247,19 +237,6 @@ let run_cmd bench_names pes protocol_name line sizes jobs check check_static
 
 open Cmdliner
 
-(* Counts that must be at least 1 (--pes, --jobs): reject 0, negatives
-   and garbage with a message naming the offending value. *)
-let pos_int =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | Some n ->
-      Error
-        (`Msg (Printf.sprintf "%d is not a positive count (expected >= 1)" n))
-    | None -> Error (`Msg (Printf.sprintf "expected a positive count, got %S" s))
-  in
-  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
-
 let bench_arg =
   Arg.(
     value
@@ -270,7 +247,11 @@ let bench_arg =
         ~doc:"Benchmark(s) to trace.")
 
 let pes_arg =
-  Arg.(value & opt pos_int 8 & info [ "p"; "pes" ] ~docv:"N" ~doc:"Workers.")
+  (* not Cli.pe_count: more than 62 PEs is a grid the simulator cannot
+     run, which check_grid rejects with exit 2 *)
+  Arg.(
+    value & opt Benchlib.Cli.pos_int 8
+    & info [ "p"; "pes" ] ~docv:"N" ~doc:"Workers.")
 
 let protocol_arg =
   Arg.(
@@ -290,7 +271,7 @@ let sizes_arg =
 let jobs_arg =
   Arg.(
     value
-    & opt (some pos_int) None
+    & opt (some Benchlib.Cli.pos_int) None
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "Worker domains for the sweep engine (default: the host's \
@@ -437,7 +418,4 @@ let cmd =
       $ quick_arg $ faults_arg $ journal_arg $ resume_arg $ watchdog_arg
       $ salvage_arg)
 
-let () =
-  match Cmd.eval_value cmd with
-  | Ok _ -> ()
-  | Error _ -> exit 1
+let () = Benchlib.Cli.eval cmd

@@ -137,4 +137,4 @@ let cmd =
                List.map (fun (d : Certification.defect) -> d.name) A.defects))
       $ dump_flag $ Benchlib.Cli.verbose_flag $ Benchlib.Cli.json_arg))
 
-let () = Benchlib.Cli.eval cmd
+let () = Benchlib.Cli.eval' cmd

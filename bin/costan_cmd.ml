@@ -189,4 +189,4 @@ let cmd =
       const run_cmd $ src_arg $ benchmarks_arg $ query_arg $ threshold_arg
       $ budget_arg $ measure_arg $ json_arg)
 
-let () = match Cmd.eval_value cmd with Ok _ -> () | Error _ -> exit 1
+let () = Benchlib.Cli.eval cmd

@@ -177,22 +177,9 @@ let query_arg =
     & opt (some string) None
     & info [ "q"; "query" ] ~docv:"GOAL" ~doc:"The query to run.")
 
-(* --pes must be at least 1: reject 0, negatives and garbage with a
-   message naming the offending value. *)
-let pos_int =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | Some n ->
-      Error
-        (`Msg (Printf.sprintf "%d is not a positive count (expected >= 1)" n))
-    | None -> Error (`Msg (Printf.sprintf "expected a positive count, got %S" s))
-  in
-  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
-
 let pes_arg =
   Arg.(
-    value & opt pos_int 1
+    value & opt Benchlib.Cli.pe_count 1
     & info [ "p"; "pes" ] ~docv:"N" ~doc:"Number of RAP-WAM workers (PEs).")
 
 let seq_arg =
@@ -268,7 +255,4 @@ let cmd =
       $ listing_arg $ disasm_arg $ prelude_arg $ json_arg $ profile_arg
       $ det_arg $ bind_arg)
 
-let () =
-  match Cmd.eval_value cmd with
-  | Ok _ -> ()
-  | Error _ -> exit 1
+let () = Benchlib.Cli.eval cmd

@@ -28,11 +28,10 @@ let consult st path =
        ignore (Prolog.Database.of_string (program_text st ^ "\n" ^ text));
        st.sources <- st.sources @ [ (path, text) ];
        Format.printf "%% consulted %s@." path
-     with
-    | Prolog.Parser.Error (msg, pos) ->
-      Format.printf "%% syntax error in %s at %d: %s@." path pos msg
-    | Prolog.Database.Load_error msg ->
-      Format.printf "%% load error in %s: %s@." path msg)
+     with e -> (
+       match Wam.Program.error_message e with
+       | Some msg -> Format.printf "%% %s: %s@." path msg
+       | None -> raise e))
   | exception Sys_error msg -> Format.printf "%% cannot read: %s@." msg
 
 let print_result result =
@@ -141,12 +140,10 @@ let run_query st query =
           (Unix.gettimeofday () -. t0)
       end
     end
-  with
-  | Prolog.Parser.Error (msg, pos) ->
-    Format.printf "%% syntax error at %d: %s@." pos msg
-  | Wam.Machine.Runtime_error msg -> Format.printf "%% error: %s@." msg
-  | Wam.Compile.Error msg -> Format.printf "%% compile error: %s@." msg
-  | Prolog.Cge.Ill_formed msg -> Format.printf "%% bad CGE: %s@." msg
+  with e -> (
+    match Wam.Program.error_message e with
+    | Some msg -> Format.printf "%% %s@." msg
+    | None -> raise e)
 
 let help () =
   print_string
@@ -243,17 +240,13 @@ let handle st line =
     run_query st query
   end
 
-(* Counts that must be at least 1 (--pes): same validation and wording
-   as cache_sweep's pos_int converter. *)
-let pos_int_arg ~flag s =
+(* --pes: the bound and wording of Benchlib.Cli.pe_count. *)
+let pes_arg s =
   match int_of_string_opt s with
-  | Some n when n >= 1 -> n
-  | Some n ->
-    Printf.eprintf "repl: %s: %d is not a positive count (expected >= 1)\n"
-      flag n;
-    exit 2
-  | None ->
-    Printf.eprintf "repl: %s: expected a positive count, got %S\n" flag s;
+  | Some n when n >= 1 && n <= Wam.Machine.max_workers -> n
+  | _ ->
+    Printf.eprintf "repl: --pes: expected a PE count in 1..%d, got %S\n"
+      Wam.Machine.max_workers s;
     exit 2
 
 let usage_line = "usage: repl [--pes N] [--time] [file.pl ...]"
@@ -283,14 +276,13 @@ let () =
       st.time <- true;
       parse_args rest
     | "--pes" :: v :: rest ->
-      st.pes <- pos_int_arg ~flag:"--pes" v;
+      st.pes <- pes_arg v;
       parse_args rest
     | [ "--pes" ] ->
       prerr_endline "repl: --pes expects an argument";
       usage ()
     | arg :: rest when String.length arg > 6 && String.sub arg 0 6 = "--pes=" ->
-      st.pes <- pos_int_arg ~flag:"--pes"
-          (String.sub arg 6 (String.length arg - 6));
+      st.pes <- pes_arg (String.sub arg 6 (String.length arg - 6));
       parse_args rest
     | arg :: _ when String.length arg > 1 && arg.[0] = '-' && arg <> "-" ->
       Printf.eprintf "repl: unknown option %S\n" arg;

@@ -107,17 +107,6 @@ let run_cmd mix_spec benchmark pes workers memo_mb shards requests batch
 
 open Cmdliner
 
-let pos_int =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | Some n ->
-      Error
-        (`Msg (Printf.sprintf "%d is not a positive count (expected >= 1)" n))
-    | None -> Error (`Msg (Printf.sprintf "expected a positive count, got %S" s))
-  in
-  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
-
 let mix_arg =
   Arg.(
     value
@@ -139,7 +128,7 @@ let benchmark_arg =
 
 let pes_arg =
   Arg.(
-    value & opt pos_int 1
+    value & opt Benchlib.Cli.pe_count 1
     & info [ "p"; "pes" ] ~docv:"N"
         ~doc:
           "Simulated PEs per query: 1 runs the sequential WAM, more runs \
@@ -148,7 +137,7 @@ let pes_arg =
 let workers_arg =
   Arg.(
     value
-    & opt (some pos_int) None
+    & opt (some Benchlib.Cli.pos_int) None
     & info [ "w"; "workers" ] ~docv:"N"
         ~doc:
           "Worker domains for the queued lane (default: the host's \
@@ -156,25 +145,25 @@ let workers_arg =
 
 let memo_mb_arg =
   Arg.(
-    value & opt pos_int 64
+    value & opt Benchlib.Cli.pos_int 64
     & info [ "memo-mb" ] ~docv:"MB" ~doc:"Answer-table capacity.")
 
 let shards_arg =
   Arg.(
-    value & opt pos_int 16
+    value & opt Benchlib.Cli.pos_int 16
     & info [ "shards" ] ~docv:"N" ~doc:"Answer-table lock shards.")
 
 let requests_arg =
   Arg.(
     value
-    & opt (some pos_int) None
+    & opt (some Benchlib.Cli.pos_int) None
     & info [ "n"; "requests" ] ~docv:"N"
         ~doc:"Requests per phase (default 2000, 400 with --quick).")
 
 let batch_arg =
   Arg.(
     value
-    & opt (some pos_int) None
+    & opt (some Benchlib.Cli.pos_int) None
     & info [ "batch" ] ~docv:"N"
         ~doc:"Requests per batch (the in-flight window; default 500, 200 \
               with --quick).")
@@ -192,7 +181,7 @@ let seed_arg =
 
 let threshold_arg =
   Arg.(
-    value & opt pos_int 150
+    value & opt Benchlib.Cli.pos_int 150
     & info [ "threshold" ] ~docv:"REFS"
         ~doc:
           "Admission-control cost threshold: queries the static analysis \
@@ -200,13 +189,13 @@ let threshold_arg =
 
 let max_queue_arg =
   Arg.(
-    value & opt pos_int 256
+    value & opt Benchlib.Cli.pos_int 256
     & info [ "max-queue" ] ~docv:"N"
         ~doc:"Queued-lane wave size (queue-depth backpressure).")
 
 let max_solutions_arg =
   Arg.(
-    value & opt pos_int 1
+    value & opt Benchlib.Cli.pos_int 1
     & info [ "max-solutions" ] ~docv:"N"
         ~doc:"Answer-set cap per query (sequential engine only).")
 
@@ -234,7 +223,7 @@ let faults_arg =
 let deadline_ms_arg =
   Arg.(
     value
-    & opt (some pos_int) None
+    & opt (some Benchlib.Cli.pos_int) None
     & info [ "deadline-ms" ] ~docv:"MS"
         ~doc:
           "Per-attempt execution deadline; a request whose attempts all \
@@ -263,7 +252,7 @@ let breaker_arg =
 let shed_watermark_arg =
   Arg.(
     value
-    & opt (some pos_int) None
+    & opt (some Benchlib.Cli.pos_int) None
     & info [ "shed-watermark" ] ~docv:"N"
         ~doc:
           "Load shedding: refuse pooled backlog beyond this depth, \
@@ -323,7 +312,4 @@ let cmd =
       $ shed_watermark_arg $ snapshot_arg $ restore_arg $ lethal_crash_arg
       $ json_arg $ quick_arg $ quiet_arg)
 
-let () =
-  match Cmd.eval_value cmd with
-  | Ok _ -> ()
-  | Error _ -> exit 1
+let () = Benchlib.Cli.eval cmd

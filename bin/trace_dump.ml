@@ -8,20 +8,9 @@
 
 let run_cmd bench_name src_path query pes limit out_path include_code binary
     quick area =
-  let lookup name =
-    if quick then
-      match
-        List.find_opt
-          (fun b -> b.Benchlib.Programs.name = name)
-          (Benchlib.Inputs.small_benchmarks ())
-      with
-      | Some b -> b
-      | None -> Benchlib.Inputs.benchmark name
-    else Benchlib.Inputs.benchmark name
-  in
   let bench =
     match (bench_name, query) with
-    | Some name, _ -> lookup name
+    | Some name, _ -> Benchlib.Inputs.benchmark ~quick name
     | None, Some q ->
       {
         Benchlib.Programs.name = "user";
@@ -107,7 +96,9 @@ let query_arg =
     & info [ "q"; "query" ] ~docv:"GOAL" ~doc:"Query (alternative to --bench).")
 
 let pes_arg =
-  Arg.(value & opt int 4 & info [ "p"; "pes" ] ~docv:"N" ~doc:"Workers.")
+  Arg.(
+    value & opt Benchlib.Cli.pe_count 4
+    & info [ "p"; "pes" ] ~docv:"N" ~doc:"Workers.")
 
 let limit_arg =
   Arg.(
@@ -158,7 +149,4 @@ let cmd =
       const run_cmd $ bench_arg $ src_arg $ query_arg $ pes_arg $ limit_arg
       $ out_arg $ code_arg $ binary_arg $ quick_arg $ area_arg)
 
-let () =
-  match Cmd.eval_value cmd with
-  | Ok _ -> ()
-  | Error _ -> exit 1
+let () = Benchlib.Cli.eval cmd

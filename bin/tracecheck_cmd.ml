@@ -152,4 +152,4 @@ let cmd =
              Tracecheck.Defects.all)
       $ trace_file_arg $ max_violations_arg $ Benchlib.Cli.json_arg))
 
-let () = Benchlib.Cli.eval cmd
+let () = Benchlib.Cli.eval' cmd

@@ -86,4 +86,4 @@ let cmd =
     (Cmd.info "wamlint" ~doc)
     Term.(const run_cmd $ files_arg $ benchmarks_arg $ seq_arg $ list_arg)
 
-let () = match Cmd.eval_value cmd with Ok _ -> () | Error _ -> exit 1
+let () = Benchlib.Cli.eval cmd

@@ -1,4 +1,4 @@
-(* Shared cmdliner vocabulary of the checking CLIs.
+(* Shared cmdliner vocabulary of the CLIs.
 
    certify and tracecheck parse the same argument families: a
    benchmark selection drawn from a pool, PE-count lists, the --quick
@@ -6,13 +6,21 @@
    FILE.  This module holds the converters, the argument builders
    (parameterized on the name pool and defaults), the helpers both
    tools repeat (resolving a selection against its pool, writing the
-   JSON report) and the exit-status convention:
+   JSON report) and [eval], which every CLI ends in.  The exit-status
+   contract:
 
-     0    clean (or, under --defect, the defect escaped)
-     1    something was flagged (under --defect: detected)
+     0    success (certify, tracecheck: clean, or under --defect the
+          defect escaped)
+     1    certify, tracecheck: something was flagged (under --defect:
+          detected)
+     65   a typed program error -- syntax, load, CGE, compile or
+          runtime -- printed as one line (EX_DATAERR)
      123  the --json report could not be written
-     124  usage error (cmdliner)
-     125  internal error (cmdliner) *)
+     124  usage error (cmdliner), such as a PE count outside 1..128
+     125  internal error: an uncaught exception
+
+   A CLI's own statuses stay in its header: rapwam_run 2 on "no",
+   wamlint 1 and 2, cache_sweep 2, 4, 65 and 70, serve 2, 4 and 70. *)
 
 open Cmdliner
 
@@ -25,6 +33,17 @@ let pos_int =
       Error
         (`Msg (Printf.sprintf "%d is not a positive count (expected >= 1)" n))
     | None -> Error (`Msg (Printf.sprintf "expected a positive count, got %S" s))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
+(* A PE count the machine can run. *)
+let pe_count =
+  let hi = Wam.Machine.max_workers in
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 && n <= hi -> Ok n
+    | _ ->
+      Error (`Msg (Printf.sprintf "expected a PE count in 1..%d, got %S" hi s))
   in
   Arg.conv ~docv:"N" (parse, Format.pp_print_int)
 
@@ -43,7 +62,7 @@ let benchmarks_flag =
     & info [ "benchmarks" ] ~doc:"Analyze every shipped benchmark (default).")
 
 let pes_arg ?(doc = "PE counts the analysis is checked at.") default =
-  Arg.(value & opt (list pos_int) default & info [ "p"; "pes" ] ~docv:"LIST" ~doc)
+  Arg.(value & opt (list pe_count) default & info [ "p"; "pes" ] ~docv:"LIST" ~doc)
 
 let quick_arg =
   Arg.(
@@ -96,4 +115,30 @@ let finish ~json_out report status =
     | Sys_error msg -> failed path msg
     | Unix.Unix_error (err, _, _) -> failed path (Unix.error_message err))
 
-let eval cmd = exit (Cmd.eval' cmd)
+let exit_dataerr = 65
+
+(* Evaluate [cmd] and exit with [status] of its value.  A typed program
+   error escaping the command is one line on stderr and exit 65; any
+   other exception is reported the way cmdliner reports it. *)
+let run status cmd =
+  let name = Cmd.name cmd in
+  exit
+    (match Cmd.eval_value' ~catch:false cmd with
+    | `Ok v -> status v
+    | `Exit code -> code
+    | exception e -> (
+      let bt = Printexc.get_raw_backtrace () in
+      match Wam.Program.error_message e with
+      | Some msg ->
+        Format.eprintf "%s: %s@." name msg;
+        exit_dataerr
+      | None ->
+        Format.eprintf "%s: internal error, uncaught exception:@\n%s@\n%s@?"
+          name (Printexc.to_string e)
+          (Printexc.raw_backtrace_to_string bt);
+        Cmd.Exit.internal_error))
+
+(* As [Cmd.eval] and [Cmd.eval']: a unit command exits 0, an int
+   command with its value. *)
+let eval cmd = run (fun () -> Cmd.Exit.ok) cmd
+let eval' cmd = run Fun.id cmd

@@ -108,11 +108,6 @@ let default_benchmarks () =
     };
   ]
 
-let benchmark name =
-  match List.find_opt (fun b -> b.Programs.name = name) (default_benchmarks ()) with
-  | Some b -> b
-  | None -> invalid_arg (Printf.sprintf "Inputs.benchmark: unknown %S" name)
-
 (* Smaller variants for quick tests. *)
 let small_benchmarks () =
   [
@@ -141,3 +136,9 @@ let small_benchmarks () =
       answer_var = "C";
     };
   ]
+
+let benchmark ?(quick = false) name =
+  let pool = if quick then small_benchmarks () else default_benchmarks () in
+  match List.find_opt (fun b -> b.Programs.name = name) pool with
+  | Some b -> b
+  | None -> invalid_arg (Printf.sprintf "Inputs.benchmark: unknown %S" name)

@@ -26,6 +26,7 @@ val default_benchmarks : unit -> Programs.benchmark list
 val small_benchmarks : unit -> Programs.benchmark list
 (** Reduced variants for quick tests. *)
 
-val benchmark : string -> Programs.benchmark
-(** Look up a default benchmark by name.
+val benchmark : ?quick:bool -> string -> Programs.benchmark
+(** Look up a benchmark by name: at paper scale, or with [~quick:true]
+    among {!small_benchmarks}.
     @raise Invalid_argument on unknown names. *)

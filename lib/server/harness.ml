@@ -51,7 +51,6 @@ type phase = {
   ph_latency : Metrics.summary;
   ph_service : Metrics.summary;
   ph_hit_rate : float;
-  ph_stats : Serve.stats;
   ph_sup : Supervise.stats;
   ph_availability : float;
 }
@@ -130,22 +129,6 @@ let batches ~batch requests =
   done;
   List.rev !out
 
-(* The supervisor's view of a phase, shaped like the classic server
-   stats so existing consumers keep reading: unavailable outcomes
-   (timeouts, contained crashes, faults) all land in [faulted]. *)
-let serve_shape (s : Supervise.stats) : Serve.stats =
-  {
-    Serve.served = s.Supervise.served;
-    hits = s.Supervise.hits;
-    inline_ = s.Supervise.inline_;
-    pooled = s.Supervise.pooled;
-    waves = s.Supervise.waves;
-    max_depth = s.Supervise.max_depth;
-    faulted =
-      s.Supervise.faulted + s.Supervise.crashed + s.Supervise.timeouts;
-    errors = s.Supervise.errors;
-  }
-
 (* Serve the whole stream on a supervised server, batch by batch, and
    summarize the phase from the supervisor's accounting (each phase
    uses a fresh Serve.t + Supervise.t, so stats and metrics are
@@ -168,24 +151,22 @@ let run_phase ~name sup requests ~batch =
     ph_hit_rate =
       (if served = 0 then 0.0
        else float_of_int st.Supervise.hits /. float_of_int served);
-    ph_stats = serve_shape st;
     ph_sup = st;
     ph_availability = Supervise.availability st;
   }
 
 (* Served answers vs the direct engine: every distinct pool query,
-   canonical text vs canonical text. *)
+   canonical text vs canonical text, served the way every phase is
+   served but under the default policy. *)
 let cross_check oracle_server server pool =
+  let sup = Supervise.create server in
   let mismatches = ref [] in
   let checked = ref 0 in
   Array.iter
     (fun query ->
       let direct = Serve.run_direct oracle_server query in
-      let responses =
-        Serve.serve server [ { Serve.rq_id = 0; rq_query = query } ]
-      in
-      match responses with
-      | [ rs ] when rs.Serve.rs_error = None ->
+      match Supervise.serve sup [ { Serve.rq_id = 0; rq_query = query } ] with
+      | [ { Supervise.sv = rs; _ } ] when rs.Serve.rs_error = None ->
         incr checked;
         let text answers =
           String.concat " ; " (List.map Memo.Canon.answer_text answers)
@@ -254,22 +235,27 @@ let save_snapshot ~progress p memo path =
          (Resilience.Fault.kind_name kind) site occurrence);
     0
 
-let run ?(progress = fun _ -> ()) p =
+(* What both experiments start from: the validated params, the pool of
+   distinct queries, the request stream, a factory of servers over the
+   mix's database, and the supervisor every phase serves through. *)
+let setup ~caller p =
   (match validate p with
   | Ok () -> ()
-  | Error msg -> invalid_arg ("Server.Harness.run: " ^ msg));
+  | Error msg -> invalid_arg (Printf.sprintf "Server.Harness.%s: %s" caller msg));
   let src = Traffic.database p.mix in
-  let pool = Traffic.pool p.mix ~seed:p.seed in
-  let requests =
-    Traffic.requests p.mix ~seed:p.seed ~s:p.zipf_s ~n:p.requests
-  in
   let mk ?memo ?faults () =
     Serve.create
       (Serve.config ~pes:p.pes ~workers:p.workers ?memo
          ~threshold:p.threshold ~max_queue:p.max_queue
          ~max_solutions:p.max_solutions ?faults ~src ())
   in
-  let sup server = Supervise.create ~policy:p.policy server in
+  ( Traffic.pool p.mix ~seed:p.seed,
+    Traffic.requests p.mix ~seed:p.seed ~s:p.zipf_s ~n:p.requests,
+    mk,
+    fun server -> Supervise.create ~policy:p.policy server )
+
+let run ?(progress = fun _ -> ()) p =
+  let pool, requests, mk, sup = setup ~caller:"run" p in
   progress
     (Printf.sprintf "pool %d distinct queries, %d requests, zipf s=%.2f"
        (Array.length pool) p.requests p.zipf_s);
@@ -350,21 +336,7 @@ type chaos = {
 }
 
 let run_chaos ?(progress = fun _ -> ()) ?snapshot_path p =
-  (match validate p with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Server.Harness.run_chaos: " ^ msg));
-  let src = Traffic.database p.mix in
-  let pool = Traffic.pool p.mix ~seed:p.seed in
-  let requests =
-    Traffic.requests p.mix ~seed:p.seed ~s:p.zipf_s ~n:p.requests
-  in
-  let mk ?memo ?faults () =
-    Serve.create
-      (Serve.config ~pes:p.pes ~workers:p.workers ?memo
-         ~threshold:p.threshold ~max_queue:p.max_queue
-         ~max_solutions:p.max_solutions ?faults ~src ())
-  in
-  let sup server = Supervise.create ~policy:p.policy server in
+  let pool, requests, mk, sup = setup ~caller:"run_chaos" p in
   let snapshot_path, temp_snapshot =
     match (snapshot_path, p.snapshot) with
     | Some path, _ -> (path, false)

@@ -23,7 +23,7 @@ type params = {
   seed : int;
   zipf_s : float;
   requests : int;
-  batch : int;  (** requests per [Serve.serve] call *)
+  batch : int;  (** requests per {!Supervise.serve} call *)
   pes : int;
   workers : int;
   memo_words : int;
@@ -56,10 +56,7 @@ type phase = {
   ph_latency : Metrics.summary;
   ph_service : Metrics.summary;
   ph_hit_rate : float;  (** memo hits / served, this phase *)
-  ph_stats : Serve.stats;
-      (** classic shape: timeouts and contained crashes fold into
-          [faulted] *)
-  ph_sup : Supervise.stats;  (** the supervisor's full outcome counts *)
+  ph_sup : Supervise.stats;  (** the phase's lane and outcome counts *)
   ph_availability : float;
 }
 

@@ -16,7 +16,6 @@ let latency (s : Metrics.summary) =
     ]
 
 let phase (ph : phase) =
-  let st = ph.ph_stats in
   let sv = ph.ph_sup in
   J.Obj
     [
@@ -30,14 +29,18 @@ let phase (ph : phase) =
       ( "lanes",
         J.Obj
           [
-            ("hits", J.Int st.Serve.hits);
-            ("inline", J.Int st.Serve.inline_);
-            ("pooled", J.Int st.Serve.pooled);
+            ("hits", J.Int sv.Supervise.hits);
+            ("inline", J.Int sv.Supervise.inline_);
+            ("pooled", J.Int sv.Supervise.pooled);
           ] );
-      ("waves", J.Int st.Serve.waves);
-      ("max_queue_depth", J.Int st.Serve.max_depth);
-      ("faulted", J.Int st.Serve.faulted);
-      ("errors", J.Int st.Serve.errors);
+      ("waves", J.Int sv.Supervise.waves);
+      ("max_queue_depth", J.Int sv.Supervise.max_depth);
+      (* every unavailable outcome but a shed one *)
+      ( "faulted",
+        J.Int
+          (sv.Supervise.faulted + sv.Supervise.crashed + sv.Supervise.timeouts)
+      );
+      ("errors", J.Int sv.Supervise.errors);
       ("availability", J.Float ph.ph_availability);
       ( "outcomes",
         J.Obj

@@ -1,5 +1,5 @@
-(* The concurrent query server: memo consult + costan admission on the
-   accepting thread, a domain pool for everything expensive. *)
+(* One compiled database and the per-request pieces of the query
+   server: memo lookup, cost verdict, execution. *)
 
 type config = {
   src : string;
@@ -27,35 +27,14 @@ type t = {
   cfg : config;
   an : Costan.Analyze.t;
   image : Wam.Program.image;  (* compiled once; shared read-only *)
-  served : int Atomic.t;
-  hits_ : int Atomic.t;
-  inline_ : int Atomic.t;
-  pooled_ : int Atomic.t;
-  waves_ : int Atomic.t;
-  max_depth_ : int Atomic.t;
-  faulted_ : int Atomic.t;
-  errors_ : int Atomic.t;
-  lat : Metrics.t;
-  svc : Metrics.t;
 }
 
 let create cfg =
   let db = Prolog.Database.of_string cfg.src in
-  let an = Costan.Analyze.analyze db in
   {
     cfg;
-    an;
+    an = Costan.Analyze.analyze db;
     image = Wam.Program.image ~parallel:(cfg.pes > 1) db;
-    served = Atomic.make 0;
-    hits_ = Atomic.make 0;
-    inline_ = Atomic.make 0;
-    pooled_ = Atomic.make 0;
-    waves_ = Atomic.make 0;
-    max_depth_ = Atomic.make 0;
-    faulted_ = Atomic.make 0;
-    errors_ = Atomic.make 0;
-    lat = Metrics.create ();
-    svc = Metrics.create ();
   }
 
 let config_of t = t.cfg
@@ -104,8 +83,7 @@ let execute ?faults t query =
     (match faults with
     | Some plan -> Resilience.Fault.hit ~plan "sim-step"
     | None -> ());
-    let answers, inferences = run_answers t query in
-    Ok (answers, inferences)
+    Ok (run_answers t query)
   with
   | Resilience.Fault.Injected { kind = Resilience.Fault.Crash; _ } as e ->
     raise e
@@ -114,14 +92,10 @@ let execute ?faults t query =
       (`Fault,
        Printf.sprintf "injected %s at %s#%d"
          (Resilience.Fault.kind_name kind) site occurrence)
-  | Prolog.Parser.Error (msg, pos) ->
-    Error (`Run, Printf.sprintf "syntax error at %d: %s" pos msg)
-  | Prolog.Database.Load_error msg ->
-    Error (`Run, Printf.sprintf "load error: %s" msg)
-  | Prolog.Cge.Ill_formed msg -> Error (`Run, Printf.sprintf "bad CGE: %s" msg)
-  | Wam.Compile.Error msg -> Error (`Run, Printf.sprintf "compile error: %s" msg)
-  | Wam.Machine.Runtime_error msg -> Error (`Run, msg)
-  | Run_error msg -> Error (`Run, msg)
+  | e -> (
+    match Wam.Program.error_message e with
+    | Some msg -> Error (`Run, msg)
+    | None -> raise e)
 
 let run_direct t query =
   match execute t query with
@@ -129,7 +103,7 @@ let run_direct t query =
   | Error (_, msg) -> raise (Run_error msg)
 
 (* ------------------------------------------------------------------ *)
-(* Serving. *)
+(* The lane primitives {!Supervise.serve} admits requests through. *)
 
 let now () = Unix.gettimeofday ()
 
@@ -140,7 +114,6 @@ let lookup_hit t ~t0 ~key (rq : request) : response option =
   | Some memo, Some k -> (
     match Memo.Table.find memo k with
     | Some answers ->
-      Atomic.incr t.hits_;
       let fin = now () in
       Some
         {
@@ -188,9 +161,6 @@ and compute_miss t ~t0 ~key (rq : request) : response =
       rs_inferences = inferences;
     }
   | Error (cls, msg) ->
-    (match cls with
-    | `Fault -> Atomic.incr t.faulted_
-    | `Run -> Atomic.incr t.errors_);
     let fin = now () in
     {
       rs_id = rq.rq_id;
@@ -208,103 +178,3 @@ let verdict t goal_text =
   match Prolog.Parser.term_of_string goal_text with
   | exception Prolog.Parser.Error _ -> Costan.Analyze.Keep
   | goal -> Costan.Analyze.verdict t.an ~threshold:t.cfg.threshold goal
-
-let serve t (requests : request list) : response list =
-  let t0 = now () in
-  let queued = ref [] in
-  (* admission pass, newest decisions first in [queued] *)
-  let admitted =
-    List.map
-      (fun rq ->
-        (* the chaos site: every admission passes it *)
-        Resilience.Fault.hit ?plan:t.cfg.faults "cell-start";
-        let key =
-          match Memo.Canon.key_of_query rq.rq_query with
-          | Ok key -> Some key
-          | Error _ -> None
-        in
-        match lookup_hit t ~t0 ~key rq with
-        | Some rs -> `Done rs
-        | None -> (
-          match verdict t rq.rq_query with
-          | Costan.Analyze.Small ->
-            Atomic.incr t.inline_;
-            `Done (compute t ~t0 ~key rq)
-          | Costan.Analyze.Keep | Costan.Analyze.Guard _ ->
-            Atomic.incr t.pooled_;
-            queued := (rq, key) :: !queued;
-            `Queued rq.rq_id))
-      requests
-  in
-  (* the queued lane drains in waves of [max_queue]: backpressure is a
-     deeper backlog waiting for the wave in flight *)
-  let backlog = Array.of_list (List.rev !queued) in
-  let depth = Array.length backlog in
-  if depth > Atomic.get t.max_depth_ then Atomic.set t.max_depth_ depth;
-  let results : (int, response) Hashtbl.t = Hashtbl.create (max 16 depth) in
-  let pos = ref 0 in
-  while !pos < depth do
-    let wave = min t.cfg.max_queue (depth - !pos) in
-    let slice = Array.sub backlog !pos wave in
-    pos := !pos + wave;
-    Atomic.incr t.waves_;
-    let out =
-      Engine.Pool.map ~jobs:t.cfg.workers
-        (fun (rq, key) ->
-          let rs = compute ~recheck:true t ~t0 ~key rq in
-          if rs.rs_lane = Hit then begin
-            (* second-chance hit: it left the pooled lane after all *)
-            Atomic.decr t.pooled_;
-            rs
-          end
-          else { rs with rs_lane = Pooled })
-        slice
-    in
-    Array.iter (fun rs -> Hashtbl.replace results rs.rs_id rs) out
-  done;
-  let responses =
-    List.map
-      (function
-        | `Done rs -> rs
-        | `Queued id -> (
-          match Hashtbl.find_opt results id with
-          | Some rs -> rs
-          | None -> assert false))
-      admitted
-  in
-  (* accounting happens on the accepting thread only *)
-  List.iter
-    (fun rs ->
-      Atomic.incr t.served;
-      Metrics.add t.lat rs.rs_latency_s;
-      if rs.rs_lane <> Hit && rs.rs_error = None then
-        Metrics.add t.svc rs.rs_service_s)
-    responses;
-  responses
-
-type stats = {
-  served : int;
-  hits : int;
-  inline_ : int;
-  pooled : int;
-  waves : int;
-  max_depth : int;
-  faulted : int;
-  errors : int;
-}
-
-let stats (t : t) : stats =
-  {
-    served = Atomic.get t.served;
-    hits = Atomic.get t.hits_;
-    inline_ = Atomic.get t.inline_;
-    pooled = Atomic.get t.pooled_;
-    waves = Atomic.get t.waves_;
-    max_depth = Atomic.get t.max_depth_;
-    faulted = Atomic.get t.faulted_;
-    errors = Atomic.get t.errors_;
-  }
-
-let latencies t = t.lat
-let services t = t.svc
-let memo_totals t = Option.map Memo.Table.totals t.cfg.memo

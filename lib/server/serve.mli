@@ -1,33 +1,16 @@
-(** The concurrent query server.
+(** One compiled database, one request at a time.
 
     A server holds one loaded database (source text), a static cost
-    analysis of it, and optionally a shared {!Memo.Table}.  A batch of
-    requests is served in two lanes chosen by admission control:
+    analysis of it, and the database compiled once into a
+    {!Wam.Program.image}.  Every execution compiles only its query
+    onto copies of the image and runs it on a fresh single-shot
+    machine, so worker domains share the server read-only; the only
+    shared mutable state is the optional memo table, which is what
+    its sharded locks are for.
 
-    {ul
-    {- memo hits answer immediately from the table;}
-    {- misses whose {!Costan.Analyze.verdict} is [Small] (statically
-       cheaper than the spawn/queue overhead) run {e inline} on the
-       accepting thread;}
-    {- everything else ([Keep]/[Guard]) is queued and fanned out over
-       an {!Engine.Pool} of worker domains, in waves of at most
-       [max_queue] (queue-depth backpressure: a deeper backlog waits
-       for the current wave to drain).}}
-
-    The database is parsed and compiled once, into a
-    {!Wam.Program.image}; every execution compiles only its query onto
-    copies of the image and runs it on a fresh single-shot machine.
-    Worker domains share the image read-only, so the only shared
-    mutable state is the memo table — which is what its sharded locks
-    are for.  Computed
-    answer sets are inserted back into the table from whichever domain
-    finished first; variant-checking dedupes the race.
-
-    Fault injection reuses the {!Resilience.Fault} registry: each
-    admission passes the ["cell-start"] site, each execution the
-    ["sim-step"] site.  A planned [Crash] is lethal (the caller maps
-    it to exit 70, like the sweep engine); any other kind marks just
-    that request as faulted. *)
+    This module runs one request.  {!Supervise.serve} is the batch
+    server: it admits each request through {!lookup_hit}, {!verdict}
+    and {!compute}, drives the lanes and keeps the counters. *)
 
 type config = {
   src : string;  (** database source text *)
@@ -78,19 +61,9 @@ type response = {
   rs_inferences : int;  (** 0 for memo hits *)
 }
 
-val serve : t -> request list -> response list
-(** Serve one batch; responses come back in request order.  Re-raises
-    {!Resilience.Fault.Injected} only for a planned [Crash]. *)
-
 val run_direct : t -> string -> Memo.Canon.answer list
 (** One query straight through the engine — no memo, no admission, no
     faults.  The cross-check oracle. *)
-
-(** {2 Lane primitives}
-
-    The pieces {!serve} is built from, exposed so a supervisor
-    ({!Supervise}) can drive the same lanes under its own deadline,
-    retry, and crash-containment discipline. *)
 
 val verdict : t -> string -> Costan.Analyze.verdict
 (** Admission verdict for one query text ([Keep] on a parse error —
@@ -99,7 +72,7 @@ val verdict : t -> string -> Costan.Analyze.verdict
 val lookup_hit :
   t -> t0:float -> key:Memo.Canon.key option -> request -> response option
 (** The memo-hit lane: a finished [Hit] response, or [None] when the
-    query must actually run.  Counts the hit. *)
+    query must actually run. *)
 
 val compute :
   ?recheck:bool ->
@@ -108,23 +81,6 @@ val compute :
     the answers to the memo table.  [~recheck:true] is the pooled
     lane's double-checked lookup.  The response comes back with
     [rs_lane = Inline] (or [Hit]); the caller relabels pooled work.
-    Injected non-[Crash] faults become [rs_fault] responses; a planned
+    Every execution passes the ["sim-step"] fault site: an injected
+    non-[Crash] fault becomes an [rs_fault] response, a planned
     [Crash] is re-raised. *)
-
-type stats = {
-  served : int;
-  hits : int;
-  inline_ : int;
-  pooled : int;
-  waves : int;
-  max_depth : int;  (** deepest queued backlog seen at a batch start *)
-  faulted : int;
-  errors : int;
-}
-
-val stats : t -> stats
-val latencies : t -> Metrics.t
-val services : t -> Metrics.t
-(** Per-execution service times (memo hits excluded). *)
-
-val memo_totals : t -> Memo.Table.totals option

@@ -1,16 +1,15 @@
-(* The supervisor: availability discipline wrapped around the query
-   server's lanes.
+(* The supervisor: the query server's batch loop, with availability
+   discipline wrapped around {!Serve}'s lanes.
 
-   {!Serve.serve} answers a batch correctly or dies trying; this layer
-   makes the dying bounded.  It drives the same three lanes through
-   {!Serve}'s exposed primitives, but every execution runs under a
-   deadline + seeded-backoff retry ({!Engine.Job}'s watchdog), a
-   worker crash poisons only its own request (the pool is respawned
-   for the remainder), a predicate whose recent pooled runs keep
-   failing gets a circuit breaker in front of it, and a backlog over
-   the high-watermark is shed cheapest-to-refuse-first.  Memo hits and
-   Small-inline work stay live throughout — the point of admission
-   control is knowing which work is too cheap to refuse.
+   It drives the three lanes through {!Serve}'s per-request
+   primitives.  Every execution runs under a deadline + seeded-backoff
+   retry ({!Engine.Job}'s watchdog), a worker crash poisons only its
+   own request (the pool is respawned for the remainder), a predicate
+   whose recent pooled runs keep failing gets a circuit breaker in
+   front of it, and a backlog over the high-watermark is shed
+   cheapest-to-refuse-first.  Memo hits and Small-inline work stay
+   live throughout — the point of admission control is knowing which
+   work is too cheap to refuse.
 
    Threading: all supervision state (counters, breaker circuits, the
    breaker clock, metrics) is read and written on the accepting thread

@@ -1,9 +1,26 @@
-(** The supervisor: availability discipline around {!Serve}'s lanes.
+(** The batch server: admission, lanes and availability discipline
+    around {!Serve}'s per-request primitives.
 
-    {!Serve.serve} answers a batch correctly or dies trying; this
-    layer makes the dying bounded.  It drives the same memo-hit /
-    inline / pooled lanes through {!Serve}'s exposed primitives, under
-    a {!policy}:
+    A batch is admitted in request order on the accepting thread.
+    Each admission passes the ["cell-start"] fault site and then takes
+    one of three lanes:
+
+    {ul
+    {- memo hits answer immediately from the table;}
+    {- misses whose {!Costan.Analyze.verdict} is [Small] (statically
+       cheaper than the spawn/queue overhead) run {e inline} on the
+       accepting thread;}
+    {- everything else ([Keep]/[Guard]) is queued and fanned out over
+       an {!Engine.Pool} of worker domains, in waves of at most
+       [max_queue] (queue-depth backpressure: a deeper backlog waits
+       for the current wave to drain).  A worker consults the table
+       again first, so a duplicate an earlier request has published
+       becomes a hit.}}
+
+    Every execution passes the ["sim-step"] fault site.  Answer sets
+    are published to the table from whichever domain finished first;
+    variant-checking dedupes the race.  The lanes run under a
+    {!policy}:
 
     {ul
     {- {e crash containment} — an injected (or real) worker crash
@@ -26,8 +43,9 @@
        unbounded cost) before [Guard], later arrivals first.  Memo
        hits and Small-inline work are never shed.}}
 
-    All supervision state lives on the accepting thread; worker
-    domains share nothing but the memo table. *)
+    {!stats} counts every response by lane and by {!outcome}.  All
+    supervision state lives on the accepting thread; worker domains
+    share nothing but the memo table. *)
 
 type outcome =
   | Ok  (** answered on the first attempt (includes run errors) *)
@@ -83,9 +101,7 @@ val policy :
 type t
 
 val create : ?policy:policy -> Serve.t -> t
-(** Wrap a server.  The server's own counters keep counting; the
-    supervisor's {!stats} are the authoritative view of supervised
-    traffic. *)
+(** Serve batches on this server, with every counter at zero. *)
 
 val server : t -> Serve.t
 val policy_of : t -> policy

@@ -205,10 +205,13 @@ let make_worker id =
     max_gs = Layout.goal_base id;
   }
 
+let max_workers = 128
+
 let create ?(out = Format.std_formatter) ?(sink = Trace.Sink.null)
     ~n_workers ~code ~symbols () =
-  if n_workers < 1 || n_workers > 128 then
-    invalid_arg "Machine.create: n_workers must be in 1..128";
+  if n_workers < 1 || n_workers > max_workers then
+    invalid_arg
+      (Printf.sprintf "Machine.create: n_workers must be in 1..%d" max_workers);
   {
     mem = Memory.create ~sink ();
     code;

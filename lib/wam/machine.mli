@@ -135,9 +135,13 @@ val runtime_error : ('a, unit, string, 'b) format4 -> 'a
 
 val make_worker : int -> worker
 
+val max_workers : int
+(** The most PEs one machine runs (128). *)
+
 val create :
   ?out:Format.formatter -> ?sink:Trace.Sink.t -> n_workers:int ->
   code:Code.t -> symbols:Symbols.t -> unit -> t
+(** @raise Invalid_argument unless [1 <= n_workers <= max_workers]. *)
 
 val n_workers : t -> int
 val worker : t -> int -> worker

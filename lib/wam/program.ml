@@ -95,3 +95,12 @@ let entry t =
 let arity t = List.length t.query_vars
 
 let pp_listing fmt t = Code.pp t.symbols fmt t.code
+
+let error_message = function
+  | Prolog.Parser.Error (msg, pos) ->
+    Some (Printf.sprintf "syntax error at %d: %s" pos msg)
+  | Prolog.Database.Load_error msg -> Some ("load error: " ^ msg)
+  | Prolog.Cge.Ill_formed msg -> Some ("bad CGE: " ^ msg)
+  | Compile.Error msg -> Some ("compile error: " ^ msg)
+  | Machine.Runtime_error msg -> Some msg
+  | _ -> None

@@ -61,3 +61,8 @@ val arity : t -> int
 
 val pp_listing : Format.formatter -> t -> unit
 (** Disassembly of the whole compiled program. *)
+
+val error_message : exn -> string option
+(** The one-line text of a typed program error: a syntax, load, CGE
+    or compile error in the source or query, or a runtime error of
+    the machine.  [None] for any other exception. *)

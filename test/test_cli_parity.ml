@@ -15,6 +15,11 @@ let bin name =
        "bin")
     name
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
+  at 0
+
 let repl_exe = bin "repl.exe"
 let rapwam_run_exe = bin "rapwam_run.exe"
 let serve_exe = bin "serve.exe"
@@ -120,9 +125,9 @@ let parity_check name =
 let test_parity_deriv () = parity_check "deriv"
 let test_parity_qsort () = parity_check "qsort"
 
-(* Bad input to serve must die with exit 2 (a usage error, distinct
-   from the invariant-failure 4 and the injected-crash 70) and say
-   what was wrong. *)
+(* Bad input to serve must die with cmdliner's usage-error exit 124
+   (distinct from the invariant-failure 4 and the injected-crash 70)
+   and say what was wrong. *)
 let run_expect_failure cmd =
   let ic = Unix.open_process_in (cmd ^ " 2>&1") in
   let b = Buffer.create 1024 in
@@ -147,13 +152,76 @@ let test_serve_rejects_duplicate_faults () =
          serve_exe)
   with
   | Unix.WEXITED code, out ->
-    Alcotest.(check bool) "non-zero usage-error exit" true
-      (code = 1 || code = 2);
+    Alcotest.(check int) "cmdliner usage-error exit" 124 code;
     Alcotest.(check bool) "stderr says duplicate" true
       (contains out "duplicate");
     Alcotest.(check bool) "stderr names the site" true
       (contains out "sim-step")
   | _, out -> Alcotest.failf "serve did not exit normally:\n%s" out
+
+(* Exit status and stderr lines of [cmd]; stdout is discarded. *)
+let run_stderr cmd =
+  let ic = Unix.open_process_in (cmd ^ " 2>&1 >/dev/null") in
+  let lines = In_channel.input_lines ic in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED code -> (code, lines)
+  | _ -> Alcotest.failf "%s did not exit normally" cmd
+
+let with_file text f =
+  let path = Filename.temp_file "parity_prog" ".pl" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc text);
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f (Filename.quote path))
+
+(* A typed program error is one stderr line and exit 65 from every
+   CLI that takes a program, never cmdliner's uncaught-exception
+   report. *)
+let test_typed_errors_exit_65 () =
+  let expect cmd ~names =
+    let code, lines = run_stderr cmd in
+    if code <> 65 || List.length lines <> 1 || not (contains (String.concat "\n" lines) names)
+       || contains (String.concat "\n" lines) "uncaught exception"
+    then
+      Alcotest.failf "%s: expected exit 65 and one line naming %S, got %d:\n%s" cmd names
+        code (String.concat "\n" lines)
+  in
+  with_file "p(X) :- q(X, Y.\n" (fun bad ->
+      List.iter
+        (fun cmd -> expect cmd ~names:"syntax error")
+        [
+          Printf.sprintf "%s --query 'p(X)' %s" rapwam_run_exe bad;
+          Printf.sprintf "%s --src %s --query 'p(X)'" (bin "trace_dump.exe") bad;
+          Printf.sprintf "%s %s" (bin "wamlint.exe") bad;
+          Printf.sprintf "%s %s" (bin "annotate.exe") bad;
+          Printf.sprintf "%s %s" (bin "costan.exe") bad;
+        ]);
+  with_file "grow(L) :- grow([a|L]).\n" (fun grow ->
+      expect ~names:"heap overflow"
+        (Printf.sprintf "%s --sequential --query 'grow([])' %s" rapwam_run_exe grow))
+
+(* --pes outside what the machine runs is a usage error naming the
+   range, before anything runs: cmdliner's 124, or the hand-rolled
+   repl's 2. *)
+let test_pes_out_of_range () =
+  with_file "p.\n" (fun prog ->
+      List.iter
+        (fun pes ->
+          List.iter
+            (fun (cmd, usage) ->
+              let cmd = Printf.sprintf "%s --pes %s" cmd pes in
+              let code, lines = run_stderr cmd in
+              let naming = List.filter (fun l -> contains l "1..128") lines in
+              if code <> usage || List.length naming <> 1 then
+                Alcotest.failf "%s: expected exit %d and one line naming 1..128, got %d:\n%s"
+                  cmd usage code (String.concat "\n" lines))
+            [
+              (Printf.sprintf "%s --query p %s" rapwam_run_exe prog, 124);
+              (Printf.sprintf "%s --bench qsort --quick" (bin "trace_dump.exe"), 124);
+              (Printf.sprintf "%s --run p %s" (bin "annotate.exe") prog, 124);
+              (Printf.sprintf "%s --quick" serve_exe, 124);
+              (Printf.sprintf "%s --analysis refmap --quick" certify_exe, 124);
+              (Printf.sprintf "%s </dev/null" repl_exe, 2);
+            ])
+        [ "0"; "129" ])
 
 (* certify: 0 clean, 1 flagged (under --defect: detected), 124 for a
    usage error such as another analysis' defect, and a failed --json
@@ -235,11 +303,6 @@ let clis =
   [ "rapwam_run"; "trace_dump"; "cache_sweep"; "annotate"; "repl"; "wamlint"; "serve";
     "certify"; "tracecheck"; "costan" ]
 
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
-  at 0
-
 let test_help_pages () =
   List.iter
     (fun name ->
@@ -260,6 +323,10 @@ let suite =
       test_serve_rejects_duplicate_faults;
     Alcotest.test_case "certify exit-status contract" `Quick
       test_certify_exit_status;
+    Alcotest.test_case "typed program errors exit 65 in one line" `Quick
+      test_typed_errors_exit_65;
+    Alcotest.test_case "--pes outside 1..128 is a usage error" `Quick
+      test_pes_out_of_range;
     Alcotest.test_case "non-ASCII names give strict JSON" `Quick
       test_json_names;
   ]

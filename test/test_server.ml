@@ -12,15 +12,23 @@ let request i q = { Server.Serve.rq_id = i; rq_query = q }
 let answers_text answers =
   String.concat " ; " (List.map Memo.Canon.answer_text answers)
 
+(* A supervised server over [src]: every batch is served this way. *)
+let sup ?policy ?faults ?memo ?(workers = 2) ?(src = src) () =
+  Server.Supervise.create ?policy
+    (Server.Serve.create (Server.Serve.config ?memo ?faults ~workers ~src ()))
+
+let run_direct t query = Server.Serve.run_direct (Server.Supervise.server t) query
+let served (r : Server.Supervise.response) = r.Server.Supervise.sv
+
 (* ---------------- serving & memoing ---------------- *)
 
 let test_serve_matches_direct () =
   let memo = Memo.Table.create ~capacity_words:0 () in
-  let t = Server.Serve.create (Server.Serve.config ~memo ~workers:2 ~src ()) in
-  let direct = Server.Serve.run_direct t qsort_query in
+  let t = sup ~memo () in
+  let direct = run_direct t qsort_query in
   Alcotest.(check bool) "direct run found an answer" true (direct <> []);
   let batch = List.init 5 (fun i -> request i qsort_query) in
-  let responses = Server.Serve.serve t batch in
+  let responses = List.map served (Server.Supervise.serve t batch) in
   Alcotest.(check int) "all served" 5 (List.length responses);
   List.iter
     (fun (r : Server.Serve.response) ->
@@ -33,47 +41,46 @@ let test_serve_matches_direct () =
   (* identical queries in one batch: at most one execution per worker
      domain can slip past the double-checked lookup; the rest are
      (second-chance) memo hits *)
-  let s = Server.Serve.stats t in
-  let executions = s.Server.Serve.inline_ + s.Server.Serve.pooled in
-  Alcotest.(check int) "served" 5 s.Server.Serve.served;
+  let s = Server.Supervise.stats t in
+  let executions = s.Server.Supervise.inline_ + s.Server.Supervise.pooled in
+  Alcotest.(check int) "served" 5 s.Server.Supervise.served;
   Alcotest.(check bool) "executions bounded by workers" true
     (executions >= 1 && executions <= 2);
   Alcotest.(check int) "every lane accounted" 5
-    (executions + s.Server.Serve.hits);
+    (executions + s.Server.Supervise.hits);
   Alcotest.(check bool) "most requests were hits" true
-    (s.Server.Serve.hits >= 3);
+    (s.Server.Supervise.hits >= 3);
   (* a second batch hits at admission *)
-  let responses2 = Server.Serve.serve t [ request 10 qsort_query ] in
-  (match responses2 with
+  (match Server.Supervise.serve t [ request 10 qsort_query ] with
   | [ r ] ->
-    Alcotest.(check bool) "hit lane" true (r.rs_lane = Server.Serve.Hit)
+    Alcotest.(check bool) "hit lane" true
+      ((served r).rs_lane = Server.Serve.Hit)
   | _ -> Alcotest.fail "expected one response");
   Alcotest.(check int) "admission hit counted"
-    (s.Server.Serve.hits + 1)
-    (Server.Serve.stats t).Server.Serve.hits
+    (s.Server.Supervise.hits + 1)
+    (Server.Supervise.stats t).Server.Supervise.hits
 
 let test_memo_off () =
-  let t = Server.Serve.create (Server.Serve.config ~workers:2 ~src ()) in
-  let direct = Server.Serve.run_direct t qsort_query in
+  let t = sup () in
+  let direct = run_direct t qsort_query in
   let batch = List.init 4 (fun i -> request i qsort_query) in
-  let responses = Server.Serve.serve t batch in
   List.iter
-    (fun (r : Server.Serve.response) ->
+    (fun r ->
       Alcotest.(check string) "matches direct without a table"
         (answers_text direct)
-        (answers_text r.rs_answers))
-    responses;
-  let s = Server.Serve.stats t in
-  Alcotest.(check int) "no hits without a table" 0 s.Server.Serve.hits;
+        (answers_text (served r).rs_answers))
+    (Server.Supervise.serve t batch);
+  let s = Server.Supervise.stats t in
+  Alcotest.(check int) "no hits without a table" 0 s.Server.Supervise.hits;
   Alcotest.(check int) "every request executed" 4
-    (s.Server.Serve.inline_ + s.Server.Serve.pooled)
+    (s.Server.Supervise.inline_ + s.Server.Supervise.pooled)
 
 let test_admission_lanes () =
-  let t = Server.Serve.create (Server.Serve.config ~workers:2 ~src ()) in
-  let responses =
-    Server.Serve.serve t [ request 0 "hello(X)"; request 1 qsort_query ]
-  in
-  match responses with
+  let t = sup () in
+  match
+    List.map served
+      (Server.Supervise.serve t [ request 0 "hello(X)"; request 1 qsort_query ])
+  with
   | [ hello; qsort ] ->
     Alcotest.(check bool) "constant goal runs inline" true
       (hello.Server.Serve.rs_lane = Server.Serve.Inline);
@@ -85,25 +92,23 @@ let test_admission_lanes () =
   | _ -> Alcotest.fail "expected two responses"
 
 let test_bad_query_is_an_error () =
-  let t = Server.Serve.create (Server.Serve.config ~src ()) in
-  match Server.Serve.serve t [ request 0 ")(" ] with
+  let t = sup () in
+  match Server.Supervise.serve t [ request 0 ")(" ] with
   | [ r ] ->
     Alcotest.(check bool) "parse error reported" true
-      (r.Server.Serve.rs_error <> None);
+      ((served r).Server.Serve.rs_error <> None);
     Alcotest.(check int) "errors counted" 1
-      (Server.Serve.stats t).Server.Serve.errors
+      (Server.Supervise.stats t).Server.Supervise.errors
   | _ -> Alcotest.fail "expected one response"
 
 (* A cyclic answer fails its own request; the next request of the
    same batch is still answered. *)
 let test_cyclic_answer_is_an_error () =
-  let t =
-    Server.Serve.create
-      (Server.Serve.config ~workers:1 ~src:"p(X) :- X = f(X).\nhello(world).\n" ())
-  in
+  let t = sup ~workers:1 ~src:"p(X) :- X = f(X).\nhello(world).\n" () in
   match
     Deadline.within ~seconds:2.0 (fun () ->
-        Server.Serve.serve t [ request 0 "p(X)"; request 1 "hello(X)" ])
+        List.map served
+          (Server.Supervise.serve t [ request 0 "p(X)"; request 1 "hello(X)" ]))
   with
   | [ cyclic; hello ] ->
     Alcotest.(check bool) "cyclic answer reported" true (cyclic.Server.Serve.rs_error <> None);
@@ -299,9 +304,26 @@ let test_harness_degrades_on_eio () =
   let faults = Resilience.Fault.make [ ("sim-step", Resilience.Fault.Eio, 3) ] in
   let o = Server.Harness.run (tiny_params ~faults ()) in
   Alcotest.(check int) "one request faulted (cold phase)" 1
-    o.Server.Harness.o_cold.Server.Harness.ph_stats.Server.Serve.faulted;
+    o.Server.Harness.o_cold.Server.Harness.ph_sup.Server.Supervise.faulted;
   Alcotest.(check bool) "answers still equal" true
     o.Server.Harness.o_answers_equal
+
+(* The artifact's per-phase "faulted" folds every unavailable outcome
+   but a shed one: one faulted and one contained crash read as 2. *)
+let test_report_folds_faulted () =
+  let faults =
+    Resilience.Fault.make
+      [ ("sim-step", Resilience.Fault.Eio, 3); ("sim-step", Resilience.Fault.Crash, 5) ]
+  in
+  let o = Server.Harness.run (tiny_params ~faults ()) in
+  let cold = o.Server.Harness.o_cold.Server.Harness.ph_sup in
+  Alcotest.(check int) "one faulted" 1 cold.Server.Supervise.faulted;
+  Alcotest.(check int) "one crashed" 1 cold.Server.Supervise.crashed;
+  match Json_reader.member "phases" (Server.Report.to_json o) with
+  | Obs.Json.List [ _; cold_json; _ ] ->
+    Alcotest.(check bool) "cold phase reports faulted 2" true
+      (Json_reader.member "faulted" cold_json = Obs.Json.Int 2)
+  | _ -> Alcotest.fail "expected three phases"
 
 (* ---------------- config validation & metrics ---------------- *)
 
@@ -376,10 +398,6 @@ let prop_metrics_percentiles_monotone =
 
 (* ---------------- the supervisor ---------------- *)
 
-let sup ?policy ?faults ?memo ?(workers = 2) () =
-  Server.Supervise.create ?policy
-    (Server.Serve.create (Server.Serve.config ?memo ?faults ~workers ~src ()))
-
 let outcome_of (r : Server.Supervise.response) = r.Server.Supervise.sv_outcome
 
 let test_supervise_retry_heals_transient () =
@@ -407,6 +425,25 @@ let test_supervise_retry_heals_transient () =
   Alcotest.(check int) "still ok" 1 s.Server.Supervise.ok;
   Alcotest.(check (float 1e-9)) "fully available" 1.0
     (Server.Supervise.availability s)
+
+(* A non-crash fault at admission poisons only its own request, and
+   the server keeps answering. *)
+let test_supervise_admission_fault () =
+  let faults = Resilience.Fault.make [ ("cell-start", Resilience.Fault.Eio, 0) ] in
+  let t = sup ~faults () in
+  let outcomes batch =
+    List.map
+      (fun r -> Server.Supervise.outcome_name (outcome_of r))
+      (Server.Supervise.serve t batch)
+  in
+  Alcotest.(check (list string)) "first request faulted, second answered"
+    [ "faulted"; "ok" ]
+    (outcomes [ request 0 qsort_query; request 1 "hello(X)" ]);
+  let s = Server.Supervise.stats t in
+  Alcotest.(check int) "faulted counted" 1 s.Server.Supervise.faulted;
+  Alcotest.(check int) "both served" 2 s.Server.Supervise.served;
+  Alcotest.(check (list string)) "the next batch is answered" [ "ok" ]
+    (outcomes [ request 2 qsort_query ])
 
 let test_supervise_deadline_times_out () =
   let faults =
@@ -625,6 +662,8 @@ let suite =
       test_harness_contains_crash_by_default;
     Alcotest.test_case "harness: non-lethal fault degrades gracefully" `Slow
       test_harness_degrades_on_eio;
+    Alcotest.test_case "report: faulted folds crashed and timed-out requests"
+      `Slow test_report_folds_faulted;
     Alcotest.test_case "serve config: each field validated" `Quick
       test_serve_config_validation;
     Alcotest.test_case "metrics: percentile edges" `Quick
@@ -632,6 +671,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_metrics_percentiles_monotone;
     Alcotest.test_case "supervise: retry heals a transient fault" `Quick
       test_supervise_retry_heals_transient;
+    Alcotest.test_case "supervise: admission fault poisons one request"
+      `Quick test_supervise_admission_fault;
     Alcotest.test_case "supervise: deadline becomes a typed timeout" `Quick
       test_supervise_deadline_times_out;
     Alcotest.test_case "supervise: pooled crash contained, pool respawned"
