@@ -10,7 +10,7 @@
    stage 2 fans the cache simulations out over the shared packed
    trace.  Output is keyed and sorted by configuration, so any --jobs
    value produces byte-identical tables/JSON/CSV; progress and timing
-   go to stderr and the --perf-record file only. *)
+   go to stderr only. *)
 
 let protocols =
   [
@@ -77,8 +77,8 @@ let exit_crash = 70 (* injected crash fault: "process killed" (EX_SOFTWARE) *)
 let exit_failed_cells = 4
 
 let run_cmd bench_names pes protocol_name line sizes jobs check check_static
-    json_out csv_out perf_record baseline_wall verbose trace_file quick
-    faults journal resume watchdog_s salvage =
+    json_out csv_out verbose trace_file quick faults journal resume
+    watchdog_s salvage =
   if resume && journal = None then begin
     prerr_endline "cache_sweep: --resume requires --journal FILE";
     exit 2
@@ -133,7 +133,6 @@ let run_cmd bench_names pes protocol_name line sizes jobs check check_static
       match trace_file with
       | Some path ->
         (* sweep a pre-recorded trace: no stage-1 emulation *)
-        Printf.eprintf "reading trace %s...\n%!" path;
         let buf =
           if salvage then begin
             let buf, damage = Trace.Tracefile.read_salvage path in
@@ -143,7 +142,7 @@ let run_cmd bench_names pes protocol_name line sizes jobs check check_static
           end
           else Trace.Tracefile.read path
         in
-        Printf.eprintf "trace: %d references\n%!"
+        Printf.eprintf "trace %s: %d references\n%!" path
           (Trace.Sink.Buffer_sink.length buf);
         let name = List.hd bench_names in
         let bench = Benchlib.Inputs.benchmark ~quick name in
@@ -156,13 +155,10 @@ let run_cmd bench_names pes protocol_name line sizes jobs check check_static
         Engine.Sweep.run ?jobs ~echo:true ~check ?faults ?watchdog ?journal
           ~resume (grid_of benchmarks)
     with
-    | Trace.Tracefile.Bad_file msg ->
-      Printf.eprintf "cache_sweep: not a usable trace file: %s\n%!" msg;
-      exit Benchlib.Cli.exit_dataerr
     | Trace.Tracefile.Trace_error { offset; reason } ->
       Printf.eprintf
-        "cache_sweep: corrupt trace at byte %d: %s\n\
-         (re-run with --salvage to sweep the intact prefix)\n%!"
+        "cache_sweep: trace error at byte %d: %s (re-run with --salvage \
+         to sweep the intact prefix)\n%!"
         offset reason;
       exit Benchlib.Cli.exit_dataerr
     | Resilience.Fault.Injected
@@ -220,19 +216,6 @@ let run_cmd bench_names pes protocol_name line sizes jobs check check_static
         (Engine.Results.to_csv ~areas:outcome.Engine.Sweep.areas
            outcome.Engine.Sweep.cells))
     csv_out;
-  Option.iter
-    (fun path ->
-      let extra =
-        match baseline_wall with
-        | None -> []
-        | Some b ->
-          [
-            ("baseline_jobs1_wall_s", b);
-            ("speedup_vs_jobs1", b /. outcome.Engine.Sweep.wall_s);
-          ]
-      in
-      Engine.Sweep.write_perf_record ~path ~extra outcome)
-    perf_record;
   if failed <> [] then exit exit_failed_cells
 
 open Cmdliner
@@ -312,24 +295,6 @@ let csv_arg =
           "Write the cells as CSV, including per-area \
            $(i,area)_reads/$(i,area)_writes trace columns for each \
            benchmark/PE trace the sweep produced.")
-
-let perf_record_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "perf-record" ] ~docv:"FILE"
-        ~doc:
-          "Write sweep wall-clock and jobs/sec as JSON (the repo's \
-           BENCH_engine.json perf trajectory).")
-
-let baseline_wall_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "baseline-wall-s" ] ~docv:"SECONDS"
-        ~doc:
-          "Wall clock of the same sweep at --jobs 1; recorded in the \
-           --perf-record file together with the resulting speedup.")
 
 let verbose_arg =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print full metrics.")
@@ -413,8 +378,7 @@ let cmd =
     Term.(
       const run_cmd $ bench_arg $ pes_arg $ protocol_arg $ line_arg
       $ sizes_arg $ jobs_arg $ check_arg $ check_static_arg $ json_arg
-      $ csv_arg
-      $ perf_record_arg $ baseline_wall_arg $ verbose_arg $ trace_file_arg
+      $ csv_arg $ verbose_arg $ trace_file_arg
       $ quick_arg $ faults_arg $ journal_arg $ resume_arg $ watchdog_arg
       $ salvage_arg)
 

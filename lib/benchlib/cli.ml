@@ -14,7 +14,8 @@
      1    certify, tracecheck: something was flagged (under --defect:
           detected)
      65   a typed program error -- syntax, load, CGE, compile or
-          runtime -- printed as one line (EX_DATAERR)
+          runtime -- or a damaged or foreign input file (trace,
+          journal, memo snapshot), printed as one line (EX_DATAERR)
      123  the --json report could not be written
      124  usage error (cmdliner), such as a PE count outside 1..128
      125  internal error: an uncaught exception
@@ -117,9 +118,20 @@ let finish ~json_out report status =
 
 let exit_dataerr = 65
 
-(* Evaluate [cmd] and exit with [status] of its value.  A typed program
-   error escaping the command is one line on stderr and exit 65; any
-   other exception is reported the way cmdliner reports it. *)
+(* The one line a typed error prints: a program error, or a durable
+   input file that cannot be read or is damaged or foreign. *)
+let error_message = function
+  | Trace.Tracefile.Bad_file msg
+  | Resilience.Journal.Journal_error msg
+  | Memo.Snapshot.Snapshot_error msg ->
+    Some msg
+  | Trace.Tracefile.Trace_error { offset; reason } ->
+    Some (Printf.sprintf "trace error at byte %d: %s" offset reason)
+  | e -> Wam.Program.error_message e
+
+(* Evaluate [cmd] and exit with [status] of its value.  A typed error
+   escaping the command is one line on stderr and exit 65; any other
+   exception is reported the way cmdliner reports it. *)
 let run status cmd =
   let name = Cmd.name cmd in
   exit
@@ -128,7 +140,7 @@ let run status cmd =
     | `Exit code -> code
     | exception e -> (
       let bt = Printexc.get_raw_backtrace () in
-      match Wam.Program.error_message e with
+      match error_message e with
       | Some msg ->
         Format.eprintf "%s: %s@." name msg;
         exit_dataerr

@@ -23,15 +23,9 @@ type t
 val max_pes : int
 (** 62: the most PEs (caches) one simulation can have. *)
 
-val create :
-  ?locality_override:bool ->
-  ?area_locality:(Trace.Area.t -> Trace.Area.locality) ->
-  n_pes:int -> Protocol.config -> t
+val create : ?locality_override:bool -> n_pes:int -> Protocol.config -> t
 (** [locality_override] forces every reference's hybrid tag to Global
-    ([Some true]) or Local ([Some false]); used by the tag ablation.
-    [area_locality] replaces the paper's Table 1 per-area tags with a
-    custom table (e.g. refmap's statically predicted shareability
-    tags); [locality_override] wins when both are given. *)
+    ([Some true]) or Local ([Some false]); used by the tag ablation. *)
 
 val reference : t -> Trace.Ref_record.t -> unit
 (** Process one reference. *)
@@ -43,16 +37,13 @@ val stats : t -> Metrics.t
 
 val simulate :
   ?line_words:int -> ?write_allocate:bool -> ?locality_override:bool ->
-  ?area_locality:(Trace.Area.t -> Trace.Area.locality) ->
   kind:Protocol.kind -> cache_words:int -> n_pes:int ->
   Trace.Sink.Buffer_sink.t -> Metrics.t
 (** One (protocol, size) point over a trace.  [write_allocate]
     defaults to {!Protocol.paper_allocate_policy}. *)
 
 val simulate_best :
-  ?line_words:int -> ?locality_override:bool ->
-  ?area_locality:(Trace.Area.t -> Trace.Area.locality) ->
-  kind:Protocol.kind ->
+  ?line_words:int -> ?locality_override:bool -> kind:Protocol.kind ->
   cache_words:int -> n_pes:int -> Trace.Sink.Buffer_sink.t ->
   Metrics.t * bool
 (** Try both allocation policies and keep the lower-traffic one (the

@@ -1,4 +1,4 @@
-(* Progress counters and the machine-readable perf record. *)
+(* Progress counters and per-stage summaries. *)
 
 type stage = {
   label : string;
@@ -62,37 +62,3 @@ let pp_stage fmt (s : stage) =
   Format.fprintf fmt "[%s] %d jobs%s in %.2fs (%.1f jobs/s)" s.label s.total
     (if s.failed > 0 then Format.sprintf ", %d failed" s.failed else "")
     s.wall_s s.jobs_per_sec
-
-(* ------------------------------------------------------------------ *)
-(* BENCH_engine.json: the perf trajectory future PRs compare against. *)
-
-let write_perf_record ~path ~jobs ~wall_s ?(extra = []) (stages : stage list) =
-  let module J = Obs.Json in
-  let total_jobs = List.fold_left (fun a (s : stage) -> a + s.total) 0 stages in
-  let failed = List.fold_left (fun a (s : stage) -> a + s.failed) 0 stages in
-  let stage (s : stage) =
-    J.Obj
-      [
-        ("label", J.String s.label);
-        ("jobs", J.Int s.total);
-        ("failed", J.Int s.failed);
-        ("wall_s", J.Float s.wall_s);
-        ("job_wall_s", J.Float s.job_wall_s);
-        ("jobs_per_sec", J.Float s.jobs_per_sec);
-      ]
-  in
-  Resilience.Atomic_io.write_string path
-    (J.to_string
-       (J.Obj
-          ([
-             ("schema", J.String "rapwam-engine-perf/1");
-             ("jobs", J.Int jobs);
-             ("host_domains", J.Int (Domain.recommended_domain_count ()));
-             ("total_jobs", J.Int total_jobs);
-             ("failed_jobs", J.Int failed);
-             ("wall_s", J.Float wall_s);
-             ( "jobs_per_sec",
-               J.Float (float_of_int total_jobs /. Float.max 1e-9 wall_s) );
-           ]
-          @ List.map (fun (k, v) -> (k, J.Float v)) extra
-          @ [ ("stages", J.List (List.map stage stages)) ])))

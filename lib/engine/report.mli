@@ -4,7 +4,7 @@
     serialized [on_done] hook), optionally echoing a live progress
     line to stderr, and folds into a per-stage summary.  Everything
     time-related stays out of the deterministic result stream: wall
-    clocks appear only here and in the perf record. *)
+    clocks appear only here. *)
 
 type stage = {
   label : string;
@@ -26,14 +26,3 @@ val step : t -> ok:bool -> wall_s:float -> unit
 val finish : t -> stage
 
 val pp_stage : Format.formatter -> stage -> unit
-
-val write_perf_record :
-  path:string ->
-  jobs:int ->
-  wall_s:float ->
-  ?extra:(string * float) list ->
-  stage list ->
-  unit
-(** Write the machine-readable perf record (BENCH_engine.json):
-    domain count, host CPU count, total wall clock, aggregate
-    jobs/sec, per-stage metrics, plus any [extra] scalars. *)

@@ -25,7 +25,6 @@ type outcome = {
   areas : ((string * int) * (string * (int * int)) list) list;
       (** per (bench, PEs) trace: area name -> (reads, writes) *)
   wall_s : float;
-  jobs : int;
   resumed_cells : int;
   journal_skipped : int;
 }
@@ -111,9 +110,6 @@ let run ?jobs ?(echo = false) ?(check = false) ?(traces = []) ?faults
     ?watchdog ?journal ?(resume = false) grid =
   check_grid grid;
   let t0 = Unix.gettimeofday () in
-  let jobs_requested =
-    match jobs with Some j -> max 1 j | None -> Pool.default_jobs ()
-  in
   (* Resume: trust exactly the journal frames whose checksums verify
      (Journal.replay already skipped the rest), keyed by config. *)
   let journaled : (string, Cachesim.Metrics.t) Hashtbl.t = Hashtbl.create 64 in
@@ -266,14 +262,9 @@ let run ?jobs ?(echo = false) ?(check = false) ?(traces = []) ?faults
       List.sort compare
         (Hashtbl.fold (fun k rows acc -> (k, rows) :: acc) area_tbl []);
     wall_s = Unix.gettimeofday () -. t0;
-    jobs = jobs_requested;
     resumed_cells = List.length done_cells;
     journal_skipped = !journal_skipped;
   }
-
-let write_perf_record ~path ?extra outcome =
-  Report.write_perf_record ~path ~jobs:outcome.jobs ~wall_s:outcome.wall_s
-    ?extra outcome.stages
 
 let parallel_runs ?jobs ?(echo = false) pairs =
   let arr = Array.of_list pairs in

@@ -10,8 +10,8 @@
     Determinism rule: results are keyed and sorted by configuration
     ({!Results.sort}), and nothing host- or schedule-dependent enters
     them, so [--jobs 1] and [--jobs N] sweeps render byte-identical
-    JSON/CSV.  Wall clocks live only in the {!Report.stage} summaries
-    and the perf record. *)
+    JSON/CSV.  Wall clocks live only in [wall_s] and the
+    {!Report.stage} summaries. *)
 
 type alloc_policy =
   | Default  (** the paper's per-point rule ({!Cachesim.Protocol.paper_allocate_policy}) *)
@@ -49,7 +49,6 @@ type outcome = {
           whose trace generation was skipped have no entry.  Feed to
           {!Results.to_csv} to get per-area columns. *)
   wall_s : float;
-  jobs : int;  (** domains actually requested *)
   resumed_cells : int;  (** cells restored from the checkpoint journal *)
   journal_skipped : int;  (** corrupt journal frames passed over *)
 }
@@ -82,10 +81,6 @@ val run :
     An injected [Crash] fault aborts the whole run with
     {!Resilience.Fault.Injected} (modelling a process kill); resuming
     afterwards completes the sweep. *)
-
-val write_perf_record :
-  path:string -> ?extra:(string * float) list -> outcome -> unit
-(** Record wall clock + jobs/sec (BENCH_engine.json). *)
 
 val parallel_runs :
   ?jobs:int ->

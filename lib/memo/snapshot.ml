@@ -1,8 +1,8 @@
 (* Durable memo snapshots: the answer table, framed for salvage.
 
-   A snapshot is a header (own magic + version, distinct from the
-   checkpoint journal's) followed by one CRC-checksummed
-   [Resilience.Journal] frame per table entry, entries sorted by
+   A snapshot is the {!Resilience.Frame} header (own magic + version,
+   distinct from the checkpoint journal's) followed by one
+   {!Resilience.Frame.journal} frame per table entry, entries sorted by
    canonical key text so the same table always produces the same
    bytes.  The whole image is committed with an atomic write, so a
    clean save is all-or-nothing; the per-entry framing is what makes a
@@ -16,12 +16,12 @@
      A                       (one per answer, in first-insert order)
      B <var> = <term text>   (one per binding of that answer)  *)
 
+module Frame = Resilience.Frame
+
 let magic = "RAPWAMMS"
 let version = 1
 
 exception Snapshot_error of string
-
-let header_len = String.length magic + 8
 
 let payload key_text (answers : Canon.answer list) =
   let b = Buffer.create 128 in
@@ -89,64 +89,26 @@ let save ?plan table path =
     Table.fold table (fun k answers acc -> (k, answers) :: acc) []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b magic;
-  let b8 = Bytes.create 8 in
-  Bytes.set_int64_le b8 0 (Int64.of_int version);
-  Buffer.add_bytes b b8;
-  List.iter
-    (fun (k, answers) ->
-      Buffer.add_string b (Resilience.Journal.frame (payload k answers)))
-    entries;
-  let bytes = Buffer.contents b in
-  let bytes =
-    match Resilience.Fault.fire plan "snapshot-write" with
-    | None -> bytes
-    | Some (Resilience.Fault.Stall, _) ->
-      Unix.sleepf
-        (match plan with
-        | Some p -> Resilience.Fault.stall_seconds p
-        | None -> 0.);
-      bytes
-    | Some (Resilience.Fault.Truncate, _) ->
-      (* torn snapshot: half the image reaches the disk *)
-      String.sub bytes 0 (String.length bytes / 2)
-    | Some (Resilience.Fault.Bit_flip, _) ->
-      (* flip a bit mid-body (past the header): exactly one frame's
-         CRC stops verifying *)
-      let bs = Bytes.of_string bytes in
-      let i = header_len + ((Bytes.length bs - header_len) / 2) in
-      let i = min i (Bytes.length bs - 1) in
-      if i >= 0 then
-        Bytes.set bs i (Char.chr (Char.code (Bytes.get bs i) lxor 0x10));
-      Bytes.to_string bs
-    | Some ((Resilience.Fault.Eio | Resilience.Fault.Crash) as kind, occurrence)
-      ->
-      raise (Resilience.Fault.Injected { site = "snapshot-write"; kind; occurrence })
-  in
-  Resilience.Atomic_io.write_string path bytes;
+  Resilience.Atomic_io.write_file ~fault:("snapshot-write", plan) path
+    (fun oc ->
+      output_string oc (Frame.header ~magic ~version);
+      List.iter
+        (fun (k, answers) ->
+          output_string oc (Frame.encode Frame.journal (payload k answers)))
+        entries);
   List.length entries
 
 type restore_stats = { entries : int; skipped : int; torn : bool }
 
 let restore table path =
-  let s = In_channel.with_open_bin path In_channel.input_all in
-  if String.length s < header_len
-     || String.sub s 0 (String.length magic) <> magic
-  then raise (Snapshot_error (path ^ ": not a RAP-WAM memo snapshot"));
-  let v = Int64.to_int (String.get_int64_le s (String.length magic)) in
-  if v <> version then
-    raise
-      (Snapshot_error
-         (Printf.sprintf "%s: unsupported snapshot version %d" path v));
-  let r = Resilience.Journal.scan ~pos:header_len s in
-  let entries = ref 0 and skipped = ref r.Resilience.Journal.skipped_frames in
-  List.iter
-    (fun payload ->
-      match entry_of_payload payload with
-      | Ok (key, answers) ->
-        ignore (Table.insert table key answers);
-        incr entries
-      | Error _ -> incr skipped)
-    r.Resilience.Journal.entries;
-  { entries = !entries; skipped = !skipped; torn = r.Resilience.Journal.torn_tail }
+  match Frame.read ~magic ~version ~format:"memo snapshot" path with
+  | Error e -> raise (Snapshot_error e)
+  | Ok (s, pos) ->
+    let r =
+      Frame.scan Frame.journal ~pos s ~decode:(fun s off len ->
+          Result.to_option (entry_of_payload (String.sub s off len)))
+    in
+    List.iter
+      (fun (key, answers) -> ignore (Table.insert table key answers))
+      r.frames;
+    { entries = List.length r.frames; skipped = r.skipped; torn = r.torn }

@@ -5,15 +5,18 @@
     leaves a torn file behind. *)
 
 val write_file :
-  ?fsync:bool -> ?before_commit:(string -> unit) -> string ->
-  (out_channel -> unit) -> unit
+  ?fault:string * Fault.plan option -> string -> (out_channel -> unit) ->
+  unit
 (** [write_file path f] runs [f] on a temp file in [path]'s directory,
-    fsyncs (unless [~fsync:false]), then renames over [path].
-    [before_commit tmp] runs after the channel is closed but before
-    the rename — the fault injector uses it to model torn disk state.
-    On exception the temp file is removed and re-raised. *)
+    fsyncs it, then renames it over [path].  On exception the temp
+    file is removed and the exception re-raised.
 
-val write_string : ?fsync:bool -> string -> string -> unit
+    [fault = (site, plan)] applies the I/O fault model ({!Fault.io}) to
+    the whole file once it is complete and before the rename: a
+    truncate or bit flip commits the damaged file, [Eio]/[Crash] raise
+    {!Fault.Injected} with the destination untouched. *)
+
+val write_string : string -> string -> unit
 
 val fsync_channel : out_channel -> unit
 (** Flush the channel, then [Unix.fsync] its descriptor (errors from

@@ -177,8 +177,6 @@ let of_spec spec =
 
 let to_string p = p.spec
 
-let stall_seconds p = p.stall_s
-
 (* [fire] is the single decision point: bump this site's occurrence
    counter and return the planned kind, if any, marking it spent. *)
 let fire plan site =
@@ -208,12 +206,31 @@ let fire plan site =
           Some (e.kind, occurrence)
         | None -> None)
 
+let stall plan =
+  Unix.sleepf (match plan with Some p -> p.stall_s | None -> default_stall_s)
+
 (* For compute sites (no bytes to corrupt): a stall sleeps, everything
    else becomes the typed exception. *)
 let hit ?plan site =
   match fire plan site with
   | None -> ()
+  | Some (Stall, _) -> stall plan
+  | Some (kind, occurrence) -> raise (Injected { site; kind; occurrence })
+
+(* The I/O fault model: the one place that decides what a fault does
+   to the bytes of a write, be they one frame or a whole file. *)
+let io plan site ~from s =
+  let n = String.length s in
+  match fire plan site with
+  | None -> (s, true)
   | Some (Stall, _) ->
-    Unix.sleepf
-      (match plan with Some p -> p.stall_s | None -> default_stall_s)
+    stall plan;
+    (s, true)
+  | Some (Truncate, _) -> (String.sub s 0 (n / 2), false)
+  | Some (Bit_flip, _) ->
+    let i = min (from + ((n - from) / 2)) (n - 1) in
+    ( String.mapi
+        (fun j c -> if j = i then Char.chr (Char.code c lxor 0x10) else c)
+        s,
+      true )
   | Some (kind, occurrence) -> raise (Injected { site; kind; occurrence })

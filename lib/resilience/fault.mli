@@ -8,8 +8,8 @@
     Kinds: [Truncate] (stop an I/O operation partway, leaving a torn
     artifact), [Bit_flip] (corrupt one bit of the written payload),
     [Eio] (the operation fails as if the device returned EIO),
-    [Stall] (the site sleeps for {!stall_seconds}, long enough to trip
-    a watchdog), [Crash] (the typed {!Injected} exception is treated
+    [Stall] (the site sleeps for the plan's [stall_s], long enough to
+    trip a watchdog), [Crash] (the typed {!Injected} exception is treated
     as lethal and aborts the whole run, simulating a process kill). *)
 
 type kind = Truncate | Bit_flip | Eio | Stall | Crash
@@ -45,13 +45,22 @@ val of_spec : string -> (plan, string) result
     [stall-s:SECONDS]. *)
 
 val to_string : plan -> string
-val stall_seconds : plan -> float
 
 val fire : plan option -> string -> (kind * int) option
 (** [fire plan site] advances [site]'s occurrence counter and returns
-    the fault to apply now, if one was planned.  I/O sites use this to
-    corrupt their own bytes. *)
+    the fault to apply now, if one was planned.  Sites ask through
+    {!hit} or {!io}. *)
 
 val hit : ?plan:plan -> string -> unit
 (** Compute-site shorthand: [Stall] sleeps, any other planned kind
     raises {!Injected}. *)
+
+val io : plan option -> string -> from:int -> string -> string * bool
+(** The I/O fault model: [io plan site ~from s] is what the fault
+    planned for this occurrence of [site] leaves of the bytes [s] of
+    one write, and whether they are whole.  A [Stall] sleeps and keeps
+    them, [Bit_flip] xors [0x10] into the byte halfway between [from]
+    and the end, [Truncate] keeps the first half (not whole), and
+    [Eio]/[Crash] raise {!Injected} before anything is written.  A
+    frame writer applies it to one frame ({!Frame.output}), an atomic
+    write to the whole completed file ({!Atomic_io.write_file}). *)

@@ -7,13 +7,11 @@
    frame in the middle -- so `--resume` trusts exactly the records
    whose checksums verify and recomputes everything else.
 
-   Layout:  magic "RAPWAMJL" + u64 version, then frames of
-     "RWJF" | u32 payload length | u32 CRC-32(payload) | payload.  *)
+   Layout: the {!Frame} header (magic "RAPWAMJL" + u64 version), then
+   {!Frame.journal} frames, one payload each. *)
 
 let magic = "RAPWAMJL"
 let version = 1
-let frame_marker = "RWJF"
-let max_payload = 1 lsl 20
 
 exception Journal_error of string
 
@@ -30,54 +28,16 @@ let create ?plan ?(append = false) path =
     else open_out_gen [ Open_append; Open_binary ] 0o644 path
   in
   if fresh then begin
-    output_string oc magic;
-    let b8 = Bytes.create 8 in
-    Bytes.set_int64_le b8 0 (Int64.of_int version);
-    output_bytes oc b8;
+    output_string oc (Frame.header ~magic ~version);
     Atomic_io.fsync_channel oc
   end;
   { oc; plan; dead = false }
 
-let frame payload =
-  let len = String.length payload in
-  let b = Buffer.create (len + 12) in
-  Buffer.add_string b frame_marker;
-  let b4 = Bytes.create 4 in
-  Bytes.set_int32_le b4 0 (Int32.of_int len);
-  Buffer.add_bytes b b4;
-  Bytes.set_int32_le b4 0 (Int32.of_int (Crc32.string payload));
-  Buffer.add_bytes b b4;
-  Buffer.add_string b payload;
-  Buffer.contents b
-
 let append w payload =
   if not w.dead then begin
-    if String.length payload > max_payload then
-      raise (Journal_error "journal payload too large");
-    let bytes = frame payload in
-    let bytes =
-      match Fault.fire w.plan "journal-append" with
-      | None -> bytes
-      | Some (Fault.Stall, _) ->
-        Unix.sleepf
-          (match w.plan with
-          | Some p -> Fault.stall_seconds p
-          | None -> 0.);
-        bytes
-      | Some (Fault.Bit_flip, _) ->
-        (* CRC was computed over the clean payload, so the flip is
-           detectable on replay: this frame will be skipped. *)
-        let b = Bytes.of_string bytes in
-        let i = 12 + (String.length payload / 2) in
-        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x10));
-        Bytes.to_string b
-      | Some (Fault.Truncate, _) ->
-        (* torn append: half a frame reaches the disk *)
-        String.sub bytes 0 (String.length bytes / 2)
-      | Some ((Fault.Eio | Fault.Crash) as kind, occurrence) ->
-        raise (Fault.Injected { site = "journal-append"; kind; occurrence })
-    in
-    output_string w.oc bytes;
+    ignore
+      (Frame.output ~fault:("journal-append", w.plan) Frame.journal w.oc
+         payload);
     Atomic_io.fsync_channel w.oc
   end
 
@@ -89,70 +49,16 @@ let close w =
 
 type replay = {
   entries : string list;
-  frames : int;
   skipped_frames : int;
   torn_tail : bool;
 }
 
-let find_marker s pos =
-  let n = String.length s and m = String.length frame_marker in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub s i m = frame_marker then Some i
-    else go (i + 1)
-  in
-  go pos
-
-let scan ?(pos = 0) s =
-  let n = String.length s in
-  let entries = ref [] and frames = ref 0 and skipped = ref 0 in
-  let torn = ref false in
-  let resync pos =
-    (* a frame failed to parse at [pos]: count it and look for the
-       next marker strictly past this one *)
-    match find_marker s (pos + 1) with
-    | Some next ->
-      incr skipped;
-      Some next
-    | None ->
-      torn := true;
-      None
-  in
-  let rec go pos =
-    if pos >= n then ()
-    else if pos + 12 > n || String.sub s pos 4 <> frame_marker then (
-      match resync pos with None -> () | Some p -> go p)
-    else begin
-      let len = Int32.to_int (String.get_int32_le s (pos + 4)) in
-      let crc =
-        Int32.to_int (String.get_int32_le s (pos + 8)) land 0xffffffff
-      in
-      let bad =
-        len < 0 || len > max_payload || pos + 12 + len > n
-        || Crc32.sub s (pos + 12) len <> crc
-      in
-      if bad then (match resync pos with None -> () | Some p -> go p)
-      else begin
-        entries := String.sub s (pos + 12) len :: !entries;
-        incr frames;
-        go (pos + 12 + len)
-      end
-    end
-  in
-  go pos;
-  {
-    entries = List.rev !entries;
-    frames = !frames;
-    skipped_frames = !skipped;
-    torn_tail = !torn;
-  }
-
 let replay path =
-  let s = In_channel.with_open_bin path In_channel.input_all in
-  let header_len = String.length magic + 8 in
-  if String.length s < header_len || String.sub s 0 (String.length magic) <> magic
-  then raise (Journal_error (path ^ ": not a RAP-WAM journal"));
-  let v = Int64.to_int (String.get_int64_le s (String.length magic)) in
-  if v <> version then
-    raise (Journal_error (Printf.sprintf "%s: unsupported journal version %d" path v));
-  scan ~pos:header_len s
+  match Frame.read ~magic ~version ~format:"journal" path with
+  | Error e -> raise (Journal_error e)
+  | Ok (s, pos) ->
+    let r =
+      Frame.scan Frame.journal ~pos s ~decode:(fun s off len ->
+          Some (String.sub s off len))
+    in
+    { entries = r.frames; skipped_frames = r.skipped; torn_tail = r.torn }

@@ -1,15 +1,14 @@
-(** Append-only checkpoint journal with checksummed framing.
+(** Append-only checkpoint journal.
 
-    One frame per completed sweep cell, fsync'd on every append: a
-    crash loses at most the in-flight cell, and {!replay} trusts
-    exactly the frames whose CRCs verify — a torn tail or a corrupt
-    frame in the middle is skipped (the frame marker makes the stream
-    self-synchronizing) and those cells are simply recomputed. *)
+    One {!Frame.journal} frame per completed sweep cell, fsync'd on
+    every append: a crash loses at most the in-flight cell, and
+    {!replay} trusts exactly the frames whose CRCs verify — a torn
+    tail or a corrupt frame in the middle is skipped (the frame marker
+    makes the stream self-synchronizing) and those cells are simply
+    recomputed. *)
 
 exception Journal_error of string
-
-val magic : string
-val version : int
+(** The file cannot be read, or is not a journal; names the file. *)
 
 type writer
 
@@ -22,31 +21,19 @@ val append : writer -> string -> unit
 (** Append one payload as a checksummed frame and fsync.  No-op on a
     writer that has been {!close}d.
     @raise Fault.Injected for planned [Eio]/[Crash] faults.
-    @raise Journal_error if the payload exceeds 1 MiB. *)
+    @raise Invalid_argument if the payload exceeds 1 MiB. *)
 
 val close : writer -> unit
 
-val frame : string -> string
-(** [frame payload] is the marked, length-prefixed, CRC-checksummed
-    encoding of one payload — the exact bytes {!append} writes.
-    Exposed so other durable formats (e.g. memo snapshots) can reuse
-    the framing and have {!scan} salvage them. *)
-
 type replay = {
   entries : string list;  (** payloads of the frames that verified *)
-  frames : int;
   skipped_frames : int;  (** corrupt frames passed over by resync *)
   torn_tail : bool;  (** the file ended mid-frame *)
 }
 
-val scan : ?pos:int -> string -> replay
-(** Walk a string of {!frame}s starting at [pos] (default 0), trusting
-    exactly the frames whose CRCs verify and resynchronizing on the
-    marker past anything corrupt.  Never raises — damage shows up as
-    [skipped_frames]/[torn_tail]. *)
-
 val replay : string -> replay
-(** Read a journal file: check magic and version, then {!scan} the
-    rest.
-    @raise Journal_error if the file is not a journal (bad magic or
-    version); frame-level damage never raises. *)
+(** Read a journal file: check magic and version, then scan its
+    frames.
+    @raise Journal_error if the file cannot be read or is not a
+    journal (bad magic or version); frame-level damage never
+    raises. *)

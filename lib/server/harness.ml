@@ -256,6 +256,10 @@ let setup ~caller p =
 
 let run ?(progress = fun _ -> ()) p =
   let pool, requests, mk, sup = setup ~caller:"run" p in
+  (* the cold phase's table, warm-started first: a snapshot that
+     cannot be restored fails the run before anything is served *)
+  let memo = make_table p in
+  ignore (restore_into ~progress p memo);
   progress
     (Printf.sprintf "pool %d distinct queries, %d requests, zipf s=%.2f"
        (Array.length pool) p.requests p.zipf_s);
@@ -267,8 +271,6 @@ let run ?(progress = fun _ -> ()) p =
     (Printf.sprintf "memo_off: %.0f q/s, p99 %.2f ms" off.ph_qps
        (off.ph_latency.Metrics.p99_s *. 1000.0));
   (* phase 2: cold table (warm-started when restoring); the chaos phase *)
-  let memo = make_table p in
-  ignore (restore_into ~progress p memo);
   let cold_server = mk ~memo ?faults:p.faults () in
   let cold = run_phase ~name:"cold" (sup cold_server) requests ~batch:p.batch in
   progress

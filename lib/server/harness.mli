@@ -90,7 +90,10 @@ val run : ?progress:(string -> unit) -> params -> outcome
     [params.policy].  Under the default policy a planned [Crash] is
     contained to its request; with [lethal_crash] it re-raises
     ({!Resilience.Fault.Injected}) and the CLIs map it to exit 70.
-    @raise Invalid_argument when {!validate} rejects the params. *)
+    [params.restore] is read before any phase runs.
+    @raise Invalid_argument when {!validate} rejects the params.
+    @raise Memo.Snapshot.Snapshot_error when [params.restore] cannot
+    be read or is not a memo snapshot. *)
 
 (** Acceptance invariants, derived (also serialized into the JSON so
     CI can grep them). *)

@@ -5,41 +5,29 @@
    equivalent persistent format so traces can be generated once and
    swept many times (or inspected offline).
 
-   Version 3 is framed for fault tolerance: after the header the
-   packed words are carried in self-synchronizing blocks,
+   Layout: the {!Resilience.Frame} header (magic + u64 version), a u64
+   record count, then the packed words (8 bytes LE each) in
+   {!Resilience.Frame.trace} frames, here called blocks.  A reader
+   tells a clean EOF from a truncated file, detects a flipped bit by
+   checksum, and in salvage mode skips a damaged block instead of
+   miscounting every reference after it.  Writes are atomic; the
+   "trace-write" (per block) and "block-flush" (whole file, pre-rename)
+   fault sites inject each failure mode deterministically. *)
 
-     marker "RWTRBLK\xa5" | u32 word count | u32 CRC-32 | words (8B LE each)
-
-   so a reader can tell a clean EOF from a truncated file, detect a
-   flipped bit by checksum, and — in salvage mode — skip a damaged
-   block by scanning forward to the next marker instead of miscounting
-   every reference after the corruption.  Versions 1 and 2 (raw
-   unframed words) are still read.
-
-   Writes go through the atomic tmp+fsync+rename path, so an
-   interrupted writer never leaves a half-written trace at the
-   destination.  The "trace-write" (per block) and "block-flush"
-   (whole file, pre-rename) fault sites let every one of those failure
-   modes be injected deterministically. *)
+module Frame = Resilience.Frame
 
 let magic = "RAPWAMTR"
 
-(* Version 1 held access records only; version 2 interleaved the
-   synchronization events in the same packed-word format; version 3
-   wraps the words of either family in checksummed blocks. *)
+(* Version 1 held access records only and version 2 interleaved the
+   synchronization events, both as raw words; version 3 wraps the
+   words in checksummed blocks and is the only one read. *)
 let version = 3
 
-let block_marker = "RWTRBLK\xa5"
-let block_words = 1024
+let block_marker = Frame.trace.marker
+let block_words = Frame.trace.max_units
 
 exception Bad_file of string
 exception Trace_error of { offset : int; reason : string }
-
-let () =
-  Printexc.register_printer (function
-    | Trace_error { offset; reason } ->
-      Some (Printf.sprintf "trace error at byte %d: %s" offset reason)
-    | _ -> None)
 
 type damage = {
   header_records : int;
@@ -70,266 +58,99 @@ let pp_damage fmt d =
 (* ------------------------------------------------------------------ *)
 (* Writing *)
 
-let write_channel ?faults oc (buf : Sink.Buffer_sink.t) =
-  output_string oc magic;
-  let b8 = Bytes.create 8 in
-  let put64 v =
-    Bytes.set_int64_le b8 0 (Int64.of_int v);
-    output_bytes oc b8
-  in
-  put64 version;
-  let total = Sink.Buffer_sink.length buf in
-  put64 total;
-  let words = Array.make (min total block_words) 0 in
-  let fill = ref 0 and emitted = ref 0 and stop = ref false in
-  let payload = Buffer.create (8 * block_words) in
-  let flush_block () =
-    if !fill > 0 && not !stop then begin
-      Buffer.clear payload;
-      for i = 0 to !fill - 1 do
-        Bytes.set_int64_le b8 0 (Int64.of_int words.(i));
-        Buffer.add_bytes payload b8
-      done;
-      let body = Buffer.contents payload in
-      let crc = Resilience.Crc32.string body in
-      let b4 = Bytes.create 4 in
-      let put32 v =
-        Bytes.set_int32_le b4 0 (Int32.of_int v);
-        output_bytes oc b4
+let write ?faults path (buf : Sink.Buffer_sink.t) =
+  Resilience.Atomic_io.write_file ~fault:("block-flush", faults) path
+    (fun oc ->
+      let block = Buffer.create (8 * block_words) in
+      Buffer.add_string block (Frame.header ~magic ~version);
+      Buffer.add_int64_le block (Int64.of_int (Sink.Buffer_sink.length buf));
+      Buffer.output_buffer oc block;
+      Buffer.clear block;
+      (* an injected truncate tears a block; nothing follows it *)
+      let intact = ref true in
+      let flush () =
+        if Buffer.length block > 0 && !intact then
+          intact :=
+            Frame.output ~fault:("trace-write", faults) Frame.trace oc
+              (Buffer.contents block);
+        Buffer.clear block
       in
-      let body =
-        match Resilience.Fault.fire faults "trace-write" with
-        | None -> body
-        | Some (Resilience.Fault.Stall, _) ->
-          Unix.sleepf
-            (match faults with
-            | Some p -> Resilience.Fault.stall_seconds p
-            | None -> 0.);
-          body
-        | Some (Resilience.Fault.Bit_flip, _) ->
-          (* the CRC above covers the clean payload, so the flip is
-             detectable by any reader *)
-          let b = Bytes.of_string body in
-          let i = Bytes.length b / 2 in
-          Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x04));
-          Bytes.to_string b
-        | Some (Resilience.Fault.Truncate, _) ->
-          stop := true;
-          String.sub body 0 (String.length body / 2)
-        | Some ((Resilience.Fault.Eio | Resilience.Fault.Crash) as kind, occurrence)
-          ->
-          raise
-            (Resilience.Fault.Injected
-               { site = "trace-write"; kind; occurrence })
-      in
-      output_string oc block_marker;
-      put32 !fill;
-      put32 crc;
-      output_string oc body;
-      fill := 0
-    end
-  in
-  Sink.Buffer_sink.iter_packed
-    (fun w ->
-      if not !stop then begin
-        words.(!fill) <- w;
-        incr fill;
-        incr emitted;
-        if !fill = block_words then flush_block ()
-      end)
-    buf;
-  flush_block ()
-
-(* Model torn persisted state at the whole-file level: the fault runs
-   after the temp file is complete but before the atomic rename, so a
-   truncate/bit-flip still commits (that is the disaster being
-   simulated) while EIO/crash abort and leave no destination. *)
-let apply_flush_fault faults tmp =
-  match Resilience.Fault.fire faults "block-flush" with
-  | None -> ()
-  | Some (Resilience.Fault.Stall, _) ->
-    Unix.sleepf
-      (match faults with
-      | Some p -> Resilience.Fault.stall_seconds p
-      | None -> 0.)
-  | Some (Resilience.Fault.Truncate, _) ->
-    let size = (Unix.stat tmp).Unix.st_size in
-    Unix.truncate tmp (max 0 (size - (size / 4)) )
-  | Some (Resilience.Fault.Bit_flip, _) ->
-    let fd = Unix.openfile tmp [ Unix.O_RDWR ] 0o644 in
-    Fun.protect
-      ~finally:(fun () -> Unix.close fd)
-      (fun () ->
-        let size = (Unix.stat tmp).Unix.st_size in
-        if size > 0 then begin
-          let pos = size / 2 in
-          ignore (Unix.lseek fd pos Unix.SEEK_SET);
-          let b = Bytes.create 1 in
-          if Unix.read fd b 0 1 = 1 then begin
-            Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0x40));
-            ignore (Unix.lseek fd pos Unix.SEEK_SET);
-            ignore (Unix.write fd b 0 1)
-          end
-        end)
-  | Some ((Resilience.Fault.Eio | Resilience.Fault.Crash) as kind, occurrence)
-    ->
-    raise (Resilience.Fault.Injected { site = "block-flush"; kind; occurrence })
-
-let write ?faults path buf =
-  Resilience.Atomic_io.write_file path
-    ~before_commit:(apply_flush_fault faults)
-    (fun oc -> write_channel ?faults oc buf)
+      Sink.Buffer_sink.iter_packed
+        (fun w ->
+          Buffer.add_int64_le block (Int64.of_int w);
+          if Buffer.length block = 8 * block_words then flush ())
+        buf;
+      flush ())
 
 (* ------------------------------------------------------------------ *)
 (* Reading.
 
-   Both readers share one parser over the full contents; [strict]
-   raises a typed {!Trace_error} at the first anomaly, salvage records
-   it and resynchronizes. *)
+   Both readers share one parse of the full contents; {!read} raises a
+   typed {!Trace_error} at the first anomaly, {!read_salvage} records
+   it and keeps every block the frame scanner kept. *)
 
 let valid_word w =
   w >= 0 && match Ref_record.unpack_entry w with _ -> true | exception _ -> false
 
-let find_marker s pos =
-  let n = String.length s and m = String.length block_marker in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub s i m = block_marker then Some i
-    else go (i + 1)
+let parse path =
+  let s, pos =
+    match Frame.read ~magic ~version ~format:"trace" path with
+    | Ok r -> r
+    | Error e -> raise (Bad_file e)
   in
-  go pos
-
-let parse ~strict s =
-  let n = String.length s in
-  if n < String.length magic + 16
-     || String.sub s 0 (String.length magic) <> magic
-  then raise (Bad_file "not a RAP-WAM trace file");
-  let v = Int64.to_int (String.get_int64_le s 8) in
-  if v <> 1 && v <> 2 && v <> version then
-    raise (Bad_file (Printf.sprintf "unsupported trace version %d" v));
-  let count = Int64.to_int (String.get_int64_le s 16) in
-  if count < 0 then raise (Bad_file "negative record count");
+  if String.length s < pos + 8 then
+    raise (Bad_file (path ^ ": not a RAP-WAM trace"));
+  let count = Int64.to_int (String.get_int64_le s pos) in
+  if count < 0 then raise (Bad_file (path ^ ": negative record count"));
   (* a corrupt header can claim any count: clamp the preallocation,
      the buffer grows on demand *)
   let buf =
     Sink.Buffer_sink.create ~capacity:(min (max 16 count) (1 lsl 20)) ()
   in
-  let skipped = ref 0 and truncated = ref false in
-  let first_error = ref None in
-  let prefix = ref (-1) in
-  let fail offset reason =
-    if strict then raise (Trace_error { offset; reason });
-    if !first_error = None then begin
-      first_error := Some (offset, reason);
-      prefix := Sink.Buffer_sink.length buf
+  (* a block is kept whole or not at all *)
+  let decode s off len =
+    let n = len / 8 in
+    let word i = Int64.to_int (String.get_int64_le s (off + (8 * i))) in
+    let rec valid i = i = n || (valid_word (word i) && valid (i + 1)) in
+    if not (valid 0) then None
+    else begin
+      for i = 0 to n - 1 do
+        Sink.Buffer_sink.push buf (word i)
+      done;
+      Some n
     end
   in
-  let body = String.length magic + 16 in
-  (if v < 3 then begin
-     (* legacy: [count] raw words immediately after the header *)
-     let available = (n - body) / 8 in
-     let take = min count available in
-     (try
-        for i = 0 to take - 1 do
-          let w = Int64.to_int (String.get_int64_le s (body + (8 * i))) in
-          if not (valid_word w) then begin
-            fail (body + (8 * i))
-              (Printf.sprintf "undecodable record %d" i);
-            raise Exit
-          end;
-          Sink.Buffer_sink.push buf w
-        done
-      with Exit -> ());
-     if available < count && !first_error = None then begin
-       truncated := true;
-       fail (body + (8 * available))
-         (Printf.sprintf "truncated: %d of %d records present" available
-            count)
-     end
-   end
-   else begin
-     (* v3: framed blocks *)
-     let resync pos reason =
-       fail pos reason;
-       match find_marker s (pos + 1) with
-       | Some next ->
-         incr skipped;
-         Some next
-       | None ->
-         truncated := true;
-         None
-     in
-     let rec go pos =
-       if pos >= n then ()
-       else if
-         pos + String.length block_marker + 8 > n
-         || String.sub s pos (String.length block_marker) <> block_marker
-       then (
-         match resync pos "expected a block marker" with
-         | None -> ()
-         | Some p -> go p)
-       else begin
-         let hdr = pos + String.length block_marker in
-         let words = Int32.to_int (String.get_int32_le s hdr) in
-         let crc =
-           Int32.to_int (String.get_int32_le s (hdr + 4)) land 0xffffffff
-         in
-         let data = hdr + 8 in
-         if words < 0 || words > block_words then (
-           match
-             resync pos (Printf.sprintf "implausible block of %d words" words)
-           with
-           | None -> ()
-           | Some p -> go p)
-         else if data + (8 * words) > n then (
-           match resync pos "block extends past end of file" with
-           | None -> ()
-           | Some p -> go p)
-         else if Resilience.Crc32.sub s data (8 * words) <> crc then (
-           match resync pos "block checksum mismatch" with
-           | None -> ()
-           | Some p -> go p)
-         else begin
-           let ok = ref true in
-           for i = 0 to words - 1 do
-             if !ok then begin
-               let w = Int64.to_int (String.get_int64_le s (data + (8 * i))) in
-               if valid_word w then Sink.Buffer_sink.push buf w
-               else ok := false
-             end
-           done;
-           if !ok then go (data + (8 * words))
-           else (
-             match resync pos "undecodable record inside a checksummed block"
-             with
-             | None -> ()
-             | Some p -> go p)
-         end
-       end
-     in
-     go body;
-     if Sink.Buffer_sink.length buf < count && !first_error = None then begin
-       truncated := true;
-       fail n
-         (Printf.sprintf "truncated: %d of %d records present"
-            (Sink.Buffer_sink.length buf) count)
-     end
-   end);
+  let r = Frame.scan Frame.trace ~decode ~pos:(pos + 8) s in
   let salvaged = Sink.Buffer_sink.length buf in
+  let first_error, truncated =
+    match r.first_error with
+    | Some _ as e -> (e, r.torn)
+    | None when salvaged < count ->
+      ( Some
+          ( String.length s,
+            Printf.sprintf "truncated: %d of %d records present" salvaged count
+          ),
+        true )
+    | None -> (None, false)
+  in
+  let prefix_records =
+    List.fold_left ( + ) 0
+      (List.filteri (fun i _ -> i < r.clean_prefix) r.frames)
+  in
   ( buf,
     {
       header_records = count;
       salvaged;
-      prefix_records = (if !prefix >= 0 then !prefix else salvaged);
-      skipped_blocks = !skipped;
-      truncated = !truncated;
-      first_error = !first_error;
+      prefix_records;
+      skipped_blocks = r.skipped;
+      truncated;
+      first_error;
     } )
 
-let contents path = In_channel.with_open_bin path In_channel.input_all
+let read path =
+  match parse path with
+  | _, { first_error = Some (offset, reason); _ } ->
+    raise (Trace_error { offset; reason })
+  | buf, _ -> buf
 
-let read path = fst (parse ~strict:true (contents path))
-
-let read_salvage path = parse ~strict:false (contents path)
-
-let read_channel ic = fst (parse ~strict:true (In_channel.input_all ic))
+let read_salvage = parse

@@ -1,14 +1,16 @@
 (** Binary trace files: persist a packed reference trace so it can be
     generated once and swept by the cache simulators many times.
 
-    Version 3 frames the packed words in self-synchronizing blocks
-    (marker + word count + CRC-32 + payload) so corruption and
-    truncation are detected — and, via {!read_salvage}, survived —
-    instead of being decoded as garbage.  Versions 1/2 (raw words) are
-    still readable.  {!write} is atomic: tmp + fsync + rename. *)
+    Version 3, the only version read, carries the packed words in
+    {!Resilience.Frame.trace} frames ("blocks": marker + word count +
+    CRC-32 + payload) after the shared {!Resilience.Frame} header and a
+    record count, so corruption and truncation are detected — and, via
+    {!read_salvage}, survived — instead of being decoded as garbage.
+    {!write} is atomic: tmp + fsync + rename. *)
 
 exception Bad_file of string
-(** Not a trace file at all: wrong magic, unsupported version. *)
+(** Not a trace file at all: unreadable, wrong magic, unsupported
+    version.  The message names the file. *)
 
 exception Trace_error of { offset : int; reason : string }
 (** The file is a trace but its contents are damaged: truncation,
@@ -53,6 +55,3 @@ val read_salvage : string -> Sink.Buffer_sink.t * damage
 val lost : damage -> int
 val clean : damage -> bool
 val pp_damage : Format.formatter -> damage -> unit
-
-val write_channel : ?faults:Resilience.Fault.plan -> out_channel -> Sink.Buffer_sink.t -> unit
-val read_channel : in_channel -> Sink.Buffer_sink.t

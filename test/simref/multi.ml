@@ -22,21 +22,14 @@ type t = {
 }
 
 (* [locality_override]: force every reference's hybrid tag to Global
-   (Some true) or Local (Some false); used by the tag ablation.
-   [area_locality]: per-area tag table (e.g. refmap's predicted
-   shareability tags) replacing the paper's Table 1 defaults;
-   [locality_override] wins when both are given. *)
-let create ?locality_override ?area_locality ~n_pes
-    (config : Protocol.config) =
+   (Some true) or Local (Some false); used by the tag ablation. *)
+let create ?locality_override ~n_pes (config : Protocol.config) =
   if n_pes < 1 || n_pes > 62 then invalid_arg "Multi.create: 1..62 PEs";
   let lines = config.Protocol.cache_words / config.Protocol.line_words in
   let global_area =
-    match (locality_override, area_locality) with
-    | Some v, _ -> Array.make Trace.Area.count v
-    | None, Some tag ->
-      Array.init Trace.Area.count (fun i ->
-          tag (Trace.Area.of_int i) = Trace.Area.Global)
-    | None, None ->
+    match locality_override with
+    | Some v -> Array.make Trace.Area.count v
+    | None ->
       Array.init Trace.Area.count (fun i ->
           Trace.Area.locality (Trace.Area.of_int i) = Trace.Area.Global)
   in
@@ -251,8 +244,8 @@ let run_trace t buf =
 let stats t = t.stats
 
 (* Convenience: simulate one (protocol, size) point over a trace. *)
-let simulate ?line_words:(lw = 4) ?write_allocate ?locality_override
-    ?area_locality ~kind ~cache_words ~n_pes buf =
+let simulate ?line_words:(lw = 4) ?write_allocate ?locality_override ~kind
+    ~cache_words ~n_pes buf =
   let write_allocate =
     match write_allocate with
     | Some w -> w
@@ -261,22 +254,22 @@ let simulate ?line_words:(lw = 4) ?write_allocate ?locality_override
   let config =
     Protocol.make ~line_words:lw ~write_allocate ~kind ~cache_words ()
   in
-  let t = create ?locality_override ?area_locality ~n_pes config in
+  let t = create ?locality_override ~n_pes config in
   run_trace t buf;
   stats t
 
 (* The paper selected, per cache size, the allocation policy that
    produced the lowest traffic; [simulate_best] does that selection
    per point. *)
-let simulate_best ?line_words ?locality_override ?area_locality ~kind
-    ~cache_words ~n_pes buf =
+let simulate_best ?line_words ?locality_override ~kind ~cache_words ~n_pes
+    buf =
   let a =
-    simulate ?line_words ?locality_override ?area_locality
-      ~write_allocate:true ~kind ~cache_words ~n_pes buf
+    simulate ?line_words ?locality_override ~write_allocate:true ~kind
+      ~cache_words ~n_pes buf
   in
   let b =
-    simulate ?line_words ?locality_override ?area_locality
-      ~write_allocate:false ~kind ~cache_words ~n_pes buf
+    simulate ?line_words ?locality_override ~write_allocate:false ~kind
+      ~cache_words ~n_pes buf
   in
   if Metrics.traffic_ratio a <= Metrics.traffic_ratio b then (a, true)
   else (b, false)

@@ -172,18 +172,54 @@ let with_file text f =
   Out_channel.with_open_bin path (fun oc -> output_string oc text);
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f (Filename.quote path))
 
-(* A typed program error is one stderr line and exit 65 from every
-   CLI that takes a program, never cmdliner's uncaught-exception
-   report. *)
+(* A typed program error, or a durable input file (trace, journal,
+   memo snapshot) that cannot be read or is damaged or foreign, is one
+   stderr line and exit 65 from every CLI that takes one, never
+   cmdliner's uncaught-exception report. *)
 let test_typed_errors_exit_65 () =
-  let expect cmd ~names =
+  let expect ?(prefix = "") cmd ~names =
     let code, lines = run_stderr cmd in
     if code <> 65 || List.length lines <> 1 || not (contains (String.concat "\n" lines) names)
        || contains (String.concat "\n" lines) "uncaught exception"
+       || not (String.starts_with ~prefix (List.hd lines))
     then
       Alcotest.failf "%s: expected exit 65 and one line naming %S, got %d:\n%s" cmd names
         code (String.concat "\n" lines)
   in
+  (* the line opens with the CLI's name *)
+  let expect_file (cli, args, names) =
+    expect (bin (cli ^ ".exe") ^ " " ^ args) ~prefix:(cli ^ ": ") ~names
+  in
+  with_file "not a durable file of any kind, but long enough to hold a header\n"
+    (fun foreign ->
+      let trace = Filename.temp_file "parity" ".trace" in
+      Fun.protect ~finally:(fun () -> Sys.remove trace) (fun () ->
+          let buf = Trace.Sink.Buffer_sink.create () in
+          let sink = Trace.Sink.buffer buf in
+          for i = 0 to 2999 do
+            Trace.Sink.emit sink
+              { Trace.Ref_record.pe = i mod 2; addr = 64 + i; area = Trace.Area.Heap;
+                op = Trace.Ref_record.Read }
+          done;
+          Trace.Tracefile.write trace buf;
+          let full = In_channel.with_open_bin trace In_channel.input_all in
+          Out_channel.with_open_bin trace (fun oc ->
+              output_string oc (String.sub full 0 (String.length full * 60 / 100)));
+          let sweep = "--quick --bench deriv --pes 2 --sizes 64 --protocol write-through" in
+          List.iter expect_file
+            [
+              ("tracecheck", "--trace-file " ^ foreign, "not a RAP-WAM trace");
+              ("tracecheck", "--trace-file " ^ Filename.quote trace, "trace error at byte");
+              ( "cache_sweep",
+                Printf.sprintf "%s --trace-file %s" sweep
+                  (Filename.quote (Filename.get_temp_dir_name ())),
+                "Is a directory" );
+              ( "cache_sweep",
+                Printf.sprintf "%s --journal %s --resume" sweep foreign,
+                "not a RAP-WAM journal" );
+              ("serve", "--quick --restore " ^ foreign, "not a RAP-WAM memo snapshot");
+              ("serve", "--quick --restore /nonexistent/memo.snap", "/nonexistent/memo.snap");
+            ]));
   with_file "p(X) :- q(X, Y.\n" (fun bad ->
       List.iter
         (fun cmd -> expect cmd ~names:"syntax error")

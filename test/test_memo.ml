@@ -356,7 +356,7 @@ let test_snapshot_salvage () =
          fatal: rebuild the image with one poisoned frame *)
       let poisoned =
         String.sub full 0 16
-        ^ Resilience.Journal.frame "K )(not a term"
+        ^ Resilience.Frame.encode Resilience.Frame.journal "K )(not a term"
         ^ String.sub full 16 (String.length full - 16)
       in
       overwrite path poisoned;

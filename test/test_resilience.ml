@@ -283,6 +283,116 @@ let test_journal_salvage_edges () =
       Alcotest.(check bool) "header-only: not torn" false
         r.Resilience.Journal.torn_tail)
 
+(* ---------------- the frame codec ---------------- *)
+
+module Frame = Resilience.Frame
+
+(* Random payload lists over either layout: a journal frame holds any
+   bytes, a trace frame whole 8-byte words. *)
+let arb_frames =
+  QCheck.(
+    pair bool (list_of_size Gen.(0 -- 8) (string_of_size Gen.(0 -- 40))))
+
+let layout_payloads (words, payloads) =
+  if words then
+    ( Frame.trace,
+      List.map
+        (fun p -> p ^ String.make ((8 - (String.length p mod 8)) mod 8) 'w')
+        payloads )
+  else (Frame.journal, payloads)
+
+let scan_all layout s =
+  Frame.scan layout ~pos:0 s ~decode:(fun s off len ->
+      Some (String.sub s off len))
+
+let prop_frame_roundtrip =
+  QCheck.Test.make ~count:200
+    ~name:"frame codec: scanning written frames returns every payload"
+    arb_frames (fun g ->
+      let layout, payloads = layout_payloads g in
+      let r =
+        scan_all layout
+          (String.concat "" (List.map (Frame.encode layout) payloads))
+      in
+      r.Frame.frames = payloads && r.Frame.skipped = 0 && (not r.Frame.torn)
+      && r.Frame.first_error = None
+      && r.Frame.clean_prefix = List.length payloads)
+
+let prop_frame_flip_loses_one =
+  QCheck.Test.make ~count:300
+    ~name:"frame codec: a flipped byte in frame k loses frame k only"
+    QCheck.(
+      pair arb_frames
+        (triple small_nat (int_bound 1_000_000) (int_range 1 255)))
+    (fun (g, (k_seed, i_seed, mask)) ->
+      let layout, payloads = layout_payloads g in
+      QCheck.assume (payloads <> []);
+      let frames = List.map (Frame.encode layout) payloads in
+      let k = k_seed mod List.length frames in
+      let start =
+        List.fold_left ( + ) 0
+          (List.filteri (fun j _ -> j < k) (List.map String.length frames))
+      in
+      let i = start + (i_seed mod String.length (List.nth frames k)) in
+      let s = String.concat "" frames in
+      let damaged =
+        String.mapi
+          (fun j c -> if j = i then Char.chr (Char.code c lxor mask) else c)
+          s
+      in
+      (scan_all layout damaged).Frame.frames
+      = List.filteri (fun j _ -> j <> k) payloads)
+
+let prop_frame_cut =
+  QCheck.Test.make ~count:300
+    ~name:"frame codec: a cut keeps the frames that end before it"
+    QCheck.(pair arb_frames (int_bound 1_000_000))
+    (fun (g, c_seed) ->
+      let layout, payloads = layout_payloads g in
+      let frames = List.map (Frame.encode layout) payloads in
+      let s = String.concat "" frames in
+      let cut = c_seed mod (String.length s + 1) in
+      let ends =
+        List.rev
+          (snd
+             (List.fold_left
+                (fun (pos, acc) f ->
+                  let e = pos + String.length f in
+                  (e, e :: acc))
+                (0, []) frames))
+      in
+      let r = scan_all layout (String.sub s 0 cut) in
+      r.Frame.frames = List.filteri (fun j _ -> List.nth ends j <= cut) payloads
+      && r.Frame.torn = not (cut = 0 || List.mem cut ends))
+
+(* The on-disk layout of the three durable formats, pinned by digest:
+   a change of format must show up here, not in a reader's salvage. *)
+let test_format_pins () =
+  let md5 path = Digest.to_hex (Digest.string (read_all path)) in
+  with_temp ".trace" (fun path ->
+      (* 2,500 words: two full blocks and a partial one *)
+      Trace.Tracefile.write path (make_trace 2500);
+      Alcotest.(check string) "trace file" "9e458fa1bdba0056e6fe787fdb42b41d"
+        (md5 path));
+  with_temp ".journal" (fun path ->
+      let w = Resilience.Journal.create path in
+      List.iter (Resilience.Journal.append w) [ "one"; "two"; "three" ];
+      Resilience.Journal.close w;
+      Alcotest.(check string) "journal" "9f04ea9dd5fce12f415db1c00050748f"
+        (md5 path));
+  with_temp ".snap" (fun path ->
+      let key s = Result.get_ok (Memo.Canon.key_of_query s) in
+      let table = Memo.Table.create ~capacity_words:0 () in
+      ignore
+        (Memo.Table.insert table (key "qsort([3,1,2], S)")
+           [ [ ("S", Prolog.Parser.term_of_string "[1,2,3]") ] ]);
+      ignore
+        (Memo.Table.insert table (key "deriv(x*x, x, D)")
+           [ [ ("D", Prolog.Parser.term_of_string "1*x+x*1") ] ]);
+      ignore (Memo.Snapshot.save table path);
+      Alcotest.(check string) "memo snapshot"
+        "84dddc2ca06d95fdc93dd2547a3e906c" (md5 path))
+
 let test_cell_codec_roundtrip () =
   let buf = make_trace 2000 in
   let m =
@@ -558,6 +668,11 @@ let suite =
       test_journal_torn_tail_and_corrupt_frame;
     Alcotest.test_case "journal salvage edges (empty, mid-header tear)" `Quick
       test_journal_salvage_edges;
+    qt prop_frame_roundtrip;
+    qt prop_frame_flip_loses_one;
+    qt prop_frame_cut;
+    Alcotest.test_case "durable formats pinned by digest" `Quick
+      test_format_pins;
     Alcotest.test_case "cell codec roundtrip" `Quick test_cell_codec_roundtrip;
     Alcotest.test_case "watchdog recovers a stalled job" `Quick
       test_watchdog_recovers_stalled_job;
