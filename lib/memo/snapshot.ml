@@ -4,14 +4,17 @@
    distinct from the checkpoint journal's) followed by one
    {!Resilience.Frame.journal} frame per table entry, entries sorted by
    canonical key text so the same table always produces the same
-   bytes.  The whole image is committed with an atomic write, so a
-   clean save is all-or-nothing; the per-entry framing is what makes a
-   {e faulted} save (torn or bit-flipped by the injector, or by a real
-   disk) degrade gracefully — restore salvages every frame whose CRC
-   verifies and recomputes the rest as ordinary misses.
+   bytes.  The key text is the only place a key is printed: it is
+   decoded from the key's byte code ({!Canon.text}), and restore
+   parses it back into the same code.  The whole image is committed
+   with an atomic write, so a clean save is all-or-nothing; the
+   per-entry framing is what makes a {e faulted} save (torn or
+   bit-flipped by the injector, or by a real disk) degrade gracefully —
+   restore salvages every frame whose CRC verifies and recomputes the
+   rest as ordinary misses.
 
    Entry payload, line-oriented (canonical key and term texts are
-   single-line by construction):
+   single-line: the printer escapes newlines in quoted atoms):
      K <canonical call text>
      A                       (one per answer, in first-insert order)
      B <var> = <term text>   (one per binding of that answer)  *)
@@ -86,7 +89,7 @@ let entry_of_payload payload =
 
 let save ?plan table path =
   let entries =
-    Table.fold table (fun k answers acc -> (k, answers) :: acc) []
+    Table.fold table (fun k answers acc -> (Canon.text k, answers) :: acc) []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
   Resilience.Atomic_io.write_file ~fault:("snapshot-write", plan) path

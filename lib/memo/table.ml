@@ -3,12 +3,14 @@
 (* Entry bookkeeping is protected by the owning shard's mutex; the
    global counters and the LRU clock are atomics. *)
 type entry = {
+  key : Canon.key;
   mutable answers : (string * Canon.answer) list;  (* canon text, answer; newest first *)
   mutable n_answers : int;
   mutable words : int;
   mutable stamp : int;
 }
 
+(* Buckets are keyed by the key's byte code. *)
 type shard = {
   lock : Mutex.t;
   tbl : (string, entry) Hashtbl.t;
@@ -48,7 +50,7 @@ let create ?(shards = 16) ~capacity_words () =
   }
 
 let shard_of t (key : Canon.key) =
-  t.shards_.(Hashtbl.hash key.Canon.text mod Array.length t.shards_)
+  t.shards_.(Hashtbl.hash key.Canon.code mod Array.length t.shards_)
 
 let with_lock sh f =
   Mutex.lock sh.lock;
@@ -67,7 +69,7 @@ let find t (key : Canon.key) =
   let stamp = tick t in
   let found =
     with_lock sh (fun () ->
-        match Hashtbl.find_opt sh.tbl key.Canon.text with
+        match Hashtbl.find_opt sh.tbl key.Canon.code with
         | None -> None
         | Some e ->
           e.stamp <- stamp;
@@ -80,7 +82,7 @@ let find t (key : Canon.key) =
 
 let mem t (key : Canon.key) =
   let sh = shard_of t key in
-  with_lock sh (fun () -> Hashtbl.mem sh.tbl key.Canon.text)
+  with_lock sh (fun () -> Hashtbl.mem sh.tbl key.Canon.code)
 
 (* Evict least-recently-stamped entries (never the one just touched)
    until the shard fits its slice again.  Shards are small enough that
@@ -112,12 +114,12 @@ let insert t (key : Canon.key) (answers : Canon.answer list) =
   let added, dups, evicted =
     with_lock sh (fun () ->
         let e =
-          match Hashtbl.find_opt sh.tbl key.Canon.text with
+          match Hashtbl.find_opt sh.tbl key.Canon.code with
           | Some e -> e
           | None ->
             let words = entry_overhead + key.Canon.words in
-            let e = { answers = []; n_answers = 0; words; stamp } in
-            Hashtbl.add sh.tbl key.Canon.text e;
+            let e = { key; answers = []; n_answers = 0; words; stamp } in
+            Hashtbl.add sh.tbl key.Canon.code e;
             sh.live_words <- sh.live_words + words;
             e
         in
@@ -136,7 +138,7 @@ let insert t (key : Canon.key) (answers : Canon.answer list) =
               incr added
             end)
           answers;
-        let evicted = evict_over_budget t sh ~keep:key.Canon.text in
+        let evicted = evict_over_budget t sh ~keep:key.Canon.code in
         (!added, !dups, evicted))
   in
   if added > 0 then ignore (Atomic.fetch_and_add t.inserts added);
@@ -151,8 +153,7 @@ let fold t f init =
     (fun acc sh ->
       with_lock sh (fun () ->
           Hashtbl.fold
-            (fun key_text e acc ->
-              f key_text (List.rev_map snd e.answers) acc)
+            (fun _ e acc -> f e.key (List.rev_map snd e.answers) acc)
             sh.tbl acc))
     init t.shards_
 

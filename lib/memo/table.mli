@@ -1,5 +1,7 @@
 (** Concurrent answer table: sharded-lock buckets over canonical call
-    keys, bounded capacity with least-recently-used eviction.
+    keys, bounded capacity with least-recently-used eviction.  Shards
+    and buckets are keyed by the key's byte code ({!Canon.key}), so a
+    lookup hashes and compares one short string and prints nothing.
 
     Concurrency design (after the sharded table spaces of Areias &
     Rocha): a key hashes to one of [shards] buckets, each bucket is an
@@ -37,8 +39,8 @@ val insert : t -> Canon.key -> Canon.answer list -> int
 val mem : t -> Canon.key -> bool
 (** Lookup without touching counters or stamps. *)
 
-val fold : t -> (string -> Canon.answer list -> 'acc -> 'acc) -> 'acc -> 'acc
-(** [fold t f init] folds [f key_text answers acc] over every live
+val fold : t -> (Canon.key -> Canon.answer list -> 'acc -> 'acc) -> 'acc -> 'acc
+(** [fold t f init] folds [f key answers acc] over every live
     entry, answers in first-insert order, holding one shard lock at a
     time.  Entry order is arbitrary (shard/hash order) — sort the
     result if determinism matters.  Counters and stamps are not

@@ -4,7 +4,13 @@
    variables, integers, punctuation, '%' line comments and nested-free
    block comments.  A '(' immediately following an atom (no space) is
    distinguished as [Functor_paren] so the parser can tell application
-   f(X) from grouping f (X). *)
+   f(X) from grouping f (X).
+
+   The scanner works by index over the source string: every loop is a
+   top-level function of the lexer state, punctuation tokens are
+   constants, and an integer literal is accumulated digit by digit, so
+   the only allocation per token is its name (and a quoted atom's
+   buffer). *)
 
 type token =
   | Atom of string
@@ -18,11 +24,14 @@ exception Error of string * int (* message, position *)
 
 type t = {
   src : string;
+  len : int;
   mutable pos : int;
-  mutable peeked : token option;
+  mutable peeked : token;  (* meaningful when [has_peeked] *)
+  mutable has_peeked : bool;
 }
 
-let make src = { src; pos = 0; peeked = None }
+let make src =
+  { src; len = String.length src; pos = 0; peeked = Eof; has_peeked = false }
 
 let is_digit c = c >= '0' && c <= '9'
 let is_lower c = c >= 'a' && c <= 'z'
@@ -36,165 +45,159 @@ let is_symbol_char c =
     true
   | _ -> false
 
-let peek_char lx = if lx.pos < String.length lx.src then Some lx.src.[lx.pos] else None
+(* [at lx i c]: the source holds [c] at index [i]. *)
+let at lx i c = i < lx.len && String.unsafe_get lx.src i = c
 
-let peek_char_at lx k =
-  let i = lx.pos + k in
-  if i < String.length lx.src then Some lx.src.[i] else None
+let rec skip_line lx =
+  if lx.pos < lx.len && String.unsafe_get lx.src lx.pos <> '\n' then begin
+    lx.pos <- lx.pos + 1;
+    skip_line lx
+  end
 
-let advance lx = lx.pos <- lx.pos + 1
+(* Inside a block comment, just past its opening slash-star. *)
+let rec skip_block lx =
+  if lx.pos >= lx.len then raise (Error ("unterminated block comment", lx.pos))
+  else if at lx lx.pos '*' && at lx (lx.pos + 1) '/' then lx.pos <- lx.pos + 2
+  else begin
+    lx.pos <- lx.pos + 1;
+    skip_block lx
+  end
 
 let rec skip_ws lx =
-  match peek_char lx with
-  | Some (' ' | '\t' | '\n' | '\r') ->
-    advance lx;
-    skip_ws lx
-  | Some '%' ->
-    let rec to_eol () =
-      match peek_char lx with
-      | Some '\n' | None -> ()
-      | Some _ ->
-        advance lx;
-        to_eol ()
-    in
-    to_eol ();
-    skip_ws lx
-  | Some '/' when peek_char_at lx 1 = Some '*' ->
-    advance lx;
-    advance lx;
-    let rec to_close () =
-      match peek_char lx with
-      | None -> raise (Error ("unterminated block comment", lx.pos))
-      | Some '*' when peek_char_at lx 1 = Some '/' ->
-        advance lx;
-        advance lx
-      | Some _ ->
-        advance lx;
-        to_close ()
-    in
-    to_close ();
-    skip_ws lx
-  | Some _ | None -> ()
+  if lx.pos < lx.len then
+    match String.unsafe_get lx.src lx.pos with
+    | ' ' | '\t' | '\n' | '\r' ->
+      lx.pos <- lx.pos + 1;
+      skip_ws lx
+    | '%' ->
+      skip_line lx;
+      skip_ws lx
+    | '/' when at lx (lx.pos + 1) '*' ->
+      lx.pos <- lx.pos + 2;
+      skip_block lx;
+      skip_ws lx
+    | _ -> ()
 
-let take_while lx pred =
-  let start = lx.pos in
-  let rec go () =
-    match peek_char lx with
-    | Some c when pred c ->
-      advance lx;
-      go ()
-    | Some _ | None -> ()
-  in
-  go ();
-  String.sub lx.src start (lx.pos - start)
+let rec skip_alnum lx =
+  if lx.pos < lx.len && is_alnum (String.unsafe_get lx.src lx.pos) then begin
+    lx.pos <- lx.pos + 1;
+    skip_alnum lx
+  end
 
-let read_quoted lx =
-  (* Opening quote already consumed. *)
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek_char lx with
-    | None -> raise (Error ("unterminated quoted atom", lx.pos))
-    | Some '\'' when peek_char_at lx 1 = Some '\'' ->
-      advance lx;
-      advance lx;
-      Buffer.add_char buf '\'';
-      go ()
-    | Some '\'' -> advance lx
-    | Some '\\' -> begin
-      advance lx;
-      match peek_char lx with
-      | Some 'n' ->
-        advance lx;
-        Buffer.add_char buf '\n';
-        go ()
-      | Some 't' ->
-        advance lx;
-        Buffer.add_char buf '\t';
-        go ()
-      | Some c ->
-        advance lx;
-        Buffer.add_char buf c;
-        go ()
-      | None -> raise (Error ("unterminated escape", lx.pos))
-    end
-    | Some c ->
-      advance lx;
-      Buffer.add_char buf c;
-      go ()
-  in
-  go ();
-  Buffer.contents buf
+let rec skip_symbol lx =
+  if lx.pos < lx.len && is_symbol_char (String.unsafe_get lx.src lx.pos) then begin
+    lx.pos <- lx.pos + 1;
+    skip_symbol lx
+  end
+
+(* Digits from [lx.pos] onward, accumulated onto [n]; [start] is the
+   literal's first digit, where an overflow is reported. *)
+let rec int_literal lx start n =
+  if lx.pos < lx.len && is_digit (String.unsafe_get lx.src lx.pos) then begin
+    let d = Char.code (String.unsafe_get lx.src lx.pos) - Char.code '0' in
+    if n > (max_int - d) / 10 then
+      raise (Error ("integer literal out of range", start));
+    lx.pos <- lx.pos + 1;
+    int_literal lx start ((n * 10) + d)
+  end
+  else n
+
+(* The body of a quoted atom, from [lx.pos] (past the opening quote)
+   to the closing quote, decoded into [buf]. *)
+let rec quoted lx buf =
+  if lx.pos >= lx.len then raise (Error ("unterminated quoted atom", lx.pos));
+  match String.unsafe_get lx.src lx.pos with
+  | '\'' when at lx (lx.pos + 1) '\'' ->
+    lx.pos <- lx.pos + 2;
+    Buffer.add_char buf '\'';
+    quoted lx buf
+  | '\'' -> lx.pos <- lx.pos + 1
+  | '\\' ->
+    lx.pos <- lx.pos + 1;
+    if lx.pos >= lx.len then raise (Error ("unterminated escape", lx.pos));
+    (match String.unsafe_get lx.src lx.pos with
+    | 'n' -> Buffer.add_char buf '\n'
+    | 't' -> Buffer.add_char buf '\t'
+    | c -> Buffer.add_char buf c);
+    lx.pos <- lx.pos + 1;
+    quoted lx buf
+  | c ->
+    lx.pos <- lx.pos + 1;
+    Buffer.add_char buf c;
+    quoted lx buf
+
+(* A name just scanned: applied if '(' follows at once. *)
+let name_token lx name =
+  if at lx lx.pos '(' then begin
+    lx.pos <- lx.pos + 1;
+    Functor_paren name
+  end
+  else Atom name
+
+let run lx start = String.sub lx.src start (lx.pos - start)
 
 (* End-of-clause '.' is a '.' followed by layout or EOF; otherwise '.' is
    a symbol char (e.g. the list functor never appears unquoted anyway). *)
 let dot_ends_clause lx =
-  match peek_char_at lx 1 with
-  | None -> true
-  | Some (' ' | '\t' | '\n' | '\r' | '%') -> true
-  | Some _ -> false
+  let i = lx.pos + 1 in
+  i >= lx.len
+  ||
+  match String.unsafe_get lx.src i with
+  | ' ' | '\t' | '\n' | '\r' | '%' -> true
+  | _ -> false
+
+let punct lx tok =
+  lx.pos <- lx.pos + 1;
+  tok
 
 let lex_one lx =
   skip_ws lx;
-  match peek_char lx with
-  | None -> Eof
-  | Some c when is_digit c ->
-    let digits = take_while lx is_digit in
-    Int (int_of_string digits)
-  | Some c when is_lower c ->
-    let name = take_while lx is_alnum in
-    if peek_char lx = Some '(' then begin
-      advance lx;
-      Functor_paren name
-    end
-    else Atom name
-  | Some c when is_upper c ->
-    let name = take_while lx is_alnum in
-    Var name
-  | Some '\'' ->
-    advance lx;
-    let name = read_quoted lx in
-    if peek_char lx = Some '(' then begin
-      advance lx;
-      Functor_paren name
-    end
-    else Atom name
-  | Some '.' when dot_ends_clause lx ->
-    advance lx;
-    Punct "."
-  | Some ('(' | ')' | '[' | ']' | '{' | '}' | ',' as c) ->
-    advance lx;
-    Punct (String.make 1 c)
-  | Some '|' ->
-    advance lx;
-    Punct "|"
-  | Some '!' ->
-    advance lx;
-    Atom "!"
-  | Some ';' ->
-    advance lx;
-    Atom ";"
-  | Some c when is_symbol_char c ->
-    let sym = take_while lx is_symbol_char in
-    if peek_char lx = Some '(' then begin
-      advance lx;
-      Functor_paren sym
-    end
-    else Atom sym
-  | Some c -> raise (Error (Printf.sprintf "unexpected character %C" c, lx.pos))
+  if lx.pos >= lx.len then Eof
+  else
+    let start = lx.pos in
+    match String.unsafe_get lx.src start with
+    | '0' .. '9' -> Int (int_literal lx start 0)
+    | 'a' .. 'z' ->
+      skip_alnum lx;
+      name_token lx (run lx start)
+    | 'A' .. 'Z' | '_' ->
+      skip_alnum lx;
+      Var (run lx start)
+    | '\'' ->
+      lx.pos <- start + 1;
+      let buf = Buffer.create 16 in
+      quoted lx buf;
+      name_token lx (Buffer.contents buf)
+    | '.' when dot_ends_clause lx -> punct lx (Punct ".")
+    | '(' -> punct lx (Punct "(")
+    | ')' -> punct lx (Punct ")")
+    | '[' -> punct lx (Punct "[")
+    | ']' -> punct lx (Punct "]")
+    | '{' -> punct lx (Punct "{")
+    | '}' -> punct lx (Punct "}")
+    | ',' -> punct lx (Punct ",")
+    | '|' -> punct lx (Punct "|")
+    | '!' -> punct lx (Atom "!")
+    | ';' -> punct lx (Atom ";")
+    | c when is_symbol_char c ->
+      skip_symbol lx;
+      name_token lx (run lx start)
+    | c -> raise (Error (Printf.sprintf "unexpected character %C" c, start))
 
 let next lx =
-  match lx.peeked with
-  | Some tok ->
-    lx.peeked <- None;
-    tok
-  | None -> lex_one lx
+  if lx.has_peeked then begin
+    lx.has_peeked <- false;
+    lx.peeked
+  end
+  else lex_one lx
 
 let peek lx =
-  match lx.peeked with
-  | Some tok -> tok
-  | None ->
+  if lx.has_peeked then lx.peeked
+  else begin
     let tok = lex_one lx in
-    lx.peeked <- Some tok;
+    lx.peeked <- tok;
+    lx.has_peeked <- true;
     tok
+  end
 
 let position lx = lx.pos

@@ -3,7 +3,11 @@
     Handles unquoted/quoted atoms, symbolic atoms, variables, integers,
     punctuation, ['%'] line comments and block comments.  A ['('] that
     immediately follows an atom is distinguished as {!Functor_paren} so
-    the parser can tell application [f(X)] from grouping [f (X)]. *)
+    the parser can tell application [f(X)] from grouping [f (X)].
+
+    The scanner works by index: it allocates no option per character
+    and no closure per token, punctuation tokens are constants, and
+    integer literals are accumulated in place. *)
 
 type token =
   | Atom of string
@@ -14,7 +18,10 @@ type token =
   | Eof
 
 exception Error of string * int
-(** Lexical error: message and byte position. *)
+(** Lexical error: message and byte position.  {!Parser.Error} is this
+    exception, so the parser's callers see one exception for every
+    malformed text.  An integer literal past [max_int] is one ("integer
+    literal out of range", at its first digit). *)
 
 type t
 (** Lexer state over one source string. *)

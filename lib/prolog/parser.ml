@@ -5,20 +5,50 @@
    operators at the term level but as separators inside argument lists
    and list syntax (arguments parse at priority 999); '-' applied to an
    integer literal folds into a negative literal.  Anonymous '_'
-   variables get fresh names scoped to the current read. *)
+   variables get fresh names _G1, _G2, ... that skip any name a named
+   variable of the same read already spells.
 
-exception Error of string * int
+   A lexical error is a syntax error: [Error] is the lexer's exception,
+   so every malformed text raises the one exception. *)
+
+exception Error = Lexer.Error
 
 type state = {
   lx : Lexer.t;
   mutable fresh : int;
+  mutable avoid : string list;  (* named _G... variables of this read *)
 }
 
 let fail st msg = raise (Error (msg, Lexer.position st.lx))
 
-let fresh_var st =
+let rec fresh_var st =
   st.fresh <- st.fresh + 1;
-  Printf.sprintf "_G%d" st.fresh
+  let v = "_G" ^ string_of_int st.fresh in
+  if List.mem v st.avoid then fresh_var st else v
+
+(* The named variables spelled _G... in each '.'-terminated read of
+   [src], in order.  Most sources hold no "_G" at all and skip the
+   scan; a lexical error ends it, and the parse reports that error. *)
+let named_fresh_lookalikes src =
+  let rec mentions i =
+    i + 1 < String.length src
+    && ((src.[i] = '_' && src.[i + 1] = 'G') || mentions (i + 1))
+  in
+  if not (mentions 0) then []
+  else begin
+    let lx = Lexer.make src in
+    let rec go cur acc =
+      match Lexer.next lx with
+      | Lexer.Eof -> List.rev (cur :: acc)
+      | Lexer.Punct "." -> go [] (cur :: acc)
+      | Lexer.Var v when String.starts_with ~prefix:"_G" v -> go (v :: cur) acc
+      | Lexer.Atom _ | Lexer.Var _ | Lexer.Int _ | Lexer.Punct _
+      | Lexer.Functor_paren _ ->
+        go cur acc
+      | exception Error _ -> List.rev (cur :: acc)
+    in
+    go [] []
+  end
 
 (* Tokens that may begin a term (used to decide prefix-operator reads). *)
 let starts_term = function
@@ -164,7 +194,10 @@ and expect st punct =
 (* ------------------------------------------------------------------ *)
 
 let term_of_string src =
-  let st = { lx = Lexer.make src; fresh = 0 } in
+  let avoid =
+    match named_fresh_lookalikes src with first :: _ -> first | [] -> []
+  in
+  let st = { lx = Lexer.make src; fresh = 0; avoid } in
   let t = parse st 1200 in
   match Lexer.peek st.lx with
   | Lexer.Eof | Lexer.Punct "." -> t
@@ -174,14 +207,18 @@ let term_of_string src =
 
 (* Read every '.'-terminated clause in [src]. *)
 let clauses_of_string src =
-  let st = { lx = Lexer.make src; fresh = 0 } in
-  let rec go acc =
+  let st = { lx = Lexer.make src; fresh = 0; avoid = [] } in
+  let rec go acc lookalikes =
     match Lexer.peek st.lx with
     | Lexer.Eof -> List.rev acc
     | Lexer.Atom _ | Lexer.Var _ | Lexer.Int _ | Lexer.Functor_paren _
     | Lexer.Punct _ ->
+      let avoid, rest =
+        match lookalikes with avoid :: rest -> (avoid, rest) | [] -> ([], [])
+      in
+      st.avoid <- avoid;
       let t = parse st 1200 in
       expect st ".";
-      go (t :: acc)
+      go (t :: acc) rest
   in
-  go []
+  go [] (named_fresh_lookalikes src)

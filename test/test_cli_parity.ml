@@ -230,6 +230,17 @@ let test_typed_errors_exit_65 () =
           Printf.sprintf "%s %s" (bin "annotate.exe") bad;
           Printf.sprintf "%s %s" (bin "costan.exe") bad;
         ]);
+  (* lexical errors in the program or the query are syntax errors too *)
+  List.iter
+    (fun (text, query) ->
+      with_file text (fun f ->
+          expect ~names:"syntax error"
+            (Printf.sprintf "%s --query %s %s" rapwam_run_exe (Filename.quote query) f)))
+    [
+      ({|p(X) :- X = "a".|} ^ "\n", "p(X)");
+      ("p(X) :- X = 99999999999999999999.\n", "p(X)");
+      ("p(a).\n", "p('a)");
+    ];
   with_file "grow(L) :- grow([a|L]).\n" (fun grow ->
       expect ~names:"heap overflow"
         (Printf.sprintf "%s --sequential --query 'grow([])' %s" rapwam_run_exe grow))

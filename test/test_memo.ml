@@ -15,19 +15,19 @@ let key s =
 let test_canon_variants () =
   let a = key "qsort([3,1,2], S)" in
   let b = key "qsort([3,1,2], Result)" in
-  Alcotest.(check string) "variant queries share a key" a.Memo.Canon.text
-    b.Memo.Canon.text;
+  Alcotest.(check string) "variant queries share a key" a.Memo.Canon.code
+    b.Memo.Canon.code;
   Alcotest.(check string) "spec" "qsort/2" a.Memo.Canon.spec;
   let c = key "qsort([3,1,9], S)" in
   Alcotest.(check bool) "different input, different key" false
-    (a.Memo.Canon.text = c.Memo.Canon.text)
+    (a.Memo.Canon.code = c.Memo.Canon.code)
 
 let test_canon_shared_vars () =
   (* sharing must be visible: f(X, X) is not a variant of f(X, Y) *)
   let a = key "f(X, X)" in
   let b = key "f(X, Y)" in
   Alcotest.(check bool) "sharing distinguishes" false
-    (a.Memo.Canon.text = b.Memo.Canon.text)
+    (a.Memo.Canon.code = b.Memo.Canon.code)
 
 let test_answer_text_variants () =
   let a = [ ("S", term "[1,2|T]") ] in
@@ -107,7 +107,7 @@ let prop_key_renaming =
       let t' = rename_vars fresh t in
       let k = Memo.Canon.key_of_term t and k' = Memo.Canon.key_of_term t' in
       k.Memo.Canon.spec = k'.Memo.Canon.spec
-      && k.Memo.Canon.text = k'.Memo.Canon.text)
+      && k.Memo.Canon.code = k'.Memo.Canon.code)
 
 let prop_key_iff_variant =
   QCheck.Test.make
@@ -130,8 +130,61 @@ let prop_key_iff_variant =
         let t' = Prolog.Term.Struct (f, Array.to_list a) in
         let k = Memo.Canon.key_of_term t
         and k' = Memo.Canon.key_of_term t' in
-        (k.Memo.Canon.text = k'.Memo.Canon.text) = variants t t'
+        (k.Memo.Canon.code = k'.Memo.Canon.code) = variants t t'
       | _ -> false)
+
+(* Two calls whose printed forms once coincided: the quoted atom
+   'A'', ''B' (f/1) and the two atoms 'A', 'B' (f/2).  Their keys
+   differ, and a table holding one never answers the other. *)
+let test_canon_quoted_commas () =
+  let one = key "f('A'', ''B')" and two = key "f('A', 'B')" in
+  Alcotest.(check string) "f/1" "f/1" one.Memo.Canon.spec;
+  Alcotest.(check string) "f/2" "f/2" two.Memo.Canon.spec;
+  Alcotest.(check bool) "different codes" false
+    (one.Memo.Canon.code = two.Memo.Canon.code);
+  let t = Memo.Table.create ~capacity_words:0 () in
+  ignore (Memo.Table.insert t two [ [] ]);
+  Alcotest.(check bool) "the f/2 entry does not answer f/1" true
+    (Memo.Table.find t one = None)
+
+(* An anonymous variable is its own variable, never a named one. *)
+let test_canon_anonymous_is_fresh () =
+  let anon = key "p(_G1, _)" and shared = key "p(X, X)" in
+  Alcotest.(check bool) "p(_G1, _) is not p(X, X)" false
+    (anon.Memo.Canon.code = shared.Memo.Canon.code);
+  Alcotest.(check string) "p(_G1, _) is p(X, Y)" (key "p(X, Y)").Memo.Canon.code
+    anon.Memo.Canon.code
+
+(* The test's own renaming: variables become _G0, _G1, ... in
+   first-occurrence order. *)
+let reference_rename t =
+  let names = Hashtbl.create 8 in
+  rename_vars
+    (fun v ->
+      match Hashtbl.find_opt names v with
+      | Some c -> c
+      | None ->
+        let c = Printf.sprintf "_G%d" (Hashtbl.length names) in
+        Hashtbl.add names v c;
+        c)
+    t
+
+let prop_key_text =
+  QCheck.Test.make
+    ~name:"canon: a key's text is the renamed call printed, and reads back"
+    ~count:1000
+    (QCheck.make ~print:Prolog.Pretty.to_string Test_prolog.roundtrip_gen)
+    (fun t ->
+      let k = Memo.Canon.key_of_term t in
+      let text = Memo.Canon.text k in
+      text = Prolog.Pretty.to_string (reference_rename t)
+      &&
+      match Memo.Canon.key_of_query text with
+      | Ok k' ->
+        k'.Memo.Canon.code = k.Memo.Canon.code
+        && k'.Memo.Canon.spec = k.Memo.Canon.spec
+        && k'.Memo.Canon.words = k.Memo.Canon.words
+      | Error _ -> false)
 
 (* ---------------- insert/find basics ---------------- *)
 
@@ -297,8 +350,8 @@ let snap_table () =
 
 let entry_texts t =
   Memo.Table.fold t
-    (fun key_text answers acc ->
-      (key_text, List.map Memo.Canon.answer_text answers) :: acc)
+    (fun k answers acc ->
+      (Memo.Canon.text k, List.map Memo.Canon.answer_text answers) :: acc)
     []
   |> List.sort compare
 
@@ -368,6 +421,23 @@ let test_snapshot_salvage () =
         st3.Memo.Snapshot.skipped;
       Alcotest.(check bool) "no tear" false st3.Memo.Snapshot.torn)
 
+(* Keys and answers holding atoms the printer must escape save and
+   restore whole. *)
+let test_snapshot_awkward_atoms () =
+  let t = Memo.Table.create ~capacity_words:0 () in
+  ignore (Memo.Table.insert t (key "say('it''s', X)") [ [ ("X", term "'a\\nb'") ] ]);
+  ignore
+    (Memo.Table.insert t (key "say('a\\nb', X)")
+       [ [ ("X", term "f('it''s', '\\\\')") ] ]);
+  with_temp ".snap" (fun path ->
+      Alcotest.(check int) "both entries written" 2 (Memo.Snapshot.save t path);
+      let fresh = Memo.Table.create ~capacity_words:0 () in
+      let st = Memo.Snapshot.restore fresh path in
+      Alcotest.(check int) "both entries restored" 2 st.Memo.Snapshot.entries;
+      Alcotest.(check int) "none skipped" 0 st.Memo.Snapshot.skipped;
+      Alcotest.(check (list (pair string (list string))))
+        "equal answers" (entry_texts t) (entry_texts fresh))
+
 let suite =
   [
     Alcotest.test_case "canon: variant queries collide" `Quick
@@ -392,4 +462,11 @@ let suite =
       test_snapshot_roundtrip;
     Alcotest.test_case "snapshot salvage under damage" `Quick
       test_snapshot_salvage;
+    Alcotest.test_case "snapshot keeps escaped atoms" `Quick
+      test_snapshot_awkward_atoms;
+    Alcotest.test_case "canon: quoted commas do not collide" `Quick
+      test_canon_quoted_commas;
+    Alcotest.test_case "canon: anonymous variables are fresh" `Quick
+      test_canon_anonymous_is_fresh;
+    QCheck_alcotest.to_alcotest prop_key_text;
   ]

@@ -95,6 +95,132 @@ let test_anonymous_vars_distinct () =
     Alcotest.(check bool) "distinct" true (v1 <> v2)
   | t -> Alcotest.failf "bad: %s" (show t)
 
+(* An anonymous variable gets a fresh _G<n> name that no named
+   variable of the same read spells, whichever comes first. *)
+let test_anonymous_never_aliases () =
+  let two_vars src =
+    match parse src with
+    | Prolog.Term.Struct ("p", [ Prolog.Term.Var v1; Prolog.Term.Var v2 ]) ->
+      Alcotest.(check bool) (src ^ ": two distinct variables") true (v1 <> v2)
+    | t -> Alcotest.failf "%s: bad parse %s" src (show t)
+  in
+  two_vars "p(_G1, _)";
+  two_vars "p(_, _G1)";
+  (* a read with no clash names its anonymous variables as before *)
+  Alcotest.(check string) "no clash, names unchanged" "f(_G1, _G2, _G7)"
+    (show (parse "f(_, _, _G7)"));
+  (* within a file the names avoid the named variables of each clause *)
+  match Prolog.Parser.clauses_of_string "p(_G2, _) :- q(_, _G2).\nr(_)." with
+  | [ Prolog.Term.Struct (":-", [ head; body ]); r ] ->
+    Alcotest.(check (list string)) "clause variables" [ "_G2"; "_G1"; "_G3" ]
+      (Prolog.Term.vars (Prolog.Term.Struct ("c", [ head; body ])));
+    Alcotest.(check string) "next clause" "r(_G4)" (show r)
+  | cs -> Alcotest.failf "bad clauses: %d" (List.length cs)
+
+(* Every malformed text raises the parser's one exception, the
+   lexical ones included; an integer literal past max_int is one. *)
+let test_lexical_errors_are_syntax_errors () =
+  let rejects src msg =
+    match parse src with
+    | exception Prolog.Parser.Error (m, _) ->
+      Alcotest.(check string) (src ^ ": message") msg m
+    | t -> Alcotest.failf "%S parsed as %s" src (show t)
+  in
+  rejects {|p(X) :- X = "a".|} {|unexpected character '"'|};
+  rejects "p(X) :- X = 99999999999999999999." "integer literal out of range";
+  rejects "4611686018427387904" "integer literal out of range";
+  rejects "p('a)" "unterminated quoted atom";
+  rejects {|p('a\|} "unterminated escape";
+  rejects "p /* a" "unterminated block comment";
+  Alcotest.(check string) "max_int is a literal" (string_of_int max_int)
+    (show (parse (string_of_int max_int)));
+  match Prolog.Parser.clauses_of_string "p(1).\nq(99999999999999999999)." with
+  | exception Prolog.Parser.Error (m, pos) ->
+    Alcotest.(check string) "clauses: message" "integer literal out of range" m;
+    Alcotest.(check int) "positioned at the literal" 8 pos
+  | _ -> Alcotest.fail "an overflowing clause parsed"
+
+(* Each of these printed text that did not read back as the term. *)
+let test_printer_round_trips () =
+  let prints t expect =
+    Alcotest.(check string) expect expect (show t);
+    Alcotest.(check bool) (expect ^ " reads back") true
+      (Prolog.Term.equal (parse expect) t)
+  in
+  let open Prolog.Term in
+  prints (Struct ("f", [ Atom "it's" ])) {|f('it''s')|};
+  prints (Struct ("f", [ Atom {|a\b|} ])) {|f('a\\b')|};
+  prints (Struct ("f", [ Atom "a\nb" ])) {|f('a\nb')|};
+  prints (Struct ("f", [ Atom "," ])) {|f(',')|};
+  prints (Struct ("f", [ Atom "|" ])) {|f('|')|};
+  prints (Struct ("-", [ Int 1 ])) "-(1)";
+  prints (Struct ("+", [ Int 1 ])) "+(1)";
+  prints (Struct ("-", [ Struct ("^", [ Int 1; Int 2 ]) ])) "-(1 ^ 2)";
+  prints (Struct ("-", [ Int (-1) ])) "- -1";
+  prints (Struct ("{}", [ Atom "a" ])) "{a}";
+  prints (Struct ("'", [ Atom "a" ])) {|''''(a)|};
+  prints (Struct ("[]", [ Atom "a" ])) {|'[]'(a)|};
+  prints (Struct ("=", [ Atom "-"; Int 1 ])) "(-) = 1";
+  prints (Struct ("**", [ Atom "a"; Int (-1) ])) "a ** (-1)";
+  prints (Atom ".") {|'.'|};
+  prints (Struct ("f", [ Atom "." ])) "f(.)";
+  (* terms that already read back print as before *)
+  prints (Struct ("=", [ Var "X"; Atom "-" ])) "X = -";
+  prints (Struct ("-", [ Var "X" ])) "- X";
+  prints (Struct ("f", [ Atom "hello world" ])) {|f('hello world')|}
+
+(* Random terms over the spellings the printer must quote, bracket or
+   write canonically. *)
+let roundtrip_gen =
+  let open QCheck.Gen in
+  let open Prolog.Term in
+  let names =
+    [ "'"; {|\|}; "\n"; ","; "|"; "{}"; "[]"; "!"; ";"; "."; ""; "/*"; "a b";
+      "it's"; "-"; "+"; {|\+|}; "="; ":-"; "mode"; "is"; "mod"; "^"; "**";
+      "->"; "&"; "=.."; "a"; "f"; "foo" ]
+  in
+  let infix =
+    [ ","; "|"; ";"; "-"; "+"; "="; ":-"; "is"; "mod"; "^"; "**"; "->"; "&" ]
+  in
+  let prefix = [ "-"; "+"; {|\+|}; ":-"; "mode"; {|\|} ] in
+  let leaf =
+    frequency
+      [
+        (4, map (fun a -> Atom a) (oneofl names));
+        (2, map (fun v -> Var v) (oneofl [ "X"; "Y"; "_Z" ]));
+        (3, map (fun n -> Int n) (int_range (-20) 20));
+      ]
+  in
+  sized_size (int_bound 6)
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           let sub = self (n / 2) in
+           frequency
+             [
+               (2, leaf);
+               ( 2,
+                 map2
+                   (fun f args -> Struct (f, args))
+                   (oneofl names)
+                   (list_size (int_range 1 3) sub) );
+               (3, map3 (fun f a b -> Struct (f, [ a; b ])) (oneofl infix) sub sub);
+               (2, map2 (fun f a -> Struct (f, [ a ])) (oneofl prefix) sub);
+               ( 1,
+                 map2
+                   (fun f k -> Struct (f, [ Int k ]))
+                   (oneofl [ "-"; "+" ])
+                   (int_range (-5) 5) );
+               (1, map2 cons sub sub);
+               (1, map (fun a -> Struct ("{}", [ a ])) sub);
+             ])
+
+let prop_print_parse_roundtrip =
+  QCheck.Test.make ~name:"pretty: printed terms parse back to themselves"
+    ~count:2000
+    (QCheck.make ~print:show roundtrip_gen)
+    (fun t -> Prolog.Term.equal (parse (show t)) t)
+
 let test_comments () =
   let cs =
     Prolog.Parser.clauses_of_string
@@ -197,6 +323,12 @@ let suite =
     Alcotest.test_case "CGE syntax" `Quick test_cge_syntax;
     Alcotest.test_case "CGE unconditional" `Quick test_cge_unconditional;
     Alcotest.test_case "anonymous vars" `Quick test_anonymous_vars_distinct;
+    Alcotest.test_case "anonymous vars never alias named ones" `Quick
+      test_anonymous_never_aliases;
+    Alcotest.test_case "lexical errors are syntax errors" `Quick
+      test_lexical_errors_are_syntax_errors;
+    Alcotest.test_case "printer round-trips" `Quick test_printer_round_trips;
+    QCheck_alcotest.to_alcotest prop_print_parse_roundtrip;
     Alcotest.test_case "comments" `Quick test_comments;
     Alcotest.test_case "clauses_of_string" `Quick test_clauses_of_string;
     Alcotest.test_case "database load" `Quick test_database_load;

@@ -101,6 +101,34 @@ let test_bad_query_is_an_error () =
       (Server.Supervise.stats t).Server.Supervise.errors
   | _ -> Alcotest.fail "expected one response"
 
+(* A lexical error in one request is that request's syntax error: the
+   rest of its batch is answered. *)
+let test_lexical_error_is_a_syntax_error () =
+  let memo = Memo.Table.create ~capacity_words:0 () in
+  let t = sup ~memo ~workers:1 () in
+  let direct = answers_text (run_direct t qsort_query) in
+  List.iter
+    (fun bad ->
+      match
+        List.map served
+          (Server.Supervise.serve t
+             [ request 0 qsort_query; request 1 bad; request 2 qsort_query ])
+      with
+      | [ good1; r; good2 ] ->
+        (match r.Server.Serve.rs_error with
+        | Some e when String.starts_with ~prefix:"syntax error" e -> ()
+        | Some e -> Alcotest.failf "%s: error %S is not a syntax error" bad e
+        | None -> Alcotest.failf "%s: no error reported" bad);
+        List.iter
+          (fun (g : Server.Serve.response) ->
+            Alcotest.(check (option string)) (bad ^ ": good request") None
+              g.rs_error;
+            Alcotest.(check string) (bad ^ ": good answer") direct
+              (answers_text g.rs_answers))
+          [ good1; good2 ]
+      | rs -> Alcotest.failf "%s: %d responses for 3 requests" bad (List.length rs))
+    [ {|qsort(["a"], S)|}; "qsort(['abc], S)"; "qsort([99999999999999999999], S)" ]
+
 (* A cyclic answer fails its own request; the next request of the
    same batch is still answered. *)
 let test_cyclic_answer_is_an_error () =
@@ -645,6 +673,8 @@ let suite =
       test_admission_lanes;
     Alcotest.test_case "bad query is a per-request error" `Quick
       test_bad_query_is_an_error;
+    Alcotest.test_case "lexical error is a syntax error" `Quick
+      test_lexical_error_is_a_syntax_error;
     Alcotest.test_case "cyclic answer is a per-request error" `Quick
       test_cyclic_answer_is_an_error;
     Alcotest.test_case "a miss allocates what its query uses" `Quick test_miss_allocation;
