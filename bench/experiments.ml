@@ -276,8 +276,10 @@ let table3 _setup =
   let population = Benchlib.Large.population () in
   let small = [ "deriv"; "tak"; "qsort" ] in
   let small_benches = List.map Benchlib.Inputs.benchmark small in
-  let ratio buf size =
-    Cachesim.Uni.traffic_ratio ~cache_words:size buf
+  let ratio buf cache_words =
+    Cachesim.Metrics.traffic_ratio
+      (Cachesim.Multi.simulate ~line_words:4 ~kind:Cachesim.Protocol.Copyback
+         ~cache_words ~n_pes:1 buf)
   in
   let pop_traces =
     List.map

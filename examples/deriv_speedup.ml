@@ -23,9 +23,6 @@ let () =
           Stats.Work.n_pes = n;
           work_refs = r.Benchlib.Runner.data_refs;
           rounds = r.Benchlib.Runner.rounds;
-          instructions = r.Benchlib.Runner.instructions;
-          inferences = r.Benchlib.Runner.inferences;
-          goals_stolen = r.Benchlib.Runner.goals_stolen;
           idle_cycles = r.Benchlib.Runner.idle_cycles;
           wait_cycles = r.Benchlib.Runner.wait_cycles;
         }

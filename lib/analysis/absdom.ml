@@ -120,15 +120,6 @@ let join a b =
   in
   { ground; any; share }
 
-let equal a b =
-  SS.equal a.ground b.ground && SS.equal a.any b.any && a.share = b.share
-
-let leq a b = equal (join a b) b
-
-let top_for vs =
-  let t = make_any empty vs in
-  link_all t vs
-
 (* ------------------------------------------------------------------ *)
 (* Pattern interface.                                                 *)
 
@@ -219,22 +210,3 @@ let seed_head pat args =
         (List.sort_uniq compare (Prolog.Term.vars arg)))
     args;
   make_any t !repeated
-
-let pp fmt t =
-  let vars =
-    List.sort_uniq compare (SS.elements t.ground @ SS.elements t.any)
-  in
-  Format.fprintf fmt "{%s"
-    (String.concat ", "
-       (List.map
-          (fun v ->
-            Printf.sprintf "%s:%s" v
-              (Prolog.Abspat.gfa_to_string (gfa_of t v)))
-          vars));
-  (match t.share with
-  | [] -> ()
-  | pairs ->
-    Format.fprintf fmt " | %s"
-      (String.concat ", "
-         (List.map (fun (x, y) -> Printf.sprintf "%s~%s" x y) pairs)));
-  Format.pp_print_string fmt "}"

@@ -21,30 +21,18 @@ type t = {
 val empty : t
 (** Every variable fresh (free, unaliased). *)
 
-val gfa_of : t -> string -> gfa
-
 val set_ground : t -> string list -> t
 (** Grounding also severs all sharing through those variables. *)
 
 val make_any : t -> string list -> t
 (** Weaken to unknown (ground variables stay ground). *)
 
-val link : t -> string -> string -> t
-(** Record that two variables may now share; closes over existing
-    neighbors (star union), and the pair loses freeness. *)
-
 val link_all : t -> string list -> t
-
-val may_share : t -> string -> string -> bool
 
 val unify : t -> Prolog.Term.t -> Prolog.Term.t -> t
 (** Abstract effect of [A = B]. *)
 
-val term_ground : t -> Prolog.Term.t -> bool
-
 val join : t -> t -> t
-val equal : t -> t -> bool
-val leq : t -> t -> bool
 
 val project : t -> Prolog.Term.t list -> Prolog.Abspat.pattern
 (** Call-site projection of goal arguments onto a positional pattern:
@@ -58,8 +46,3 @@ val apply_success : t -> Prolog.Term.t list -> Prolog.Abspat.pattern -> t
 val seed_head : Prolog.Abspat.pattern -> Prolog.Term.t list -> t
 (** Clause entry state implied by a call pattern over the head
     arguments. *)
-
-val top_for : string list -> t
-(** Worst case over the given variables: all [any], all sharing. *)
-
-val pp : Format.formatter -> t -> unit

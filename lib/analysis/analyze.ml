@@ -1,5 +1,5 @@
-let database ?entries ?modes ?widen_after db =
-  let outcome = Fixpoint.run ?entries ?modes ?widen_after db in
+let database ?entries db =
+  let outcome = Fixpoint.run ?entries db in
   let graph = Depgraph.build db in
   let sccs = Depgraph.sccs graph in
   let stats =

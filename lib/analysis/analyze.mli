@@ -8,6 +8,8 @@
     valid when the program is run from those entries -- predicates
     reached some other way keep worst-case treatment in the
     annotator, which consults patterns solely for reached predicates.
+    The mode table is always the database's own directives, and the
+    widening cap is fixed ({!Fixpoint.run}).
 
     Typical pipeline:
     {[
@@ -19,12 +21,7 @@
       ...
     ]} *)
 
-val database :
-  ?entries:Prolog.Term.t list ->
-  ?modes:Prolog.Modes.t ->
-  ?widen_after:int ->
-  Prolog.Database.t ->
-  Summary.t
+val database : ?entries:Prolog.Term.t list -> Prolog.Database.t -> Summary.t
 
 val entry_of_string : string -> Prolog.Term.t
 (** Parse a query/entry goal (conjunctions allowed). *)

@@ -17,7 +17,6 @@ type outcome = {
 
 type t = {
   db : Prolog.Database.t;
-  modes : Prolog.Modes.t;
   call : (key, Prolog.Abspat.pattern) Hashtbl.t;
   succ : (key, Prolog.Abspat.pattern) Hashtbl.t; (* absent = bottom *)
   callers : (key, key list ref) Hashtbl.t;
@@ -25,10 +24,12 @@ type t = {
   queue : key Queue.t;
   queued : (key, unit) Hashtbl.t;
   recompute : (key, int) Hashtbl.t;
-  widen_after : int;
   mutable iterations : int;
   mutable widened : int;
 }
+
+(* Recomputations of one predicate before it is widened to top. *)
+let widen_after = 40
 
 let entry_key i : key = ("$entry", -(i + 1))
 let is_entry (_, arity) = arity < 0
@@ -188,7 +189,7 @@ let process_pred t ((_, arity) as key) =
              | Some n -> n
              | None -> 0) + 1 in
     Hashtbl.replace t.recompute key n;
-    if n > t.widen_after then begin
+    if n > widen_after then begin
       match Hashtbl.find_opt t.succ key with
       | Some sp when Prolog.Abspat.equal_pattern sp (Prolog.Abspat.top arity)
         ->
@@ -289,14 +290,11 @@ let has_var_goal db entries =
   in
   db_has || List.exists term_has entries
 
-let run ?(entries = []) ?modes ?(widen_after = 40) db =
-  let modes =
-    match modes with Some m -> m | None -> Prolog.Modes.of_database db
-  in
+let run ?(entries = []) db =
+  let modes = Prolog.Modes.of_database db in
   let t =
     {
       db;
-      modes;
       call = Hashtbl.create 64;
       succ = Hashtbl.create 64;
       callers = Hashtbl.create 64;
@@ -304,7 +302,6 @@ let run ?(entries = []) ?modes ?(widen_after = 40) db =
       queue = Queue.create ();
       queued = Hashtbl.create 64;
       recompute = Hashtbl.create 64;
-      widen_after;
       iterations = 0;
       widened = 0;
     }

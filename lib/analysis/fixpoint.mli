@@ -6,9 +6,10 @@
     success patterns grow bottom-up from [bottom] ("no success known
     yet": a call whose callee has no success pattern aborts the
     clause, the standard optimistic least-fixpoint scheme).  The
-    lattice is finite so the iteration terminates; [widen_after] caps
-    per-predicate recomputations and jumps a misbehaving predicate to
-    top as a safety net.
+    lattice is finite so the iteration terminates; a cap of 40
+    recomputations per predicate jumps a misbehaving predicate to top
+    as a safety net.  The calling contracts are the database's own
+    [:- mode] directives ({!Prolog.Modes.of_database}).
 
     A variable goal anywhere in reachable code makes the program
     open-world: every predicate is then seeded with the top call
@@ -21,9 +22,4 @@ type outcome = {
   open_world : bool;  (** a variable goal forced worst-case seeding *)
 }
 
-val run :
-  ?entries:Prolog.Term.t list ->
-  ?modes:Prolog.Modes.t ->
-  ?widen_after:int ->
-  Prolog.Database.t ->
-  outcome
+val run : ?entries:Prolog.Term.t list -> Prolog.Database.t -> outcome

@@ -18,7 +18,6 @@ val qsort_query : ?n:int -> ?seed:int -> unit -> string
 val matrix_query : ?n:int -> ?seed:int -> unit -> string
 
 val random_list : n:int -> seed:int -> bound:int -> int list
-val matrix_text : n:int -> seed:int -> string
 
 val default_benchmarks : unit -> Programs.benchmark list
 (** The four benchmarks at paper-scale inputs. *)

@@ -5,11 +5,7 @@
     behaviour, against which the small benchmarks' locality is
     z-scored. *)
 
-val nrev : string
-val queens : string
-val query : string
 val primes : string
-val serialise : string
 
 val population : unit -> Programs.benchmark list
 (** The five programs with inputs sized for six-figure reference

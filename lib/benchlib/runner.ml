@@ -97,9 +97,8 @@ let prepare ~parallel ?det ?bind ?chains ?transform
       ~query:bench.Programs.query ()
 
 (* Sequential WAM run (the paper's baseline). *)
-let run_wam ?(keep_trace = true) ?det ?bind ?transform
-    (bench : Programs.benchmark) =
-  let prog = prepare ~parallel:false ?det ?bind ?transform bench in
+let run_wam ?(keep_trace = true) (bench : Programs.benchmark) =
+  let prog = prepare ~parallel:false bench in
   let stats, buf, sink = collectors ~keep_trace in
   let result, m = Wam.Seq.run ~sink prog in
   let succeeded, answer = answer_of bench.Programs.answer_var result in

@@ -50,16 +50,9 @@ val prepare :
     binding-certified specialization; [chains] logs the emitted try
     chains. *)
 
-val run_wam :
-  ?keep_trace:bool ->
-  ?det:Wam.Compile.det_plan ->
-  ?bind:Wam.Compile.bind_plan ->
-  ?transform:(Prolog.Database.t -> Prolog.Database.t) ->
-  Programs.benchmark ->
-  result
-(** Sequential WAM run (the paper's baseline).  [transform] rewrites
-    the parsed database before compilation (e.g. re-annotation with
-    granularity control). *)
+val run_wam : ?keep_trace:bool -> Programs.benchmark -> result
+(** Sequential WAM run (the paper's baseline), compiled with no plans
+    and no rewrite. *)
 
 val run_rapwam :
   ?keep_trace:bool -> ?det:Wam.Compile.det_plan ->
@@ -67,6 +60,9 @@ val run_rapwam :
   ?steal:Rapwam.Sim.steal_policy -> ?allow_steal:bool ->
   ?transform:(Prolog.Database.t -> Prolog.Database.t) ->
   n_pes:int -> Programs.benchmark -> result
+(** RAP-WAM run on [n_pes] workers.  [transform] rewrites the parsed
+    database before compilation (e.g. re-annotation with granularity
+    control). *)
 
 val answers_agree : result -> result -> bool
 (** Same outcome and same [answer_var] binding. *)

@@ -30,20 +30,6 @@ type cond =
 
 type arg_fact = { a_inst : inst; a_cond : cond }
 
-(* Join = least upper bound in precision order (Any/Cond = top). *)
-let join_inst a b =
-  match (a, b) with
-  | Ground, Ground -> Ground
-  | Free, Free -> Free
-  | Rigid d1, Rigid d2 -> Rigid (max d1 d2)
-  | (Rigid d, Ground | Ground, Rigid d) -> Rigid d
-  | _ -> Any
-
-let join_cond a b = if a = Uncond && b = Uncond then Uncond else Cond
-
-let join a b =
-  { a_inst = join_inst a.a_inst b.a_inst; a_cond = join_cond a.a_cond b.a_cond }
-
 let of_gfa : Prolog.Abspat.gfa -> inst = function
   | Prolog.Abspat.Ground -> Ground
   | Prolog.Abspat.Free -> Free

@@ -44,15 +44,6 @@ type kind =
   | K_put_uninit
   | K_builtin_nt
 
-let kind_name = function
-  | K_uninit_get -> "uninit_get"
-  | K_rigid_struct -> "rigid_struct"
-  | K_rigid_list -> "rigid_list"
-  | K_rigid_value -> "rigid_value"
-  | K_value_nt -> "value_nt"
-  | K_put_uninit -> "put_uninit"
-  | K_builtin_nt -> "builtin_nt"
-
 type violation = {
   v_pe : int;
   v_pred : string;  (** owning predicate of the site (baseline code) *)
@@ -69,8 +60,6 @@ type report = {
   windows : int;  (** site windows replayed *)
   violations : violation list;
 }
-
-let ok r = r.violations = []
 
 let pp_violation fmt v =
   Format.fprintf fmt "PE%d: %s violation at site @%d (%s) addr %d [%s]" v.v_pe

@@ -318,15 +318,12 @@ let simulate ?line_words:(lw = 4) ?write_allocate ?locality_override ~kind
 (* The paper selected, per cache size, the allocation policy that
    produced the lowest traffic; [simulate_best] does that selection
    per point. *)
-let simulate_best ?line_words ?locality_override ~kind ~cache_words ~n_pes
-    buf =
+let simulate_best ?line_words ~kind ~cache_words ~n_pes buf =
   let a =
-    simulate ?line_words ?locality_override ~write_allocate:true ~kind
-      ~cache_words ~n_pes buf
+    simulate ?line_words ~write_allocate:true ~kind ~cache_words ~n_pes buf
   in
   let b =
-    simulate ?line_words ?locality_override ~write_allocate:false ~kind
-      ~cache_words ~n_pes buf
+    simulate ?line_words ~write_allocate:false ~kind ~cache_words ~n_pes buf
   in
   if Metrics.traffic_ratio a <= Metrics.traffic_ratio b then (a, true)
   else (b, false)

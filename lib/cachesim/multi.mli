@@ -43,7 +43,7 @@ val simulate :
     defaults to {!Protocol.paper_allocate_policy}. *)
 
 val simulate_best :
-  ?line_words:int -> ?locality_override:bool -> kind:Protocol.kind ->
+  ?line_words:int -> kind:Protocol.kind ->
   cache_words:int -> n_pes:int -> Trace.Sink.Buffer_sink.t ->
   Metrics.t * bool
 (** Try both allocation policies and keep the lower-traffic one (the

@@ -30,15 +30,12 @@ type estimate = {
   stall_cycles : float;
 }
 
-let default_cpi = 4.0
-let default_bus_words_per_cycle = 1.0
-let default_miss_penalty = 2.0
+let cpi = 4.0
+let bus_words_per_cycle = 1.0
+let miss_penalty = 2.0
 (* fixed latency added per bus word on top of queueing (memory access) *)
 
-let estimate ?(cpi = default_cpi)
-    ?(bus_words_per_cycle = default_bus_words_per_cycle)
-    ?(miss_penalty = default_miss_penalty) ~rounds ~n_pes
-    (stats : Metrics.t) =
+let estimate ~rounds ~n_pes (stats : Metrics.t) =
   let bus_words = float_of_int stats.Metrics.bus_words in
   let ideal = float_of_int (max rounds 1) *. cpi in
   let service = 1.0 /. bus_words_per_cycle in

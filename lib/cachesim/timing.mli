@@ -11,14 +11,9 @@ type estimate = {
   stall_cycles : float;
 }
 
-val default_cpi : float
-val default_bus_words_per_cycle : float
-val default_miss_penalty : float
-
-val estimate :
-  ?cpi:float -> ?bus_words_per_cycle:float -> ?miss_penalty:float ->
-  rounds:int -> n_pes:int -> Metrics.t -> estimate
+val estimate : rounds:int -> n_pes:int -> Metrics.t -> estimate
 (** Solve [T = rounds*cpi + (bus_words/n_pes) * (response(T) +
-    miss_penalty)] by bisection. *)
+    miss_penalty)] by bisection, with [cpi] = 4, one bus word per
+    cycle and a 2-cycle [miss_penalty]. *)
 
 val effective_speedup : seq:estimate -> par:estimate -> float

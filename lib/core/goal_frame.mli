@@ -15,8 +15,6 @@ type goal = {
   pusher : int;  (** PE that pushed the frame *)
 }
 
-val frame_size : int -> int
-
 val push :
   Wam.Machine.t -> Wam.Machine.worker -> pf:int -> slot:int -> entry:int ->
   arity:int -> unit

@@ -7,8 +7,6 @@
     the marker bounds the trail segment that selective unwinding
     replays. *)
 
-val size : int
-
 val push :
   Wam.Machine.t -> Wam.Machine.worker -> pf:int -> slot:int ->
   resume_p:int -> int

@@ -74,4 +74,3 @@ let stalled t pe = t.ready_at.(pe) > t.now +. 0.5
 
 let stats t = Cachesim.Multi.stats t.multi
 let total_stalls t = Array.fold_left ( +. ) 0.0 t.stall_cycles
-let pe_stalls t pe = t.stall_cycles.(pe)

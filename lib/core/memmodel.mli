@@ -22,4 +22,3 @@ val stalled : t -> int -> bool
 
 val stats : t -> Cachesim.Metrics.t
 val total_stalls : t -> float
-val pe_stalls : t -> int -> float

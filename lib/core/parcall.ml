@@ -132,7 +132,6 @@ let peek_counter m pf = peek m pf off_counter
 let peek_status m pf = peek m pf off_status
 let peek_acks m pf = peek m pf off_acks
 let peek_k m pf = peek m pf off_k
-let peek_slot_exec m pf i = peek m pf (off_slots + i)
 
 let slot_exec m w pf i =
   Cell.payload (rd m w ~area:global_area (pf + off_slots + i))

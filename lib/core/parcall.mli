@@ -8,15 +8,11 @@
     k-ary CGE pushes k-1 goal frames.  Allocating a frame also makes it
     the worker's backtrack barrier. *)
 
-val size : int -> int
-(** Frame size in words for [k] pushed goals. *)
-
 val off_lock : int
 (** The lock word; Acquire/Release and Join sync events reference it. *)
 
 val off_status : int
 val off_slots : int
-val done_bit : int
 
 val alloc : Wam.Machine.t -> Wam.Machine.worker -> int -> join_addr:int -> int
 (** Allocate a frame for [k] pushed goals; returns its address and
@@ -57,7 +53,6 @@ val peek_counter : Wam.Machine.t -> int -> int
 val peek_status : Wam.Machine.t -> int -> int
 val peek_acks : Wam.Machine.t -> int -> int
 val peek_k : Wam.Machine.t -> int -> int
-val peek_slot_exec : Wam.Machine.t -> int -> int -> int
 
 (** {1 Locked operations} (modeled as 1 read + 2 writes on the lock) *)
 

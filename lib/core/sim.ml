@@ -50,7 +50,7 @@ type t = {
   memory : Memmodel.t option; (* integrated two-level memory timing *)
 }
 
-let create ?out ?(sink = Trace.Sink.null) ?(steal = Steal_oldest)
+let create ?(sink = Trace.Sink.null) ?(steal = Steal_oldest)
     ?(eager_kill = false) ?(allow_steal = true) ?memory ~n_workers prog =
   let sink =
     match memory with
@@ -58,7 +58,7 @@ let create ?out ?(sink = Trace.Sink.null) ?(steal = Steal_oldest)
     | Some mm -> Trace.Sink.tee sink (Memmodel.sink mm)
   in
   let m =
-    Machine.create ?out ~sink ~n_workers ~code:prog.Program.code
+    Machine.create ~sink ~n_workers ~code:prog.Program.code
       ~symbols:prog.Program.symbols ()
   in
   {
@@ -560,17 +560,16 @@ let run_prepared ?(max_rounds = default_max_rounds) sim prog =
     Seq.Failure
 
 (* [run ~n_workers prog] executes the query on [n_workers] PEs. *)
-let run ?out ?sink ?steal ?eager_kill ?allow_steal ?memory ?max_rounds
+let run ?sink ?steal ?eager_kill ?allow_steal ?memory ?max_rounds
     ~n_workers prog =
   let sim =
-    create ?out ?sink ?steal ?eager_kill ?allow_steal ?memory ~n_workers prog
+    create ?sink ?steal ?eager_kill ?allow_steal ?memory ~n_workers prog
   in
   let result = run_prepared ?max_rounds sim prog in
   (result, sim)
 
 (* Convenience: parse, compile with CGEs enabled, run. *)
-let solve ?out ?sink ?steal ?eager_kill ?allow_steal ?memory ?max_rounds
-    ~n_workers ~src ~query () =
+let solve ?steal ?eager_kill ?allow_steal ?max_rounds ~n_workers ~src
+    ~query () =
   let prog = Program.prepare ~parallel:true ~src ~query () in
-  run ?out ?sink ?steal ?eager_kill ?allow_steal ?memory ?max_rounds
-    ~n_workers prog
+  run ?steal ?eager_kill ?allow_steal ?max_rounds ~n_workers prog

@@ -29,27 +29,20 @@ type t = {
 }
 
 val create :
-  ?out:Format.formatter -> ?sink:Trace.Sink.t -> ?steal:steal_policy ->
+  ?sink:Trace.Sink.t -> ?steal:steal_policy ->
   ?eager_kill:bool -> ?allow_steal:bool -> ?memory:Memmodel.t ->
   n_workers:int -> Wam.Program.t -> t
-
-val round : t -> unit
-(** One scheduler round: every worker acts once (an instruction, a
-    message, a steal attempt, or a wait poll). *)
 
 val run_prepared : ?max_rounds:int -> t -> Wam.Program.t -> Wam.Seq.result
 (** Seed the query on worker 0 and run rounds to the first solution. *)
 
 val run :
-  ?out:Format.formatter -> ?sink:Trace.Sink.t -> ?steal:steal_policy ->
+  ?sink:Trace.Sink.t -> ?steal:steal_policy ->
   ?eager_kill:bool -> ?allow_steal:bool -> ?memory:Memmodel.t ->
   ?max_rounds:int -> n_workers:int -> Wam.Program.t -> Wam.Seq.result * t
 
 val solve :
-  ?out:Format.formatter -> ?sink:Trace.Sink.t -> ?steal:steal_policy ->
-  ?eager_kill:bool -> ?allow_steal:bool -> ?memory:Memmodel.t ->
+  ?steal:steal_policy -> ?eager_kill:bool -> ?allow_steal:bool ->
   ?max_rounds:int -> n_workers:int -> src:string -> query:string -> unit ->
   Wam.Seq.result * t
 (** Parse, compile with CGEs enabled, and {!run}. *)
-
-val default_max_rounds : int

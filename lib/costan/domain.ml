@@ -44,10 +44,6 @@ let join_cls a b =
     | Some da, Some db -> of_degree (max da db)
     | _ -> Unknown)
 
-(* Sequential composition g1, g2: degrees add only under iteration;
-   for a plain conjunction the cost is a sum, so the class is the max. *)
-let seq_cls = join_cls
-
 (* ------------------------------------------------------------------ *)
 (* Saturating non-negative intervals.  The cap keeps products of deep
    recurrences from overflowing native ints; a capped bound still
@@ -63,14 +59,7 @@ let zero = point 0
 let is_zero i = i.lo = 0 && i.hi = 0
 let add a b = { lo = sat (a.lo + b.lo); hi = sat (a.hi + b.hi) }
 
-let scale k i = { lo = sat (k * i.lo); hi = sat (k * i.hi) }
-
-let mul a b =
-  (* both non-negative, so the corner products are monotone *)
-  { lo = sat (a.lo * b.lo); hi = sat (a.hi * b.hi) }
-
 let join a b = { lo = min a.lo b.lo; hi = max a.hi b.hi }
-let sub_lo i n = { i with lo = sat (i.lo - n) }
 
 let shift n i = { lo = sat (i.lo + n); hi = sat (i.hi + n) }
 
@@ -87,12 +76,6 @@ let mid i =
       int_of_float (sqrt (float_of_int i.lo *. float_of_int i.hi))
     in
     max i.lo (min i.hi m)
-
-(* Width as a ratio; 1.0 = exact, infinity when lo = 0 < hi. *)
-let ratio i =
-  if i.hi = 0 then 1.0
-  else if i.lo = 0 then infinity
-  else float_of_int i.hi /. float_of_int i.lo
 
 let pp_interval fmt i =
   if exact i then Format.fprintf fmt "%d" i.lo

@@ -36,11 +36,6 @@ let add_area (fp : t) area i =
 
 let copy : t -> t = Array.copy
 let sum (a : t) (b : t) : t = Array.init n_areas (fun i -> add a.(i) b.(i))
-let joinfp (a : t) (b : t) : t =
-  Array.init n_areas (fun i -> join a.(i) b.(i))
-let scalefp k (a : t) : t = Array.map (scale k) a
-let mulfp (i : interval) (a : t) : t = Array.map (mul i) a
-let total (a : t) = Array.fold_left add zero a
 
 let data_total (a : t) =
   let code = Trace.Area.to_int Trace.Area.Code in

@@ -110,8 +110,6 @@ let of_database ?patterns db : t =
       user_preds;
   table
 
-let deterministic (t : t) key = Lattice.deterministic (find t key)
-
 (* Per-predicate report rows, in database order. *)
 let report db (t : t) =
   List.map (fun key -> (key, find t key)) (Prolog.Database.predicates db)

@@ -19,7 +19,6 @@ type ('a, 'b) t = {
 val run :
   ?jobs:int ->
   ?echo:bool ->
-  ?retries:int ->
   ?watchdog:Job.watchdog ->
   ?on_consumed:('b Job.completed -> unit) ->
   ?stage_labels:string * string ->
@@ -29,7 +28,7 @@ val run :
     the two stage summaries.  Determinism: the cell array's order and
     contents are independent of [jobs].
 
-    [watchdog] bounds every job attempt (stalled cells are killed and
-    retried, see {!Job.run}); [on_consumed] fires once per completed
+    Every job gets one retry.  [watchdog] bounds every job attempt
+    (stalled cells are killed and retried, see {!Job.run}); [on_consumed] fires once per completed
     stage-2 cell under a single mutex — the sweep's checkpoint journal
     hangs off it. *)

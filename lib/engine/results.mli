@@ -23,10 +23,6 @@ type cell = {
 val config_key : config -> string
 (** Human-readable cell key, e.g. ["qsort/8pe/hybrid/l4/c1024"]. *)
 
-val compare_config : config -> config -> int
-(** Total order on configurations (bench, PEs, protocol name, line
-    words, cache words). *)
-
 val sort : cell list -> cell list
 
 val encode_cell : string -> Cachesim.Metrics.t -> string

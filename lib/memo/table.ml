@@ -188,6 +188,3 @@ let totals t =
 let hit_rate (s : totals) =
   let total = s.hits + s.misses in
   if total = 0 then 0.0 else float_of_int s.hits /. float_of_int total
-
-let capacity_words t = t.capacity
-let shards t = Array.length t.shards_

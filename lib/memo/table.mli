@@ -59,6 +59,3 @@ type totals = {
 val totals : t -> totals
 val hit_rate : totals -> float
 (** hits / (hits + misses), 0 when idle. *)
-
-val capacity_words : t -> int
-val shards : t -> int

@@ -37,8 +37,6 @@ let size t = Hashtbl.length t.table
 
 (* ------------------------------------------------------------------ *)
 
-let normalize_pair i j = if i <= j then (i, j) else (j, i)
-
 let bottom n = { args = Array.make n Ground; share = [] }
 
 let top n =
@@ -68,8 +66,6 @@ let join a b =
 
 let equal_pattern a b =
   a.args = b.args && List.sort compare a.share = List.sort compare b.share
-
-let may_share p i j = List.mem (normalize_pair i j) p.share
 
 let gfa_to_string = function Ground -> "g" | Free -> "f" | Any -> "?"
 

@@ -39,9 +39,6 @@ val reached : t -> name:string -> arity:int -> bool
 (** The analysis covered this predicate (its patterns may be consulted
     when annotating its clauses). *)
 
-val iter : t -> (string * int -> entry -> unit) -> unit
-(** Iterate in sorted (name, arity) order. *)
-
 val size : t -> int
 
 (** {1 Pattern lattice} *)
@@ -52,13 +49,8 @@ val bottom : int -> pattern
 val top : int -> pattern
 (** No information: every argument [Any], all pairs share. *)
 
-val join_gfa : gfa -> gfa -> gfa
 val join : pattern -> pattern -> pattern
 val equal_pattern : pattern -> pattern -> bool
-val may_share : pattern -> int -> int -> bool
-val normalize_pair : int -> int -> int * int
 
 val gfa_to_string : gfa -> string
-val pp_pattern : Format.formatter -> pattern -> unit
-val pp_entry : Format.formatter -> entry -> unit
 val pp : Format.formatter -> t -> unit

@@ -551,13 +551,12 @@ let annotate_body ?patterns ?granularity ?certifier ?determinacy modes db st
 (* ------------------------------------------------------------------ *)
 
 (* Annotate every clause of [db]; returns a new database (the original
-   is untouched).  Modes come from the database's `:- mode ...`
-   directives unless supplied explicitly.  [patterns] supplies global
+   is untouched).  [modes] are the database's `:- mode ...`
+   directives.  [patterns] supplies global
    analysis results; a clause uses them only when its own predicate
    was reached by the analysis (otherwise its entry states would be
    unsound), falling back to the purely local mode analysis. *)
-let annotate ?modes ?patterns ?granularity ?certifier ?determinacy db =
-  let modes = match modes with Some m -> m | None -> Modes.of_database db in
+let annotate ~modes ?patterns ?granularity ?certifier ?determinacy db =
   let out = Database.create () in
   let counters =
     {
@@ -590,19 +589,20 @@ let annotate ?modes ?patterns ?granularity ?certifier ?determinacy db =
     (Database.predicates db);
   (out, counters)
 
-let database ?modes ?patterns ?granularity db =
-  fst (annotate ?modes ?patterns ?granularity db)
+let database ?patterns ?granularity db =
+  fst (annotate ~modes:(Modes.of_database db) ?patterns ?granularity db)
 
-let database_stats ?modes ?patterns ?granularity ?certifier ?determinacy db =
+let database_stats ?patterns ?granularity ?certifier ?determinacy db =
+  let modes = Modes.of_database db in
   let out, c =
-    annotate ?modes ?patterns ?granularity ?certifier ?determinacy db
+    annotate ~modes ?patterns ?granularity ?certifier ?determinacy db
   in
   let discharged =
     match patterns with
     | None -> 0
     | Some _ ->
       (* what would the purely local annotation have cost? *)
-      let _, base = annotate ?modes db in
+      let _, base = annotate ~modes db in
       max 0 (base.c_checks - c.c_checks)
   in
   ( out,

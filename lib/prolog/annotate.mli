@@ -31,14 +31,13 @@ type verdict = Keep | Small | Guard of Term.t * int
     take the sequential else-branch at run time). *)
 
 val database :
-  ?modes:Modes.t ->
   ?patterns:Abspat.t ->
   ?granularity:(Term.t -> verdict) ->
   Database.t ->
   Database.t
 (** Annotate every clause; returns a new database (the input is not
-    modified).  Modes default to the database's [:- mode ...]
-    directives.  [patterns] are consulted only for clauses of
+    modified).  Modes are the database's [:- mode ...] directives.
+    [patterns] are consulted only for clauses of
     predicates the analysis reached.  [granularity] filters every
     parallel group -- both the ones this analysis builds and
     programmer-written ['&'] groups: a group whose arms are all
@@ -70,7 +69,6 @@ type stats = {
 }
 
 val database_stats :
-  ?modes:Modes.t ->
   ?patterns:Abspat.t ->
   ?granularity:(Term.t -> verdict) ->
   ?certifier:(Cge.check list -> Term.t list -> bool) ->
@@ -88,11 +86,5 @@ val database_stats :
 
 val parallelism_found : Database.t -> int
 (** Number of parallel calls in an (annotated) database. *)
-
-val max_checks : int
-(** Groups needing more run-time checks than this stay sequential. *)
-
-val pp_clause : Format.formatter -> Database.clause -> unit
-(** Render a clause back to concrete &-Prolog syntax. *)
 
 val pp_database : Format.formatter -> Database.t -> unit

@@ -58,18 +58,6 @@ let rec items_of_term t =
     [ Par { checks; arms = Term.par_conjuncts goals } ]
   | Term.Atom _ | Term.Int _ | Term.Var _ | Term.Struct _ -> [ Lit t ]
 
-(* Variables mentioned by an item, for permanent-variable analysis. *)
-let item_vars = function
-  | Lit g -> Term.vars g
-  | Par { checks; arms } ->
-    let check_term = function
-      | Ground x -> [ x ]
-      | Indep (x, y) -> [ x; y ]
-      | Size_ge (x, _) -> [ x ]
-    in
-    let terms = List.concat_map check_term checks @ arms in
-    List.concat_map Term.vars terms
-
 let pp_check fmt = function
   | Ground x -> Format.fprintf fmt "ground(%a)" Pretty.pp x
   | Indep (x, y) ->

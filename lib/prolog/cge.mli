@@ -28,15 +28,8 @@ val items_of_term : Term.t -> body
 (** Translate a parsed body term into items.
     @raise Ill_formed on unsupported CGE conditions. *)
 
-val checks_of_term : Term.t -> check list
-(** Parse a CGE condition (conjunction of [ground/1], [indep/2] and
-    [size_ge/2]). *)
-
 val has_par : Term.t -> bool
 (** Does a parallel conjunction appear at the top of this term? *)
-
-val item_vars : item -> string list
-(** Variables mentioned by an item. *)
 
 val pp_check : Format.formatter -> check -> unit
 val pp_item : Format.formatter -> item -> unit

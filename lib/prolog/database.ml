@@ -145,12 +145,9 @@ let assert_term db t =
   | Term.Int _ | Term.Var _ ->
     raise (Load_error "a clause must be an atom, structure or ':-'/2")
 
-let load_string db src =
-  List.iter (assert_term db) (Parser.clauses_of_string src)
-
 let of_string src =
   let db = create () in
-  load_string db src;
+  List.iter (assert_term db) (Parser.clauses_of_string src);
   db
 
 (* Strip every CGE: each Par item becomes its arms in textual order.

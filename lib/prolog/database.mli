@@ -27,11 +27,8 @@ val copy : t -> t
 val assert_term : t -> Term.t -> unit
 (** Add one parsed clause or directive ([:- D] / [?- D]). *)
 
-val load_string : t -> string -> unit
-(** Parse and assert every clause in the source text. *)
-
 val of_string : string -> t
-(** [create] + [load_string]. *)
+(** A fresh database holding every clause of the source text. *)
 
 val add_clause : t -> clause -> unit
 (** Add an already-normalized clause (used by {!Annotate}). *)

@@ -27,11 +27,6 @@ let arg_mode_of_string = function
   | "?" -> Some Unknown
   | _ -> None
 
-let arg_mode_to_string = function
-  | Ground_in -> "+"
-  | Free_in_ground_out -> "-"
-  | Unknown -> "?"
-
 exception Bad_declaration of string
 
 (* Parse one `mode f(+, -, ?)` directive body. *)

@@ -10,19 +10,10 @@ type t
 
 exception Bad_declaration of string
 
-val create : unit -> t
-val declare : t -> name:string -> modes:arg_mode list -> unit
 val lookup : t -> name:string -> arity:int -> arg_mode list option
-
-val of_directive : t -> Term.t -> bool
-(** Record one [mode f(...)] directive body; [false] if the term is not
-    a mode declaration.  @raise Bad_declaration on malformed ones. *)
 
 val of_database : Database.t -> t
 (** Collect every mode declaration from a database's directives. *)
 
 val builtin_modes : string -> int -> arg_mode list option
 (** Natural modes of the builtins the analysis understands. *)
-
-val arg_mode_of_string : string -> arg_mode option
-val arg_mode_to_string : arg_mode -> string

@@ -69,10 +69,3 @@ let source =
     succ_int(X, Y) :- Y is X + 1.
     plus(A, B, C) :- C is A + B.
   |}
-
-let load db = Database.load_string db source
-
-let database () =
-  let db = Database.create () in
-  load db;
-  db

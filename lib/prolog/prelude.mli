@@ -4,9 +4,3 @@
     max_list/2, min_list/2, msort/2, between/3, numlist/3, plus/3. *)
 
 val source : string
-
-val load : Database.t -> unit
-(** Assert the prelude into an existing database. *)
-
-val database : unit -> Database.t
-(** A fresh database holding only the prelude. *)

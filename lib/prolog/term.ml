@@ -30,10 +30,6 @@ let to_list t =
   in
   go [] t
 
-let is_atomic = function
-  | Atom _ | Int _ -> true
-  | Var _ | Struct _ -> false
-
 let functor_of = function
   | Atom name -> Some (name, 0)
   | Struct (name, args) -> Some (name, List.length args)
@@ -72,13 +68,6 @@ let vars t =
   List.rev !acc
 
 let is_ground t = vars t = []
-
-(* [rename suffix t] freshens every variable by appending [suffix];
-   used to standardize clauses apart in tests and tools. *)
-let rec rename suffix = function
-  | Var v -> Var (v ^ suffix)
-  | (Atom _ | Int _) as t -> t
-  | Struct (f, args) -> Struct (f, List.map (rename suffix) args)
 
 let rec equal a b =
   match a, b with

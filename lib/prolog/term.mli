@@ -31,9 +31,6 @@ val to_list : t -> t list option
 
 (** {1 Inspection} *)
 
-val is_atomic : t -> bool
-(** Atoms and integers. *)
-
 val functor_of : t -> (string * int) option
 (** [functor_of t] is the principal functor [(name, arity)] of an atom
     or structure, [None] for variables and integers. *)
@@ -63,9 +60,3 @@ val conj : t list -> t
 
 val par_conjuncts : t -> t list
 (** Flatten a ['&'/2] (parallel conjunction) tree. *)
-
-(** {1 Transformation} *)
-
-val rename : string -> t -> t
-(** [rename suffix t] appends [suffix] to every variable name; used to
-    standardize clauses apart in tests and tools. *)

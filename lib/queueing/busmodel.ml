@@ -31,16 +31,3 @@ let pe_efficiency t =
 
 (* Effective aggregate speed (in PEs' worth of work). *)
 let effective_pes t = float_of_int t.n_pes *. pe_efficiency t
-
-(* Largest PE count keeping efficiency above [threshold]. *)
-let max_pes_at_efficiency ~threshold t =
-  let rec go n best =
-    if n > 1024 then best
-    else begin
-      let t' = { t with n_pes = n } in
-      if Mg1.is_stable (queue t') && pe_efficiency t' >= threshold then
-        go (n + 1) n
-      else best
-    end
-  in
-  go 1 0

@@ -13,17 +13,10 @@ val make :
   n_pes:int -> refs_per_cycle:float -> traffic_ratio:float ->
   bus_words_per_cycle:float -> t
 
-val demand : t -> float
-(** Aggregate bus demand, words per cycle. *)
-
 val utilization : t -> float
-val queue : t -> Mg1.t
 
 val pe_efficiency : t -> float
 (** Efficiency of each PE once bus stalls are charged to it. *)
 
 val effective_pes : t -> float
 (** [n_pes * pe_efficiency]. *)
-
-val max_pes_at_efficiency : threshold:float -> t -> int
-(** Largest PE count keeping efficiency above [threshold]. *)

@@ -24,12 +24,12 @@ let paper_assumptions =
 (* Build the assumptions from measured statistics: refs/instruction
    from a RAP-WAM run and capture = 1 - traffic ratio from the cache
    simulation. *)
-let of_measurements ?(word_bytes = 4) ~instr_per_inference
-    ~refs_per_instruction ~traffic_ratio () =
+let of_measurements ~instr_per_inference ~refs_per_instruction
+    ~traffic_ratio () =
   {
     instr_per_inference;
     refs_per_instruction;
-    word_bytes;
+    word_bytes = 4;
     capture = 1.0 -. traffic_ratio;
   }
 
@@ -41,10 +41,6 @@ let processor_bandwidth t ~lips = lips *. bytes_per_inference t
 
 (* Bus/memory bandwidth needed once caches capture their share. *)
 let bus_bandwidth t ~lips = processor_bandwidth t ~lips *. (1.0 -. t.capture)
-
-(* Inference speed achievable within a given bus bandwidth (bytes/s). *)
-let lips_for_bus t ~bus_bytes_per_sec =
-  bus_bytes_per_sec /. (bytes_per_inference t *. (1.0 -. t.capture))
 
 let pp fmt t =
   let lips = 2.0e6 in

@@ -11,10 +11,10 @@ type t = {
 val paper_assumptions : t
 
 val of_measurements :
-  ?word_bytes:int -> instr_per_inference:float ->
-  refs_per_instruction:float -> traffic_ratio:float -> unit -> t
+  instr_per_inference:float -> refs_per_instruction:float ->
+  traffic_ratio:float -> unit -> t
 (** Build the assumptions from measured statistics
-    ([capture = 1 - traffic_ratio]). *)
+    ([capture = 1 - traffic_ratio], 4-byte words). *)
 
 val bytes_per_inference : t -> float
 
@@ -23,9 +23,6 @@ val processor_bandwidth : t -> lips:float -> float
 
 val bus_bandwidth : t -> lips:float -> float
 (** Bus-side demand once caches capture their share. *)
-
-val lips_for_bus : t -> bus_bytes_per_sec:float -> float
-(** Inference speed achievable within a given bus bandwidth. *)
 
 val pp : Format.formatter -> t -> unit
 (** Print the 2-MLIPS calculation under these assumptions. *)

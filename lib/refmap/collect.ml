@@ -80,9 +80,6 @@ let on_record t (r : Trace.Ref_record.t) =
     o.seen.(k) <- o.seen.(k) lor bit r.Trace.Ref_record.op
   end
 
-let sink t : Trace.Sink.t =
-  { Trace.Sink.emit = on_record t; emit_sync = (fun _ -> ()) }
-
 let of_buffer static buf =
   let t = create static in
   Trace.Sink.Buffer_sink.iter (on_record t) buf;

@@ -29,14 +29,6 @@ let to_int = function
   | Local_write -> 3
   | Shared_write -> 4
 
-let of_int = function
-  | 0 -> Nil
-  | 1 -> Read
-  | 2 -> Write_once
-  | 3 -> Local_write
-  | 4 -> Shared_write
-  | n -> invalid_arg (Printf.sprintf "Mode.of_int %d" n)
-
 let join a b = if to_int a >= to_int b then a else b
 let leq a b = to_int a <= to_int b
 

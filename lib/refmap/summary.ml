@@ -37,8 +37,6 @@ let permits s area (op : Wam.Access.op) =
   | Wam.Access.R -> not (Mode.leq m Mode.Nil)
   | Wam.Access.W -> Mode.leq (Mode.w_mode area) m
 
-let touched s = List.filter (fun a -> get s a <> Mode.Nil) Trace.Area.all
-
 let pp fmt s =
   let parts =
     List.filter_map

@@ -28,10 +28,3 @@ let sub ?(crc = 0) s pos len =
   !c lxor mask land mask
 
 let string ?crc s = sub ?crc s 0 (String.length s)
-
-let bytes ?(crc = 0) b pos len =
-  let c = ref (crc lxor mask) in
-  for i = pos to pos + len - 1 do
-    c := feed_byte !c (Char.code (Bytes.unsafe_get b i))
-  done;
-  !c lxor mask land mask

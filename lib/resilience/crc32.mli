@@ -5,4 +5,3 @@
 
 val string : ?crc:int -> string -> int
 val sub : ?crc:int -> string -> int -> int -> int
-val bytes : ?crc:int -> bytes -> int -> int -> int

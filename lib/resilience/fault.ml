@@ -81,11 +81,12 @@ let lcg seed =
     state := 16807 * !state mod 0x7fffffff;
     !state mod bound
 
-let of_seed ?stall_s ?(faults = 3) seed =
+(* A seeded plan: three (site, kind, occurrence) triples. *)
+let of_seed ?stall_s seed =
   let next = lcg seed in
   let n_sites = List.length sites and n_kinds = List.length kinds in
   let triples =
-    List.init faults (fun _ ->
+    List.init 3 (fun _ ->
         (List.nth sites (next n_sites), List.nth kinds (next n_kinds), next 3))
   in
   let p = make ?stall_s triples in

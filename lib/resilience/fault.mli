@@ -16,7 +16,6 @@ type kind = Truncate | Bit_flip | Eio | Stall | Crash
 
 val kinds : kind list
 val kind_name : kind -> string
-val kind_of_name : string -> kind option
 
 val sites : string list
 (** The closed site registry: ["trace-write"] (per trace block),
@@ -35,14 +34,11 @@ val make : ?stall_s:float -> (string * kind * int) list -> plan
 (** Explicit plan from (site, kind, occurrence) triples.
     @raise Invalid_argument on an unregistered site. *)
 
-val of_seed : ?stall_s:float -> ?faults:int -> int -> plan
-(** Deterministic pseudo-random plan: [faults] (default 3) triples
-    drawn from the site/kind registry by a seeded LCG. *)
-
 val of_spec : string -> (plan, string) result
 (** Parse a CLI spec: comma-separated [SITE:KIND\@N] items (\@N
-    defaults to 0), or [seed:N] for {!of_seed}, optionally with
-    [stall-s:SECONDS]. *)
+    defaults to 0), or [seed:N] for a deterministic plan of three
+    triples drawn from the site/kind registry by a seeded LCG,
+    optionally with [stall-s:SECONDS]. *)
 
 val to_string : plan -> string
 

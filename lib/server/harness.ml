@@ -337,13 +337,12 @@ type chaos = {
   c_mismatches : (string * string * string) list;
 }
 
-let run_chaos ?(progress = fun _ -> ()) ?snapshot_path p =
+let run_chaos ?(progress = fun _ -> ()) p =
   let pool, requests, mk, sup = setup ~caller:"run_chaos" p in
   let snapshot_path, temp_snapshot =
-    match (snapshot_path, p.snapshot) with
-    | Some path, _ -> (path, false)
-    | None, Some path -> (path, false)
-    | None, None -> (Filename.temp_file "rapwam-memo" ".snapshot", true)
+    match p.snapshot with
+    | Some path -> (path, false)
+    | None -> (Filename.temp_file "rapwam-memo" ".snapshot", true)
   in
   progress
     (Printf.sprintf "pool %d distinct queries, %d requests, faults [%s]"

@@ -127,10 +127,8 @@ type chaos = {
   c_mismatches : (string * string * string) list;
 }
 
-val run_chaos :
-  ?progress:(string -> unit) -> ?snapshot_path:string -> params -> chaos
-(** [snapshot_path] (or [params.snapshot]) is where the restart
-    snapshot lands; defaults to a temp file that is removed after the
+val run_chaos : ?progress:(string -> unit) -> params -> chaos
+(** [params.snapshot] is where the restart snapshot lands; defaults to a temp file that is removed after the
     restore.  [params.restore], when set, warm-starts the {e chaos}
     phase's table.  Raises like {!run}.
     @raise Invalid_argument when {!validate} rejects the params. *)

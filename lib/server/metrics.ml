@@ -18,8 +18,6 @@ let of_samples xs =
   List.iter (add t) xs;
   t
 
-let count t = t.n
-
 let mean t =
   if t.n = 0 then 0.0
   else begin

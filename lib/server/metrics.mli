@@ -10,7 +10,6 @@ val add : t -> float -> unit
 val of_samples : float list -> t
 (** A buffer pre-loaded with the given samples, in order. *)
 
-val count : t -> int
 val mean : t -> float
 (** 0 when empty. *)
 

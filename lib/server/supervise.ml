@@ -194,7 +194,6 @@ let create ?(policy = default_policy) server =
   }
 
 let server t = t.server
-let policy_of t = t.pol
 
 let circuit t spec =
   match Hashtbl.find_opt t.circuits spec with

@@ -104,7 +104,6 @@ val create : ?policy:policy -> Serve.t -> t
 (** Serve batches on this server, with every counter at zero. *)
 
 val server : t -> Serve.t
-val policy_of : t -> policy
 
 val serve : t -> Serve.request list -> response list
 (** Serve one batch; responses in request order.  Raises only when

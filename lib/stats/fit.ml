@@ -19,26 +19,3 @@ let z_score ~population x =
   let mu = mean population in
   let sigma = stddev population in
   if sigma = 0.0 then 0.0 else (x -. mu) /. sigma
-
-let min_max xs =
-  match xs with
-  | [] -> invalid_arg "Fit.min_max: empty"
-  | x :: rest ->
-    List.fold_left (fun (lo, hi) v -> (min lo v, max hi v)) (x, x) rest
-
-(* Simple linear regression y = a + b x; returns (a, b, r). *)
-let linreg points =
-  let n = float_of_int (List.length points) in
-  if n < 2.0 then invalid_arg "Fit.linreg: need at least two points";
-  let sx = List.fold_left (fun a (x, _) -> a +. x) 0.0 points in
-  let sy = List.fold_left (fun a (_, y) -> a +. y) 0.0 points in
-  let sxx = List.fold_left (fun a (x, _) -> a +. (x *. x)) 0.0 points in
-  let syy = List.fold_left (fun a (_, y) -> a +. (y *. y)) 0.0 points in
-  let sxy = List.fold_left (fun a (x, y) -> a +. (x *. y)) 0.0 points in
-  let denom = (n *. sxx) -. (sx *. sx) in
-  if denom = 0.0 then invalid_arg "Fit.linreg: degenerate x";
-  let b = ((n *. sxy) -. (sx *. sy)) /. denom in
-  let a = (sy -. (b *. sx)) /. n in
-  let r_den = sqrt (denom *. ((n *. syy) -. (sy *. sy))) in
-  let r = if r_den = 0.0 then 0.0 else ((n *. sxy) -. (sx *. sy)) /. r_den in
-  (a, b, r)

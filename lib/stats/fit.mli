@@ -1,5 +1,5 @@
-(** Population fitting for Table 3: mean, standard deviation,
-    z-scores, and simple linear regression. *)
+(** Population fitting for Table 3: mean, standard deviation and
+    z-scores. *)
 
 val mean : float list -> float
 (** @raise Invalid_argument on []. *)
@@ -9,8 +9,3 @@ val stddev : float list -> float
 
 val z_score : population:float list -> float -> float
 (** [(x - E) / sigma] against the population (0 when degenerate). *)
-
-val min_max : float list -> float * float
-
-val linreg : (float * float) list -> float * float * float
-(** Least squares [y = a + b x]; returns [(a, b, r)]. *)

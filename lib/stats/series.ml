@@ -31,8 +31,10 @@ let render_columns fmt series =
       xs;
     Format.fprintf fmt "@]"
 
-(* Crude ASCII plot: one row per x value, bars proportional to y. *)
-let render_bars ?(width = 50) fmt t =
+(* Crude ASCII plot: one row per x value, bars of up to 50 characters
+   proportional to y. *)
+let render_bars fmt t =
+  let width = 50 in
   let pts = points t in
   let ymax = List.fold_left (fun m (_, y) -> max m y) 0.0 pts in
   Format.fprintf fmt "@[<v>%s (max %.3f)@," t.name ymax;

@@ -10,5 +10,5 @@ val points : t -> (float * float) list
 val render_columns : Format.formatter -> t list -> unit
 (** Gnuplot-friendly columns: x then one column per series. *)
 
-val render_bars : ?width:int -> Format.formatter -> t -> unit
-(** Crude ASCII plot, bars proportional to y. *)
+val render_bars : Format.formatter -> t -> unit
+(** Crude ASCII plot, bars of up to 50 characters proportional to y. *)

@@ -27,7 +27,6 @@ let add_row t cells =
 
 let cell_int n = string_of_int n
 let cell_float ?(decimals = 3) x = Printf.sprintf "%.*f" decimals x
-let cell_percent ?(decimals = 1) x = Printf.sprintf "%.*f%%" decimals x
 
 let render fmt t =
   let rows = List.rev t.rows in

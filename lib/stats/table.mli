@@ -13,7 +13,6 @@ val add_row : t -> string list -> unit
 
 val cell_int : int -> string
 val cell_float : ?decimals:int -> float -> string
-val cell_percent : ?decimals:int -> float -> string
 
 val render : Format.formatter -> t -> unit
 val print : t -> unit

@@ -12,17 +12,12 @@ type run = {
   n_pes : int;
   work_refs : int; (* references while processing *)
   rounds : int; (* simulated time *)
-  instructions : int;
-  inferences : int;
-  goals_stolen : int;
   idle_cycles : int;
   wait_cycles : int;
 }
 
 let work_percent ~wam_refs run =
   100.0 *. float_of_int run.work_refs /. float_of_int wam_refs
-
-let overhead_percent ~wam_refs run = work_percent ~wam_refs run -. 100.0
 
 let speedup ~seq_rounds run =
   float_of_int seq_rounds /. float_of_int run.rounds
@@ -34,11 +29,3 @@ let utilization run =
   else
     float_of_int (total - run.idle_cycles - run.wait_cycles)
     /. float_of_int total
-
-let refs_per_instruction run =
-  if run.instructions = 0 then 0.0
-  else float_of_int run.work_refs /. float_of_int run.instructions
-
-let instructions_per_inference run =
-  if run.inferences = 0 then 0.0
-  else float_of_int run.instructions /. float_of_int run.inferences

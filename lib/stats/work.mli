@@ -8,9 +8,6 @@ type run = {
   n_pes : int;
   work_refs : int;  (** references while processing *)
   rounds : int;  (** simulated time *)
-  instructions : int;
-  inferences : int;
-  goals_stolen : int;
   idle_cycles : int;
   wait_cycles : int;
 }
@@ -18,11 +15,8 @@ type run = {
 val work_percent : wam_refs:int -> run -> float
 (** Work as a percentage of the sequential WAM's references. *)
 
-val overhead_percent : wam_refs:int -> run -> float
 val speedup : seq_rounds:int -> run -> float
 
 val utilization : run -> float
 (** Fraction of PE-cycles spent processing. *)
 
-val refs_per_instruction : run -> float
-val instructions_per_inference : run -> float

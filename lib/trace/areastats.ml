@@ -61,14 +61,6 @@ let total_writes t = Array.fold_left ( + ) 0 t.writes
 (* Data references exclude instruction fetches. *)
 let data_refs t = t.total - refs t Area.Code
 
-let write_fraction t =
-  let w = total_writes t in
-  let n = t.total in
-  if n = 0 then 0.0 else float_of_int w /. float_of_int n
-
-let local_fraction t =
-  if t.total = 0 then 1.0 else float_of_int t.local /. float_of_int t.total
-
 let pp fmt t =
   Format.fprintf fmt "@[<v>%-18s %10s %10s@," "area" "reads" "writes";
   List.iter

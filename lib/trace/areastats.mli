@@ -19,7 +19,6 @@ val reads : t -> Area.t -> int
 val writes : t -> Area.t -> int
 val refs : t -> Area.t -> int
 val total : t -> int
-val total_reads : t -> int
 val total_writes : t -> int
 
 val syncs : t -> int
@@ -31,8 +30,5 @@ val data_refs : t -> int
 
 val local : t -> int
 val remote : t -> int
-
-val write_fraction : t -> float
-val local_fraction : t -> float
 
 val pp : Format.formatter -> t -> unit

@@ -37,13 +37,6 @@ let unpack word =
     op = (if word land 1 = 1 then Write else Read);
   }
 
-let is_write t = t.op = Write
-
-let pp fmt t =
-  Format.fprintf fmt "PE%d %s %s @%d" t.pe
-    (match t.op with Read -> "R" | Write -> "W")
-    (Area.name t.area) t.addr
-
 (* ---- synchronization events ---- *)
 
 type sync_kind = Acquire | Release | Publish | Steal | Join
@@ -67,13 +60,6 @@ let sync_kind_of_int = function
   | 4 -> Join
   | n -> invalid_arg (Printf.sprintf "Ref_record.sync_kind_of_int %d" n)
 
-let sync_kind_name = function
-  | Acquire -> "acquire"
-  | Release -> "release"
-  | Publish -> "publish"
-  | Steal -> "steal"
-  | Join -> "join"
-
 let pack_sync { spe; saddr; kind } =
   assert (spe >= 0 && spe <= max_pe);
   assert (saddr >= 0);
@@ -95,6 +81,3 @@ type entry = Access of t | Sync of sync
 
 let unpack_entry word =
   if is_sync_word word then Sync (unpack_sync word) else Access (unpack word)
-
-let pp_sync fmt s =
-  Format.fprintf fmt "PE%d %s @%d" s.spe (sync_kind_name s.kind) s.saddr

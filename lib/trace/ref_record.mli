@@ -14,9 +14,6 @@ val addr_bits_shift : int
 val pack : t -> int
 val unpack : int -> t
 
-val is_write : t -> bool
-val pp : Format.formatter -> t -> unit
-
 (** Explicit synchronization events, interleaved with the accesses in
     the packed stream.  They share the access packing but use tag
     values [sync_tag_base..] (areas stop at {!Area.count}[-1]), so
@@ -35,7 +32,6 @@ type sync = { spe : int; saddr : int; kind : sync_kind }
 val sync_tag_base : int
 (** First tag value used by sync events (16). *)
 
-val sync_kind_name : sync_kind -> string
 val pack_sync : sync -> int
 val unpack_sync : int -> sync
 
@@ -45,4 +41,3 @@ val is_sync_word : int -> bool
 type entry = Access of t | Sync of sync
 
 val unpack_entry : int -> entry
-val pp_sync : Format.formatter -> sync -> unit

@@ -95,8 +95,6 @@ module Buffer_sink = struct
       if Ref_record.is_sync_word b.data.(i) then incr n
     done;
     !n
-
-  let clear b = b.len <- 0
 end
 
 let buffer = Buffer_sink.sink

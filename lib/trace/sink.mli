@@ -24,9 +24,6 @@ val null : t
 val tee : t -> t -> t
 (** Feed two sinks. *)
 
-val filter : (Ref_record.t -> bool) -> t -> t
-(** Keep only records satisfying the predicate. *)
-
 val data_only : t -> t
 (** Drop instruction fetches (Code-area reads). *)
 
@@ -69,8 +66,6 @@ module Buffer_sink : sig
 
   val n_syncs : t -> int
   (** How many of the retained words are sync events. *)
-
-  val clear : t -> unit
 end
 
 val buffer : Buffer_sink.t -> t

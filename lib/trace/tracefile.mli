@@ -18,7 +18,6 @@ exception Trace_error of { offset : int; reason : string }
     position of the anomaly. *)
 
 val magic : string
-val version : int
 
 val block_marker : string
 val block_words : int

@@ -32,8 +32,6 @@ type violation = {
   message : string;
 }
 
-val pp_violation : Format.formatter -> violation -> unit
-
 type summary = {
   violations : violation list;
       (** the first [max_violations] found, in trace order *)
@@ -43,21 +41,6 @@ type summary = {
   distinct_addrs : int;
   n_pes : int;
 }
-
-(** {1 Streaming interface} *)
-
-type t
-
-val create : ?max_violations:int -> unit -> t
-(** Fresh checker state.  [max_violations] (default 50) bounds the
-    retained violation list; the total count is always exact. *)
-
-val feed_word : t -> int -> unit
-(** Feed one packed trace word (access or sync event). *)
-
-val finish : t -> summary
-
-(** {1 One-shot interface} *)
 
 val check_buffer :
   ?max_violations:int -> Trace.Sink.Buffer_sink.t -> summary

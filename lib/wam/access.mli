@@ -25,9 +25,6 @@ type ctx = {
           (set after a get_structure/get_list on a ground register) *)
 }
 
-val conservative : ctx
-(** Nothing known: every refinable instruction gets its full footprint. *)
-
 val of_instr : ?ctx:ctx -> Instr.t -> acc list
 (** Areas the instruction may touch during normal (non-failing)
     execution.  Instruction fetches (Code reads) are implicit and not

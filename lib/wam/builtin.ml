@@ -67,10 +67,3 @@ let name t =
     | ((n, a), b) :: rest -> if b = t then Printf.sprintf "%s/%d" n a else find rest
   in
   find table
-
-let arity t =
-  let rec find = function
-    | [] -> 0
-    | ((_, a), b) :: rest -> if b = t then a else find rest
-  in
-  find table

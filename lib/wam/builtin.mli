@@ -17,9 +17,5 @@ type t =
   | Arg_b
   | Univ
 
-val table : ((string * int) * t) list
-(** (name, arity) -> builtin. *)
-
 val lookup : string -> int -> t option
 val name : t -> string
-val arity : t -> int

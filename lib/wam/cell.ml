@@ -55,14 +55,4 @@ let view w =
   | t -> invalid_arg (Printf.sprintf "Cell.view: tag %d" t)
 
 let is_ref w = tag w = tag_ref
-let is_raw w = tag w = tag_raw
-
-let to_string w =
-  match view w with
-  | Ref a -> Printf.sprintf "REF %d" a
-  | Str a -> Printf.sprintf "STR %d" a
-  | Lis a -> Printf.sprintf "LIS %d" a
-  | Con c -> Printf.sprintf "CON %d" c
-  | Num n -> Printf.sprintf "NUM %d" n
-  | Fun f -> Printf.sprintf "FUN %d" f
-  | Raw n -> Printf.sprintf "RAW %d" n
+let fits n = (n lsl 3) asr 3 = n

@@ -25,8 +25,9 @@ val raw : int -> int
 (** {1 Inspection} *)
 
 val view : int -> view
-val tag : int -> int
 val payload : int -> int
 val is_ref : int -> bool
-val is_raw : int -> bool
-val to_string : int -> string
+
+val fits : int -> bool
+(** Does {!num} keep this integer: is it in \[-2{^59}, 2{^59}-1\]?
+    A [Num] payload has 60 bits; outside them it would wrap. *)

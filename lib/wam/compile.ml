@@ -21,6 +21,11 @@ exception Error of string
 
 let error fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
 
+(* An integer constant must survive the cell encoding. *)
+let int_const n =
+  if not (Cell.fits n) then error "integer %d does not fit a cell" n;
+  n
+
 (* ------------------------------------------------------------------ *)
 (* Variable classification.                                           *)
 
@@ -196,7 +201,7 @@ let compile_head ctx ?bind head =
       if is_void ctx v then emit (Instr.Unify_void 1)
       else if first_occ v then emit (Instr.Unify_variable (reg_of ctx v))
       else emit (Instr.Unify_local_value (reg_of ctx v))
-    | Prolog.Term.Int n -> emit (Instr.Unify_integer n)
+    | Prolog.Term.Int n -> emit (Instr.Unify_integer (int_const n))
     | Prolog.Term.Atom "[]" -> emit Instr.Unify_nil
     | Prolog.Term.Atom a ->
       emit (Instr.Unify_constant (Symbols.atom ctx.symbols a))
@@ -228,7 +233,7 @@ let compile_head ctx ?bind head =
             | Cert_none | Cert_uninit -> Instr.Plain
           in
           emit (Instr.Get_value (reg_of ctx v, into, value_cert))
-    | Prolog.Term.Int n -> emit (Instr.Get_integer (n, into, uncond))
+    | Prolog.Term.Int n -> emit (Instr.Get_integer (int_const n, into, uncond))
     | Prolog.Term.Atom "[]" -> emit (Instr.Get_nil (into, uncond))
     | Prolog.Term.Atom a ->
       emit (Instr.Get_constant (Symbols.atom ctx.symbols a, into, uncond))
@@ -298,7 +303,7 @@ and prepare_unify_arg ctx seen t =
       (Instr.Unify_variable (reg_of ctx v), [])
     end
     else (Instr.Unify_local_value (reg_of ctx v), [])
-  | Prolog.Term.Int n -> (Instr.Unify_integer n, [])
+  | Prolog.Term.Int n -> (Instr.Unify_integer (int_const n), [])
   | Prolog.Term.Atom "[]" -> (Instr.Unify_nil, [])
   | Prolog.Term.Atom a ->
     (Instr.Unify_constant (Symbols.atom ctx.symbols a), [])
@@ -331,7 +336,7 @@ let put_args ctx seen ?(uninit = no_uninit) ~last args =
           emit (Instr.Put_unsafe_value (y, into))
         | reg -> emit (Instr.Put_value (reg, into))
       end
-    | Prolog.Term.Int n -> emit (Instr.Put_integer (n, into))
+    | Prolog.Term.Int n -> emit (Instr.Put_integer (int_const n, into))
     | Prolog.Term.Atom "[]" -> emit (Instr.Put_nil into)
     | Prolog.Term.Atom a ->
       emit (Instr.Put_constant (Symbols.atom ctx.symbols a, into))
@@ -1017,9 +1022,9 @@ let finish code arms =
       Code.set_entry code fid addr)
     (List.rev arms.arm_pending)
 
-let compile_db ?parallel ?det ?bind ?chains symbols db =
+let compile_db ?parallel symbols db =
   let code, arms = start () in
   finish code
-    (compile_predicates ?parallel ?det ?bind ?chains symbols code arms db
+    (compile_predicates ?parallel symbols code arms db
        (Prolog.Database.predicates db));
   code

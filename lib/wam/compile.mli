@@ -129,23 +129,16 @@ val compile_predicates :
   arms
 (** Compile the listed predicates of the database onto the end of the
     code area, in list order; the arms they meet join the pending ones.
-    The options are those of {!compile_db}. *)
+    [parallel = false] flattens CGEs into plain conjunctions (the
+    sequential WAM baseline).  [det] enables determinacy-driven
+    choice-point elision; [bind] enables binding-certified instruction
+    specialization; [chains] accumulates a log of every emitted try
+    chain (in reverse emission order). *)
 
 val finish : Code.t -> arms -> unit
 (** Emit the pending arms' predicates. *)
 
-val compile_db :
-  ?parallel:bool ->
-  ?det:det_plan ->
-  ?bind:bind_plan ->
-  ?chains:chain_info list ref ->
-  Symbols.t ->
-  Prolog.Database.t ->
-  Code.t
-(** Compile every predicate: {!start}, {!compile_predicates} over
-    {!Prolog.Database.predicates}, {!finish}.  [parallel = false]
-    flattens CGEs into plain conjunctions (the sequential WAM
-    baseline).  [det] enables
-    determinacy-driven choice-point elision; [bind] enables
-    binding-certified instruction specialization; [chains] accumulates
-    a log of every emitted try chain (in reverse emission order). *)
+val compile_db : ?parallel:bool -> Symbols.t -> Prolog.Database.t -> Code.t
+(** Compile every predicate with no plans: {!start},
+    {!compile_predicates} over {!Prolog.Database.predicates},
+    {!finish}.  [parallel] is as for {!compile_predicates}. *)

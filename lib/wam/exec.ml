@@ -137,6 +137,70 @@ let fresh_heap_var m w =
   a
 
 (* ------------------------------------------------------------------ *)
+(* Cycle guard.                                                       *)
+
+(* Untraced dereference: reads through [Memory.peek]. *)
+let rec peek_deref m c =
+  if Cell.is_ref c then begin
+    let v = Memory.peek m.mem (Cell.payload c) in
+    if v = c then c else peek_deref m v
+  end
+  else c
+
+(* Does the term at [cell] reach itself?  An untraced depth-first walk
+   (every read goes through [Memory.peek], so no trace byte or counter
+   moves).  A structure or list cell met again while it is still on the
+   walk's path closes a cycle: a binding made without occurs check.  One
+   met again after its subterms were walked is a shared subterm and is
+   not walked twice, so the check visits each reachable cell once. *)
+let cyclic m cell =
+  let on_path = Hashtbl.create 64 in
+  let exception Cycle in
+  let rec term cell =
+    match Cell.view (peek_deref m cell) with
+    | Cell.Lis a -> args a 0 1
+    | Cell.Str a -> begin
+      match Cell.view (Memory.peek m.mem a) with
+      | Cell.Fun fid -> args a 1 (Symbols.functor_arity m.symbols fid)
+      | Cell.Ref _ | Cell.Str _ | Cell.Lis _ | Cell.Con _ | Cell.Num _
+      | Cell.Raw _ ->
+        ()
+    end
+    | Cell.Ref _ | Cell.Con _ | Cell.Num _ | Cell.Fun _ | Cell.Raw _ -> ()
+  and args a lo hi =
+    match Hashtbl.find_opt on_path a with
+    | Some true -> raise Cycle
+    | Some false -> ()
+    | None ->
+      Hashtbl.replace on_path a true;
+      for i = lo to hi do
+        term (Memory.peek m.mem (a + i))
+      done;
+      Hashtbl.replace on_path a false
+  in
+  match term cell with () -> false | exception Cycle -> true
+
+(* The walks that recurse through terms (unification, comparison,
+   ground/1 and indep/2) count the cells they visit in an int argument.
+   At [cycle_bound] visits, and at every doubling of the count after
+   that, a walk asks [cyclic] about its root terms and stops with a
+   [Runtime_error] when one is cyclic; otherwise it goes on.  Shared
+   subterms can make an acyclic walk pass the bound (a DAG of n cells
+   unfolds to up to 2^n tree positions), so the count alone proves
+   nothing.  A walk under the bound never checks, and the check reads
+   untraced, so no trace byte changes. *)
+let cycle_bound = 1 lsl 16
+
+let[@inline] visit m what r1 r2 n =
+  let n = n + 1 in
+  if
+    n >= cycle_bound
+    && n land (n - 1) = 0
+    && (cyclic m r1 || (r2 <> r1 && cyclic m r2))
+  then runtime_error "%s: cyclic term" what;
+  n
+
+(* ------------------------------------------------------------------ *)
 (* Unification (PDL-based).                                           *)
 
 let pdl_push m (w : worker) c1 c2 =
@@ -154,63 +218,67 @@ let pdl_pop m (w : worker) =
 
 (* General unification.  The current pair is kept in registers (as in
    real WAM implementations); the PDL holds only the extra sub-pairs of
-   compound terms, so trivial unifications generate no PDL traffic. *)
-let unify m (w : worker) c1 c2 =
-  let base = w.pdl in
-  let rec next ok =
-    if not ok then begin
-      w.pdl <- base;
-      false
-    end
-    else if w.pdl = base then true
-    else begin
-      let c1, c2 = pdl_pop m w in
-      pair c1 c2
-    end
-  and pair c1 c2 =
-    let d1 = deref m w c1 in
-    let d2 = deref m w c2 in
-    if d1 = d2 then next true
-    else begin
-      match (Cell.view d1, Cell.view d2) with
-      | Cell.Ref a1, Cell.Ref a2 ->
-        bind_vars m w a1 a2;
-        next true
-      | ( Cell.Ref a,
-          ( Cell.Str _ | Cell.Lis _ | Cell.Con _ | Cell.Num _ | Cell.Fun _
-          | Cell.Raw _ ) ) ->
-        bind m w a d2;
-        next true
-      | ( ( Cell.Str _ | Cell.Lis _ | Cell.Con _ | Cell.Num _ | Cell.Fun _
-          | Cell.Raw _ ),
-          Cell.Ref a ) ->
-        bind m w a d1;
-        next true
-      | Cell.Lis a1, Cell.Lis a2 ->
-        (* tails go to the PDL; continue with the heads *)
-        pdl_push m w (rd_auto m w (a1 + 1)) (rd_auto m w (a2 + 1));
-        pair (rd_auto m w a1) (rd_auto m w a2)
-      | Cell.Str a1, Cell.Str a2 ->
-        let f1 = rd_auto m w a1 in
-        let f2 = rd_auto m w a2 in
-        if f1 <> f2 then next false
+   compound terms, so trivial unifications generate no PDL traffic.
+   [base] is the PDL top at entry, [r1]/[r2] the roots and [n] the
+   pairs visited (see [visit]). *)
+let rec unify_next m (w : worker) base r1 r2 n ok =
+  if not ok then begin
+    w.pdl <- base;
+    false
+  end
+  else if w.pdl = base then true
+  else begin
+    let c1, c2 = pdl_pop m w in
+    unify_pair m w base r1 r2 n c1 c2
+  end
+
+and unify_pair m w base r1 r2 n c1 c2 =
+  let n = visit m "unify" r1 r2 n in
+  let d1 = deref m w c1 in
+  let d2 = deref m w c2 in
+  if d1 = d2 then unify_next m w base r1 r2 n true
+  else begin
+    match (Cell.view d1, Cell.view d2) with
+    | Cell.Ref a1, Cell.Ref a2 ->
+      bind_vars m w a1 a2;
+      unify_next m w base r1 r2 n true
+    | ( Cell.Ref a,
+        ( Cell.Str _ | Cell.Lis _ | Cell.Con _ | Cell.Num _ | Cell.Fun _
+        | Cell.Raw _ ) ) ->
+      bind m w a d2;
+      unify_next m w base r1 r2 n true
+    | ( ( Cell.Str _ | Cell.Lis _ | Cell.Con _ | Cell.Num _ | Cell.Fun _
+        | Cell.Raw _ ),
+        Cell.Ref a ) ->
+      bind m w a d1;
+      unify_next m w base r1 r2 n true
+    | Cell.Lis a1, Cell.Lis a2 ->
+      (* tails go to the PDL; continue with the heads *)
+      pdl_push m w (rd_auto m w (a1 + 1)) (rd_auto m w (a2 + 1));
+      unify_pair m w base r1 r2 n (rd_auto m w a1) (rd_auto m w a2)
+    | Cell.Str a1, Cell.Str a2 ->
+      let f1 = rd_auto m w a1 in
+      let f2 = rd_auto m w a2 in
+      if f1 <> f2 then unify_next m w base r1 r2 n false
+      else begin
+        let arity = Symbols.functor_arity m.symbols (Cell.payload f1) in
+        if arity = 0 then unify_next m w base r1 r2 n true
         else begin
-          let arity = Symbols.functor_arity m.symbols (Cell.payload f1) in
-          if arity = 0 then next true
-          else begin
-            for i = 2 to arity do
-              pdl_push m w (rd_auto m w (a1 + i)) (rd_auto m w (a2 + i))
-            done;
-            pair (rd_auto m w (a1 + 1)) (rd_auto m w (a2 + 1))
-          end
+          for i = 2 to arity do
+            pdl_push m w (rd_auto m w (a1 + i)) (rd_auto m w (a2 + i))
+          done;
+          unify_pair m w base r1 r2 n
+            (rd_auto m w (a1 + 1))
+            (rd_auto m w (a2 + 1))
         end
-      | ( ( Cell.Str _ | Cell.Lis _ | Cell.Con _ | Cell.Num _ | Cell.Fun _
-          | Cell.Raw _ ),
-          _ ) ->
-        next false
-    end
-  in
-  pair c1 c2
+      end
+    | ( ( Cell.Str _ | Cell.Lis _ | Cell.Con _ | Cell.Num _ | Cell.Fun _
+        | Cell.Raw _ ),
+        _ ) ->
+      unify_next m w base r1 r2 n false
+  end
+
+let unify m (w : worker) c1 c2 = unify_pair m w w.pdl c1 c2 0 c1 c2
 
 (* ------------------------------------------------------------------ *)
 (* Backtracking.                                                      *)
@@ -345,62 +413,69 @@ let functor_cell m w addr =
   | Cell.Raw _ ->
     runtime_error "corrupt structure at address %d" addr
 
-let rec is_ground m w cell =
+(* The term walks below return the visit count [n] (see [visit]) while
+   the walk goes on, and a negative value once its answer is known. *)
+
+(* Ground walk: -1 at the first unbound variable. *)
+let rec ground_walk m w r n cell =
+  let n = visit m "ground/1" r r n in
   match Cell.view (deref m w cell) with
-  | Cell.Ref _ -> false
-  | Cell.Con _ | Cell.Num _ -> true
+  | Cell.Ref _ -> -1
+  | Cell.Con _ | Cell.Num _ -> n
   | Cell.Lis a ->
-    is_ground m w (rd_auto m w a) && is_ground m w (rd_auto m w (a + 1))
+    let n = ground_walk m w r n (rd_auto m w a) in
+    if n < 0 then n else ground_walk m w r n (rd_auto m w (a + 1))
   | Cell.Str a ->
     let fid = functor_cell m w a in
-    let arity = Symbols.functor_arity m.symbols fid in
-    let rec go i =
-      i > arity || (is_ground m w (rd_auto m w (a + i)) && go (i + 1))
-    in
-    go 1
+    ground_args m w r n a 1 (Symbols.functor_arity m.symbols fid)
   | Cell.Fun _ | Cell.Raw _ -> runtime_error "is_ground: raw cell"
 
-(* Collect the addresses of the unbound variables of a term. *)
-let collect_vars m w cell tbl =
-  let rec go cell =
+and ground_args m w r n a i arity =
+  if n < 0 || i > arity then n
+  else
+    ground_args m w r (ground_walk m w r n (rd_auto m w (a + i))) a (i + 1)
+      arity
+
+let is_ground m w cell = ground_walk m w cell 0 cell >= 0
+
+(* Collect the addresses of the unbound variables of a term into
+   [tbl]; with [stop], instead return -1 at the first variable already
+   in [tbl].  A stopped walk still makes the argument reads of the
+   structures it is inside of. *)
+let rec vars_walk m w r1 r2 tbl ~stop n cell =
+  if n < 0 then n
+  else begin
+    let n = visit m "indep/2" r1 r2 n in
     match Cell.view (deref m w cell) with
-    | Cell.Ref a -> Hashtbl.replace tbl a ()
-    | Cell.Con _ | Cell.Num _ -> ()
+    | Cell.Ref a ->
+      if not stop then begin
+        Hashtbl.replace tbl a ();
+        n
+      end
+      else if Hashtbl.mem tbl a then -1
+      else n
+    | Cell.Con _ | Cell.Num _ -> n
     | Cell.Lis a ->
-      go (rd_auto m w a);
-      go (rd_auto m w (a + 1))
+      let n = vars_walk m w r1 r2 tbl ~stop n (rd_auto m w a) in
+      vars_walk m w r1 r2 tbl ~stop n (rd_auto m w (a + 1))
     | Cell.Str a ->
       let fid = functor_cell m w a in
-      for i = 1 to Symbols.functor_arity m.symbols fid do
-        go (rd_auto m w (a + i))
-      done
-    | Cell.Fun _ | Cell.Raw _ -> runtime_error "collect_vars: raw cell"
-  in
-  go cell
+      vars_args m w r1 r2 tbl ~stop n a 1 (Symbols.functor_arity m.symbols fid)
+    | Cell.Fun _ | Cell.Raw _ -> runtime_error "independent: raw cell"
+  end
+
+and vars_args m w r1 r2 tbl ~stop n a i arity =
+  if i > arity then n
+  else
+    vars_args m w r1 r2 tbl ~stop
+      (vars_walk m w r1 r2 tbl ~stop n (rd_auto m w (a + i)))
+      a (i + 1) arity
 
 (* Goal independence: the two terms share no unbound variable. *)
 let independent m w c1 c2 =
   let tbl = Hashtbl.create 16 in
-  collect_vars m w c1 tbl;
-  let shared = ref false in
-  let rec go cell =
-    if not !shared then begin
-      match Cell.view (deref m w cell) with
-      | Cell.Ref a -> if Hashtbl.mem tbl a then shared := true
-      | Cell.Con _ | Cell.Num _ -> ()
-      | Cell.Lis a ->
-        go (rd_auto m w a);
-        go (rd_auto m w (a + 1))
-      | Cell.Str a ->
-        let fid = functor_cell m w a in
-        for i = 1 to Symbols.functor_arity m.symbols fid do
-          go (rd_auto m w (a + i))
-        done
-      | Cell.Fun _ | Cell.Raw _ -> runtime_error "independent: raw cell"
-    end
-  in
-  go c2;
-  not !shared
+  let n = vars_walk m w c1 c2 tbl ~stop:false 0 c1 in
+  vars_walk m w c1 c2 tbl ~stop:true n c2 >= 0
 
 (* Bounded term-size walk for the granularity guard (counting as
    Prolog.Term.size: one per node).  Only whether the size reaches [k]
@@ -430,11 +505,18 @@ let size_at_least m w cell k =
      false
    with Enough -> true)
 
-(* Standard order: Var < Num < Atom < Compound. *)
-let rec compare_terms m w c1 c2 =
+(* Standard order: Var < Num < Atom < Compound.  The walk returns the
+   visit count while the terms are equal, and [lt] or [gt] once they
+   differ. *)
+let lt = -1
+let gt = -2
+let order c n = if c < 0 then lt else if c > 0 then gt else n
+
+let rec compare_walk m w r1 r2 n c1 c2 =
+  let n = visit m "compare" r1 r2 n in
   let d1 = deref m w c1 in
   let d2 = deref m w c2 in
-  if d1 = d2 then 0
+  if d1 = d2 then n
   else begin
     let rank c =
       match Cell.view c with
@@ -444,14 +526,18 @@ let rec compare_terms m w c1 c2 =
       | Cell.Lis _ | Cell.Str _ -> 3
       | Cell.Fun _ | Cell.Raw _ -> runtime_error "compare: raw cell"
     in
-    let r1 = rank d1 and r2 = rank d2 in
-    if r1 <> r2 then compare r1 r2
+    let k1 = rank d1 and k2 = rank d2 in
+    if k1 <> k2 then order (compare k1 k2) n
     else begin
       match (Cell.view d1, Cell.view d2) with
-      | Cell.Ref a1, Cell.Ref a2 -> compare a1 a2
-      | Cell.Num n1, Cell.Num n2 -> compare n1 n2
+      | Cell.Ref a1, Cell.Ref a2 -> order (compare a1 a2) n
+      | Cell.Num i1, Cell.Num i2 -> order (compare i1 i2) n
       | Cell.Con a1, Cell.Con a2 ->
-        compare (Symbols.atom_name m.symbols a1) (Symbols.atom_name m.symbols a2)
+        order
+          (compare
+             (Symbols.atom_name m.symbols a1)
+             (Symbols.atom_name m.symbols a2))
+          n
       | (Cell.Lis _ | Cell.Str _), (Cell.Lis _ | Cell.Str _) ->
         let spec c =
           match Cell.view c with
@@ -467,24 +553,13 @@ let rec compare_terms m w c1 c2 =
         in
         let n1, f1, a1, l1 = spec d1 in
         let n2, f2, a2, l2 = spec d2 in
-        if n1 <> n2 then compare n1 n2
-        else if f1 <> f2 then compare f1 f2
+        if n1 <> n2 then order (compare n1 n2) n
+        else if f1 <> f2 then order (compare f1 f2) n
         else begin
           (* argument base: list pairs start at a, structures at a+1 *)
           let base1 = if l1 then a1 - 1 else a1 in
           let base2 = if l2 then a2 - 1 else a2 in
-          let rec args i =
-            if i > n1 then 0
-            else begin
-              let c =
-                compare_terms m w
-                  (rd_auto m w (base1 + i))
-                  (rd_auto m w (base2 + i))
-              in
-              if c <> 0 then c else args (i + 1)
-            end
-          in
-          args 1
+          compare_args m w r1 r2 n base1 base2 1 n1
         end
       | ( ( Cell.Ref _ | Cell.Num _ | Cell.Con _ | Cell.Lis _ | Cell.Str _
           | Cell.Fun _ | Cell.Raw _ ),
@@ -493,91 +568,104 @@ let rec compare_terms m w c1 c2 =
     end
   end
 
+and compare_args m w r1 r2 n base1 base2 i arity =
+  if i > arity then n
+  else begin
+    let n =
+      compare_walk m w r1 r2 n
+        (rd_auto m w (base1 + i))
+        (rd_auto m w (base2 + i))
+    in
+    if n < 0 then n else compare_args m w r1 r2 n base1 base2 (i + 1) arity
+  end
+
+let compare_terms m w c1 c2 =
+  let r = compare_walk m w c1 c2 0 c1 c2 in
+  if r = lt then -1 else if r = gt then 1 else 0
+
+(* Every result of [eval_arith] must fit a cell ([Cell.fits]).  A
+   product or a left shift can also wrap OCaml's own 63 bits, where the
+   range check alone would not see it. *)
+let overflow () = runtime_error "integer overflow"
+
+let mul x y =
+  let r = x * y in
+  if x <> 0 && r / x <> y then overflow () else r
+
+let shift_left x s =
+  if s >= Sys.int_size then if x = 0 then 0 else overflow ()
+  else begin
+    let r = x lsl s in
+    if s > 0 && r asr s <> x then overflow () else r
+  end
+
 let rec eval_arith m w cell =
   match Cell.view (deref m w cell) with
   | Cell.Num n -> n
-  | Cell.Str a -> begin
-    let fid = functor_cell m w a in
-    let name = Symbols.functor_name m.symbols fid in
-    let arity = Symbols.functor_arity m.symbols fid in
-    let arg i = eval_arith m w (rd_auto m w (a + i)) in
-    match (name, arity) with
-    | "+", 2 -> arg 1 + arg 2
-    | "-", 2 -> arg 1 - arg 2
-    | "*", 2 -> arg 1 * arg 2
-    | "//", 2 | "/", 2 ->
-      let d = arg 2 in
-      if d = 0 then runtime_error "zero divisor" else arg 1 / d
-    | "mod", 2 ->
-      let d = arg 2 in
-      if d = 0 then runtime_error "zero divisor"
-      else begin
-        let r = arg 1 mod d in
-        if (r < 0 && d > 0) || (r > 0 && d < 0) then r + d else r
-      end
-    | "rem", 2 -> arg 1 mod arg 2
-    | "min", 2 -> min (arg 1) (arg 2)
-    | "max", 2 -> max (arg 1) (arg 2)
-    | ">>", 2 -> arg 1 asr arg 2
-    | "<<", 2 -> arg 1 lsl arg 2
-    | "/\\", 2 -> arg 1 land arg 2
-    | "\\/", 2 -> arg 1 lor arg 2
-    | "-", 1 -> -arg 1
-    | "+", 1 -> arg 1
-    | "abs", 1 -> abs (arg 1)
-    | "sign", 1 -> compare (arg 1) 0
-    | _, _ -> runtime_error "not evaluable: %s/%d" name arity
-  end
+  | Cell.Str a ->
+    let r = eval_struct m w a in
+    if Cell.fits r then r else overflow ()
   | Cell.Con c ->
     runtime_error "not evaluable: %s/0" (Symbols.atom_name m.symbols c)
   | Cell.Ref _ -> runtime_error "is/2: argument insufficiently instantiated"
   | Cell.Lis _ -> runtime_error "is/2: list is not evaluable"
   | Cell.Fun _ | Cell.Raw _ -> runtime_error "eval: raw cell"
 
+and eval_struct m w a =
+  let fid = functor_cell m w a in
+  let name = Symbols.functor_name m.symbols fid in
+  let arity = Symbols.functor_arity m.symbols fid in
+  let arg i = eval_arith m w (rd_auto m w (a + i)) in
+  match (name, arity) with
+  | "+", 2 -> arg 1 + arg 2
+  | "-", 2 -> arg 1 - arg 2
+  | "*", 2 -> mul (arg 1) (arg 2)
+  | "//", 2 | "/", 2 ->
+    let d = arg 2 in
+    if d = 0 then runtime_error "zero divisor" else arg 1 / d
+  | "mod", 2 ->
+    let d = arg 2 in
+    if d = 0 then runtime_error "zero divisor"
+    else begin
+      let r = arg 1 mod d in
+      if (r < 0 && d > 0) || (r > 0 && d < 0) then r + d else r
+    end
+  | "rem", 2 -> arg 1 mod arg 2
+  | "min", 2 -> min (arg 1) (arg 2)
+  | "max", 2 -> max (arg 1) (arg 2)
+  | ">>", 2 -> arg 1 asr arg 2
+  | "<<", 2 -> shift_left (arg 1) (arg 2)
+  | "/\\", 2 -> arg 1 land arg 2
+  | "\\/", 2 -> arg 1 lor arg 2
+  | "-", 1 -> -arg 1
+  | "+", 1 -> arg 1
+  | "abs", 1 -> abs (arg 1)
+  | "sign", 1 -> compare (arg 1) 0
+  | _, _ -> runtime_error "not evaluable: %s/%d" name arity
+
 (* ------------------------------------------------------------------ *)
 (* Answer decoding (untraced; used by write/1 and the drivers).       *)
 
-(* Decode a heap term.  [path] holds the structure and list cells on
-   the walk from the root: re-entering one means the term is cyclic
-   (a binding made without occurs check), which has no finite answer. *)
+(* Decode a heap term.  A cyclic term (a binding made without occurs
+   check) has no finite answer. *)
 let decode m _w cell =
-  let path = Hashtbl.create 16 in
+  if cyclic m cell then runtime_error "decode: cyclic term";
   let rec decode cell =
-    let cell =
-      (* untraced deref *)
-      let rec go c =
-        if Cell.is_ref c then begin
-          let v = Memory.peek m.mem (Cell.payload c) in
-          if v = c then c else go v
-        end
-        else c
-      in
-      go cell
-    in
-    let enter a args =
-      if Hashtbl.mem path a then runtime_error "decode: cyclic term";
-      Hashtbl.add path a ();
-      let t = args () in
-      Hashtbl.remove path a;
-      t
-    in
-    match Cell.view cell with
+    match Cell.view (peek_deref m cell) with
     | Cell.Ref a -> Prolog.Term.Var (Printf.sprintf "_%d" a)
     | Cell.Num n -> Prolog.Term.Int n
     | Cell.Con c -> Prolog.Term.Atom (Symbols.atom_name m.symbols c)
     | Cell.Lis a ->
-      enter a (fun () ->
-          Prolog.Term.Struct
-            ( ".",
-              [ decode (Memory.peek m.mem a); decode (Memory.peek m.mem (a + 1)) ] ))
+      Prolog.Term.Struct
+        ( ".",
+          [ decode (Memory.peek m.mem a); decode (Memory.peek m.mem (a + 1)) ] )
     | Cell.Str a -> begin
       match Cell.view (Memory.peek m.mem a) with
       | Cell.Fun fid ->
         let name = Symbols.functor_name m.symbols fid in
         let arity = Symbols.functor_arity m.symbols fid in
-        enter a (fun () ->
-            Prolog.Term.Struct
-              (name, List.init arity (fun i -> decode (Memory.peek m.mem (a + 1 + i)))))
+        Prolog.Term.Struct
+          (name, List.init arity (fun i -> decode (Memory.peek m.mem (a + 1 + i))))
       | Cell.Ref _ | Cell.Str _ | Cell.Lis _ | Cell.Con _ | Cell.Num _
       | Cell.Raw _ ->
         runtime_error "decode: corrupt structure"
@@ -710,10 +798,10 @@ let exec_builtin m (w : worker) b _arity =
   | Builtin.Ground_p -> is_ground m w (a 1)
   | Builtin.Indep_p -> independent m w (a 1) (a 2)
   | Builtin.Write_t | Builtin.Print_t ->
-    Format.fprintf m.out "%a" Prolog.Pretty.pp (decode m w (a 1));
+    Format.printf "%a" Prolog.Pretty.pp (decode m w (a 1));
     true
   | Builtin.Nl ->
-    Format.fprintf m.out "@.";
+    Format.printf "@.";
     true
   | Builtin.Halt_b ->
     m.halted <- true;

@@ -15,15 +15,7 @@ exception No_more_choices of Machine.worker
 exception Parallel_instr of Instr.t
 (** Raised by {!step_core} on RAP-WAM instructions. *)
 
-val cp_extra : int
-(** Choice-point frame size beyond the saved arguments. *)
-
 (** {1 Memory access} (traced, charged to the worker) *)
-
-val rd : Machine.t -> Machine.worker -> area:Trace.Area.t -> int -> int
-val wr : Machine.t -> Machine.worker -> area:Trace.Area.t -> int -> int -> unit
-val rd_auto : Machine.t -> Machine.worker -> int -> int
-val wr_auto : Machine.t -> Machine.worker -> int -> int -> unit
 
 val fetch_traced : Machine.t -> Machine.worker -> Instr.t
 (** Fetch the instruction at [w.p], emitting a Code-area read. *)
@@ -31,21 +23,14 @@ val fetch_traced : Machine.t -> Machine.worker -> Instr.t
 (** {1 Terms on the heap} *)
 
 val deref : Machine.t -> Machine.worker -> int -> int
-val bind : Machine.t -> Machine.worker -> int -> int -> unit
-val must_trail : Machine.worker -> int -> bool
-val trail_push : Machine.t -> Machine.worker -> int -> unit
 val untrail_to : Machine.t -> Machine.worker -> int -> unit
-val hpush : Machine.t -> Machine.worker -> int -> int
 val fresh_heap_var : Machine.t -> Machine.worker -> int
 
 val unify : Machine.t -> Machine.worker -> int -> int -> bool
 (** General unification; the current pair lives in registers, the PDL
-    holds only extra sub-pairs of compound terms. *)
-
-val is_ground : Machine.t -> Machine.worker -> int -> bool
-val independent : Machine.t -> Machine.worker -> int -> int -> bool
-val compare_terms : Machine.t -> Machine.worker -> int -> int -> int
-val eval_arith : Machine.t -> Machine.worker -> int -> int
+    holds only extra sub-pairs of compound terms.
+    @raise Machine.Runtime_error when a long walk finds its terms
+    cyclic (as do comparison, [ground/1] and [indep/2]). *)
 
 (** {1 Source-term conversion} *)
 
@@ -85,22 +70,9 @@ val abandon_shallow : Machine.t -> Machine.worker -> unit
 (** Deactivate an active shallow frame without running its remaining
     alternatives, restoring the logged bindings (goal teardown). *)
 
-val push_choice_point : Machine.t -> Machine.worker -> next_alt:int -> unit
-val cut_to_level : Machine.t -> Machine.worker -> int -> unit
-val allocate_env : Machine.t -> Machine.worker -> int -> unit
-val deallocate_env : Machine.t -> Machine.worker -> unit
-
-val exec_builtin : Machine.t -> Machine.worker -> Builtin.t -> int -> bool
-(** Run a builtin with its arguments in A1..An; [false] = failure. *)
-
 val step_core : Machine.t -> Machine.worker -> Instr.t -> unit
 (** Execute one (sequential) instruction; [w.p] must already point
     past it.  @raise Parallel_instr on RAP-WAM instructions. *)
 
 val step : Machine.t -> Machine.worker -> unit
 (** Fetch (traced), count, advance, execute. *)
-
-(** {1 Register access} *)
-
-val get_reg : Machine.t -> Machine.worker -> Instr.reg -> int
-val set_reg : Machine.t -> Machine.worker -> Instr.reg -> int -> unit

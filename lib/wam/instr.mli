@@ -148,7 +148,6 @@ val opcode_name : int -> string
 val plain : t -> t
 (** The same instruction with every attribute reset to its default. *)
 
-val pp_reg : Format.formatter -> reg -> unit
 val pp : Format.formatter -> t -> unit
 (** Mnemonic and operands, then a non-default attribute as a suffix
     ([ [shallow]], [ [rigid]], [ [uncond]]). *)

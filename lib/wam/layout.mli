@@ -35,7 +35,6 @@ val control_size : int
 val trail_size : int
 val pdl_size : int
 val goal_size : int
-val msg_size : int
 
 (** {1 Address classification} *)
 

@@ -137,7 +137,6 @@ type t = {
   mutable deref_skipped : int; (* deref loops skipped (rigid, uncond reads) *)
   mutable halted : bool;
   mutable failed : bool;
-  out : Format.formatter; (* for write/1, nl/0 *)
   nil_atom : int;
 }
 
@@ -207,8 +206,7 @@ let make_worker id =
 
 let max_workers = 128
 
-let create ?(out = Format.std_formatter) ?(sink = Trace.Sink.null)
-    ~n_workers ~code ~symbols () =
+let create ?(sink = Trace.Sink.null) ~n_workers ~code ~symbols () =
   if n_workers < 1 || n_workers > max_workers then
     invalid_arg
       (Printf.sprintf "Machine.create: n_workers must be in 1..%d" max_workers);
@@ -229,7 +227,6 @@ let create ?(out = Format.std_formatter) ?(sink = Trace.Sink.null)
     deref_skipped = 0;
     halted = false;
     failed = false;
-    out;
     nil_atom = Symbols.atom symbols "[]";
   }
 

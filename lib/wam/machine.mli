@@ -124,7 +124,6 @@ type t = {
       (** deref loops skipped by rigid/uninit-certified reads *)
   mutable halted : bool;
   mutable failed : bool;
-  out : Format.formatter;  (** for write/1, nl/0 *)
   nil_atom : int;
 }
 
@@ -133,14 +132,12 @@ exception Runtime_error of string
 val runtime_error : ('a, unit, string, 'b) format4 -> 'a
 (** @raise Runtime_error always. *)
 
-val make_worker : int -> worker
-
 val max_workers : int
 (** The most PEs one machine runs (128). *)
 
 val create :
-  ?out:Format.formatter -> ?sink:Trace.Sink.t -> n_workers:int ->
-  code:Code.t -> symbols:Symbols.t -> unit -> t
+  ?sink:Trace.Sink.t -> n_workers:int -> code:Code.t -> symbols:Symbols.t ->
+  unit -> t
 (** @raise Invalid_argument unless [1 <= n_workers <= max_workers]. *)
 
 val n_workers : t -> int

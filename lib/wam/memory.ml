@@ -19,13 +19,11 @@ let zero_page = Array.make page_words 0
 
 type t = {
   mutable pages : int array array;
-  mutable sink : Trace.Sink.t;
+  sink : Trace.Sink.t;
 }
 
 let create ?(sink = Trace.Sink.null) () =
   { pages = Array.make 1024 zero_page; sink }
-
-let set_sink t sink = t.sink <- sink
 
 let peek t addr =
   let idx = addr lsr page_bits in

@@ -7,11 +7,10 @@
 
 type t = {
   mutable pages : int array array;
-  mutable sink : Trace.Sink.t;
+  sink : Trace.Sink.t;
 }
 
 val create : ?sink:Trace.Sink.t -> unit -> t
-val set_sink : t -> Trace.Sink.t -> unit
 
 val read : t -> pe:int -> area:Trace.Area.t -> int -> int
 val write : t -> pe:int -> area:Trace.Area.t -> int -> int -> unit

@@ -34,7 +34,6 @@ val sink : t -> Trace.Sink.t
 val owner : t -> int -> counters option
 (** Owning predicate of an instruction index, if any. *)
 
-val data_refs : counters -> int
 val spec : t -> counters -> string
 (** ["name/arity"]. *)
 

@@ -19,8 +19,6 @@ type image
     {!image} returns, so any number of domains may call {!with_query}
     on one image at once. *)
 
-val query_name : string
-
 val image :
   ?parallel:bool -> ?det:Compile.det_plan -> ?bind:Compile.bind_plan ->
   ?chains:Compile.chain_info list ref -> Prolog.Database.t -> image

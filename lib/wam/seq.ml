@@ -31,9 +31,9 @@ let decode_answer m w prog addrs =
 
 (* [run prog] executes the query to its first solution.  Returns the
    result plus the machine (for statistics inspection). *)
-let run ?out ?(sink = Trace.Sink.null) ?(max_steps = default_max_steps) prog =
+let run ?(sink = Trace.Sink.null) ?(max_steps = default_max_steps) prog =
   let m =
-    Machine.create ?out ~sink ~n_workers:1 ~code:prog.Program.code
+    Machine.create ~sink ~n_workers:1 ~code:prog.Program.code
       ~symbols:prog.Program.symbols ()
   in
   let w = Machine.worker m 0 in
@@ -56,10 +56,9 @@ let run ?out ?(sink = Trace.Sink.null) ?(max_steps = default_max_steps) prog =
    success, force a fail and resume until the alternatives are
    exhausted.  Sequential only -- the parallel machine commits its
    CGEs at the join, so it implements first-solution semantics. *)
-let run_all ?out ?(sink = Trace.Sink.null) ?(max_steps = default_max_steps)
-    ?(max_solutions = max_int) prog =
+let run_all ?(max_solutions = max_int) prog =
   let m =
-    Machine.create ?out ~sink ~n_workers:1 ~code:prog.Program.code
+    Machine.create ~n_workers:1 ~code:prog.Program.code
       ~symbols:prog.Program.symbols ()
   in
   let w = Machine.worker m 0 in
@@ -68,8 +67,8 @@ let run_all ?out ?(sink = Trace.Sink.null) ?(max_steps = default_max_steps)
   (try
      while not m.Machine.halted && List.length !solutions < max_solutions do
        while not m.Machine.halted do
-         if m.Machine.steps >= max_steps then
-           Machine.runtime_error "step limit exceeded (%d)" max_steps;
+         if m.Machine.steps >= default_max_steps then
+           Machine.runtime_error "step limit exceeded (%d)" default_max_steps;
          Exec.step m w
        done;
        solutions := decode_answer m w prog addrs :: !solutions;
@@ -84,15 +83,10 @@ let run_all ?out ?(sink = Trace.Sink.null) ?(max_steps = default_max_steps)
   (List.rev !solutions, m)
 
 (* Convenience wrapper: parse, compile sequentially, run. *)
-let solve ?out ?sink ?max_steps ~src ~query () =
+let solve ?max_steps ~src ~query () =
   let prog = Program.prepare ~parallel:false ~src ~query () in
-  run ?out ?sink ?max_steps prog
+  run ?max_steps prog
 
-let solve_all ?out ?sink ?max_steps ?max_solutions ~src ~query () =
+let solve_all ?max_solutions ~src ~query () =
   let prog = Program.prepare ~parallel:false ~src ~query () in
-  run_all ?out ?sink ?max_steps ?max_solutions prog
-
-let binding result name =
-  match result with
-  | Failure -> None
-  | Success bindings -> List.assoc_opt name bindings
+  run_all ?max_solutions prog

@@ -6,33 +6,27 @@ type result =
       (** bindings of the query variables *)
   | Failure
 
-val default_max_steps : int
-
 val run :
-  ?out:Format.formatter -> ?sink:Trace.Sink.t -> ?max_steps:int ->
-  Program.t -> result * Machine.t
+  ?sink:Trace.Sink.t -> ?max_steps:int -> Program.t -> result * Machine.t
 (** Execute the program's query to its first solution; the machine is
     returned for statistics inspection. *)
 
 val run_all :
-  ?out:Format.formatter -> ?sink:Trace.Sink.t -> ?max_steps:int ->
   ?max_solutions:int -> Program.t ->
   (string * Prolog.Term.t) list list * Machine.t
 (** Enumerate every solution (or the first [max_solutions]) by
-    failure-driving the machine.  Sequential only: the parallel
-    machine commits CGEs at the join (first-solution semantics). *)
+    failure-driving an untraced machine.  Sequential only: the
+    parallel machine commits CGEs at the join (first-solution
+    semantics). *)
 
 val solve :
-  ?out:Format.formatter -> ?sink:Trace.Sink.t -> ?max_steps:int ->
-  src:string -> query:string -> unit -> result * Machine.t
+  ?max_steps:int -> src:string -> query:string -> unit ->
+  result * Machine.t
 (** Parse, compile sequentially ([parallel = false]) and {!run}. *)
 
 val solve_all :
-  ?out:Format.formatter -> ?sink:Trace.Sink.t -> ?max_steps:int ->
   ?max_solutions:int -> src:string -> query:string -> unit ->
   (string * Prolog.Term.t) list list * Machine.t
-
-val binding : result -> string -> Prolog.Term.t option
 
 (** {1 Driver plumbing} (shared with the parallel simulator) *)
 

@@ -56,8 +56,5 @@ let functor_name t fid =
 
 let functor_arity t fid = snd (functor_def t fid)
 
-let pp_functor t fmt fid =
-  Format.fprintf fmt "%s/%d" (functor_name t fid) (functor_arity t fid)
-
 let spec_string t fid =
   Printf.sprintf "%s/%d" (functor_name t fid) (functor_arity t fid)

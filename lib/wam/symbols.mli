@@ -26,6 +26,5 @@ val functor_def : t -> int -> int * int
 val functor_name : t -> int -> string
 val functor_arity : t -> int -> int
 
-val pp_functor : t -> Format.formatter -> int -> unit
 val spec_string : t -> int -> string
 (** ["name/arity"]. *)

@@ -41,5 +41,3 @@ let iteri f t =
   for i = 0 to t.len - 1 do
     f i t.data.(i)
   done
-
-let to_list t = List.init t.len (fun i -> t.data.(i))

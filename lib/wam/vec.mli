@@ -13,4 +13,3 @@ val get : 'a t -> int -> 'a
 val set : 'a t -> int -> 'a -> unit
 val iter : ('a -> unit) -> 'a t -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
-val to_list : 'a t -> 'a list

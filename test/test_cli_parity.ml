@@ -243,7 +243,36 @@ let test_typed_errors_exit_65 () =
     ];
   with_file "grow(L) :- grow([a|L]).\n" (fun grow ->
       expect ~names:"heap overflow"
-        (Printf.sprintf "%s --sequential --query 'grow([])' %s" rapwam_run_exe grow))
+        (Printf.sprintf "%s --sequential --query 'grow([])' %s" rapwam_run_exe grow));
+  (* a term walk over a cyclic term (bound without occurs check), an
+     integer literal outside the cell range and an arithmetic result
+     outside it end in a typed error on both engines: never a hang,
+     never a wrapped value.  [timeout] ends a hung run (the deadline
+     cannot interrupt the read of its output). *)
+  List.iter
+    (fun (text, query, names) ->
+      with_file text (fun f ->
+          List.iter
+            (fun engine ->
+              Deadline.within ~seconds:10.0 (fun () ->
+                  expect ~names
+                    (Printf.sprintf "timeout 10 %s %s --query %s %s" rapwam_run_exe
+                       engine (Filename.quote query) f)))
+            [ "--sequential"; "--pes 4" ]))
+    [
+      ("q :- X = f(X), Y = f(Y), X = Y.\n", "q", "unify: cyclic term");
+      ("q :- X = f(X), Y = f(Y), X \\= Y.\n", "q", "unify: cyclic term");
+      ("q :- X = f(X), Y = f(Y), X == Y.\n", "q", "compare: cyclic term");
+      ("q :- X = f(X), Y = f(Y), X @< Y.\n", "q", "compare: cyclic term");
+      ("q :- X = f(X), ground(X).\n", "q", "ground/1: cyclic term");
+      ("q :- X = f(X), indep(X, Z).\n", "q", "indep/2: cyclic term");
+      ("p(X) :- X = 576460752303423488.\n", "p(X)", "integer 576460752303423488");
+      ("q(X) :- X is 576460752303423487 + 1.\n", "q(X)", "integer overflow");
+      ("q(X) :- X is 1099511627776 * 1099511627776.\n", "q(X)", "integer overflow");
+      ("q(X) :- X is 1 << 62.\n", "q(X)", "integer overflow");
+      ("q(X) :- X is abs(-576460752303423488).\n", "q(X)", "integer overflow");
+      ("q(X) :- X is 300000000000000000 * 2, X > 0.\n", "q(X)", "integer overflow");
+    ]
 
 (* --pes outside what the machine runs is a usage error naming the
    range, before anything runs: cmdliner's 124, or the hand-rolled

@@ -221,6 +221,56 @@ let prop_print_parse_roundtrip =
     (QCheck.make ~print:show roundtrip_gen)
     (fun t -> Prolog.Term.equal (parse (show t)) t)
 
+(* Random text over Prolog's punctuation, quotes, comment openers,
+   operator characters, letters, digits and arbitrary bytes: parsing
+   it ends in clauses or in [Parser.Error], never in another exception
+   or a hang. *)
+let fuzz_gen =
+  let open QCheck.Gen in
+  let specials = "()[]{},|.'\"%/*+-=<>\\:;!&^@#$?~` \n\t_0" in
+  let piece =
+    frequency
+      [
+        (5, map (String.get specials) (int_bound (String.length specials - 1)));
+        (2, char_range 'a' 'z');
+        (1, char_range 'A' 'Z');
+        (2, char_range '0' '9');
+        (1, char);
+      ]
+  in
+  string_size ~gen:piece (int_range 0 64)
+
+let prop_parser_total =
+  QCheck.Test.make ~name:"parser: any text parses or raises Parser.Error"
+    ~count:10_000
+    (QCheck.make ~print:String.escaped fuzz_gen)
+    (fun text ->
+      Deadline.within ~seconds:5.0 (fun () ->
+          match Prolog.Parser.clauses_of_string text with
+          | _ -> true
+          | exception Prolog.Parser.Error _ -> true))
+
+(* 10^5-deep nesting of every recursive form parses or is a syntax
+   error, inside a deadline. *)
+let test_deep_nesting () =
+  let n = 100_000 in
+  let rep s = String.concat "" (List.init n (fun _ -> s)) in
+  let chain op = String.concat op (List.init n (fun _ -> "a")) in
+  List.iter
+    (fun (what, text) ->
+      Deadline.within ~seconds:10.0 (fun () ->
+          match Prolog.Parser.clauses_of_string text with
+          | [ _ ] -> ()
+          | cs -> Alcotest.failf "%s: %d clauses" what (List.length cs)
+          | exception Prolog.Parser.Error _ -> ()))
+    [
+      ("parentheses", "p(" ^ rep "(" ^ "a" ^ rep ")" ^ ").");
+      ("arguments", "p(" ^ rep "f(" ^ "a" ^ rep ")" ^ ").");
+      ("list", "p([" ^ chain ", " ^ "]).");
+      ("infix chain", "p(" ^ chain " ^ " ^ ").");
+      ("prefix chain", "p(" ^ rep "- " ^ "a).");
+    ]
+
 let test_comments () =
   let cs =
     Prolog.Parser.clauses_of_string
@@ -329,6 +379,8 @@ let suite =
       test_lexical_errors_are_syntax_errors;
     Alcotest.test_case "printer round-trips" `Quick test_printer_round_trips;
     QCheck_alcotest.to_alcotest prop_print_parse_roundtrip;
+    QCheck_alcotest.to_alcotest prop_parser_total;
+    Alcotest.test_case "10^5-deep nesting" `Quick test_deep_nesting;
     Alcotest.test_case "comments" `Quick test_comments;
     Alcotest.test_case "clauses_of_string" `Quick test_clauses_of_string;
     Alcotest.test_case "database load" `Quick test_database_load;

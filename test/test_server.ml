@@ -91,15 +91,22 @@ let test_admission_lanes () =
     | _ -> Alcotest.fail "hello(X) should bind X = world")
   | _ -> Alcotest.fail "expected two responses"
 
+(* A query that does not parse, or whose integer literal does not fit
+   a cell, fails its own request; the next request is answered. *)
 let test_bad_query_is_an_error () =
-  let t = sup () in
-  match Server.Supervise.serve t [ request 0 ")(" ] with
-  | [ r ] ->
-    Alcotest.(check bool) "parse error reported" true
-      ((served r).Server.Serve.rs_error <> None);
-    Alcotest.(check int) "errors counted" 1
-      (Server.Supervise.stats t).Server.Supervise.errors
-  | _ -> Alcotest.fail "expected one response"
+  List.iter
+    (fun bad ->
+      let t = sup () in
+      match Server.Supervise.serve t [ request 0 bad; request 1 qsort_query ] with
+      | [ r; good ] ->
+        Alcotest.(check bool) (bad ^ ": error reported") true
+          ((served r).Server.Serve.rs_error <> None);
+        Alcotest.(check (option string)) (bad ^ ": next request answered") None
+          (served good).Server.Serve.rs_error;
+        Alcotest.(check int) (bad ^ ": errors counted") 1
+          (Server.Supervise.stats t).Server.Supervise.errors
+      | _ -> Alcotest.fail "expected two responses")
+    [ ")("; "qsort([576460752303423488], S)" ]
 
 (* A lexical error in one request is that request's syntax error: the
    rest of its batch is answered. *)
@@ -129,20 +136,24 @@ let test_lexical_error_is_a_syntax_error () =
       | rs -> Alcotest.failf "%s: %d responses for 3 requests" bad (List.length rs))
     [ {|qsort(["a"], S)|}; "qsort(['abc], S)"; "qsort([99999999999999999999], S)" ]
 
-(* A cyclic answer fails its own request; the next request of the
-   same batch is still answered. *)
+(* A cyclic answer, or a unification of two cyclic terms, fails its
+   own request; the next request of the same batch is still answered. *)
 let test_cyclic_answer_is_an_error () =
-  let t = sup ~workers:1 ~src:"p(X) :- X = f(X).\nhello(world).\n" () in
+  let src = "p(X) :- X = f(X).\nq :- X = f(X), Y = f(Y), X = Y.\nhello(world).\n" in
+  let t = sup ~workers:1 ~src () in
   match
     Deadline.within ~seconds:2.0 (fun () ->
         List.map served
-          (Server.Supervise.serve t [ request 0 "p(X)"; request 1 "hello(X)" ]))
+          (Server.Supervise.serve t
+             [ request 0 "p(X)"; request 1 "q"; request 2 "hello(X)" ]))
   with
-  | [ cyclic; hello ] ->
+  | [ cyclic; unify; hello ] ->
     Alcotest.(check bool) "cyclic answer reported" true (cyclic.Server.Serve.rs_error <> None);
+    Alcotest.(check bool) "cyclic unification reported" true
+      (unify.Server.Serve.rs_error <> None);
     Alcotest.(check (option string)) "next request answered" None hello.Server.Serve.rs_error;
     Alcotest.(check string) "next answer" "X = world" (answers_text hello.Server.Serve.rs_answers)
-  | _ -> Alcotest.fail "expected two responses"
+  | _ -> Alcotest.fail "expected three responses"
 
 (* A miss compiles only its query onto the server's database image and
    touches a few simulated-memory pages: one run of a small query on

@@ -18,17 +18,6 @@ let test_z_score () =
   feq "z one sigma" 1.0 (Stats.Fit.z_score ~population (2.0 +. sigma));
   feq "z degenerate" 0.0 (Stats.Fit.z_score ~population:[ 1.0; 1.0 ] 5.0)
 
-let test_linreg () =
-  let a, b, r = Stats.Fit.linreg [ (0.0, 1.0); (1.0, 3.0); (2.0, 5.0) ] in
-  feq "intercept" 1.0 a;
-  feq "slope" 2.0 b;
-  feq "r" 1.0 r
-
-let test_min_max () =
-  let lo, hi = Stats.Fit.min_max [ 3.0; 1.0; 2.0 ] in
-  feq "min" 1.0 lo;
-  feq "max" 3.0 hi
-
 (* ---------------- Work ---------------- *)
 
 let run ~n_pes ~work_refs ~rounds =
@@ -36,9 +25,6 @@ let run ~n_pes ~work_refs ~rounds =
     Stats.Work.n_pes;
     work_refs;
     rounds;
-    instructions = 1000;
-    inferences = 100;
-    goals_stolen = 5;
     idle_cycles = 0;
     wait_cycles = 0;
   }
@@ -46,10 +32,7 @@ let run ~n_pes ~work_refs ~rounds =
 let test_work_percent () =
   let r = run ~n_pes:4 ~work_refs:1100 ~rounds:300 in
   feq "work%" 110.0 (Stats.Work.work_percent ~wam_refs:1000 r);
-  feq "overhead%" 10.0 (Stats.Work.overhead_percent ~wam_refs:1000 r);
-  feq "speedup" 4.0 (Stats.Work.speedup ~seq_rounds:1200 r);
-  feq "refs/instr" 1.1 (Stats.Work.refs_per_instruction r);
-  feq "instr/inference" 10.0 (Stats.Work.instructions_per_inference r)
+  feq "speedup" 4.0 (Stats.Work.speedup ~seq_rounds:1200 r)
 
 let test_utilization () =
   let r =
@@ -116,26 +99,13 @@ let test_busmodel_monotone () =
   Alcotest.(check bool) "eff decreases" true (eff 1 > eff 4 && eff 4 > eff 6);
   Alcotest.(check bool) "eff in (0,1]" true (eff 1 <= 1.0 && eff 6 > 0.0)
 
-let test_busmodel_max_pes () =
-  let b =
-    Queueing.Busmodel.make ~n_pes:1 ~refs_per_cycle:0.5 ~traffic_ratio:0.3
-      ~bus_words_per_cycle:1.0
-  in
-  let n = Queueing.Busmodel.max_pes_at_efficiency ~threshold:0.8 b in
-  Alcotest.(check bool) "some PEs possible" true (n >= 1);
-  let n_strict = Queueing.Busmodel.max_pes_at_efficiency ~threshold:0.99 b in
-  Alcotest.(check bool) "stricter threshold, fewer PEs" true (n_strict <= n)
-
 let test_mlips_paper_numbers () =
   let a = Queueing.Mlips.paper_assumptions in
   feq "bytes/LI" 180.0 (Queueing.Mlips.bytes_per_inference a);
   feq ~eps:1.0 "processor MB/s" 360.0e6
     (Queueing.Mlips.processor_bandwidth a ~lips:2.0e6);
   feq ~eps:1.0 "bus MB/s" 108.0e6
-    (Queueing.Mlips.bus_bandwidth a ~lips:2.0e6);
-  (* a 108 MB/s bus supports exactly 2 MLIPS under these assumptions *)
-  feq ~eps:1e3 "lips for bus" 2.0e6
-    (Queueing.Mlips.lips_for_bus a ~bus_bytes_per_sec:108.0e6)
+    (Queueing.Mlips.bus_bandwidth a ~lips:2.0e6)
 
 let test_mlips_measured () =
   let m =
@@ -215,8 +185,6 @@ let suite =
   [
     Alcotest.test_case "mean/stddev" `Quick test_mean_stddev;
     Alcotest.test_case "z-score" `Quick test_z_score;
-    Alcotest.test_case "linreg" `Quick test_linreg;
-    Alcotest.test_case "min/max" `Quick test_min_max;
     Alcotest.test_case "work accounting" `Quick test_work_percent;
     Alcotest.test_case "utilization" `Quick test_utilization;
     Alcotest.test_case "table render" `Quick test_table_render;
@@ -224,7 +192,6 @@ let suite =
     Alcotest.test_case "M/G/1" `Quick test_mg1_stability;
     Alcotest.test_case "M/M/1" `Quick test_mg1_exponential_service;
     Alcotest.test_case "bus model monotone" `Quick test_busmodel_monotone;
-    Alcotest.test_case "bus model max PEs" `Quick test_busmodel_max_pes;
     Alcotest.test_case "MLIPS paper" `Quick test_mlips_paper_numbers;
     Alcotest.test_case "MLIPS measured" `Quick test_mlips_measured;
     Alcotest.test_case "instruction freq" `Quick test_freq;

@@ -233,11 +233,16 @@ let test_all_solutions_bindings_independent () =
     (List.map (fun b -> Prolog.Pretty.to_string (List.assoc "T" b)) solutions)
 
 (* An answer bound to a cyclic term (no occurs check) ends in a typed
-   error from every engine; a shared, acyclic subterm still decodes. *)
+   error from every engine; a shared, acyclic subterm still decodes,
+   and is no cycle to unification, comparison or ground/1 either:
+   [dag(20, _)] is a term of 2^20 leaves in 21 structures. *)
 let cyclic_src =
   "p(X) :- X = f(X).\n\
    l(L) :- L = [a | L].\n\
-   q(Y) :- X = g(a, b), Y = h(X, X, [X, X]).\n"
+   q(Y) :- X = g(a, b), Y = h(X, X, [X, X]).\n\
+   dag(0, a).\n\
+   dag(N, f(X, X)) :- N > 0, M is N - 1, dag(M, X).\n\
+   d :- dag(20, A), dag(20, B), A = B, A == B, ground(A).\n"
 
 let raises_cyclic what f =
   match Deadline.within ~seconds:2.0 f with
@@ -252,6 +257,12 @@ let test_cyclic_answer () =
       raises_cyclic ("RAP-WAM 4 PEs " ^ query) (fun () ->
           ignore (Rapwam.Sim.run ~n_workers:4 (prog true))))
     [ "p(X)"; "l(X)" ];
+  let prog parallel = Wam.Program.prepare ~parallel ~src:cyclic_src ~query:"d" () in
+  Deadline.within ~seconds:10.0 (fun () ->
+      Alcotest.(check bool) "WAM: a DAG is no cycle" true
+        (fst (Wam.Seq.run (prog false)) = Wam.Seq.Success []);
+      Alcotest.(check bool) "RAP-WAM 4 PEs: a DAG is no cycle" true
+        (fst (Rapwam.Sim.run ~n_workers:4 (prog true)) = Wam.Seq.Success []));
   let g = "g(a, b)" in
   match Deadline.within ~seconds:2.0 (fun () -> Wam.Seq.solve ~src:cyclic_src ~query:"q(Y)" ()) with
   | Wam.Seq.Success [ ("Y", y) ], _ ->
