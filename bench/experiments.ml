@@ -923,15 +923,17 @@ let annotation_row (b : Benchlib.Programs.benchmark) =
   let patterns = Analysis.Summary.patterns summary in
   let db_on, on = Prolog.Annotate.database_stats ~patterns db in
   let st = Analysis.Summary.stats summary in
+  let checks_off = off.Prolog.Annotate.checks_emitted in
+  let checks_on = on.Prolog.Annotate.checks_emitted in
   {
     a_name = b.Benchlib.Programs.name;
     par_off = Prolog.Annotate.parallelism_found db_off;
-    checks_off = off.Prolog.Annotate.checks_emitted;
+    checks_off;
     abandoned_off = off.Prolog.Annotate.groups_abandoned;
     par_on = Prolog.Annotate.parallelism_found db_on;
-    checks_on = on.Prolog.Annotate.checks_emitted;
+    checks_on;
     abandoned_on = on.Prolog.Annotate.groups_abandoned;
-    discharged = on.Prolog.Annotate.checks_discharged;
+    discharged = max 0 (checks_off - checks_on);
     iterations = st.Analysis.Summary.iterations;
     reached = st.Analysis.Summary.reached;
     predicates = st.Analysis.Summary.predicates;
@@ -1154,7 +1156,7 @@ let costan_row (b : Benchlib.Programs.benchmark) =
   let an = Costan.Analyze.analyze db in
   let goal = Analysis.Analyze.entry_of_string b.Benchlib.Programs.query in
   let cls =
-    match Costan.Analyze.goal_key db goal with
+    match Analysis.Depgraph.goal_key db goal with
     | Some key -> (
       match Costan.Analyze.find an key with
       | Some p -> p.Costan.Analyze.cls

@@ -17,6 +17,8 @@
    depends on an input size get a size_ge/2 guard in the CGE
    condition. *)
 
+(* Annotate once; [discharged] is what the global analysis saved over
+   a pattern-less annotation of the same program (0 without it). *)
 let annotate_db ~no_analysis ~dump ~granularity ~run_query db =
   let granularity =
     match granularity with
@@ -26,7 +28,8 @@ let annotate_db ~no_analysis ~dump ~granularity ~run_query db =
       Some (Costan.Analyze.annotator an ~threshold)
   in
   if no_analysis then
-    (Prolog.Annotate.database ?granularity db, None, granularity)
+    let annotated, stats = Prolog.Annotate.database_stats ?granularity db in
+    (annotated, stats, 0)
   else
     let entries =
       match run_query with
@@ -36,9 +39,15 @@ let annotate_db ~no_analysis ~dump ~granularity ~run_query db =
     let summary = Analysis.Analyze.database ~entries db in
     if dump then Format.eprintf "%a@." Analysis.Summary.pp summary;
     let patterns = Analysis.Summary.patterns summary in
-    ( Prolog.Annotate.database ~patterns ?granularity db,
-      Some patterns,
-      granularity )
+    let annotated, stats =
+      Prolog.Annotate.database_stats ~patterns ?granularity db
+    in
+    let _, local = Prolog.Annotate.database_stats db in
+    ( annotated,
+      stats,
+      max 0
+        (local.Prolog.Annotate.checks_emitted
+       - stats.Prolog.Annotate.checks_emitted) )
 
 let run_cmd src_path run_query pes no_analysis dump granularity dump_costs =
   let src = In_channel.(with_open_bin src_path input_all) in
@@ -47,28 +56,21 @@ let run_cmd src_path run_query pes no_analysis dump granularity dump_costs =
     let an = Costan.Analyze.analyze db in
     Costan.Report.pp_costs ?threshold:granularity Format.err_formatter an
   end;
-  let annotated, patterns, gran =
+  let annotated, stats, discharged =
     annotate_db ~no_analysis ~dump ~granularity ~run_query db
   in
   Format.printf "%a@." Prolog.Annotate.pp_database annotated;
-  let _, stats = Prolog.Annotate.database_stats ?patterns ?granularity:gran db in
   Format.eprintf
     "%% %d parallel call(s), %d check(s) emitted, %d discharged by \
      analysis, %d group(s) sequentialized by cost@."
     (Prolog.Annotate.parallelism_found annotated)
-    stats.Prolog.Annotate.checks_emitted
-    stats.Prolog.Annotate.checks_discharged
+    stats.Prolog.Annotate.checks_emitted discharged
     stats.Prolog.Annotate.sequentialized;
   match run_query with
   | None -> ()
   | Some query ->
-    (* recompile from a fresh annotation: the printed db already holds
-       the query-free program *)
-    let fresh, _, _ =
-      annotate_db ~no_analysis ~dump:false ~granularity ~run_query
-        (Prolog.Database.of_string src)
-    in
-    let prog = Wam.Program.of_database ~parallel:true fresh ~query () in
+    (* compiling copies the database, so the printed one runs as is *)
+    let prog = Wam.Program.of_database ~parallel:true annotated ~query () in
     let sim = Rapwam.Sim.create ~n_workers:pes prog in
     let result = Rapwam.Sim.run_prepared sim prog in
     (match result with

@@ -55,7 +55,7 @@ let benchmark_list () =
   Benchlib.Inputs.default_benchmarks () @ Benchlib.Large.population ()
 
 let entry_class an (goal : Prolog.Term.t) =
-  match Costan.Analyze.goal_key (Costan.Analyze.database an) goal with
+  match Analysis.Depgraph.goal_key (Costan.Analyze.database an) goal with
   | Some key -> (
     match Costan.Analyze.find an key with
     | Some p -> p.Costan.Analyze.cls

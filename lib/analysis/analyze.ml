@@ -1,6 +1,6 @@
 let database ?entries db =
-  let outcome = Fixpoint.run ?entries db in
   let graph = Depgraph.build db in
+  let outcome = Fixpoint.run ?entries ~graph db in
   let sccs = Depgraph.sccs graph in
   let stats =
     {

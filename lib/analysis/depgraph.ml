@@ -1,5 +1,6 @@
-(* Predicate call graph + Tarjan SCC.  Program call graphs here are
-   small (tens of predicates), so the recursive formulation is fine. *)
+(* Predicate call graph + Tarjan SCC, and the one iterate-until-stable
+   loop the analyses share.  Program call graphs here are small (tens
+   of predicates), so the recursive formulation is fine. *)
 
 type key = string * int
 
@@ -11,14 +12,9 @@ type t = {
 }
 
 let goal_key db g =
-  let name, arity =
-    match g with
-    | Prolog.Term.Atom n -> (n, 0)
-    | Prolog.Term.Struct (n, args) -> (n, List.length args)
-    | Prolog.Term.Int _ | Prolog.Term.Var _ -> ("", -1)
-  in
-  if Prolog.Database.has_predicate db (name, arity) then Some (name, arity)
-  else None
+  match Prolog.Term.functor_of g with
+  | Some key when Prolog.Database.has_predicate db key -> Some key
+  | Some _ | None -> None
 
 let build db =
   let keys = Prolog.Database.predicates db in
@@ -107,3 +103,17 @@ let scc_index t key =
    callers) visit order shared by the fixpoint seeding and the cost
    analyzer's recurrence pass. *)
 let topo_order t = List.concat (sccs t)
+
+(* Pass after pass over [keys] in list order, until a pass in which
+   [step] reports no change or [max_rounds] passes are spent.  Every
+   key is stepped on every pass: [step] runs before the fold looks at
+   the flag. *)
+let fixpoint ?max_rounds keys step =
+  let capped n = match max_rounds with Some m -> n >= m | None -> false in
+  let rec pass n =
+    if capped n then (n, false)
+    else if List.fold_left (fun changed k -> step k || changed) false keys
+    then pass (n + 1)
+    else (n + 1, true)
+  in
+  pass 0

@@ -51,12 +51,6 @@ let add_caller t ~callee ~caller =
   in
   if not (List.mem caller !cell) then cell := caller :: !cell
 
-let goal_spec g =
-  match g with
-  | Prolog.Term.Atom n -> (n, [])
-  | Prolog.Term.Struct (n, a) -> (n, a)
-  | Prolog.Term.Int _ | Prolog.Term.Var _ -> ("", [])
-
 (* Contribute a call pattern to [callee]; requeue it if it grew. *)
 let contribute t ~caller ~callee pat =
   add_caller t ~callee ~caller;
@@ -86,8 +80,8 @@ let exec_goal t ~caller st g =
        locally the called term may become anything *)
     Some (Absdom.link_all (Absdom.make_any st [ v ]) [ v ])
   | Prolog.Term.Int _ -> None
-  | Prolog.Term.Atom _ | Prolog.Term.Struct _ ->
-    let name, args = goal_spec g in
+  | Prolog.Term.Atom name | Prolog.Term.Struct (name, _) ->
+    let args = Prolog.Term.args g in
     let arity = List.length args in
     if Prolog.Database.has_predicate t.db (name, arity) then begin
       let callee = (name, arity) in
@@ -163,12 +157,6 @@ let rec exec_term t ~caller st_opt g =
 
 (* ------------------------------------------------------------------ *)
 
-let head_args head =
-  match head with
-  | Prolog.Term.Atom _ -> []
-  | Prolog.Term.Struct (_, args) -> args
-  | Prolog.Term.Int _ | Prolog.Term.Var _ -> []
-
 let requeue_callers t key =
   match Hashtbl.find_opt t.callers key with
   | Some cell -> List.iter (enqueue t) !cell
@@ -200,7 +188,7 @@ let process_pred t ((_, arity) as key) =
       let result =
         List.fold_left
           (fun acc (clause : Prolog.Database.clause) ->
-            let args = head_args clause.Prolog.Database.head in
+            let args = Prolog.Term.args clause.Prolog.Database.head in
             let st0 = Absdom.seed_head cp args in
             match exec_items t ~caller:key st0 clause.Prolog.Database.body with
             | None -> acc
@@ -290,7 +278,7 @@ let has_var_goal db entries =
   in
   db_has || List.exists term_has entries
 
-let run ?(entries = []) db =
+let run ?(entries = []) ~graph db =
   let modes = Prolog.Modes.of_database db in
   let t =
     {
@@ -307,7 +295,6 @@ let run ?(entries = []) db =
     }
   in
   let open_world = has_var_goal db entries in
-  let graph = Depgraph.build db in
   (* Seed in the shared bottom-up visit order (callees before
      callers), restricted to the keys being seeded. *)
   let seed_order keys =

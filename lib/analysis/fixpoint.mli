@@ -22,4 +22,8 @@ type outcome = {
   open_world : bool;  (** a variable goal forced worst-case seeding *)
 }
 
-val run : ?entries:Prolog.Term.t list -> Prolog.Database.t -> outcome
+val run :
+  ?entries:Prolog.Term.t list -> graph:Depgraph.t -> Prolog.Database.t ->
+  outcome
+(** [graph] is the database's call graph: predicates are seeded in its
+    {!Depgraph.topo_order}. *)

@@ -108,10 +108,10 @@ type result = {
 (* ------------------------------------------------------------------ *)
 (* Clause scanning.                                                   *)
 
-let goal_parts = function
-  | Prolog.Term.Atom a -> (a, [])
-  | Prolog.Term.Struct (f, args) -> (f, args)
-  | Prolog.Term.Var _ | Prolog.Term.Int _ -> ("?bad-goal", [])
+(* A goal's predicate; a variable or integer goal gets a name no
+   predicate has. *)
+let goal_key t =
+  Option.value (Prolog.Term.functor_of t) ~default:("?bad-goal", 0)
 
 (* Every variable occurrence, left to right (Term.vars deduplicates,
    which would hide aliasing). *)
@@ -147,9 +147,7 @@ let scan_clause sc ~owner head body =
   let bump_total v =
     Hashtbl.replace total v (1 + Option.value ~default:0 (Hashtbl.find_opt total v))
   in
-  let head_args =
-    match head with Some h -> snd (goal_parts h) | None -> []
-  in
+  let head_args = match head with Some h -> Prolog.Term.args h | None -> [] in
   List.iteri
     (fun i arg ->
       let i = i + 1 in
@@ -184,8 +182,8 @@ let scan_clause sc ~owner head body =
       (term_var_occs t)
   in
   let do_goal ~clean t =
-    let name, args = goal_parts t in
-    let arity = List.length args in
+    let ((name, arity) as callee) = goal_key t in
+    let args = Prolog.Term.args t in
     List.iter bump_total (term_var_occs t);
     let occs = Hashtbl.create 8 in
     List.iter
@@ -211,7 +209,6 @@ let scan_clause sc ~owner head body =
       mark_seen t
     end
     else begin
-      let callee = (name, arity) in
       List.iteri
         (fun j arg ->
           let j = j + 1 in
@@ -238,10 +235,10 @@ let scan_clause sc ~owner head body =
   List.iter
     (function
       | Prolog.Cge.Lit t ->
-        let name, args = goal_parts t in
+        let name, arity = goal_key t in
         let user =
           name <> "!" && name <> "true" && name <> "fail"
-          && not (is_builtin name (List.length args))
+          && not (is_builtin name arity)
         in
         do_goal ~clean:(not !dirty) t;
         if user then dirty := true
@@ -308,10 +305,10 @@ let analyze ?(weakening = sound) ~db ~query_db ~patterns
     | cls ->
       List.exists
         (fun (c : Prolog.Database.clause) ->
-          match goal_parts c.Prolog.Database.head with
-          | _, first :: _ -> (
+          match Prolog.Term.args c.Prolog.Database.head with
+          | first :: _ -> (
             match first with Prolog.Term.Var _ -> false | _ -> true)
-          | _ -> false)
+          | [] -> false)
         cls
   in
   (* Scan every clause, plus the query as a headless clause. *)
@@ -372,24 +369,23 @@ let analyze ?(weakening = sound) ~db ~query_db ~patterns
              | Sh_refuse -> false)
            shapes)
   in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun p ->
-        if snd p < 256 then
-          for j = 1 to snd p do
-            if w p j && not (w_rule p j) then begin
-              Hashtbl.replace w_tbl (p, j) false;
-              changed := true
-            end;
-            if u p j && not (u_rule p j) then begin
-              Hashtbl.replace u_tbl (p, j) false;
-              changed := true
-            end
-          done)
-      preds
-  done;
+  let step p =
+    let changed = ref false in
+    if snd p < 256 then
+      for j = 1 to snd p do
+        if w p j && not (w_rule p j) then begin
+          Hashtbl.replace w_tbl (p, j) false;
+          changed := true
+        end;
+        if u p j && not (u_rule p j) then begin
+          Hashtbl.replace u_tbl (p, j) false;
+          changed := true
+        end
+      done;
+    !changed
+  in
+  (* no cap: an entry not yet struck would stay certified *)
+  ignore (Analysis.Depgraph.fixpoint preds step);
   (* Builtin occurrences: a side is a free definition when it is a
      fresh variable or a certified-free head variable; bound when it
      is a non-variable term or a ground head variable.  =/2 needs one

@@ -55,6 +55,7 @@ type front = {
   transform : Prolog.Database.t -> Prolog.Database.t;
       (** the annotation every build compiles *)
   annotated : Prolog.Database.t;  (** [transform db] *)
+  stats : Prolog.Annotate.stats;  (** the counts of that annotation *)
 }
 
 let front (b : Benchlib.Programs.benchmark) =
@@ -66,7 +67,8 @@ let front (b : Benchlib.Programs.benchmark) =
          db)
   in
   let transform db = Prolog.Annotate.database ~patterns db in
-  { bench = b; db; patterns; transform; annotated = transform db }
+  let annotated, stats = Prolog.Annotate.database_stats ~patterns db in
+  { bench = b; db; patterns; transform; annotated; stats }
 
 (* ------------------------------------------------------------------ *)
 (* Builds, runs and reports.                                          *)

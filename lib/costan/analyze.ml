@@ -70,16 +70,6 @@ let body_goals body =
     (function Cge.Lit g -> [ g ] | Cge.Par { arms; _ } -> arms)
     body
 
-let goal_key db g =
-  match Term.functor_of g with
-  | Some (n, a) when Database.has_predicate db (n, a) -> Some (n, a)
-  | Some _ | None -> None
-
-let head_args (clause : Database.clause) =
-  match clause.Database.head with
-  | Term.Struct (_, args) -> Array.of_list args
-  | Term.Atom _ | Term.Int _ | Term.Var _ -> [||]
-
 let has_cut (clause : Database.clause) =
   List.exists
     (function Cge.Lit (Term.Atom "!") -> true | _ -> false)
@@ -195,7 +185,7 @@ let classify db graph modes (key : key) clauses (lookup : key -> pinfo option) =
           match g with
           | Term.Var _ -> gated := true (* call/1 through a variable *)
           | _ -> (
-            match goal_key db g with
+            match Depgraph.goal_key db g with
             | Some k ->
               seen_user := true;
               if k = key then
@@ -220,7 +210,7 @@ let classify db graph modes (key : key) clauses (lookup : key -> pinfo option) =
       | None -> (
         match clauses with
         | [||] -> 0
-        | cls -> Array.length (head_args cls.(0)))
+        | cls -> List.length (Term.args cls.(0).Database.head))
     in
     (* positions declared as inputs by the mode directives are tried
        first: a "decrease" found on an output position (a structure
@@ -244,7 +234,7 @@ let classify db graph modes (key : key) clauses (lookup : key -> pinfo option) =
            let ok =
              List.for_all
                (fun ((clause : Database.clause), args) ->
-                 let hargs = head_args clause in
+                 let hargs = Array.of_list (Term.args clause.Database.head) in
                  let descents = arith_descents clause.Database.body in
                  match List.nth_opt args i with
                  | Some arg -> decreases clause hargs descents i arg
@@ -297,7 +287,7 @@ let classify db graph modes (key : key) clauses (lookup : key -> pinfo option) =
             let vars =
               List.filter_map
                 (fun ((clause : Database.clause), args) ->
-                  let hargs = head_args clause in
+                  let hargs = Array.of_list (Term.args clause.Database.head) in
                   match List.nth_opt args i with
                   | Some (Term.Var a)
                     when i < Array.length hargs && proper_subvar a hargs.(i)
@@ -359,7 +349,7 @@ let analyze ?modes db =
             let m = ref (mid d) and h = ref d.hi in
             List.iter
               (fun g ->
-                match goal_key db g with
+                match Depgraph.goal_key db g with
                 | Some k ->
                   let cm, ch = callee_unit k in
                   m := !m + cm;
@@ -453,7 +443,7 @@ let verdict_key t ~threshold key =
     | Constant | Linear | Poly _ | Expo | Unknown -> Keep)
 
 let verdict t ~threshold goal =
-  match goal_key t.db goal with
+  match Depgraph.goal_key t.db goal with
   | None -> Keep
   | Some key -> verdict_key t ~threshold key
 

@@ -337,12 +337,6 @@ type state = {
   mutable evals : int;
 }
 
-let goal_parts g =
-  match g with
-  | Term.Struct (f, args) -> (f, args)
-  | Term.Atom f -> (f, [])
-  | Term.Int _ | Term.Var _ -> ("", [])
-
 (* A clause-body evaluation outcome. *)
 type cres =
   | Cok of {
@@ -374,7 +368,7 @@ let rec eval_pred st (key : Analyze.key) (args : sval array) : ores =
 
 and head_match p args ci =
   let env = Hashtbl.create 8 in
-  let pats = Analyze.head_args p.Analyze.clauses.(ci) in
+  let pats = Array.of_list (Term.args p.Analyze.clauses.(ci).Database.head) in
   let tri = ref Yes in
   Array.iteri
     (fun i pat ->
@@ -422,7 +416,7 @@ and eval_clauses st (p : Analyze.pinfo) args : ores =
          | Cok c ->
            let outs =
              Array.map (fun pat -> build c.env pat)
-               (Analyze.head_args p.Analyze.clauses.(ci))
+               (Array.of_list (Term.args p.Analyze.clauses.(ci).Database.head))
            in
            let tri = tri_and head_tri c.tri in
            if tri = Yes then begin
@@ -534,9 +528,9 @@ and eval_body st (p : Analyze.pinfo) ci env head_tri : cres =
       end
     | Term.Var _ -> raise (Give_up "call through a variable")
     | _ -> (
-      match Analyze.goal_key db g with
+      match Analysis.Depgraph.goal_key db g with
       | Some gk ->
-        let _, gargs = goal_parts g in
+        let gargs = Term.args g in
         let svals = Array.of_list (List.map (build env) gargs) in
         let sub = eval_pred st gk svals in
         steps := add !steps (add (point 1) sub.o_steps);
@@ -605,7 +599,8 @@ and bind_outs env gargs outs =
     gargs
 
 and eval_builtin env g : tri =
-  let f, args = goal_parts g in
+  let f = match Term.functor_of g with Some (f, _) -> f | None -> "" in
+  let args = Term.args g in
   match (f, args) with
   | "true", [] -> Yes
   | ("fail" | "false"), [] -> No
@@ -701,7 +696,7 @@ let predict ?(budget = default_budget) an (query : Term.t) :
   let cells =
     List.fold_left
       (fun acc g ->
-        let _, args = goal_parts g in
+        let args = Term.args g in
         List.fold_left (fun a t -> a + Footprint.encoded_cells t) acc args)
       0 goals
   in
@@ -711,9 +706,9 @@ let predict ?(budget = default_budget) an (query : Term.t) :
   try
     List.iter
       (fun g ->
-        match Analyze.goal_key db g with
+        match Analysis.Depgraph.goal_key db g with
         | Some gk ->
-          let _, gargs = goal_parts g in
+          let gargs = Term.args g in
           let svals = Array.of_list (List.map (build env) gargs) in
           let sub = eval_pred st gk svals in
           steps := add !steps (add (point 1) sub.o_steps);

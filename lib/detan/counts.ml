@@ -9,14 +9,14 @@
    same call -- and [alt] (sum) otherwise.
 
    Iteration starts every predicate at [Fails] and recomputes in
-   dependency order (callees first, via {!Analysis.Depgraph}) until
-   nothing changes.  On terminating executions the result
-   over-approximates the real solution-count set: iterate [n], the
-   table bounds every derivation of call depth <= [n] (depth-exceeded
-   calls contribute no solutions, which [Fails] covers), and the
-   combinators are monotone.  The domain is finite but the iterates
-   need not form a chain, so a round cap widens any still-unstable
-   predicate to [Multi]. *)
+   dependency order (callees first: {!Analysis.Depgraph.fixpoint} over
+   the topological order) until nothing changes.  On terminating
+   executions the result over-approximates the real solution-count
+   set: iterate [n], the table bounds every derivation of call depth
+   <= [n] (depth-exceeded calls contribute no solutions, which [Fails]
+   covers), and the combinators are monotone.  The domain is finite
+   but the iterates need not form a chain, so a cap of 4n + 8 passes
+   (n predicates) widens any still-unstable predicate to [Multi]. *)
 
 type key = string * int
 
@@ -41,7 +41,7 @@ let of_database ?patterns db : t =
   let table : t = Hashtbl.create 64 in
   let get key = find table key in
   let goal_count goal =
-    match Exclusion.pred_of_goal goal with
+    match Prolog.Term.functor_of goal with
     | None -> Lattice.Multi (* metacall: unknown *)
     | Some ("!", 0) | Some ("true", 0) -> Lattice.Exactly_one
     | Some key ->
@@ -79,35 +79,24 @@ let of_database ?patterns db : t =
     in
     fold (Prolog.Database.clauses db key)
   in
-  let user_preds =
-    List.filter (Prolog.Database.has_predicate db) order
-    @ List.filter
-        (fun k -> not (List.mem k order))
-        (Prolog.Database.predicates db)
+  let step key =
+    let c = pred_count key in
+    let changed = not (Lattice.equal c (get key)) in
+    if changed then Hashtbl.replace table key c;
+    changed
   in
-  let max_rounds = (4 * List.length user_preds) + 8 in
-  let rounds = ref 0 in
-  let changed = ref true in
-  while !changed && !rounds < max_rounds do
-    changed := false;
-    incr rounds;
-    List.iter
-      (fun key ->
-        let c = pred_count key in
-        if not (Lattice.equal c (get key)) then begin
-          Hashtbl.replace table key c;
-          changed := true
-        end)
-      user_preds
-  done;
-  if !changed then
+  let _, stable =
+    Analysis.Depgraph.fixpoint ~max_rounds:((4 * List.length order) + 8) order
+      step
+  in
+  if not stable then
     (* did not stabilize: widen anything still moving to top *)
     List.iter
       (fun key ->
         let c = pred_count key in
         if not (Lattice.equal c (get key)) then
           Hashtbl.replace table key Lattice.Multi)
-      user_preds;
+      order;
   table
 
 (* Per-predicate report rows, in database order. *)

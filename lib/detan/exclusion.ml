@@ -40,13 +40,8 @@ type goal_class =
   | G_guard of Prolog.Term.t  (** a builtin: cannot commit a shallow frame *)
   | G_commit  (** user call, parcall or metacall: commits *)
 
-let pred_of_goal = function
-  | Prolog.Term.Atom a -> Some (a, 0)
-  | Prolog.Term.Struct (f, args) -> Some (f, List.length args)
-  | Prolog.Term.Var _ | Prolog.Term.Int _ -> None
-
 let classify db goal =
-  match pred_of_goal goal with
+  match Prolog.Term.functor_of goal with
   | None -> G_commit
   | Some ("!", 0) -> G_cut
   | Some ("true", 0) -> G_true
@@ -216,10 +211,6 @@ let principal = function
   | Prolog.Term.Struct (f, args) -> Some (`Str (f, List.length args))
   | Prolog.Term.Var _ -> None
 
-let head_args = function
-  | Prolog.Term.Struct (_, args) -> args
-  | Prolog.Term.Atom _ | Prolog.Term.Int _ | Prolog.Term.Var _ -> []
-
 (* Argument positions the analysis proves ground at every call. *)
 let ground_positions ?patterns (name, arity) =
   match patterns with
@@ -235,8 +226,8 @@ let ground_positions ?patterns (name, arity) =
       List.rev !out)
 
 let struct_excluded ?patterns ~pred ci cj =
-  let a1 = Array.of_list (head_args ci.Prolog.Database.head) in
-  let a2 = Array.of_list (head_args cj.Prolog.Database.head) in
+  let a1 = Array.of_list (Prolog.Term.args ci.Prolog.Database.head) in
+  let a2 = Array.of_list (Prolog.Term.args cj.Prolog.Database.head) in
   List.exists
     (fun p ->
       p < Array.length a1

@@ -22,9 +22,9 @@ type t = {
   counts : (key * Lattice.t) list;  (** success-count grade per predicate *)
   det_preds : int;  (** predicates graded deterministic (<> Multi) *)
   det_arms : int;
-      (** parcall arms whose predicate the lattice grades deterministic
-          (annotator tally: no redo can re-enter such arms, so the
-          parcall skips their marker bookkeeping) *)
+      (** arms of the front end's parallel groups whose predicate the
+          lattice grades deterministic (no redo can re-enter such
+          arms, so the parcall skips their marker bookkeeping) *)
   certified : Wam.Compile.chain_info list;
       (** base chains the plan certifies (the oracle's watch list) *)
   dead : Wam.Compile.chain_info list;
@@ -51,13 +51,17 @@ let analyze ?defect (fe : Certification.front) ~(base : Certification.compiled)
        graded deterministic ({1}, {0,1} or {0}) has no second solution,
        so backtracking never re-enters it and the parcall can skip its
        marker bookkeeping (a failing arm fails the whole CGE) *)
-    let determinacy key =
-      match List.assoc_opt key counts with
+    let det arm =
+      match
+        Option.bind (Prolog.Term.functor_of arm) (fun key ->
+            List.assoc_opt key counts)
+      with
       | Some c -> Lattice.deterministic c
       | None -> false
     in
-    let _, stats = Prolog.Annotate.database_stats ~patterns ~determinacy fe.db in
-    stats.Prolog.Annotate.det_arms
+    Prolog.Database.fold_groups
+      (fun n _ _ arms -> n + List.length (List.filter det arms))
+      0 fe.annotated
   in
   (* Re-derive the certificate for each base chain: compilation is
      deterministic, so these are the same (pred, bucket, clauses)

@@ -41,11 +41,8 @@ let max_checks = 4
 type stats = {
   groups : int;
   checks_emitted : int;
-  checks_discharged : int;
   groups_abandoned : int;
   sequentialized : int;
-  static_safe : int;
-  det_arms : int;
 }
 
 (* Granularity control (Debray/Hermenegildo): a cost oracle classifies
@@ -147,18 +144,15 @@ let smash st vars =
 (* ------------------------------------------------------------------ *)
 (* Entry seeding.                                                     *)
 
-let head_spec head =
-  match head with
-  | Term.Atom n -> (n, [])
-  | Term.Struct (n, a) -> (n, a)
-  | Term.Int _ | Term.Var _ -> ("", [])
-
 (* Mode-directive seeding (the local analysis).  [strengthen] makes it
    refine an existing pattern-derived state instead of defining one. *)
 let seed_from_modes ?(strengthen = false) modes head st =
-  let name, args = head_spec head in
+  let args = Term.args head in
   let arg_modes =
-    match Modes.lookup modes ~name ~arity:(List.length args) with
+    match
+      Option.bind (Term.functor_of head) (fun (name, arity) ->
+          Modes.lookup modes ~name ~arity)
+    with
     | Some ms -> ms
     | None -> List.map (fun _ -> Modes.Unknown) args
   in
@@ -192,7 +186,7 @@ let seed_from_modes ?(strengthen = false) modes head st =
 (* Pattern seeding (the global analysis): groundness/freeness per
    argument plus the may-share pairs among argument positions. *)
 let seed_from_pattern (pat : Abspat.pattern) head st =
-  let _, args = head_spec head in
+  let args = Term.args head in
   let arg_vars = Array.of_list (List.map Term.vars args) in
   List.iteri
     (fun i arg ->
@@ -210,14 +204,14 @@ let seed_from_pattern (pat : Abspat.pattern) head st =
           arg_vars.(i))
     pat.Abspat.share
 
+(* The inferred patterns of the predicate a head or goal names. *)
+let find_entry patterns g =
+  match (patterns, Term.functor_of g) with
+  | Some pats, Some (name, arity) -> Abspat.find pats ~name ~arity
+  | _ -> None
+
 let seed_from_head ?patterns modes head st =
-  let name, args = head_spec head in
-  let entry =
-    match patterns with
-    | None -> None
-    | Some pats -> Abspat.find pats ~name ~arity:(List.length args)
-  in
-  match entry with
+  match find_entry patterns head with
   | Some e ->
     seed_from_pattern e.Abspat.call head st;
     seed_from_modes ~strengthen:true modes head st
@@ -226,18 +220,13 @@ let seed_from_head ?patterns modes head st =
 (* ------------------------------------------------------------------ *)
 (* Success effect of one goal.                                        *)
 
-let goal_spec g =
-  match g with
-  | Term.Atom n -> (n, [])
-  | Term.Struct (n, a) -> (n, a)
-  | Term.Int _ | Term.Var _ -> ("", [])
-
 let goal_modes modes g =
-  let name, args = goal_spec g in
-  let arity = List.length args in
-  match Modes.builtin_modes name arity with
-  | Some ms -> Some ms
-  | None -> Modes.lookup modes ~name ~arity
+  match Term.functor_of g with
+  | None -> None
+  | Some (name, arity) -> (
+    match Modes.builtin_modes name arity with
+    | Some ms -> Some ms
+    | None -> Modes.lookup modes ~name ~arity)
 
 (* Apply an inferred success pattern at a call site. *)
 let apply_success st args (pat : Abspat.pattern) =
@@ -259,9 +248,8 @@ let apply_success st args (pat : Abspat.pattern) =
     pat.Abspat.share
 
 let apply_effect ?patterns modes st g =
-  let name, args = goal_spec g in
-  match (name, args) with
-  | "=", [ a; b ] ->
+  match g with
+  | Term.Struct ("=", [ a; b ]) ->
     (* unification: groundness flows across; otherwise the two sides
        may now alias *)
     if term_ground st a then List.iter (fun v -> set st v G) (Term.vars b)
@@ -281,13 +269,8 @@ let apply_effect ?patterns modes st g =
           (Term.vars a)
     end
   | _ -> begin
-    let entry =
-      match patterns with
-      | None -> None
-      | Some pats ->
-        Abspat.find pats ~name ~arity:(List.length args)
-    in
-    match entry with
+    let args = Term.args g in
+    match find_entry patterns g with
     | Some e -> apply_success st args e.Abspat.success
     | None -> begin
       match goal_modes modes g with
@@ -324,8 +307,8 @@ let dedup_checks checks =
     checks
 
 let pair_decision st g h =
-  let vg = Term.vars (Term.Struct ("$", snd (goal_spec g))) in
-  let vh = Term.vars (Term.Struct ("$", snd (goal_spec h))) in
+  let vg = Term.vars (Term.Struct ("$", Term.args g)) in
+  let vh = Term.vars (Term.Struct ("$", Term.args h)) in
   let shared = List.filter (fun v -> List.mem v vh) vg in
   let checks = ref [] in
   let dependent = ref false in
@@ -384,51 +367,7 @@ type counters = {
   mutable c_checks : int;
   mutable c_abandoned : int;
   mutable c_sequentialized : int;
-  mutable c_static_safe : int;
-  mutable c_det_arms : int;
 }
-
-(* Score every emitted parallel group against the external race-freedom
-   certifier (refmap's static summaries), counting the ones it proves
-   safe without run-time verification. *)
-let count_certified certifier counters items =
-  match certifier with
-  | None -> ()
-  | Some safe ->
-    List.iter
-      (function
-        | Cge.Par { checks; arms } ->
-          if safe checks arms then
-            counters.c_static_safe <- counters.c_static_safe + 1
-        | Cge.Lit _ -> ())
-      items
-
-(* Score the arms of every emitted parallel group against the external
-   determinacy judgment (detan's success-count lattice): an arm whose
-   called predicate is provably [exactly_one] can skip the marker
-   bookkeeping the goal-stack machinery does for backtrackable arms. *)
-let count_det_arms determinacy counters items =
-  match determinacy with
-  | None -> ()
-  | Some det ->
-    List.iter
-      (function
-        | Cge.Par { arms; _ } ->
-          List.iter
-            (fun arm ->
-              let spec =
-                match arm with
-                | Term.Atom name -> Some (name, 0)
-                | Term.Struct (name, args) -> Some (name, List.length args)
-                | Term.Int _ | Term.Var _ -> None
-              in
-              match spec with
-              | Some s when det s ->
-                counters.c_det_arms <- counters.c_det_arms + 1
-              | Some _ | None -> ())
-            arms
-        | Cge.Lit _ -> ())
-      items
 
 (* Granularity filter over a would-be parallel group.  When every arm
    is provably below the spawn-overhead threshold the group runs
@@ -456,8 +395,7 @@ let apply_granularity granularity counters checks arms =
       [ Cge.Par { checks = dedup_checks (checks @ guards); arms } ]
     end
 
-let flush_group ?patterns ?granularity ?certifier ?determinacy modes st group
-    out counters =
+let flush_group ?patterns ?granularity modes st group out counters =
   match group with
   | None -> ()
   | Some g ->
@@ -471,21 +409,17 @@ let flush_group ?patterns ?granularity ?certifier ?determinacy modes st group
       | [ Cge.Par { checks; _ } ] as items ->
         counters.c_groups <- counters.c_groups + 1;
         counters.c_checks <- counters.c_checks + List.length checks;
-        count_certified certifier counters items;
-        count_det_arms determinacy counters items;
         List.iter out items
       | items -> List.iter out items));
     (* effects of the group's goals apply at the join *)
     List.iter (apply_effect ?patterns modes st) goals
 
-let annotate_body ?patterns ?granularity ?certifier ?determinacy modes db st
-    counters body =
+let annotate_body ?patterns ?granularity modes db st counters body =
   let items = ref [] in
   let out item = items := item :: !items in
   let group : group option ref = ref None in
   let flush () =
-    flush_group ?patterns ?granularity ?certifier ?determinacy modes st !group
-      out counters;
+    flush_group ?patterns ?granularity modes st !group out counters;
     group := None
   in
   List.iter
@@ -497,10 +431,7 @@ let annotate_body ?patterns ?granularity ?certifier ?determinacy modes db st
         flush ();
         (match item with
         | Cge.Par { checks; arms } ->
-          let kept = apply_granularity granularity counters checks arms in
-          count_certified certifier counters kept;
-          count_det_arms determinacy counters kept;
-          List.iter out kept;
+          List.iter out (apply_granularity granularity counters checks arms);
           List.iter (apply_effect ?patterns modes st) arms
         | Cge.Lit _ -> out item)
       | Cge.Lit g ->
@@ -550,23 +481,18 @@ let annotate_body ?patterns ?granularity ?certifier ?determinacy modes db st
 
 (* ------------------------------------------------------------------ *)
 
-(* Annotate every clause of [db]; returns a new database (the original
-   is untouched).  [modes] are the database's `:- mode ...`
-   directives.  [patterns] supplies global
-   analysis results; a clause uses them only when its own predicate
-   was reached by the analysis (otherwise its entry states would be
-   unsound), falling back to the purely local mode analysis. *)
-let annotate ~modes ?patterns ?granularity ?certifier ?determinacy db =
+(* Annotate every clause of [db] once; returns a new database (the
+   original is untouched) and the counts of that one annotation.
+   [modes] are the database's `:- mode ...` directives.  [patterns]
+   supplies global analysis results; a clause uses them only when its
+   own predicate was reached by the analysis (otherwise its entry
+   states would be unsound), falling back to the purely local mode
+   analysis. *)
+let database_stats ?patterns ?granularity db =
+  let modes = Modes.of_database db in
   let out = Database.create () in
   let counters =
-    {
-      c_groups = 0;
-      c_checks = 0;
-      c_abandoned = 0;
-      c_sequentialized = 0;
-      c_static_safe = 0;
-      c_det_arms = 0;
-    }
+    { c_groups = 0; c_checks = 0; c_abandoned = 0; c_sequentialized = 0 }
   in
   List.iter
     (fun (name, arity) ->
@@ -581,40 +507,22 @@ let annotate ~modes ?patterns ?granularity ?certifier ?determinacy db =
           seed_from_head ?patterns:clause_patterns modes clause.Database.head
             st;
           let body =
-            annotate_body ?patterns:clause_patterns ?granularity ?certifier
-              ?determinacy modes db st counters clause.Database.body
+            annotate_body ?patterns:clause_patterns ?granularity modes db st
+              counters clause.Database.body
           in
           Database.add_clause out { Database.head = clause.head; body })
         (Database.clauses db (name, arity)))
     (Database.predicates db);
-  (out, counters)
-
-let database ?patterns ?granularity db =
-  fst (annotate ~modes:(Modes.of_database db) ?patterns ?granularity db)
-
-let database_stats ?patterns ?granularity ?certifier ?determinacy db =
-  let modes = Modes.of_database db in
-  let out, c =
-    annotate ~modes ?patterns ?granularity ?certifier ?determinacy db
-  in
-  let discharged =
-    match patterns with
-    | None -> 0
-    | Some _ ->
-      (* what would the purely local annotation have cost? *)
-      let _, base = annotate ~modes db in
-      max 0 (base.c_checks - c.c_checks)
-  in
   ( out,
     {
-      groups = c.c_groups;
-      checks_emitted = c.c_checks;
-      checks_discharged = discharged;
-      groups_abandoned = c.c_abandoned;
-      sequentialized = c.c_sequentialized;
-      static_safe = c.c_static_safe;
-      det_arms = c.c_det_arms;
+      groups = counters.c_groups;
+      checks_emitted = counters.c_checks;
+      groups_abandoned = counters.c_abandoned;
+      sequentialized = counters.c_sequentialized;
     } )
+
+let database ?patterns ?granularity db =
+  fst (database_stats ?patterns ?granularity db)
 
 (* Count the parallel goals introduced (for reporting). *)
 let parallelism_found db = Database.parallel_call_count db

@@ -47,42 +47,27 @@ val database :
 type stats = {
   groups : int;  (** parallel groups (CGEs) emitted *)
   checks_emitted : int;  (** run-time checks inside those groups *)
-  checks_discharged : int;
-      (** checks a pattern-less annotation of the same program emits
-          minus [checks_emitted] (0 without [?patterns]) *)
   groups_abandoned : int;
       (** joins rejected: a parallelizable goal was left sequential
           because joining needed too many checks or was dependent *)
   sequentialized : int;
       (** parallel groups turned sequential by the [granularity]
           oracle (all arms below the spawn-overhead threshold) *)
-  static_safe : int;
-      (** emitted groups the [certifier] proved race-free statically
-          (0 without [?certifier]); such groups need no dynamic
-          verification *)
-  det_arms : int;
-      (** arms of emitted parallel groups whose called predicate the
-          [determinacy] judgment proves has at most one solution (0
-          without [?determinacy]); backtracking never re-enters such
-          arms, so the parcall can skip the per-goal marker
-          bookkeeping it keeps for redoable arms *)
 }
+(** Counts of one annotation.  Checks the global analysis discharged
+    are [checks_emitted] of a pattern-less annotation of the same
+    program minus [checks_emitted] of this one; the callers that print
+    that figure hold both. *)
 
 val database_stats :
   ?patterns:Abspat.t ->
   ?granularity:(Term.t -> verdict) ->
-  ?certifier:(Cge.check list -> Term.t list -> bool) ->
-  ?determinacy:(string * int -> bool) ->
   Database.t ->
   Database.t * stats
-(** [database] plus annotation-quality statistics (surfaced by the
-    bench harness's annotation-quality table).  [certifier] is an
-    external race-freedom judgment (refmap's static access summaries)
-    scored over every emitted parallel group — programmer-written and
-    analysis-built alike; it does not change the annotation.
-    [determinacy] is an external success-count judgment (detan's
-    lattice): arms it proves deterministic are tallied in [det_arms].
-    Neither judgment changes the annotation. *)
+(** [database] plus the counts of that one annotation (surfaced by
+    [bin/annotate] and the bench harness's annotation-quality table).
+    The analyses that score the emitted groups count on the annotated
+    database they hold. *)
 
 val parallelism_found : Database.t -> int
 (** Number of parallel calls in an (annotated) database. *)

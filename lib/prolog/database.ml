@@ -177,17 +177,19 @@ let clause_count db =
 
 let predicate_count db = List.length db.order
 
+(* Every parallel group of every clause body, in database order. *)
+let fold_groups f acc db =
+  List.fold_left
+    (fun acc key ->
+      List.fold_left
+        (fun acc clause ->
+          List.fold_left
+            (fun acc -> function
+              | Cge.Par { checks; arms } -> f acc key checks arms
+              | Cge.Lit _ -> acc)
+            acc clause.body)
+        acc (clauses db key))
+    acc (predicates db)
+
 (* Number of parallel calls (CGEs) in the database. *)
-let parallel_call_count db =
-  Hashtbl.fold
-    (fun _ cell n ->
-      n
-      + List.fold_left
-          (fun acc clause ->
-            acc
-            + List.length
-                (List.filter
-                   (function Cge.Par _ -> true | Cge.Lit _ -> false)
-                   clause.body))
-          0 !cell)
-    db.preds 0
+let parallel_call_count db = fold_groups (fun n _ _ _ -> n + 1) 0 db

@@ -58,3 +58,9 @@ val predicate_count : t -> int
 
 val parallel_call_count : t -> int
 (** Number of CGEs (parallel calls) in the database. *)
+
+val fold_groups :
+  ('a -> string * int -> Cge.check list -> Term.t list -> 'a) -> 'a -> t -> 'a
+(** [fold_groups f acc db] folds [f acc pred checks arms] over every
+    parallel group of every clause body, predicates in {!predicates}
+    order and clauses in source order. *)

@@ -35,6 +35,8 @@ let functor_of = function
   | Struct (name, args) -> Some (name, List.length args)
   | Int _ | Var _ -> None
 
+let args = function Struct (_, args) -> args | Atom _ | Int _ | Var _ -> []
+
 (* Conjunction utilities: ','/2 right-nested. *)
 let rec conjuncts = function
   | Struct (",", [ a; b ]) -> conjuncts a @ conjuncts b

@@ -35,6 +35,9 @@ val functor_of : t -> (string * int) option
 (** [functor_of t] is the principal functor [(name, arity)] of an atom
     or structure, [None] for variables and integers. *)
 
+val args : t -> t list
+(** [args t] is a structure's arguments, [[]] for any other term. *)
+
 val vars : t -> string list
 (** Variable names occurring in a term, in first-occurrence order. *)
 

@@ -76,7 +76,7 @@ let group static (checks : Prolog.Cge.check list) (arms : Prolog.Term.t list) =
     | [] -> ok
     | reason :: _ -> no reason)
 
-(* The certifier handed to [Prolog.Annotate.database_stats]. *)
+(* The certifier [Instance] scores the annotation's groups with. *)
 let certifier static checks arms = (group static checks arms).certified
 
 (* ------------------------------------------------------------------ *)
@@ -92,22 +92,13 @@ type entry = {
 type report = { entries : entry list; certified : int; total : int }
 
 let database static (db : Prolog.Database.t) =
-  let entries = ref [] in
-  List.iter
-    (fun pred ->
-      List.iter
-        (fun (cl : Prolog.Database.clause) ->
-          List.iter
-            (function
-              | Prolog.Cge.Lit _ -> ()
-              | Prolog.Cge.Par { checks; arms } ->
-                entries :=
-                  { pred; checks; arms; decision = group static checks arms }
-                  :: !entries)
-            cl.Prolog.Database.body)
-        (Prolog.Database.clauses db pred))
-    (Prolog.Database.predicates db);
-  let entries = List.rev !entries in
+  let entries =
+    List.rev
+      (Prolog.Database.fold_groups
+         (fun acc pred checks arms ->
+           { pred; checks; arms; decision = group static checks arms } :: acc)
+         [] db)
+  in
   {
     entries;
     certified =

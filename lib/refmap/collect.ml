@@ -13,9 +13,12 @@
      - pre-fetch activity (query seeding, idle-PE stealing) has no
        current predicate and also lands in [runtime].
 
-   The collector additionally tracks, per address, which PEs touched
-   it — the dynamic shareability ground truth the predicted tags are
-   scored against. *)
+   The collector additionally tracks, per (address, area), which PEs
+   touched the address under that area — the dynamic shareability
+   ground truth the predicted tags are scored against.  Keying by the
+   pair scores each tag on the accesses made under it: a local-stack
+   word is reused (an environment's control words later hold a
+   parcall frame), and only the parcall accesses make it shared. *)
 
 type obs = { seen : int array (* bit 0 = read, bit 1 = write seen *) }
 
@@ -23,8 +26,8 @@ type t = {
   static : Static.t;
   by_fid : (int, obs) Hashtbl.t;
   runtime : obs;
-  addrs : (int, int * bool * int) Hashtbl.t;
-      (** addr -> (first PE, touched by a second PE, area index) *)
+  addrs : (int * int, int * bool) Hashtbl.t;
+      (** (addr, area index) -> (first PE, touched by a second PE) *)
   mutable in_msg : bool array;  (** per PE: inside a message window *)
   mutable attrib : int option array;  (** per PE: current fid *)
   mutable records : int;
@@ -55,13 +58,14 @@ let bit (op : Trace.Ref_record.op) =
 let on_record t (r : Trace.Ref_record.t) =
   t.records <- t.records + 1;
   let pe = r.Trace.Ref_record.pe in
-  (match Hashtbl.find_opt t.addrs r.Trace.Ref_record.addr with
-  | None ->
-    Hashtbl.replace t.addrs r.Trace.Ref_record.addr
-      (pe, false, Trace.Area.to_int r.Trace.Ref_record.area)
-  | Some (first, shared, area) ->
+  let key =
+    (r.Trace.Ref_record.addr, Trace.Area.to_int r.Trace.Ref_record.area)
+  in
+  (match Hashtbl.find_opt t.addrs key with
+  | None -> Hashtbl.replace t.addrs key (pe, false)
+  | Some (first, shared) ->
     if (not shared) && first <> pe then
-      Hashtbl.replace t.addrs r.Trace.Ref_record.addr (first, true, area));
+      Hashtbl.replace t.addrs key (first, true));
   if r.Trace.Ref_record.area = Trace.Area.Code then begin
     t.in_msg.(pe) <- false;
     t.attrib.(pe) <-
@@ -88,10 +92,11 @@ let of_buffer static buf =
 let seen_read o area = o.seen.(Trace.Area.to_int area) land 1 <> 0
 let seen_write o area = o.seen.(Trace.Area.to_int area) land 2 <> 0
 
-(* Addresses dynamically shared: touched by two PEs, or touched by a
-   PE other than the owner of the region the address lies in (a
-   cross-PE binding is shared even if the owner never reads it back). *)
-let dyn_shared _t addr (first, multi, _) =
+(* (address, area) pairs dynamically shared: touched by two PEs, or
+   touched by a PE other than the owner of the region the address lies
+   in (a cross-PE binding is shared even if the owner never reads it
+   back). *)
+let dyn_shared addr (first, multi) =
   multi
   ||
   let owner = Wam.Layout.pe_of_addr addr in
@@ -99,6 +104,6 @@ let dyn_shared _t addr (first, multi, _) =
 
 let fold_addrs f t acc =
   Hashtbl.fold
-    (fun addr ((_, _, area) as info) acc ->
-      f acc ~addr ~area:(Trace.Area.of_int area) ~shared:(dyn_shared t addr info))
+    (fun (addr, area) info acc ->
+      f acc ~addr ~area:(Trace.Area.of_int area) ~shared:(dyn_shared addr info))
     t.addrs acc

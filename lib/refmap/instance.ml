@@ -1,13 +1,14 @@
 (* refmap as a certification instance.  The analysis summarizes the
-   compiled base code per predicate and area, and the annotator
-   re-runs with those summaries as its race-freedom certifier, scoring
-   every parallel group it emits.  The certificate changes no code, so
-   there is no variant build: each PE count runs once, the oracle
-   checks every attributed access against the summaries and scores the
-   predicted shareability tags against the per-address ground truth,
-   and tracecheck replays the same trace as the dynamic cross-check.
-   The audit re-derives the certification over the annotated database
-   and compares it with the annotator's [static_safe] claim. *)
+   compiled base code per predicate and area, and its race-freedom
+   certifier scores every parallel group of the front end's
+   annotation: [static_safe] counts the groups the certifier passes.
+   The certificate changes no code, so there is no variant build: each
+   PE count runs once, the oracle checks every attributed access
+   against the summaries and scores the predicted shareability tags
+   against the per-(address, area) ground truth, and tracecheck
+   replays the same trace as the dynamic cross-check.  The audit
+   compares [static_safe] with the clean derivation, [Certify]'s own
+   decisions. *)
 
 let name = "refmap"
 
@@ -17,7 +18,8 @@ let doc =
 
 type t = {
   static : Static.t;
-  stats : Prolog.Annotate.stats;
+  groups : int;  (** parallel groups the front end's annotation emitted *)
+  static_safe : int;  (** of its groups, those the certifier passes *)
   certify : Certify.report;
 }
 
@@ -41,12 +43,16 @@ let analyze ?defect (fe : Certification.front) ~(base : Certification.compiled)
     | Some d when Defects.forces_certify d -> fun _ _ -> true
     | _ -> Certify.certifier static
   in
-  let ann_db, stats =
-    Prolog.Annotate.database_stats ~patterns:fe.patterns ~certifier fe.db
+  let certify = Certify.database static fe.annotated in
+  let static_safe =
+    List.length
+      (List.filter
+         (fun (e : Certify.entry) -> certifier e.checks e.arms)
+         certify.entries)
   in
-  { static; stats; certify = Certify.database static ann_db }
+  { static; groups = fe.stats.groups; static_safe; certify }
 
-let audit_ok a = a.stats.Prolog.Annotate.static_safe = a.certify.Certify.certified
+let audit_ok a = a.static_safe = a.certify.Certify.certified
 
 let oracle a ~base:_ ~variant:_ buf =
   let c = Collect.of_buffer a.static buf in
@@ -82,7 +88,7 @@ let summary (r : (t, oracle) Certification.report) =
     "preds %-3d groups %d/%d certified (static_safe %d); tags: %d addrs, %d \
      shared, precision %.3f (baseline %.3f) recall %.3f"
     (Hashtbl.length r.a.static.preds)
-    r.a.certify.certified r.a.certify.total r.a.stats.static_safe tg.addrs
+    r.a.certify.certified r.a.certify.total r.a.static_safe tg.addrs
     tg.dyn_shared tg.precision tg.baseline_precision tg.recall
 
 let run_summary (run : oracle Certification.run) =
@@ -99,8 +105,8 @@ let json_fields (r : (t, oracle) Certification.report) =
     ("groups_total", J.Int cert.total);
     ("groups_certified", J.Int cert.certified);
     ("all_certified", J.Bool (cert.total > 0 && cert.certified = cert.total));
-    ("static_safe", J.Int r.a.stats.static_safe);
-    ("auto_groups", J.Int r.a.stats.groups);
+    ("static_safe", J.Int r.a.static_safe);
+    ("auto_groups", J.Int r.a.groups);
     ("audit_ok", J.Bool r.audit_ok);
     ("tag_addrs", J.Int tg.addrs);
     ("tag_dyn_shared", J.Int tg.dyn_shared);

@@ -67,13 +67,15 @@ let check (static : Static.t) (c : Collect.t) =
 (* ------------------------------------------------------------------ *)
 (* Shareability-tag scoring.                                          *)
 
+(* Scored per (address, area) pair: a tag is judged on the accesses
+   made under it. *)
 type tag_score = {
-  addrs : int;  (** distinct addresses touched *)
-  dyn_shared : int;  (** addresses dynamically shared between PEs *)
+  addrs : int;  (** distinct (address, area) pairs touched *)
+  dyn_shared : int;  (** pairs dynamically shared between PEs *)
   predicted_shared : int;
   true_pos : int;
-  precision : float;  (** of predicted-shared addresses, truly shared *)
-  recall : float;  (** of truly shared addresses, predicted (must be 1) *)
+  precision : float;  (** of predicted-shared pairs, truly shared *)
+  recall : float;  (** of truly shared pairs, predicted (must be 1) *)
   baseline_precision : float;  (** the tag-everything-Global baseline *)
 }
 

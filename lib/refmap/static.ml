@@ -323,28 +323,21 @@ let build ?patterns (prog : Wam.Program.t) =
   let order = List.rev !order in
   (* closure fixpoint: one pass suffices outside SCCs; iterate until
      stable for mutual recursion *)
-  let iterations = ref 0 in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    incr iterations;
-    List.iter
-      (fun fid ->
-        let p = Hashtbl.find preds fid in
-        let s =
-          List.fold_left
-            (fun acc c ->
-              match Hashtbl.find_opt preds c with
-              | Some cp -> Summary.join acc cp.closure
-              | None -> { acc with Summary.closed = false })
-            (Summary.copy p.own) p.callees
-        in
-        if not (Summary.equal s p.closure) then begin
-          p.closure <- s;
-          changed := true
-        end)
-      order
-  done;
+  let step fid =
+    let p = Hashtbl.find preds fid in
+    let s =
+      List.fold_left
+        (fun acc c ->
+          match Hashtbl.find_opt preds c with
+          | Some cp -> Summary.join acc cp.closure
+          | None -> { acc with Summary.closed = false })
+        (Summary.copy p.own) p.callees
+    in
+    let changed = not (Summary.equal s p.closure) in
+    if changed then p.closure <- s;
+    changed
+  in
+  let iterations, _ = Analysis.Depgraph.fixpoint order step in
   let program =
     Hashtbl.fold (fun _ p acc -> Summary.join acc p.closure) preds
       (Summary.empty ())
@@ -357,7 +350,7 @@ let build ?patterns (prog : Wam.Program.t) =
     bounds = Array.map fst entries;
     bound_fids = Array.map snd entries;
     program;
-    iterations = !iterations;
+    iterations;
   }
 
 (* ------------------------------------------------------------------ *)

@@ -232,6 +232,46 @@ let test_e2e_answers_unchanged () =
         (query ^ ": analysis on = sequential") seq on)
     cases
 
+(* ---- the shared iterate-until-stable loop ---- *)
+
+(* A step over keys 1..3 that reports a change on its first [k]
+   passes (counted on key 1), and logs every key it is called on. *)
+let settling k =
+  let passes = ref 0 and visits = ref [] in
+  let step key =
+    visits := key :: !visits;
+    if key = 1 then incr passes;
+    !passes <= k
+  in
+  (step, visits)
+
+let test_fixpoint_settles () =
+  List.iter
+    (fun k ->
+      let step, visits = settling k in
+      Alcotest.(check (pair int bool))
+        (Printf.sprintf "settles after %d changing passes" k)
+        (k + 1, true)
+        (Analysis.Depgraph.fixpoint ~max_rounds:10 [ 1; 2; 3 ] step);
+      Alcotest.(check (list int))
+        (Printf.sprintf "every key, in order, on each of %d passes" (k + 1))
+        (List.concat (List.init (k + 1) (fun _ -> [ 1; 2; 3 ])))
+        (List.rev !visits))
+    [ 0; 1; 4 ]
+
+let test_fixpoint_cap () =
+  (* detan widens what still moves once the cap is spent *)
+  Alcotest.(check (pair int bool))
+    "always changing: stopped by the cap" (7, false)
+    (Deadline.within ~seconds:5.0 (fun () ->
+         Analysis.Depgraph.fixpoint ~max_rounds:7 [ "a"; "b" ] (fun _ -> true)))
+
+let test_fixpoint_uncapped () =
+  let step, _ = settling 60 in
+  Alcotest.(check (pair int bool))
+    "no cap: runs until stable" (61, true)
+    (Analysis.Depgraph.fixpoint [ 1; 2; 3 ] step)
+
 let suite =
   [
     Alcotest.test_case "groundness propagation" `Quick
@@ -248,4 +288,10 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_groundness;
     Alcotest.test_case "e2e answers unchanged" `Quick
       test_e2e_answers_unchanged;
+    Alcotest.test_case "fixpoint settles after k changing passes" `Quick
+      test_fixpoint_settles;
+    Alcotest.test_case "fixpoint stops at max_rounds" `Quick
+      test_fixpoint_cap;
+    Alcotest.test_case "fixpoint without a cap runs until stable" `Quick
+      test_fixpoint_uncapped;
   ]

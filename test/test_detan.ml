@@ -350,19 +350,29 @@ let test_parcall_failure_recovery () =
 
 let test_det_arms_stat () =
   (* deriv's CGE arms all call d/3, which the lattice grades
-     deterministic, so every emitted arm is counted; an always-false
-     judgment counts none *)
+     deterministic, so every arm of the front end's annotation is
+     counted; of [gen(X) & one(Y)] only the arm whose predicate has at
+     most one solution is *)
   let r = report "deriv" in
-  Alcotest.(check bool) "deriv has det arms" true (r.a.Detan.Instance.det_arms > 0);
-  let b = small "deriv" in
-  let db = Prolog.Database.of_string b.Benchlib.Programs.src in
-  let _, stats =
-    Prolog.Annotate.database_stats ~patterns:r.front.patterns
-      ~determinacy:(fun _ -> false)
-      db
+  let arms =
+    Prolog.Database.fold_groups
+      (fun n _ _ arms -> n + List.length arms)
+      0 r.front.annotated
   in
-  Alcotest.(check int) "false judgment counts none" 0
-    stats.Prolog.Annotate.det_arms
+  Alcotest.(check bool) "deriv has det arms" true (r.a.Detan.Instance.det_arms > 0);
+  Alcotest.(check int) "every deriv arm counted" arms
+    r.a.Detan.Instance.det_arms;
+  let mixed =
+    D.analyze
+      {
+        Benchlib.Programs.name = "dt_mixed_arms";
+        src = "p(X, Y) :- gen(X) & one(Y).\ngen(1).\ngen(2).\none(1).\n";
+        query = "p(A, B)";
+        answer_var = "A";
+      }
+  in
+  Alcotest.(check int) "only the det arm counted" 1
+    mixed.a.Detan.Instance.det_arms
 
 let suite =
   [

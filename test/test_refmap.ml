@@ -103,14 +103,14 @@ let test_certification () =
     expect
 
 let test_static_safe_stat () =
-  (* the annotator's static_safe counter agrees with the clean
-     re-derivation over the annotated database (the audit) *)
+  (* the certifier's static_safe count over the front end's annotation
+     agrees with the clean derivation (the audit) *)
   List.iter
     (fun name ->
       let r = report name in
       Alcotest.(check int) (name ^ " static_safe")
         (cert name).Refmap.Certify.certified
-        r.a.Refmap.Instance.stats.Prolog.Annotate.static_safe;
+        r.a.Refmap.Instance.static_safe;
       Alcotest.(check bool) (name ^ " audit_ok") true r.audit_ok)
     bench_names
 
@@ -203,6 +203,31 @@ let test_summaries_closed () =
         s.Refmap.Static.preds)
     bench_names
 
+(* A local-stack word PE 0 first uses as an environment control word
+   and later as a parcall count, which PE 1 reads: only the
+   parcall-count accesses are shared, and that tag predicts them. *)
+let test_tags_per_area () =
+  let static = (report "deriv").a.Refmap.Instance.static in
+  let addr = Wam.Layout.local_base 0 + 27 in
+  let buf = Trace.Sink.Buffer_sink.create () in
+  List.iter
+    (fun (pe, area, op) ->
+      Trace.Sink.Buffer_sink.push buf
+        (Trace.Ref_record.pack { Trace.Ref_record.pe; addr; area; op }))
+    [
+      (0, Trace.Area.Env_control, Trace.Ref_record.Write);
+      (0, Trace.Area.Parcall_count, Trace.Ref_record.Write);
+      (1, Trace.Area.Parcall_count, Trace.Ref_record.Read);
+    ];
+  let t =
+    Refmap.Oracle.score_tags static (Refmap.Collect.of_buffer static buf)
+  in
+  Alcotest.(check (float 0.0)) "recall" 1.0 t.Refmap.Oracle.recall;
+  Alcotest.(check int) "one (address, area) pair per tag" 2
+    t.Refmap.Oracle.addrs;
+  Alcotest.(check int) "the parcall-count pair is shared" 1
+    t.Refmap.Oracle.dyn_shared
+
 let suite =
   [
     QCheck_alcotest.to_alcotest test_mode_lattice;
@@ -221,4 +246,6 @@ let suite =
     Alcotest.test_case "defect diagnostics name pred/area/mode" `Quick
       test_defect_diagnostics;
     Alcotest.test_case "benchmark summaries closed" `Quick test_summaries_closed;
+    Alcotest.test_case "tags scored per (address, area)" `Quick
+      test_tags_per_area;
   ]
