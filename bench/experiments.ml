@@ -927,10 +927,10 @@ let annotation_row (b : Benchlib.Programs.benchmark) =
   let checks_on = on.Prolog.Annotate.checks_emitted in
   {
     a_name = b.Benchlib.Programs.name;
-    par_off = Prolog.Annotate.parallelism_found db_off;
+    par_off = Prolog.Database.parallel_call_count db_off;
     checks_off;
     abandoned_off = off.Prolog.Annotate.groups_abandoned;
-    par_on = Prolog.Annotate.parallelism_found db_on;
+    par_on = Prolog.Database.parallel_call_count db_on;
     checks_on;
     abandoned_on = on.Prolog.Annotate.groups_abandoned;
     discharged = max 0 (checks_off - checks_on);

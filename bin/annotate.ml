@@ -63,7 +63,7 @@ let run_cmd src_path run_query pes no_analysis dump granularity dump_costs =
   Format.eprintf
     "%% %d parallel call(s), %d check(s) emitted, %d discharged by \
      analysis, %d group(s) sequentialized by cost@."
-    (Prolog.Annotate.parallelism_found annotated)
+    (Prolog.Database.parallel_call_count annotated)
     stats.Prolog.Annotate.checks_emitted discharged
     stats.Prolog.Annotate.sequentialized;
   match run_query with

@@ -125,8 +125,8 @@ let run_cmd bench_names pes protocol_name line sizes jobs check check_static
           not all)
         bench_names
   in
-  let watchdog =
-    Option.map (fun timeout_s -> Engine.Job.watchdog ~timeout_s ()) watchdog_s
+  let attempts =
+    Option.map (fun timeout_s -> Engine.Job.attempts ~timeout_s 3) watchdog_s
   in
   let outcome =
     try
@@ -146,13 +146,13 @@ let run_cmd bench_names pes protocol_name line sizes jobs check check_static
           (Trace.Sink.Buffer_sink.length buf);
         let name = List.hd bench_names in
         let bench = Benchlib.Inputs.benchmark ~quick name in
-        Engine.Sweep.run ?jobs ~echo:verbose ~check ?faults ?watchdog
+        Engine.Sweep.run ?jobs ~echo:verbose ~check ?faults ?attempts
           ?journal ~resume
           ~traces:[ ((name, pes), buf) ]
           (grid_of [ bench ])
       | None ->
         let benchmarks = List.map (Benchlib.Inputs.benchmark ~quick) bench_names in
-        Engine.Sweep.run ?jobs ~echo:true ~check ?faults ?watchdog ?journal
+        Engine.Sweep.run ?jobs ~echo:true ~check ?faults ?attempts ?journal
           ~resume (grid_of benchmarks)
     with
     | Trace.Tracefile.Trace_error { offset; reason } ->

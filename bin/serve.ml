@@ -7,56 +7,37 @@
      serve --quick --faults 'sim-step:eio@3' --deadline-ms 5000 --retries 2
      serve --quick --snapshot memo.snap        # save the table after the run
      serve --quick --restore memo.snap         # warm-start from it
-     serve --quick --lethal-crash --faults 'cell-start:crash@50'  # exit 70
 
    Three phases run over the same request stream — memo off, cold
    table, warm table — under a supervision policy (deadline + retries,
    circuit breaker, load shedding, crash containment).  Then every
    distinct query is cross-checked against a direct engine run and the
    memo-off latency is compared with the M/G/1 model.  --json writes
-   the BENCH_server.json artifact; the process exits 0 only if every
-   acceptance invariant holds (1 otherwise, 70 on an injected crash
-   fault under --lethal-crash). *)
+   the BENCH_server.json artifact.  The process exits 0 only if every
+   acceptance invariant holds, 4 otherwise; an injected crash is
+   contained to its request and never ends the run.  A --restore file
+   that cannot be read exits 65 and a bad flag 124 (the Benchlib.Cli
+   contract). *)
 
-(* Typed exit codes, shared vocabulary with cache_sweep. *)
-let exit_crash = 70 (* injected crash fault: "process killed" (EX_SOFTWARE) *)
 let exit_invariant = 4 (* an acceptance invariant failed *)
 
-let run_cmd mix_spec benchmark pes workers memo_mb shards requests batch
-    zipf_s seed threshold max_queue max_solutions faults deadline_ms retries
-    breaker_spec shed_watermark snapshot restore lethal_crash json_out quick
-    quiet =
+let run_cmd mix benchmark pes workers memo_mb shards requests batch zipf_s seed
+    threshold max_queue faults deadline_ms retries breaker shed_watermark
+    snapshot restore json_out quick quiet =
+  let defaults = Server.Harness.default_params ~quick () in
   let mix =
-    match (mix_spec, benchmark) with
-    | Some spec, _ -> (
-      match Server.Traffic.parse_mix spec with
-      | Ok mix -> mix
-      | Error msg ->
-        Printf.eprintf "serve: bad --mix: %s\n" msg;
-        exit 2)
+    match (mix, benchmark) with
+    | Some mix, _ -> mix
     | None, Some name -> [ (name, 24) ]
-    | None, None -> (Server.Harness.default_params ~quick ()).Server.Harness.mix
+    | None, None -> defaults.Server.Harness.mix
   in
-  let breaker =
-    match breaker_spec with
-    | None -> None
-    | Some spec -> (
-      match Server.Supervise.breaker_of_spec spec with
-      | Ok cfg -> Some cfg
-      | Error msg ->
-        Printf.eprintf "serve: bad --breaker: %s\n" msg;
-        exit 2)
-  in
-  if retries < 0 then begin
-    Printf.eprintf "serve: --retries must be >= 0 (got %d)\n" retries;
-    exit 2
-  end;
   let policy =
     Server.Supervise.policy
       ?deadline_s:(Option.map (fun ms -> float_of_int ms /. 1000.) deadline_ms)
-      ~retries ?breaker ?shed_watermark ~lethal_crash ()
+      ~retries
+      ?breaker:(if breaker then Some Server.Supervise.breaker_default else None)
+      ?shed_watermark ()
   in
-  let defaults = Server.Harness.default_params ~quick () in
   let params =
     {
       Server.Harness.mix;
@@ -70,7 +51,6 @@ let run_cmd mix_spec benchmark pes workers memo_mb shards requests batch
       memo_shards = shards;
       threshold;
       max_queue;
-      max_solutions;
       faults;
       policy;
       snapshot;
@@ -78,39 +58,41 @@ let run_cmd mix_spec benchmark pes workers memo_mb shards requests batch
     }
   in
   let progress = if quiet then fun _ -> () else Printf.eprintf "%s\n%!" in
-  match Server.Harness.run ~progress params with
-  | outcome ->
-    Format.printf "%a" Server.Report.pp outcome;
-    Option.iter (fun path -> Server.Report.write_json path outcome) json_out;
-    let invariants =
-      [
-        ("answers_equal", outcome.Server.Harness.o_answers_equal);
-        ("hit_rate >= 0.5", Server.Harness.hit_rate_ok outcome);
-        ("warm qps > memo-off qps", Server.Harness.warm_speedup_ok outcome);
-        ("p99 finite", Server.Harness.p99_finite outcome);
-        ("mg1 ratio finite > 0", Server.Harness.mg1_ratio_ok outcome);
-      ]
-    in
-    let failed = List.filter (fun (_, ok) -> not ok) invariants in
-    if failed <> [] then begin
-      List.iter
-        (fun (name, _) -> Printf.eprintf "serve: invariant failed: %s\n" name)
-        failed;
-      exit exit_invariant
-    end
-  | exception
-      Resilience.Fault.Injected
-        { site; kind = Resilience.Fault.Crash; occurrence } ->
-    Printf.eprintf "serve: injected crash at %s#%d -- dying as planned\n"
-      site occurrence;
-    exit exit_crash
+  let outcome = Server.Harness.run ~progress params in
+  Format.printf "%a" Server.Report.pp outcome;
+  Option.iter (fun path -> Server.Report.write_json path outcome) json_out;
+  let invariants =
+    [
+      ("answers_equal", outcome.Server.Harness.o_answers_equal);
+      ("hit_rate >= 0.5", Server.Harness.hit_rate_ok outcome);
+      ("warm qps > memo-off qps", Server.Harness.warm_speedup_ok outcome);
+      ("p99 finite", Server.Harness.p99_finite outcome);
+      ("mg1 ratio finite > 0", Server.Harness.mg1_ratio_ok outcome);
+    ]
+  in
+  let failed = List.filter (fun (_, ok) -> not ok) invariants in
+  if failed <> [] then begin
+    List.iter
+      (fun (name, _) -> Printf.eprintf "serve: invariant failed: %s\n" name)
+      failed;
+    exit exit_invariant
+  end
 
 open Cmdliner
+
+let mix =
+  let parse s =
+    Result.map_error (fun m -> `Msg m) (Server.Traffic.parse_mix s)
+  in
+  let print fmt mix =
+    Format.pp_print_string fmt (Server.Traffic.mix_to_string mix)
+  in
+  Arg.conv ~docv:"NAME[:COUNT],..." (parse, print)
 
 let mix_arg =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some mix) None
     & info [ "mix" ] ~docv:"NAME[:COUNT],..."
         ~doc:
           "Query mix: benchmarks and how many distinct query instances \
@@ -193,12 +175,6 @@ let max_queue_arg =
     & info [ "max-queue" ] ~docv:"N"
         ~doc:"Queued-lane wave size (queue-depth backpressure).")
 
-let max_solutions_arg =
-  Arg.(
-    value & opt Benchlib.Cli.pos_int 1
-    & info [ "max-solutions" ] ~docv:"N"
-        ~doc:"Answer-set cap per query (sequential engine only).")
-
 let fault_plan =
   let parse s =
     match Resilience.Fault.of_spec s with
@@ -217,8 +193,7 @@ let faults_arg =
           "Inject deterministic faults into the cold phase \
            ($(b,SITE:KIND@N) items or $(b,seed:N); admission passes \
            cell-start, execution passes sim-step).  The supervisor \
-           contains a planned crash to its request unless \
-           $(b,--lethal-crash) is set.")
+           contains a planned crash to its request.")
 
 let deadline_ms_arg =
   Arg.(
@@ -230,9 +205,18 @@ let deadline_ms_arg =
            exceed it answers with a typed timeout instead of wedging a \
            worker.")
 
+(* A count that may be zero (extra attempts). *)
+let non_negative =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a count >= 0, got %S" s))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
 let retries_arg =
   Arg.(
-    value & opt int 0
+    value & opt non_negative 0
     & info [ "retries" ] ~docv:"N"
         ~doc:
           "Extra attempts for transiently faulted executions \
@@ -240,14 +224,13 @@ let retries_arg =
 
 let breaker_arg =
   Arg.(
-    value
-    & opt (some string) None
-    & info [ "breaker" ] ~docv:"SPEC"
+    value & flag
+    & info [ "breaker" ]
         ~doc:
-          "Per-predicate circuit breaker: $(b,on) (or $(b,default)) for \
-           the defaults, or $(b,window=N,trip=R,min=N,cooldown=N).  A \
-           predicate whose recent pooled runs keep failing is fast-failed \
-           until a probe succeeds.")
+          "Per-predicate circuit breaker (window 8, trip ratio 0.5, at \
+           least 4 samples, cooldown 64 admissions).  A predicate whose \
+           recent pooled runs keep failing is fast-failed until a probe \
+           succeeds.")
 
 let shed_watermark_arg =
   Arg.(
@@ -276,14 +259,6 @@ let restore_arg =
           "Warm-start the answer table from a snapshot before the cold \
            phase (damaged frames are skipped and recomputed).")
 
-let lethal_crash_arg =
-  Arg.(
-    value & flag
-    & info [ "lethal-crash" ]
-        ~doc:
-          "Compatibility: an injected crash fault aborts the whole run \
-           with exit 70 instead of being contained to its request.")
-
 let json_arg =
   Arg.(
     value
@@ -307,9 +282,8 @@ let cmd =
     Term.(
       const run_cmd $ mix_arg $ benchmark_arg $ pes_arg $ workers_arg
       $ memo_mb_arg $ shards_arg $ requests_arg $ batch_arg $ zipf_arg
-      $ seed_arg $ threshold_arg $ max_queue_arg $ max_solutions_arg
-      $ faults_arg $ deadline_ms_arg $ retries_arg $ breaker_arg
-      $ shed_watermark_arg $ snapshot_arg $ restore_arg $ lethal_crash_arg
-      $ json_arg $ quick_arg $ quiet_arg)
+      $ seed_arg $ threshold_arg $ max_queue_arg $ faults_arg
+      $ deadline_ms_arg $ retries_arg $ breaker_arg $ shed_watermark_arg
+      $ snapshot_arg $ restore_arg $ json_arg $ quick_arg $ quiet_arg)
 
 let () = Benchlib.Cli.eval cmd

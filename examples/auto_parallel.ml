@@ -33,7 +33,7 @@ let () =
   Format.printf "automatically annotated:@.@.%a@."
     Prolog.Annotate.pp_database annotated;
   Format.printf "parallel calls introduced: %d@.@."
-    (Prolog.Annotate.parallelism_found annotated);
+    (Prolog.Database.parallel_call_count annotated);
 
   (* sequential baseline: the plain program *)
   let seq_prog = Wam.Program.prepare ~parallel:false ~src:program ~query () in

@@ -21,7 +21,7 @@
      125  internal error: an uncaught exception
 
    A CLI's own statuses stay in its header: rapwam_run 2 on "no",
-   wamlint 1 and 2, cache_sweep 2, 4, 65 and 70, serve 2, 4 and 70. *)
+   wamlint 1 and 2, cache_sweep 2, 4, 65 and 70, serve 4. *)
 
 open Cmdliner
 

@@ -4,7 +4,8 @@
    fails, the parent asks the PEs that executed sibling goals to unwind
    their sections (selective trail replay) and acknowledge.  Each PE
    has a message region with a lock word and head/tail pointers;
-   messages are fixed three-word records.
+   messages are fixed three-word records: kind, parcall frame, slot.
+   Unwind (kind word 1) is the only kind.
 
    Region layout: word 0 = lock, 1 = head, 2 = tail, queue from 3.     *)
 
@@ -12,16 +13,9 @@ open Wam
 
 let area = Trace.Area.Message
 let msg_words = 3
+let unwind_kind = 1
 
-type kind = Unwind | Kill
-
-let kind_to_int = function Unwind -> 1 | Kill -> 2
-let kind_of_int = function
-  | 1 -> Unwind
-  | 2 -> Kill
-  | n -> Machine.runtime_error "bad message kind %d" n
-
-type t = { kind : kind; pf : int; slot : int }
+type t = { pf : int; slot : int }
 
 let lock_word pe = Layout.msg_base pe
 let head_word pe = Layout.msg_base pe + 1
@@ -56,7 +50,7 @@ let send m q (w : Machine.worker) ~target msg =
       let base = queue_base target + (tail * msg_words) in
       if base + msg_words > Layout.msg_limit target then
         Machine.runtime_error "message buffer overflow (PE %d)" target;
-      wr m w base (Cell.raw (kind_to_int msg.kind));
+      wr m w base (Cell.raw unwind_kind);
       wr m w (base + 1) (Cell.raw msg.pf);
       wr m w (base + 2) (Cell.raw msg.slot);
       q.tails.(target) <- tail + 1;
@@ -70,7 +64,9 @@ let receive m q (w : Machine.worker) =
   with_lock m w ~target:w.id (fun () ->
       let head = q.heads.(w.id) in
       let base = queue_base w.id + (head * msg_words) in
-      let kind = kind_of_int (Cell.payload (rd m w base)) in
+      let kind = Cell.payload (rd m w base) in
+      if kind <> unwind_kind then
+        Machine.runtime_error "bad message kind %d" kind;
       let pf = Cell.payload (rd m w (base + 1)) in
       let slot = Cell.payload (rd m w (base + 2)) in
       q.heads.(w.id) <- head + 1;
@@ -82,4 +78,4 @@ let receive m q (w : Machine.worker) =
         wr m w (head_word w.id) (Cell.raw 0);
         wr m w (tail_word w.id) (Cell.raw 0)
       end;
-      { kind; pf; slot })
+      { pf; slot })

@@ -2,13 +2,13 @@
 
     Backward execution across PEs is message-driven: a failing parcall
     asks the PEs that executed sibling goals to unwind their sections
-    (selective trail replay) and acknowledge; the optional eager-kill
-    mode aborts still-running siblings.  Each PE has a locked message
-    region; messages are fixed three-word records. *)
+    (selective trail replay) and acknowledge.  Each PE has a locked
+    message region; a message is a fixed three-word record (kind word
+    1, parcall frame, slot), and unwind is its only kind. *)
 
-type kind = Unwind | Kill
-
-type t = { kind : kind; pf : int; slot : int }
+type t = { pf : int; slot : int }
+(** An unwind request for the section that ran [slot] of the parcall
+    frame at [pf]. *)
 
 type queues
 (** OCaml-side mirror of the per-PE queue pointers (the memory words
@@ -23,4 +23,5 @@ val pending : queues -> Wam.Machine.worker -> bool
 (** Untraced poll. *)
 
 val receive : Wam.Machine.t -> queues -> Wam.Machine.worker -> t
-(** Dequeue the next message (traced; call only when [pending]). *)
+(** Dequeue the next message (traced; call only when [pending]).
+    @raise Wam.Machine.Runtime_error on a kind word other than 1. *)

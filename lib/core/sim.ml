@@ -45,13 +45,12 @@ type t = {
   mutable rounds : int;
   mutable stagnant : int; (* consecutive rounds with no Running worker *)
   steal : steal_policy;
-  eager_kill : bool; (* send kill messages on parcall failure *)
   allow_steal : bool;
   memory : Memmodel.t option; (* integrated two-level memory timing *)
 }
 
 let create ?(sink = Trace.Sink.null) ?(steal = Steal_oldest)
-    ?(eager_kill = false) ?(allow_steal = true) ?memory ~n_workers prog =
+    ?(allow_steal = true) ?memory ~n_workers prog =
   let sink =
     match memory with
     | None -> sink
@@ -67,7 +66,6 @@ let create ?(sink = Trace.Sink.null) ?(steal = Steal_oldest)
     rounds = 0;
     stagnant = 0;
     steal;
-    eager_kill;
     allow_steal;
     memory;
   }
@@ -232,21 +230,8 @@ let unwind_section sim (w : Machine.worker) pf slot =
 let process_message sim (w : Machine.worker) =
   let m = sim.m in
   let msg = Messages.receive m sim.queues w in
-  match msg.Messages.kind with
-  | Messages.Unwind ->
-    unwind_section sim w msg.Messages.pf msg.Messages.slot;
-    Parcall.ack m w msg.Messages.pf
-  | Messages.Kill -> begin
-    (* abort the current goal iff it belongs to the failed parcall *)
-    match w.exec_stack with
-    | Machine.Section_ctx ctx :: _ when ctx.Machine.parcall = msg.Messages.pf
-      ->
-      total_failure sim w
-    | Machine.Local_goal { parcall; _ } :: _ when parcall = msg.Messages.pf
-      ->
-      total_failure sim w
-    | _ :: _ | [] -> ()
-  end
+  unwind_section sim w msg.Messages.pf msg.Messages.slot;
+  Parcall.ack m w msg.Messages.pf
 
 (* ------------------------------------------------------------------ *)
 (* The parcall join.                                                  *)
@@ -296,8 +281,7 @@ let handle_parcall_failure sim (w : Machine.worker) pf ~join_addr =
     let targets = unwind_targets m w pf ~peek:false in
     List.iter
       (fun (slot, pe) ->
-        Messages.send m sim.queues w ~target:pe
-          { Messages.kind = Messages.Unwind; pf; slot })
+        Messages.send m sim.queues w ~target:pe { Messages.pf; slot })
       targets;
     w.failing_pf <- pf;
     w.p <- join_addr;
@@ -380,21 +364,10 @@ let par_join sim (w : Machine.worker) =
     else handle_parcall_failure sim w pf ~join_addr
   end
   else if status = 1 then begin
+    (* failed: drop the goals nobody started.  Siblings already
+       running finish on their own; once the counter drains they are
+       unwound ([handle_parcall_failure]). *)
     discard_own_goals_of sim w pf;
-    if sim.eager_kill then begin
-      (* ask running executors to abandon their goals *)
-      let k = Parcall.peek_k m pf in
-      for i = 0 to k - 1 do
-        let v =
-          Cell.payload
-            (Memory.peek m.Machine.mem (pf + Parcall.off_slots + i))
-        in
-        let pe, started, done_ = Parcall.decode_slot v in
-        if started && (not done_) && pe <> w.id then
-          Messages.send m sim.queues w ~target:pe
-            { Messages.kind = Messages.Kill; pf; slot = i }
-      done
-    end;
     w.p <- join_addr (* loop until the counter drains *)
   end
   else begin
@@ -560,16 +533,12 @@ let run_prepared ?(max_rounds = default_max_rounds) sim prog =
     Seq.Failure
 
 (* [run ~n_workers prog] executes the query on [n_workers] PEs. *)
-let run ?sink ?steal ?eager_kill ?allow_steal ?memory ?max_rounds
-    ~n_workers prog =
-  let sim =
-    create ?sink ?steal ?eager_kill ?allow_steal ?memory ~n_workers prog
-  in
+let run ?sink ?steal ?allow_steal ?memory ?max_rounds ~n_workers prog =
+  let sim = create ?sink ?steal ?allow_steal ?memory ~n_workers prog in
   let result = run_prepared ?max_rounds sim prog in
   (result, sim)
 
 (* Convenience: parse, compile with CGEs enabled, run. *)
-let solve ?steal ?eager_kill ?allow_steal ?max_rounds ~n_workers ~src
-    ~query () =
+let solve ?steal ?allow_steal ?max_rounds ~n_workers ~src ~query () =
   let prog = Program.prepare ~parallel:true ~src ~query () in
-  run ?steal ?eager_kill ?allow_steal ?max_rounds ~n_workers prog
+  run ?steal ?allow_steal ?max_rounds ~n_workers prog

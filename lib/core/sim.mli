@@ -20,7 +20,6 @@ type t = {
   mutable rounds : int;  (** simulated time: scheduler rounds so far *)
   mutable stagnant : int;
   steal : steal_policy;
-  eager_kill : bool;  (** send kill messages on parcall failure *)
   allow_steal : bool;  (** [false]: PEs never steal (ablation) *)
   memory : Memmodel.t option;
       (** integrated two-level memory timing: when present, every
@@ -29,20 +28,18 @@ type t = {
 }
 
 val create :
-  ?sink:Trace.Sink.t -> ?steal:steal_policy ->
-  ?eager_kill:bool -> ?allow_steal:bool -> ?memory:Memmodel.t ->
-  n_workers:int -> Wam.Program.t -> t
+  ?sink:Trace.Sink.t -> ?steal:steal_policy -> ?allow_steal:bool ->
+  ?memory:Memmodel.t -> n_workers:int -> Wam.Program.t -> t
 
 val run_prepared : ?max_rounds:int -> t -> Wam.Program.t -> Wam.Seq.result
 (** Seed the query on worker 0 and run rounds to the first solution. *)
 
 val run :
-  ?sink:Trace.Sink.t -> ?steal:steal_policy ->
-  ?eager_kill:bool -> ?allow_steal:bool -> ?memory:Memmodel.t ->
-  ?max_rounds:int -> n_workers:int -> Wam.Program.t -> Wam.Seq.result * t
+  ?sink:Trace.Sink.t -> ?steal:steal_policy -> ?allow_steal:bool ->
+  ?memory:Memmodel.t -> ?max_rounds:int -> n_workers:int -> Wam.Program.t ->
+  Wam.Seq.result * t
 
 val solve :
-  ?steal:steal_policy -> ?eager_kill:bool -> ?allow_steal:bool ->
-  ?max_rounds:int -> n_workers:int -> src:string -> query:string -> unit ->
-  Wam.Seq.result * t
+  ?steal:steal_policy -> ?allow_steal:bool -> ?max_rounds:int ->
+  n_workers:int -> src:string -> query:string -> unit -> Wam.Seq.result * t
 (** Parse, compile with CGEs enabled, and {!run}. *)

@@ -20,7 +20,7 @@ let dedupe_by_key jobs =
       end)
     jobs
 
-let run ?jobs ?(echo = false) ?watchdog ?on_consumed
+let run ?jobs ?(echo = false) ?attempts ?on_consumed
     ?(stage_labels = ("generate", "simulate")) dag =
   let label1, label2 = stage_labels in
   (* Stage 1: producers. *)
@@ -30,7 +30,7 @@ let run ?jobs ?(echo = false) ?watchdog ?on_consumed
     Pool.map ?jobs
       ~on_done:(fun (c : _ Job.completed) ->
         Report.step rep1 ~ok:(Job.ok c) ~wall_s:c.Job.wall_s)
-      (fun (key, gen) -> Job.run ?watchdog (Job.make ~key gen))
+      (fun (key, gen) -> Job.run ?attempts (Job.make ~key gen))
       produce
   in
   let stage1 = Report.finish rep1 in
@@ -70,7 +70,7 @@ let run ?jobs ?(echo = false) ?watchdog ?on_consumed
             timed_out = false;
           }
         | Some (Ok artifact) ->
-          Job.run ?watchdog (Job.make ~key (fun () -> consumer artifact)))
+          Job.run ?attempts (Job.make ~key (fun () -> consumer artifact)))
       consume
   in
   let stage2 = Report.finish rep2 in

@@ -5,10 +5,11 @@
     artifacts are shared {e read-only}.  Stage 2 then fans the
     consumers out, each looking up the one artifact it depends on.
 
-    Fault containment: every job runs under {!Job.run} (retried once,
-    exceptions captured), and a failed producer poisons exactly its
-    dependents — each dependent yields an [Error] recording the
-    producer's failure, and the rest of the sweep is unaffected. *)
+    Fault containment: every job runs under {!Job.run} (exceptions
+    captured, failed attempts retried), and a failed producer poisons
+    exactly its dependents — each dependent yields an [Error]
+    recording the producer's failure, and the rest of the sweep is
+    unaffected. *)
 
 type ('a, 'b) t = {
   produce : (string * (unit -> 'a)) list;  (** artifact key, generator *)
@@ -19,7 +20,7 @@ type ('a, 'b) t = {
 val run :
   ?jobs:int ->
   ?echo:bool ->
-  ?watchdog:Job.watchdog ->
+  ?attempts:Job.attempts ->
   ?on_consumed:('b Job.completed -> unit) ->
   ?stage_labels:string * string ->
   ('a, 'b) t ->
@@ -28,7 +29,8 @@ val run :
     the two stage summaries.  Determinism: the cell array's order and
     contents are independent of [jobs].
 
-    Every job gets one retry.  [watchdog] bounds every job attempt
-    (stalled cells are killed and retried, see {!Job.run}); [on_consumed] fires once per completed
-    stage-2 cell under a single mutex — the sweep's checkpoint journal
-    hangs off it. *)
+    Every job runs under [attempts] (default {!Job.run}'s two
+    attempts, no timeout); with a timeout, stalled cells are killed
+    and retried.  [on_consumed] fires once per completed stage-2 cell
+    under a single mutex — the sweep's checkpoint journal hangs off
+    it. *)

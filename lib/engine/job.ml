@@ -1,6 +1,7 @@
 (* One unit of engine work: a keyed thunk run with timing, exception
-   capture, bounded retry, and (optionally) a watchdog that kills a
-   stalled attempt instead of wedging the pool. *)
+   capture and bounded retry, each attempt optionally bounded by a
+   timeout that abandons a stalled attempt instead of wedging the
+   pool. *)
 
 type 'a t = { key : string; thunk : unit -> 'a }
 
@@ -12,21 +13,22 @@ type 'a completed = {
   timed_out : bool;
 }
 
-type watchdog = {
-  timeout_s : float;
+type attempts = {
   max_attempts : int;
+  timeout_s : float option;
   backoff_s : float;
   poll_s : float;
 }
 
-let watchdog ?(timeout_s = 30.) ?(max_attempts = 3) ?(backoff_s = 0.05)
-    ?(poll_s = 0.002) () =
+let attempts ?timeout_s ?(backoff_s = 0.05) ?(poll_s = 0.002) n =
   {
-    timeout_s = Float.max 0.001 timeout_s;
-    max_attempts = max 1 max_attempts;
+    max_attempts = max 1 n;
+    timeout_s = Option.map (Float.max 0.001) timeout_s;
     backoff_s = Float.max 0. backoff_s;
     poll_s = Float.max 0.0005 poll_s;
   }
+
+let default_attempts = attempts 2
 
 let make ~key thunk = { key; thunk }
 
@@ -45,12 +47,17 @@ let lethal = function
 (* Exponential backoff with deterministic jitter: the delay depends
    only on the job key and attempt number, never on a random source,
    so retry schedules are reproducible. *)
-let backoff_delay w ~key attempt =
-  let base = w.backoff_s *. (2. ** float_of_int (attempt - 1)) in
+let backoff_delay a ~key attempt =
+  let base = a.backoff_s *. (2. ** float_of_int (attempt - 1)) in
   let jitter =
-    w.backoff_s *. float_of_int (Hashtbl.hash (key, attempt) mod 997) /. 997.
+    a.backoff_s *. float_of_int (Hashtbl.hash (key, attempt) mod 997) /. 997.
   in
   Float.min 5.0 (base +. jitter)
+
+let capture thunk =
+  match thunk () with
+  | v -> Ok v
+  | exception e -> Error (e, Printexc.get_raw_backtrace ())
 
 (* Run one attempt on a helper thread, polling its completion slot.
    On timeout the thread cannot be killed (OCaml has no safe thread
@@ -60,17 +67,7 @@ let backoff_delay w ~key attempt =
    drain; a genuinely wedged thread parks until process exit. *)
 let run_guarded ~timeout_s ~poll_s thunk =
   let slot = Atomic.make None in
-  let t =
-    Thread.create
-      (fun () ->
-        let r =
-          match thunk () with
-          | v -> Ok v
-          | exception e -> Error (e, Printexc.get_raw_backtrace ())
-        in
-        Atomic.set slot (Some r))
-      ()
-  in
+  let t = Thread.create (fun () -> Atomic.set slot (Some (capture thunk))) () in
   let deadline = Unix.gettimeofday () +. timeout_s in
   let rec wait () =
     match Atomic.get slot with
@@ -78,7 +75,7 @@ let run_guarded ~timeout_s ~poll_s thunk =
       Thread.join t;
       `Done r
     | None ->
-      if Unix.gettimeofday () > deadline then `Timed_out
+      if Unix.gettimeofday () > deadline then `Timed_out timeout_s
       else begin
         Thread.yield ();
         Unix.sleepf poll_s;
@@ -87,49 +84,29 @@ let run_guarded ~timeout_s ~poll_s thunk =
   in
   wait ()
 
-let run ?(retries = 1) ?watchdog:w job =
+let run ?attempts:(a = default_attempts) job =
   let t0 = Unix.gettimeofday () in
-  let outcome, attempts, timed_out =
-    match w with
-    | None ->
-      let rec attempt n =
-        match job.thunk () with
-        | v -> (Ok v, n, false)
-        | exception e when lethal e ->
-          Printexc.raise_with_backtrace e (Printexc.get_raw_backtrace ())
-        | exception exn ->
-          let bt = Printexc.get_raw_backtrace () in
-          if n <= retries then attempt (n + 1)
-          else (Error (describe_exn exn bt), n, false)
-      in
-      attempt 1
-    | Some w ->
-      let rec attempt n =
-        match run_guarded ~timeout_s:w.timeout_s ~poll_s:w.poll_s job.thunk with
-        | `Done (Ok v) -> (Ok v, n, false)
-        | `Done (Error (e, bt)) when lethal e ->
-          Printexc.raise_with_backtrace e bt
-        | `Done (Error (e, bt)) ->
-          if n < w.max_attempts then begin
-            Unix.sleepf (backoff_delay w ~key:job.key n);
-            attempt (n + 1)
-          end
-          else (Error (describe_exn e bt), n, false)
-        | `Timed_out ->
-          if n < w.max_attempts then begin
-            Unix.sleepf (backoff_delay w ~key:job.key n);
-            attempt (n + 1)
-          end
-          else
-            ( Error
-                (Printf.sprintf
-                   "watchdog: %S stalled beyond %.2fs on all %d attempts"
-                   job.key w.timeout_s n),
-              n,
-              true )
-      in
-      attempt 1
+  let once () =
+    match a.timeout_s with
+    | None -> `Done (capture job.thunk)
+    | Some timeout_s -> run_guarded ~timeout_s ~poll_s:a.poll_s job.thunk
   in
+  let rec attempt n =
+    match once () with
+    | `Done (Ok v) -> (Ok v, n, false)
+    | `Done (Error (e, bt)) when lethal e -> Printexc.raise_with_backtrace e bt
+    | `Done (Error _) | `Timed_out _ when n < a.max_attempts ->
+      Unix.sleepf (backoff_delay a ~key:job.key n);
+      attempt (n + 1)
+    | `Done (Error (e, bt)) -> (Error (describe_exn e bt), n, false)
+    | `Timed_out timeout_s ->
+      ( Error
+          (Printf.sprintf "watchdog: %S stalled beyond %.2fs on all %d attempts"
+             job.key timeout_s n),
+        n,
+        true )
+  in
+  let outcome, attempts, timed_out = attempt 1 in
   {
     key = job.key;
     outcome;

@@ -120,15 +120,8 @@ let csv_escape s =
     "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
   else s
 
-let to_csv ?areas cells =
-  (* Per-area trace columns are opt-in: without [?areas] the output is
-     byte-identical to the historical format (the chaos-CI determinism
-     check compares artifacts across job counts). *)
-  let area_names =
-    match areas with
-    | None -> []
-    | Some _ -> List.map Trace.Area.slug Trace.Area.all
-  in
+let to_csv ~areas cells =
+  let area_names = List.map Trace.Area.slug Trace.Area.all in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf csv_header;
   List.iter
@@ -157,20 +150,15 @@ let to_csv ?areas cells =
         Buffer.add_string buf
           (Printf.sprintf ",,,,,,,,,,,,%s"
              (csv_escape (String.map (fun c -> if c = '\n' then ' ' else c) e))));
-      (match areas with
-      | None -> ()
-      | Some table ->
-        let rows =
-          Option.value ~default:[]
-            (List.assoc_opt (c.bench, c.n_pes) table)
-        in
-        List.iter
-          (fun n ->
-            match List.assoc_opt n rows with
-            | Some (r, w) ->
-              Buffer.add_string buf (Printf.sprintf ",%d,%d" r w)
-            | None -> Buffer.add_string buf ",,")
-          area_names);
+      let rows =
+        Option.value ~default:[] (List.assoc_opt (c.bench, c.n_pes) areas)
+      in
+      List.iter
+        (fun n ->
+          match List.assoc_opt n rows with
+          | Some (r, w) -> Buffer.add_string buf (Printf.sprintf ",%d,%d" r w)
+          | None -> Buffer.add_string buf ",,")
+        area_names;
       Buffer.add_char buf '\n')
     cells;
   Buffer.contents buf

@@ -36,12 +36,12 @@ val decode_cell : string -> (string * Cachesim.Metrics.t) option
 val to_json : cell list -> Obs.Json.t
 
 val to_csv :
-  ?areas:((string * int) * (string * (int * int)) list) list ->
+  areas:((string * int) * (string * (int * int)) list) list ->
   cell list ->
   string
-(** Without [?areas] the historical column set, byte-for-byte.  With
-    it (see [Sweep.outcome.areas]) every {!Trace.Area.all} entry adds
-    an [<area>_reads,<area>_writes] column pair filled from the
-    cell's (bench, PEs) trace totals — the same numbers for every
-    cache configuration sharing a trace — and left empty for cells
-    whose trace the table does not cover (e.g. journal-resumed). *)
+(** One row per cell.  After the counters, every {!Trace.Area.all}
+    entry adds an [<area>_reads,<area>_writes] column pair filled from
+    [areas] (see [Sweep.outcome.areas]) for the cell's (bench, PEs)
+    trace — the same numbers for every cache configuration sharing a
+    trace — and left empty for cells whose trace the table does not
+    cover (e.g. journal-resumed). *)

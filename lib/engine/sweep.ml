@@ -107,7 +107,7 @@ let check_grid g =
     g.protocols
 
 let run ?jobs ?(echo = false) ?(check = false) ?(traces = []) ?faults
-    ?watchdog ?journal ?(resume = false) grid =
+    ?attempts ?journal ?(resume = false) grid =
   check_grid grid;
   let t0 = Unix.gettimeofday () in
   (* Resume: trust exactly the journal frames whose checksums verify
@@ -244,7 +244,7 @@ let run ?jobs ?(echo = false) ?(check = false) ?(traces = []) ?faults
     Fun.protect
       ~finally:(fun () -> Option.iter Resilience.Journal.close writer)
       (fun () ->
-        Dag.run ?jobs ~echo ?watchdog ~on_consumed
+        Dag.run ?jobs ~echo ?attempts ~on_consumed
           ~stage_labels:("trace-gen", "cache-sim")
           { Dag.produce; consume })
   in

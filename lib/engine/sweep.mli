@@ -59,7 +59,7 @@ val run :
   ?check:bool ->
   ?traces:((string * int) * Trace.Sink.Buffer_sink.t) list ->
   ?faults:Resilience.Fault.plan ->
-  ?watchdog:Job.watchdog ->
+  ?attempts:Job.attempts ->
   ?journal:string ->
   ?resume:bool ->
   grid ->
@@ -72,7 +72,9 @@ val run :
 
     Fault tolerance: [faults] arms the ["cell-start"]/["sim-step"]
     injection sites (plus ["journal-append"] if journaling);
-    [watchdog] kills and retries stalled cells ({!Job.run});
+    [attempts] is how every job is attempted (default: two
+    attempts, no timeout; with a timeout, stalled cells are killed
+    and retried, see {!Job.run});
     [journal] checkpoints every completed cell to an append-only
     fsync'd file, and [resume] first loads every checksummed cell
     from that journal, skipping their recomputation — and the trace

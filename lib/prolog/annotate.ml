@@ -524,9 +524,6 @@ let database_stats ?patterns ?granularity db =
 let database ?patterns ?granularity db =
   fst (database_stats ?patterns ?granularity db)
 
-(* Count the parallel goals introduced (for reporting). *)
-let parallelism_found db = Database.parallel_call_count db
-
 (* Render an annotated clause back to concrete &-Prolog syntax. *)
 let pp_clause fmt (clause : Database.clause) =
   let pp_body fmt body =

@@ -69,7 +69,4 @@ val database_stats :
     The analyses that score the emitted groups count on the annotated
     database they hold. *)
 
-val parallelism_found : Database.t -> int
-(** Number of parallel calls in an (annotated) database. *)
-
 val pp_database : Format.formatter -> Database.t -> unit

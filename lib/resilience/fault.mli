@@ -9,8 +9,9 @@
     artifact), [Bit_flip] (corrupt one bit of the written payload),
     [Eio] (the operation fails as if the device returned EIO),
     [Stall] (the site sleeps for the plan's [stall_s], long enough to
-    trip a watchdog), [Crash] (the typed {!Injected} exception is treated
-    as lethal and aborts the whole run, simulating a process kill). *)
+    trip a watchdog), [Crash] (the typed {!Injected} exception models a
+    process kill: it aborts a sweep, while the query server contains it
+    to its request). *)
 
 type kind = Truncate | Bit_flip | Eio | Stall | Crash
 

@@ -13,7 +13,6 @@ type params = {
   memo_shards : int;
   threshold : int;
   max_queue : int;
-  max_solutions : int;
   faults : Resilience.Fault.plan option;
   policy : Supervise.policy;
   snapshot : string option;
@@ -36,7 +35,6 @@ let default_params ?(quick = false) () =
     memo_shards = 16;
     threshold = 150;
     max_queue = 256;
-    max_solutions = 1;
     faults = None;
     policy = Supervise.default_policy;
     snapshot = None;
@@ -100,7 +98,6 @@ let validate p =
         pos "memo_shards" p.memo_shards;
         pos "threshold" p.threshold;
         pos "max_queue" p.max_queue;
-        pos "max_solutions" p.max_solutions;
         (if p.zipf_s <= 0. then
            Some (Printf.sprintf "zipf_s must be positive (got %g)" p.zipf_s)
          else None);
@@ -216,19 +213,14 @@ let restore_into ~progress p memo =
     Some st
 
 (* Save the table, arming the ["snapshot-write"] site if the plan has
-   anything left for it.  An injected non-crash write failure is
-   contained — the snapshot is simply lost or torn, which is the
-   scenario restore salvages — while a planned [Crash] under the
-   lethal policy keeps the classic abort contract. *)
+   anything left for it.  An injected write fault, a crash included, is
+   contained: the snapshot is simply lost or torn, which is the
+   scenario restore salvages. *)
 let save_snapshot ~progress p memo path =
   match Memo.Snapshot.save ?plan:p.faults memo path with
   | entries ->
     progress (Printf.sprintf "snapshot: %d entries to %s" entries path);
     entries
-  | exception
-      (Resilience.Fault.Injected { kind = Resilience.Fault.Crash; _ } as e)
-    when p.policy.Supervise.lethal_crash ->
-    raise e
   | exception Resilience.Fault.Injected { site; kind; occurrence } ->
     progress
       (Printf.sprintf "snapshot lost: injected %s at %s#%d"
@@ -246,8 +238,7 @@ let setup ~caller p =
   let mk ?memo ?faults () =
     Serve.create
       (Serve.config ~pes:p.pes ~workers:p.workers ?memo
-         ~threshold:p.threshold ~max_queue:p.max_queue
-         ~max_solutions:p.max_solutions ?faults ~src ())
+         ~threshold:p.threshold ~max_queue:p.max_queue ?faults ~src ())
   in
   ( Traffic.pool p.mix ~seed:p.seed,
     Traffic.requests p.mix ~seed:p.seed ~s:p.zipf_s ~n:p.requests,

@@ -16,7 +16,7 @@
     and comparing canonical answer sets against the served responses.
 
     Fault plans apply to the {b cold} phase only, so the chaos run
-    dies (or degrades) in the phase CI watches. *)
+    degrades in the phase CI watches. *)
 
 type params = {
   mix : Traffic.mix;
@@ -30,7 +30,6 @@ type params = {
   memo_shards : int;
   threshold : int;
   max_queue : int;
-  max_solutions : int;
   faults : Resilience.Fault.plan option;
   policy : Supervise.policy;  (** supervision for every phase *)
   snapshot : string option;  (** save the table here after the run *)
@@ -87,10 +86,9 @@ type outcome = {
 
 val run : ?progress:(string -> unit) -> params -> outcome
 (** Every phase runs through a {!Supervise.t} built from
-    [params.policy].  Under the default policy a planned [Crash] is
-    contained to its request; with [lethal_crash] it re-raises
-    ({!Resilience.Fault.Injected}) and the CLIs map it to exit 70.
-    [params.restore] is read before any phase runs.
+    [params.policy].  A planned [Crash] is contained to its request,
+    or (at ["snapshot-write"]) loses the snapshot; it never aborts the
+    run.  [params.restore] is read before any phase runs.
     @raise Invalid_argument when {!validate} rejects the params.
     @raise Memo.Snapshot.Snapshot_error when [params.restore] cannot
     be read or is not a memo snapshot. *)
@@ -130,7 +128,7 @@ type chaos = {
 val run_chaos : ?progress:(string -> unit) -> params -> chaos
 (** [params.snapshot] is where the restart snapshot lands; defaults to a temp file that is removed after the
     restore.  [params.restore], when set, warm-starts the {e chaos}
-    phase's table.  Raises like {!run}.
+    phase's table.  Contains faults and raises like {!run}.
     @raise Invalid_argument when {!validate} rejects the params. *)
 
 val availability_ok : chaos -> bool

@@ -104,7 +104,6 @@ let to_json (o : outcome) =
              ("memo_shards", J.Int p.memo_shards);
              ("threshold", J.Int p.threshold);
              ("max_queue", J.Int p.max_queue);
-             ("max_solutions", J.Int p.max_solutions);
              ("faults", faults p.faults);
            ] );
        ("pool_size", J.Int o.o_pool_size);
@@ -164,7 +163,6 @@ let policy (pol : Supervise.policy) =
               ])
           pol.Supervise.breaker );
       ("shed_watermark", opt (fun w -> J.Int w) pol.Supervise.shed_watermark);
-      ("lethal_crash", J.Bool pol.Supervise.lethal_crash);
     ]
 
 let chaos_to_json (c : chaos) =

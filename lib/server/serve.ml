@@ -8,20 +8,16 @@ type config = {
   memo : Memo.Table.t option;
   threshold : int;
   max_queue : int;
-  max_solutions : int;
   faults : Resilience.Fault.plan option;
 }
 
 let config ?(pes = 1) ?(workers = Engine.Pool.default_jobs ())
-    ?memo ?(threshold = 150) ?(max_queue = 256) ?(max_solutions = 1) ?faults
-    ~src () =
+    ?memo ?(threshold = 150) ?(max_queue = 256) ?faults ~src () =
   if pes < 1 then invalid_arg "Serve.config: pes must be >= 1";
   if workers < 1 then invalid_arg "Serve.config: workers must be >= 1";
   if threshold < 1 then invalid_arg "Serve.config: threshold must be >= 1";
   if max_queue < 1 then invalid_arg "Serve.config: max_queue must be >= 1";
-  if max_solutions < 1 then
-    invalid_arg "Serve.config: max_solutions must be >= 1";
-  { src; pes; workers; memo; threshold; max_queue; max_solutions; faults }
+  { src; pes; workers; memo; threshold; max_queue; faults }
 
 type t = {
   cfg : config;
@@ -65,9 +61,7 @@ exception Run_error of string
 let run_answers t query =
   let prog = Wam.Program.with_query t.image ~query in
   if t.cfg.pes <= 1 then begin
-    let solutions, m =
-      Wam.Seq.run_all ~max_solutions:t.cfg.max_solutions prog
-    in
+    let solutions, m = Wam.Seq.run_all ~max_solutions:1 prog in
     (solutions, m.Wam.Machine.inferences)
   end
   else begin

@@ -6,7 +6,8 @@
     onto copies of the image and runs it on a fresh single-shot
     machine, so worker domains share the server read-only; the only
     shared mutable state is the optional memo table, which is what
-    its sharded locks are for.
+    its sharded locks are for.  A query is answered with its first
+    solution, on either engine.
 
     This module runs one request.  {!Supervise.serve} is the batch
     server: it admits each request through {!lookup_hit}, {!verdict}
@@ -19,19 +20,17 @@ type config = {
   memo : Memo.Table.t option;  (** [None] = memoing off *)
   threshold : int;  (** admission-control cost threshold (data refs) *)
   max_queue : int;  (** wave size for the queued lane *)
-  max_solutions : int;  (** answer-set cap (sequential engine only) *)
   faults : Resilience.Fault.plan option;
 }
 
 val config :
   ?pes:int -> ?workers:int -> ?memo:Memo.Table.t -> ?threshold:int ->
-  ?max_queue:int -> ?max_solutions:int ->
-  ?faults:Resilience.Fault.plan -> src:string -> unit -> config
+  ?max_queue:int -> ?faults:Resilience.Fault.plan -> src:string -> unit ->
+  config
 (** Defaults: [pes = 1], [workers = Engine.Pool.default_jobs ()],
-    no memo, [threshold = 150], [max_queue = 256],
-    [max_solutions = 1], no faults.
-    @raise Invalid_argument if [pes], [workers], [threshold],
-    [max_queue] or [max_solutions] is not positive. *)
+    no memo, [threshold = 150], [max_queue = 256], no faults.
+    @raise Invalid_argument if [pes], [workers], [threshold] or
+    [max_queue] is not positive. *)
 
 type t
 
@@ -50,7 +49,8 @@ type lane = Hit | Inline | Pooled
 type response = {
   rs_id : int;
   rs_query : string;
-  rs_answers : Memo.Canon.answer list;  (** solutions, [] on failure *)
+  rs_answers : Memo.Canon.answer list;
+      (** the first solution, [] on failure *)
   rs_lane : lane;
   rs_error : string option;  (** parse/runtime error, or injected fault *)
   rs_fault : bool;

@@ -2,11 +2,11 @@
    discipline wrapped around {!Serve}'s lanes.
 
    It drives the three lanes through {!Serve}'s per-request
-   primitives.  Every execution runs under a deadline + seeded-backoff
-   retry ({!Engine.Job}'s watchdog), a worker crash poisons only its
-   own request (the pool is respawned for the remainder), a predicate
-   whose recent pooled runs keep failing gets a circuit breaker in
-   front of it, and a backlog over the high-watermark is shed
+   primitives.  Every execution runs under {!Engine.Job}'s attempt
+   loop (seeded-backoff retry, optional deadline), a crash poisons
+   only its own request (the pool is respawned for the remainder), a
+   predicate whose recent pooled runs keep failing gets a circuit
+   breaker in front of it, and a backlog over the high-watermark is shed
    cheapest-to-refuse-first.  Memo hits and Small-inline work stay
    live throughout — the point of admission control is knowing which
    work is too cheap to refuse.
@@ -47,76 +47,17 @@ type breaker_cfg = {
 let breaker_default =
   { window = 8; trip_ratio = 0.5; min_samples = 4; cooldown = 64 }
 
-let breaker_of_spec spec =
-  let cfg = breaker_default in
-  match String.trim spec with
-  | "" | "on" | "default" -> Stdlib.Ok cfg
-  | spec ->
-    let items =
-      List.filter (fun s -> s <> "")
-        (List.map String.trim (String.split_on_char ',' spec))
-    in
-    List.fold_left
-      (fun acc item ->
-        match acc with
-        | Stdlib.Error _ as e -> e
-        | Stdlib.Ok cfg -> (
-          match String.index_opt item '=' with
-          | None ->
-            Stdlib.Error
-              (Printf.sprintf "breaker %S: expected KEY=VALUE" item)
-          | Some i -> (
-            let k = String.sub item 0 i in
-            let v = String.sub item (i + 1) (String.length item - i - 1) in
-            let int_v () =
-              match int_of_string_opt v with
-              | Some n when n >= 1 -> Stdlib.Ok n
-              | _ ->
-                Stdlib.Error
-                  (Printf.sprintf "breaker %s=%S: expected a positive int" k v)
-            in
-            match k with
-            | "window" ->
-              Stdlib.Result.map (fun n -> { cfg with window = n }) (int_v ())
-            | "min" ->
-              Stdlib.Result.map
-                (fun n -> { cfg with min_samples = n })
-                (int_v ())
-            | "cooldown" ->
-              Stdlib.Result.map (fun n -> { cfg with cooldown = n }) (int_v ())
-            | "trip" -> (
-              match float_of_string_opt v with
-              | Some r when r > 0. && r <= 1. ->
-                Stdlib.Ok { cfg with trip_ratio = r }
-              | _ ->
-                Stdlib.Error
-                  (Printf.sprintf "breaker trip=%S: expected a ratio in (0,1]"
-                     v))
-            | _ ->
-              Stdlib.Error
-                (Printf.sprintf
-                   "breaker %S: unknown key (window|trip|min|cooldown)" item))))
-      (Stdlib.Ok cfg) items
-
 type policy = {
   deadline_s : float option;
   retries : int;
   breaker : breaker_cfg option;
   shed_watermark : int option;
-  lethal_crash : bool;
 }
 
 let default_policy =
-  {
-    deadline_s = None;
-    retries = 0;
-    breaker = None;
-    shed_watermark = None;
-    lethal_crash = false;
-  }
+  { deadline_s = None; retries = 0; breaker = None; shed_watermark = None }
 
-let policy ?deadline_s ?(retries = 0) ?breaker ?shed_watermark
-    ?(lethal_crash = false) () =
+let policy ?deadline_s ?(retries = 0) ?breaker ?shed_watermark () =
   (match deadline_s with
   | Some d when d <= 0. ->
     invalid_arg "Supervise.policy: deadline_s must be positive"
@@ -126,7 +67,7 @@ let policy ?deadline_s ?(retries = 0) ?breaker ?shed_watermark
   | Some w when w < 1 ->
     invalid_arg "Supervise.policy: shed_watermark must be >= 1"
   | _ -> ());
-  { deadline_s; retries; breaker; shed_watermark; lethal_crash }
+  { deadline_s; retries; breaker; shed_watermark }
 
 (* ------------------------------------------------------------------ *)
 (* Breaker circuits: one per predicate spec, accepting-thread only.
@@ -262,12 +203,19 @@ let refusal ~t0 ~lane ~outcome ~fault msg (rq : Serve.request) =
     sv_attempts = 0;
   }
 
-let fault_message site kind occurrence =
-  Printf.sprintf "injected %s at %s#%d"
-    (Resilience.Fault.kind_name kind) site occurrence
+(* An injected fault at an admission-side site (["cell-start"],
+   ["breaker-probe"]) refuses its request: a planned crash is contained
+   as [Crashed], any other kind is [Faulted]. *)
+let injected ~t0 ~lane ~site ~kind ~occurrence rq =
+  refusal ~t0 ~lane
+    ~outcome:(if kind = Resilience.Fault.Crash then Crashed else Faulted)
+    ~fault:true
+    (Printf.sprintf "injected %s at %s#%d"
+       (Resilience.Fault.kind_name kind) site occurrence)
+    rq
 
 (* ------------------------------------------------------------------ *)
-(* One supervised execution: Serve.compute under deadline + retry.
+(* One supervised execution: Serve.compute under Job's attempt loop.
    Runs on whatever domain calls it; everything it touches is
    domain-safe.  A transient response (rs_fault) is turned into an
    exception so Job's retry machinery drives re-execution; the real
@@ -289,13 +237,10 @@ let execute t ~t0 ~key ~recheck (rq : Serve.request) =
   in
   let job = Engine.Job.make ~key:(Printf.sprintf "rq-%d" rq.Serve.rq_id) thunk in
   let completed =
-    match t.pol.deadline_s with
-    | Some timeout_s ->
-      Engine.Job.run
-        ~watchdog:
-          (Engine.Job.watchdog ~timeout_s ~max_attempts:(t.pol.retries + 1) ())
-        job
-    | None -> Engine.Job.run ~retries:t.pol.retries job
+    Engine.Job.run
+      ~attempts:
+        (Engine.Job.attempts ?timeout_s:t.pol.deadline_s (t.pol.retries + 1))
+      job
   in
   match completed.Engine.Job.outcome with
   | Stdlib.Ok rs ->
@@ -354,11 +299,6 @@ let execute t ~t0 ~key ~recheck (rq : Serve.request) =
 let run_wave t ~t0 (slice : (Serve.request * Memo.Canon.key option) array) =
   let n = Array.length slice in
   let results = Array.make n None in
-  let lethal_crash e =
-    match e with
-    | Resilience.Fault.Injected { kind = Resilience.Fault.Crash; _ } -> true
-    | _ -> false
-  in
   let rounds = ref 0 in
   let pending () =
     Array.of_list
@@ -390,10 +330,8 @@ let run_wave t ~t0 (slice : (Serve.request * Memo.Canon.key option) array) =
         out;
       (match poison with
       | None -> ()
-      | Some (j, e, bt) ->
-        if t.pol.lethal_crash && lethal_crash e then
-          Printexc.raise_with_backtrace e bt
-        else if j >= 0 then begin
+      | Some (j, e, _) ->
+        if j >= 0 then begin
           (* blame exactly the item that raised; the rest rerun *)
           let rq, _ = slice.(idx.(j)) in
           results.(idx.(j)) <-
@@ -437,22 +375,8 @@ let serve t (requests : Serve.request list) : response list =
     List.map
       (fun (rq : Serve.request) ->
         match Resilience.Fault.hit ?plan "cell-start" with
-        | exception
-            (Resilience.Fault.Injected { kind = Resilience.Fault.Crash; _ } as
-             e)
-          when t.pol.lethal_crash ->
-          raise e
-        | exception Resilience.Fault.Injected
-            { site; kind = Resilience.Fault.Crash; occurrence } ->
-          `Done
-            (refusal ~t0 ~lane:Serve.Inline ~outcome:Crashed ~fault:true
-               (fault_message site Resilience.Fault.Crash occurrence)
-               rq)
         | exception Resilience.Fault.Injected { site; kind; occurrence } ->
-          `Done
-            (refusal ~t0 ~lane:Serve.Inline ~outcome:Faulted ~fault:true
-               (fault_message site kind occurrence)
-               rq)
+          `Done (injected ~t0 ~lane:Serve.Inline ~site ~kind ~occurrence rq)
         | () -> (
           let key =
             match Memo.Canon.key_of_query rq.Serve.rq_query with
@@ -468,8 +392,7 @@ let serve t (requests : Serve.request list) : response list =
               | r -> `Done r
               | exception
                   (Resilience.Fault.Injected
-                     { kind = Resilience.Fault.Crash; _ } as e)
-                when not t.pol.lethal_crash ->
+                     { kind = Resilience.Fault.Crash; _ } as e) ->
                 (* an injected crash on the inline lane: contained to
                    this request (Job lets Crash through by design) *)
                 `Done
@@ -509,28 +432,19 @@ let serve t (requests : Serve.request list) : response list =
               c.cstate <- Half_open;
               match Resilience.Fault.hit ?plan "breaker-probe" with
               | () -> `Run
-              | exception
-                  (Resilience.Fault.Injected
-                     { kind = Resilience.Fault.Crash; _ } as e)
-                when t.pol.lethal_crash ->
-                raise e
               | exception Resilience.Fault.Injected
                   { site; kind; occurrence } ->
                 (* the probe itself faulted: the circuit stays open *)
                 c.cstate <- Open (t.clock + cfg.cooldown);
                 t.breaker_opens <- t.breaker_opens + 1;
-                let outcome =
-                  if kind = Resilience.Fault.Crash then Crashed else Faulted
-                in
-                `Probe_fault (outcome, fault_message site kind occurrence)
+                `Probe_fault
+                  (injected ~t0 ~lane:Serve.Pooled ~site ~kind ~occurrence rq)
             end
             else `Refuse)
       in
       match admit with
       | `Run -> pooled_run := (rq, key, v, spec) :: !pooled_run
-      | `Probe_fault (outcome, msg) ->
-        Hashtbl.replace results rq.Serve.rq_id
-          (refusal ~t0 ~lane:Serve.Pooled ~outcome ~fault:true msg rq)
+      | `Probe_fault r -> Hashtbl.replace results rq.Serve.rq_id r
       | `Refuse ->
         t.breaker_fastfails <- t.breaker_fastfails + 1;
         Hashtbl.replace results rq.Serve.rq_id

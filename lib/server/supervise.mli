@@ -23,16 +23,16 @@
     {!policy}:
 
     {ul
-    {- {e crash containment} — an injected (or real) worker crash
-       poisons only its own request, which comes back [Crashed]; the
-       pool is respawned for the remainder of the wave.  With
-       [lethal_crash] the old contract holds: the crash re-raises and
-       the caller maps it to exit 70;}
+    {- {e crash containment} — an injected (or real) crash, at
+       admission, at a breaker probe or in a worker, poisons only its
+       own request, which comes back [Crashed]; the pool is respawned
+       for the remainder of the wave.  A batch never raises;}
     {- {e deadlines and retries} — each execution runs under
-       {!Engine.Job}'s watchdog ([deadline_s] per attempt, [retries]
-       extra attempts with deterministic exponential backoff), so a
-       transient fault heals into [Retried n] and a stall becomes a
-       typed [Timeout] instead of a wedged pool;}
+       {!Engine.Job}'s attempt loop ([retries] extra attempts with
+       deterministic exponential backoff, each bounded by
+       [deadline_s] when set), so a transient fault heals into
+       [Retried n] and a stall becomes a typed [Timeout] instead of a
+       wedged pool;}
     {- {e circuit breaking} — per-predicate closed/open/half-open
        circuits on a deterministic clock (pooled admissions, not wall
        time): a predicate whose recent pooled runs keep failing is
@@ -76,25 +76,20 @@ type breaker_cfg = {
 val breaker_default : breaker_cfg
 (** window 8, trip 0.5, min 4, cooldown 64. *)
 
-val breaker_of_spec : string -> (breaker_cfg, string) result
-(** Parse a CLI spec: ["on"]/["default"]/[""] for {!breaker_default},
-    or comma-separated [window=N,trip=R,min=N,cooldown=N]. *)
-
 type policy = {
   deadline_s : float option;  (** per-attempt deadline; [None] = none *)
   retries : int;  (** extra attempts for transient faults *)
   breaker : breaker_cfg option;
   shed_watermark : int option;  (** max pooled backlog; [None] = no shed *)
-  lethal_crash : bool;  (** compat: a planned [Crash] aborts the run *)
 }
 
 val default_policy : policy
-(** Everything off: no deadline, no retries, no breaker, no shedding,
-    crashes contained. *)
+(** Everything off: no deadline, no retries, no breaker, no shedding.
+    Crashes are contained under every policy. *)
 
 val policy :
   ?deadline_s:float -> ?retries:int -> ?breaker:breaker_cfg ->
-  ?shed_watermark:int -> ?lethal_crash:bool -> unit -> policy
+  ?shed_watermark:int -> unit -> policy
 (** @raise Invalid_argument on a non-positive deadline or watermark,
     or negative retries. *)
 
@@ -106,8 +101,8 @@ val create : ?policy:policy -> Serve.t -> t
 val server : t -> Serve.t
 
 val serve : t -> Serve.request list -> response list
-(** Serve one batch; responses in request order.  Raises only when
-    [lethal_crash] is set and a planned [Crash] fires. *)
+(** Serve one batch; responses in request order.  A planned [Crash]
+    comes back as one [Crashed] response. *)
 
 type stats = {
   served : int;

@@ -84,7 +84,7 @@ let test_annotator_discharges_checks () =
   Alcotest.(check int) "no checks with analysis" 0
     on.Prolog.Annotate.checks_emitted;
   Alcotest.(check bool) "parallel call emitted" true
-    (Prolog.Annotate.parallelism_found db_on >= 1);
+    (Prolog.Database.parallel_call_count db_on >= 1);
   Alcotest.(check bool) "strictly fewer checks than local" true
     (on.Prolog.Annotate.checks_emitted < off.Prolog.Annotate.checks_emitted
      || off.Prolog.Annotate.checks_emitted = 0)
@@ -116,8 +116,8 @@ let reduction name =
   in
   ( off.Prolog.Annotate.checks_emitted,
     on.Prolog.Annotate.checks_emitted,
-    Prolog.Annotate.parallelism_found db_off,
-    Prolog.Annotate.parallelism_found db_on )
+    Prolog.Database.parallel_call_count db_off,
+    Prolog.Database.parallel_call_count db_on )
 
 let test_check_reduction () =
   (* On these paper benchmarks the analysis strictly reduces run-time

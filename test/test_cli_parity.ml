@@ -126,8 +126,7 @@ let test_parity_deriv () = parity_check "deriv"
 let test_parity_qsort () = parity_check "qsort"
 
 (* Bad input to serve must die with cmdliner's usage-error exit 124
-   (distinct from the invariant-failure 4 and the injected-crash 70)
-   and say what was wrong. *)
+   (distinct from the invariant-failure 4) and say what was wrong. *)
 let run_expect_failure cmd =
   let ic = Unix.open_process_in (cmd ^ " 2>&1") in
   let b = Buffer.create 1024 in
@@ -388,6 +387,18 @@ let test_help_pages () =
         Alcotest.failf "%s --help does not show the fault syntax SITE:KIND@N" name)
     clis
 
+(* A bad --mix or a negative --retries is a usage error too, rejected
+   by its converter before anything is served. *)
+let test_serve_bad_flags_are_usage_errors () =
+  List.iter
+    (fun flag ->
+      let cmd = Printf.sprintf "%s --quick --requests 10 %s" serve_exe flag in
+      let code, lines = run_stderr cmd in
+      if code <> 124 then
+        Alcotest.failf "%s: expected exit 124, got %d:\n%s" cmd code
+          (String.concat "\n" lines))
+    [ "--mix nosuch:3"; "--mix deriv:0"; "--retries=-1" ]
+
 let suite =
   [
     Alcotest.test_case "every CLI prints its help page" `Quick test_help_pages;
@@ -405,4 +416,6 @@ let suite =
       test_pes_out_of_range;
     Alcotest.test_case "non-ASCII names give strict JSON" `Quick
       test_json_names;
+    Alcotest.test_case "serve: bad --mix and --retries exit 124" `Quick
+      test_serve_bad_flags_are_usage_errors;
   ]

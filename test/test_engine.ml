@@ -162,8 +162,8 @@ let test_sweep_jobs_deterministic () =
     (Obs.Json.to_string (Engine.Results.to_json o4.Engine.Sweep.cells));
   Alcotest.(check string)
     "CSV byte-identical across --jobs"
-    (Engine.Results.to_csv o1.Engine.Sweep.cells)
-    (Engine.Results.to_csv o4.Engine.Sweep.cells);
+    (Engine.Results.to_csv ~areas:o1.Engine.Sweep.areas o1.Engine.Sweep.cells)
+    (Engine.Results.to_csv ~areas:o4.Engine.Sweep.areas o4.Engine.Sweep.cells);
   List.iter
     (fun (c : Engine.Results.cell) ->
       match c.Engine.Results.metrics with
@@ -325,6 +325,42 @@ let prop_tracefile_roundtrip =
           words buf = words buf2
           && Trace.Sink.Buffer_sink.length buf2 = List.length records))
 
+(* ---------------- one attempt loop ---------------- *)
+
+(* The same record drives a job with and without a timeout: a job that
+   fails every attempt uses all three either way, and only an attempt
+   that stalls past its timeout reports [timed_out]. *)
+let test_job_attempts_with_and_without_timeout () =
+  let failing () =
+    let calls = Atomic.make 0 in
+    let job =
+      Engine.Job.make ~key:"always" (fun () ->
+          ignore (Atomic.fetch_and_add calls 1);
+          failwith "always")
+    in
+    (calls, job)
+  in
+  List.iter
+    (fun (label, attempts) ->
+      let calls, job = failing () in
+      let c = Engine.Job.run ~attempts job in
+      Alcotest.(check bool) (label ^ ": failed") false (Engine.Job.ok c);
+      Alcotest.(check int) (label ^ ": attempts") 3 c.Engine.Job.attempts;
+      Alcotest.(check int) (label ^ ": thunk calls") 3 (Atomic.get calls);
+      Alcotest.(check bool) (label ^ ": not a timeout") false
+        c.Engine.Job.timed_out)
+    [
+      ("no timeout", Engine.Job.attempts ~backoff_s:0.001 3);
+      ("timeout", Engine.Job.attempts ~timeout_s:5. ~backoff_s:0.001 3);
+    ];
+  let stalled =
+    Engine.Job.run
+      ~attempts:(Engine.Job.attempts ~timeout_s:0.02 ~backoff_s:0.001 3)
+      (Engine.Job.make ~key:"stalled" (fun () -> Unix.sleepf 0.2))
+  in
+  Alcotest.(check int) "stalled: attempts" 3 stalled.Engine.Job.attempts;
+  Alcotest.(check bool) "stalled: timed out" true stalled.Engine.Job.timed_out
+
 let suite =
   [
     Alcotest.test_case "pool: order-preserving map" `Quick test_pool_order;
@@ -346,4 +382,6 @@ let suite =
     Alcotest.test_case "sweep: invalid grid rejected before tracing" `Quick
       test_sweep_rejects_bad_grid;
     qt prop_tracefile_roundtrip;
+    Alcotest.test_case "job: one attempt loop, with or without a timeout"
+      `Quick test_job_attempts_with_and_without_timeout;
   ]

@@ -239,18 +239,15 @@ let test_messages_roundtrip () =
   let m, w0, w1 = fresh_machine () in
   let q = Rapwam.Messages.create_queues 2 in
   Alcotest.(check bool) "empty" false (Rapwam.Messages.pending q w1);
-  Rapwam.Messages.send m q w0 ~target:1
-    { Rapwam.Messages.kind = Rapwam.Messages.Unwind; pf = 5; slot = 2 };
-  Rapwam.Messages.send m q w0 ~target:1
-    { Rapwam.Messages.kind = Rapwam.Messages.Kill; pf = 6; slot = 0 };
+  Rapwam.Messages.send m q w0 ~target:1 { Rapwam.Messages.pf = 5; slot = 2 };
+  Rapwam.Messages.send m q w0 ~target:1 { Rapwam.Messages.pf = 6; slot = 0 };
   Alcotest.(check bool) "pending" true (Rapwam.Messages.pending q w1);
   let m1 = Rapwam.Messages.receive m q w1 in
   Alcotest.(check bool) "fifo" true
-    (m1.Rapwam.Messages.kind = Rapwam.Messages.Unwind
-    && m1.Rapwam.Messages.pf = 5 && m1.Rapwam.Messages.slot = 2);
+    (m1.Rapwam.Messages.pf = 5 && m1.Rapwam.Messages.slot = 2);
   let m2 = Rapwam.Messages.receive m q w1 in
   Alcotest.(check bool) "second" true
-    (m2.Rapwam.Messages.kind = Rapwam.Messages.Kill);
+    (m2.Rapwam.Messages.pf = 6 && m2.Rapwam.Messages.slot = 0);
   Alcotest.(check bool) "drained" false (Rapwam.Messages.pending q w1)
 
 let suite =

@@ -282,17 +282,26 @@ let rec aexp_to_prolog = function
   | Div (a, b) -> Printf.sprintf "(%s // %s)" (aexp_to_prolog a) (aexp_to_prolog b)
   | Neg a -> Printf.sprintf "(- %s)" (aexp_to_prolog a)
 
-exception Div0
+(* A zero divisor, or a result outside the cell range
+   [-2^59, 2^59 - 1]: both are runtime errors on the machine. *)
+exception Undefined
+
+let in_cell n =
+  if n < -(1 lsl 59) || n > (1 lsl 59) - 1 then raise Undefined else n
 
 let rec aexp_eval = function
   | Lit n -> n
-  | Add (a, b) -> aexp_eval a + aexp_eval b
-  | Sub (a, b) -> aexp_eval a - aexp_eval b
-  | Mul (a, b) -> aexp_eval a * aexp_eval b
+  | Add (a, b) -> in_cell (aexp_eval a + aexp_eval b)
+  | Sub (a, b) -> in_cell (aexp_eval a - aexp_eval b)
+  | Mul (a, b) ->
+    (* operands fit 60 bits, so a product can wrap OCaml's 63 *)
+    let x = aexp_eval a and y = aexp_eval b in
+    let r = x * y in
+    if x <> 0 && r / x <> y then raise Undefined else in_cell r
   | Div (a, b) ->
     let d = aexp_eval b in
-    if d = 0 then raise Div0 else aexp_eval a / d
-  | Neg a -> -aexp_eval a
+    if d = 0 then raise Undefined else in_cell (aexp_eval a / d)
+  | Neg a -> in_cell (-aexp_eval a)
 
 let aexp_gen =
   Gen.sized
@@ -313,7 +322,7 @@ let prop_arith_matches_ocaml =
   Test.make ~name:"is/2 agrees with OCaml evaluation" ~count:150
     (make ~print:aexp_to_prolog aexp_gen) (fun e ->
       match aexp_eval e with
-      | exception Div0 -> begin
+      | exception Undefined -> begin
         (* the machine must fail with a runtime error, not crash *)
         match
           Wam.Seq.solve ~src:""

@@ -173,23 +173,30 @@ let test_unwind_clears_remote_bindings () =
           (Prolog.Pretty.to_string (List.assoc "A" b)))
     [ 1; 2; 4 ]
 
-let test_eager_kill_mode () =
+(* One arm fails while its sibling runs a chain of nested parcalls:
+   the parent waits for the sibling to finish, unwinds it, and the
+   query fails as it does on the WAM. *)
+let test_failing_parcall_beside_nested () =
   let src =
-    "p(A) :- bindit(A) & failing(_Z).\n\
-     p(clean).\n\
-     bindit(bound).\n\
-     failing(_) :- slow(500), fail.\n\
-     slow(0).\n\
-     slow(N) :- N > 0, N1 is N - 1, slow(N1).\n"
+    "p(A) :- slowfail & long(40, A).\n\
+     slowfail :- spin(30), fail.\n\
+     long(0, done).\n\
+     long(N, R) :- N > 0, (a(N, X) & a(N, Y)), X = Y, N1 is N - 1, long(N1, R).\n\
+     a(N, M) :- spin(20), M is N * 2.\n\
+     spin(0).\n\
+     spin(K) :- K > 0, K1 is K - 1, spin(K1).\n"
   in
-  let result, _ =
-    Rapwam.Sim.solve ~n_workers:4 ~eager_kill:true ~src ~query:"p(A)" ()
-  in
-  match result with
-  | Wam.Seq.Success b ->
-    Alcotest.(check string) "A" "clean"
-      (Prolog.Pretty.to_string (List.assoc "A" b))
-  | Wam.Seq.Failure -> Alcotest.fail "eager kill run failed"
+  (match Wam.Seq.solve ~src ~query:"p(A)" () with
+  | Wam.Seq.Failure, _ -> ()
+  | Wam.Seq.Success _, _ -> Alcotest.fail "p(A) succeeded on the WAM");
+  List.iter
+    (fun n ->
+      match
+        Rapwam.Sim.solve ~n_workers:n ~max_rounds:100_000 ~src ~query:"p(A)" ()
+      with
+      | Wam.Seq.Failure, _ -> ()
+      | Wam.Seq.Success _, _ -> Alcotest.failf "p(A) succeeded on %d PEs" n)
+    [ 2; 4 ]
 
 let test_three_way_parcall () =
   let src =
@@ -340,7 +347,8 @@ let suite =
       test_parcall_failure_then_alternative;
     Alcotest.test_case "unwind remote bindings" `Quick
       test_unwind_clears_remote_bindings;
-    Alcotest.test_case "eager kill" `Quick test_eager_kill_mode;
+    Alcotest.test_case "failing parcall beside nested parcalls" `Quick
+      test_failing_parcall_beside_nested;
     Alcotest.test_case "3-way parcall" `Quick test_three_way_parcall;
     Alcotest.test_case "nested parcalls" `Quick test_nested_parcalls_mixed_with_seq;
     Alcotest.test_case "1-PE work ~ WAM" `Quick test_work_one_pe_close_to_wam;

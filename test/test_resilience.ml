@@ -418,10 +418,9 @@ let test_watchdog_recovers_stalled_job () =
         7)
   in
   let wd =
-    Engine.Job.watchdog ~timeout_s:0.05 ~max_attempts:3 ~backoff_s:0.01
-      ~poll_s:0.002 ()
+    Engine.Job.attempts ~timeout_s:0.05 ~backoff_s:0.01 ~poll_s:0.002 3
   in
-  let c = Engine.Job.run ~watchdog:wd job in
+  let c = Engine.Job.run ~attempts:wd job in
   Alcotest.(check bool) "recovered" true (Engine.Job.ok c);
   Alcotest.(check int) "second attempt won" 2 c.Engine.Job.attempts;
   match c.Engine.Job.outcome with
@@ -431,10 +430,9 @@ let test_watchdog_recovers_stalled_job () =
 let test_watchdog_gives_up () =
   let job = Engine.Job.make ~key:"wedged" (fun () -> Unix.sleepf 0.3; 0) in
   let wd =
-    Engine.Job.watchdog ~timeout_s:0.03 ~max_attempts:2 ~backoff_s:0.01
-      ~poll_s:0.002 ()
+    Engine.Job.attempts ~timeout_s:0.03 ~backoff_s:0.01 ~poll_s:0.002 2
   in
-  let c = Engine.Job.run ~watchdog:wd job in
+  let c = Engine.Job.run ~attempts:wd job in
   Alcotest.(check bool) "failed" false (Engine.Job.ok c);
   Alcotest.(check int) "both attempts used" 2 c.Engine.Job.attempts;
   match c.Engine.Job.outcome with
@@ -460,10 +458,9 @@ let test_dag_completes_with_stalled_cell () =
     }
   in
   let wd =
-    Engine.Job.watchdog ~timeout_s:0.05 ~max_attempts:3 ~backoff_s:0.01
-      ~poll_s:0.002 ()
+    Engine.Job.attempts ~timeout_s:0.05 ~backoff_s:0.01 ~poll_s:0.002 3
   in
-  let cells, _ = Engine.Dag.run ~jobs:2 ~watchdog:wd dag in
+  let cells, _ = Engine.Dag.run ~jobs:2 ~attempts:wd dag in
   Array.iter
     (fun (c : _ Engine.Job.completed) ->
       if not (Engine.Job.ok c) then
@@ -514,8 +511,10 @@ let test_sweep_crash_then_resume_identical () =
       Alcotest.(check string) "resumed output bit-identical"
         (cells_json baseline) (cells_json resumed);
       Alcotest.(check string) "CSV bit-identical too"
-        (Engine.Results.to_csv baseline.Engine.Sweep.cells)
-        (Engine.Results.to_csv resumed.Engine.Sweep.cells))
+        (Engine.Results.to_csv ~areas:baseline.Engine.Sweep.areas
+           baseline.Engine.Sweep.cells)
+        (Engine.Results.to_csv ~areas:resumed.Engine.Sweep.areas
+           resumed.Engine.Sweep.cells))
 
 (* ---------------- the site x kind acceptance matrix ---------------- *)
 

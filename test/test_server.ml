@@ -286,7 +286,6 @@ let test_param_validation () =
   rejects "memo_shards=0" { ok with Server.Harness.memo_shards = 0 };
   rejects "threshold=0" { ok with Server.Harness.threshold = 0 };
   rejects "max_queue=0" { ok with Server.Harness.max_queue = 0 };
-  rejects "max_solutions=0" { ok with Server.Harness.max_solutions = 0 };
   rejects "zipf_s=0" { ok with Server.Harness.zipf_s = 0. };
   rejects "empty mix" { ok with Server.Harness.mix = [] };
   rejects "zero mix weight"
@@ -312,21 +311,6 @@ let test_param_validation () =
   match Server.Harness.run { ok with Server.Harness.requests = 0 } with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "run must raise Invalid_argument on bad params"
-
-let test_harness_crash_is_lethal () =
-  (* compatibility mode: --lethal-crash restores the old die-on-crash
-     behavior *)
-  let faults = Resilience.Fault.make [ ("cell-start", Resilience.Fault.Crash, 5) ] in
-  let p =
-    {
-      (tiny_params ~faults ()) with
-      Server.Harness.policy = Server.Supervise.policy ~lethal_crash:true ();
-    }
-  in
-  match Server.Harness.run p with
-  | exception Resilience.Fault.Injected { kind = Resilience.Fault.Crash; _ } ->
-    ()
-  | _ -> Alcotest.fail "a planned Crash must abort the run under --lethal-crash"
 
 let test_harness_contains_crash_by_default () =
   (* the supervisor's default: the crash poisons one request, the run
@@ -372,9 +356,8 @@ let contains ~affix s =
   n = 0 || go 0
 
 let test_serve_config_validation () =
-  let mk ?pes ?workers ?threshold ?max_queue ?max_solutions () =
-    Server.Serve.config ?pes ?workers ?threshold ?max_queue ?max_solutions
-      ~src:"a." ()
+  let mk ?pes ?workers ?threshold ?max_queue () =
+    Server.Serve.config ?pes ?workers ?threshold ?max_queue ~src:"a." ()
   in
   ignore (mk ());
   let rejects field f =
@@ -387,8 +370,7 @@ let test_serve_config_validation () =
   rejects "pes" (fun () -> mk ~pes:0 ());
   rejects "workers" (fun () -> mk ~workers:0 ());
   rejects "threshold" (fun () -> mk ~threshold:0 ());
-  rejects "max_queue" (fun () -> mk ~max_queue:(-1) ());
-  rejects "max_solutions" (fun () -> mk ~max_solutions:0 ())
+  rejects "max_queue" (fun () -> mk ~max_queue:(-1) ())
 
 let test_metrics_percentile_edges () =
   let feq name a b = Alcotest.(check (float 1e-12)) name a b in
@@ -542,18 +524,6 @@ let test_supervise_contains_pooled_crash () =
   Alcotest.(check bool) "pool respawned for the abandoned wave" true
     (s.Server.Supervise.pool_respawns >= 1)
 
-let test_supervise_lethal_crash_reraises () =
-  let faults =
-    Resilience.Fault.make [ ("sim-step", Resilience.Fault.Crash, 0) ]
-  in
-  let t =
-    sup ~policy:(Server.Supervise.policy ~lethal_crash:true ()) ~faults ()
-  in
-  match Server.Supervise.serve t [ request 0 qsort_query ] with
-  | exception Resilience.Fault.Injected { kind = Resilience.Fault.Crash; _ }
-    -> ()
-  | _ -> Alcotest.fail "lethal_crash must re-raise the planned Crash"
-
 let test_supervise_breaker_trips_and_probes () =
   let breaker =
     {
@@ -697,8 +667,6 @@ let suite =
       test_param_validation;
     Alcotest.test_case "harness: acceptance invariants hold" `Slow
       test_harness_invariants;
-    Alcotest.test_case "harness: planned crash is lethal" `Quick
-      test_harness_crash_is_lethal;
     Alcotest.test_case "harness: crash contained by default" `Quick
       test_harness_contains_crash_by_default;
     Alcotest.test_case "harness: non-lethal fault degrades gracefully" `Slow
@@ -718,8 +686,6 @@ let suite =
       test_supervise_deadline_times_out;
     Alcotest.test_case "supervise: pooled crash contained, pool respawned"
       `Quick test_supervise_contains_pooled_crash;
-    Alcotest.test_case "supervise: lethal_crash re-raises" `Quick
-      test_supervise_lethal_crash_reraises;
     Alcotest.test_case "supervise: breaker trips, fast-fails, probes closed"
       `Quick test_supervise_breaker_trips_and_probes;
     Alcotest.test_case "supervise: shedding spares hits and the watermark"
