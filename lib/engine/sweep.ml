@@ -1,12 +1,11 @@
 (* The parallel sweep-execution engine: trace generation (stage 1)
    and cache-simulation fan-out (stage 2) on a Domain pool.
 
-   Sharing discipline: a packed trace buffer is written by exactly one
-   stage-1 job and, after the DAG barrier, only ever read
-   ([Buffer_sink.iter_packed]); every stage-2 job builds its own
-   [Cachesim.Multi.t].  Benchmark values are looked up on the main
-   domain before the pool starts, so no lazy forcing races across
-   domains. *)
+   Sharing discipline: a prepared trace ([Cachesim.Multi.prepared]) is
+   built by exactly one stage-1 job and, after the DAG barrier, only
+   ever read; every stage-2 job runs its own simulation over it.
+   Benchmark values are looked up on the main domain before the pool
+   starts, so no lazy forcing races across domains. *)
 
 type alloc_policy = Default | Allocate | No_allocate | Best
 
@@ -35,16 +34,10 @@ let cells_of_grid g =
 
 let trace_key name n_pes = Printf.sprintf "%s@%dpe" name n_pes
 
-(* Per-area read/write totals of one packed trace, as rendered rows.
-   The PE-ownership map only feeds the local/remote split, which these
-   rows do not use, so a constant map suffices (and keeps the engine
-   free of a wam dependency). *)
-let area_rows_of_buffer buf =
-  let st = Trace.Areastats.create ~pe_of_addr:(fun _ -> -1) () in
-  Trace.Sink.Buffer_sink.iter (Trace.Areastats.record st) buf;
+(* Per-area read/write totals of one prepared trace, as rendered rows. *)
+let area_rows p =
   List.map
-    (fun a ->
-      (Trace.Area.slug a, (Trace.Areastats.reads st a, Trace.Areastats.writes st a)))
+    (fun a -> (Trace.Area.slug a, Cachesim.Multi.area_counts p a))
     Trace.Area.all
 
 let generate_trace bench n_pes () =
@@ -54,35 +47,29 @@ let generate_trace bench n_pes () =
   in
   result.Benchlib.Runner.trace
 
-let simulate grid ~kind ~n_pes ~cache_words buf =
-  let line_words = grid.line_words in
+let simulate grid ~kind ~n_pes ~cache_words p =
   (* each simulation gets at least one cache even for WAM (0-PE) traces *)
   let n_pes = max n_pes 1 in
   match grid.alloc with
-  | Default ->
-    Cachesim.Multi.simulate ~line_words ~kind ~cache_words ~n_pes buf
+  | Default -> Cachesim.Multi.simulate_prepared ~kind ~cache_words ~n_pes p
   | Allocate ->
-    Cachesim.Multi.simulate ~line_words ~write_allocate:true ~kind
-      ~cache_words ~n_pes buf
+    Cachesim.Multi.simulate_prepared ~write_allocate:true ~kind ~cache_words
+      ~n_pes p
   | No_allocate ->
-    Cachesim.Multi.simulate ~line_words ~write_allocate:false ~kind
-      ~cache_words ~n_pes buf
+    Cachesim.Multi.simulate_prepared ~write_allocate:false ~kind ~cache_words
+      ~n_pes p
   | Best ->
-    fst
-      (Cachesim.Multi.simulate_best ~line_words ~kind ~cache_words ~n_pes
-         buf)
+    fst (Cachesim.Multi.simulate_best_prepared ~kind ~cache_words ~n_pes p)
 
 (* Optional verify stage: replay the freshly generated (or
    pre-supplied) trace through the happens-before checker before any
    simulation consumes it.  A violation fails the producer job, and
    the DAG's fault propagation marks every dependent cell Error. *)
-let checked key thunk () =
-  let buf = thunk () in
+let check_trace key buf =
   let s = Tracecheck.check_buffer buf in
   if not (Tracecheck.ok s) then
     failwith
-      (Format.asprintf "tracecheck %s: %a" key Tracecheck.pp_summary s);
-  buf
+      (Format.asprintf "tracecheck %s: %a" key Tracecheck.pp_summary s)
 
 let check_grid g =
   List.iter
@@ -163,56 +150,55 @@ let run ?jobs ?(echo = false) ?(check = false) ?(traces = []) ?faults
     (fun (c : Results.config) ->
       Hashtbl.replace needed (trace_key c.Results.bench c.Results.n_pes) ())
     todo;
-  (* Producer wrapper: tally the finished trace's per-area read/write
-     totals.  Producers run on pool domains, so the table is
-     mutex-protected; rows are computed outside the lock. *)
+  (* A producer: the trace, prepared for the grid's line size, with
+     its per-area read/write totals tallied (also when its check then
+     fails), then checked when [check] is set.  Producers run on pool
+     domains, so the table is mutex-protected; rows are computed
+     outside the lock.  The buffer is garbage once the job returns. *)
   let area_tbl : (string * int, (string * (int * int)) list) Hashtbl.t =
     Hashtbl.create 16
   in
   let area_mutex = Mutex.create () in
-  let capture (name, n_pes) thunk () =
-    let buf = thunk () in
-    let rows = area_rows_of_buffer buf in
-    Mutex.lock area_mutex;
-    Hashtbl.replace area_tbl (name, n_pes) rows;
-    Mutex.unlock area_mutex;
-    buf
+  let producer (name, n_pes) thunk =
+    let key = trace_key name n_pes in
+    ( key,
+      fun () ->
+        let buf = thunk () in
+        let p = Cachesim.Multi.prepare ~line_words:grid.line_words buf in
+        let rows = area_rows p in
+        Mutex.lock area_mutex;
+        Hashtbl.replace area_tbl (name, n_pes) rows;
+        Mutex.unlock area_mutex;
+        if check then check_trace key buf;
+        p )
   in
   let produce =
     (* pre-supplied traces become instant producers, so the DAG's
        dependency and fault-propagation story is uniform *)
-    List.map
-      (fun ((name, n_pes), buf) ->
-        (trace_key name n_pes, capture (name, n_pes) (fun () -> buf)))
-      traces
+    List.map (fun (trace, buf) -> producer trace (fun () -> buf)) traces
     @ List.concat_map
         (fun b ->
           List.map
             (fun n_pes ->
-              ( trace_key b.Benchlib.Programs.name n_pes,
-                capture
-                  (b.Benchlib.Programs.name, n_pes)
-                  (generate_trace b n_pes) ))
+              producer
+                (b.Benchlib.Programs.name, n_pes)
+                (generate_trace b n_pes))
             grid.pe_counts)
         grid.benchmarks
   in
   let produce =
     List.filter (fun (key, _) -> Hashtbl.mem needed key) produce
   in
-  let produce =
-    if check then List.map (fun (key, thunk) -> (key, checked key thunk)) produce
-    else produce
-  in
   let consume =
     List.map
       (fun (c : Results.config) ->
         ( Results.config_key c,
           trace_key c.Results.bench c.Results.n_pes,
-          fun buf ->
+          fun p ->
             Resilience.Fault.hit ?plan:faults "cell-start";
             Resilience.Fault.hit ?plan:faults "sim-step";
             simulate grid ~kind:c.Results.protocol ~n_pes:c.Results.n_pes
-              ~cache_words:c.Results.cache_words buf ))
+              ~cache_words:c.Results.cache_words p ))
       todo
   in
   (* Checkpointing: append every completed cell to the journal,

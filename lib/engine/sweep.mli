@@ -2,10 +2,14 @@
 
     A sweep is a two-stage DAG over a {!grid}: stage 1 emulates each
     benchmark once per PE count (RAP-WAM via [Benchlib.Runner]) to
-    produce its packed reference trace, and after the barrier stage 2
-    fans the independent cache simulations out across the domain pool,
-    every job reading the shared trace buffer read-only and building
-    its own simulator instance.
+    produce its packed reference trace, and prepares that trace for
+    the grid's line size inside the same job
+    ({!Cachesim.Multi.prepare}: sync words dropped, line addresses
+    interned once, per-area reads and writes counted).  After the
+    barrier stage 2 fans the independent cache simulations out across
+    the domain pool, every job reading the shared prepared trace
+    read-only and running its own simulation.  A generated buffer is
+    garbage once its trace is prepared.
 
     Determinism rule: results are keyed and sorted by configuration
     ({!Results.sort}), and nothing host- or schedule-dependent enters

@@ -21,36 +21,36 @@ let simulate ?line_words ?write_allocate ~kind ~cache_words ~n_pes refs =
 (* ---------------- LRU cache ---------------- *)
 
 let test_lru_basics () =
-  let c = Cachesim.Cache.create ~lines:2 in
-  Alcotest.(check bool) "empty" false (Cachesim.Cache.resident c 1);
-  Alcotest.(check int) "no evict" (-1) (Cachesim.Cache.insert c 1 ~dirty:false);
-  ignore (Cachesim.Cache.insert c 2 ~dirty:false);
-  Alcotest.(check int) "occupancy" 2 (Cachesim.Cache.occupancy c);
+  let c = Cachesim.Multi.Cache.create ~lines:2 in
+  Alcotest.(check bool) "empty" false (Cachesim.Multi.Cache.resident c 1);
+  Alcotest.(check int) "no evict" (-1) (Cachesim.Multi.Cache.insert c 1 ~dirty:false);
+  ignore (Cachesim.Multi.Cache.insert c 2 ~dirty:false);
+  Alcotest.(check int) "occupancy" 2 (Cachesim.Multi.Cache.occupancy c);
   (* touching 1 makes 2 the LRU victim *)
-  (match Cachesim.Cache.find c 1 with
+  (match Cachesim.Multi.Cache.find c 1 with
   | -1 -> Alcotest.fail "line 1 missing"
-  | slot -> Cachesim.Cache.touch c slot);
-  (match Cachesim.Cache.insert c 3 ~dirty:false with
+  | slot -> Cachesim.Multi.Cache.touch c slot);
+  (match Cachesim.Multi.Cache.insert c 3 ~dirty:false with
   | -1 -> Alcotest.fail "expected eviction"
   | victim ->
     Alcotest.(check int) "LRU victim" 2 victim;
-    Alcotest.(check bool) "clean victim" false (Cachesim.Cache.evicted_dirty c));
-  Alcotest.(check bool) "1 still resident" true (Cachesim.Cache.resident c 1)
+    Alcotest.(check bool) "clean victim" false (Cachesim.Multi.Cache.evicted_dirty c));
+  Alcotest.(check bool) "1 still resident" true (Cachesim.Multi.Cache.resident c 1)
 
 let test_lru_dirty_eviction () =
-  let c = Cachesim.Cache.create ~lines:1 in
-  ignore (Cachesim.Cache.insert c 7 ~dirty:true);
-  match Cachesim.Cache.insert c 8 ~dirty:false with
+  let c = Cachesim.Multi.Cache.create ~lines:1 in
+  ignore (Cachesim.Multi.Cache.insert c 7 ~dirty:true);
+  match Cachesim.Multi.Cache.insert c 8 ~dirty:false with
   | -1 -> Alcotest.fail "expected eviction"
-  | 7 when Cachesim.Cache.evicted_dirty c -> ()
-  | l -> Alcotest.failf "wrong eviction (%d, %b)" l (Cachesim.Cache.evicted_dirty c)
+  | 7 when Cachesim.Multi.Cache.evicted_dirty c -> ()
+  | l -> Alcotest.failf "wrong eviction (%d, %b)" l (Cachesim.Multi.Cache.evicted_dirty c)
 
 let test_lru_invalidate () =
-  let c = Cachesim.Cache.create ~lines:4 in
-  ignore (Cachesim.Cache.insert c 1 ~dirty:false);
-  Alcotest.(check bool) "inv hit" true (Cachesim.Cache.invalidate c 1);
-  Alcotest.(check bool) "inv miss" false (Cachesim.Cache.invalidate c 1);
-  Alcotest.(check int) "empty again" 0 (Cachesim.Cache.occupancy c)
+  let c = Cachesim.Multi.Cache.create ~lines:4 in
+  ignore (Cachesim.Multi.Cache.insert c 1 ~dirty:false);
+  Alcotest.(check bool) "inv hit" true (Cachesim.Multi.Cache.invalidate c 1);
+  Alcotest.(check bool) "inv miss" false (Cachesim.Multi.Cache.invalidate c 1);
+  Alcotest.(check int) "empty again" 0 (Cachesim.Multi.Cache.occupancy c)
 
 (* ---------------- protocols ---------------- *)
 
@@ -314,8 +314,8 @@ let configs =
     Cachesim.Protocol.all_kinds
 
 (* Does the array simulator match the reference on one configuration,
-   both over the packed trace and fed record by record through
-   [reference] (the online path [Rapwam.Memmodel] takes)? *)
+   both over the prepared trace ([simulate]) and fed record by record
+   through [reference] (the online path [Rapwam.Memmodel] takes)? *)
 let agrees ~n_pes ~line_words ~cache_words buf (kind, write_allocate, locality_override) =
   let config =
     Cachesim.Protocol.make ~line_words ~write_allocate ~kind ~cache_words ()
@@ -325,11 +325,13 @@ let agrees ~n_pes ~line_words ~cache_words buf (kind, write_allocate, locality_o
     Simref.Multi.run_trace m buf;
     Simref.Multi.stats m
   in
-  let packed = Cachesim.Multi.create ?locality_override ~n_pes config in
-  Cachesim.Multi.run_trace packed buf;
+  let prepared =
+    Cachesim.Multi.simulate ~line_words ~write_allocate ?locality_override ~kind
+      ~cache_words ~n_pes buf
+  in
   let online = Cachesim.Multi.create ?locality_override ~n_pes config in
   Trace.Sink.Buffer_sink.iter (Cachesim.Multi.reference online) buf;
-  Cachesim.Multi.stats packed = expected && Cachesim.Multi.stats online = expected
+  prepared = expected && Cachesim.Multi.stats online = expected
 
 type random_trace = {
   pes : int;
@@ -376,16 +378,18 @@ let buffer_of_random t =
     t.refs;
   buf
 
+let random_trace =
+  QCheck.make random_trace_gen ~print:(fun t ->
+      Printf.sprintf "%d PEs, %d-word lines, %d-line caches, refs [%s]" t.pes t.line
+        t.lines
+        (String.concat "; "
+           (List.map
+              (fun (pe, addr, area, op) -> Printf.sprintf "(%d,%d,%d,%d)" pe addr area op)
+              t.refs)))
+
 let prop_matches_reference =
   QCheck.Test.make ~name:"random traces = hash-table reference"
-    ~count:300 ~long_factor:100
-    (QCheck.make random_trace_gen ~print:(fun t ->
-         Printf.sprintf "%d PEs, %d-word lines, %d-line caches, refs [%s]" t.pes t.line
-           t.lines
-           (String.concat "; "
-              (List.map
-                 (fun (pe, addr, area, op) -> Printf.sprintf "(%d,%d,%d,%d)" pe addr area op)
-                 t.refs))))
+    ~count:300 ~long_factor:100 random_trace
     (fun t ->
       let buf = buffer_of_random t in
       List.for_all
@@ -437,6 +441,82 @@ let test_no_allocation_per_reference () =
         Cachesim.Protocol.all_kinds)
     [ 64; 1024 ]
 
+(* ---------------- prepared traces ---------------- *)
+
+(* What [prepare] keeps of a trace: every access and nothing else, in
+   order, with its PE, area and op; one id per line; and the per-area
+   read and write counts. *)
+let prop_prepare_keeps_accesses =
+  QCheck.Test.make ~name:"prepare keeps every access and its line" ~count:300
+    random_trace (fun t ->
+      let buf = buffer_of_random t in
+      let p = Cachesim.Multi.prepare ~line_words:t.line buf in
+      let accesses = List.filter (fun (_, _, _, op) -> op <> 2) t.refs in
+      let id_of_line = Hashtbl.create 64 and line_of_id = Hashtbl.create 64 in
+      (* one id per line, one line per id *)
+      let same_line line id =
+        match (Hashtbl.find_opt id_of_line line, Hashtbl.find_opt line_of_id id) with
+        | None, None ->
+          Hashtbl.add id_of_line line id;
+          Hashtbl.add line_of_id id line;
+          true
+        | Some id', Some line' -> id' = id && line' = line
+        | _ -> false
+      in
+      let counted area op =
+        List.length (List.filter (fun (_, _, a, o) -> a = area && o = op) accesses)
+      in
+      Cachesim.Multi.accesses p
+      = Trace.Sink.Buffer_sink.length buf - Trace.Sink.Buffer_sink.n_syncs buf
+      && Cachesim.Multi.accesses p = List.length accesses
+      && List.for_all Fun.id
+           (List.mapi
+              (fun i (pe, addr, area, op) ->
+                let a = Cachesim.Multi.access p i in
+                a.Trace.Ref_record.pe = pe
+                && Trace.Area.to_int a.Trace.Ref_record.area = area
+                && a.Trace.Ref_record.op
+                   = (if op = 1 then Trace.Ref_record.Write else Trace.Ref_record.Read)
+                && same_line (addr / t.line) a.Trace.Ref_record.addr)
+              accesses)
+      && List.for_all
+           (fun area ->
+             Cachesim.Multi.area_counts p area
+             = (counted (Trace.Area.to_int area) 0, counted (Trace.Area.to_int area) 1))
+           Trace.Area.all)
+
+(* A trace with more PEs than caches is refused with the same message
+   on both paths, naming the first PE without a cache: the prepared
+   path checks the bound once per trace, the online path per
+   reference. *)
+let four_pe_trace () = mk_trace [ (0, r, 8); (1, w, 8); (2, r, 16); (3, w, 24); (2, w, 8) ]
+
+let pe_bound_message f =
+  match f () with
+  | exception Invalid_argument msg -> msg
+  | () -> Alcotest.fail "a PE without a cache was accepted"
+
+let test_pe_bound_both_paths () =
+  let buf = four_pe_trace () in
+  let kind = Cachesim.Protocol.Write_in_broadcast in
+  let prepared =
+    pe_bound_message (fun () ->
+        ignore (Cachesim.Multi.simulate ~kind ~cache_words:64 ~n_pes:2 buf))
+  in
+  let online =
+    pe_bound_message (fun () ->
+        let m =
+          Cachesim.Multi.create ~n_pes:2
+            (Cachesim.Protocol.make ~kind ~cache_words:64 ())
+        in
+        Trace.Sink.Buffer_sink.iter (Cachesim.Multi.reference m) buf)
+  in
+  Alcotest.(check string) "one message on both paths" online prepared;
+  Alcotest.(check string) "names the PE and the caches"
+    "Cachesim.Multi: reference by PE 2 but only 2 caches (was the trace \
+     produced with more workers?)"
+    prepared
+
 let suite =
   [
     Alcotest.test_case "LRU basics" `Quick test_lru_basics;
@@ -473,4 +553,6 @@ let suite =
       test_matches_reference_on_quick_traces;
     Alcotest.test_case "no allocation per reference" `Quick
       test_no_allocation_per_reference;
+    QCheck_alcotest.to_alcotest prop_prepare_keeps_accesses;
+    Alcotest.test_case "PE bound on both paths" `Quick test_pe_bound_both_paths;
   ]

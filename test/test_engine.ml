@@ -174,6 +174,8 @@ let test_sweep_jobs_deterministic () =
           e)
     o4.Engine.Sweep.cells
 
+let metrics = Alcotest.testable Cachesim.Metrics.pp ( = )
+
 let test_sweep_matches_direct_simulation () =
   (* an engine cell = Cachesim.Multi.simulate on the same trace *)
   let bench =
@@ -198,7 +200,7 @@ let test_sweep_matches_direct_simulation () =
     Cachesim.Multi.simulate ~line_words:4 ~kind:Cachesim.Protocol.Hybrid
       ~cache_words:512 ~n_pes:2 buf
   in
-  match o.Engine.Sweep.cells with
+  (match o.Engine.Sweep.cells with
   | [ { Engine.Results.metrics = Ok got; _ } ] ->
     Alcotest.(check (float 1e-9))
       "traffic ratio agrees"
@@ -206,8 +208,34 @@ let test_sweep_matches_direct_simulation () =
       (Cachesim.Metrics.traffic_ratio got);
     Alcotest.(check int)
       "bus words agree" expected.Cachesim.Metrics.bus_words
-      got.Cachesim.Metrics.bus_words
-  | cells -> Alcotest.failf "expected one ok cell, got %d" (List.length cells)
+      got.Cachesim.Metrics.bus_words;
+    Alcotest.check metrics "all ten counters agree" expected got
+  | cells -> Alcotest.failf "expected one ok cell, got %d" (List.length cells));
+  (* the Figure-4 protocols under Best at two sizes: six cells on two
+     domains, all reading one prepared trace *)
+  let fig4 =
+    Cachesim.Protocol.[ Write_in_broadcast; Hybrid; Write_through ]
+  in
+  let o =
+    Engine.Sweep.run ~jobs:2 ~traces:[ (("deriv", 2), buf) ]
+      { grid with
+        Engine.Sweep.protocols = fig4;
+        cache_sizes = [ 256; 1024 ];
+        alloc = Engine.Sweep.Best }
+  in
+  Alcotest.(check int) "six cells" 6 (List.length o.Engine.Sweep.cells);
+  List.iter
+    (fun (c : Engine.Results.cell) ->
+      let cfg = c.Engine.Results.config in
+      let expected =
+        fst
+          (Cachesim.Multi.simulate_best ~line_words:4 ~kind:cfg.Engine.Results.protocol
+             ~cache_words:cfg.Engine.Results.cache_words ~n_pes:2 buf)
+      in
+      match c.Engine.Results.metrics with
+      | Ok got -> Alcotest.check metrics (Engine.Results.config_key cfg) expected got
+      | Error e -> Alcotest.failf "cell %s failed: %s" (Engine.Results.config_key cfg) e)
+    o.Engine.Sweep.cells
 
 let test_sweep_rejects_bad_grid () =
   (* a grid the simulator cannot run fails once, up front, instead of
@@ -275,6 +303,52 @@ let test_sweep_area_invariant () =
           w)
       Trace.Area.all
   | rows -> Alcotest.failf "expected one area row, got %d" (List.length rows)
+
+(* A supplied trace with more PEs than its key fails the cells of that
+   trace, each with the simulator's message, and no other cell. *)
+let test_sweep_pe_bound_fails_only_its_cells () =
+  let buf = Trace.Sink.Buffer_sink.create () in
+  let sink = Trace.Sink.buffer buf in
+  List.iter
+    (fun (pe, addr) ->
+      Trace.Sink.emit sink
+        { Trace.Ref_record.pe; addr; area = Trace.Area.Heap; op = Trace.Ref_record.Read })
+    [ (0, 8); (1, 16); (3, 24); (2, 32) ];
+  let message =
+    match
+      Cachesim.Multi.simulate ~kind:Cachesim.Protocol.Hybrid ~cache_words:256 ~n_pes:2 buf
+    with
+    | exception Invalid_argument msg -> msg
+    | _ -> Alcotest.fail "simulate accepted PE 3 with 2 caches"
+  in
+  let grid = { (small_grid ()) with Engine.Sweep.cache_sizes = [ 256 ] } in
+  let o =
+    Engine.Sweep.run ~jobs:2
+      ~attempts:(Engine.Job.attempts ~backoff_s:0.001 2)
+      ~traces:[ (("deriv", 2), buf) ]
+      grid
+  in
+  let matrix =
+    List.find (fun b -> b.Benchlib.Programs.name = "matrix") grid.Engine.Sweep.benchmarks
+  in
+  let matrix = (Benchlib.Runner.run_rapwam ~n_pes:2 matrix).Benchlib.Runner.trace in
+  Alcotest.(check int) "every cell" 4 (List.length o.Engine.Sweep.cells);
+  List.iter
+    (fun (c : Engine.Results.cell) ->
+      let cfg = c.Engine.Results.config in
+      let key = Engine.Results.config_key cfg in
+      match (cfg.Engine.Results.bench, c.Engine.Results.metrics) with
+      | "deriv", Error e ->
+        if not (contains ~affix:message e) then
+          Alcotest.failf "%s: %S does not carry %S" key e message
+      | "matrix", Ok got ->
+        Alcotest.check metrics key
+          (Cachesim.Multi.simulate ~line_words:4 ~kind:cfg.Engine.Results.protocol
+             ~cache_words:256 ~n_pes:2 matrix)
+          got
+      | _, Ok _ -> Alcotest.failf "%s: expected an error" key
+      | _, Error e -> Alcotest.failf "%s failed: %s" key e)
+    o.Engine.Sweep.cells
 
 (* ---------------- tracefile round-trip (qcheck) ---------------- *)
 
@@ -384,4 +458,6 @@ let suite =
     qt prop_tracefile_roundtrip;
     Alcotest.test_case "job: one attempt loop, with or without a timeout"
       `Quick test_job_attempts_with_and_without_timeout;
+    Alcotest.test_case "sweep: a PE without a cache fails only its cells"
+      `Quick test_sweep_pe_bound_fails_only_its_cells;
   ]

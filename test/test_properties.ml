@@ -192,7 +192,7 @@ let prop_lru_matches_model =
     (pair (int_range 1 6)
        (list_of_size (Gen.int_range 1 80) (int_bound 12)))
     (fun (capacity, accesses) ->
-      let cache = Cachesim.Cache.create ~lines:capacity in
+      let cache = Cachesim.Multi.Cache.create ~lines:capacity in
       let model = ref [] in
       List.for_all
         (fun line ->
@@ -207,12 +207,12 @@ let prop_lru_matches_model =
                else added
              end);
           let cache_hit =
-            match Cachesim.Cache.find cache line with
+            match Cachesim.Multi.Cache.find cache line with
             | -1 ->
-              ignore (Cachesim.Cache.insert cache line ~dirty:false);
+              ignore (Cachesim.Multi.Cache.insert cache line ~dirty:false);
               false
             | slot ->
-              Cachesim.Cache.touch cache slot;
+              Cachesim.Multi.Cache.touch cache slot;
               true
           in
           cache_hit = model_hit)
