@@ -89,6 +89,22 @@ let prewarm_runs setup pairs =
       missing results
   end
 
+(* Prepared traces, one per (run, line size): every simulation point
+   over a run's trace shares one [Multi.prepare] of it. *)
+let prepared_cache :
+    (string * string * int * int, Cachesim.Multi.prepared) Hashtbl.t =
+  Hashtbl.create 64
+
+let prepared (r : Benchlib.Runner.result) ~line_words =
+  let name, query, pes = run_key r.Benchlib.Runner.bench r.Benchlib.Runner.n_pes in
+  let key = (name, query, pes, line_words) in
+  match Hashtbl.find_opt prepared_cache key with
+  | Some p -> p
+  | None ->
+    let p = Cachesim.Multi.prepare ~line_words r.Benchlib.Runner.trace in
+    Hashtbl.add prepared_cache key p;
+    p
+
 (* Engine-backed memo of "best-allocation" multiprocessor simulation
    points (the quantity figure4, mlips and the ablations average).
    [figure4] fills it in bulk with a parallel sweep; misses compute on
@@ -105,8 +121,8 @@ let sim_best bench ~kind ~n_pes ~cache_words =
   | None ->
     let r = rapwam_run bench ~n_pes in
     let st, _alloc =
-      Cachesim.Multi.simulate_best ~kind ~cache_words ~n_pes:(max n_pes 1)
-        r.Benchlib.Runner.trace
+      Cachesim.Multi.simulate_best_prepared ~kind ~cache_words
+        ~n_pes:(max n_pes 1) (prepared r ~line_words:4)
     in
     Hashtbl.add sim_best_cache key st;
     st
@@ -637,9 +653,9 @@ let ablation_line setup =
         List.map
           (fun b ->
             let r = rapwam_run b ~n_pes:8 in
-            Cachesim.Multi.simulate ~line_words:lw
+            Cachesim.Multi.simulate_prepared
               ~kind:Cachesim.Protocol.Write_in_broadcast ~cache_words:1024
-              ~n_pes:8 r.Benchlib.Runner.trace)
+              ~n_pes:8 (prepared r ~line_words:lw))
           setup.benchmarks
       in
       Stats.Table.add_row t
@@ -674,9 +690,9 @@ let ablation_alloc setup =
              (fun b ->
                let r = rapwam_run b ~n_pes:8 in
                pick
-                 (Cachesim.Multi.simulate ~write_allocate:alloc
+                 (Cachesim.Multi.simulate_prepared ~write_allocate:alloc
                     ~kind:Cachesim.Protocol.Write_in_broadcast
-                    ~cache_words:size ~n_pes:8 r.Benchlib.Runner.trace))
+                    ~cache_words:size ~n_pes:8 (prepared r ~line_words:4)))
              setup.benchmarks)
       in
       Stats.Table.add_row t
@@ -787,8 +803,9 @@ let timing setup =
       let wam = wam_run b in
       let rap = rapwam_run b ~n_pes:8 in
       let cache_stats r n =
-        Cachesim.Multi.simulate ~kind:Cachesim.Protocol.Write_in_broadcast
-          ~cache_words:1024 ~n_pes:n r.Benchlib.Runner.trace
+        Cachesim.Multi.simulate_prepared
+          ~kind:Cachesim.Protocol.Write_in_broadcast ~cache_words:1024 ~n_pes:n
+          (prepared r ~line_words:4)
       in
       let seq_est =
         Cachesim.Timing.estimate ~rounds:wam.Benchlib.Runner.instructions

@@ -243,8 +243,7 @@ let low_bits = (1 lsl addr_shift) - 1 (* PE, area and op *)
    bits (area and op) select an area count exactly when the word is an
    access. *)
 let prepare ~line_words buf =
-  if line_words <= 0 then
-    invalid_arg "Multi.prepare: line_words must be positive";
+  let line_shift = addr_shift + Protocol.line_bits line_words in
   let module B = Trace.Sink.Buffer_sink in
   let access_tags = 2 * Trace.Ref_record.sync_tag_base in
   let accesses = Array.make (B.length buf - B.n_syncs buf) 0 in
@@ -255,7 +254,7 @@ let prepare ~line_words buf =
     (fun word ->
       let tag = word land 0x3f in
       if tag < access_tags then begin
-        let id = Lines.intern lines ((word lsr addr_shift) / line_words) in
+        let id = Lines.intern lines (word lsr line_shift) in
         accesses.(!n) <- (id lsl addr_shift) lor (word land low_bits);
         incr n;
         let pe = (word lsr 6) land 0xff in
@@ -284,6 +283,7 @@ let area_counts p area =
 
 type sim = {
   config : Protocol.config;
+  line_bits : int; (* log2 of the line size *)
   n_pes : int;
   caches : Cache.t array;
   stats : Metrics.t;
@@ -308,6 +308,7 @@ let make_sim ?locality_override ~n_pes ~keys (config : Protocol.config) =
   in
   {
     config;
+    line_bits = Protocol.line_bits config.Protocol.line_words;
     n_pes;
     caches = Array.init n_pes (fun _ -> Cache.make ~lines ~keys);
     stats = Metrics.create ();
@@ -482,7 +483,7 @@ let create ?locality_override ~n_pes config =
 let reference t (r : Trace.Ref_record.t) =
   let sim = t.sim in
   check_pe sim r.Trace.Ref_record.pe;
-  let id = Lines.intern t.lines (r.Trace.Ref_record.addr / line_words sim) in
+  let id = Lines.intern t.lines (r.Trace.Ref_record.addr lsr sim.line_bits) in
   if id >= Array.length sim.holders then begin
     let h = Array.make (2 * Array.length sim.holders) 0 in
     Array.blit sim.holders 0 h 0 id;

@@ -71,7 +71,8 @@ end
 type prepared
 
 val prepare : line_words:int -> Trace.Sink.Buffer_sink.t -> prepared
-(** Intern a packed trace for one line size, in one pass. *)
+(** Intern a packed trace for one line size, in one pass.
+    @raise Invalid_argument unless [line_words] is a power of two. *)
 
 val accesses : prepared -> int
 (** The trace's memory accesses (its sync words are dropped). *)

@@ -45,9 +45,18 @@ type config = {
   write_allocate : bool; (* fetch the line on a write miss? *)
 }
 
+(* A line address is a word address shifted right by [line_bits]. *)
+let line_bits line_words =
+  if line_words <= 0 || line_words land (line_words - 1) <> 0 then
+    invalid_arg
+      (Printf.sprintf "line size %d is not a power of two" line_words);
+  let rec log2 n k = if n = 1 then k else log2 (n lsr 1) (k + 1) in
+  log2 line_words 0
+
 let make ?(line_words = 4) ?(write_allocate = true) ~kind ~cache_words () =
   if cache_words <= 0 || line_words <= 0 then
     invalid_arg "Protocol.make: sizes must be positive";
+  ignore (line_bits line_words);
   if cache_words mod line_words <> 0 then
     invalid_arg "Protocol.make: cache size must be a multiple of line size";
   { kind; cache_words; line_words; write_allocate }

@@ -31,6 +31,13 @@ type config = {
 val make :
   ?line_words:int -> ?write_allocate:bool -> kind:kind -> cache_words:int ->
   unit -> config
+(** @raise Invalid_argument unless both sizes are positive, the line
+    size is a power of two and the cache size a multiple of it. *)
+
+val line_bits : int -> int
+(** [line_bits w] is log2 of a line of [w] words: a word address
+    shifted right by it is the line address.
+    @raise Invalid_argument unless [w] is a power of two. *)
 
 val paper_allocate_policy : kind:kind -> cache_words:int -> bool
 (** The paper's Figure 4 policy rule: no-write-allocate for small

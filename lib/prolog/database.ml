@@ -17,6 +17,7 @@ type clause = { head : Term.t; body : Cge.body }
 type t = {
   preds : (string * int, clause list ref) Hashtbl.t;
   mutable order : (string * int) list; (* reverse insertion order *)
+  mutable n_clauses : int;
   mutable aux_count : int;
   mutable directives : Term.t list; (* reverse order *)
 }
@@ -24,12 +25,36 @@ type t = {
 exception Load_error of string
 
 let create () =
-  { preds = Hashtbl.create 64; order = []; aux_count = 0; directives = [] }
+  {
+    preds = Hashtbl.create 64;
+    order = [];
+    n_clauses = 0;
+    aux_count = 0;
+    directives = [];
+  }
 
 let copy db =
   let preds = Hashtbl.copy db.preds in
   Hashtbl.filter_map_inplace (fun _ cell -> Some (ref !cell)) preds;
   { db with preds }
+
+(* A copy shares its base's [order] list, so the predicates added
+   since are the ones consed in front of it.  The clause count tells
+   whether an older predicate gained a clause too. *)
+let cut_back db ~base =
+  let rec drop = function
+    | order when order == base.order -> ()
+    | key :: rest ->
+      db.n_clauses <- db.n_clauses - List.length !(Hashtbl.find db.preds key);
+      Hashtbl.remove db.preds key;
+      drop rest
+    | [] -> invalid_arg "Database.cut_back: not a copy of the base"
+  in
+  drop db.order;
+  db.order <- base.order;
+  db.aux_count <- base.aux_count;
+  db.directives <- base.directives;
+  db.n_clauses = base.n_clauses
 
 let key_of_head = function
   | Term.Atom name -> (name, 0)
@@ -39,6 +64,7 @@ let key_of_head = function
 
 let add_clause db clause =
   let key = key_of_head clause.head in
+  db.n_clauses <- db.n_clauses + 1;
   match Hashtbl.find_opt db.preds key with
   | Some cell -> cell := !cell @ [ clause ]
   | None ->
@@ -172,8 +198,7 @@ let sequentialize db =
   out
 
 (* Statistics used by reports and tests. *)
-let clause_count db =
-  Hashtbl.fold (fun _ cell n -> n + List.length !cell) db.preds 0
+let clause_count db = db.n_clauses
 
 let predicate_count db = List.length db.order
 

@@ -24,6 +24,14 @@ val copy : t -> t
     auxiliary-name counter and directives: asserting into the copy
     leaves the original unchanged. *)
 
+val cut_back : t -> base:t -> bool
+(** [cut_back t ~base], where [t] is a {!copy} of [base], removes every
+    predicate added to [t] since, with the directives and the
+    auxiliary-name counter: [t] then holds [base]'s clauses again.
+    [false] when one of [base]'s predicates gained a clause in [t],
+    which leaves [t] unusable.
+    @raise Invalid_argument if [t] is not a copy of [base]. *)
+
 val assert_term : t -> Term.t -> unit
 (** Add one parsed clause or directive ([:- D] / [?- D]). *)
 

@@ -22,7 +22,7 @@ let config ?(pes = 1) ?(workers = Engine.Pool.default_jobs ())
 type t = {
   cfg : config;
   an : Costan.Analyze.t;
-  image : Wam.Program.image;  (* compiled once; shared read-only *)
+  image : Wam.Program.image;  (* compiled once; shared by every domain *)
 }
 
 let create cfg =
@@ -52,25 +52,29 @@ type response = {
 
 (* ------------------------------------------------------------------ *)
 (* Execution: one query straight through the chosen engine.  The query
-   is compiled onto the server's database image, which it only reads,
-   and runs on a fresh single-shot machine, so this is safe on any
-   domain. *)
+   is compiled onto a workspace of the server's database image and runs
+   on a machine from the machine pool; both go back for the next miss
+   once the answers and the inference count are read.  A run that
+   raises returns neither, so nothing it touched is reused.  This is
+   safe on any domain. *)
 
 exception Run_error of string
 
 let run_answers t query =
   let prog = Wam.Program.with_query t.image ~query in
-  if t.cfg.pes <= 1 then begin
-    let solutions, m = Wam.Seq.run_all ~max_solutions:1 prog in
-    (solutions, m.Wam.Machine.inferences)
-  end
-  else begin
-    let result, sim = Rapwam.Sim.run ~n_workers:t.cfg.pes prog in
-    match result with
-    | Wam.Seq.Success bindings ->
-      ([ bindings ], sim.Rapwam.Sim.m.Wam.Machine.inferences)
-    | Wam.Seq.Failure -> ([], sim.Rapwam.Sim.m.Wam.Machine.inferences)
-  end
+  let answers, m =
+    if t.cfg.pes <= 1 then Wam.Seq.run_all ~max_solutions:1 prog
+    else begin
+      let result, sim = Rapwam.Sim.run ~n_workers:t.cfg.pes prog in
+      match result with
+      | Wam.Seq.Success bindings -> ([ bindings ], sim.Rapwam.Sim.m)
+      | Wam.Seq.Failure -> ([], sim.Rapwam.Sim.m)
+    end
+  in
+  let inferences = m.Wam.Machine.inferences in
+  Wam.Machine.release m;
+  Wam.Program.release prog;
+  (answers, inferences)
 
 let execute ?faults t query =
   try

@@ -3,11 +3,13 @@
     A server holds one loaded database (source text), a static cost
     analysis of it, and the database compiled once into a
     {!Wam.Program.image}.  Every execution compiles only its query
-    onto copies of the image and runs it on a fresh single-shot
-    machine, so worker domains share the server read-only; the only
-    shared mutable state is the optional memo table, which is what
-    its sharded locks are for.  A query is answered with its first
-    solution, on either engine.
+    onto a workspace of the image and runs it on a reset machine;
+    after its answers are read, both are released for the next
+    execution ({!Wam.Program.release}, {!Wam.Machine.release}).  The
+    image's workspaces, the machine pool and the optional memo table
+    (with its sharded locks) are the shared mutable state, and each is
+    locked, so worker domains share the server.  A query is answered
+    with its first solution, on either engine.
 
     This module runs one request.  {!Supervise.serve} is the batch
     server: it admits each request through {!lookup_hit}, {!verdict}

@@ -14,7 +14,8 @@
    Threading: all supervision state (counters, breaker circuits, the
    breaker clock, metrics) is read and written on the accepting thread
    only.  Worker domains run {!Serve.compute} and nothing else, so the
-   only shared state is the memo table, which is already sharded. *)
+   only shared state is the memo table, which is already sharded, and
+   the pools of machines and query workspaces, each behind a lock. *)
 
 type outcome = Ok | Retried of int | Timeout | Shed | Crashed | Faulted
 

@@ -45,7 +45,8 @@
 
     {!stats} counts every response by lane and by {!outcome}.  All
     supervision state lives on the accepting thread; worker domains
-    share nothing but the memo table. *)
+    share nothing but the memo table and the locked pools of machines
+    and query workspaces ({!Serve}). *)
 
 type outcome =
   | Ok  (** answered on the first attempt (includes run errors) *)

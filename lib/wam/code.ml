@@ -24,6 +24,18 @@ let copy t =
     blocks = Vec.copy t.blocks;
   }
 
+(* The predicates compiled onto [t] since it was copied from [base]
+   each added one block, in order; dropping their entries and the code
+   restores [base]'s table unless one of them re-bound an older
+   entry. *)
+let cut_back t ~base =
+  for i = Vec.length base.blocks to Vec.length t.blocks - 1 do
+    Hashtbl.remove t.entries (snd (Vec.get t.blocks i))
+  done;
+  Vec.truncate t.blocks (Vec.length base.blocks);
+  Vec.truncate t.instrs (Vec.length base.instrs);
+  Hashtbl.length t.entries = Hashtbl.length base.entries
+
 let here t = Vec.length t.instrs
 
 let emit t i =

@@ -12,6 +12,12 @@ val copy : t -> t
 (** An independent code area with the same instructions and entries;
     emitting into the copy leaves the original unchanged. *)
 
+val cut_back : t -> base:t -> bool
+(** [cut_back t ~base], where [t] is a {!copy} of [base] that was only
+    appended to, drops every instruction and entry added since: [t]
+    then equals [base] again.  [false] when an added entry re-bound
+    one of [base]'s, which leaves [t] unusable. *)
+
 val here : t -> int
 (** Address of the next instruction to be emitted. *)
 

@@ -145,12 +145,12 @@ exception Runtime_error of string
 let runtime_error fmt =
   Printf.ksprintf (fun s -> raise (Runtime_error s)) fmt
 
-let make_shallow () =
+let make_shallow sh_args =
   {
     sh_active = false;
     sh_alt = -1;
     sh_nargs = 0;
-    sh_args = Array.make 256 0;
+    sh_args;
     sh_e = -1;
     sh_cp = 0;
     sh_b0 = -1;
@@ -160,10 +160,12 @@ let make_shallow () =
     sh_nt_log = [];
   }
 
-let make_worker id =
+(* [x] and [args] are the register file and the shallow frame's saved
+   arguments: zeroed arrays of 4096 and 256 words. *)
+let make_worker ~x ~args id =
   {
     id;
-    shallow = make_shallow ();
+    shallow = make_shallow args;
     p = 0;
     cp = 0;
     e = -1;
@@ -182,7 +184,7 @@ let make_worker id =
     gs_bot = Layout.goal_base id + 3;
     mode_write = false;
     no_trail = false;
-    x = Array.make 4096 0;
+    x;
     nargs = 0;
     status = Idle;
     exec_stack = [];
@@ -206,15 +208,32 @@ let make_worker id =
 
 let max_workers = 128
 
+(* Released machines, reset, waiting for a [create] with their number
+   of workers.  A run that raised never reaches [release], so its
+   machine is left to the collector. *)
+let idle : t Reuse.t = Reuse.create ~limit:8
+
 let create ?(sink = Trace.Sink.null) ~n_workers ~code ~symbols () =
   if n_workers < 1 || n_workers > max_workers then
     invalid_arg
       (Printf.sprintf "Machine.create: n_workers must be in 1..%d" max_workers);
+  let mem, workers =
+    match Reuse.take idle ~fits:(fun m -> Array.length m.workers = n_workers) with
+    | Some old ->
+      ( Memory.create ~sink ~reuse:old.mem (),
+        Array.map
+          (fun w -> make_worker ~x:w.x ~args:w.shallow.sh_args w.id)
+          old.workers )
+    | None ->
+      ( Memory.create ~sink (),
+        Array.init n_workers (fun id ->
+            make_worker ~x:(Array.make 4096 0) ~args:(Array.make 256 0) id) )
+  in
   {
-    mem = Memory.create ~sink ();
+    mem;
     code;
     symbols;
-    workers = Array.init n_workers make_worker;
+    workers;
     opcode_freq = Array.make Instr.opcode_count 0;
     steps = 0;
     inferences = 0;
@@ -229,6 +248,18 @@ let create ?(sink = Trace.Sink.null) ~n_workers ~code ~symbols () =
     failed = false;
     nil_atom = Symbols.atom symbols "[]";
   }
+
+(* Zero what the run wrote, so that [create] can hand out the memory
+   and the register files as they were new; the worker records and
+   counters are made afresh there. *)
+let release m =
+  Memory.clear m.mem;
+  Array.iter
+    (fun w ->
+      Array.fill w.x 0 (Array.length w.x) 0;
+      Array.fill w.shallow.sh_args 0 (Array.length w.shallow.sh_args) 0)
+    m.workers;
+  Reuse.give idle m
 
 let n_workers m = Array.length m.workers
 let worker m i = m.workers.(i)

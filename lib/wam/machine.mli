@@ -138,7 +138,19 @@ val max_workers : int
 val create :
   ?sink:Trace.Sink.t -> n_workers:int -> code:Code.t -> symbols:Symbols.t ->
   unit -> t
-(** @raise Invalid_argument unless [1 <= n_workers <= max_workers]. *)
+(** A machine whose memory reads 0 everywhere and whose workers,
+    registers and counters hold their initial values.  It is built on
+    the storage of a {!release}d machine with [n_workers] workers when
+    one is idle.
+    @raise Invalid_argument unless [1 <= n_workers <= max_workers]. *)
+
+val release : t -> unit
+(** Give the machine's memory and register files back for a later
+    {!create} to reuse: the pages the run wrote and the registers are
+    zeroed.  Call it at most once, after the run returned and its
+    answers and counters were read; the machine must not be used
+    afterwards.  A machine whose run raised is not released, so it is
+    never reused.  At most 8 idle machines are kept. *)
 
 val n_workers : t -> int
 val worker : t -> int -> worker

@@ -3,12 +3,16 @@
    Word-addressed and backed by fixed 4K-word pages, allocated on the
    first write to them.  Every PE reserves a 4M-word stack set
    ([Layout]), but a served query touches a few hundred words of each
-   area and every run starts on a fresh machine, so a run should pay
-   for the words it touches, not for its reservation: a page costs
-   32 KB to allocate and zero.  A page that was never written reads as
-   0 through one shared zero page.  Every [read]/[write] emits a tagged
-   reference record to the machine's trace sink; [peek]/[poke] bypass
-   tracing (used by answer decoding, debugging and tests). *)
+   area, so a run should pay for the words it touches, not for its
+   reservation: a page costs 32 KB to allocate and zero.  A page that
+   was never written reads as 0 through one shared zero page.  A
+   memory records the pages it has written, so [clear] can zero just
+   those and keep them as spares: a machine that is released and
+   created again ([Machine.release]) reuses its directory and pages
+   instead of allocating new ones.  Every [read]/[write] emits a
+   tagged reference record to the machine's trace sink;
+   [peek]/[poke] bypass tracing (used by answer decoding, debugging
+   and tests). *)
 
 let page_bits = 12
 let page_words = 1 lsl page_bits
@@ -19,11 +23,35 @@ let zero_page = Array.make page_words 0
 
 type t = {
   mutable pages : int array array;
+  mutable written : int list; (* indices of the pages written, newest first *)
+  mutable spare : int array list; (* zeroed pages for the next first writes *)
   sink : Trace.Sink.t;
 }
 
-let create ?(sink = Trace.Sink.null) () =
-  { pages = Array.make 1024 zero_page; sink }
+(* Zeroed pages a cleared memory keeps (2 MB): a served miss writes 4
+   pages on one PE and at most 40 on 8 (300 serve-churn pool queries);
+   a run that wrote more gives the rest to the collector unzeroed. *)
+let max_spare = 64
+
+let create ?(sink = Trace.Sink.null) ?reuse () =
+  match reuse with
+  | None -> { pages = Array.make 1024 zero_page; written = []; spare = []; sink }
+  | Some old -> { pages = old.pages; written = []; spare = old.spare; sink }
+
+let clear t =
+  let rec detach kept = function
+    | [] -> ()
+    | idx :: rest ->
+      let page = t.pages.(idx) in
+      t.pages.(idx) <- zero_page;
+      if kept < max_spare then begin
+        Array.fill page 0 page_words 0;
+        t.spare <- page :: t.spare
+      end;
+      detach (kept + 1) rest
+  in
+  detach (List.length t.spare) t.written;
+  t.written <- []
 
 let peek t addr =
   let idx = addr lsr page_bits in
@@ -42,8 +70,15 @@ let poke t addr word =
   let page = t.pages.(idx) in
   let page =
     if page == zero_page then begin
-      let fresh = Array.make page_words 0 in
+      let fresh =
+        match t.spare with
+        | p :: rest ->
+          t.spare <- rest;
+          p
+        | [] -> Array.make page_words 0
+      in
       t.pages.(idx) <- fresh;
+      t.written <- idx :: t.written;
       fresh
     end
     else page

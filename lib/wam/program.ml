@@ -1,21 +1,22 @@
 (* A compiled program: database + symbol table + code + query entry.
 
    The database is compiled once into an image; each query is then
-   compiled on top of copies of the image's tables.  The query is a
-   synthetic predicate whose arguments are the query's free variables,
-   so the drivers can seed A1..Ak with fresh heap variables and decode
-   the answers from them. *)
+   compiled onto a workspace: a private copy of the image's tables
+   that [release] cuts back to the image's marks and keeps for the
+   next query.  The query is a synthetic predicate whose arguments are
+   the query's free variables, so the drivers can seed A1..Ak with
+   fresh heap variables and decode the answers from them. *)
 
-type t = {
-  db : Prolog.Database.t;
-  symbols : Symbols.t;
-  code : Code.t;
-  query_fid : int;
-  query_vars : string list;
+(* The three tables a query is compiled into. *)
+type workspace = {
+  ws_db : Prolog.Database.t;
+  ws_symbols : Symbols.t;
+  ws_code : Code.t;
 }
 
-(* Never mutated after [image] returns: [with_query] compiles into
-   copies, so domains may share an image without locking. *)
+(* The tables are never mutated after [image] returns: queries are
+   compiled into workspaces, copies taken from [im_idle] (locked), so
+   domains may share an image. *)
 type image = {
   im_db : Prolog.Database.t;
   im_symbols : Symbols.t;
@@ -24,6 +25,16 @@ type image = {
   im_parallel : bool;
   im_det : Compile.det_plan option;
   im_bind : Compile.bind_plan option;
+  im_idle : workspace Reuse.t;
+}
+
+type t = {
+  db : Prolog.Database.t;
+  symbols : Symbols.t;
+  code : Code.t;
+  query_fid : int;
+  query_vars : string list;
+  home : image;
 }
 
 let query_name = "$query"
@@ -45,15 +56,18 @@ let image ?(parallel = true) ?det ?bind ?chains db =
     im_parallel = parallel;
     im_det = det;
     im_bind = bind;
+    im_idle = Reuse.create ~limit:8;
   }
 
-(* Assert the query into a copy of the image's database and compile
-   only what that added: the query's auxiliary predicates, then
-   [$query], then the pending builtin arms.  That is the order a
-   whole-program compile of the database plus the query emits them
-   in, so every code address and symbol id is the same.  Builtins
-   such as functor/3 intern symbols at run time, which is why the
-   symbol table is copied too. *)
+(* Assert the query into a workspace's database and compile only what
+   that added: the query's auxiliary predicates, then [$query], then
+   the pending builtin arms.  That is the order a whole-program
+   compile of the database plus the query emits them in, so every code
+   address and symbol id is the same.  Compiling only appends (each
+   backpatch targets the predicate being compiled), which is what lets
+   [release] cut the workspace back.  Builtins such as functor/3
+   intern symbols at run time, which is why the symbol table is
+   private too. *)
 let with_query ?chains im ~query =
   let q_term = Prolog.Parser.term_of_string query in
   let query_vars = Prolog.Term.vars q_term in
@@ -64,21 +78,43 @@ let with_query ?chains im ~query =
       Prolog.Term.Struct
         (query_name, List.map (fun v -> Prolog.Term.Var v) query_vars)
   in
-  let db = Prolog.Database.copy im.im_db in
+  let ws =
+    match Reuse.take im.im_idle ~fits:(fun _ -> true) with
+    | Some ws -> ws
+    | None ->
+      {
+        ws_db = Prolog.Database.copy im.im_db;
+        ws_symbols = Symbols.copy im.im_symbols;
+        ws_code = Code.copy im.im_code;
+      }
+  in
+  let db = ws.ws_db and symbols = ws.ws_symbols and code = ws.ws_code in
   Prolog.Database.assert_term db (Prolog.Term.Struct (":-", [ head; q_term ]));
   let known = Prolog.Database.predicate_count im.im_db in
   let added =
     List.filteri (fun i _ -> i >= known) (Prolog.Database.predicates db)
   in
-  let symbols = Symbols.copy im.im_symbols in
-  let code = Code.copy im.im_code in
   Compile.finish code
     (Compile.compile_predicates ~parallel:im.im_parallel ?det:im.im_det
        ?bind:im.im_bind ?chains symbols code im.im_arms db added);
   let query_fid =
     Symbols.functor_ symbols query_name (List.length query_vars)
   in
-  { db; symbols; code; query_fid; query_vars }
+  { db; symbols; code; query_fid; query_vars; home = im }
+
+(* A workspace that cannot be cut back exactly (a query added a clause
+   to, or re-bound the entry of, an image predicate) is dropped. *)
+let release p =
+  let im = p.home in
+  let clean =
+    Prolog.Database.cut_back p.db ~base:im.im_db
+    && Code.cut_back p.code ~base:im.im_code
+  in
+  if clean then begin
+    Symbols.cut_back p.symbols ~base:im.im_symbols;
+    Reuse.give im.im_idle
+      { ws_db = p.db; ws_symbols = p.symbols; ws_code = p.code }
+  end
 
 let of_database ?parallel ?det ?bind ?chains db ~query () =
   with_query ?chains (image ?parallel ?det ?bind ?chains db) ~query

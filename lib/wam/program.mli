@@ -6,18 +6,22 @@
     variables, so drivers can seed A1..Ak with fresh heap variables
     and decode the answers from them. *)
 
+type image
+(** A compiled database without a query.  Its code, symbol table and
+    database are never mutated after {!image} returns; queries are
+    compiled into private copies of them (workspaces), which
+    {!release} returns to the image for the next query.  Any number
+    of domains and threads may call {!with_query} on one image at
+    once. *)
+
 type t = {
   db : Prolog.Database.t;  (** the database with the query asserted *)
   symbols : Symbols.t;
   code : Code.t;
   query_fid : int;
   query_vars : string list;
+  home : image;  (** the image the query was compiled on *)
 }
-
-type image
-(** A compiled database without a query.  It is never mutated after
-    {!image} returns, so any number of domains may call {!with_query}
-    on one image at once. *)
 
 val image :
   ?parallel:bool -> ?det:Compile.det_plan -> ?bind:Compile.bind_plan ->
@@ -33,11 +37,19 @@ val image :
 val with_query :
   ?chains:Compile.chain_info list ref -> image -> query:string -> t
 (** Parse the query and compile it, with the auxiliary predicates its
-    control constructs lift out, onto copies of the image's code,
-    symbol table and database.  Code addresses and symbol ids equal
-    those of one whole-program compile of the database plus the query.
-    [chains] logs the query's try chains.
+    control constructs lift out, onto a workspace: an idle one the
+    image holds, or else new copies of the image's code, symbol table
+    and database.  Code addresses and symbol ids equal those of one
+    whole-program compile of the database plus the query.  [chains]
+    logs the query's try chains.
     @raise Prolog.Parser.Error on a bad query. *)
+
+val release : t -> unit
+(** Cut the program's workspace back to its image (the query's code,
+    entries, predicates and every symbol interned since, at run time
+    too) and keep it for a later {!with_query} on that image; at most
+    8 idle workspaces are kept.  Call it at most once, after the last
+    use of the program and of any machine running it. *)
 
 val of_database :
   ?parallel:bool -> ?det:Compile.det_plan -> ?bind:Compile.bind_plan ->

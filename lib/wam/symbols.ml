@@ -27,6 +27,18 @@ let copy t =
     functor_defs = Vec.copy t.functor_defs;
   }
 
+(* Interning only appends, so the ids past [base]'s are exactly the
+   names interned since the copy. *)
+let cut_back t ~base =
+  for id = Vec.length base.functor_defs to Vec.length t.functor_defs - 1 do
+    Hashtbl.remove t.functors (Vec.get t.functor_defs id)
+  done;
+  Vec.truncate t.functor_defs (Vec.length base.functor_defs);
+  for id = Vec.length base.atom_names to Vec.length t.atom_names - 1 do
+    Hashtbl.remove t.atoms (Vec.get t.atom_names id)
+  done;
+  Vec.truncate t.atom_names (Vec.length base.atom_names)
+
 let atom t name =
   match Hashtbl.find_opt t.atoms name with
   | Some id -> id

@@ -12,6 +12,11 @@ val copy : t -> t
 (** An independent table with the same ids: interning into the copy
     leaves the original unchanged. *)
 
+val cut_back : t -> base:t -> unit
+(** [cut_back t ~base], where [t] is a {!copy} of [base], forgets
+    every atom and functor interned into [t] since: [t] then gives
+    the ids and names [base] gives. *)
+
 val atom : t -> string -> int
 (** Intern (or look up) an atom. *)
 

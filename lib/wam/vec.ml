@@ -28,6 +28,13 @@ let get t i =
   if i < 0 || i >= t.len then invalid_arg "Vec.get";
   t.data.(i)
 
+(* Drop every element from index [n] on; the freed slots go back to
+   [dummy] so they keep nothing alive. *)
+let truncate t n =
+  if n < 0 || n > t.len then invalid_arg "Vec.truncate";
+  Array.fill t.data n (t.len - n) t.dummy;
+  t.len <- n
+
 let set t i x =
   if i < 0 || i >= t.len then invalid_arg "Vec.set";
   t.data.(i) <- x

@@ -517,6 +517,29 @@ let test_pe_bound_both_paths () =
      produced with more workers?)"
     prepared
 
+(* A line address is a shift of the word address, so a line size that
+   is not a power of two is refused where a configuration or a
+   prepared trace is made, even when it divides the cache size. *)
+let test_line_sizes_are_powers_of_two () =
+  let buf = four_pe_trace () in
+  let kind = Cachesim.Protocol.Write_through in
+  List.iter
+    (fun line_words ->
+      ignore (Cachesim.Protocol.make ~line_words ~kind ~cache_words:(64 * line_words) ());
+      ignore (Cachesim.Multi.prepare ~line_words buf))
+    [ 1; 2; 4; 8; 16 ];
+  List.iter
+    (fun line_words ->
+      let refused what f =
+        match f () with
+        | exception Invalid_argument _ -> ()
+        | _ -> Alcotest.failf "%s took %d-word lines" what line_words
+      in
+      refused "Protocol.make" (fun () ->
+          ignore (Cachesim.Protocol.make ~line_words ~kind ~cache_words:(64 * line_words) ()));
+      refused "Multi.prepare" (fun () -> ignore (Cachesim.Multi.prepare ~line_words buf)))
+    [ 3; 6; 12; 0; -4 ]
+
 let suite =
   [
     Alcotest.test_case "LRU basics" `Quick test_lru_basics;
@@ -555,4 +578,6 @@ let suite =
       test_no_allocation_per_reference;
     QCheck_alcotest.to_alcotest prop_prepare_keeps_accesses;
     Alcotest.test_case "PE bound on both paths" `Quick test_pe_bound_both_paths;
+    Alcotest.test_case "line sizes are powers of two" `Quick
+      test_line_sizes_are_powers_of_two;
   ]

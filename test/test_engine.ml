@@ -256,6 +256,7 @@ let test_sweep_rejects_bad_grid () =
       ("size 0", { g with Engine.Sweep.cache_sizes = [ 0 ] });
       ("line 0", { g with Engine.Sweep.line_words = 0 });
       ("line 3", { g with Engine.Sweep.cache_sizes = [ 64 ]; line_words = 3 });
+      ("line 3 dividing the size", { g with Engine.Sweep.cache_sizes = [ 96 ]; line_words = 3 });
       ("70 PEs", { g with Engine.Sweep.pe_counts = [ 2; 70 ] });
     ]
 

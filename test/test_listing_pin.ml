@@ -357,22 +357,94 @@ let check ~what got =
 
 (* One image per pool and mode with every query compiled onto it in
    turn (an image a query left changed would move the later digests),
-   and every query through [of_database] on a fresh parse. *)
+   the same with each program released before the next query (which
+   then compiles onto the released workspace), and every query through
+   [of_database] on a fresh parse. *)
 let test_listings () =
   let compile_all compile =
     List.concat_map
       (fun ((_, src, _) as pool) ->
         let seq = compile false src and par = compile true src in
-        List.map (fun (k, query) -> (k, digest (seq query), digest (par query))) (keyed pool))
+        List.map (fun (k, query) -> (k, seq query, par query)) (keyed pool))
       pools
   in
-  check ~what:"with_query"
-    (compile_all (fun parallel src ->
-         let image = Wam.Program.image ~parallel (Prolog.Database.of_string src) in
-         fun query -> Wam.Program.with_query image ~query));
+  let on_image ~release parallel src =
+    let image = Wam.Program.image ~parallel (Prolog.Database.of_string src) in
+    fun query ->
+      let p = Wam.Program.with_query image ~query in
+      let d = digest p in
+      if release then Wam.Program.release p;
+      d
+  in
+  check ~what:"with_query" (compile_all (on_image ~release:false));
+  check ~what:"with_query, each released" (compile_all (on_image ~release:true));
   check ~what:"of_database"
     (compile_all (fun parallel src query ->
-         Wam.Program.of_database ~parallel (Prolog.Database.of_string src) ~query ()))
+         digest (Wam.Program.of_database ~parallel (Prolog.Database.of_string src) ~query ())))
+
+let count name =
+  let rec go i = match name i with _ -> go (i + 1) | exception Invalid_argument _ -> i in
+  go 0
+
+(* What a whole-program compile of the database alone holds: the code
+   length, atom and functor counts and predicate count a released
+   workspace must be cut back to.  (The source has no builtin arms, so
+   the image emits exactly this code.) *)
+let sizes_of (code, symbols, db) =
+  ( Wam.Code.length code,
+    count (Wam.Symbols.atom_name symbols),
+    count (Wam.Symbols.spec_string symbols),
+    Prolog.Database.predicate_count db )
+
+(* [release] cuts a workspace back to its image: the query's code and
+   auxiliary predicates go, with every symbol interned by its compile
+   and by its run (functor/3 and =../2 intern at run time); the next
+   query compiles onto the same tables. *)
+let test_release_cuts_back () =
+  let src = "app([], L, L).\napp([H|T], L, [H|R]) :- app(T, L, R).\n" in
+  let db () = Prolog.Database.of_string src in
+  let whole =
+    let symbols = Wam.Symbols.create () and db = db () in
+    (Wam.Compile.compile_db ~parallel:false symbols db, symbols, db)
+  in
+  let image = Wam.Program.image ~parallel:false (db ()) in
+  let p =
+    Wam.Program.with_query image
+      ~query:"(app(X, Y, [a, b]) ; X = none), functor(T, fresh_name, 3), U =.. [other_name, T]"
+  in
+  (match Wam.Seq.run_all ~max_solutions:1 p with
+  | [ _ ], m -> Wam.Machine.release m
+  | _ -> Alcotest.fail "the query must succeed");
+  let grown = sizes_of (p.Wam.Program.code, p.Wam.Program.symbols, p.Wam.Program.db) in
+  Alcotest.(check bool) "the query grew every table" true
+    (let c, a, f, n = grown and c0, a0, f0, n0 = sizes_of whole in
+     c > c0 && a > a0 && f > f0 && n > n0);
+  Wam.Program.release p;
+  let c0, a0, f0, n0 = sizes_of whole in
+  let c, a, f, n = sizes_of (p.Wam.Program.code, p.Wam.Program.symbols, p.Wam.Program.db) in
+  Alcotest.(check (list int)) "code, atoms, functors, predicates as the image's"
+    [ c0; a0; f0; n0 ] [ c; a; f; n ];
+  let q = Wam.Program.with_query image ~query:"app(X, Y, [c])" in
+  Alcotest.(check bool) "the next query reuses the workspace" true
+    (q.Wam.Program.code == p.Wam.Program.code && q.Wam.Program.symbols == p.Wam.Program.symbols);
+  Alcotest.(check string) "and compiles as on a fresh image"
+    (digest (Wam.Program.of_database ~parallel:false (db ()) ~query:"app(X, Y, [c])" ()))
+    (digest q);
+  (* a query whose clause joins an image predicate (here a database
+     that defines $query/1 itself) leaves a workspace that cannot be
+     cut back: it is dropped, and the next query gets a fresh copy *)
+  let src = src ^ "'$query'(X) :- X = 1.\n" in
+  let image = Wam.Program.image ~parallel:false (Prolog.Database.of_string src) in
+  let p = Wam.Program.with_query image ~query:"X = 2" in
+  Wam.Program.release p;
+  let q = Wam.Program.with_query image ~query:"app(X, Y, [c])" in
+  Alcotest.(check bool) "a workspace that cannot be cut back is dropped" false
+    (q.Wam.Program.code == p.Wam.Program.code);
+  Alcotest.(check string) "the next query compiles as on a fresh image"
+    (digest
+       (Wam.Program.of_database ~parallel:false (Prolog.Database.of_string src)
+          ~query:"app(X, Y, [c])" ()))
+    (digest q)
 
 (* One image per mode, shared by two domains that each run 50 pool
    queries on it: the answers equal one domain's, and a probe query
@@ -407,4 +479,6 @@ let suite =
     Alcotest.test_case "one image shared by two domains" `Quick test_image_shared;
     Alcotest.test_case "with_query and of_database reproduce the pinned listings" `Quick
       test_listings;
+    Alcotest.test_case "release cuts a workspace back to its image" `Quick
+      test_release_cuts_back;
   ]

@@ -1,6 +1,6 @@
 (* Machine-level tests: cell encoding, direct unification on heap
-   cells, trail/untrail behaviour, failure injection (overflows), and
-   the RAP-WAM in-memory frame mechanics. *)
+   cells, trail/untrail behaviour, failure injection (overflows), the
+   RAP-WAM in-memory frame mechanics, and machine reuse. *)
 
 let fresh_machine () =
   let prog = Wam.Program.prepare ~src:"" ~query:"true" () in
@@ -250,6 +250,143 @@ let test_messages_roundtrip () =
     (m2.Rapwam.Messages.pf = 6 && m2.Rapwam.Messages.slot = 0);
   Alcotest.(check bool) "drained" false (Rapwam.Messages.pending q w1)
 
+(* One program per storage area that exhausts that area before any
+   other.  The local stack's recursion is no last call (done/0
+   follows); the trail's variables predate a choice point on the
+   local stack, so each binding is trailed while the stacks grow by
+   a frame per twelve bindings; the PDL's two lists nest in their
+   heads, so unifying them pushes one tail pair per level; the goal
+   stack's recursion pushes h/0 at every level while the other PE
+   loops inside the first h it stole. *)
+let area_programs =
+  [
+    ("heap", "grow(L) :- grow([a|L]).\n", "grow([])", 1);
+    ("local stack", "deep(N) :- M is N + 1, deep(M), done.\ndone.\n", "deep(0)", 1);
+    ("control stack", "spin :- alt, spin.\nalt.\nalt.\n", "spin", 1);
+    ( "trail",
+      "tr :- mk(A, B, C, D, E, F, G, H, I, J, K, L), alt,\n\
+      \  b(A), b(B), b(C), b(D), b(E), b(F), b(G), b(H), b(I), b(J), b(K), b(L), tr.\n\
+       mk(_, _, _, _, _, _, _, _, _, _, _, _).\n\
+       b(a).\n",
+      "tr",
+      1 );
+    ( "PDL",
+      "nest(0, []) :- !.\nnest(N, [T|x]) :- M is N - 1, nest(M, T).\n",
+      "nest(40000, A), nest(40000, B), A = B",
+      1 );
+    ("goal stack", "g(N) :- M is N - 1, (g(M) & h).\nh :- h.\n", "g(0)", 2);
+  ]
+
+(* Each area ends in the runtime error that names it, within the
+   deadline; a server over the same programs then turns the same
+   error into one request's error, and the next query on its domain
+   gets the direct-run answer: the raising machine went to no pool. *)
+let test_area_overflows () =
+  let good = "qsort([3,1,4,1,5,9,2,6], S)" in
+  let src = String.concat "" (Benchlib.Programs.qsort :: List.map (fun (_, s, _, _) -> s) area_programs) in
+  let servers =
+    List.map
+      (fun pes -> (pes, Server.Serve.create (Server.Serve.config ~pes ~workers:1 ~src ())))
+      [ 1; 2 ]
+  in
+  let direct pes =
+    let prog = Wam.Program.prepare ~parallel:(pes > 1) ~src ~query:good () in
+    let result =
+      if pes = 1 then fst (Wam.Seq.run prog) else fst (Rapwam.Sim.run ~n_workers:pes prog)
+    in
+    match result with
+    | Wam.Seq.Success bindings ->
+      List.map (fun (v, t) -> v ^ " = " ^ Prolog.Pretty.to_string t) bindings
+    | Wam.Seq.Failure -> Alcotest.fail "the good query must succeed"
+  in
+  let serve server query =
+    Server.Serve.compute server ~t0:0. ~key:None { Server.Serve.rq_id = 0; rq_query = query }
+  in
+  let served server =
+    let r = serve server good in
+    Alcotest.(check (option string)) "good query served" None r.Server.Serve.rs_error;
+    List.map Memo.Canon.answer_text r.Server.Serve.rs_answers
+  in
+  List.iter
+    (fun (area, _, query, pes) ->
+      let expected = area ^ " overflow (PE 0)" in
+      let prog = Wam.Program.prepare ~parallel:(pes > 1) ~src ~query () in
+      Deadline.within ~seconds:10.0 (fun () ->
+          match
+            if pes = 1 then fst (Wam.Seq.run prog) else fst (Rapwam.Sim.run ~n_workers:pes prog)
+          with
+          | exception Wam.Machine.Runtime_error msg -> Alcotest.(check string) area expected msg
+          | _ -> Alcotest.failf "%s: the program ended without an error" area);
+      let server = List.assoc pes servers in
+      Deadline.within ~seconds:10.0 (fun () ->
+          Alcotest.(check (option string)) (area ^ ", served") (Some expected)
+            (serve server query).Server.Serve.rs_error);
+      Alcotest.(check (list string))
+        (Printf.sprintf "good query after the %s overflow" area)
+        (direct pes) (served server))
+    area_programs
+
+(* A released machine comes back from [create] on the same storage,
+   with every page the run wrote reading 0 and workers equal to a new
+   machine's; a second run on it repeats the first's answer, counters
+   and packed trace. *)
+let test_released_machine_reset () =
+  let prog =
+    Wam.Program.prepare ~parallel:true ~src:Benchlib.Programs.qsort
+      ~query:"qsort([5,3,8,1,9,2,7,4,6,0,11,15,13,12,14,10], S)" ()
+  in
+  let copy v : Wam.Machine.worker array = Marshal.from_string (Marshal.to_string v []) 0 in
+  let run () =
+    let buf = Trace.Sink.Buffer_sink.create () in
+    let sim = Rapwam.Sim.create ~sink:(Trace.Sink.buffer buf) ~n_workers:5 prog in
+    let m = sim.Rapwam.Sim.m in
+    let pages = m.Wam.Machine.mem.Wam.Memory.pages and workers = copy m.Wam.Machine.workers in
+    let result = Rapwam.Sim.run_prepared sim prog in
+    let words = ref [] in
+    Trace.Sink.Buffer_sink.iter_packed (fun w -> words := w :: !words) buf;
+    let counters =
+      ( (m.Wam.Machine.steps, m.Wam.Machine.inferences, m.Wam.Machine.parcalls),
+        (m.Wam.Machine.goals_pushed, m.Wam.Machine.goals_stolen, m.Wam.Machine.cp_created),
+        Array.to_list m.Wam.Machine.opcode_freq,
+        Array.map
+          (fun (w : Wam.Machine.worker) ->
+            (w.instr_count, w.idle_cycles, w.wait_cycles, w.max_h, w.max_lst, w.max_tr))
+          m.Wam.Machine.workers )
+    in
+    (m, pages, workers, (result, counters, !words))
+  in
+  let m1, _, fresh, first = run () in
+  let written = m1.Wam.Machine.mem.Wam.Memory.written in
+  Alcotest.(check bool) "the run wrote pages" true (written <> []);
+  let pages = m1.Wam.Machine.mem.Wam.Memory.pages in
+  Wam.Machine.release m1;
+  let m2 =
+    Wam.Machine.create ~n_workers:5 ~code:prog.Wam.Program.code
+      ~symbols:prog.Wam.Program.symbols ()
+  in
+  Alcotest.(check bool) "storage reused" true (m2.Wam.Machine.mem.Wam.Memory.pages == pages);
+  Alcotest.(check bool) "workers as new" true (copy m2.Wam.Machine.workers = fresh);
+  (* the release kept each page it zeroed as a spare; a first write
+     to each of those pages takes one, and every other word of it
+     reads 0 *)
+  Alcotest.(check int) "pages kept as spares" (List.length written)
+    (List.length m2.Wam.Machine.mem.Wam.Memory.spare);
+  List.iter
+    (fun idx ->
+      let base = idx lsl 12 in
+      Wam.Memory.poke m2.Wam.Machine.mem base 1;
+      for addr = base + 1 to base + 4095 do
+        if Wam.Memory.peek m2.Wam.Machine.mem addr <> 0 then
+          Alcotest.failf "word %d still holds %d" addr (Wam.Memory.peek m2.Wam.Machine.mem addr)
+      done)
+    written;
+  Alcotest.(check int) "spares all taken" 0 (List.length m2.Wam.Machine.mem.Wam.Memory.spare);
+  Wam.Machine.release m2;
+  let _, reused, workers, second = run () in
+  Alcotest.(check bool) "second run on the released storage" true (reused == pages);
+  Alcotest.(check bool) "its workers as new" true (workers = fresh);
+  Alcotest.(check bool) "same answer, counters and trace" true (first = second)
+
 let suite =
   [
     Alcotest.test_case "cell roundtrip" `Quick test_cell_roundtrip;
@@ -273,4 +410,8 @@ let suite =
     Alcotest.test_case "parcall slots" `Quick test_parcall_slot_encoding;
     Alcotest.test_case "marker roundtrip" `Quick test_marker_roundtrip;
     Alcotest.test_case "messages" `Quick test_messages_roundtrip;
+    Alcotest.test_case "each storage area overflows with its own error" `Slow
+      test_area_overflows;
+    Alcotest.test_case "a released machine is handed out reset" `Quick
+      test_released_machine_reset;
   ]

@@ -78,4 +78,94 @@ let test_pins () =
     Alcotest.failf "trace digests moved:\n%s"
       (String.concat "\n" (List.map (fun (k, d) -> Printf.sprintf "    (%S, %S);" k d) bad))
 
-let suite = [ Alcotest.test_case "packed traces match the pinned digests" `Quick test_pins ]
+(* The plain configurations again, each on a machine and a workspace
+   that a different query on the same image just released: that query
+   interned run-time functors and wrote other words to the same pages.
+   The trace keeps its pin, and the answer and counters equal a run of
+   the benchmark through [Benchlib.Runner]. *)
+let test_pins_on_released () =
+  let traced prog n_pes =
+    let buf = Trace.Sink.Buffer_sink.create () in
+    let sink = Trace.Sink.buffer buf in
+    if n_pes = 0 then
+      let result, m = Wam.Seq.run ~sink prog in
+      (result, m, buf)
+    else
+      let result, sim = Rapwam.Sim.run ~sink ~n_workers:n_pes prog in
+      (result, sim.Rapwam.Sim.m, buf)
+  in
+  let counters (m : Wam.Machine.t) =
+    let sum f = Array.fold_left (fun acc w -> acc + f w) 0 m.Wam.Machine.workers in
+    [
+      Wam.Machine.total_instr m;
+      m.Wam.Machine.inferences;
+      m.Wam.Machine.parcalls;
+      m.Wam.Machine.goals_stolen;
+      m.Wam.Machine.cp_created;
+      sum (fun w -> w.Wam.Machine.idle_cycles);
+      sum (fun w -> w.Wam.Machine.wait_cycles);
+      sum Wam.Machine.heap_used;
+      sum Wam.Machine.trail_used;
+    ]
+    @ Array.to_list m.Wam.Machine.opcode_freq
+  in
+  List.iter
+    (fun name ->
+      let b = quick name in
+      List.iter
+        (fun (config, n_pes) ->
+          let key = name ^ "/" ^ config in
+          let image =
+            Wam.Program.image ~parallel:(n_pes > 0) (Prolog.Database.of_string b.Benchlib.Programs.src)
+          in
+          let dirty =
+            Wam.Program.with_query image
+              ~query:("functor(Dirty1, dirty, 7), Dirty2 =.. [dirtier, Dirty1, Dirty1], "
+                     ^ b.Benchlib.Programs.query)
+          in
+          let _, released, _ = traced dirty n_pes in
+          Wam.Machine.release released;
+          Wam.Program.release dirty;
+          let prog = Wam.Program.with_query image ~query:b.Benchlib.Programs.query in
+          let result, m, buf = traced prog n_pes in
+          Alcotest.(check bool) (key ^ ": workspace reused") true
+            (prog.Wam.Program.code == dirty.Wam.Program.code);
+          Alcotest.(check bool) (key ^ ": machine reused") true
+            (m.Wam.Machine.mem.Wam.Memory.pages == released.Wam.Machine.mem.Wam.Memory.pages);
+          Alcotest.(check (option string)) (key ^ ": trace") (List.assoc_opt key expected)
+            (Some (digest buf));
+          let r =
+            if n_pes = 0 then Benchlib.Runner.run_wam b
+            else Benchlib.Runner.run_rapwam ~n_pes b
+          in
+          let answer =
+            match result with
+            | Wam.Seq.Success bindings -> List.assoc_opt b.Benchlib.Programs.answer_var bindings
+            | Wam.Seq.Failure -> None
+          in
+          Alcotest.(check bool) (key ^ ": answer") true
+            (r.Benchlib.Runner.succeeded = (result <> Wam.Seq.Failure)
+            && Option.equal Prolog.Term.equal r.Benchlib.Runner.answer answer);
+          Alcotest.(check (list int)) (key ^ ": counters")
+            ([
+               r.Benchlib.Runner.instructions;
+               r.Benchlib.Runner.inferences;
+               r.Benchlib.Runner.parcalls;
+               r.Benchlib.Runner.goals_stolen;
+               r.Benchlib.Runner.cp_created;
+               r.Benchlib.Runner.idle_cycles;
+               r.Benchlib.Runner.wait_cycles;
+               r.Benchlib.Runner.heap_words;
+               r.Benchlib.Runner.trail_words;
+             ]
+            @ Array.to_list r.Benchlib.Runner.opcode_freq)
+            (counters m))
+        [ ("wam", 0); ("rapwam-1pe", 1); ("rapwam-4pe", 4); ("rapwam-8pe", 8) ])
+    [ "deriv"; "qsort"; "tak"; "matrix" ]
+
+let suite =
+  [
+    Alcotest.test_case "packed traces match the pinned digests" `Quick test_pins;
+    Alcotest.test_case "the pins hold on released machines and workspaces" `Quick
+      test_pins_on_released;
+  ]
