@@ -30,10 +30,10 @@
      self-reference initialization).  The dereference self-read inside
      a window that writes the cell later is exempt.
 
-   Windows are per-PE: the data accesses between one Code fetch and
-   the next fetch by the same PE belong to the fetched instruction.
-   Cell rules look at Heap and Env_pvar accesses only; Trail reads
-   feed the restore detector. *)
+   Windows are Wam.Profile's: the data accesses a PE makes from one
+   fetch to its next fetch (or its first Message access) belong to the
+   fetched instruction.  Cell rules look at Heap and Env_pvar accesses
+   only; Trail reads feed the restore detector. *)
 
 type kind =
   | K_uninit_get
@@ -56,7 +56,6 @@ type violation = {
 
 type report = {
   sites_checked : int;
-  fetches : int;
   windows : int;  (** site windows replayed *)
   violations : violation list;
 }
@@ -91,6 +90,7 @@ let site_of_pair (base : Wam.Instr.t) (bind : Wam.Instr.t) =
 type access = { w_op : Trace.Ref_record.op; w_addr : int; w_area : Trace.Area.t }
 
 type window = {
+  wn_pe : int;
   wn_site : int;
   wn_kind : kind;
   mutable wn_acc : access list;  (** reversed *)
@@ -143,22 +143,13 @@ let check ~symbols ~base_code ~bind_code buf =
           }
           :: !violations
     done;
-  let fetches = ref 0 in
   let windows = ref 0 in
   (* watch set S: addr -> (site, restored?) *)
   let s_tbl : (int, int * bool ref) Hashtbl.t = Hashtbl.create 64 in
   (* pending-uninit set P: addr -> originating site *)
   let p_tbl : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let cur : (int, window option ref) Hashtbl.t = Hashtbl.create 8 in
-  let trail_read : (int, bool ref) Hashtbl.t = Hashtbl.create 8 in
-  let slot tbl pe mk =
-    match Hashtbl.find_opt tbl pe with
-    | Some r -> r
-    | None ->
-      let r = mk () in
-      Hashtbl.add tbl pe r;
-      r
-  in
+  (* per PE: was its last reference since its last fetch a Trail read? *)
+  let trail_read = Array.make (Trace.Ref_record.max_pe + 1) false in
   let violate pe site area kind addr =
     violations :=
       {
@@ -171,7 +162,8 @@ let check ~symbols ~base_code ~bind_code buf =
       }
       :: !violations
   in
-  let finalize pe (w : window) =
+  let finalize (w : window) =
+    let pe = w.wn_pe in
     incr windows;
     let acc = List.rev w.wn_acc in
     let cells = List.filter (fun a -> cell_area a.w_area) acc in
@@ -231,66 +223,57 @@ let check ~symbols ~base_code ~bind_code buf =
           violate pe w.wn_site Trace.Area.Heap "uninit-read" addr)
       w.wn_pending
   in
-  Trace.Sink.Buffer_sink.iter_entries
-    (function
-      | Trace.Ref_record.Sync _ -> ()
-      | Trace.Ref_record.Access r ->
-        let tr = slot trail_read r.pe (fun () -> ref false) in
-        let cw = slot cur r.pe (fun () -> ref None) in
-        if r.area = Trace.Area.Code && r.op = Trace.Ref_record.Read then begin
-          let idx = r.addr - Wam.Layout.code_base in
-          if idx >= 0 && idx < n then begin
-            incr fetches;
-            (match !cw with Some w -> finalize r.pe w | None -> ());
-            cw :=
-              (match sites.(idx) with
-              | Some k ->
-                Some { wn_site = idx; wn_kind = k; wn_acc = []; wn_pending = [] }
-              | None -> None)
-          end;
-          tr := false
-        end
-        else begin
-          (* restore detector and P bookkeeping run in stream order,
-             window or not *)
-          if cell_area r.area then begin
-            (match (r.op, Hashtbl.find_opt s_tbl r.addr) with
-            | Trace.Ref_record.Write, Some (_site, restored) ->
-              if !tr then restored := true
-              else begin
-                Hashtbl.remove s_tbl r.addr;
-                ignore restored
-              end
-            | Trace.Ref_record.Read, Some (site, restored) when !restored ->
-              violate r.pe site r.area "stale-bind" r.addr;
-              Hashtbl.remove s_tbl r.addr
-            | _ -> ());
-            match r.op with
-            | Trace.Ref_record.Write ->
-              Hashtbl.remove p_tbl r.addr;
-              (match !cw with Some w -> w.wn_acc <- { w_op = r.op; w_addr = r.addr; w_area = r.area } :: w.wn_acc | None -> ())
-            | Trace.Ref_record.Read -> (
-              (match Hashtbl.find_opt p_tbl r.addr with
-              | Some p_site -> (
-                match !cw with
-                | Some w
-                  when w.wn_kind = K_uninit_get || w.wn_kind = K_builtin_nt
-                       || w.wn_kind = K_value_nt ->
-                  w.wn_pending <- r.addr :: w.wn_pending
-                | _ -> violate r.pe p_site r.area "uninit-read" r.addr)
-              | None -> ());
-              match !cw with
-              | Some w ->
-                w.wn_acc <- { w_op = r.op; w_addr = r.addr; w_area = r.area } :: w.wn_acc
-              | None -> ())
-          end;
-          tr := r.area = Trace.Area.Trail && r.op = Trace.Ref_record.Read
-        end)
+  (* the restore detector and P bookkeeping run in stream order,
+     window or not *)
+  let reference (cw : window option) (r : Trace.Ref_record.t) =
+    if cell_area r.area then begin
+      (match (r.op, Hashtbl.find_opt s_tbl r.addr) with
+      | Trace.Ref_record.Write, Some (_site, restored) ->
+        if trail_read.(r.pe) then restored := true
+        else Hashtbl.remove s_tbl r.addr
+      | Trace.Ref_record.Read, Some (site, restored) when !restored ->
+        violate r.pe site r.area "stale-bind" r.addr;
+        Hashtbl.remove s_tbl r.addr
+      | _ -> ());
+      (match (r.op, Hashtbl.find_opt p_tbl r.addr, cw) with
+      | Trace.Ref_record.Write, _, _ -> Hashtbl.remove p_tbl r.addr
+      | Trace.Ref_record.Read, Some _, Some w
+        when w.wn_kind = K_uninit_get || w.wn_kind = K_builtin_nt
+             || w.wn_kind = K_value_nt ->
+        w.wn_pending <- r.addr :: w.wn_pending
+      | Trace.Ref_record.Read, Some p_site, _ ->
+        violate r.pe p_site r.area "uninit-read" r.addr
+      | Trace.Ref_record.Read, None, _ -> ());
+      Option.iter
+        (fun w ->
+          w.wn_acc <-
+            { w_op = r.op; w_addr = r.addr; w_area = r.area } :: w.wn_acc)
+        cw
+    end;
+    trail_read.(r.pe) <-
+      r.area = Trace.Area.Trail && r.op = Trace.Ref_record.Read
+  in
+  Wam.Profile.replay prof
+    {
+      Wam.Profile.fetch =
+        (fun r _ idx ->
+          trail_read.(r.pe) <- false;
+          match if idx < n then sites.(idx) else None with
+          | Some k ->
+            Some
+              { wn_pe = r.pe; wn_site = idx; wn_kind = k; wn_acc = [];
+                wn_pending = [] }
+          | None -> None);
+      data = reference;
+      close = Option.iter finalize;
+      runtime =
+        (fun r ->
+          if r.area = Trace.Area.Code then trail_read.(r.pe) <- false
+          else reference None r);
+    }
     buf;
-  Hashtbl.iter (fun pe cw -> match !cw with Some w -> finalize pe w | None -> ()) cur;
   {
     sites_checked = !n_sites;
-    fetches = !fetches;
     windows = !windows;
     violations = List.rev !violations;
   }

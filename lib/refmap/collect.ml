@@ -1,17 +1,9 @@
 (* Dynamic access collection from the tagged reference stream.
 
-   Attribution mirrors Wam.Profile: a Code-area read (instruction
-   fetch) selects the owning predicate as the PE's attribution target
-   and every data reference is charged to it.  Two refinements keep
-   the per-predicate sets honest against the static summaries:
-
-     - message processing: a PE drains its message buffer between
-       instructions, so from the first Message-area access until the
-       next fetch everything the PE does (trail replay, binding
-       resets, frame acks) is runtime machinery, not the stale
-       predicate's work — it lands in the [runtime] bucket;
-     - pre-fetch activity (query seeding, idle-PE stealing) has no
-       current predicate and also lands in [runtime].
+   Wam.Profile attributes the stream: each data reference inside an
+   instruction's window lands in the set of the predicate owning the
+   instruction, and the runtime references (query seeding, idle-PE
+   stealing, message handling) in the [runtime] bucket.
 
    The collector additionally tracks, per (address, area), which PEs
    touched the address under that area — the dynamic shareability
@@ -23,24 +15,18 @@
 type obs = { seen : int array (* bit 0 = read, bit 1 = write seen *) }
 
 type t = {
-  static : Static.t;
   by_fid : (int, obs) Hashtbl.t;
   runtime : obs;
   addrs : (int * int, int * bool) Hashtbl.t;
       (** (addr, area index) -> (first PE, touched by a second PE) *)
-  mutable in_msg : bool array;  (** per PE: inside a message window *)
-  mutable attrib : int option array;  (** per PE: current fid *)
   mutable records : int;
 }
 
-let create static =
+let create () =
   {
-    static;
     by_fid = Hashtbl.create 64;
     runtime = { seen = Array.make Trace.Area.count 0 };
     addrs = Hashtbl.create 4096;
-    in_msg = Array.make (Trace.Ref_record.max_pe + 1) false;
-    attrib = Array.make (Trace.Ref_record.max_pe + 1) None;
     records = 0;
   }
 
@@ -52,41 +38,46 @@ let obs_for t fid =
     Hashtbl.replace t.by_fid fid o;
     o
 
-let bit (op : Trace.Ref_record.op) =
-  match op with Trace.Ref_record.Read -> 1 | Trace.Ref_record.Write -> 2
-
-let on_record t (r : Trace.Ref_record.t) =
+let note t (r : Trace.Ref_record.t) =
   t.records <- t.records + 1;
   let pe = r.Trace.Ref_record.pe in
   let key =
     (r.Trace.Ref_record.addr, Trace.Area.to_int r.Trace.Ref_record.area)
   in
-  (match Hashtbl.find_opt t.addrs key with
+  match Hashtbl.find_opt t.addrs key with
   | None -> Hashtbl.replace t.addrs key (pe, false)
   | Some (first, shared) ->
     if (not shared) && first <> pe then
-      Hashtbl.replace t.addrs key (first, true));
-  if r.Trace.Ref_record.area = Trace.Area.Code then begin
-    t.in_msg.(pe) <- false;
-    t.attrib.(pe) <-
-      Static.owner_fid t.static (r.Trace.Ref_record.addr - Wam.Layout.code_base)
-  end
-  else begin
-    if r.Trace.Ref_record.area = Trace.Area.Message then t.in_msg.(pe) <- true;
-    let o =
-      if t.in_msg.(pe) then t.runtime
-      else
-        match t.attrib.(pe) with
-        | Some fid -> obs_for t fid
-        | None -> t.runtime
-    in
-    let k = Trace.Area.to_int r.Trace.Ref_record.area in
-    o.seen.(k) <- o.seen.(k) lor bit r.Trace.Ref_record.op
-  end
+      Hashtbl.replace t.addrs key (first, true)
 
-let of_buffer static buf =
-  let t = create static in
-  Trace.Sink.Buffer_sink.iter (on_record t) buf;
+let mark t o (r : Trace.Ref_record.t) =
+  note t r;
+  let k = Trace.Area.to_int r.Trace.Ref_record.area in
+  let bit =
+    match r.Trace.Ref_record.op with
+    | Trace.Ref_record.Read -> 1
+    | Trace.Ref_record.Write -> 2
+  in
+  o.seen.(k) <- o.seen.(k) lor bit
+
+(* [prog]: the program whose run recorded [buf]. *)
+let of_buffer (prog : Wam.Program.t) buf =
+  let t = create () in
+  Wam.Profile.replay
+    (Wam.Profile.create prog.Wam.Program.symbols prog.Wam.Program.code)
+    {
+      Wam.Profile.fetch =
+        (fun r c _ ->
+          note t r;
+          obs_for t c.Wam.Profile.fid);
+      data = mark t;
+      close = ignore;
+      runtime =
+        (fun r ->
+          if r.Trace.Ref_record.area = Trace.Area.Code then note t r
+          else mark t t.runtime r);
+    }
+    buf;
   t
 
 let seen_read o area = o.seen.(Trace.Area.to_int area) land 1 <> 0

@@ -54,8 +54,8 @@ let analyze ?defect (fe : Certification.front) ~(base : Certification.compiled)
 
 let audit_ok a = a.static_safe = a.certify.Certify.certified
 
-let oracle a ~base:_ ~variant:_ buf =
-  let c = Collect.of_buffer a.static buf in
+let oracle a ~(base : Certification.compiled) ~variant:_ buf =
+  let c = Collect.of_buffer base.prog buf in
   {
     records = c.Collect.records;
     violations = Oracle.check a.static c;
@@ -77,7 +77,7 @@ let dump fmt a =
 let tags (r : (t, oracle) Certification.report) =
   match List.rev r.runs with
   | last :: _ -> last.oracle.tags
-  | [] -> Oracle.score_tags r.a.static (Collect.create r.a.static)
+  | [] -> Oracle.score_tags r.a.static (Collect.create ())
 
 let uncertified_but_raced (r : (t, oracle) Certification.report) =
   if r.trace_ok then 0 else r.a.certify.total - r.a.certify.certified

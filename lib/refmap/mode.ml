@@ -51,7 +51,8 @@ let w_mode (a : Trace.Area.t) =
     Shared_write
   | Trace.Area.Code -> Shared_write (* read-only: any write is flagged *)
 
-let of_acc (a : Wam.Access.acc) =
-  match a.Wam.Access.op with
-  | Wam.Access.R -> Read
-  | Wam.Access.W -> w_mode a.Wam.Access.area
+(* Minimum mode that permits one access. *)
+let of_op area (op : Trace.Ref_record.op) =
+  match op with
+  | Trace.Ref_record.Read -> Read
+  | Trace.Ref_record.Write -> w_mode area

@@ -7,7 +7,7 @@
 type violation = {
   pred : string;  (** "name/arity", or "(runtime)" for scheduler work *)
   area : Trace.Area.t;
-  op : Wam.Access.op;
+  op : Trace.Ref_record.op;
   mode : Mode.t;  (** mode the static summary holds *)
   needed : Mode.t;  (** minimum mode the observed access requires *)
 }
@@ -15,7 +15,9 @@ type violation = {
 let pp_violation fmt v =
   Format.fprintf fmt "%s: %s %s but summary mode is %s (needs %s)" v.pred
     (Trace.Area.name v.area)
-    (match v.op with Wam.Access.R -> "read" | Wam.Access.W -> "written")
+    (match v.op with
+    | Trace.Ref_record.Read -> "read"
+    | Trace.Ref_record.Write -> "written")
     (Mode.name v.mode) (Mode.name v.needed)
 
 (* What the runtime machinery (query seeding, stealing, message-driven
@@ -38,16 +40,20 @@ let runtime_allowed =
 let check_obs ~pred summary (o : Collect.obs) acc =
   List.fold_left
     (fun acc area ->
-      let need op needed acc =
+      let need op acc =
         if Summary.permits summary area op then acc
-        else { pred; area; op; mode = Summary.get summary area; needed } :: acc
+        else
+          {
+            pred; area; op; mode = Summary.get summary area;
+            needed = Mode.of_op area op;
+          }
+          :: acc
       in
       let acc =
-        if Collect.seen_read o area then need Wam.Access.R Mode.Read acc
+        if Collect.seen_read o area then need Trace.Ref_record.Read acc
         else acc
       in
-      if Collect.seen_write o area then
-        need Wam.Access.W (Mode.w_mode area) acc
+      if Collect.seen_write o area then need Trace.Ref_record.Write acc
       else acc)
     acc Trace.Area.all
 

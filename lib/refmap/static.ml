@@ -2,8 +2,8 @@
 
    The compiler lays each predicate out contiguously from its entry,
    so sorting the entry map partitions the code area into ranges (the
-   same scheme Wam.Profile uses for dynamic attribution — keeping the
-   two sides of the oracle aligned).  Each range is scanned with a
+   ranges Wam.Profile attributes the trace's windows to, so the two
+   sides of the oracle align).  Each range is scanned with a
    small abstract state (groundness of argument and permanent
    registers, read/write mode of the unification sequence in
    progress), seeded from Prolog.Abspat call patterns:
@@ -44,8 +44,6 @@ type t = {
   order : int list;  (** fids, callees before callers *)
   parallel : bool;
   symbols : Wam.Symbols.t;
-  bounds : int array;
-  bound_fids : int array;
   program : Summary.t;  (** join of every closure *)
   iterations : int;  (** closure passes until the fixpoint *)
 }
@@ -57,19 +55,6 @@ let find t fid = Hashtbl.find_opt t.preds fid
 let find_spec t ~name ~arity =
   let fid = Wam.Symbols.functor_ t.symbols name arity in
   find t fid
-
-(* Greatest entry <= idx (Profile's owner scheme). *)
-let owner_fid t idx =
-  let n = Array.length t.bounds in
-  if n = 0 || idx < t.bounds.(0) then None
-  else begin
-    let lo = ref 0 and hi = ref (n - 1) in
-    while !lo < !hi do
-      let m = (!lo + !hi + 1) / 2 in
-      if t.bounds.(m) <= idx then lo := m else hi := m - 1
-    done;
-    Some t.bound_fids.(!lo)
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Range analysis.                                                    *)
@@ -245,7 +230,7 @@ let analyze_range code ~parallel ~fid:_ ~arity ~entry ~stop pattern =
         struct_ground = st.sm = Sg;
       }
     in
-    Summary.add_accs own (Wam.Access.of_instr ~ctx instr);
+    Summary.add_entries own (Wam.Access.of_instr ~ctx ~arity instr);
     if Wam.Access.may_fail instr then fails := true;
     (match instr with
     | Wam.Instr.Call f | Wam.Instr.Execute f | Wam.Instr.Push_goal (_, f, _)
@@ -254,7 +239,7 @@ let analyze_range code ~parallel ~fid:_ ~arity ~entry ~stop pattern =
     | _ -> ());
     step st instr
   done;
-  if !fails then Summary.add_accs own (Wam.Access.failure ~parallel);
+  if !fails then Summary.add_entries own (Wam.Access.failure ~parallel);
   (own, List.rev !callees, !fails)
 
 (* ------------------------------------------------------------------ *)
@@ -347,8 +332,6 @@ let build ?patterns (prog : Wam.Program.t) =
     order;
     parallel;
     symbols;
-    bounds = Array.map fst entries;
-    bound_fids = Array.map snd entries;
     program;
     iterations;
   }

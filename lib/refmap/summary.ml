@@ -18,9 +18,11 @@ let add_mode s area m =
   let i = Trace.Area.to_int area in
   s.modes.(i) <- Mode.join s.modes.(i) m
 
-let add_acc s (a : Wam.Access.acc) = add_mode s a.Wam.Access.area (Mode.of_acc a)
-
-let add_accs s accs = List.iter (add_acc s) accs
+let add_entries s entries =
+  List.iter
+    (fun (x : Wam.Access.entry) ->
+      List.iter (fun op -> add_mode s x.area (Mode.of_op x.area op)) x.ops)
+    entries
 
 let join a b =
   {
@@ -31,11 +33,7 @@ let join a b =
 let equal a b = a.closed = b.closed && a.modes = b.modes
 
 (* Does the summary permit a dynamic access? *)
-let permits s area (op : Wam.Access.op) =
-  let m = get s area in
-  match op with
-  | Wam.Access.R -> not (Mode.leq m Mode.Nil)
-  | Wam.Access.W -> Mode.leq (Mode.w_mode area) m
+let permits s area op = Mode.leq (Mode.of_op area op) (get s area)
 
 let pp fmt s =
   let parts =

@@ -153,22 +153,30 @@ let run_phase ~name sup requests ~batch =
   }
 
 (* Served answers vs the direct engine: every distinct pool query,
-   canonical text vs canonical text, served the way every phase is
-   served but under the default policy. *)
+   canonical text vs canonical text (or error text vs error text),
+   served the way every phase is served but under the default
+   policy. *)
 let cross_check oracle_server server pool =
   let sup = Supervise.create server in
   let mismatches = ref [] in
   let checked = ref 0 in
+  let text = function
+    | Ok answers ->
+      String.concat " ; " (List.map Memo.Canon.answer_text answers)
+    | Error msg -> "error: " ^ msg
+  in
   Array.iter
     (fun query ->
-      let direct = Serve.run_direct oracle_server query in
+      let want = text (Serve.run_direct oracle_server query) in
       match Supervise.serve sup [ { Serve.rq_id = 0; rq_query = query } ] with
-      | [ { Supervise.sv = rs; _ } ] when rs.Serve.rs_error = None ->
+      | [ { Supervise.sv = rs; _ } ] ->
         incr checked;
-        let text answers =
-          String.concat " ; " (List.map Memo.Canon.answer_text answers)
+        let served =
+          text
+            (match rs.Serve.rs_error with
+            | None -> Ok rs.Serve.rs_answers
+            | Some msg -> Error msg)
         in
-        let served = text rs.Serve.rs_answers and want = text direct in
         if served <> want then
           mismatches := (query, served, want) :: !mismatches
       | _ -> ())

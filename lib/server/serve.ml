@@ -58,8 +58,6 @@ type response = {
    raises returns neither, so nothing it touched is reused.  This is
    safe on any domain. *)
 
-exception Run_error of string
-
 let run_answers t query =
   let prog = Wam.Program.with_query t.image ~query in
   let answers, m =
@@ -97,8 +95,8 @@ let execute ?faults t query =
 
 let run_direct t query =
   match execute t query with
-  | Ok (answers, _) -> answers
-  | Error (_, msg) -> raise (Run_error msg)
+  | Ok (answers, _) -> Ok answers
+  | Error (_, msg) -> Error msg
 
 (* ------------------------------------------------------------------ *)
 (* The lane primitives {!Supervise.serve} admits requests through. *)

@@ -63,9 +63,10 @@ type response = {
   rs_inferences : int;  (** 0 for memo hits *)
 }
 
-val run_direct : t -> string -> Memo.Canon.answer list
+val run_direct : t -> string -> (Memo.Canon.answer list, string) result
 (** One query straight through the engine — no memo, no admission, no
-    faults.  The cross-check oracle. *)
+    faults: its answers, or the text of the program error it ended in.
+    The cross-check oracle. *)
 
 val verdict : t -> string -> Costan.Analyze.verdict
 (** Admission verdict for one query text ([Keep] on a parse error —

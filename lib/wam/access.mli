@@ -1,21 +1,32 @@
-(** Static memory-access metadata of the instruction set.
+(** The instruction set's memory footprint: the one per-opcode table.
 
-    For every instruction, the storage areas it may touch and in which
-    direction — the static counterpart of the tagged references
-    [Exec]/[Core] emit at run time.  The refmap analysis folds these
-    per-instruction footprints into per-predicate area/mode summaries;
-    the metadata therefore over-approximates: an access is listed if
-    any execution of the instruction can perform it.
+    For every instruction and every storage area it may touch, the
+    directions it may reference the area in and an interval counting
+    its references there — the static counterpart of the tagged
+    references [Exec]/[Core] emit at run time, and the paper's §3.3
+    "references per instruction" constant per opcode and Table 1 area.
+    The refmap analysis and wamlint read the directions; costan sums
+    the intervals ({!Costan.Footprint.clause}).
+
+    The interval is per area, not per direction: [unify_variable]
+    makes one heap reference that is a read in read mode and a write
+    in write mode.  Instruction fetches (Code reads) are implicit and
+    not listed.
 
     Unification instructions are refined by groundness: a get/unify on
     a ground argument runs in read mode and never binds, so callers may
     pass a [ctx] describing which registers are known ground (seeded
     from [Prolog.Abspat] call patterns).  The default context assumes
-    nothing and yields the fully conservative footprint. *)
+    nothing and yields the fully conservative footprint.
 
-type op = R | W
-
-type acc = { area : Trace.Area.t; op : op }
+    The footprint test runs the nine benchmarks (sequential; 1, 4 and
+    8 PEs plain, det-compiled and det+bind compiled) through
+    {!Profile.attribute} and holds every window to this table: its
+    (area, direction) pairs must lie in the instruction's entries
+    (plus {!failure} when {!may_fail}), and on an instruction that
+    cannot fail each area's count must lie in its interval.  On a
+    may-fail instruction [hi] is not checked: it stays costan's
+    success-path estimate. *)
 
 type ctx = {
   ground : Instr.reg -> bool;
@@ -25,20 +36,36 @@ type ctx = {
           (set after a get_structure/get_list on a ground register) *)
 }
 
-val of_instr : ?ctx:ctx -> Instr.t -> acc list
-(** Areas the instruction may touch during normal (non-failing)
-    execution.  Instruction fetches (Code reads) are implicit and not
-    listed. *)
+type entry = {
+  area : Trace.Area.t;
+  ops : Trace.Ref_record.op list;  (** the directions it may take *)
+  lo : int;
+  hi : int;
+      (** references to [area], [lo..hi]; [max_int] where no static
+          bound covers the count (a trail flush, a term walk, the
+          failure path) *)
+}
+
+val of_instr : ?ctx:ctx -> ?shallow:bool -> arity:int -> Instr.t -> entry list
+(** The references the instruction makes during normal (non-failing)
+    execution, one entry per area.  [arity] is the owning predicate's
+    (a choice point saves that many argument registers).  [shallow]:
+    the code has determinacy-certified chains, so an instruction that
+    commits a shallow frame ([Exec.commits]) may flush its undo log to
+    the trail. *)
+
+val may : entry list -> Trace.Area.t -> Trace.Ref_record.op -> bool
+(** Does one of the entries list this (area, direction)? *)
 
 val may_fail : Instr.t -> bool
 (** Can executing this instruction enter the failure path
     (choice-point restore + untrail)?  Calls are excluded: a callee's
     failure is attributed to the callee's own instructions. *)
 
-val failure : parallel:bool -> acc list
-(** Footprint of the failure path itself: choice-point reads, trail
-    replay, and the write-through resets of trailed heap and stack
-    bindings.  With [~parallel:true] (code containing parcalls) the
-    footprint also covers backward execution through parallel goals:
-    marker restores and parcall-frame check-ins performed while the
-    failing predicate is still the PE's attribution target. *)
+val failure : parallel:bool -> entry list
+(** Footprint of the failure path itself, unbounded: choice-point
+    reads, trail replay, and the write-through resets of trailed heap
+    and stack bindings.  With [~parallel:true] (code containing
+    parcalls) the footprint also covers backward execution through
+    parallel goals: marker restores, parcall-frame reads and check-ins
+    performed while the failing instruction's window is still open. *)

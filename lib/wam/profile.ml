@@ -1,20 +1,24 @@
-(* Per-predicate dynamic profiling from the reference stream.
+(* Per-predicate dynamic profiling from the reference stream, and the
+   one attribution rule every trace replay uses.
 
    The compiler lays each predicate's code out contiguously starting
    at its entry address, so sorting the entry map yields a partition
-   of the code area into predicate-owned ranges.  The profiler then
-   replays the trace: an instruction fetch (Code-area read) selects
-   the owning predicate as the PE's current attribution target, and
-   every data reference is charged to the predicate whose instruction
-   the PE last fetched.  A fetch of the entry address itself is a call
-   (backtracking re-enters predicates at clause or retry addresses,
-   never at the entry, so entry fetches count procedure calls the same
-   way the machine's inference counter does).
+   of the code area into predicate-owned ranges.  A replay follows
+   each PE: an instruction fetch (Code-area read) inside a range opens
+   the PE's window, and every data reference the PE makes until its
+   next fetch belongs to the fetched instruction.  A fetch of the
+   entry address itself is a call (backtracking re-enters predicates
+   at clause or retry addresses, never at the entry, so entry fetches
+   count procedure calls the same way the machine's inference counter
+   does).
 
-   Parallel traces interleave PEs; attribution is tracked per PE, so
-   the scheme works unchanged for RAP-WAM runs.  References made by a
-   PE before its first fetch (scheduler activity on an idle PE) land
-   in the [other] bucket. *)
+   Runtime references belong to no window: a PE's references before
+   its first fetch (query seeding), after a fetch outside every range
+   (the halt and goal_done stubs: completion, stealing) and from its
+   first Message access up to its next fetch (a PE drains its message
+   buffer between instructions: trail replay, binding resets, acks).
+   Parallel traces interleave PEs; windows are per PE, so the scheme
+   works unchanged for RAP-WAM runs. *)
 
 type counters = {
   fid : int;
@@ -36,8 +40,8 @@ type t = {
   code : Code.t;  (** for decoding fetched instructions *)
   bounds : int array;  (** sorted entry indices, one per predicate *)
   owners : counters array;  (** owner of [bounds.(i) ..] *)
-  other : int array;  (** data refs with no current predicate *)
-  current : counters option array;  (** per-PE attribution target *)
+  runtime : int array;  (** runtime data refs, by area *)
+  mutable runtime_fetches : int;  (** fetches outside every predicate *)
 }
 
 let create symbols code =
@@ -65,8 +69,8 @@ let create symbols code =
             refs = Array.make Trace.Area.count 0;
           })
         entries;
-    other = Array.make Trace.Area.count 0;
-    current = Array.make (Trace.Ref_record.max_pe + 1) None;
+    runtime = Array.make Trace.Area.count 0;
+    runtime_fetches = 0;
   }
 
 (* Greatest entry <= idx, by binary search; None below the first. *)
@@ -82,46 +86,86 @@ let owner t idx =
     Some t.owners.(!lo)
   end
 
-let on_record t (r : Trace.Ref_record.t) =
-  if r.Trace.Ref_record.area = Trace.Area.Code then begin
-    let idx = r.Trace.Ref_record.addr - Layout.code_base in
-    match owner t idx with
-    | Some p ->
-      t.current.(r.Trace.Ref_record.pe) <- Some p;
-      p.instrs <- p.instrs + 1;
-      if idx = p.entry then p.calls <- p.calls + 1;
-      if idx >= 0 && idx < Code.length t.code then begin
-        match Code.fetch t.code idx with
-        | Instr.Try (_, Instr.Deep) -> p.cp_created <- p.cp_created + 1
-        | Instr.Try (_, Instr.Shallow) -> p.cp_elided <- p.cp_elided + 1
-        | Instr.Get_structure (_, _, Instr.Rigid)
-        | Instr.Get_list (_, Instr.Rigid)
-        | Instr.Get_value (_, _, Instr.Rigid) ->
-          p.deref_skipped <- p.deref_skipped + 1
-        | Instr.Get_structure (_, _, Instr.Uncond)
-        | Instr.Get_list (_, Instr.Uncond)
-        | Instr.Get_constant (_, _, true)
-        | Instr.Get_integer (_, _, true)
-        | Instr.Get_nil (_, true) ->
-          p.deref_skipped <- p.deref_skipped + 1;
-          p.trail_elided <- p.trail_elided + 1
-        | Instr.Builtin (_, _, true)
-        | Instr.Put_variable (_, _, true)
-        | Instr.Get_value (_, _, Instr.Uncond) ->
-          p.trail_elided <- p.trail_elided + 1
-        | _ -> ()
-      end
-    | None -> t.current.(r.Trace.Ref_record.pe) <- None
-  end
-  else begin
-    let k = Trace.Area.to_int r.Trace.Ref_record.area in
-    match t.current.(r.Trace.Ref_record.pe) with
-    | Some p -> p.refs.(k) <- p.refs.(k) + 1
-    | None -> t.other.(k) <- t.other.(k) + 1
-  end
+type 'w windows = {
+  fetch : Trace.Ref_record.t -> counters -> int -> 'w;
+  data : 'w -> Trace.Ref_record.t -> unit;
+  close : 'w -> unit;
+  runtime : Trace.Ref_record.t -> unit;
+}
 
-let sink t : Trace.Sink.t =
-  { Trace.Sink.emit = on_record t; emit_sync = (fun _ -> ()) }
+let attribute t (h : 'w windows) =
+  let open_ = Array.make (Trace.Ref_record.max_pe + 1) None in
+  let close pe =
+    match open_.(pe) with
+    | Some w ->
+      open_.(pe) <- None;
+      h.close w
+    | None -> ()
+  in
+  let record (r : Trace.Ref_record.t) =
+    let pe = r.Trace.Ref_record.pe in
+    match r.Trace.Ref_record.area with
+    | Trace.Area.Code -> (
+      close pe;
+      let idx = r.Trace.Ref_record.addr - Layout.code_base in
+      match owner t idx with
+      | Some c -> open_.(pe) <- Some (h.fetch r c idx)
+      | None -> h.runtime r)
+    | area -> (
+      if area = Trace.Area.Message then close pe;
+      match open_.(pe) with Some w -> h.data w r | None -> h.runtime r)
+  in
+  ( { Trace.Sink.emit = record; emit_sync = (fun _ -> ()) },
+    fun () -> Array.iteri (fun pe _ -> close pe) open_ )
+
+let replay t h buf =
+  let sink, finish = attribute t h in
+  Trace.Sink.Buffer_sink.iter sink.Trace.Sink.emit buf;
+  finish ()
+
+let count_fetch t (c : counters) idx =
+  c.instrs <- c.instrs + 1;
+  if idx = c.entry then c.calls <- c.calls + 1;
+  if idx >= 0 && idx < Code.length t.code then begin
+    match Code.fetch t.code idx with
+    | Instr.Try (_, Instr.Deep) -> c.cp_created <- c.cp_created + 1
+    | Instr.Try (_, Instr.Shallow) -> c.cp_elided <- c.cp_elided + 1
+    | Instr.Get_structure (_, _, Instr.Rigid)
+    | Instr.Get_list (_, Instr.Rigid)
+    | Instr.Get_value (_, _, Instr.Rigid) ->
+      c.deref_skipped <- c.deref_skipped + 1
+    | Instr.Get_structure (_, _, Instr.Uncond)
+    | Instr.Get_list (_, Instr.Uncond)
+    | Instr.Get_constant (_, _, true)
+    | Instr.Get_integer (_, _, true)
+    | Instr.Get_nil (_, true) ->
+      c.deref_skipped <- c.deref_skipped + 1;
+      c.trail_elided <- c.trail_elided + 1
+    | Instr.Builtin (_, _, true)
+    | Instr.Put_variable (_, _, true)
+    | Instr.Get_value (_, _, Instr.Uncond) ->
+      c.trail_elided <- c.trail_elided + 1
+    | _ -> ()
+  end;
+  c
+
+let tally refs (r : Trace.Ref_record.t) =
+  let k = Trace.Area.to_int r.Trace.Ref_record.area in
+  refs.(k) <- refs.(k) + 1
+
+let sink t =
+  fst
+    (attribute t
+      {
+        fetch = (fun _ c idx -> count_fetch t c idx);
+        data = (fun c r -> tally c.refs r);
+        close = ignore;
+        runtime =
+          (fun r ->
+            if r.Trace.Ref_record.area = Trace.Area.Code then
+              t.runtime_fetches <- t.runtime_fetches + 1
+            else tally t.runtime r);
+      })
 
 let data_refs (c : counters) = Array.fold_left ( + ) 0 c.refs
 let spec t (c : counters) = Symbols.spec_string t.symbols c.fid
@@ -168,12 +212,20 @@ let pp fmt t =
         (spec t c) c.calls c.instrs (data_refs c) c.cp_created c.cp_elided
         c.trail_elided c.deref_skipped (areas_of c))
     (ranked t);
-  let other = Array.fold_left ( + ) 0 t.other in
-  if other > 0 then
-    Format.fprintf fmt "%-22s %8s %10s %10d@." "(scheduler)" "-" "-" other
+  let runtime = Array.fold_left ( + ) 0 t.runtime in
+  if runtime > 0 then
+    Format.fprintf fmt "%-22s %8s %10s %10d@." "(runtime)" "-" "-" runtime
 
 let to_json t =
   let module J = Obs.Json in
+  let refs counts =
+    J.Obj
+      (List.filter_map
+         (fun a ->
+           let n = counts.(Trace.Area.to_int a) in
+           if n > 0 then Some (Trace.Area.name a, J.Int n) else None)
+         Trace.Area.all)
+  in
   let row c =
     J.Obj
       [
@@ -184,13 +236,15 @@ let to_json t =
         ("cp_elided", J.Int c.cp_elided);
         ("trail_elided", J.Int c.trail_elided);
         ("deref_skipped", J.Int c.deref_skipped);
-        ( "refs",
-          J.Obj
-            (List.filter_map
-               (fun a ->
-                 let n = c.refs.(Trace.Area.to_int a) in
-                 if n > 0 then Some (Trace.Area.name a, J.Int n) else None)
-               Trace.Area.all) );
+        ("refs", refs c.refs);
       ]
   in
-  J.List (List.map row (ranked t))
+  let runtime =
+    J.Obj
+      [
+        ("predicate", J.String "(runtime)");
+        ("instrs", J.Int t.runtime_fetches);
+        ("refs", refs t.runtime);
+      ]
+  in
+  J.List (List.map row (ranked t) @ [ runtime ])

@@ -228,17 +228,15 @@ let check symbols code =
     | Instr.Alloc_parcall _ | Instr.Goal_done -> ()
     | i ->
       if st.parcall = None then
+        (* only the directions are read: any arity will do *)
+        let entries = Access.of_instr ~arity:0 i in
         List.iter
-          (fun (a : Access.acc) ->
-            match (a.Access.op, a.Access.area) with
-            | ( Access.W,
-                ( Trace.Area.Parcall_global | Trace.Area.Parcall_count
-                | Trace.Area.Goal_frame ) ) ->
+          (fun area ->
+            if Access.may entries area Trace.Ref_record.Write then
               report "shared-write-unframed"
                 "%s writes %s outside an open parcall region" (show i)
-                (Trace.Area.name a.Access.area)
-            | _ -> ())
-          (Access.of_instr i));
+                (Trace.Area.name area))
+          Trace.Area.[ Parcall_count; Parcall_global; Goal_frame ]);
     (* orphan-chain: a mid-chain instruction reached on a path whose
        predecessor was not the matching try/retry — the frame it would
        update or pop was never pushed (the shape a buggy chain rewrite

@@ -23,6 +23,7 @@ let () =
       ("refmap", Test_refmap.suite);
       ("detan", Test_detan.suite);
       ("bindan", Test_bindan.suite);
+      ("footprint", Test_footprint.suite);
       ("certify", Test_certify.suite);
       ("obs", Test_obs.suite);
       ("cli-parity", Test_cli_parity.suite);

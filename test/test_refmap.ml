@@ -52,15 +52,15 @@ let test_mode_permits () =
   Refmap.Summary.set s Trace.Area.Heap Refmap.Mode.Write_once;
   Refmap.Summary.set s Trace.Area.Trail Refmap.Mode.Read;
   Alcotest.(check bool) "heap read" true
-    (Refmap.Summary.permits s Trace.Area.Heap Wam.Access.R);
+    (Refmap.Summary.permits s Trace.Area.Heap Trace.Ref_record.Read);
   Alcotest.(check bool) "heap write" true
-    (Refmap.Summary.permits s Trace.Area.Heap Wam.Access.W);
+    (Refmap.Summary.permits s Trace.Area.Heap Trace.Ref_record.Write);
   Alcotest.(check bool) "trail read" true
-    (Refmap.Summary.permits s Trace.Area.Trail Wam.Access.R);
+    (Refmap.Summary.permits s Trace.Area.Trail Trace.Ref_record.Read);
   Alcotest.(check bool) "trail write rejected" false
-    (Refmap.Summary.permits s Trace.Area.Trail Wam.Access.W);
+    (Refmap.Summary.permits s Trace.Area.Trail Trace.Ref_record.Write);
   Alcotest.(check bool) "untouched area read rejected" false
-    (Refmap.Summary.permits s Trace.Area.Pdl Wam.Access.R)
+    (Refmap.Summary.permits s Trace.Area.Pdl Trace.Ref_record.Read)
 
 (* ---- soundness oracle on real benchmarks ---- *)
 
@@ -207,7 +207,8 @@ let test_summaries_closed () =
    and later as a parcall count, which PE 1 reads: only the
    parcall-count accesses are shared, and that tag predicts them. *)
 let test_tags_per_area () =
-  let static = (report "deriv").a.Refmap.Instance.static in
+  let r = report "deriv" in
+  let static = r.a.Refmap.Instance.static in
   let addr = Wam.Layout.local_base 0 + 27 in
   let buf = Trace.Sink.Buffer_sink.create () in
   List.iter
@@ -220,7 +221,8 @@ let test_tags_per_area () =
       (1, Trace.Area.Parcall_count, Trace.Ref_record.Read);
     ];
   let t =
-    Refmap.Oracle.score_tags static (Refmap.Collect.of_buffer static buf)
+    Refmap.Oracle.score_tags static
+      (Refmap.Collect.of_buffer r.base_build.prog buf)
   in
   Alcotest.(check (float 0.0)) "recall" 1.0 t.Refmap.Oracle.recall;
   Alcotest.(check int) "one (address, area) pair per tag" 2

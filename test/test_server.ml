@@ -17,7 +17,14 @@ let sup ?policy ?faults ?memo ?(workers = 2) ?(src = src) () =
   Server.Supervise.create ?policy
     (Server.Serve.create (Server.Serve.config ?memo ?faults ~workers ~src ()))
 
-let run_direct t query = Server.Serve.run_direct (Server.Supervise.server t) query
+(* The direct engine's answers to a query that must not end in an
+   error. *)
+let direct_answers server query =
+  match Server.Serve.run_direct server query with
+  | Ok answers -> answers
+  | Error msg -> Alcotest.failf "%s: %s" query msg
+
+let run_direct t query = direct_answers (Server.Supervise.server t) query
 let served (r : Server.Supervise.response) = r.Server.Supervise.sv
 
 (* ---------------- serving & memoing ---------------- *)
@@ -168,7 +175,7 @@ let test_miss_allocation () =
     (* the domain's counters advance at collections: flush both ends *)
     Gc.minor ();
     let before = (Gc.quick_stat ()).Gc.major_words in
-    let answers = Server.Serve.run_direct t query in
+    let answers = direct_answers t query in
     Gc.minor ();
     let words = (Gc.quick_stat ()).Gc.major_words -. before in
     Alcotest.(check string) "answer" answer (answers_text answers);
@@ -362,6 +369,22 @@ let contains ~affix s =
   let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
   n = 0 || go 0
 
+(* The direct run reports a program error as its text, the same text
+   a served request carries. *)
+let test_run_direct_error () =
+  let t = sup () in
+  let query = "X is foo + 1" in
+  match Server.Serve.run_direct (Server.Supervise.server t) query with
+  | Ok _ -> Alcotest.fail "a runtime error gave answers"
+  | Error msg ->
+    Alcotest.(check bool) ("names the error: " ^ msg) true
+      (contains ~affix:"not evaluable: foo/0" msg);
+    (match Server.Supervise.serve t [ request 0 query ] with
+    | [ r ] ->
+      Alcotest.(check (option string)) "served with the same text" (Some msg)
+        (served r).Server.Serve.rs_error
+    | _ -> Alcotest.fail "expected one response")
+
 let test_serve_config_validation () =
   let mk ?pes ?workers ?threshold ?max_queue () =
     Server.Serve.config ?pes ?workers ?threshold ?max_queue ~src:"a." ()
@@ -432,7 +455,7 @@ let test_supervise_retry_heals_transient () =
   let faults = Resilience.Fault.make [ ("sim-step", Resilience.Fault.Eio, 0) ] in
   let t = sup ~policy:(Server.Supervise.policy ~retries:2 ()) ~faults () in
   let direct =
-    Server.Serve.run_direct (Server.Supervise.server t) qsort_query
+    direct_answers (Server.Supervise.server t) qsort_query
   in
   (match Server.Supervise.serve t [ request 0 qsort_query ] with
   | [ r ] ->
@@ -559,7 +582,7 @@ let test_two_domains_share_pools () =
   List.iter
     (fun pes ->
       let t = Server.Serve.create (Server.Serve.config ~pes ~workers:2 ~src ()) in
-      let answers qs = Array.map (fun q -> answers_text (Server.Serve.run_direct t q)) qs in
+      let answers qs = Array.map (fun q -> answers_text (direct_answers t q)) qs in
       let one = answers queries in
       let two = Engine.Pool.map ~jobs:2 (fun i -> answers (Array.sub queries (20 * i) 20)) [| 0; 1 |] in
       Alcotest.(check (array string)) (Printf.sprintf "%d PEs: two domains answer as one" pes) one
@@ -592,7 +615,7 @@ let test_supervise_contains_pooled_crash () =
         (Printf.sprintf "request %d correct despite the crash"
            r.Server.Supervise.sv.Server.Serve.rs_id)
         (answers_text
-           (Server.Serve.run_direct (Server.Supervise.server t)
+           (direct_answers (Server.Supervise.server t)
               r.Server.Supervise.sv.Server.Serve.rs_query))
         (answers_text r.Server.Supervise.sv.Server.Serve.rs_answers))
     rest;
@@ -731,6 +754,8 @@ let suite =
       test_admission_lanes;
     Alcotest.test_case "bad query is a per-request error" `Quick
       test_bad_query_is_an_error;
+    Alcotest.test_case "direct run returns a runtime error's text" `Quick
+      test_run_direct_error;
     Alcotest.test_case "lexical error is a syntax error" `Quick
       test_lexical_error_is_a_syntax_error;
     Alcotest.test_case "cyclic answer is a per-request error" `Quick
