@@ -480,20 +480,25 @@ let create ?locality_override ~n_pes config =
     lines = Lines.create ();
   }
 
-let reference t (r : Trace.Ref_record.t) =
-  let sim = t.sim in
-  check_pe sim r.Trace.Ref_record.pe;
-  let id = Lines.intern t.lines (r.Trace.Ref_record.addr lsr sim.line_bits) in
-  if id >= Array.length sim.holders then begin
-    let h = Array.make (2 * Array.length sim.holders) 0 in
-    Array.blit sim.holders 0 h 0 id;
-    sim.holders <- h
-  end;
-  match r.Trace.Ref_record.op with
-  | Trace.Ref_record.Read -> read sim r.Trace.Ref_record.pe id
-  | Trace.Ref_record.Write ->
-    write sim r.Trace.Ref_record.pe id
-      ~global:(sim.global_area.(Trace.Area.to_int r.Trace.Ref_record.area))
+(* One packed word, its fields read with shifts; a sync word moves no
+   data and is skipped, as [prepare] drops it. *)
+let reference t word =
+  let module R = Trace.Ref_record in
+  let tag = (word lsr R.tag_shift) land R.tag_mask in
+  if tag < R.sync_tag_base then begin
+    let sim = t.sim in
+    let pe = (word lsr R.pe_shift) land R.pe_mask in
+    check_pe sim pe;
+    let id = Lines.intern t.lines (word lsr (addr_shift + sim.line_bits)) in
+    if id >= Array.length sim.holders then begin
+      let h = Array.make (2 * Array.length sim.holders) 0 in
+      Array.blit sim.holders 0 h 0 id;
+      sim.holders <- h
+    end;
+    if word land R.write_bit <> 0 then
+      write sim pe id ~global:sim.global_area.(tag)
+    else read sim pe id
+  end
 
 let stats t = t.sim.stats
 

@@ -122,7 +122,8 @@ type t
 val create : ?locality_override:bool -> n_pes:int -> Protocol.config -> t
 (** [locality_override] as for {!simulate}. *)
 
-val reference : t -> Trace.Ref_record.t -> unit
-(** Process one reference. *)
+val reference : t -> int -> unit
+(** Process one packed word ({!Trace.Ref_record}'s layout), reading
+    its fields with shifts; a sync word is skipped. *)
 
 val stats : t -> Metrics.t

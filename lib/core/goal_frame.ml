@@ -5,7 +5,9 @@
    idle PEs steal from the bottom (oldest goal first, the coarsest
    granularity).  The stack is guarded by a single lock word; the top
    and bottom pointers live in memory so that remote PEs generate real
-   traffic probing and updating them.
+   traffic probing and updating them.  A push adds one to the
+   machine's [published_goals] and a pop or steal takes one away, so
+   an idle PE sees without a scan whether any stack holds a frame.
 
    Region layout: word 0 = lock, word 1 = top pointer, word 2 = bottom
    pointer, frames from word 3.
@@ -73,6 +75,7 @@ let push m (w : Machine.worker) ~pf ~slot ~entry ~arity =
       done;
       wr m w (base + 5 + arity) (Cell.raw size);
       w.gs_top <- base + size;
+      m.Machine.published_goals <- m.Machine.published_goals + 1;
       wr m w (top_word w.id) (Cell.raw w.gs_top);
       (* the frame (and the parcall frame it references) is now
          visible to stealing PEs *)
@@ -110,6 +113,7 @@ let pop_top m (w : Machine.worker) (victim : Machine.worker) =
              sync m w ~kind:Trace.Ref_record.Steal base;
            let goal = read_frame m w ~owner:victim.id base in
            victim.gs_top <- base;
+           m.Machine.published_goals <- m.Machine.published_goals - 1;
            wr m w (top_word victim.id) (Cell.raw victim.gs_top);
            normalize m w victim;
            goal))
@@ -133,6 +137,7 @@ let steal m (w : Machine.worker) (victim : Machine.worker) =
            let size = Cell.payload (rd m w base) in
            let goal = read_frame m w ~owner:victim.id base in
            victim.gs_bot <- base + size;
+           m.Machine.published_goals <- m.Machine.published_goals - 1;
            wr m w (bot_word victim.id) (Cell.raw victim.gs_bot);
            normalize m w victim;
            goal))

@@ -42,32 +42,33 @@ let create ?(bus_words_per_cycle = 1.0) ?(mem_latency = 2) ~n_pes config =
 
 let set_now t round = t.now <- float_of_int round
 
-(* Feed one reference through the cache; charge any new bus words to
-   the issuing PE through the serialized bus. *)
-let reference t (r : Trace.Ref_record.t) =
+(* Feed one packed word through the cache; charge any new bus words
+   to the issuing PE through the serialized bus.  A sync word carries
+   no traffic: [Multi.reference] skips it, so no bus word is new. *)
+let reference t word =
   let stats = Cachesim.Multi.stats t.multi in
   let before = stats.Cachesim.Metrics.bus_words in
-  Cachesim.Multi.reference t.multi r;
+  Cachesim.Multi.reference t.multi word;
   let words = stats.Cachesim.Metrics.bus_words - before in
   if words > 0 then begin
-    let pe = r.Trace.Ref_record.pe in
+    let pe =
+      (word lsr Trace.Ref_record.pe_shift) land Trace.Ref_record.pe_mask
+    in
     let start = Float.max t.now (Float.max t.bus_free_at t.ready_at.(pe)) in
     let transfer = float_of_int words /. t.bus_words_per_cycle in
     let finish = start +. transfer in
     t.bus_free_at <- finish;
-    match r.Trace.Ref_record.op with
-    | Trace.Ref_record.Read ->
+    (* a read stalls its PE until the line arrives; a write is
+       buffered: the PE keeps running while the bus stays busy *)
+    if word land Trace.Ref_record.write_bit = 0 then begin
       t.ready_at.(pe) <- finish +. float_of_int t.mem_latency;
       t.stall_cycles.(pe) <-
         t.stall_cycles.(pe) +. (t.ready_at.(pe) -. t.now)
-    | Trace.Ref_record.Write ->
-      (* buffered: the PE keeps running; the bus stays busy *)
-      ()
+    end
   end
 
 let sink t : Trace.Sink.t =
-  (* sync events carry no traffic: only accesses reach the bus model *)
-  { Trace.Sink.emit = (fun r -> reference t r); emit_sync = (fun _ -> ()) }
+  { Trace.Sink.emit_word = (fun w -> reference t w) }
 
 (* Is this PE still waiting for memory at the current round? *)
 let stalled t pe = t.ready_at.(pe) > t.now +. 0.5

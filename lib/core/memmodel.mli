@@ -12,7 +12,9 @@ val create :
 val set_now : t -> int -> unit
 (** Tell the model the current scheduler round. *)
 
-val reference : t -> Trace.Ref_record.t -> unit
+val reference : t -> int -> unit
+(** Feed one packed word ({!Trace.Ref_record}'s layout) through the
+    caches and the bus; a sync word moves nothing. *)
 
 val sink : t -> Trace.Sink.t
 (** A sink that feeds every traced reference through the model. *)

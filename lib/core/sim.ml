@@ -407,33 +407,37 @@ let join_actionable sim (w : Machine.worker) =
 (* ------------------------------------------------------------------ *)
 (* Stealing.                                                          *)
 
+(* An idle PE scans the other PEs' goal stacks, starting after its
+   own, and takes the first goal it can.  With no goal published on
+   any stack the scan would find nothing and trace nothing, so the PE
+   only counts its idle cycle. *)
 let try_steal sim (w : Machine.worker) =
   let m = sim.m in
   w.idle_cycles <- w.idle_cycles + 1;
-  if sim.allow_steal then begin
-    let n = Machine.n_workers m in
-    let rec scan i =
-      if i < n then begin
-        let v = Machine.worker m ((w.id + 1 + i) mod n) in
-        if v.Machine.id <> w.id && Goal_frame.has_work v then begin
-          let got =
-            match sim.steal with
-            | Steal_oldest -> Goal_frame.steal m w v
-            | Steal_newest -> Goal_frame.pop_newest m w v
-          in
-          match got with
-          | Some goal ->
-            if Parcall.peek_status m goal.Goal_frame.pf = 1 then
-              ignore
-                (Parcall.check_in m w goal.Goal_frame.pf ~failed:false
-                   ~slot:goal.Goal_frame.slot)
-            else start_stolen_goal sim w goal
-          | None -> scan (i + 1)
-        end
-        else scan (i + 1)
+  if sim.allow_steal && m.Machine.published_goals > 0 then begin
+    let workers = m.Machine.workers in
+    let n = Array.length workers in
+    let i = ref 0 in
+    while !i < n do
+      let v = workers.((w.id + 1 + !i) mod n) in
+      incr i;
+      if v.Machine.id <> w.id && Goal_frame.has_work v then begin
+        let got =
+          match sim.steal with
+          | Steal_oldest -> Goal_frame.steal m w v
+          | Steal_newest -> Goal_frame.pop_newest m w v
+        in
+        match got with
+        | Some goal ->
+          i := n;
+          if Parcall.peek_status m goal.Goal_frame.pf = 1 then
+            ignore
+              (Parcall.check_in m w goal.Goal_frame.pf ~failed:false
+                 ~slot:goal.Goal_frame.slot)
+          else start_stolen_goal sim w goal
+        | None -> ()
       end
-    in
-    scan 0
+    done
   end
 
 (* ------------------------------------------------------------------ *)
@@ -445,8 +449,8 @@ let step_running sim (w : Machine.worker) =
   (* same fetch-time shallow-commit check as Exec.step: the parallel
      instructions below also end a certified clause's test prefix *)
   Exec.maybe_commit m w instr;
-  m.Machine.opcode_freq.(Instr.opcode instr) <-
-    m.Machine.opcode_freq.(Instr.opcode instr) + 1;
+  let op = Instr.opcode instr in
+  m.Machine.opcode_freq.(op) <- m.Machine.opcode_freq.(op) + 1;
   w.instr_count <- w.instr_count + 1;
   m.Machine.steps <- m.Machine.steps + 1;
   w.p <- w.p + 1;
@@ -492,15 +496,17 @@ let round sim =
   (match sim.memory with
   | Some mm -> Memmodel.set_now mm sim.rounds
   | None -> ());
+  let workers = m.Machine.workers in
+  let n = Array.length workers in
   let any_running = ref false in
-  Array.iter
-    (fun w ->
-      if w.Machine.status = Machine.Running || memory_stalled sim w then
-        any_running := true)
-    m.Machine.workers;
-  Array.iter
-    (fun w -> if not m.Machine.halted then act sim w)
-    m.Machine.workers;
+  for i = 0 to n - 1 do
+    let w = workers.(i) in
+    if w.Machine.status = Machine.Running || memory_stalled sim w then
+      any_running := true
+  done;
+  for i = 0 to n - 1 do
+    if not m.Machine.halted then act sim workers.(i)
+  done;
   sim.rounds <- sim.rounds + 1;
   if !any_running then sim.stagnant <- 0
   else begin

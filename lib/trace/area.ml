@@ -31,20 +31,9 @@ let all =
 
 let count = List.length all
 
-let to_int = function
-  | Code -> 0
-  | Env_control -> 1
-  | Env_pvar -> 2
-  | Choice_point -> 3
-  | Heap -> 4
-  | Trail -> 5
-  | Pdl -> 6
-  | Parcall_local -> 7
-  | Parcall_global -> 8
-  | Parcall_count -> 9
-  | Marker -> 10
-  | Goal_frame -> 11
-  | Message -> 12
+(* The constructors are declared in tag order, so a constructor's
+   representation is its tag. *)
+external to_int : t -> int = "%identity"
 
 let of_int = function
   | 0 -> Code

@@ -25,8 +25,9 @@ type t =
 val all : t list
 val count : int
 
-val to_int : t -> int
-(** Dense tag in [0, count). *)
+external to_int : t -> int = "%identity"
+(** Dense tag in [0, count): the constructors are declared in tag
+    order, so this is free. *)
 
 val of_int : int -> t
 (** @raise Invalid_argument outside [0, count). *)

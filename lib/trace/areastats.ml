@@ -25,27 +25,27 @@ let create ~pe_of_addr () =
     pe_of_addr;
   }
 
-let record t (r : Ref_record.t) =
-  let i = Area.to_int r.area in
-  (match r.op with
-  | Ref_record.Read -> t.reads.(i) <- t.reads.(i) + 1
-  | Ref_record.Write -> t.writes.(i) <- t.writes.(i) + 1);
-  (* Code is a shared region owned by no PE; count it as local (it is
-     read-only and always cacheable without coherency cost). *)
-  (match r.area with
-  | Area.Code -> t.local <- t.local + 1
-  | Area.Env_control | Area.Env_pvar | Area.Choice_point | Area.Heap
-  | Area.Trail | Area.Pdl | Area.Parcall_local | Area.Parcall_global
-  | Area.Parcall_count | Area.Marker | Area.Goal_frame | Area.Message ->
-    if t.pe_of_addr r.addr = r.pe then t.local <- t.local + 1
-    else t.remote <- t.remote + 1);
-  t.total <- t.total + 1
+(* One packed word: an access is counted by area and direction and
+   split local/remote; a sync word is only counted. *)
+let record t word =
+  let tag = (word lsr Ref_record.tag_shift) land Ref_record.tag_mask in
+  if tag >= Ref_record.sync_tag_base then t.syncs <- t.syncs + 1
+  else begin
+    if word land Ref_record.write_bit <> 0 then
+      t.writes.(tag) <- t.writes.(tag) + 1
+    else t.reads.(tag) <- t.reads.(tag) + 1;
+    (* Code is a shared region owned by no PE; count it as local (it
+       is read-only and always cacheable without coherency cost). *)
+    if
+      tag = Area.to_int Area.Code
+      || t.pe_of_addr (word lsr Ref_record.addr_bits_shift)
+         = (word lsr Ref_record.pe_shift) land Ref_record.pe_mask
+    then t.local <- t.local + 1
+    else t.remote <- t.remote + 1;
+    t.total <- t.total + 1
+  end
 
-let sink t : Sink.t =
-  {
-    Sink.emit = (fun r -> record t r);
-    emit_sync = (fun _ -> t.syncs <- t.syncs + 1);
-  }
+let sink t : Sink.t = { Sink.emit_word = (fun w -> record t w) }
 
 let syncs t = t.syncs
 let reads t area = t.reads.(Area.to_int area)

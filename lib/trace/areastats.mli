@@ -8,10 +8,10 @@ val create : pe_of_addr:(int -> int) -> unit -> t
 (** [pe_of_addr] maps an address to its owning PE (see
     {!Wam.Layout.pe_of_addr}); the shared code region maps to [-1]. *)
 
-val record : t -> Ref_record.t -> unit
-
 val sink : t -> Sink.t
-(** A sink that records into [t]. *)
+(** A sink that records into [t]: it reads each word's area,
+    direction, PE and address with shifts, and counts sync words
+    apart. *)
 
 (** {1 Queries} *)
 

@@ -12,29 +12,38 @@
    publish, goal steal, join, lock acquire/release): areas use tag
    values 0..Area.count-1, sync kinds use 16..20, so a single tag-field
    test ([is_sync_word]) separates the two record families and every
-   pre-sync consumer can skip events it does not understand.          *)
+   pre-sync consumer can skip events it does not understand.
+
+   The machine emits packed words directly, built from the layout
+   constants below; [pack] and the record type serve the tests and the
+   decoding consumers. *)
 
 type op = Read | Write
 
 type t = { pe : int; addr : int; area : Area.t; op : op }
 
+let write_bit = 1
+let tag_shift = 1
+let tag_mask = 0x1f
+let pe_shift = 6
+let pe_mask = 0xff
 let addr_bits_shift = 14
-let max_pe = 255
+let max_pe = pe_mask
 
 let pack { pe; addr; area; op } =
   assert (pe >= 0 && pe <= max_pe);
   assert (addr >= 0);
   (addr lsl addr_bits_shift)
-  lor (pe lsl 6)
-  lor (Area.to_int area lsl 1)
-  lor (match op with Write -> 1 | Read -> 0)
+  lor (pe lsl pe_shift)
+  lor (Area.to_int area lsl tag_shift)
+  lor (match op with Write -> write_bit | Read -> 0)
 
 let unpack word =
   {
-    pe = (word lsr 6) land 0xff;
+    pe = (word lsr pe_shift) land pe_mask;
     addr = word lsr addr_bits_shift;
-    area = Area.of_int ((word lsr 1) land 0x1f);
-    op = (if word land 1 = 1 then Write else Read);
+    area = Area.of_int ((word lsr tag_shift) land tag_mask);
+    op = (if word land write_bit <> 0 then Write else Read);
   }
 
 (* ---- synchronization events ---- *)
@@ -60,21 +69,24 @@ let sync_kind_of_int = function
   | 4 -> Join
   | n -> invalid_arg (Printf.sprintf "Ref_record.sync_kind_of_int %d" n)
 
+let sync_tag kind = sync_tag_base + sync_kind_to_int kind
+
 let pack_sync { spe; saddr; kind } =
   assert (spe >= 0 && spe <= max_pe);
   assert (saddr >= 0);
   (saddr lsl addr_bits_shift)
-  lor (spe lsl 6)
-  lor ((sync_tag_base + sync_kind_to_int kind) lsl 1)
+  lor (spe lsl pe_shift)
+  lor (sync_tag kind lsl tag_shift)
 
 (* Is this packed word a sync event rather than a memory access? *)
-let is_sync_word word = (word lsr 1) land 0x1f >= sync_tag_base
+let is_sync_word word = (word lsr tag_shift) land tag_mask >= sync_tag_base
 
 let unpack_sync word =
   {
-    spe = (word lsr 6) land 0xff;
+    spe = (word lsr pe_shift) land pe_mask;
     saddr = word lsr addr_bits_shift;
-    kind = sync_kind_of_int (((word lsr 1) land 0x1f) - sync_tag_base);
+    kind =
+      sync_kind_of_int (((word lsr tag_shift) land tag_mask) - sync_tag_base);
   }
 
 type entry = Access of t | Sync of sync

@@ -1,39 +1,36 @@
-(* Trace sinks: consumers of memory-reference records.
+(* Trace sinks: consumers of packed reference words.
 
-   The abstract machine emits every reference to a sink.  [counting]
-   keeps only aggregate statistics (cheap, used for work/overhead
-   measurements); [buffer] retains the full packed trace for the cache
-   simulators; [tee] feeds two sinks; [null] drops everything.
+   The abstract machine emits every reference, and every explicit
+   synchronization event, as one packed word ([Ref_record]'s layout)
+   to a sink.  [buffer] retains the words for the cache simulators;
+   [tee] feeds two sinks; [null] drops everything; aggregate sinks
+   ([Areastats]) read the fields they need with shifts.  Sync words
+   share the packing, and consumers that only understand accesses
+   skip them with [Ref_record.is_sync_word]. *)
 
-   Sinks also carry the machine's explicit synchronization events
-   ([emit_sync]); sinks that only understand accesses ignore them. *)
+type t = { emit_word : int -> unit } [@@unboxed]
 
-type t = {
-  emit : Ref_record.t -> unit;
-  emit_sync : Ref_record.sync -> unit;
-}
+let emit t r = t.emit_word (Ref_record.pack r)
+let emit_sync t s = t.emit_word (Ref_record.pack_sync s)
 
-let emit t r = t.emit r
-let emit_sync t s = t.emit_sync s
-
-let null = { emit = (fun _ -> ()); emit_sync = (fun _ -> ()) }
+let null = { emit_word = ignore }
 
 let tee a b =
-  {
-    emit = (fun r -> a.emit r; b.emit r);
-    emit_sync = (fun s -> a.emit_sync s; b.emit_sync s);
-  }
-
-let filter pred inner =
-  {
-    emit = (fun r -> if pred r then inner.emit r);
-    emit_sync = inner.emit_sync;
-  }
+  let a = a.emit_word and b = b.emit_word in
+  { emit_word = (fun w -> a w; b w) }
 
 (* Drop instruction fetches: the paper's reference counts and cache
-   traces are for data references. *)
+   traces are for data references.  A sync word's tag is never
+   Code's, so sync words pass. *)
 let data_only inner =
-  filter (fun r -> r.Ref_record.area <> Area.Code) inner
+  let inner = inner.emit_word in
+  let code = Area.to_int Area.Code in
+  {
+    emit_word =
+      (fun w ->
+        if (w lsr Ref_record.tag_shift) land Ref_record.tag_mask <> code then
+          inner w);
+  }
 
 (* ------------------------------------------------------------------ *)
 
@@ -58,15 +55,15 @@ module Buffer_sink = struct
     b.data.(b.len) <- word;
     b.len <- b.len + 1
 
-  let sink b : sink =
-    {
-      emit = (fun r -> push b (Ref_record.pack r));
-      emit_sync = (fun s -> push b (Ref_record.pack_sync s));
-    }
+  let sink b : sink = { emit_word = (fun w -> push b w) }
 
   let get b i =
     if i < 0 || i >= b.len then invalid_arg "Buffer_sink.get";
-    Ref_record.unpack b.data.(i)
+    let word = b.data.(i) in
+    if Ref_record.is_sync_word word then
+      invalid_arg
+        (Printf.sprintf "Buffer_sink.get: word %d is a sync event" i);
+    Ref_record.unpack word
 
   (* [iter] visits the memory accesses only, skipping sync events --
      the pre-sync contract every aggregate consumer relies on. *)

@@ -1,22 +1,24 @@
-(** Trace sinks: consumers of memory-reference records.
+(** Trace sinks: consumers of packed reference words.
 
-    The abstract machine emits every reference to a sink; sinks
-    compose ({!tee}, {!filter}) and either aggregate ({!Areastats}) or
-    retain the packed trace ({!Buffer_sink}) for the cache
-    simulators. *)
+    The abstract machine emits every memory reference and every
+    explicit synchronization event as one [int] in {!Ref_record}'s
+    packing; sync words share it and {!Ref_record.is_sync_word} tells
+    them apart.  Sinks compose ({!tee}, {!data_only}) and either
+    aggregate ({!Areastats}, reading fields with shifts) or retain
+    the words ({!Buffer_sink}) for the cache simulators.  Nothing on
+    the emit path builds a {!Ref_record.t}. *)
 
-type t = {
-  emit : Ref_record.t -> unit;
-  emit_sync : Ref_record.sync -> unit;
-}
+type t = { emit_word : int -> unit } [@@unboxed]
+(** [emit_word w] takes one packed word: an access or a sync event. *)
 
 val emit : t -> Ref_record.t -> unit
+(** Pack an access and emit it. *)
 
 val emit_sync : t -> Ref_record.sync -> unit
-(** Record an explicit synchronization event (lock acquire/release,
-    parcall publish, goal steal, join).  Aggregate sinks ignore these;
-    {!Buffer_sink} retains them interleaved with the accesses so the
-    happens-before checker can replay the ordering. *)
+(** Pack a synchronization event (lock acquire/release, parcall
+    publish, goal steal, join) and emit it.  Aggregate sinks count or
+    skip these; {!Buffer_sink} retains them interleaved with the
+    accesses so the happens-before checker can replay the ordering. *)
 
 val null : t
 (** Drops everything. *)
@@ -25,7 +27,7 @@ val tee : t -> t -> t
 (** Feed two sinks. *)
 
 val data_only : t -> t
-(** Drop instruction fetches (Code-area reads). *)
+(** Drop instruction fetches (Code-area reads); sync words pass. *)
 
 (** In-memory packed trace buffer.
 
@@ -36,7 +38,7 @@ val data_only : t -> t
     {!length}/{!get}/{!iter}/{!iter_packed} only read the backing
     array, and the array is never resized by readers.  This is the
     generate-once / sweep-many contract [Engine.Dag] relies on.  Do
-    not {!clear} or keep emitting while other domains read. *)
+    not keep emitting while other domains read. *)
 module Buffer_sink : sig
   type sink := t
   type t
@@ -52,7 +54,9 @@ module Buffer_sink : sig
   (** Total packed words retained, accesses plus sync events. *)
 
   val get : t -> int -> Ref_record.t
-  (** Decode word [i] as an access (raises if it is a sync event). *)
+  (** Decode word [i] as an access.
+      @raise Invalid_argument naming [Buffer_sink.get] if [i] is out
+      of range or word [i] is a sync event. *)
 
   val iter : (Ref_record.t -> unit) -> t -> unit
   (** Visit the memory accesses only, skipping sync events. *)

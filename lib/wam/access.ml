@@ -65,16 +65,20 @@ let trail ok lo hi = if ok then [ e Trail writes lo hi ] else []
 
 let builtin (b : Builtin.t) ~arity =
   match b with
-  | Builtin.Is -> [ e Heap both 1 6; e Env_pvar both 0 2; e Trail writes 0 1 ]
+  | Builtin.Is ->
+    (* an expression of two operators (two functor and four argument
+       reads), the result's deref hop and its binding *)
+    [ e Heap both 1 8; e Env_pvar both 0 2; e Trail writes 0 1 ]
   | Builtin.Lt | Builtin.Gt | Builtin.Le | Builtin.Ge | Builtin.Arith_eq
   | Builtin.Arith_ne | Builtin.Term_eq | Builtin.Term_ne | Builtin.Term_lt
   | Builtin.Term_gt | Builtin.Term_le | Builtin.Term_ge ->
-    [ e Heap reads 2 8; e Env_pvar reads 0 2 ]
+    (* nothing when both arguments are numbers held in registers *)
+    [ e Heap reads 0 8; e Env_pvar reads 0 2 ]
   | Builtin.Unify ->
-    [ e Heap both 1 6; e Env_pvar both 0 3; e Pdl both 0 4; e Trail writes 0 2 ]
+    [ e Heap both 0 6; e Env_pvar both 0 3; e Pdl both 0 4; e Trail writes 0 2 ]
   | Builtin.Not_unify ->
     (* the trial bindings are trailed, then undone *)
-    [ e Heap both 1 6; e Env_pvar both 0 3; e Pdl both 0 4; e Trail both 0 2 ]
+    [ e Heap both 0 6; e Env_pvar both 0 3; e Pdl both 0 4; e Trail both 0 2 ]
   | Builtin.Var_p | Builtin.Nonvar_p | Builtin.Atom_p | Builtin.Integer_p
   | Builtin.Atomic_p | Builtin.Compound_p ->
     [ e Heap reads 0 1; e Env_pvar reads 0 1 ]
@@ -117,9 +121,12 @@ let of_instr ?(ctx = conservative) ?(shallow = false) ~arity (i : Instr.t) =
     | Instr.Get_value (r, _, cert) ->
       (* a rigid certificate elides the argument's deref loop; the
          unification that follows can still bind (and trail) subterm
-         variables; an uncond one elides the trail writes *)
+         variables; an uncond one elides the trail writes.  Two
+         register-held atoms touch no heap; a pair of lists reads a
+         root's hop, the four cells and their four hops, pushes and
+         pops one sub-pair (four PDL words) and binds once *)
       let g = ctx.ground r in
-      [ e Heap (binds g) 1 4; e Pdl both 0 2 ]
+      [ e Heap (binds g) 0 10; e Pdl both 0 4 ]
       @ pvar r (binds g) ~y:1 ~x:3
       @ trail ((not g) && cert <> Instr.Uncond) 0 1
     | Instr.Get_constant (_, a, false)

@@ -24,9 +24,13 @@
     {!Profile.attribute} and holds every window to this table: its
     (area, direction) pairs must lie in the instruction's entries
     (plus {!failure} when {!may_fail}), and on an instruction that
-    cannot fail each area's count must lie in its interval.  On a
-    may-fail instruction [hi] is not checked: it stays costan's
-    success-path estimate. *)
+    cannot fail each area's count must lie in its interval.  A may-fail
+    instruction's interval bounds its success path: the test holds it
+    to the windows of the sequential plain runs that read neither a
+    choice point nor the trail.  For the unifying and arithmetic
+    instructions the interval covers the term shapes those runs reach
+    (one nested pair, two arithmetic operators); a deeper term walk
+    makes more references. *)
 
 type ctx = {
   ground : Instr.reg -> bool;

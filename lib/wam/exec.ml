@@ -34,14 +34,12 @@ let rd_auto m (w : worker) addr = Memory.read_auto m.mem ~pe:w.id addr
 let wr_auto m (w : worker) addr cell = Memory.write_auto m.mem ~pe:w.id addr cell
 
 let fetch_traced m (w : worker) =
-  (* Instruction fetch: one code-region read. *)
-  m.mem.Memory.sink.Trace.Sink.emit
-    {
-      Trace.Ref_record.pe = w.id;
-      addr = Code.trace_addr w.p;
-      area = Trace.Area.Code;
-      op = Trace.Ref_record.Read;
-    };
+  (* Instruction fetch: one code-region read, packed here as
+     [Memory.read] packs its words. *)
+  m.mem.Memory.sink.Trace.Sink.emit_word
+    ((Code.trace_addr w.p lsl Trace.Ref_record.addr_bits_shift)
+    lor (w.id lsl Trace.Ref_record.pe_shift)
+    lor (Trace.Area.to_int Trace.Area.Code lsl Trace.Ref_record.tag_shift));
   Code.fetch m.code w.p
 
 (* ------------------------------------------------------------------ *)
@@ -1416,8 +1414,8 @@ let step_core m (w : worker) instr =
 let step m (w : worker) =
   let instr = fetch_traced m w in
   maybe_commit m w instr;
-  m.opcode_freq.(Instr.opcode instr) <-
-    m.opcode_freq.(Instr.opcode instr) + 1;
+  let op = Instr.opcode instr in
+  m.opcode_freq.(op) <- m.opcode_freq.(op) + 1;
   w.instr_count <- w.instr_count + 1;
   m.steps <- m.steps + 1;
   w.p <- w.p + 1;

@@ -131,6 +131,9 @@ type t = {
   mutable parcalls : int; (* parcall frames allocated *)
   mutable goals_pushed : int;
   mutable goals_stolen : int; (* goals executed by a PE other than pusher *)
+  mutable published_goals : int;
+  (* frames on the goal stacks: pushed and not yet popped or stolen;
+     an idle PE scans for work only when this is positive *)
   mutable cp_created : int; (* choice points pushed (try) *)
   mutable cp_elided : int; (* certified chains entered shallow (shallow try) *)
   mutable trail_elided : int; (* trail tests+writes skipped (uncond binds) *)
@@ -240,6 +243,7 @@ let create ?(sink = Trace.Sink.null) ~n_workers ~code ~symbols () =
     parcalls = 0;
     goals_pushed = 0;
     goals_stolen = 0;
+    published_goals = 0;
     cp_created = 0;
     cp_elided = 0;
     trail_elided = 0;

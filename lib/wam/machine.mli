@@ -115,6 +115,10 @@ type t = {
   mutable parcalls : int;
   mutable goals_pushed : int;
   mutable goals_stolen : int;
+  mutable published_goals : int;
+      (** goal frames on the goal stacks, all PEs: pushed and not yet
+          popped or stolen.  An idle PE scans for work only when this
+          is positive. *)
   mutable cp_created : int;  (** choice points pushed (try) *)
   mutable cp_elided : int;  (** certified chains entered (shallow try) *)
   mutable trail_elided : int;
@@ -133,7 +137,9 @@ val runtime_error : ('a, unit, string, 'b) format4 -> 'a
 (** @raise Runtime_error always. *)
 
 val max_workers : int
-(** The most PEs one machine runs (128). *)
+(** The most PEs one machine runs (128).  It is at most
+    [Trace.Ref_record.max_pe], so every PE fits its trace words' PE
+    field and {!Memory} need not check it per reference. *)
 
 val create :
   ?sink:Trace.Sink.t -> n_workers:int -> code:Code.t -> symbols:Symbols.t ->

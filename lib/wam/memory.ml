@@ -9,10 +9,13 @@
    memory records the pages it has written, so [clear] can zero just
    those and keep them as spares: a machine that is released and
    created again ([Machine.release]) reuses its directory and pages
-   instead of allocating new ones.  Every [read]/[write] emits a
-   tagged reference record to the machine's trace sink;
-   [peek]/[poke] bypass tracing (used by answer decoding, debugging
-   and tests). *)
+   instead of allocating new ones.  Every [read]/[write] emits one
+   packed word to the machine's trace sink, built here in
+   [Trace.Ref_record]'s layout (no record is allocated), and [sync]
+   emits a sync word the same way; [peek]/[poke] bypass tracing (used
+   by answer decoding, debugging and tests).  The PE field's bound is
+   [Machine.create]'s, so it is not checked per reference; the
+   address's sign is, on every sink. *)
 
 let page_bits = 12
 let page_words = 1 lsl page_bits
@@ -85,21 +88,36 @@ let poke t addr word =
   in
   page.(addr land (page_words - 1)) <- word
 
+module R = Trace.Ref_record
+
+let negative_address addr =
+  invalid_arg (Printf.sprintf "Memory: negative address %d" addr)
+
 let read t ~pe ~area addr =
-  t.sink.Trace.Sink.emit
-    { Trace.Ref_record.pe; addr; area; op = Trace.Ref_record.Read };
+  if addr < 0 then negative_address addr;
+  t.sink.Trace.Sink.emit_word
+    ((addr lsl R.addr_bits_shift)
+    lor (pe lsl R.pe_shift)
+    lor (Trace.Area.to_int area lsl R.tag_shift));
   peek t addr
 
 let write t ~pe ~area addr word =
-  t.sink.Trace.Sink.emit
-    { Trace.Ref_record.pe; addr; area; op = Trace.Ref_record.Write };
+  if addr < 0 then negative_address addr;
+  t.sink.Trace.Sink.emit_word
+    ((addr lsl R.addr_bits_shift)
+    lor (pe lsl R.pe_shift)
+    lor (Trace.Area.to_int area lsl R.tag_shift)
+    lor R.write_bit);
   poke t addr word
 
 (* Record an explicit synchronization event in the trace (no memory
    access is performed; [addr] names the word the edge hangs off). *)
 let sync t ~pe ~kind addr =
-  t.sink.Trace.Sink.emit_sync
-    { Trace.Ref_record.spe = pe; saddr = addr; kind }
+  if addr < 0 then negative_address addr;
+  t.sink.Trace.Sink.emit_word
+    ((addr lsl R.addr_bits_shift)
+    lor (pe lsl R.pe_shift)
+    lor (R.sync_tag kind lsl R.tag_shift))
 
 (* Generic term-cell access with the area derived from the address. *)
 let read_auto t ~pe addr = read t ~pe ~area:(Layout.area_of_addr addr) addr

@@ -2,9 +2,12 @@
     4K-word pages allocated on their first write.  A page never
     written reads as 0 and is not allocated by the read; {!clear}
     zeroes the pages written so far, for reuse.  Every
-    {!read}/{!write} emits a tagged reference record to the attached
-    trace sink; {!peek}/{!poke} bypass tracing (answer decoding,
-    debugging, spin-wait polls). *)
+    {!read}/{!write} emits one packed word ({!Trace.Ref_record}'s
+    layout, built inline: no record is allocated) to the attached
+    trace sink, and {!sync} a sync word; {!peek}/{!poke} bypass
+    tracing (answer decoding, debugging, spin-wait polls).  A traced
+    PE must be in [0, Trace.Ref_record.max_pe] ({!Machine.create}
+    bounds it); this is not checked per reference. *)
 
 type t = {
   mutable pages : int array array;
@@ -24,7 +27,12 @@ val clear : t -> unit
     spares for later first writes. *)
 
 val read : t -> pe:int -> area:Trace.Area.t -> int -> int
+(** @raise Invalid_argument on a negative address, whatever the
+    sink. *)
+
 val write : t -> pe:int -> area:Trace.Area.t -> int -> int -> unit
+(** @raise Invalid_argument on a negative address, whatever the
+    sink. *)
 
 val sync : t -> pe:int -> kind:Trace.Ref_record.sync_kind -> int -> unit
 (** Record an explicit synchronization event in the trace; no memory

@@ -93,8 +93,12 @@ type 'w windows = {
   runtime : Trace.Ref_record.t -> unit;
 }
 
+module R = Trace.Ref_record
+
+(* The sink reads each word's tag, PE and fetch address with shifts
+   and decodes a record only for the window callbacks. *)
 let attribute t (h : 'w windows) =
-  let open_ = Array.make (Trace.Ref_record.max_pe + 1) None in
+  let open_ = Array.make (R.max_pe + 1) None in
   let close pe =
     match open_.(pe) with
     | Some w ->
@@ -102,25 +106,33 @@ let attribute t (h : 'w windows) =
       h.close w
     | None -> ()
   in
-  let record (r : Trace.Ref_record.t) =
-    let pe = r.Trace.Ref_record.pe in
-    match r.Trace.Ref_record.area with
-    | Trace.Area.Code -> (
-      close pe;
-      let idx = r.Trace.Ref_record.addr - Layout.code_base in
-      match owner t idx with
-      | Some c -> open_.(pe) <- Some (h.fetch r c idx)
-      | None -> h.runtime r)
-    | area -> (
-      if area = Trace.Area.Message then close pe;
-      match open_.(pe) with Some w -> h.data w r | None -> h.runtime r)
+  let code = Trace.Area.to_int Trace.Area.Code
+  and message = Trace.Area.to_int Trace.Area.Message in
+  let record word =
+    let tag = (word lsr R.tag_shift) land R.tag_mask in
+    if tag < R.sync_tag_base then begin
+      let pe = (word lsr R.pe_shift) land R.pe_mask in
+      if tag = code then begin
+        close pe;
+        let idx = (word lsr R.addr_bits_shift) - Layout.code_base in
+        match owner t idx with
+        | Some c -> open_.(pe) <- Some (h.fetch (R.unpack word) c idx)
+        | None -> h.runtime (R.unpack word)
+      end
+      else begin
+        if tag = message then close pe;
+        match open_.(pe) with
+        | Some w -> h.data w (R.unpack word)
+        | None -> h.runtime (R.unpack word)
+      end
+    end
   in
-  ( { Trace.Sink.emit = record; emit_sync = (fun _ -> ()) },
+  ( { Trace.Sink.emit_word = record },
     fun () -> Array.iteri (fun pe _ -> close pe) open_ )
 
 let replay t h buf =
   let sink, finish = attribute t h in
-  Trace.Sink.Buffer_sink.iter sink.Trace.Sink.emit buf;
+  Trace.Sink.Buffer_sink.iter_packed sink.Trace.Sink.emit_word buf;
   finish ()
 
 let count_fetch t (c : counters) idx =

@@ -54,7 +54,10 @@ type 'w windows = {
 
 val attribute : t -> 'w windows -> Trace.Sink.t * (unit -> unit)
 (** Attribute a run as it goes: feed it the sink, then call the
-    function to close the windows still open at its end. *)
+    function to close the windows still open at its end.  The sink
+    skips sync words and routes each access by the PE, area and
+    fetch address it reads off the packed word; the callbacks receive
+    the decoded record. *)
 
 val replay : t -> 'w windows -> Trace.Sink.Buffer_sink.t -> unit
 (** Attribute a recorded trace, closing the windows still open at its

@@ -330,7 +330,7 @@ let agrees ~n_pes ~line_words ~cache_words buf (kind, write_allocate, locality_o
       ~cache_words ~n_pes buf
   in
   let online = Cachesim.Multi.create ?locality_override ~n_pes config in
-  Trace.Sink.Buffer_sink.iter (Cachesim.Multi.reference online) buf;
+  Trace.Sink.Buffer_sink.iter_packed (Cachesim.Multi.reference online) buf;
   prepared = expected && Cachesim.Multi.stats online = expected
 
 type random_trace = {
@@ -509,7 +509,7 @@ let test_pe_bound_both_paths () =
           Cachesim.Multi.create ~n_pes:2
             (Cachesim.Protocol.make ~kind ~cache_words:64 ())
         in
-        Trace.Sink.Buffer_sink.iter (Cachesim.Multi.reference m) buf)
+        Trace.Sink.Buffer_sink.iter_packed (Cachesim.Multi.reference m) buf)
   in
   Alcotest.(check string) "one message on both paths" online prepared;
   Alcotest.(check string) "names the PE and the caches"

@@ -5,8 +5,11 @@
    detan's plus bindan's plans, every window's (area, direction) pairs
    lie in its instruction's entries (plus the failure path's when the
    instruction may fail), and on an instruction that cannot fail each
-   area's count lies in its interval.  Also: the profile's rows,
-   runtime row included, sum to the run's per-area counts. *)
+   area's count lies in its interval.  In the sequential plain runs a
+   may-fail instruction's counts lie in its intervals too, in the
+   windows that did not fail (no choice-point or trail read).  Also:
+   the profile's rows, runtime row included, sum to the run's
+   per-area counts. *)
 
 module B = Certification.Make (Bindan.Instance)
 
@@ -32,9 +35,9 @@ let op_name = function
   | Trace.Ref_record.Write -> "write"
 
 (* What the table allows at one code index: the (area, direction)
-   slots as a bit set, and for an instruction that cannot fail each
+   slots as a bit set, whether the instruction may fail, and each
    area's interval, indexed by area tag. *)
-type allowed = { slots : int; checked : bool; lo : int array; hi : int array }
+type allowed = { slots : int; fails : bool; lo : int array; hi : int array }
 
 let allowed ~failure ~arity ~shallow i =
   let entries = Wam.Access.of_instr ~shallow ~arity i in
@@ -55,7 +58,7 @@ let allowed ~failure ~arity ~shallow i =
     entries;
   {
     slots = (bits entries lor if fails then bits failure else 0);
-    checked = not fails;
+    fails;
     lo;
     hi;
   }
@@ -66,8 +69,11 @@ type window = { mutable idx : int; counts : int array; mutable touched : int }
 
 (* Run [prog] through [run], attributing its references as they come,
    and add every refuted (instruction, area, finding) to [refuted]
-   with the windows that refute it and where they ran. *)
-let check refuted ~label (prog : Wam.Program.t) run =
+   with the windows that refute it and where they ran.  With
+   [success_windows], the counts of a may-fail instruction are checked
+   too, in the windows that read neither a choice point nor the trail:
+   those that did not fail. *)
+let check ?(success_windows = false) refuted ~label (prog : Wam.Program.t) run =
   let code = prog.Wam.Program.code and symbols = prog.Wam.Program.symbols in
   let parallel =
     contains code (function Wam.Instr.Alloc_parcall _ -> true | _ -> false)
@@ -111,7 +117,11 @@ let check refuted ~label (prog : Wam.Program.t) run =
                 refute (i ()) area (op_name op))
             ops)
         Trace.Area.all;
-    if a.checked then
+    let read area = w.counts.(slot area Trace.Ref_record.Read) in
+    let succeeded () =
+      read Trace.Area.Choice_point = 0 && read Trace.Area.Trail = 0
+    in
+    if (not a.fails) || (success_windows && succeeded ()) then
       for k = 0 to Trace.Area.count - 1 do
         let total = w.counts.(2 * k) + w.counts.((2 * k) + 1) in
         let area = Trace.Area.of_int k in
@@ -150,17 +160,20 @@ let check refuted ~label (prog : Wam.Program.t) run =
   if !windows = 0 then Alcotest.failf "%s: no window attributed" label
 
 (* The plain builds, run sequentially and then by RAP-WAM at each PE
-   count, each feeding the sink it is given. *)
+   count, each feeding the sink it is given; [true] marks the
+   sequential run. *)
 let plain_runs (b : Benchlib.Programs.benchmark) =
   let name = b.Benchlib.Programs.name in
   let seq = Benchlib.Runner.prepare ~parallel:false b in
   let par = Benchlib.Runner.prepare ~parallel:true b in
   ( Printf.sprintf "%s seq" name,
+    true,
     seq,
     fun sink -> ignore (Wam.Seq.run ~sink seq) )
   :: List.map
        (fun n_pes ->
          ( Printf.sprintf "%s %dpe" name n_pes,
+           false,
            par,
            fun sink -> ignore (Rapwam.Sim.run ~sink ~n_workers:n_pes par) ))
        pes
@@ -171,7 +184,8 @@ let test_windows_within_table () =
     (fun (b : Benchlib.Programs.benchmark) ->
       let name = b.Benchlib.Programs.name in
       List.iter
-        (fun (label, prog, run) -> check refuted ~label prog run)
+        (fun (label, sequential, prog, run) ->
+          check ~success_windows:sequential refuted ~label prog run)
         (plain_runs b);
       (* detan's plan (bindan's base build), then detan's plus
          bindan's (its variant build) *)
@@ -214,7 +228,7 @@ let test_profile_sums () =
   List.iter
     (fun (b : Benchlib.Programs.benchmark) ->
       List.iter
-        (fun (label, (prog : Wam.Program.t), run) ->
+        (fun (label, _, (prog : Wam.Program.t), run) ->
           let stats =
             Trace.Areastats.create ~pe_of_addr:Wam.Layout.pe_of_addr ()
           in

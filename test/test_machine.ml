@@ -387,6 +387,31 @@ let test_released_machine_reset () =
   Alcotest.(check bool) "its workers as new" true (workers = fresh);
   Alcotest.(check bool) "same answer, counters and trace" true (first = second)
 
+(* A negative address is refused on every sink, before a word is
+   emitted. *)
+let test_negative_address_refused () =
+  let buf = Trace.Sink.Buffer_sink.create () in
+  List.iter
+    (fun (name, sink) ->
+      let mem = Wam.Memory.create ~sink () in
+      List.iter
+        (fun (what, access) ->
+          match access mem with
+          | exception Invalid_argument _ -> ()
+          | () -> Alcotest.failf "%s on the %s sink took address -8" what name)
+        [
+          ( "read",
+            fun mem ->
+              ignore (Wam.Memory.read mem ~pe:0 ~area:Trace.Area.Heap (-8)) );
+          ( "write",
+            fun mem -> Wam.Memory.write mem ~pe:0 ~area:Trace.Area.Heap (-8) 0 );
+          ( "sync",
+            fun mem ->
+              Wam.Memory.sync mem ~pe:0 ~kind:Trace.Ref_record.Acquire (-8) );
+        ])
+    [ ("null", Trace.Sink.null); ("buffer", Trace.Sink.buffer buf) ];
+  Alcotest.(check int) "nothing emitted" 0 (Trace.Sink.Buffer_sink.length buf)
+
 let suite =
   [
     Alcotest.test_case "cell roundtrip" `Quick test_cell_roundtrip;
@@ -414,4 +439,6 @@ let suite =
       test_area_overflows;
     Alcotest.test_case "a released machine is handed out reset" `Quick
       test_released_machine_reset;
+    Alcotest.test_case "a negative address is refused on every sink" `Quick
+      test_negative_address_refused;
   ]

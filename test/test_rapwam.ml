@@ -275,7 +275,8 @@ let test_memmodel_basics () =
   let mm = Rapwam.Memmodel.create ~bus_words_per_cycle:1.0 ~mem_latency:2 ~n_pes:2 cfg in
   Rapwam.Memmodel.set_now mm 0;
   let r ~pe ~addr op =
-    { Trace.Ref_record.pe; addr; area = Trace.Area.Heap; op }
+    Trace.Ref_record.pack
+      { Trace.Ref_record.pe; addr; area = Trace.Area.Heap; op }
   in
   (* read miss: 4-word fill -> PE 0 stalled for 4 + 2 cycles *)
   Rapwam.Memmodel.reference mm (r ~pe:0 ~addr:0 Trace.Ref_record.Read);
@@ -299,8 +300,15 @@ let test_memmodel_bus_serializes () =
   in
   let mm = Rapwam.Memmodel.create ~bus_words_per_cycle:1.0 ~mem_latency:0 ~n_pes:2 cfg in
   Rapwam.Memmodel.set_now mm 0;
-  let r ~pe ~addr = { Trace.Ref_record.pe; addr; area = Trace.Area.Heap;
-                      op = Trace.Ref_record.Read } in
+  let r ~pe ~addr =
+    Trace.Ref_record.pack
+      {
+        Trace.Ref_record.pe;
+        addr;
+        area = Trace.Area.Heap;
+        op = Trace.Ref_record.Read;
+      }
+  in
   Rapwam.Memmodel.reference mm (r ~pe:0 ~addr:0);
   Rapwam.Memmodel.reference mm (r ~pe:1 ~addr:256);
   (* PE 1's fill queued behind PE 0's: stalled past cycle 4 *)
@@ -330,6 +338,85 @@ let test_integrated_sim_slower_but_correct () =
   Alcotest.(check bool) "contention costs time" true
     (slow.Rapwam.Sim.rounds > ideal.Rapwam.Sim.rounds)
 
+(* The machine's count of published goals against the goal stacks
+   themselves: the frames between each worker's [gs_bot] and [gs_top],
+   walked through their size words with untraced peeks. *)
+let frames_on_stacks (m : Wam.Machine.t) =
+  Array.fold_left
+    (fun acc (w : Wam.Machine.worker) ->
+      let rec walk base n =
+        if base >= w.Wam.Machine.gs_top then n
+        else
+          walk
+            (base + Wam.Cell.payload (Wam.Memory.peek m.Wam.Machine.mem base))
+            (n + 1)
+      in
+      walk w.Wam.Machine.gs_bot acc)
+    0 m.Wam.Machine.workers
+
+(* Run [prog], comparing the count with the stacks at every sync word
+   (a push publishes, and a pop or steal moves a stack pointer, inside
+   a lock's Acquire/Release pair) and after the run. *)
+let check_published_count ~label ~steal ~n_workers prog =
+  let machine = ref None in
+  let sink =
+    {
+      Trace.Sink.emit_word =
+        (fun word ->
+          match !machine with
+          | Some m when Trace.Ref_record.is_sync_word word ->
+            let count = m.Wam.Machine.published_goals in
+            if count < 0 then Alcotest.failf "%s: count %d" label count;
+            let frames = frames_on_stacks m in
+            if count <> frames then
+              Alcotest.failf "%s: count %d but %d frames on the stacks" label
+                count frames
+          | Some _ | None -> ());
+    }
+  in
+  let sim = Rapwam.Sim.create ~sink ~steal ~n_workers prog in
+  machine := Some sim.Rapwam.Sim.m;
+  ignore (Rapwam.Sim.run_prepared sim prog);
+  Alcotest.(check int) (label ^ ": after the run")
+    (frames_on_stacks sim.Rapwam.Sim.m)
+    sim.Rapwam.Sim.m.Wam.Machine.published_goals
+
+(* The nine benchmarks (the four at quick inputs and the Table-3
+   population) and trees of failing parcalls, at 1/4/8 PEs under both
+   steal policies. *)
+let test_published_goal_count () =
+  let policies =
+    [ (Rapwam.Sim.Steal_oldest, "oldest"); (Rapwam.Sim.Steal_newest, "newest") ]
+  in
+  let programs =
+    List.map
+      (fun (b : Benchlib.Programs.benchmark) ->
+        (b.Benchlib.Programs.name, Benchlib.Runner.prepare ~parallel:true b))
+      (Benchlib.Inputs.small_benchmarks () @ Benchlib.Large.population ())
+    @ List.concat_map
+        (fun n ->
+          List.map
+            (fun k ->
+              ( Printf.sprintf "failing parcalls p(%d, R), k = %d" n k,
+                Wam.Program.prepare ~parallel:true
+                  ~src:(Test_properties.failure_stress_src k)
+                  ~query:(Printf.sprintf "p(%d, R)" n) () ))
+            [ 2; 3; 4; 5 ])
+        [ 5; 8; 11 ]
+  in
+  List.iter
+    (fun (name, prog) ->
+      List.iter
+        (fun n_workers ->
+          List.iter
+            (fun (steal, policy) ->
+              check_published_count
+                ~label:(Printf.sprintf "%s %dpe %s" name n_workers policy)
+                ~steal ~n_workers prog)
+            policies)
+        [ 1; 4; 8 ])
+    programs
+
 let suite =
   [
     Alcotest.test_case "parcall 1 PE" `Quick test_unconditional_parcall_1pe;
@@ -358,4 +445,6 @@ let suite =
       test_memmodel_bus_serializes;
     Alcotest.test_case "integrated sim" `Quick
       test_integrated_sim_slower_but_correct;
+    Alcotest.test_case "the published-goal count is exact" `Quick
+      test_published_goal_count;
   ]

@@ -71,6 +71,14 @@ let test_buffer_sink () =
   Trace.Sink.Buffer_sink.iter (fun _ -> incr count) buf;
   Alcotest.(check int) "iter" 100 !count
 
+let test_buffer_sink_get_sync () =
+  let buf = Trace.Sink.Buffer_sink.create () in
+  Trace.Sink.emit_sync (Trace.Sink.buffer buf)
+    { Trace.Ref_record.spe = 1; saddr = 64; kind = Trace.Ref_record.Publish };
+  Alcotest.check_raises "names Buffer_sink.get"
+    (Invalid_argument "Buffer_sink.get: word 0 is a sync event") (fun () ->
+      ignore (Trace.Sink.Buffer_sink.get buf 0))
+
 let test_tee_and_filter () =
   let b1 = Trace.Sink.Buffer_sink.create () in
   let b2 = Trace.Sink.Buffer_sink.create () in
@@ -243,6 +251,8 @@ let suite =
     Alcotest.test_case "area int roundtrip" `Quick test_area_int_roundtrip;
     Alcotest.test_case "table 1 locality" `Quick test_table1_locality;
     Alcotest.test_case "buffer sink" `Quick test_buffer_sink;
+    Alcotest.test_case "buffer sink get on a sync word" `Quick
+      test_buffer_sink_get_sync;
     Alcotest.test_case "tee and filter" `Quick test_tee_and_filter;
     Alcotest.test_case "area stats" `Quick test_areastats;
     Alcotest.test_case "layout regions" `Quick test_layout_regions;

@@ -163,9 +163,47 @@ let test_pins_on_released () =
         [ ("wam", 0); ("rapwam-1pe", 1); ("rapwam-4pe", 4); ("rapwam-8pe", 8) ])
     [ "deriv"; "qsort"; "tak"; "matrix" ]
 
+(* The emit path allocates almost nothing per reference: each plain
+   configuration, its program compiled beforehand, runs into a
+   Buffer_sink and allocates under 2 minor-heap words per word it
+   emits (the machine's own setup and the answer included).  Memory
+   packs each word without checking its PE, because no machine has a
+   PE the word's PE field cannot hold. *)
+let test_emit_allocation () =
+  Alcotest.(check bool) "max_workers <= Ref_record.max_pe" true
+    (Wam.Machine.max_workers <= Trace.Ref_record.max_pe);
+  List.iter
+    (fun name ->
+      let b = quick name in
+      let seq = Benchlib.Runner.prepare ~parallel:false b in
+      let par = Benchlib.Runner.prepare ~parallel:true b in
+      let rap n sink = ignore (Rapwam.Sim.run ~sink ~n_workers:n par) in
+      List.iter
+        (fun (config, run) ->
+          let buf = Trace.Sink.Buffer_sink.create ~capacity:(1 lsl 16) () in
+          let sink = Trace.Sink.buffer buf in
+          let before = Gc.minor_words () in
+          run sink;
+          let words = Gc.minor_words () -. before in
+          let per_word =
+            words /. float_of_int (Trace.Sink.Buffer_sink.length buf)
+          in
+          if not (per_word < 2.0) then
+            Alcotest.failf "%s/%s: %.2f minor words per emitted word" name
+              config per_word)
+        [
+          ("wam", fun sink -> ignore (Wam.Seq.run ~sink seq));
+          ("rapwam-1pe", rap 1);
+          ("rapwam-4pe", rap 4);
+          ("rapwam-8pe", rap 8);
+        ])
+    [ "deriv"; "qsort"; "tak"; "matrix" ]
+
 let suite =
   [
     Alcotest.test_case "packed traces match the pinned digests" `Quick test_pins;
     Alcotest.test_case "the pins hold on released machines and workspaces" `Quick
       test_pins_on_released;
+    Alcotest.test_case "the emit path allocates under 2 words per word" `Quick
+      test_emit_allocation;
   ]
