@@ -146,7 +146,7 @@ let steal m (w : Machine.worker) (victim : Machine.worker) =
 let has_work (victim : Machine.worker) = victim.gs_top > victim.gs_bot
 
 (* Peek the parcall frame of the newest own frame without popping
-   (untraced; used to discard goals of failed parcalls). *)
+   (untraced; a join runs or discards only its own parcall's goals). *)
 let peek_top_pf m (w : Machine.worker) =
   if w.gs_top = w.gs_bot then None
   else begin

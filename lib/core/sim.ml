@@ -8,6 +8,20 @@
    real PE would satisfy from its cache anyway) is excluded and
    accounted as wait/idle cycles instead.
 
+   A round visits only the PEs that can act.  After its turn, a PE
+   whose next turn could not differ sleeps: an idle PE when no goal is
+   published or stealing is off, a waiting PE when its join test
+   fails, a halted PE for good.  Every event that can change a
+   sleeper's test is made here and wakes it: a check-in, ack or slot
+   write on a parcall frame wakes the frame's owner (a status update
+   outside a check-in is the owner's own, when its inline goal
+   fails), a message wakes its target, and a published goal wakes
+   the idle sleepers.  Awake PEs act in id order, so a PE woken by PE j
+   acts in the same round if its id is above j, else in the next --
+   the turn order, and with it the trace, of a round that visits
+   every PE.  A sleeper's missed turns are settled into its idle or
+   wait cycles when it next acts, or when the run ends.
+
    Forward execution protocol (one CGE of k goals):
      alloc_parcall  push a parcall frame (wait count k-1), make it the
                     current PF and the backtrack barrier
@@ -15,9 +29,9 @@
                     stack, for each of goals 2..k
      (inline call)  the parent executes the CGE's first goal as a
                     plain call whose continuation is the join
-     par_join       loop: pop & run own pending goals as plain calls
-                    (Local_goal, no marker); wait for remote check-ins;
-                    continue when the counter reaches zero
+     par_join       loop: pop & run this parcall's own pending goals as
+                    plain calls (Local_goal, no marker); wait for remote
+                    check-ins; continue when the counter reaches zero
      goal_done      return point of popped/stolen goals: check in,
                     commit, resume (parent) or go idle (thief)
 
@@ -39,15 +53,20 @@ open Wam
 
 type steal_policy = Steal_oldest | Steal_newest
 
-type t = {
-  m : Machine.t;
+type sched = {
   queues : Messages.queues;
-  mutable rounds : int;
-  mutable stagnant : int; (* consecutive rounds with no Running worker *)
   steal : steal_policy;
   allow_steal : bool;
   memory : Memmodel.t option; (* integrated two-level memory timing *)
+  mutable stagnant : int; (* consecutive rounds with no Running worker *)
+  mutable running : int; (* workers whose status is Running *)
+  awake : Bytes.t; (* byte i is 1 while PE i takes turns *)
+  slept_from : int array; (* first round an idle/waiting sleeper missed, or -1 *)
+  mutable idle_asleep : int; (* sleeping Idle PEs *)
+  mutable cursor : int; (* the PE whose turn it is: PEs below it had their slot *)
 }
+
+type t = { m : Machine.t; mutable rounds : int; sched : sched }
 
 let create ?(sink = Trace.Sink.null) ?(steal = Steal_oldest)
     ?(allow_steal = true) ?memory ~n_workers prog =
@@ -62,13 +81,83 @@ let create ?(sink = Trace.Sink.null) ?(steal = Steal_oldest)
   in
   {
     m;
-    queues = Messages.create_queues n_workers;
     rounds = 0;
-    stagnant = 0;
-    steal;
-    allow_steal;
-    memory;
+    sched =
+      {
+        queues = Messages.create_queues n_workers;
+        steal;
+        allow_steal;
+        memory;
+        stagnant = 0;
+        running = 0;
+        awake = Bytes.make n_workers '\001';
+        slept_from = Array.make n_workers (-1);
+        idle_asleep = 0;
+        cursor = 0;
+      };
   }
+
+(* ------------------------------------------------------------------ *)
+(* Sleep and wake-up.                                                 *)
+
+let wake sim pe =
+  let s = sim.sched in
+  if Bytes.get s.awake pe = '\000' then begin
+    Bytes.set s.awake pe '\001';
+    if sim.m.Machine.workers.(pe).Machine.status = Machine.Idle then
+      s.idle_asleep <- s.idle_asleep - 1
+  end
+
+(* A parcall frame sits on its parent's local stack, and only the
+   parent waits on it: what changes the frame wakes the parent. *)
+let wake_owner sim pf = wake sim (Layout.pe_of_addr pf)
+
+(* A published goal is what an idle sleeper waits for. *)
+let wake_idle sim =
+  let s = sim.sched in
+  if s.idle_asleep > 0 && s.allow_steal then
+    Array.iter
+      (fun (v : Machine.worker) -> if v.status = Machine.Idle then wake sim v.id)
+      sim.m.Machine.workers
+
+let sleep sim (w : Machine.worker) =
+  let s = sim.sched in
+  Bytes.set s.awake w.id '\000';
+  match w.status with
+  | Machine.Idle ->
+    s.slept_from.(w.id) <- sim.rounds + 1;
+    s.idle_asleep <- s.idle_asleep + 1
+  | Machine.Waiting -> s.slept_from.(w.id) <- sim.rounds + 1
+  | Machine.Halted | Machine.Running -> ()
+
+(* Count [missed] turns of an idle or waiting sleeper. *)
+let settle sim (w : Machine.worker) missed =
+  sim.sched.slept_from.(w.id) <- -1;
+  match w.status with
+  | Machine.Idle -> w.idle_cycles <- w.idle_cycles + missed
+  | Machine.Waiting -> w.wait_cycles <- w.wait_cycles + missed
+  | Machine.Halted | Machine.Running -> ()
+
+(* The run ends (halt, failure, error): settle every sleeper's slots
+   up to the cursor of the current round. *)
+let settle_sleepers sim =
+  let s = sim.sched in
+  Array.iter
+    (fun (w : Machine.worker) ->
+      let from = s.slept_from.(w.id) in
+      if from >= 0 then
+        settle sim w
+          (sim.rounds - from + if w.id < s.cursor then 1 else 0))
+    sim.m.Machine.workers
+
+(* The frame operations that can change a parent's join test. *)
+let check_in sim w pf ~failed ~slot =
+  ignore (Parcall.check_in sim.m w pf ~failed ~slot);
+  wake_owner sim pf
+
+let set_slot_exec sim w pf slot =
+  Parcall.set_slot_exec sim.m w pf slot w.Machine.id;
+  wake_owner sim pf
 
 (* ------------------------------------------------------------------ *)
 (* Goal lifecycle.                                                    *)
@@ -79,7 +168,7 @@ let start_local_goal sim (w : Machine.worker) (goal : Goal_frame.goal)
     ~resume =
   let m = sim.m in
   Exec.abandon_shallow m w;
-  Parcall.set_slot_exec m w goal.pf goal.slot w.id;
+  set_slot_exec sim w goal.pf goal.slot;
   w.exec_stack <-
     Machine.Local_goal
       { parcall = goal.pf; slot = goal.slot; resume; entry_b = w.b }
@@ -99,7 +188,7 @@ let start_local_goal sim (w : Machine.worker) (goal : Goal_frame.goal)
 let start_stolen_goal sim (w : Machine.worker) (goal : Goal_frame.goal) =
   let m = sim.m in
   Exec.abandon_shallow m w;
-  Parcall.set_slot_exec m w goal.pf goal.slot w.id;
+  set_slot_exec sim w goal.pf goal.slot;
   let marker = Marker.push m w ~pf:goal.pf ~slot:goal.slot ~resume_p:(-1) in
   let ctx =
     {
@@ -138,7 +227,7 @@ let goal_done sim (w : Machine.worker) =
     Machine.runtime_error "goal_done outside a parallel goal (PE %d)" w.id
   | Machine.Local_goal { parcall; slot; resume; entry_b } :: rest ->
     w.exec_stack <- rest;
-    ignore (Parcall.check_in m w parcall ~failed:false ~slot);
+    check_in sim w parcall ~failed:false ~slot;
     (* commit: cut the local goal's leftover choice points so its
        alternatives match the committed remote goals *)
     if w.b <> entry_b then w.b <- entry_b;
@@ -149,9 +238,7 @@ let goal_done sim (w : Machine.worker) =
     let tr_start = Marker.saved_tr m w marker in
     w.sections <-
       (ctx.Machine.parcall, ctx.Machine.slot, tr_start, w.tr) :: w.sections;
-    ignore
-      (Parcall.check_in m w ctx.Machine.parcall ~failed:false
-         ~slot:ctx.Machine.slot);
+    check_in sim w ctx.Machine.parcall ~failed:false ~slot:ctx.Machine.slot;
     w.b <- Marker.saved_b m w marker;
     Marker.restore_continuation m w marker;
     (* leaving the section: parcall floors of frames allocated inside
@@ -182,7 +269,7 @@ let total_failure sim (w : Machine.worker) =
     (* a locally-run pushed goal failed: its bindings are undone by the
        parent's recovery untrail (same trail); just check in *)
     w.exec_stack <- rest;
-    ignore (Parcall.check_in m w parcall ~failed:true ~slot);
+    check_in sim w parcall ~failed:true ~slot;
     w.p <- resume;
     w.status <- Machine.Running
   | Machine.Section_ctx ctx :: rest ->
@@ -196,16 +283,18 @@ let total_failure sim (w : Machine.worker) =
     w.par_prot <- w.prot_lst;
     w.cst <- marker;
     w.exec_stack <- rest;
-    ignore
-      (Parcall.check_in m w ctx.Machine.parcall ~failed:true
-         ~slot:ctx.Machine.slot);
+    check_in sim w ctx.Machine.parcall ~failed:true ~slot:ctx.Machine.slot;
     w.status <- Machine.Idle
 
 (* ------------------------------------------------------------------ *)
 (* Messages.                                                          *)
 
 (* Selective unwind: replay (reset) the trail segment of a completed
-   section without recovering its stack space. *)
+   section without recovering its stack space.  An entry naming this
+   PE's own local stack is a binding of the section's own environment
+   (trailed because a parcall inside the section raised the protection
+   floor): the environment died with the section, the PE has since
+   reused its words, and resetting them would unbind live variables. *)
 let unwind_section sim (w : Machine.worker) pf slot =
   let m = sim.m in
   let rec find acc = function
@@ -224,14 +313,16 @@ let unwind_section sim (w : Machine.worker) pf slot =
         Memory.read m.Machine.mem ~pe:w.id ~area:Trace.Area.Trail pos
       in
       let a = Cell.payload entry in
-      Memory.write_auto m.Machine.mem ~pe:w.id a (Cell.ref_ a)
+      if not (Layout.is_local_stack_addr a && Layout.pe_of_addr a = w.id) then
+        Memory.write_auto m.Machine.mem ~pe:w.id a (Cell.ref_ a)
     done
 
 let process_message sim (w : Machine.worker) =
   let m = sim.m in
-  let msg = Messages.receive m sim.queues w in
+  let msg = Messages.receive m sim.sched.queues w in
   unwind_section sim w msg.Messages.pf msg.Messages.slot;
-  Parcall.ack m w msg.Messages.pf
+  Parcall.ack m w msg.Messages.pf;
+  wake_owner sim msg.Messages.pf
 
 (* ------------------------------------------------------------------ *)
 (* The parcall join.                                                  *)
@@ -243,7 +334,7 @@ let discard_own_goals_of sim (w : Machine.worker) pf =
     | Some p when p = pf -> begin
       match Goal_frame.pop_own m w with
       | Some goal ->
-        ignore (Parcall.check_in m w pf ~failed:false ~slot:goal.slot);
+        check_in sim w pf ~failed:false ~slot:goal.slot;
         go ()
       | None -> ()
     end
@@ -281,7 +372,8 @@ let handle_parcall_failure sim (w : Machine.worker) pf ~join_addr =
     let targets = unwind_targets m w pf ~peek:false in
     List.iter
       (fun (slot, pe) ->
-        Messages.send m sim.queues w ~target:pe { Messages.pf; slot })
+        Messages.send m sim.sched.queues w ~target:pe { Messages.pf; slot };
+        wake sim pe)
       targets;
     w.failing_pf <- pf;
     w.p <- join_addr;
@@ -370,21 +462,18 @@ let par_join sim (w : Machine.worker) =
     discard_own_goals_of sim w pf;
     w.p <- join_addr (* loop until the counter drains *)
   end
+  else if Goal_frame.peek_top_pf m w = Some pf then
+    (* run the next goal of this parcall.  A goal of an enclosing
+       parcall below it waits for its own join: run here, above this
+       frame, its work would be undone if this parcall failed, after
+       it had checked in as done. *)
+    Option.iter
+      (fun goal -> start_local_goal sim w goal ~resume:join_addr)
+      (Goal_frame.pop_own m w)
   else begin
-    match Goal_frame.pop_own m w with
-    | Some goal ->
-      if Parcall.peek_status m goal.Goal_frame.pf = 1 then begin
-        (* pending goal of an already-failed parcall: discard *)
-        ignore
-          (Parcall.check_in m w goal.Goal_frame.pf ~failed:false
-             ~slot:goal.Goal_frame.slot);
-        w.p <- join_addr (* loop *)
-      end
-      else start_local_goal sim w goal ~resume:join_addr
-    | None ->
-      w.p <- join_addr;
-      w.status <- Machine.Waiting;
-      w.wait_cycles <- w.wait_cycles + 1
+    w.p <- join_addr;
+    w.status <- Machine.Waiting;
+    w.wait_cycles <- w.wait_cycles + 1
   end
 
 (* Untraced wake-up test for a worker waiting at a par_join. *)
@@ -401,7 +490,7 @@ let join_actionable sim (w : Machine.worker) =
       else
         Parcall.peek_acks m pf
         >= List.length (unwind_targets m w pf ~peek:true)
-    else Goal_frame.has_work w || status = 1
+    else Goal_frame.peek_top_pf m w = Some pf || status = 1
   end
 
 (* ------------------------------------------------------------------ *)
@@ -414,7 +503,7 @@ let join_actionable sim (w : Machine.worker) =
 let try_steal sim (w : Machine.worker) =
   let m = sim.m in
   w.idle_cycles <- w.idle_cycles + 1;
-  if sim.allow_steal && m.Machine.published_goals > 0 then begin
+  if sim.sched.allow_steal && m.Machine.published_goals > 0 then begin
     let workers = m.Machine.workers in
     let n = Array.length workers in
     let i = ref 0 in
@@ -423,7 +512,7 @@ let try_steal sim (w : Machine.worker) =
       incr i;
       if v.Machine.id <> w.id && Goal_frame.has_work v then begin
         let got =
-          match sim.steal with
+          match sim.sched.steal with
           | Steal_oldest -> Goal_frame.steal m w v
           | Steal_newest -> Goal_frame.pop_newest m w v
         in
@@ -431,9 +520,8 @@ let try_steal sim (w : Machine.worker) =
         | Some goal ->
           i := n;
           if Parcall.peek_status m goal.Goal_frame.pf = 1 then
-            ignore
-              (Parcall.check_in m w goal.Goal_frame.pf ~failed:false
-                 ~slot:goal.Goal_frame.slot)
+            check_in sim w goal.Goal_frame.pf ~failed:false
+              ~slot:goal.Goal_frame.slot
           else start_stolen_goal sim w goal
         | None -> ()
       end
@@ -463,7 +551,9 @@ let step_running sim (w : Machine.worker) =
     | None ->
       Machine.runtime_error "undefined parallel goal %s"
         (Symbols.spec_string m.Machine.symbols fid)
-    | Some entry -> Goal_frame.push m w ~pf:w.pf ~slot ~entry ~arity
+    | Some entry ->
+      Goal_frame.push m w ~pf:w.pf ~slot ~entry ~arity;
+      wake_idle sim
   end
   | Instr.Par_join -> par_join sim w
   | Instr.Goal_done -> goal_done sim w
@@ -472,15 +562,16 @@ let step_running sim (w : Machine.worker) =
     with Exec.No_more_choices _ -> total_failure sim w)
 
 (* A PE whose memory transaction has not settled executes nothing
-   this round (integrated memory timing only). *)
+   this round (integrated memory timing only).  Only a PE's own reads
+   stall it, so a PE that is not stalled after its turn stays so until
+   its next one. *)
 let memory_stalled sim (w : Machine.worker) =
-  match sim.memory with
+  match sim.sched.memory with
   | None -> false
   | Some mm -> Memmodel.stalled mm w.id
 
 let act sim (w : Machine.worker) =
-  if memory_stalled sim w then w.wait_cycles <- w.wait_cycles + 1
-  else if Messages.pending sim.queues w then process_message sim w
+  if Messages.pending sim.sched.queues w then process_message sim w
   else begin
     match w.status with
     | Machine.Halted -> ()
@@ -491,29 +582,66 @@ let act sim (w : Machine.worker) =
     | Machine.Idle -> try_steal sim w
   end
 
+(* After a turn: keep the count of Running PEs, and put the PE to
+   sleep when its next turn could not differ from a turn that only
+   counts its cycle. *)
+let after_turn sim (w : Machine.worker) ~was_running =
+  let s = sim.sched in
+  match w.status with
+  | Machine.Running -> if not was_running then s.running <- s.running + 1
+  | (Machine.Idle | Machine.Waiting | Machine.Halted) as status ->
+    if was_running then s.running <- s.running - 1;
+    if
+      (not (Messages.pending s.queues w))
+      && (not (memory_stalled sim w))
+      &&
+      match status with
+      | Machine.Idle ->
+        (not s.allow_steal) || sim.m.Machine.published_goals = 0
+      | Machine.Waiting -> not (join_actionable sim w)
+      | Machine.Halted | Machine.Running -> true
+    then sleep sim w
+
 let round sim =
   let m = sim.m in
-  (match sim.memory with
+  let s = sim.sched in
+  (match s.memory with
   | Some mm -> Memmodel.set_now mm sim.rounds
   | None -> ());
   let workers = m.Machine.workers in
   let n = Array.length workers in
-  let any_running = ref false in
-  for i = 0 to n - 1 do
-    let w = workers.(i) in
-    if w.Machine.status = Machine.Running || memory_stalled sim w then
-      any_running := true
+  (* a status changes only in its PE's own turn, and a stall only by
+     its PE's own reads, so both read at a PE's slot as at the start *)
+  let progress = ref (s.running > 0) in
+  let i = ref 0 in
+  while !i < n && not m.Machine.halted do
+    if Bytes.get s.awake !i <> '\000' then begin
+      let w = workers.(!i) in
+      s.cursor <- !i;
+      let from = s.slept_from.(!i) in
+      if from >= 0 then settle sim w (sim.rounds - from);
+      if memory_stalled sim w then begin
+        progress := true;
+        w.wait_cycles <- w.wait_cycles + 1
+      end
+      else begin
+        let was_running = w.status = Machine.Running in
+        act sim w;
+        after_turn sim w ~was_running
+      end
+    end;
+    incr i
   done;
-  for i = 0 to n - 1 do
-    if not m.Machine.halted then act sim workers.(i)
-  done;
+  (* the PEs after a halting one get no slot in its round *)
+  if m.Machine.halted then settle_sleepers sim;
   sim.rounds <- sim.rounds + 1;
-  if !any_running then sim.stagnant <- 0
+  s.cursor <- 0;
+  if !progress then s.stagnant <- 0
   else begin
-    sim.stagnant <- sim.stagnant + 1;
-    if sim.stagnant > 10_000 then
+    s.stagnant <- s.stagnant + 1;
+    if s.stagnant > 10_000 then
       Machine.runtime_error
-        "deadlock: no runnable worker for %d rounds (rounds=%d)" sim.stagnant
+        "deadlock: no runnable worker for %d rounds (rounds=%d)" s.stagnant
         sim.rounds
   end
 
@@ -522,10 +650,18 @@ let round sim =
 
 let default_max_rounds = 500_000_000
 
+(* The worker counters are read straight after the run, so every exit
+   settles the sleepers first. *)
 let run_prepared ?(max_rounds = default_max_rounds) sim prog =
   let m = sim.m in
   let w0 = Machine.worker m 0 in
   let addrs = Seq.seed_query m w0 prog in
+  sim.sched.running <-
+    Array.fold_left
+      (fun n (w : Machine.worker) ->
+        if w.status = Machine.Running then n + 1 else n)
+      0 m.Machine.workers;
+  Fun.protect ~finally:(fun () -> settle_sleepers sim) @@ fun () ->
   try
     while not m.Machine.halted && not m.Machine.failed do
       if sim.rounds >= max_rounds then

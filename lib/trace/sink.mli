@@ -31,14 +31,20 @@ val data_only : t -> t
 
 (** In-memory packed trace buffer.
 
+    The words sit in a directory of fixed chunks of 2^16 words.  Only
+    the first chunk grows by doubling, from [capacity] up to the chunk
+    size, so a small trace stays small; past it, growing allocates a
+    new chunk and copies no retained word (the directory, an array of
+    chunk pointers, doubles).
+
     Domain-safety: a buffer is single-writer — all {!emit}s must
     happen on one domain — but once writing is done (and published by
     a happens-before edge such as [Domain.join] or the sweep engine's
     stage barrier) any number of domains may read it concurrently:
-    {!length}/{!get}/{!iter}/{!iter_packed} only read the backing
-    array, and the array is never resized by readers.  This is the
-    generate-once / sweep-many contract [Engine.Dag] relies on.  Do
-    not keep emitting while other domains read. *)
+    {!length}/{!get}/{!iter}/{!iter_packed} only read the chunks, and
+    readers never resize anything.  This is the generate-once /
+    sweep-many contract [Engine.Dag] relies on.  Do not keep emitting
+    while other domains read. *)
 module Buffer_sink : sig
   type sink := t
   type t

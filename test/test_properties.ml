@@ -396,6 +396,89 @@ let prop_failing_parcalls_match_sequential =
       | Wam.Seq.Failure, Wam.Seq.Failure -> true
       | (Wam.Seq.Success _ | Wam.Seq.Failure), _ -> false)
 
+(* ---------------- failure-stress: arms that fail after working ---- *)
+
+(* [failure_stress_src] fails only before its CGE ([ok(N)]), and [p/2]
+   always succeeds inside it, so no parcall ever fails there and no
+   unwind message is sent.  Here an arm [q] fails after doing its work
+   (all of [p]) whenever its [N] is a multiple of [k].  With
+   [inline_fails] the failing arm is the one the parent runs inline,
+   so the pushed sibling has often been stolen and finished, and the
+   failing parent must unwind its section; otherwise the failing arm
+   is the pushed one.  A cut commits a CGE that succeeded, so every
+   call has one answer on the WAM as on RAP-WAM. *)
+let unwind_stress_src ~inline_fails k =
+  Printf.sprintf
+    "p(N, R) :- N =< 0, !, R = 1.\n\
+     p(N, R) :- N1 is N - 1, N2 is N - 2,\n\
+    \  %s, !, R is R1 + R2 + 1.\n\
+     p(N, R) :- N1 is N - 1, p(N1, R).\n\
+     q(N, R) :- p(N, R), N mod %d =\\= 0.\n"
+    (if inline_fails then "q(N1, R1) & p(N2, R2)" else "p(N1, R1) & q(N2, R2)")
+    k
+
+(* Does a run send unwind messages?  Only they touch the Message area. *)
+let message_sink seen =
+  let message = Trace.Area.to_int Trace.Area.Message in
+  {
+    Trace.Sink.emit_word =
+      (fun w ->
+        if
+          (not (Trace.Ref_record.is_sync_word w))
+          && (w lsr Trace.Ref_record.tag_shift) land Trace.Ref_record.tag_mask
+             = message
+        then seen := true);
+  }
+
+let unwind_cases = ref 0
+let unwinding_cases = ref 0
+
+let prop_unwinding_parcalls_match_sequential =
+  Test.make ~name:"trees whose parcalls unwind finished goals: parallel = sequential"
+    ~count:30
+    (triple (int_range 3 9) (int_range 2 5) bool)
+    (fun (n, k, inline_fails) ->
+      let src = unwind_stress_src ~inline_fails k in
+      let query = Printf.sprintf "p(%d, R)" n in
+      let seq, _ = Wam.Seq.solve ~src ~query () in
+      let prog = Wam.Program.prepare ~parallel:true ~src ~query () in
+      let sent = ref false in
+      let agree steal pes =
+        let par, _ =
+          Rapwam.Sim.run ~sink:(message_sink sent) ~steal ~n_workers:pes prog
+        in
+        match (seq, par) with
+        | Wam.Seq.Success b1, Wam.Seq.Success b2 ->
+          Prolog.Term.equal (List.assoc "R" b1) (List.assoc "R" b2)
+        | Wam.Seq.Failure, Wam.Seq.Failure -> true
+        | (Wam.Seq.Success _ | Wam.Seq.Failure), _ -> false
+      in
+      let ok =
+        List.for_all
+          (fun steal -> List.for_all (agree steal) [ 1; 2; 3; 4; 5; 6; 7; 8 ])
+          [ Rapwam.Sim.Steal_oldest; Rapwam.Sim.Steal_newest ]
+      in
+      incr unwind_cases;
+      if !sent then incr unwinding_cases;
+      ok)
+
+(* The property, then the share of its cases whose runs sent unwind
+   messages: a generator whose parcalls never fail would pass the
+   property without reaching the failure protocol. *)
+let test_unwinding_parcalls =
+  let name, speed, run =
+    QCheck_alcotest.to_alcotest prop_unwinding_parcalls_match_sequential
+  in
+  ( name,
+    speed,
+    fun () ->
+      unwind_cases := 0;
+      unwinding_cases := 0;
+      run ();
+      if 2 * !unwinding_cases < !unwind_cases then
+        Alcotest.failf "only %d of %d cases sent unwind messages" !unwinding_cases
+          !unwind_cases )
+
 (* ---------------- z-score property ---------------- *)
 
 let prop_zscores_center =
@@ -423,3 +506,4 @@ let suite =
       prop_failing_parcalls_match_sequential;
       prop_zscores_center;
     ]
+  @ [ test_unwinding_parcalls ]

@@ -124,9 +124,11 @@ let test_indep_check () =
   Alcotest.(check int) "fallback branch" 0
     sim2.Rapwam.Sim.m.Wam.Machine.parcalls
 
+(* one arm fails: the whole parcall must fail, bindings unwound *)
+let failure_src = "p(X, Y) :- q(X) & r(Y).\nq(1).\nr(Y) :- Y = 2, fail.\n"
+
 let test_parcall_failure_propagates () =
-  (* one arm fails: the whole parcall must fail, bindings unwound *)
-  let src = "p(X, Y) :- q(X) & r(Y).\nq(1).\nr(Y) :- Y = 2, fail.\n" in
+  let src = failure_src in
   List.iter
     (fun n ->
       let result, _ = psolve ~n ~src "p(X, Y)" () in
@@ -136,12 +138,12 @@ let test_parcall_failure_propagates () =
         Alcotest.failf "parcall failure not propagated on %d PEs" n)
     [ 1; 2; 4 ]
 
+(* after the parcall fails, an alternative clause must succeed with
+   clean bindings *)
+let alternative_src = "p(X) :- q(X) & r(X2).\np(found).\nq(1).\nr(_) :- fail.\n"
+
 let test_parcall_failure_then_alternative () =
-  (* after the parcall fails, an alternative clause must succeed with
-     clean bindings *)
-  let src =
-    "p(X) :- q(X) & r(X2).\np(found).\nq(1).\nr(_) :- fail.\n"
-  in
+  let src = alternative_src in
   List.iter
     (fun n ->
       Alcotest.(check string)
@@ -150,17 +152,18 @@ let test_parcall_failure_then_alternative () =
         (answer_str ~n ~src "p(X)" "X"))
     [ 1; 2; 4 ]
 
+(* sibling binds A before the other arm fails; retry must see A unbound *)
+let unwind_src =
+  "top(A, R) :- p(A), R = retried.\n\
+   p(A) :- bindit(A) & failing(_Z).\n\
+   p(A) :- var(A), A = clean.\n\
+   bindit(bound).\n\
+   failing(_) :- slow(20), fail.\n\
+   slow(0).\n\
+   slow(N) :- N > 0, N1 is N - 1, slow(N1).\n"
+
 let test_unwind_clears_remote_bindings () =
-  (* sibling binds A before the other arm fails; retry must see A unbound *)
-  let src =
-    "top(A, R) :- p(A), R = retried.\n\
-     p(A) :- bindit(A) & failing(_Z).\n\
-     p(A) :- var(A), A = clean.\n\
-     bindit(bound).\n\
-     failing(_) :- slow(20), fail.\n\
-     slow(0).\n\
-     slow(N) :- N > 0, N1 is N - 1, slow(N1).\n"
-  in
+  let src = unwind_src in
   List.iter
     (fun n ->
       let result, _ = psolve ~n ~src "top(A, R)" () in
@@ -176,16 +179,17 @@ let test_unwind_clears_remote_bindings () =
 (* One arm fails while its sibling runs a chain of nested parcalls:
    the parent waits for the sibling to finish, unwinds it, and the
    query fails as it does on the WAM. *)
+let nested_failure_src =
+  "p(A) :- slowfail & long(40, A).\n\
+   slowfail :- spin(30), fail.\n\
+   long(0, done).\n\
+   long(N, R) :- N > 0, (a(N, X) & a(N, Y)), X = Y, N1 is N - 1, long(N1, R).\n\
+   a(N, M) :- spin(20), M is N * 2.\n\
+   spin(0).\n\
+   spin(K) :- K > 0, K1 is K - 1, spin(K1).\n"
+
 let test_failing_parcall_beside_nested () =
-  let src =
-    "p(A) :- slowfail & long(40, A).\n\
-     slowfail :- spin(30), fail.\n\
-     long(0, done).\n\
-     long(N, R) :- N > 0, (a(N, X) & a(N, Y)), X = Y, N1 is N - 1, long(N1, R).\n\
-     a(N, M) :- spin(20), M is N * 2.\n\
-     spin(0).\n\
-     spin(K) :- K > 0, K1 is K - 1, spin(K1).\n"
-  in
+  let src = nested_failure_src in
   (match Wam.Seq.solve ~src ~query:"p(A)" () with
   | Wam.Seq.Failure, _ -> ()
   | Wam.Seq.Success _, _ -> Alcotest.fail "p(A) succeeded on the WAM");
@@ -197,6 +201,69 @@ let test_failing_parcall_beside_nested () =
       | Wam.Seq.Failure, _ -> ()
       | Wam.Seq.Success _, _ -> Alcotest.failf "p(A) succeeded on %d PEs" n)
     [ 2; 4 ]
+
+(* The four programs above are the only fixed ones whose runs send
+   unwind messages (each trace holds 16 Message-area references).
+   Their packed traces and scheduler counters (rounds, idle cycles,
+   wait cycles, goals stolen) at 2/4/8 PEs are pinned: the wake-ups on
+   a message and on an ack decide when the PEs involved act.  In the
+   nested program's unwind the thief skips the trail entries of its
+   own environments ([Sim.unwind_section]), so it writes fewer words
+   than it reads. *)
+let unwind_pins =
+  [
+    (("parcall failure", 2), ("ba8e09025360629f6815b13d48564e7a", (20, 14, 3, 1)));
+    (("parcall failure", 4), ("ba8e09025360629f6815b13d48564e7a", (20, 54, 3, 1)));
+    (("parcall failure", 8), ("ba8e09025360629f6815b13d48564e7a", (20, 134, 3, 1)));
+    (("failure then alternative", 2), ("defb0dd862dc5f46d24075d321411467", (21, 18, 1, 1)));
+    (("failure then alternative", 4), ("defb0dd862dc5f46d24075d321411467", (21, 58, 1, 1)));
+    (("failure then alternative", 8), ("defb0dd862dc5f46d24075d321411467", (21, 138, 1, 1)));
+    (("unwind remote bindings", 2), ("f7bbb35e64bd380d4e80ab10309e783d", (328, 32, 292, 1)));
+    (("unwind remote bindings", 4), ("f7bbb35e64bd380d4e80ab10309e783d", (328, 686, 292, 1)));
+    (("unwind remote bindings", 8), ("f7bbb35e64bd380d4e80ab10309e783d", (328, 1994, 292, 1)));
+    ( ("failing parcall beside nested parcalls", 2),
+      ("92363a1b4ca76d00ad53e5c2d52ad102", (25099, 11, 1, 1)) );
+    ( ("failing parcall beside nested parcalls", 4),
+      ("f6c4316805a985cf541314f4f5eaa201", (13099, 14249, 1, 41)) );
+    ( ("failing parcall beside nested parcalls", 8),
+      ("f6c4316805a985cf541314f4f5eaa201", (13099, 66645, 1, 41)) );
+  ]
+
+let test_unwind_pins () =
+  let programs =
+    [
+      ("parcall failure", failure_src, "p(X, Y)");
+      ("failure then alternative", alternative_src, "p(X)");
+      ("unwind remote bindings", unwind_src, "top(A, R)");
+      ("failing parcall beside nested parcalls", nested_failure_src, "p(A)");
+    ]
+  in
+  List.iter
+    (fun (name, src, query) ->
+      List.iter
+        (fun n ->
+          let prog = Wam.Program.prepare ~parallel:true ~src ~query () in
+          let buf = Trace.Sink.Buffer_sink.create () in
+          let _, sim =
+            Rapwam.Sim.run ~sink:(Trace.Sink.buffer buf) ~n_workers:n prog
+          in
+          let m = sim.Rapwam.Sim.m in
+          let sum f = Array.fold_left (fun acc w -> acc + f w) 0 m.Wam.Machine.workers in
+          let messages = ref 0 in
+          Trace.Sink.Buffer_sink.iter
+            (fun r -> if r.Trace.Ref_record.area = Trace.Area.Message then incr messages)
+            buf;
+          let label = Printf.sprintf "%s on %d PEs" name n in
+          Alcotest.(check int) (label ^ ": message references") 16 !messages;
+          Alcotest.(check (pair string (pair (pair int int) (pair int int))))
+            label
+            (let d, (r, i, w, s) = List.assoc (name, n) unwind_pins in
+             (d, ((r, i), (w, s))))
+            ( Test_trace_pin.digest buf,
+              ( (sim.Rapwam.Sim.rounds, sum (fun w -> w.Wam.Machine.idle_cycles)),
+                (sum (fun w -> w.Wam.Machine.wait_cycles), m.Wam.Machine.goals_stolen) ) ))
+        [ 2; 4; 8 ])
+    programs
 
 let test_three_way_parcall () =
   let src =
@@ -338,6 +405,70 @@ let test_integrated_sim_slower_but_correct () =
   Alcotest.(check bool) "contention costs time" true
     (slow.Rapwam.Sim.rounds > ideal.Rapwam.Sim.rounds)
 
+(* Sleeping PEs' idle and wait cycles are settled on every way out of
+   a run: a halt, a failed query, the round limit (a [Runtime_error]
+   between rounds) and a runtime error in a thief's turn (PE 2's, at
+   4 PEs and more, while PE 1 sleeps), after which only the PEs before
+   it had a slot in their last round.  (rounds, idle
+   cycles, wait cycles) at 1..128 PEs. *)
+let exit_pins =
+  [
+    (("halt", 1), (10219, 0, 0));
+    (("failure", 1), (10215, 0, 0));
+    (("round limit", 1), (300, 0, 0));
+    (("error in a turn", 1), (872, 0, 0));
+    (("halt", 4), (2983, 331, 1392));
+    (("failure", 4), (2979, 322, 1392));
+    (("round limit", 4), (300, 135, 0));
+    (("error in a turn", 4), (303, 580, 0));
+    (("halt", 8), (1671, 1155, 2010));
+    (("failure", 8), (1667, 1134, 2010));
+    (("round limit", 8), (300, 451, 0));
+    (("error in a turn", 8), (303, 1792, 0));
+    (("halt", 64), (407, 15660, 309));
+    (("failure", 64), (403, 15471, 309));
+    (("round limit", 64), (300, 9427, 257));
+    (("error in a turn", 64), (303, 18760, 0));
+    (("halt", 128), (407, 41982, 0));
+    (("failure", 128), (403, 41601, 0));
+    (("round limit", 128), (300, 28764, 0));
+    (("error in a turn", 128), (303, 38152, 0));
+  ]
+
+let test_exit_counters () =
+  let error_src =
+    "p(X) :- q & b & r(X).\nq :- spin(40).\nb :- spin(2).\n\
+     r(X) :- spin(20), _ is X + 1.\nspin(0).\nspin(K) :- K > 0, K1 is K - 1, spin(K1).\n"
+  in
+  let runs =
+    [
+      ("halt", fib_src, "fib(12, F)", None);
+      ("failure", fib_src, "fib(12, 0)", None);
+      ("round limit", fib_src, "fib(12, F)", Some 300);
+      ("error in a turn", error_src, "p(X)", None);
+    ]
+  in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun (exit, src, query, max_rounds) ->
+          let prog = Wam.Program.prepare ~parallel:true ~src ~query () in
+          let sim = Rapwam.Sim.create ~n_workers:n prog in
+          (match Rapwam.Sim.run_prepared ?max_rounds sim prog with
+          | Wam.Seq.Success _ | Wam.Seq.Failure -> ()
+          | exception Wam.Machine.Runtime_error _ -> ());
+          let m = sim.Rapwam.Sim.m in
+          let sum f = Array.fold_left (fun acc w -> acc + f w) 0 m.Wam.Machine.workers in
+          Alcotest.(check (pair int (pair int int)))
+            (Printf.sprintf "%s on %d PEs" exit n)
+            (let r, i, w = List.assoc (exit, n) exit_pins in
+             (r, (i, w)))
+            ( sim.Rapwam.Sim.rounds,
+              ( sum (fun w -> w.Wam.Machine.idle_cycles),
+                sum (fun w -> w.Wam.Machine.wait_cycles) ) ))
+        runs)
+    [ 1; 4; 8; 64; 128 ]
+
 (* The machine's count of published goals against the goal stacks
    themselves: the frames between each worker's [gs_bot] and [gs_top],
    walked through their size words with untraced peeks. *)
@@ -382,8 +513,9 @@ let check_published_count ~label ~steal ~n_workers prog =
     sim.Rapwam.Sim.m.Wam.Machine.published_goals
 
 (* The nine benchmarks (the four at quick inputs and the Table-3
-   population) and trees of failing parcalls, at 1/4/8 PEs under both
-   steal policies. *)
+   population) and trees of failing parcalls, from both generators of
+   [Test_properties] (the second's parcalls fail and unwind), at 1/4/8
+   PEs under both steal policies. *)
 let test_published_goal_count () =
   let policies =
     [ (Rapwam.Sim.Steal_oldest, "oldest"); (Rapwam.Sim.Steal_newest, "newest") ]
@@ -403,6 +535,17 @@ let test_published_goal_count () =
                   ~query:(Printf.sprintf "p(%d, R)" n) () ))
             [ 2; 3; 4; 5 ])
         [ 5; 8; 11 ]
+    @ List.concat_map
+        (fun (n, k) ->
+          List.map
+            (fun inline_fails ->
+              ( Printf.sprintf "unwinding parcalls p(%d, R), k = %d, inline arm %s" n k
+                  (if inline_fails then "fails" else "succeeds"),
+                Wam.Program.prepare ~parallel:true
+                  ~src:(Test_properties.unwind_stress_src ~inline_fails k)
+                  ~query:(Printf.sprintf "p(%d, R)" n) () ))
+            [ true; false ])
+        [ (6, 2); (6, 3); (9, 3); (9, 5) ]
   in
   List.iter
     (fun (name, prog) ->
@@ -447,4 +590,6 @@ let suite =
       test_integrated_sim_slower_but_correct;
     Alcotest.test_case "the published-goal count is exact" `Quick
       test_published_goal_count;
+    Alcotest.test_case "the unwind runs match their pins" `Quick test_unwind_pins;
+    Alcotest.test_case "cycles are settled on every exit" `Quick test_exit_counters;
   ]

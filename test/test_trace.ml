@@ -79,6 +79,106 @@ let test_buffer_sink_get_sync () =
     (Invalid_argument "Buffer_sink.get: word 0 is a sync event") (fun () ->
       ignore (Trace.Sink.Buffer_sink.get buf 0))
 
+(* Buffer_sink against a list model, across chunk boundaries.  The
+   buffer keeps its words in chunks of 2^16 ([Sink.Buffer_sink]'s
+   [chunk_words]); only the first grows by doubling. *)
+let chunk = 1 lsl 16
+
+(* Word [i] of a mixed stream: every seventh a sync event. *)
+let mixed_word i =
+  if i mod 7 = 3 then
+    Trace.Ref_record.pack_sync
+      {
+        Trace.Ref_record.spe = i mod 5;
+        saddr = i * 8;
+        kind =
+          List.nth
+            Trace.Ref_record.[ Acquire; Release; Publish; Steal; Join ]
+            (i mod 5);
+      }
+  else
+    Trace.Ref_record.pack
+      {
+        Trace.Ref_record.pe = i mod 9;
+        addr = i * 3;
+        area = Trace.Area.of_int (i mod Trace.Area.count);
+        op = (if i mod 2 = 0 then Trace.Ref_record.Read else Trace.Ref_record.Write);
+      }
+
+let test_buffer_sink_model () =
+  let module B = Trace.Sink.Buffer_sink in
+  List.iter
+    (fun capacity ->
+      List.iter
+        (fun n ->
+          let label = Printf.sprintf "capacity %d, %d words" capacity n in
+          let buf = B.create ~capacity () in
+          for i = 0 to n - 1 do
+            B.push buf (mixed_word i)
+          done;
+          let model = List.init n mixed_word in
+          let accesses = List.filter (fun w -> not (Trace.Ref_record.is_sync_word w)) model in
+          Alcotest.(check int) (label ^ ": length") n (B.length buf);
+          Alcotest.(check int) (label ^ ": n_syncs")
+            (n - List.length accesses) (B.n_syncs buf);
+          let packed = ref [] in
+          B.iter_packed (fun w -> packed := w :: !packed) buf;
+          Alcotest.(check (list int)) (label ^ ": iter_packed") model (List.rev !packed);
+          let seen = ref [] in
+          B.iter (fun r -> seen := r :: !seen) buf;
+          Alcotest.(check bool) (label ^ ": iter") true
+            (List.rev !seen = List.map Trace.Ref_record.unpack accesses);
+          let entries = ref [] in
+          B.iter_entries (fun e -> entries := e :: !entries) buf;
+          Alcotest.(check bool) (label ^ ": iter_entries") true
+            (List.rev !entries = List.map Trace.Ref_record.unpack_entry model);
+          List.iteri
+            (fun i w ->
+              if Trace.Ref_record.is_sync_word w then begin
+                match B.get buf i with
+                | _ -> Alcotest.failf "%s: get %d returned a sync word" label i
+                | exception Invalid_argument msg ->
+                  Alcotest.(check string) (label ^ ": get on a sync word")
+                    (Printf.sprintf "Buffer_sink.get: word %d is a sync event" i)
+                    msg
+              end
+              else if B.get buf i <> Trace.Ref_record.unpack w then
+                Alcotest.failf "%s: get %d" label i)
+            model;
+          List.iter
+            (fun i ->
+              Alcotest.check_raises (Printf.sprintf "%s: get %d" label i)
+                (Invalid_argument "Buffer_sink.get") (fun () -> ignore (B.get buf i)))
+            [ -1; n ])
+        [ 0; 1; chunk - 1; chunk; chunk + 1; 3 * chunk ])
+    [ 1; 4096; chunk ]
+
+(* Growing copies no word past the first chunk: retaining [n] words
+   allocates at most [n] words, two chunks (the first one's doublings)
+   and the directory in the major heap.  A buffer that doubles one
+   array allocates about 3n for a 600K-word trace. *)
+let test_buffer_sink_allocation () =
+  let module B = Trace.Sink.Buffer_sink in
+  List.iter
+    (fun (capacity, n) ->
+      let major_words () =
+        let _, _, major = Gc.counters () in
+        major
+      in
+      let before = major_words () in
+      let buf = B.create ~capacity () in
+      for i = 0 to n - 1 do
+        B.push buf i
+      done;
+      let words = major_words () -. before in
+      let chunks = (n + chunk - 1) / chunk in
+      let bound = float_of_int (n + (2 * chunk) + (4 * chunks) + 64) in
+      Alcotest.(check int) "length" n (B.length buf);
+      if words > bound then
+        Alcotest.failf "capacity %d, %d words: %.0f major words > %.0f" capacity n
+          words bound)
+    [ (chunk, 600_000); (4096, 600_000); (1, 3 * chunk); (4096, 1_000) ]
+
 let test_tee_and_filter () =
   let b1 = Trace.Sink.Buffer_sink.create () in
   let b2 = Trace.Sink.Buffer_sink.create () in
@@ -260,4 +360,8 @@ let suite =
     Alcotest.test_case "tracefile bad magic" `Quick test_tracefile_bad_magic;
     Alcotest.test_case "tracefile truncated" `Quick test_tracefile_truncated;
     Alcotest.test_case "tracefile legacy v2" `Quick test_tracefile_legacy_v2;
+    Alcotest.test_case "buffer sink matches a list model across chunks" `Quick
+      test_buffer_sink_model;
+    Alcotest.test_case "buffer sink growth copies no word past a chunk" `Quick
+      test_buffer_sink_allocation;
   ]

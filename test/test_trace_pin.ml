@@ -78,6 +78,66 @@ let test_pins () =
     Alcotest.failf "trace digests moved:\n%s"
       (String.concat "\n" (List.map (fun (k, d) -> Printf.sprintf "    (%S, %S);" k d) bad))
 
+(* The scheduler's counters, which no trace word shows: idle and wait
+   cycles are untraced polls, and a round in which every PE only polls
+   emits nothing.  The 20 RAP-WAM configurations above, and the plain
+   build at 64 and 128 PEs, as (rounds, idle cycles, wait cycles,
+   goals stolen). *)
+let expected_counters =
+  [
+    ("deriv/rapwam-1pe", (1774, 0, 0, 0));
+    ("deriv/rapwam-4pe", (721, 1038, 87, 18));
+    ("deriv/rapwam-8pe", (553, 2634, 39, 30));
+    ("deriv/rapwam-8pe-det", (553, 2634, 39, 30));
+    ("deriv/rapwam-8pe-det-bind", (553, 2634, 39, 30));
+    ("deriv/rapwam-64pe", (553, 33549, 36, 30));
+    ("deriv/rapwam-128pe", (553, 68877, 36, 30));
+    ("qsort/rapwam-1pe", (13206, 0, 0, 0));
+    ("qsort/rapwam-4pe", (6446, 9430, 3165, 20));
+    ("qsort/rapwam-8pe", (5819, 28346, 5060, 67));
+    ("qsort/rapwam-8pe-det", (5819, 28346, 5060, 67));
+    ("qsort/rapwam-8pe-det-bind", (5819, 28346, 5060, 67));
+    ("qsort/rapwam-64pe", (5810, 353579, 5072, 80));
+    ("qsort/rapwam-128pe", (5810, 725355, 5072, 80));
+    ("tak/rapwam-1pe", (42454, 0, 0, 0));
+    ("tak/rapwam-4pe", (12626, 1410, 6660, 23));
+    ("tak/rapwam-8pe", (8049, 6349, 15645, 63));
+    ("tak/rapwam-8pe-det", (8049, 6349, 15645, 63));
+    ("tak/rapwam-8pe-det-bind", (8049, 6349, 15645, 63));
+    ("tak/rapwam-64pe", (2198, 84513, 14176, 534));
+    ("tak/rapwam-128pe", (1987, 195965, 16629, 839));
+    ("matrix/rapwam-1pe", (7061, 0, 0, 0));
+    ("matrix/rapwam-4pe", (4103, 3189, 6162, 3));
+    ("matrix/rapwam-8pe", (2125, 9653, 285, 6));
+    ("matrix/rapwam-8pe-det", (2676, 7593, 6509, 14));
+    ("matrix/rapwam-8pe-det-bind", (2676, 7593, 6509, 14));
+    ("matrix/rapwam-64pe", (2125, 128597, 285, 6));
+    ("matrix/rapwam-128pe", (2125, 264533, 285, 6));
+  ]
+
+let test_counter_pins () =
+  let got =
+    List.concat_map
+      (fun name ->
+        let b = quick name in
+        let wide n () = Benchlib.Runner.run_rapwam ~keep_trace:false ~n_pes:n b in
+        List.map
+          (fun (config, run) ->
+            let r : Benchlib.Runner.result = run () in
+            ( name ^ "/" ^ config,
+              (r.rounds, r.idle_cycles, r.wait_cycles, r.goals_stolen) ))
+          (List.filter (fun (config, _) -> config <> "wam") (runs name)
+          @ [ ("rapwam-64pe", wide 64); ("rapwam-128pe", wide 128) ]))
+      [ "deriv"; "qsort"; "tak"; "matrix" ]
+  in
+  let bad = List.filter (fun (k, c) -> List.assoc_opt k expected_counters <> Some c) got in
+  if bad <> [] then
+    Alcotest.failf "scheduler counters moved:\n%s"
+      (String.concat "\n"
+         (List.map
+            (fun (k, (r, i, w, s)) -> Printf.sprintf "    (%S, (%d, %d, %d, %d));" k r i w s)
+            bad))
+
 (* The plain configurations again, each on a machine and a workspace
    that a different query on the same image just released: that query
    interned run-time functors and wrote other words to the same pages.
@@ -206,4 +266,6 @@ let suite =
       test_pins_on_released;
     Alcotest.test_case "the emit path allocates under 2 words per word" `Quick
       test_emit_allocation;
+    Alcotest.test_case "the scheduler's counters match the pins" `Quick
+      test_counter_pins;
   ]
