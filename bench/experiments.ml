@@ -682,26 +682,29 @@ let ablation_alloc setup =
         [ "cache"; "tr alloc"; "tr no-alloc"; "miss alloc"; "miss no-alloc" ]
       ()
   in
-  List.iter
-    (fun size ->
-      let run alloc pick =
-        Stats.Fit.mean
-          (List.map
-             (fun b ->
-               let r = rapwam_run b ~n_pes:8 in
-               pick
-                 (Cachesim.Multi.simulate_prepared ~write_allocate:alloc
-                    ~kind:Cachesim.Protocol.Write_in_broadcast
-                    ~cache_words:size ~n_pes:8 (prepared r ~line_words:4)))
-             setup.benchmarks)
+  (* one pass per (benchmark, policy) serves every size *)
+  let pass alloc =
+    List.map
+      (fun b ->
+        let r = rapwam_run b ~n_pes:8 in
+        Cachesim.Multi.simulate_sizes ~write_allocate:alloc
+          ~kind:Cachesim.Protocol.Write_in_broadcast ~cache_words:fig4_sizes
+          ~n_pes:8 (prepared r ~line_words:4))
+      setup.benchmarks
+  in
+  let alloc = pass true and no_alloc = pass false in
+  List.iteri
+    (fun i size ->
+      let mean per_bench pick =
+        Stats.Fit.mean (List.map (fun sizes -> pick (List.nth sizes i)) per_bench)
       in
       Stats.Table.add_row t
         [
           string_of_int size;
-          Stats.Table.cell_float (run true Cachesim.Metrics.traffic_ratio);
-          Stats.Table.cell_float (run false Cachesim.Metrics.traffic_ratio);
-          Stats.Table.cell_float (run true Cachesim.Metrics.miss_ratio);
-          Stats.Table.cell_float (run false Cachesim.Metrics.miss_ratio);
+          Stats.Table.cell_float (mean alloc Cachesim.Metrics.traffic_ratio);
+          Stats.Table.cell_float (mean no_alloc Cachesim.Metrics.traffic_ratio);
+          Stats.Table.cell_float (mean alloc Cachesim.Metrics.miss_ratio);
+          Stats.Table.cell_float (mean no_alloc Cachesim.Metrics.miss_ratio);
         ])
     fig4_sizes;
   Stats.Table.print t;

@@ -334,7 +334,9 @@ let faults_arg =
            comma-separated $(b,SITE:KIND@N) items (sites: trace-write, \
            block-flush, cell-start, sim-step, journal-append; kinds: \
            truncate, bit-flip, eio, stall, crash), optionally with \
-           $(b,stall-s:SECONDS).")
+           $(b,stall-s:SECONDS).  cell-start and sim-step are hit once per \
+           simulation job, one (trace, protocol) with all its sizes; \
+           journal-append once per cell.")
 
 let journal_arg =
   Arg.(
@@ -359,8 +361,9 @@ let watchdog_arg =
     & opt (some float) None
     & info [ "watchdog" ] ~docv:"SECONDS"
         ~doc:
-          "Abandon and retry any sweep cell that stalls beyond this many \
-           seconds (3 attempts with exponential backoff).")
+          "Abandon and retry any sweep job (one trace and protocol) that \
+           stalls beyond this many seconds (3 attempts with exponential \
+           backoff).")
 
 let salvage_arg =
   Arg.(

@@ -1,6 +1,12 @@
 (* The parallel sweep-execution engine: trace generation (stage 1)
    and cache-simulation fan-out (stage 2) on a Domain pool.
 
+   Stage 2 runs one job per (trace, protocol): one simulator pass per
+   allocation policy serves every cache size of the job
+   ([Cachesim.Multi.simulate_sizes]), and the job returns one result
+   per cell, so the cells, the journal's frames and the renderers are
+   what a job per cell would give.
+
    Sharing discipline: a prepared trace ([Cachesim.Multi.prepared]) is
    built by exactly one stage-1 job and, after the DAG barrier, only
    ever read; every stage-2 job runs its own simulation over it.
@@ -47,19 +53,52 @@ let generate_trace bench n_pes () =
   in
   result.Benchlib.Runner.trace
 
-let simulate grid ~kind ~n_pes ~cache_words p =
+let job_key (c : Results.config) =
+  Printf.sprintf "%s/%dpe/%s/l%d" c.Results.bench c.Results.n_pes
+    (Cachesim.Protocol.kind_name c.Results.protocol)
+    c.Results.line_words
+
+(* [l] in pieces of at most [n]. *)
+let rec chunks n = function
+  | [] -> []
+  | l -> List.filteri (fun i _ -> i < n) l :: chunks n (List.filteri (fun i _ -> i >= n) l)
+
+(* The cells of one (trace, protocol) at [sizes]: one pass per
+   allocation policy the grid needs, a size list longer than a pass
+   holds run as several passes.  One [Metrics.t] per size, in order. *)
+let simulate grid ~kind ~n_pes ~sizes p =
   (* each simulation gets at least one cache even for WAM (0-PE) traces *)
   let n_pes = max n_pes 1 in
-  match grid.alloc with
-  | Default -> Cachesim.Multi.simulate_prepared ~kind ~cache_words ~n_pes p
-  | Allocate ->
-    Cachesim.Multi.simulate_prepared ~write_allocate:true ~kind ~cache_words
-      ~n_pes p
-  | No_allocate ->
-    Cachesim.Multi.simulate_prepared ~write_allocate:false ~kind ~cache_words
-      ~n_pes p
-  | Best ->
-    fst (Cachesim.Multi.simulate_best_prepared ~kind ~cache_words ~n_pes p)
+  let pass write_allocate sizes =
+    List.concat_map
+      (fun chunk ->
+        List.combine chunk
+          (Cachesim.Multi.simulate_sizes ~write_allocate ~kind ~cache_words:chunk
+             ~n_pes p))
+      (chunks Cachesim.Multi.max_sizes (List.sort_uniq compare sizes))
+  in
+  let by_size =
+    match grid.alloc with
+    | Allocate -> pass true sizes
+    | No_allocate -> pass false sizes
+    | Default ->
+      let alloc, no_alloc =
+        List.partition
+          (fun cache_words -> Cachesim.Protocol.paper_allocate_policy ~kind ~cache_words)
+          sizes
+      in
+      pass true alloc @ pass false no_alloc
+    | Best ->
+      (* the lower traffic per size; allocate wins a tie *)
+      List.map2
+        (fun (c, a) (_, b) ->
+          ( c,
+            if Cachesim.Metrics.traffic_ratio a <= Cachesim.Metrics.traffic_ratio b
+            then a
+            else b ))
+        (pass true sizes) (pass false sizes)
+  in
+  List.map (fun c -> List.assoc c by_size) sizes
 
 (* Optional verify stage: replay the freshly generated (or
    pre-supplied) trace through the happens-before checker before any
@@ -189,24 +228,41 @@ let run ?jobs ?(echo = false) ?(check = false) ?(traces = []) ?faults
   let produce =
     List.filter (fun (key, _) -> Hashtbl.mem needed key) produce
   in
+  (* One job per (trace, protocol) with a cell still to compute; the
+     configurations are built nested, sizes innermost, so a job's
+     remaining cells are adjacent. *)
+  let groups =
+    List.rev_map List.rev
+      (List.fold_left
+         (fun acc (c : Results.config) ->
+           match acc with
+           | ((c0 : Results.config) :: _ as job) :: rest
+             when job_key c0 = job_key c ->
+             (c :: job) :: rest
+           | _ -> [ c ] :: acc)
+         [] todo)
+  in
   let consume =
     List.map
-      (fun (c : Results.config) ->
-        ( Results.config_key c,
+      (fun (configs : Results.config list) ->
+        let c = List.hd configs in
+        ( job_key c,
           trace_key c.Results.bench c.Results.n_pes,
           fun p ->
             Resilience.Fault.hit ?plan:faults "cell-start";
             Resilience.Fault.hit ?plan:faults "sim-step";
-            simulate grid ~kind:c.Results.protocol ~n_pes:c.Results.n_pes
-              ~cache_words:c.Results.cache_words p ))
-      todo
+            List.combine configs
+              (simulate grid ~kind:c.Results.protocol ~n_pes:c.Results.n_pes
+                 ~sizes:(List.map (fun (c : Results.config) -> c.Results.cache_words) configs)
+                 p) ))
+      groups
   in
-  (* Checkpointing: append every completed cell to the journal,
-     fsync'd, under the DAG's serialized on_consumed hook.  A
-     non-lethal journal I/O failure degrades to warn-once (the sweep's
-     results are unaffected; only resumability of those cells is
-     lost); an injected crash propagates — that is the disaster the
-     journal exists to survive. *)
+  (* Checkpointing: append every cell of a completed job to the
+     journal, one frame each, fsync'd, under the DAG's serialized
+     on_consumed hook.  A non-lethal journal I/O failure degrades to
+     warn-once (the sweep's results are unaffected; only resumability
+     of those cells is lost); an injected crash propagates — that is
+     the disaster the journal exists to survive. *)
   let writer =
     Option.map
       (fun path -> Resilience.Journal.create ?plan:faults ~append:resume path)
@@ -214,8 +270,13 @@ let run ?jobs ?(echo = false) ?(check = false) ?(traces = []) ?faults
   in
   let on_consumed (c : _ Job.completed) =
     match (writer, c.Job.outcome) with
-    | Some w, Ok m -> (
-      try Resilience.Journal.append w (Results.encode_cell c.Job.key m)
+    | Some w, Ok cells -> (
+      try
+        List.iter
+          (fun (config, m) ->
+            Resilience.Journal.append w
+              (Results.encode_cell (Results.config_key config) m))
+          cells
       with
       | Resilience.Fault.Injected { kind = Resilience.Fault.Crash; _ } as e ->
         raise e
@@ -235,11 +296,15 @@ let run ?jobs ?(echo = false) ?(check = false) ?(traces = []) ?faults
           { Dag.produce; consume })
   in
   let fresh =
-    List.map2
-      (fun config (c : _ Job.completed) ->
-        { Results.config; metrics = c.Job.outcome })
-      todo
-      (Array.to_list completed)
+    List.concat
+      (List.map2
+         (fun configs (c : _ Job.completed) ->
+           match c.Job.outcome with
+           | Ok cells ->
+             List.map (fun (config, m) -> { Results.config; metrics = Ok m }) cells
+           | Error e -> List.map (fun config -> { Results.config; metrics = Error e }) configs)
+         groups
+         (Array.to_list completed))
   in
   {
     cells = Results.sort (done_cells @ fresh);

@@ -6,10 +6,14 @@
     the grid's line size inside the same job
     ({!Cachesim.Multi.prepare}: sync words dropped, line addresses
     interned once, per-area reads and writes counted).  After the
-    barrier stage 2 fans the independent cache simulations out across
-    the domain pool, every job reading the shared prepared trace
-    read-only and running its own simulation.  A generated buffer is
-    garbage once its trace is prepared.
+    barrier stage 2 fans the cache simulations out across the domain
+    pool, one job per (trace, protocol): the job reads the shared
+    prepared trace read-only and runs one simulator pass per
+    allocation policy the grid needs, each pass serving every cache
+    size still to compute ({!Cachesim.Multi.simulate_sizes}; a size
+    list longer than {!Cachesim.Multi.max_sizes} runs as several
+    passes).  A job returns one result per cell.  A generated buffer
+    is garbage once its trace is prepared.
 
     Determinism rule: results are keyed and sorted by configuration
     ({!Results.sort}), and nothing host- or schedule-dependent enters
@@ -33,7 +37,8 @@ type grid = {
 }
 
 val cells_of_grid : grid -> int
-(** Stage-2 job count: benchmarks x PE counts x protocols x sizes. *)
+(** Cell count: benchmarks x PE counts x protocols x sizes.  Stage 2
+    runs one job per (benchmark, PE count, protocol). *)
 
 val check_grid : grid -> unit
 (** Raise [Invalid_argument] if the cache simulator would refuse some
@@ -75,15 +80,18 @@ val run :
     job and, through DAG fault propagation, every dependent cell.
 
     Fault tolerance: [faults] arms the ["cell-start"]/["sim-step"]
-    injection sites (plus ["journal-append"] if journaling);
-    [attempts] is how every job is attempted (default: two
-    attempts, no timeout; with a timeout, stalled cells are killed
-    and retried, see {!Job.run});
-    [journal] checkpoints every completed cell to an append-only
-    fsync'd file, and [resume] first loads every checksummed cell
-    from that journal, skipping their recomputation — and the trace
-    generation of any benchmark whose cells are all done — so the
-    merged outcome reproduces the uninterrupted grid bit-for-bit.
+    injection sites, each hit once per stage-2 job (one (trace,
+    protocol)), not once per cell (plus ["journal-append"], once per
+    cell, if journaling); [attempts] is how every job is attempted
+    (default: two attempts, no timeout; with a timeout, stalled jobs
+    are killed and retried, see {!Job.run});
+    [journal] checkpoints every cell of a completed job to an
+    append-only fsync'd file, one frame per cell, and [resume] first
+    loads every checksummed cell from that journal, skipping their
+    recomputation — a job simulates only its sizes still missing, and
+    the trace generation of any benchmark whose cells are all done is
+    skipped — so the merged outcome reproduces the uninterrupted grid
+    bit-for-bit.
     An injected [Crash] fault aborts the whole run with
     {!Resilience.Fault.Injected} (modelling a process kill); resuming
     afterwards completes the sweep. *)

@@ -21,8 +21,9 @@ val kind_name : kind -> string
 val sites : string list
 (** The closed site registry: ["trace-write"] (per trace block),
     ["block-flush"] (trace-file finalization), ["cell-start"] (a sweep
-    cell begins), ["sim-step"] (the cache simulation of a cell
-    begins), ["journal-append"] (a checkpoint record is appended),
+    simulation job, one trace and protocol, begins), ["sim-step"] (its
+    cache simulation begins), ["journal-append"] (a checkpoint record
+    is appended),
     ["snapshot-write"] (a memo snapshot is written to disk),
     ["breaker-probe"] (a half-open circuit breaker sends its trial
     request). *)

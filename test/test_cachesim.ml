@@ -18,39 +18,41 @@ let simulate ?line_words ?write_allocate ~kind ~cache_words ~n_pes refs =
   Cachesim.Multi.simulate ?line_words ?write_allocate ~kind ~cache_words
     ~n_pes (mk_trace refs)
 
-(* ---------------- LRU cache ---------------- *)
+(* ---------------- LRU stack ---------------- *)
+
+module Stack = Cachesim.Multi.Stack
 
 let test_lru_basics () =
-  let c = Cachesim.Multi.Cache.create ~lines:2 in
-  Alcotest.(check bool) "empty" false (Cachesim.Multi.Cache.resident c 1);
-  Alcotest.(check int) "no evict" (-1) (Cachesim.Multi.Cache.insert c 1 ~dirty:false);
-  ignore (Cachesim.Multi.Cache.insert c 2 ~dirty:false);
-  Alcotest.(check int) "occupancy" 2 (Cachesim.Multi.Cache.occupancy c);
+  let c = Stack.create ~lines:[ 2 ] ~keys:8 in
+  Alcotest.(check bool) "empty" false (Stack.level c 1 = 0);
+  Alcotest.(check int) "no evict" (-1) (Stack.insert c 1 ~dirty:false);
+  ignore (Stack.insert c 2 ~dirty:false);
+  Alcotest.(check int) "occupancy" 2 (Stack.occupancy c 0);
   (* touching 1 makes 2 the LRU victim *)
-  (match Cachesim.Multi.Cache.find c 1 with
+  (match Stack.find c 1 with
   | -1 -> Alcotest.fail "line 1 missing"
-  | slot -> Cachesim.Multi.Cache.touch c slot);
-  (match Cachesim.Multi.Cache.insert c 3 ~dirty:false with
+  | w -> Stack.touch c w);
+  (match Stack.insert c 3 ~dirty:false with
   | -1 -> Alcotest.fail "expected eviction"
   | victim ->
     Alcotest.(check int) "LRU victim" 2 victim;
-    Alcotest.(check bool) "clean victim" false (Cachesim.Multi.Cache.evicted_dirty c));
-  Alcotest.(check bool) "1 still resident" true (Cachesim.Multi.Cache.resident c 1)
+    Alcotest.(check bool) "clean victim" false (Stack.evicted_dirty c <> 0));
+  Alcotest.(check bool) "1 still resident" true (Stack.level c 1 = 0)
 
 let test_lru_dirty_eviction () =
-  let c = Cachesim.Multi.Cache.create ~lines:1 in
-  ignore (Cachesim.Multi.Cache.insert c 7 ~dirty:true);
-  match Cachesim.Multi.Cache.insert c 8 ~dirty:false with
+  let c = Stack.create ~lines:[ 1 ] ~keys:16 in
+  ignore (Stack.insert c 7 ~dirty:true);
+  match Stack.insert c 8 ~dirty:false with
   | -1 -> Alcotest.fail "expected eviction"
-  | 7 when Cachesim.Multi.Cache.evicted_dirty c -> ()
-  | l -> Alcotest.failf "wrong eviction (%d, %b)" l (Cachesim.Multi.Cache.evicted_dirty c)
+  | 7 when Stack.evicted_dirty c = 1 -> ()
+  | l -> Alcotest.failf "wrong eviction (%d, %d)" l (Stack.evicted_dirty c)
 
 let test_lru_invalidate () =
-  let c = Cachesim.Multi.Cache.create ~lines:4 in
-  ignore (Cachesim.Multi.Cache.insert c 1 ~dirty:false);
-  Alcotest.(check bool) "inv hit" true (Cachesim.Multi.Cache.invalidate c 1);
-  Alcotest.(check bool) "inv miss" false (Cachesim.Multi.Cache.invalidate c 1);
-  Alcotest.(check int) "empty again" 0 (Cachesim.Multi.Cache.occupancy c)
+  let c = Stack.create ~lines:[ 4 ] ~keys:8 in
+  ignore (Stack.insert c 1 ~dirty:false);
+  Alcotest.(check bool) "inv hit" true (Stack.invalidate c 1);
+  Alcotest.(check bool) "inv miss" false (Stack.invalidate c 1);
+  Alcotest.(check int) "empty again" 0 (Stack.occupancy c 0)
 
 (* ---------------- protocols ---------------- *)
 
@@ -316,18 +318,22 @@ let configs =
 (* Does the array simulator match the reference on one configuration,
    both over the prepared trace ([simulate]) and fed record by record
    through [reference] (the online path [Rapwam.Memmodel] takes)? *)
-let agrees ~n_pes ~line_words ~cache_words buf (kind, write_allocate, locality_override) =
+let reference ~n_pes ~line_words ~cache_words buf (kind, write_allocate, locality_override) =
   let config =
     Cachesim.Protocol.make ~line_words ~write_allocate ~kind ~cache_words ()
   in
-  let expected =
-    let m = Simref.Multi.create ?locality_override ~n_pes config in
-    Simref.Multi.run_trace m buf;
-    Simref.Multi.stats m
-  in
+  let m = Simref.Multi.create ?locality_override ~n_pes config in
+  Simref.Multi.run_trace m buf;
+  Simref.Multi.stats m
+
+let agrees ~n_pes ~line_words ~cache_words buf ((kind, write_allocate, locality_override) as c) =
+  let expected = reference ~n_pes ~line_words ~cache_words buf c in
   let prepared =
     Cachesim.Multi.simulate ~line_words ~write_allocate ?locality_override ~kind
       ~cache_words ~n_pes buf
+  in
+  let config =
+    Cachesim.Protocol.make ~line_words ~write_allocate ~kind ~cache_words ()
   in
   let online = Cachesim.Multi.create ?locality_override ~n_pes config in
   Trace.Sink.Buffer_sink.iter_packed (Cachesim.Multi.reference online) buf;
@@ -337,6 +343,7 @@ type random_trace = {
   pes : int;
   line : int; (* words per line *)
   lines : int; (* cache size in lines *)
+  sizes : int list; (* a pass's sizes in lines: distinct, in random order *)
   refs : (int * int * int * int) list; (* pe, word address, area, op: 0 read 1 write 2 sync *)
 }
 
@@ -347,6 +354,8 @@ let random_trace_gen =
   let* pes = int_range 1 8 in
   let* line = oneofl [ 1; 2; 4; 8 ] in
   let* lines = int_range 1 8 in
+  let* sizes = list_size (int_range 1 4) (int_range 1 8) in
+  let sizes = List.fold_left (fun acc l -> if List.mem l acc then acc else l :: acc) [] sizes in
   let* pool = list_size (int_range 1 64) (pair (int_bound 5) (int_bound 255)) in
   let pool = Array.of_list pool in
   let+ refs =
@@ -358,7 +367,7 @@ let random_trace_gen =
        let+ op = frequency [ (5, return 0); (4, return 1); (1, return 2) ] in
        (pe, (region lsl Wam.Layout.region_bits) + (l * line) + word, area, op))
   in
-  { pes; line; lines; refs }
+  { pes; line; lines; sizes; refs }
 
 let buffer_of_random t =
   let buf = Trace.Sink.Buffer_sink.create () in
@@ -380,8 +389,9 @@ let buffer_of_random t =
 
 let random_trace =
   QCheck.make random_trace_gen ~print:(fun t ->
-      Printf.sprintf "%d PEs, %d-word lines, %d-line caches, refs [%s]" t.pes t.line
-        t.lines
+      Printf.sprintf "%d PEs, %d-word lines, %d-line caches, pass [%s], refs [%s]"
+        t.pes t.line t.lines
+        (String.concat "; " (List.map string_of_int t.sizes))
         (String.concat "; "
            (List.map
               (fun (pe, addr, area, op) -> Printf.sprintf "(%d,%d,%d,%d)" pe addr area op)
@@ -395,6 +405,100 @@ let prop_matches_reference =
       List.for_all
         (agrees ~n_pes:t.pes ~line_words:t.line ~cache_words:(t.lines * t.line) buf)
         configs)
+
+(* One pass serves every size of its list: each size's ten counters
+   equal the reference's at that size alone, under every protocol x
+   allocation policy x hybrid tag override. *)
+let prop_pass_matches_reference =
+  QCheck.Test.make ~name:"one pass = hash-table reference at every size"
+    ~count:300 ~long_factor:100 random_trace
+    (fun t ->
+      let buf = buffer_of_random t in
+      let p = Cachesim.Multi.prepare ~line_words:t.line buf in
+      let cache_words = List.map (fun l -> l * t.line) t.sizes in
+      List.for_all
+        (fun ((kind, write_allocate, locality_override) as c) ->
+          List.for_all2
+            (fun cache_words m ->
+              m = reference ~n_pes:t.pes ~line_words:t.line ~cache_words buf c)
+            cache_words
+            (Cachesim.Multi.simulate_sizes ?locality_override ~write_allocate ~kind
+               ~cache_words ~n_pes:t.pes p))
+        configs)
+
+(* A pass over [sizes] (in lines, one-word lines) on a hand-made trace:
+   its counters, after checking every size against the reference. *)
+let pass ~kind ~write_allocate ~n_pes ~sizes refs =
+  let buf = mk_trace refs in
+  let got =
+    Cachesim.Multi.simulate_sizes ~write_allocate ~kind ~cache_words:sizes ~n_pes
+      (Cachesim.Multi.prepare ~line_words:1 buf)
+  in
+  List.iter2
+    (fun cache_words m ->
+      if m <> reference ~n_pes ~line_words:1 ~cache_words buf (kind, write_allocate, None)
+      then Alcotest.failf "%d-line size differs from the reference" cache_words)
+    sizes got;
+  got
+
+let field f ms = List.map f ms
+
+(* Sizes of 1, 2 and 4 lines.  PE 0 reads A B C D: the 1-line size
+   holds D, the 2-line size C D, the 4-line size all four.  PE 1's
+   write-through write of C invalidates PE 0's copy, freeing a slot at
+   the two sizes that held it.  PE 0's miss on E then evicts D at the
+   full 1-line size and takes the free slot at the larger ones, so D
+   hits at 2 lines and A still hits at 4. *)
+let test_invalidation_frees_larger_sizes () =
+  let a, b, c, d, e = (8, 16, 24, 32, 40) in
+  let st =
+    pass ~kind:Cachesim.Protocol.Write_through ~write_allocate:false ~n_pes:2
+      ~sizes:[ 1; 2; 4 ]
+      [ (0, r, a); (0, r, b); (0, r, c); (0, r, d); (1, w, c); (0, r, e); (0, r, d); (0, r, a) ]
+  in
+  Alcotest.(check (list int)) "read misses" [ 7; 6; 5 ]
+    (field (fun m -> m.Cachesim.Metrics.read_misses) st);
+  (* the same on one stack *)
+  let s = Stack.create ~lines:[ 1; 2; 4 ] ~keys:8 in
+  List.iter (fun l -> ignore (Stack.insert s l ~dirty:false)) [ 1; 2; 3; 4 ];
+  Alcotest.(check bool) "C dropped" true (Stack.invalidate s 3);
+  Alcotest.(check (list int)) "a free slot at 2 and 4 lines" [ 1; 1; 3 ]
+    (List.map (Stack.occupancy s) [ 0; 1; 2 ]);
+  Alcotest.(check int) "E evicts nothing from the stack" (-1) (Stack.insert s 5 ~dirty:false);
+  Alcotest.(check (list int)) "every size full" [ 1; 2; 4 ]
+    (List.map (Stack.occupancy s) [ 0; 1; 2 ]);
+  Alcotest.(check (list int)) "levels of A B D E" [ 2; 2; 1; 0 ]
+    (List.map (Stack.level s) [ 1; 2; 4; 5 ])
+
+(* Sizes of 1 and 2 lines, copy-back without write-allocate.  After
+   reads of A and B, A is held at 2 lines only; the write of A hits
+   there (A becomes the MRU and dirty) and misses at 1 line (a word
+   through, no fill).  The read of C then evicts B, not A, at 2 lines;
+   A stays absent at 1 line; the last read of C evicts the dirty A at
+   2 lines only. *)
+let test_no_allocate_write_hits_larger_sizes () =
+  let a, b, c = (8, 16, 24) in
+  let st =
+    pass ~kind:Cachesim.Protocol.Copyback ~write_allocate:false ~n_pes:1 ~sizes:[ 1; 2 ]
+      [ (0, r, a); (0, r, b); (0, w, a); (0, r, c); (0, r, a); (0, r, b); (0, r, c) ]
+  in
+  Alcotest.(check (list int)) "read misses" [ 6; 5 ]
+    (field (fun m -> m.Cachesim.Metrics.read_misses) st);
+  Alcotest.(check (list int)) "write misses" [ 1; 0 ]
+    (field (fun m -> m.Cachesim.Metrics.write_misses) st);
+  Alcotest.(check (list int)) "words through" [ 1; 0 ]
+    (field (fun m -> m.Cachesim.Metrics.wt_words) st);
+  Alcotest.(check (list int)) "write-backs" [ 0; 1 ]
+    (field (fun m -> m.Cachesim.Metrics.writebacks) st);
+  (* the same on one stack *)
+  let s = Stack.create ~lines:[ 1; 2 ] ~keys:4 in
+  ignore (Stack.insert s 1 ~dirty:false);
+  ignore (Stack.insert s 2 ~dirty:false);
+  Alcotest.(check int) "A held at 2 lines only" 1 (Stack.level s 1);
+  Stack.touch s (Stack.find s 1);
+  Alcotest.(check int) "the touch keeps A's level" 1 (Stack.level s 1);
+  Alcotest.(check int) "C pushes B out of the stack" 2 (Stack.insert s 3 ~dirty:false);
+  Alcotest.(check (list int)) "levels of A and C" [ 1; 0 ] (List.map (Stack.level s) [ 1; 3 ])
 
 (* The quick traces at 1/4/8 PEs, at line sizes the pins do not cover:
    12 traces x 30 configurations. *)
@@ -580,4 +684,9 @@ let suite =
     Alcotest.test_case "PE bound on both paths" `Quick test_pe_bound_both_paths;
     Alcotest.test_case "line sizes are powers of two" `Quick
       test_line_sizes_are_powers_of_two;
+    QCheck_alcotest.to_alcotest prop_pass_matches_reference;
+    Alcotest.test_case "invalidation frees a slot at the sizes that held the line" `Quick
+      test_invalidation_frees_larger_sizes;
+    Alcotest.test_case "no-allocate write hits only the larger sizes" `Quick
+      test_no_allocate_write_hits_larger_sizes;
   ]

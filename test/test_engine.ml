@@ -150,29 +150,31 @@ let small_grid () =
   }
 
 let test_sweep_jobs_deterministic () =
-  let grid = small_grid () in
-  let o1 = Engine.Sweep.run ~jobs:1 grid in
-  let o4 = Engine.Sweep.run ~jobs:4 grid in
-  Alcotest.(check int)
-    "cell count" (Engine.Sweep.cells_of_grid grid)
-    (List.length o1.Engine.Sweep.cells);
-  Alcotest.(check string)
-    "JSON byte-identical across --jobs"
-    (Obs.Json.to_string (Engine.Results.to_json o1.Engine.Sweep.cells))
-    (Obs.Json.to_string (Engine.Results.to_json o4.Engine.Sweep.cells));
-  Alcotest.(check string)
-    "CSV byte-identical across --jobs"
-    (Engine.Results.to_csv ~areas:o1.Engine.Sweep.areas o1.Engine.Sweep.cells)
-    (Engine.Results.to_csv ~areas:o4.Engine.Sweep.areas o4.Engine.Sweep.cells);
   List.iter
-    (fun (c : Engine.Results.cell) ->
-      match c.Engine.Results.metrics with
-      | Ok _ -> ()
-      | Error e ->
-        Alcotest.failf "cell %s failed: %s"
-          (Engine.Results.config_key c.Engine.Results.config)
-          e)
-    o4.Engine.Sweep.cells
+    (fun grid ->
+      let o1 = Engine.Sweep.run ~jobs:1 grid in
+      let o4 = Engine.Sweep.run ~jobs:4 grid in
+      Alcotest.(check int)
+        "cell count" (Engine.Sweep.cells_of_grid grid)
+        (List.length o1.Engine.Sweep.cells);
+      Alcotest.(check string)
+        "JSON byte-identical across --jobs"
+        (Obs.Json.to_string (Engine.Results.to_json o1.Engine.Sweep.cells))
+        (Obs.Json.to_string (Engine.Results.to_json o4.Engine.Sweep.cells));
+      Alcotest.(check string)
+        "CSV byte-identical across --jobs"
+        (Engine.Results.to_csv ~areas:o1.Engine.Sweep.areas o1.Engine.Sweep.cells)
+        (Engine.Results.to_csv ~areas:o4.Engine.Sweep.areas o4.Engine.Sweep.cells);
+      List.iter
+        (fun (c : Engine.Results.cell) ->
+          match c.Engine.Results.metrics with
+          | Ok _ -> ()
+          | Error e ->
+            Alcotest.failf "cell %s failed: %s"
+              (Engine.Results.config_key c.Engine.Results.config)
+              e)
+        o4.Engine.Sweep.cells)
+    [ small_grid (); { (small_grid ()) with Engine.Sweep.cache_sizes = [ 128; 256; 1024 ] } ]
 
 let metrics = Alcotest.testable Cachesim.Metrics.pp ( = )
 
@@ -351,6 +353,56 @@ let test_sweep_pe_bound_fails_only_its_cells () =
       | _, Error e -> Alcotest.failf "%s failed: %s" key e)
     o.Engine.Sweep.cells
 
+(* The cells of a job do not depend on the order of the grid's sizes. *)
+let test_sweep_sizes_in_any_order () =
+  let grid = { (small_grid ()) with Engine.Sweep.alloc = Engine.Sweep.Best } in
+  let render sizes =
+    let o = Engine.Sweep.run ~jobs:1 { grid with Engine.Sweep.cache_sizes = sizes } in
+    ( Obs.Json.to_string (Engine.Results.to_json o.Engine.Sweep.cells),
+      Engine.Results.to_csv ~areas:o.Engine.Sweep.areas o.Engine.Sweep.cells )
+  in
+  let json, csv = render [ 64; 256; 1024 ] in
+  List.iter
+    (fun sizes ->
+      let json', csv' = render sizes in
+      Alcotest.(check string) "JSON byte-identical" json json';
+      Alcotest.(check string) "CSV byte-identical" csv csv')
+    [ [ 1024; 64; 256 ]; [ 256; 1024; 64 ] ]
+
+(* A job whose size list is longer than one pass holds runs it as
+   several passes; every cell equals its own one-size simulation. *)
+let test_sweep_more_sizes_than_a_pass () =
+  let bench =
+    List.find
+      (fun b -> b.Benchlib.Programs.name = "deriv")
+      (Benchlib.Inputs.small_benchmarks ())
+  in
+  let buf = (Benchlib.Runner.run_rapwam ~n_pes:2 bench).Benchlib.Runner.trace in
+  let sizes = List.init (Cachesim.Multi.max_sizes + 2) (fun i -> 4 * (i + 1)) in
+  let grid =
+    {
+      (small_grid ()) with
+      Engine.Sweep.benchmarks = [ bench ];
+      protocols = [ Cachesim.Protocol.Write_in_broadcast ];
+      cache_sizes = List.rev sizes;
+      alloc = Engine.Sweep.Best;
+    }
+  in
+  let o = Engine.Sweep.run ~jobs:1 ~traces:[ (("deriv", 2), buf) ] grid in
+  Alcotest.(check int) "every size" (List.length sizes) (List.length o.Engine.Sweep.cells);
+  List.iter
+    (fun (c : Engine.Results.cell) ->
+      let cfg = c.Engine.Results.config in
+      let expected =
+        fst
+          (Cachesim.Multi.simulate_best ~line_words:4 ~kind:cfg.Engine.Results.protocol
+             ~cache_words:cfg.Engine.Results.cache_words ~n_pes:2 buf)
+      in
+      match c.Engine.Results.metrics with
+      | Ok got -> Alcotest.check metrics (Engine.Results.config_key cfg) expected got
+      | Error e -> Alcotest.failf "cell %s failed: %s" (Engine.Results.config_key cfg) e)
+    o.Engine.Sweep.cells
+
 (* ---------------- tracefile round-trip (qcheck) ---------------- *)
 
 let record_gen =
@@ -461,4 +513,8 @@ let suite =
       `Quick test_job_attempts_with_and_without_timeout;
     Alcotest.test_case "sweep: a PE without a cache fails only its cells"
       `Quick test_sweep_pe_bound_fails_only_its_cells;
+    Alcotest.test_case "sweep: sizes in any order give the same cells" `Quick
+      test_sweep_sizes_in_any_order;
+    Alcotest.test_case "sweep: more sizes than a pass holds" `Quick
+      test_sweep_more_sizes_than_a_pass;
   ]

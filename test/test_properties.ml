@@ -185,37 +185,61 @@ let prop_parallel_matches_sequential =
       | Wam.Seq.Failure, Wam.Seq.Failure -> true
       | (Wam.Seq.Success _ | Wam.Seq.Failure), _ -> false)
 
-(* ---------------- LRU cache against a model ---------------- *)
+(* ---------------- LRU stack against a model ---------------- *)
 
+(* One recency stack serves every size of a random ascending set; each
+   size must behave like its own list model (MRU first, cut to the
+   size).  Besides reads (a hit touches, a miss fills every size), the
+   stream holds no-write-allocate writes (the line moves to the front
+   at the sizes that hold it, nowhere else) and invalidations (the
+   line leaves every size). *)
 let prop_lru_matches_model =
   Test.make ~name:"LRU cache behaves like the list model" ~count:200
-    (pair (int_range 1 6)
-       (list_of_size (Gen.int_range 1 80) (int_bound 12)))
-    (fun (capacity, accesses) ->
-      let cache = Cachesim.Multi.Cache.create ~lines:capacity in
-      let model = ref [] in
+    (pair
+       (list_of_size (Gen.int_range 1 4) (int_range 1 8))
+       (list_of_size (Gen.int_range 1 80)
+          (pair (Gen.frequency [ (6, Gen.return `Read); (2, Gen.return `Touch); (1, Gen.return `Drop) ] |> make)
+             (int_bound 12))))
+    (fun (capacities, accesses) ->
+      let module Stack = Cachesim.Multi.Stack in
+      let capacities = List.sort_uniq compare capacities in
+      let n = List.length capacities in
+      let stack = Stack.create ~lines:capacities ~keys:13 in
+      let models = List.map (fun c -> (c, ref [])) capacities in
+      let model_level line =
+        let rec go k = function
+          | [] -> n
+          | (_, m) :: rest -> if List.mem line !m then k else go (k + 1) rest
+        in
+        go 0 models
+      in
       List.for_all
-        (fun line ->
-          let model_hit = List.mem line !model in
-          (model :=
-             if model_hit then
-               line :: List.filter (fun l -> l <> line) !model
-             else begin
-               let added = line :: !model in
-               if List.length added > capacity then
-                 List.filteri (fun i _ -> i < capacity) added
-               else added
-             end);
-          let cache_hit =
-            match Cachesim.Multi.Cache.find cache line with
-            | -1 ->
-              ignore (Cachesim.Multi.Cache.insert cache line ~dirty:false);
-              false
-            | slot ->
-              Cachesim.Multi.Cache.touch cache slot;
-              true
-          in
-          cache_hit = model_hit)
+        (fun (op, line) ->
+          let level = Stack.level stack line in
+          let hits_agree = level = model_level line in
+          List.iter
+            (fun (capacity, m) ->
+              let hit = List.mem line !m in
+              let front = line :: List.filter (fun l -> l <> line) !m in
+              match op with
+              | `Read -> m := List.filteri (fun i _ -> i < capacity) front
+              | `Touch -> if hit then m := front
+              | `Drop -> m := List.filter (fun l -> l <> line) !m)
+            models;
+          (match op with
+          | `Read ->
+            if level = 0 then Stack.touch stack (Stack.find stack line)
+            else ignore (Stack.insert stack line ~dirty:false)
+          | `Touch -> if level < n then Stack.touch stack (Stack.find stack line)
+          | `Drop -> ignore (Stack.invalidate stack line));
+          hits_agree
+          && List.for_all
+               (fun l -> Stack.level stack l = model_level l)
+               (List.init 13 Fun.id)
+          && List.for_all Fun.id
+               (List.mapi
+                  (fun k (_, m) -> Stack.occupancy stack k = List.length !m)
+                  models))
         accesses)
 
 (* ---------------- packing ---------------- *)

@@ -488,33 +488,90 @@ let tiny_grid () =
 let cells_json (o : Engine.Sweep.outcome) =
   Obs.Json.to_string (Engine.Results.to_json o.Engine.Sweep.cells)
 
+(* A crash at the second (trace, protocol) job: the first job's cells,
+   one per size, are in the journal, and the resumed sweep renders
+   the uncrashed grid byte for byte. *)
 let test_sweep_crash_then_resume_identical () =
-  let grid = tiny_grid () in
+  let trace =
+    (("deriv", 2), (Benchlib.Runner.run_rapwam ~n_pes:2 (small "deriv")).Benchlib.Runner.trace)
+  in
+  List.iter
+    (fun sizes ->
+      let grid = { (tiny_grid ()) with Engine.Sweep.cache_sizes = sizes } in
+      let baseline = Engine.Sweep.run ~jobs:1 ~traces:[ trace ] grid in
+      with_temp ".journal" (fun journal ->
+          let faults =
+            F.make [ ("cell-start", F.Crash, 1) ]
+          in
+          (match
+             Engine.Sweep.run ~jobs:1 ~traces:[ trace ] ~faults ~journal grid
+           with
+          | _ -> Alcotest.fail "expected the injected crash to abort the sweep"
+          | exception F.Injected { site = "cell-start"; kind = F.Crash; _ } -> ());
+          let resumed =
+            Engine.Sweep.run ~jobs:1 ~traces:[ trace ] ~journal ~resume:true grid
+          in
+          Alcotest.(check int) "first job's cells restored from the journal"
+            (List.length sizes) resumed.Engine.Sweep.resumed_cells;
+          Alcotest.(check string) "resumed output bit-identical"
+            (cells_json baseline) (cells_json resumed);
+          Alcotest.(check string) "CSV bit-identical too"
+            (Engine.Results.to_csv ~areas:baseline.Engine.Sweep.areas
+               baseline.Engine.Sweep.cells)
+            (Engine.Results.to_csv ~areas:resumed.Engine.Sweep.areas
+               resumed.Engine.Sweep.cells)))
+    [ [ 256 ]; [ 64; 256; 1024 ] ]
+
+(* A job whose cells are partly in the journal simulates only its
+   missing sizes: two of the write-through job's three cells are
+   journaled with a marked counter, the resumed sweep keeps the marks,
+   and the journal ends with one frame per cell (a job that simulated
+   all three sizes again would append two more). *)
+let test_sweep_partial_job_resumes_missing_sizes () =
+  let grid = { (tiny_grid ()) with Engine.Sweep.cache_sizes = [ 64; 256; 1024 ] } in
   let trace =
     (("deriv", 2), (Benchlib.Runner.run_rapwam ~n_pes:2 (small "deriv")).Benchlib.Runner.trace)
   in
   let baseline = Engine.Sweep.run ~jobs:1 ~traces:[ trace ] grid in
+  let marked (c : Engine.Results.config) =
+    c.Engine.Results.protocol = Cachesim.Protocol.Write_through
+    && c.Engine.Results.cache_words <> 256
+  in
+  let mark (m : Cachesim.Metrics.t) =
+    { m with Cachesim.Metrics.bus_words = m.Cachesim.Metrics.bus_words + 1 }
+  in
   with_temp ".journal" (fun journal ->
-      let faults =
-        F.make [ ("cell-start", F.Crash, 1) ]
-      in
-      (match
-         Engine.Sweep.run ~jobs:1 ~traces:[ trace ] ~faults ~journal grid
-       with
-      | _ -> Alcotest.fail "expected the injected crash to abort the sweep"
-      | exception F.Injected { site = "cell-start"; kind = F.Crash; _ } -> ());
+      let w = Resilience.Journal.create journal in
+      List.iter
+        (fun (c : Engine.Results.cell) ->
+          match c.Engine.Results.metrics with
+          | Ok m when marked c.Engine.Results.config ->
+            Resilience.Journal.append w
+              (Engine.Results.encode_cell
+                 (Engine.Results.config_key c.Engine.Results.config)
+                 (mark m))
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "baseline cell failed: %s" e)
+        baseline.Engine.Sweep.cells;
+      Resilience.Journal.close w;
       let resumed =
         Engine.Sweep.run ~jobs:1 ~traces:[ trace ] ~journal ~resume:true grid
       in
-      Alcotest.(check int) "first cell restored from the journal" 1
-        resumed.Engine.Sweep.resumed_cells;
-      Alcotest.(check string) "resumed output bit-identical"
-        (cells_json baseline) (cells_json resumed);
-      Alcotest.(check string) "CSV bit-identical too"
-        (Engine.Results.to_csv ~areas:baseline.Engine.Sweep.areas
-           baseline.Engine.Sweep.cells)
-        (Engine.Results.to_csv ~areas:resumed.Engine.Sweep.areas
-           resumed.Engine.Sweep.cells))
+      Alcotest.(check int) "two cells restored" 2 resumed.Engine.Sweep.resumed_cells;
+      List.iter2
+        (fun (b : Engine.Results.cell) (r : Engine.Results.cell) ->
+          let cfg = b.Engine.Results.config in
+          match (b.Engine.Results.metrics, r.Engine.Results.metrics) with
+          | Ok mb, Ok mr ->
+            let expected = if marked cfg then mark mb else mb in
+            if mr <> expected then
+              Alcotest.failf "%s: not the %s counters"
+                (Engine.Results.config_key cfg)
+                (if marked cfg then "journaled" else "simulated")
+          | _ -> Alcotest.fail "a cell failed")
+        baseline.Engine.Sweep.cells resumed.Engine.Sweep.cells;
+      Alcotest.(check int) "one journal frame per cell" 6
+        (List.length (Resilience.Journal.replay journal).Resilience.Journal.entries))
 
 (* ---------------- the site x kind acceptance matrix ---------------- *)
 
@@ -682,4 +739,6 @@ let suite =
     Alcotest.test_case "sweep crash then resume bit-identical" `Quick
       test_sweep_crash_then_resume_identical;
     Alcotest.test_case "site x kind fault matrix" `Quick test_site_kind_matrix;
+    Alcotest.test_case "a partly journaled job simulates only its missing sizes"
+      `Quick test_sweep_partial_job_resumes_missing_sizes;
   ]

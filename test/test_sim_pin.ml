@@ -3,7 +3,9 @@
    and RAP-WAM at 1/4/8 PEs, all five protocols, 64/512/4096-word
    caches, both allocation policies, plus the hybrid protocol with every
    tag forced Global and forced Local.  A change to the simulator's
-   data structures must leave every digest unchanged. *)
+   data structures must leave every digest unchanged, both through
+   one-size simulations and through one pass over the three sizes per
+   (trace, protocol, policy). *)
 
 let quick name =
   List.find
@@ -38,31 +40,51 @@ let digest (m : Cachesim.Metrics.t) =
           m.write_misses m.fills m.writebacks m.wt_words m.invalidations m.updates
           m.bus_words))
 
-let cells () =
+let key name machine label cache_words write_allocate =
+  Printf.sprintf "%s/%s/%s/%d/%s" name machine label cache_words
+    (if write_allocate then "alloc" else "no-alloc")
+
+(* Every cell of the grid: [trace_cells ~key ~n_pes trace] lists one
+   trace's (key, digest) pairs. *)
+let cells trace_cells =
   List.concat_map
     (fun name ->
       List.concat_map
         (fun (machine, n_pes, run) ->
-          let trace = (run ()).Benchlib.Runner.trace in
-          List.concat_map
-            (fun (label, kind, locality_override) ->
-              List.concat_map
-                (fun cache_words ->
-                  List.map
-                    (fun write_allocate ->
-                      let key =
-                        Printf.sprintf "%s/%s/%s/%d/%s" name machine label cache_words
-                          (if write_allocate then "alloc" else "no-alloc")
-                      in
-                      ( key,
-                        digest
-                          (Cachesim.Multi.simulate ~write_allocate ?locality_override ~kind
-                             ~cache_words ~n_pes trace) ))
-                    [ true; false ])
-                sizes)
-            protocols)
+          trace_cells ~key:(key name machine) ~n_pes (run ()).Benchlib.Runner.trace)
         (machines (quick name)))
     [ "deriv"; "qsort"; "tak"; "matrix" ]
+
+(* One simulation per cell. *)
+let one_size ~key ~n_pes trace =
+  List.concat_map
+    (fun (label, kind, locality_override) ->
+      List.concat_map
+        (fun cache_words ->
+          List.map
+            (fun write_allocate ->
+              ( key label cache_words write_allocate,
+                digest
+                  (Cachesim.Multi.simulate ~write_allocate ?locality_override ~kind
+                     ~cache_words ~n_pes trace) ))
+            [ true; false ])
+        sizes)
+    protocols
+
+(* One pass over the three sizes per (protocol, policy). *)
+let one_pass ~key ~n_pes trace =
+  let p = Cachesim.Multi.prepare ~line_words:4 trace in
+  List.concat_map
+    (fun (label, kind, locality_override) ->
+      List.concat_map
+        (fun write_allocate ->
+          List.map2
+            (fun cache_words m -> (key label cache_words write_allocate, digest m))
+            sizes
+            (Cachesim.Multi.simulate_sizes ?locality_override ~write_allocate ~kind
+               ~cache_words:sizes ~n_pes p))
+        [ true; false ])
+    protocols
 
 (* Recorded with the hash-table simulator now kept as [Simref]. *)
 let expected =
@@ -741,8 +763,7 @@ let expected =
     ("matrix/rapwam-8pe/hybrid-local/4096/no-alloc", "dfca63ce367d7123c537ad33fa93b6bd");
   ]
 
-let test_pins () =
-  let got = cells () in
+let check_pins got =
   Alcotest.(check int) "cell count" (List.length expected) (List.length got);
   let bad = List.filter (fun (k, d) -> List.assoc_opt k expected <> Some d) got in
   if bad <> [] then
@@ -750,5 +771,12 @@ let test_pins () =
       (List.length got)
       (String.concat "\n" (List.map (fun (k, d) -> Printf.sprintf "    (%S, %S);" k d) bad))
 
+let test_pins () = check_pins (cells one_size)
+let test_pins_one_pass () = check_pins (cells one_pass)
+
 let suite =
-  [ Alcotest.test_case "simulator counters match the pinned digests" `Quick test_pins ]
+  [
+    Alcotest.test_case "simulator counters match the pinned digests" `Quick test_pins;
+    Alcotest.test_case "one pass per size list matches the pinned digests" `Quick
+      test_pins_one_pass;
+  ]
