@@ -1,10 +1,15 @@
 (* Sharded-lock concurrent answer table with LRU-ish eviction. *)
 
 (* Entry bookkeeping is protected by the owning shard's mutex; the
-   global counters and the LRU clock are atomics. *)
+   global counters and the LRU clock are atomics.  An answer's
+   canonical text is printed the first time an insert compares with
+   it, and kept, so the common insert (one answer into a fresh entry)
+   prints nothing under the lock. *)
+type stored = { answer : Canon.answer; mutable text : string option }
+
 type entry = {
   key : Canon.key;
-  mutable answers : (string * Canon.answer) list;  (* canon text, answer; newest first *)
+  mutable answers : stored list;  (* newest first *)
   mutable n_answers : int;
   mutable words : int;
   mutable stamp : int;
@@ -73,7 +78,7 @@ let find t (key : Canon.key) =
         | None -> None
         | Some e ->
           e.stamp <- stamp;
-          Some (List.rev_map snd e.answers))
+          Some (List.rev_map (fun s -> s.answer) e.answers))
   in
   (match found with
   | Some _ -> Atomic.incr t.hits
@@ -108,6 +113,14 @@ let evict_over_budget t sh ~keep =
   done;
   !evicted
 
+let text_of s =
+  match s.text with
+  | Some text -> text
+  | None ->
+    let text = Canon.answer_text s.answer in
+    s.text <- Some text;
+    text
+
 let insert t (key : Canon.key) (answers : Canon.answer list) =
   let sh = shard_of t key in
   let stamp = tick t in
@@ -127,11 +140,13 @@ let insert t (key : Canon.key) (answers : Canon.answer list) =
         let added = ref 0 and dups = ref 0 in
         List.iter
           (fun a ->
-            let text = Canon.answer_text a in
-            if List.exists (fun (t', _) -> t' = text) e.answers then incr dups
+            (* an empty entry calls no comparison, so prints nothing *)
+            let s = { answer = a; text = None } in
+            if List.exists (fun held -> text_of held = text_of s) e.answers then
+              incr dups
             else begin
               let words = Canon.answer_words a in
-              e.answers <- (text, a) :: e.answers;
+              e.answers <- s :: e.answers;
               e.n_answers <- e.n_answers + 1;
               e.words <- e.words + words;
               sh.live_words <- sh.live_words + words;
@@ -153,7 +168,7 @@ let fold t f init =
     (fun acc sh ->
       with_lock sh (fun () ->
           Hashtbl.fold
-            (fun _ e acc -> f e.key (List.rev_map snd e.answers) acc)
+            (fun _ e acc -> f e.key (List.rev_map (fun s -> s.answer) e.answers) acc)
             sh.tbl acc))
     init t.shards_
 

@@ -13,7 +13,10 @@
     Inserts are {e variant-checking}: an answer already present in the
     entry (up to variable renaming, via {!Canon.answer_text}) is
     counted as a duplicate and dropped, so two domains computing the
-    same key concurrently converge on one answer set.
+    same key concurrently converge on one answer set.  An answer's
+    text is printed only to compare it with another, the first time
+    that happens: an answer inserted into an empty entry is not
+    printed at all.
 
     Capacity is a global word budget split evenly across shards; a
     shard over its slice evicts its least-recently-stamped entries

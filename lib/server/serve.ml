@@ -74,12 +74,16 @@ let run_answers t query =
   Wam.Program.release prog;
   (answers, inferences)
 
-let execute ?faults t query =
+(* A query that did not parse ends here, past the fault site, as one
+   whose run raised: with the same message, at the same point. *)
+let execute ?faults t (query : (Prolog.Term.t, string) result) =
   try
     (match faults with
     | Some plan -> Resilience.Fault.hit ~plan "sim-step"
     | None -> ());
-    Ok (run_answers t query)
+    match query with
+    | Ok query -> Ok (run_answers t query)
+    | Error msg -> Error (`Run, msg)
   with
   | Resilience.Fault.Injected { kind = Resilience.Fault.Crash; _ } as e ->
     raise e
@@ -93,8 +97,27 @@ let execute ?faults t query =
     | Some msg -> Error (`Run, msg)
     | None -> raise e)
 
-let run_direct t query =
-  match execute t query with
+(* ------------------------------------------------------------------ *)
+(* Admission: a request's text is parsed here and nowhere else. *)
+
+type admitted = {
+  rq : request;
+  query : (Prolog.Term.t, string) result;
+  key : Memo.Canon.key option;
+}
+
+let parse text =
+  match Prolog.Parser.term_of_string text with
+  | term -> Ok term
+  | exception (Prolog.Parser.Error _ as e) ->
+    Error (Option.get (Wam.Program.error_message e))
+
+let admit (rq : request) =
+  let query = parse rq.rq_query in
+  { rq; query; key = Result.to_option (Result.map Memo.Canon.key_of_term query) }
+
+let run_direct t text =
+  match execute t (parse text) with
   | Ok (answers, _) -> Ok answers
   | Error (_, msg) -> Error msg
 
@@ -105,7 +128,7 @@ let now () = Unix.gettimeofday ()
 
 (* A memo hit as a finished response; [None] when the table has no
    answer (or memoing is off) and the query must actually run. *)
-let lookup_hit t ~t0 ~key (rq : request) : response option =
+let lookup_hit t ~t0 { rq; key; _ } : response option =
   match (t.cfg.memo, key) with
   | Some memo, Some k -> (
     match Memo.Table.find memo k with
@@ -132,14 +155,14 @@ let lookup_hit t ~t0 ~key (rq : request) : response option =
    worker, an earlier request for the same key may have published —
    consulting the table again turns the duplicate into a hit instead
    of a redundant run. *)
-let rec compute ?(recheck = false) t ~t0 ~key (rq : request) : response =
-  match if recheck then lookup_hit t ~t0 ~key rq else None with
+let rec compute ?(recheck = false) t ~t0 (a : admitted) : response =
+  match if recheck then lookup_hit t ~t0 a else None with
   | Some rs -> rs
-  | None -> compute_miss t ~t0 ~key rq
+  | None -> compute_miss t ~t0 a
 
-and compute_miss t ~t0 ~key (rq : request) : response =
+and compute_miss t ~t0 { rq; query; key } : response =
   let start = now () in
-  match execute ?faults:t.cfg.faults t rq.rq_query with
+  match execute ?faults:t.cfg.faults t query with
   | Ok (answers, inferences) ->
     (match (t.cfg.memo, key) with
     | Some memo, Some key -> ignore (Memo.Table.insert memo key answers)
@@ -170,7 +193,9 @@ and compute_miss t ~t0 ~key (rq : request) : response =
       rs_inferences = 0;
     }
 
-let verdict t goal_text =
-  match Prolog.Parser.term_of_string goal_text with
-  | exception Prolog.Parser.Error _ -> Costan.Analyze.Keep
-  | goal -> Costan.Analyze.verdict t.an ~threshold:t.cfg.threshold goal
+let query_verdict t = function
+  | Ok goal -> Costan.Analyze.verdict t.an ~threshold:t.cfg.threshold goal
+  | Error _ -> Costan.Analyze.Keep
+
+let verdict_of t (a : admitted) = query_verdict t a.query
+let verdict t goal_text = query_verdict t (parse goal_text)

@@ -12,8 +12,10 @@
     with its first solution, on either engine.
 
     This module runs one request.  {!Supervise.serve} is the batch
-    server: it admits each request through {!lookup_hit}, {!verdict}
-    and {!compute}, drives the lanes and keeps the counters. *)
+    server: it admits each request through {!admit}, {!lookup_hit},
+    {!verdict_of} and {!compute}, drives the lanes and keeps the
+    counters.  A request's text is parsed once, by {!admit}: its memo
+    key, its verdict and its compiled query all come from that term. *)
 
 type config = {
   src : string;  (** database source text *)
@@ -68,22 +70,35 @@ val run_direct : t -> string -> (Memo.Canon.answer list, string) result
     faults: its answers, or the text of the program error it ended in.
     The cross-check oracle. *)
 
-val verdict : t -> string -> Costan.Analyze.verdict
-(** Admission verdict for one query text ([Keep] on a parse error —
-    the engine will produce the real error message). *)
+type admitted = private {
+  rq : request;
+  query : (Prolog.Term.t, string) result;
+      (** the parsed query, or the text of its syntax error
+          (["syntax error at N: ..."]) *)
+  key : Memo.Canon.key option;  (** [None] when the text does not parse *)
+}
+(** A request with its text parsed. *)
 
-val lookup_hit :
-  t -> t0:float -> key:Memo.Canon.key option -> request -> response option
+val admit : request -> admitted
+(** Parse the request's text and make its memo key from the term. *)
+
+val verdict_of : t -> admitted -> Costan.Analyze.verdict
+(** Admission verdict for a parsed request ([Keep] when it did not
+    parse: it runs to its syntax error like any query). *)
+
+val verdict : t -> string -> Costan.Analyze.verdict
+(** {!verdict_of} for one query text. *)
+
+val lookup_hit : t -> t0:float -> admitted -> response option
 (** The memo-hit lane: a finished [Hit] response, or [None] when the
     query must actually run. *)
 
-val compute :
-  ?recheck:bool ->
-  t -> t0:float -> key:Memo.Canon.key option -> request -> response
+val compute : ?recheck:bool -> t -> t0:float -> admitted -> response
 (** Run one request to a response on the calling domain, publishing
     the answers to the memo table.  [~recheck:true] is the pooled
     lane's double-checked lookup.  The response comes back with
     [rs_lane = Inline] (or [Hit]); the caller relabels pooled work.
     Every execution passes the ["sim-step"] fault site: an injected
     non-[Crash] fault becomes an [rs_fault] response, a planned
-    [Crash] is re-raised. *)
+    [Crash] is re-raised.  A request that did not parse passes it
+    too and is answered with its syntax error. *)

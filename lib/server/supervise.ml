@@ -145,8 +145,8 @@ let circuit t spec =
     Hashtbl.add t.circuits spec c;
     c
 
-let spec_of key =
-  match key with Some k -> k.Memo.Canon.spec | None -> "?/0"
+let spec_of (a : Serve.admitted) =
+  match a.Serve.key with Some k -> k.Memo.Canon.spec | None -> "?/0"
 
 (* Record one pooled execution outcome against its circuit. *)
 let record_outcome t cfg spec ~fail =
@@ -225,10 +225,11 @@ let injected ~t0 ~lane ~site ~kind ~occurrence rq =
 
 exception Transient of string
 
-let execute t ~t0 ~key ~recheck (rq : Serve.request) =
+let execute t ~t0 ~recheck (a : Serve.admitted) =
+  let rq = a.Serve.rq in
   let slot = Atomic.make None in
   let thunk () =
-    let rs = Serve.compute ~recheck t.server ~t0 ~key rq in
+    let rs = Serve.compute ~recheck t.server ~t0 a in
     Atomic.set slot (Some rs);
     if rs.Serve.rs_fault then
       raise
@@ -297,7 +298,7 @@ let execute t ~t0 ~key ~recheck (rq : Serve.request) =
    response and a fresh pool is spawned for whatever the dying wave
    abandoned. *)
 
-let run_wave t ~t0 (slice : (Serve.request * Memo.Canon.key option) array) =
+let run_wave t ~t0 (slice : Serve.admitted array) =
   let n = Array.length slice in
   let results = Array.make n None in
   let rounds = ref 0 in
@@ -317,8 +318,7 @@ let run_wave t ~t0 (slice : (Serve.request * Memo.Canon.key option) array) =
       let out, poison =
         Engine.Pool.map_salvage ~jobs:(Serve.config_of t.server).Serve.workers
           (fun i ->
-            let rq, key = slice.(i) in
-            let r = execute t ~t0 ~key ~recheck:true rq in
+            let r = execute t ~t0 ~recheck:true slice.(i) in
             let r =
               if r.sv.Serve.rs_lane = Serve.Hit then r
               else { r with sv = { r.sv with Serve.rs_lane = Serve.Pooled } }
@@ -334,7 +334,7 @@ let run_wave t ~t0 (slice : (Serve.request * Memo.Canon.key option) array) =
       | Some (j, e, _) ->
         if j >= 0 then begin
           (* blame exactly the item that raised; the rest rerun *)
-          let rq, _ = slice.(idx.(j)) in
+          let rq = slice.(idx.(j)).Serve.rq in
           results.(idx.(j)) <-
             Some
               (refusal ~t0 ~lane:Serve.Pooled ~outcome:Crashed ~fault:true
@@ -347,7 +347,7 @@ let run_wave t ~t0 (slice : (Serve.request * Memo.Canon.key option) array) =
           Array.iter
             (fun i ->
               if results.(i) = None then
-                let rq, _ = slice.(i) in
+                let rq = slice.(i).Serve.rq in
                 results.(i) <-
                   Some
                     (refusal ~t0 ~lane:Serve.Pooled ~outcome:Crashed
@@ -371,7 +371,8 @@ let serve t (requests : Serve.request list) : response list =
   let plan = (Serve.config_of t.server).Serve.faults in
   let queued = ref [] in
   (* admission: hits and Small inline answer now; a planned admission
-     fault poisons only this request *)
+     fault poisons only this request.  The text is parsed here, once:
+     the key, the verdict and the compiled query share the term *)
   let admitted =
     List.map
       (fun (rq : Serve.request) ->
@@ -379,17 +380,13 @@ let serve t (requests : Serve.request list) : response list =
         | exception Resilience.Fault.Injected { site; kind; occurrence } ->
           `Done (injected ~t0 ~lane:Serve.Inline ~site ~kind ~occurrence rq)
         | () -> (
-          let key =
-            match Memo.Canon.key_of_query rq.Serve.rq_query with
-            | Stdlib.Ok key -> Some key
-            | Stdlib.Error _ -> None
-          in
-          match Serve.lookup_hit t.server ~t0 ~key rq with
+          let a = Serve.admit rq in
+          match Serve.lookup_hit t.server ~t0 a with
           | Some rs -> `Done { sv = rs; sv_outcome = Ok; sv_attempts = 0 }
           | None -> (
-            match Serve.verdict t.server rq.Serve.rq_query with
+            match Serve.verdict_of t.server a with
             | Costan.Analyze.Small -> (
-              match execute t ~t0 ~key ~recheck:false rq with
+              match execute t ~t0 ~recheck:false a with
               | r -> `Done r
               | exception
                   (Resilience.Fault.Injected
@@ -403,7 +400,7 @@ let serve t (requests : Serve.request list) : response list =
                         (Printexc.to_string e))
                      rq))
             | (Costan.Analyze.Keep | Costan.Analyze.Guard _) as v ->
-              queued := (rq, key, v) :: !queued;
+              queued := (a, v) :: !queued;
               `Queued rq.Serve.rq_id)))
       requests
   in
@@ -414,11 +411,12 @@ let serve t (requests : Serve.request list) : response list =
     Hashtbl.create (max 16 (List.length backlog))
   in
   let pooled_run = ref [] in
-  (* (rq, key, spec) in admission order *)
+  (* (admitted, verdict, spec) in admission order *)
   List.iter
-    (fun ((rq : Serve.request), key, v) ->
+    (fun ((a : Serve.admitted), v) ->
+      let rq = a.Serve.rq in
       t.clock <- t.clock + 1;
-      let spec = spec_of key in
+      let spec = spec_of a in
       let admit =
         match t.pol.breaker with
         | None -> `Run
@@ -444,7 +442,7 @@ let serve t (requests : Serve.request list) : response list =
             else `Refuse)
       in
       match admit with
-      | `Run -> pooled_run := (rq, key, v, spec) :: !pooled_run
+      | `Run -> pooled_run := (a, v, spec) :: !pooled_run
       | `Probe_fault r -> Hashtbl.replace results rq.Serve.rq_id r
       | `Refuse ->
         t.breaker_fastfails <- t.breaker_fastfails + 1;
@@ -471,7 +469,7 @@ let serve t (requests : Serve.request list) : response list =
       in
       let victims =
         List.sort
-          (fun (i, (_, _, v1, _)) (j, (_, _, v2, _)) ->
+          (fun (i, (_, v1, _)) (j, (_, v2, _)) ->
             match compare (order_of v1) (order_of v2) with
             | 0 -> compare j i  (* later arrival first *)
             | c -> c)
@@ -480,7 +478,8 @@ let serve t (requests : Serve.request list) : response list =
         |> List.map fst
       in
       List.filteri
-        (fun i ((rq : Serve.request), _, _, _) ->
+        (fun i ((a : Serve.admitted), _, _) ->
+          let rq = a.Serve.rq in
           if List.mem i victims then begin
             Hashtbl.replace results rq.Serve.rq_id
               (refusal ~t0 ~lane:Serve.Pooled ~outcome:Shed ~fault:false
@@ -494,8 +493,8 @@ let serve t (requests : Serve.request list) : response list =
   in
   (* waves, crash-contained *)
   let cfg = Serve.config_of t.server in
-  let arr = Array.of_list (List.map (fun (rq, key, _, _) -> (rq, key)) to_run) in
-  let specs = Array.of_list (List.map (fun (_, _, _, s) -> s) to_run) in
+  let arr = Array.of_list (List.map (fun (a, _, _) -> a) to_run) in
+  let specs = Array.of_list (List.map (fun (_, _, s) -> s) to_run) in
   let total = Array.length arr in
   let pos = ref 0 in
   let executed = ref [] in

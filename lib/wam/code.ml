@@ -8,6 +8,9 @@ type t = {
   instrs : Instr.t Vec.t;
   entries : (int, int) Hashtbl.t; (* predicate functor id -> address *)
   blocks : (int * int) Vec.t; (* (start address, functor id), for listing *)
+  mutable regs : int;
+      (* highest register an instruction names or an entry's arity
+         fills: a run of this code writes no register above it *)
 }
 
 let create () =
@@ -15,6 +18,7 @@ let create () =
     instrs = Vec.create ~dummy:Instr.Proceed;
     entries = Hashtbl.create 64;
     blocks = Vec.create ~dummy:(0, 0);
+    regs = 0;
   }
 
 let copy t =
@@ -22,6 +26,7 @@ let copy t =
     instrs = Vec.copy t.instrs;
     entries = Hashtbl.copy t.entries;
     blocks = Vec.copy t.blocks;
+    regs = t.regs;
   }
 
 (* The predicates compiled onto [t] since it was copied from [base]
@@ -34,6 +39,7 @@ let cut_back t ~base =
   done;
   Vec.truncate t.blocks (Vec.length base.blocks);
   Vec.truncate t.instrs (Vec.length base.instrs);
+  t.regs <- base.regs;
   Hashtbl.length t.entries = Hashtbl.length base.entries
 
 let here t = Vec.length t.instrs
@@ -41,17 +47,23 @@ let here t = Vec.length t.instrs
 let emit t i =
   let addr = here t in
   Vec.add t.instrs i;
+  t.regs <- max t.regs (Instr.max_reg i);
   addr
 
-let patch t addr i = Vec.set t.instrs addr i
+let patch t addr i =
+  Vec.set t.instrs addr i;
+  t.regs <- max t.regs (Instr.max_reg i)
 
 let fetch t addr = Vec.get t.instrs addr
 
 let length t = Vec.length t.instrs
 
-let set_entry t fid addr =
+let set_entry t fid ~arity addr =
   Hashtbl.replace t.entries fid addr;
-  Vec.add t.blocks (addr, fid)
+  Vec.add t.blocks (addr, fid);
+  t.regs <- max t.regs arity
+
+let regs t = t.regs
 
 let entry t fid = Hashtbl.find_opt t.entries fid
 

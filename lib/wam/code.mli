@@ -30,10 +30,16 @@ val patch : t -> int -> Instr.t -> unit
 val fetch : t -> int -> Instr.t
 val length : t -> int
 
-val set_entry : t -> int -> int -> unit
-(** Bind a predicate (functor id) to its entry address. *)
+val set_entry : t -> int -> arity:int -> int -> unit
+(** Bind a predicate (functor id, of [arity]) to its entry address. *)
 
 val entry : t -> int -> int option
+
+val regs : t -> int
+(** The highest register index an instruction names or an entry's
+    arity fills: a run of the code (its query seeded in A1..An, the
+    query predicate's arity) writes no X/A register above it, nor a
+    shallow frame's saved argument.  {!cut_back} restores [base]'s. *)
 
 val iter_entries : t -> (int -> int -> unit) -> unit
 (** [iter_entries t f] calls [f fid addr] for every predicate entry,

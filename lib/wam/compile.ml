@@ -851,7 +851,7 @@ let compile_predicate ~parallel ?det ?bind ?chains symbols code db alloc key =
   | [] -> ()
   | [ clause ] ->
     let addr = compile_clause ~parallel ?bind symbols code db alloc clause in
-    Code.set_entry code fid addr
+    Code.set_entry code fid ~arity addr
   | clauses ->
     let fas = List.map (first_arg_of symbols) clauses in
     let indexable =
@@ -875,7 +875,7 @@ let compile_predicate ~parallel ?det ?bind ?chains symbols code db alloc key =
           Code.patch code (entry + i) (chain_instr ~det:is_det ~sabotage i n addr))
         addrs;
       log_chain ~bucket:"seq" ~start:entry ~is_det icls;
-      Code.set_entry code fid entry
+      Code.set_entry code fid ~arity entry
     end
     else begin
       (* Standard two-level first-argument indexing.  A bucket for a
@@ -990,7 +990,7 @@ let compile_predicate ~parallel ?det ?bind ?chains symbols code db alloc key =
       let lis_l = if lis_l = -1 then var_only_l else lis_l in
       Code.patch code entry
         (Instr.Switch_on_term { var_l; con_l; int_l; lis_l; str_l });
-      Code.set_entry code fid entry
+      Code.set_entry code fid ~arity entry
     end
 
 (* ------------------------------------------------------------------ *)
@@ -1019,7 +1019,7 @@ let finish code arms =
       let addr = Code.here code in
       ignore (Code.emit code (Instr.Builtin (b, arity, false)));
       ignore (Code.emit code Instr.Proceed);
-      Code.set_entry code fid addr)
+      Code.set_entry code fid ~arity addr)
     (List.rev arms.arm_pending)
 
 let compile_db ?parallel symbols db =

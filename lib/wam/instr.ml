@@ -202,6 +202,39 @@ let plain = function
   | Builtin (b, n, _) -> Builtin (b, n, false)
   | i -> i
 
+let x_index = function X n -> n | Y _ -> 0
+
+let max_reg = function
+  | Put_variable (r, a, _) | Put_value (r, a) | Get_variable (r, a)
+  | Get_value (r, a, _) ->
+    max (x_index r) a
+  | Put_unsafe_value (_, a)
+  | Put_constant (_, a)
+  | Put_integer (_, a)
+  | Put_nil a
+  | Put_structure (_, a)
+  | Put_list a
+  | Get_constant (_, a, _)
+  | Get_integer (_, a, _)
+  | Get_nil (a, _)
+  | Get_structure (_, a, _)
+  | Get_list (a, _)
+  | Builtin (_, a, _)
+  | Push_goal (_, _, a) ->
+    a
+  | Unify_variable r | Unify_value r | Unify_local_value r
+  | Check_ground (r, _)
+  | Check_size (r, _, _) ->
+    x_index r
+  | Check_indep (r1, r2, _) -> max (x_index r1) (x_index r2)
+  | Switch_on_term _ -> 1
+  | Unify_constant _ | Unify_integer _ | Unify_nil | Unify_void _
+  | Allocate _ | Deallocate | Call _ | Execute _ | Proceed | Jump _ | Halt_ok
+  | Try _ | Retry _ | Trust _ | Switch_on_constant _ | Switch_on_integer _
+  | Switch_on_structure _ | Neck_cut | Get_level _ | Cut_to _
+  | Alloc_parcall _ | Par_join | Goal_done ->
+    0
+
 let pp_reg fmt = function
   | X n -> Format.fprintf fmt "X%d" n
   | Y n -> Format.fprintf fmt "Y%d" n

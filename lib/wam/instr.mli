@@ -145,6 +145,10 @@ val opcode_count : int
 val opcode_name : int -> string
 (** @raise Invalid_argument outside [0, opcode_count). *)
 
+val max_reg : t -> int
+(** The highest X/A register index the instruction names, an escape's
+    or a pushed goal's arity included; 0 when it names none. *)
+
 val plain : t -> t
 (** The same instruction with every attribute reset to its default. *)
 

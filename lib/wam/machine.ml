@@ -253,15 +253,40 @@ let create ?(sink = Trace.Sink.null) ~n_workers ~code ~symbols () =
     nil_atom = Symbols.atom symbols "[]";
   }
 
+(* An address at or above which the run wrote nothing of the page
+   starting at [a]: the high-water mark of the area the page lies in,
+   or the live stack pointer when that is higher (a goal stack's
+   pointer starts above its mark, past the lock and pointer words).  The marks cost nothing new: each
+   is raised where its pointer is, for the storage statistics.  The
+   PDL and the message buffer keep no mark, so their pages are zeroed
+   whole. *)
+let written_below m a =
+  let pe = Layout.pe_of_addr a in
+  if pe < 0 || pe >= Array.length m.workers then max_int
+  else
+    let w = m.workers.(pe) in
+    match Layout.area_of_addr a with
+    | Trace.Area.Heap -> max w.max_h w.h
+    | Trace.Area.Env_pvar -> max w.max_lst w.lst
+    | Trace.Area.Choice_point -> max w.max_cst w.cst
+    | Trace.Area.Trail -> max w.max_tr w.tr
+    | Trace.Area.Goal_frame -> max w.max_gs w.gs_top
+    | _ -> max_int
+
 (* Zero what the run wrote, so that [create] can hand out the memory
    and the register files as they were new; the worker records and
-   counters are made afresh there. *)
+   counters are made afresh there.  A served query writes a few
+   hundred words of its pages and a few dozen registers, so only the
+   words below each area's mark and the registers up to the code's
+   bound are zeroed. *)
 let release m =
-  Memory.clear m.mem;
+  Memory.clear m.mem ~limit:(written_below m);
+  let regs = Code.regs m.code + 1 in
   Array.iter
     (fun w ->
-      Array.fill w.x 0 (Array.length w.x) 0;
-      Array.fill w.shallow.sh_args 0 (Array.length w.shallow.sh_args) 0)
+      Array.fill w.x 0 (min regs (Array.length w.x)) 0;
+      let args = w.shallow.sh_args in
+      Array.fill args 0 (min regs (Array.length args)) 0)
     m.workers;
   Reuse.give idle m
 

@@ -152,9 +152,14 @@ val create :
 
 val release : t -> unit
 (** Give the machine's memory and register files back for a later
-    {!create} to reuse: the pages the run wrote and the registers are
-    zeroed.  Call it at most once, after the run returned and its
-    answers and counters were read; the machine must not be used
+    {!create} to reuse, zeroing what the run wrote: each page it wrote
+    below the high-water mark of the area the page lies in (the PDL's
+    and message buffer's pages whole), and the registers and saved
+    arguments up to {!Code.regs} of the machine's code.  Words written
+    around the machine (a {!Memory.poke} above a mark) are not the
+    run's and stay.  Call it at most once, after the run returned and
+    its answers and counters were read, and before the code is cut
+    back ({!Program.release}); the machine must not be used
     afterwards.  A machine whose run raised is not released, so it is
     never reused.  At most 8 idle machines are kept. *)
 

@@ -7,13 +7,15 @@
    reservation: a page costs 32 KB to allocate and zero.  A page that
    was never written reads as 0 through one shared zero page.  A
    memory records the pages it has written, so [clear] can zero just
-   those and keep them as spares: a machine that is released and
-   created again ([Machine.release]) reuses its directory and pages
-   instead of allocating new ones.  Every [read]/[write] emits one
-   packed word to the machine's trace sink, built here in
-   [Trace.Ref_record]'s layout (no record is allocated), and [sync]
-   emits a sync word the same way; [peek]/[poke] bypass tracing (used
-   by answer decoding, debugging and tests).  The PE field's bound is
+   those, each only below the bound its caller knows (the high-water
+   mark of the area the page lies in), and keep them as spares: a
+   machine that is released and created again ([Machine.release])
+   reuses its directory and pages instead of allocating new ones.
+   Every [read]/[write] emits one packed word to the machine's trace
+   sink, built here in [Trace.Ref_record]'s layout (no record is
+   allocated), and [sync] emits a sync word the same way;
+   [peek]/[poke] bypass tracing (used by answer decoding, debugging
+   and tests).  The PE field's bound is
    [Machine.create]'s, so it is not checked per reference; the
    address's sign is, on every sink. *)
 
@@ -41,14 +43,18 @@ let create ?(sink = Trace.Sink.null) ?reuse () =
   | None -> { pages = Array.make 1024 zero_page; written = []; spare = []; sink }
   | Some old -> { pages = old.pages; written = []; spare = old.spare; sink }
 
-let clear t =
+(* A run writes a few hundred words of each page it touches, so a
+   page is zeroed only below the bound [limit] gives for it. *)
+let clear t ~limit =
   let rec detach kept = function
     | [] -> ()
     | idx :: rest ->
       let page = t.pages.(idx) in
       t.pages.(idx) <- zero_page;
       if kept < max_spare then begin
-        Array.fill page 0 page_words 0;
+        let base = idx lsl page_bits in
+        let words = min (limit base - base) page_words in
+        if words > 0 then Array.fill page 0 words 0;
         t.spare <- page :: t.spare
       end;
       detach (kept + 1) rest

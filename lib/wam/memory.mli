@@ -1,7 +1,7 @@
 (** The simulated shared memory: word-addressed, backed by fixed
     4K-word pages allocated on their first write.  A page never
     written reads as 0 and is not allocated by the read; {!clear}
-    zeroes the pages written so far, for reuse.  Every
+    zeroes what was written of those pages, for reuse.  Every
     {!read}/{!write} emits one packed word ({!Trace.Ref_record}'s
     layout, built inline: no record is allocated) to the attached
     trace sink, and {!sync} a sync word; {!peek}/{!poke} bypass
@@ -21,10 +21,14 @@ val create : ?sink:Trace.Sink.t -> ?reuse:t -> unit -> t
     was {!clear}ed and is not used again, hands over its page
     directory and its spare pages. *)
 
-val clear : t -> unit
-(** Make every word read 0 again by zeroing only the pages written
-    since {!create} or the last [clear]; up to 64 of them are kept as
-    spares for later first writes. *)
+val clear : t -> limit:(int -> int) -> unit
+(** Make every word read 0 again, zeroing only the pages written since
+    {!create} or the last [clear].  [limit a], for the first address
+    [a] of such a page, is an address at or above which no word of
+    the page was written: the page is zeroed from [a] up to it, and
+    not at all when it is [a] or below ([max_int] zeroes the whole
+    page).  Up to 64 of the pages are kept as spares for later first
+    writes. *)
 
 val read : t -> pe:int -> area:Trace.Area.t -> int -> int
 (** @raise Invalid_argument on a negative address, whatever the

@@ -68,8 +68,7 @@ let image ?(parallel = true) ?det ?bind ?chains db =
    [release] cut the workspace back.  Builtins such as functor/3
    intern symbols at run time, which is why the symbol table is
    private too. *)
-let with_query ?chains im ~query =
-  let q_term = Prolog.Parser.term_of_string query in
+let with_query ?chains im ~query:q_term =
   let query_vars = Prolog.Term.vars q_term in
   let head =
     match query_vars with
@@ -117,7 +116,8 @@ let release p =
   end
 
 let of_database ?parallel ?det ?bind ?chains db ~query () =
-  with_query ?chains (image ?parallel ?det ?bind ?chains db) ~query
+  let im = image ?parallel ?det ?bind ?chains db in
+  with_query ?chains im ~query:(Prolog.Parser.term_of_string query)
 
 let prepare ?parallel ?det ?bind ?chains ~src ~query () =
   of_database ?parallel ?det ?bind ?chains (Prolog.Database.of_string src)

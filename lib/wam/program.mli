@@ -35,14 +35,14 @@ val image :
     every emitted try chain. *)
 
 val with_query :
-  ?chains:Compile.chain_info list ref -> image -> query:string -> t
-(** Parse the query and compile it, with the auxiliary predicates its
+  ?chains:Compile.chain_info list ref -> image -> query:Prolog.Term.t -> t
+(** Compile the parsed query, with the auxiliary predicates its
     control constructs lift out, onto a workspace: an idle one the
     image holds, or else new copies of the image's code, symbol table
     and database.  Code addresses and symbol ids equal those of one
     whole-program compile of the database plus the query.  [chains]
-    logs the query's try chains.
-    @raise Prolog.Parser.Error on a bad query. *)
+    logs the query's try chains.  A server parses a query once and
+    hands the same term to its memo key, its cost verdict and here. *)
 
 val release : t -> unit
 (** Cut the program's workspace back to its image (the query's code,
@@ -55,7 +55,9 @@ val of_database :
   ?parallel:bool -> ?det:Compile.det_plan -> ?bind:Compile.bind_plan ->
   ?chains:Compile.chain_info list ref ->
   Prolog.Database.t -> query:string -> unit -> t
-(** {!image} then {!with_query}; the database itself is not changed. *)
+(** Parse the query, then {!image} and {!with_query}; the database
+    itself is not changed.
+    @raise Prolog.Parser.Error on a bad query. *)
 
 val prepare :
   ?parallel:bool -> ?det:Compile.det_plan -> ?bind:Compile.bind_plan ->

@@ -29,6 +29,10 @@ let symbols_text s =
   dump Wam.Symbols.spec_string 0;
   Buffer.contents b
 
+(* [Wam.Program.with_query] on a query text. *)
+let with_query image query =
+  Wam.Program.with_query image ~query:(Prolog.Parser.term_of_string query)
+
 let digest (p : Wam.Program.t) =
   let listing = Format.asprintf "@[<v>%a@]" Wam.Program.pp_listing p in
   Digest.to_hex (Digest.string (listing ^ "\n" ^ symbols_text p.Wam.Program.symbols))
@@ -371,7 +375,7 @@ let test_listings () =
   let on_image ~release parallel src =
     let image = Wam.Program.image ~parallel (Prolog.Database.of_string src) in
     fun query ->
-      let p = Wam.Program.with_query image ~query in
+      let p = with_query image query in
       let d = digest p in
       if release then Wam.Program.release p;
       d
@@ -409,8 +413,7 @@ let test_release_cuts_back () =
   in
   let image = Wam.Program.image ~parallel:false (db ()) in
   let p =
-    Wam.Program.with_query image
-      ~query:"(app(X, Y, [a, b]) ; X = none), functor(T, fresh_name, 3), U =.. [other_name, T]"
+    with_query image "(app(X, Y, [a, b]) ; X = none), functor(T, fresh_name, 3), U =.. [other_name, T]"
   in
   (match Wam.Seq.run_all ~max_solutions:1 p with
   | [ _ ], m -> Wam.Machine.release m
@@ -424,7 +427,7 @@ let test_release_cuts_back () =
   let c, a, f, n = sizes_of (p.Wam.Program.code, p.Wam.Program.symbols, p.Wam.Program.db) in
   Alcotest.(check (list int)) "code, atoms, functors, predicates as the image's"
     [ c0; a0; f0; n0 ] [ c; a; f; n ];
-  let q = Wam.Program.with_query image ~query:"app(X, Y, [c])" in
+  let q = with_query image "app(X, Y, [c])" in
   Alcotest.(check bool) "the next query reuses the workspace" true
     (q.Wam.Program.code == p.Wam.Program.code && q.Wam.Program.symbols == p.Wam.Program.symbols);
   Alcotest.(check string) "and compiles as on a fresh image"
@@ -435,9 +438,9 @@ let test_release_cuts_back () =
      cut back: it is dropped, and the next query gets a fresh copy *)
   let src = src ^ "'$query'(X) :- X = 1.\n" in
   let image = Wam.Program.image ~parallel:false (Prolog.Database.of_string src) in
-  let p = Wam.Program.with_query image ~query:"X = 2" in
+  let p = with_query image "X = 2" in
   Wam.Program.release p;
-  let q = Wam.Program.with_query image ~query:"app(X, Y, [c])" in
+  let q = with_query image "app(X, Y, [c])" in
   Alcotest.(check bool) "a workspace that cannot be cut back is dropped" false
     (q.Wam.Program.code == p.Wam.Program.code);
   Alcotest.(check string) "the next query compiles as on a fresh image"
@@ -456,9 +459,9 @@ let test_image_shared () =
   List.iter
     (fun (mode, parallel, run) ->
       let image = Wam.Program.image ~parallel (db ()) in
-      let probe () = digest (Wam.Program.with_query image ~query:"(X = 1 ; X = 2)") in
+      let probe () = digest (with_query image "(X = 1 ; X = 2)") in
       let before = probe () in
-      let answers qs = Array.map (fun query -> run (Wam.Program.with_query image ~query)) qs in
+      let answers qs = Array.map (fun query -> run (with_query image query)) qs in
       let one = answers pool in
       let two = Engine.Pool.map ~jobs:2 (fun i -> answers (Array.sub pool (50 * i) 50)) [| 0; 1 |] in
       Alcotest.(check bool) (mode ^ ": two domains answer as one") true

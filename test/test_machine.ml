@@ -300,7 +300,7 @@ let test_area_overflows () =
     | Wam.Seq.Failure -> Alcotest.fail "the good query must succeed"
   in
   let serve server query =
-    Server.Serve.compute server ~t0:0. ~key:None { Server.Serve.rq_id = 0; rq_query = query }
+    Server.Serve.compute server ~t0:0. (Server.Serve.admit { Server.Serve.rq_id = 0; rq_query = query })
   in
   let served server =
     let r = serve server good in
@@ -327,65 +327,155 @@ let test_area_overflows () =
     area_programs
 
 (* A released machine comes back from [create] on the same storage,
-   with every page the run wrote reading 0 and workers equal to a new
-   machine's; a second run on it repeats the first's answer, counters
-   and packed trace. *)
+   zeroed.  Release zeroes each page the run wrote only below the
+   high-water mark of its area (the PDL's and message buffer's pages
+   whole), and the registers and saved arguments only up to the
+   code's register bound, so the runs are the ones that could write
+   above a bound: the four benchmarks at quick and paper scale,
+   programs whose parcalls fail and unwind (they lower h, lst and cst
+   by backtracking and send unwind messages) and one that fills the
+   PDL, on the WAM and at 1, 2, 4 and 8 PEs.  After each release
+   every word of every page the run wrote that is kept for reuse
+   reads 0, and so does every register and saved argument; each query
+   runs first on a new machine and then on the storage another query
+   just released, and the second run repeats the first's answer,
+   counters and packed trace. *)
 let test_released_machine_reset () =
-  let prog =
-    Wam.Program.prepare ~parallel:true ~src:Benchlib.Programs.qsort
-      ~query:"qsort([5,3,8,1,9,2,7,4,6,0,11,15,13,12,14,10], S)" ()
+  let programs =
+    List.concat_map
+      (fun quick ->
+        List.map
+          (fun name ->
+            let b = Benchlib.Inputs.benchmark ~quick name in
+            ((if quick then name ^ "/quick" else name), b.Benchlib.Programs.src, b.Benchlib.Programs.query))
+          [ "deriv"; "qsort"; "tak"; "matrix" ])
+      [ true; false ]
+    @ [
+        ("unwind, inline arm fails", Test_properties.unwind_stress_src ~inline_fails:true 3, "p(9, R)");
+        ("unwind, pushed arm fails", Test_properties.unwind_stress_src ~inline_fails:false 2, "p(8, R)");
+        ("failing parcalls", Test_properties.failure_stress_src 3, "p(10, R)");
+        ( "compound terms unified",
+          "t(X, Y) :- X = f(g(1, [a, b]), h(Z)), Y = f(g(1, [a, W]), h(2)), X = Y.\n",
+          "t(X, Y)" );
+      ]
   in
   let copy v : Wam.Machine.worker array = Marshal.from_string (Marshal.to_string v []) 0 in
-  let run () =
+  let mem (m : Wam.Machine.t) = m.Wam.Machine.mem in
+  let message = Trace.Area.to_int Trace.Area.Message in
+  let unwound = ref false in
+  (* [pes = 0] is the WAM.  Also returns the page directory the run
+     started on: a run that first writes a PE's region above the
+     directory's reach grows it. *)
+  let run pes prog =
     let buf = Trace.Sink.Buffer_sink.create () in
-    let sim = Rapwam.Sim.create ~sink:(Trace.Sink.buffer buf) ~n_workers:5 prog in
-    let m = sim.Rapwam.Sim.m in
-    let pages = m.Wam.Machine.mem.Wam.Memory.pages and workers = copy m.Wam.Machine.workers in
-    let result = Rapwam.Sim.run_prepared sim prog in
-    let words = ref [] in
-    Trace.Sink.Buffer_sink.iter_packed (fun w -> words := w :: !words) buf;
+    let sink = Trace.Sink.buffer buf in
+    let result, m, pages =
+      if pes = 0 then
+        let result, m = Wam.Seq.run ~sink prog in
+        (result, m, (mem m).Wam.Memory.pages)
+      else
+        let sim = Rapwam.Sim.create ~sink ~n_workers:pes prog in
+        let pages = (mem sim.Rapwam.Sim.m).Wam.Memory.pages in
+        (Rapwam.Sim.run_prepared sim prog, sim.Rapwam.Sim.m, pages)
+    in
+    let b = Buffer.create (8 * Trace.Sink.Buffer_sink.length buf) in
+    Trace.Sink.Buffer_sink.iter_packed
+      (fun w ->
+        if
+          (not (Trace.Ref_record.is_sync_word w))
+          && (w lsr Trace.Ref_record.tag_shift) land Trace.Ref_record.tag_mask = message
+        then unwound := true;
+        Buffer.add_int64_le b (Int64.of_int w))
+      buf;
     let counters =
       ( (m.Wam.Machine.steps, m.Wam.Machine.inferences, m.Wam.Machine.parcalls),
         (m.Wam.Machine.goals_pushed, m.Wam.Machine.goals_stolen, m.Wam.Machine.cp_created),
+        (m.Wam.Machine.cp_elided, m.Wam.Machine.trail_elided, m.Wam.Machine.deref_skipped),
         Array.to_list m.Wam.Machine.opcode_freq,
         Array.map
           (fun (w : Wam.Machine.worker) ->
-            (w.instr_count, w.idle_cycles, w.wait_cycles, w.max_h, w.max_lst, w.max_tr))
+            ( (w.instr_count, w.idle_cycles, w.wait_cycles),
+              (w.max_h, w.max_lst, w.max_cst, w.max_tr, w.max_gs) ))
           m.Wam.Machine.workers )
     in
-    (m, pages, workers, (result, counters, !words))
+    (m, pages, (result, counters, Digest.string (Buffer.contents b)))
   in
-  let m1, _, fresh, first = run () in
-  let written = m1.Wam.Machine.mem.Wam.Memory.written in
-  Alcotest.(check bool) "the run wrote pages" true (written <> []);
-  let pages = m1.Wam.Machine.mem.Wam.Memory.pages in
-  Wam.Machine.release m1;
-  let m2 =
-    Wam.Machine.create ~n_workers:5 ~code:prog.Wam.Program.code
+  let create width (prog : Wam.Program.t) =
+    Wam.Machine.create ~n_workers:width ~code:prog.Wam.Program.code
       ~symbols:prog.Wam.Program.symbols ()
   in
-  Alcotest.(check bool) "storage reused" true (m2.Wam.Machine.mem.Wam.Memory.pages == pages);
-  Alcotest.(check bool) "workers as new" true (copy m2.Wam.Machine.workers = fresh);
-  (* the release kept each page it zeroed as a spare; a first write
-     to each of those pages takes one, and every other word of it
-     reads 0 *)
-  Alcotest.(check int) "pages kept as spares" (List.length written)
-    (List.length m2.Wam.Machine.mem.Wam.Memory.spare);
+  (* The pool keeps at most 8 idle machines of any width and drops a
+     machine given to it when full.  [drain] takes every idle machine
+     of [width] workers out of it. *)
+  let drain width prog =
+    for _ = 1 to 8 do
+      ignore (create width prog)
+    done
+  in
+  (* Puts one new machine, unused, in the pool for the next run to
+     take; returns that machine's workers. *)
+  let fresh width prog =
+    drain width prog;
+    let m = create width prog in
+    Alcotest.(check (list int)) "a new machine has no spare pages" [] (List.map Array.length (mem m).Wam.Memory.spare);
+    let workers = copy m.Wam.Machine.workers in
+    Wam.Machine.release m;
+    workers
+  in
+  let release_reset what width prog (m : Wam.Machine.t) ~workers =
+    let kept = min 64 (List.length (mem m).Wam.Memory.spare + List.length (mem m).Wam.Memory.written) in
+    Alcotest.(check bool) (what ^ ": the run wrote pages") true ((mem m).Wam.Memory.written <> []);
+    Wam.Machine.release m;
+    Alcotest.(check int) (what ^ ": pages kept as spares") kept (List.length (mem m).Wam.Memory.spare);
+    let zero kind a =
+      Array.iteri (fun i v -> if v <> 0 then Alcotest.failf "%s: word %d of %s holds %d" what i kind v) a
+    in
+    List.iter (zero "a spare page") (mem m).Wam.Memory.spare;
+    Array.iter
+      (fun (w : Wam.Machine.worker) ->
+        zero (Printf.sprintf "PE %d's registers" w.id) w.x;
+        zero (Printf.sprintf "PE %d's saved arguments" w.id) w.shallow.sh_args)
+      m.Wam.Machine.workers;
+    let next = create width prog in
+    Alcotest.(check bool) (what ^ ": storage reused") true ((mem next).Wam.Memory.pages == (mem m).Wam.Memory.pages);
+    Alcotest.(check bool) (what ^ ": workers as new") true (copy next.Wam.Machine.workers = workers);
+    Wam.Machine.release next
+  in
   List.iter
-    (fun idx ->
-      let base = idx lsl 12 in
-      Wam.Memory.poke m2.Wam.Machine.mem base 1;
-      for addr = base + 1 to base + 4095 do
-        if Wam.Memory.peek m2.Wam.Machine.mem addr <> 0 then
-          Alcotest.failf "word %d still holds %d" addr (Wam.Memory.peek m2.Wam.Machine.mem addr)
-      done)
-    written;
-  Alcotest.(check int) "spares all taken" 0 (List.length m2.Wam.Machine.mem.Wam.Memory.spare);
-  Wam.Machine.release m2;
-  let _, reused, workers, second = run () in
-  Alcotest.(check bool) "second run on the released storage" true (reused == pages);
-  Alcotest.(check bool) "its workers as new" true (workers = fresh);
-  Alcotest.(check bool) "same answer, counters and trace" true (first = second)
+    (fun pes ->
+      let width = max 1 pes in
+      let progs =
+        List.map
+          (fun (name, src, query) ->
+            let what = Printf.sprintf "%s, %s" name (if pes = 0 then "WAM" else Printf.sprintf "%d PEs" pes) in
+            (what, Wam.Program.prepare ~parallel:(pes > 0) ~src ~query ()))
+          programs
+      in
+      (* the widths earlier tests and phases release: the pool keeps
+         room for this phase's machine *)
+      List.iter (fun w -> drain w (snd (List.hd progs))) [ 1; 2; 4; 8 ];
+      let firsts =
+        List.map
+          (fun (what, prog) ->
+            let workers = fresh width prog in
+            let m, _, first = run pes prog in
+            release_reset what width prog m ~workers;
+            (first, workers))
+          progs
+      in
+      (* each query again, on the storage the query before it released *)
+      List.iter2
+        (fun (what, prog) (first, workers) ->
+          let idle = create width prog in
+          let before = (mem idle).Wam.Memory.pages in
+          Wam.Machine.release idle;
+          let m, pages, again = run pes prog in
+          Alcotest.(check bool) (what ^ ": run on released storage") true (pages == before);
+          Alcotest.(check bool) (what ^ ": same answer, counters and trace") true (first = again);
+          release_reset what width prog m ~workers)
+        progs firsts)
+    [ 0; 1; 2; 4; 8 ];
+  Alcotest.(check bool) "some run sent unwind messages" true !unwound
 
 (* A negative address is refused on every sink, before a word is
    emitted. *)

@@ -207,6 +207,29 @@ let test_insert_find () =
   Alcotest.(check int) "misses" 1 s.Memo.Table.misses;
   Alcotest.(check int) "entries" 1 s.Memo.Table.entries
 
+(* Two answers that differ only in variable names, in one list, into
+   a fresh entry: the first goes in unprinted, and the second is still
+   found to be its variant.  A later variant is one more duplicate; an
+   answer whose variables share less is no variant. *)
+let test_fresh_entry_dedup () =
+  let t = Memo.Table.create ~capacity_words:0 () in
+  let k = key "p(X)" in
+  let answer v w = [ ("X", Prolog.Term.Struct ("f", [ Prolog.Term.Var v; Prolog.Term.Var w ])) ] in
+  let counts () =
+    let s = Memo.Table.totals t in
+    (s.Memo.Table.inserts, s.Memo.Table.duplicates)
+  in
+  Alcotest.(check int) "one of two variants added" 1
+    (Memo.Table.insert t k [ answer "_A" "_A"; answer "_B" "_B" ]);
+  Alcotest.(check (pair int int)) "inserts, duplicates" (1, 1) (counts ());
+  Alcotest.(check int) "a third variant dropped" 0 (Memo.Table.insert t k [ answer "_C" "_C" ]);
+  Alcotest.(check (pair int int)) "one more duplicate" (1, 2) (counts ());
+  Alcotest.(check int) "f(_C, _D) is no variant of f(_A, _A)" 1
+    (Memo.Table.insert t k [ answer "_C" "_D" ]);
+  Alcotest.(check (pair int int)) "one more insert" (2, 2) (counts ());
+  Alcotest.(check bool) "answers in first-insert order" true
+    (Memo.Table.find t k = Some [ answer "_A" "_A"; answer "_C" "_D" ])
+
 let test_empty_answer_set () =
   (* failure is memoable: an entry with zero answers is a hit *)
   let t = Memo.Table.create ~capacity_words:0 () in
@@ -469,4 +492,6 @@ let suite =
     Alcotest.test_case "canon: anonymous variables are fresh" `Quick
       test_canon_anonymous_is_fresh;
     QCheck_alcotest.to_alcotest prop_key_text;
+    Alcotest.test_case "a fresh entry dedupes variants in one insert" `Quick
+      test_fresh_entry_dedup;
   ]

@@ -180,13 +180,17 @@ let test_pins_on_released () =
           in
           let dirty =
             Wam.Program.with_query image
-              ~query:("functor(Dirty1, dirty, 7), Dirty2 =.. [dirtier, Dirty1, Dirty1], "
-                     ^ b.Benchlib.Programs.query)
+              ~query:
+                (Prolog.Parser.term_of_string
+                   ("functor(Dirty1, dirty, 7), Dirty2 =.. [dirtier, Dirty1, Dirty1], "
+                   ^ b.Benchlib.Programs.query))
           in
           let _, released, _ = traced dirty n_pes in
           Wam.Machine.release released;
           Wam.Program.release dirty;
-          let prog = Wam.Program.with_query image ~query:b.Benchlib.Programs.query in
+          let prog =
+            Wam.Program.with_query image ~query:(Prolog.Parser.term_of_string b.Benchlib.Programs.query)
+          in
           let result, m, buf = traced prog n_pes in
           Alcotest.(check bool) (key ^ ": workspace reused") true
             (prog.Wam.Program.code == dirty.Wam.Program.code);

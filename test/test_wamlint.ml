@@ -27,7 +27,7 @@ let fixture build =
 
 let entry symbols code name arity =
   let fid = Wam.Symbols.functor_ symbols name arity in
-  Wam.Code.set_entry code fid (Wam.Code.here code);
+  Wam.Code.set_entry code fid ~arity (Wam.Code.here code);
   fid
 
 let emit code i = ignore (Wam.Code.emit code i)
