@@ -1,11 +1,13 @@
 (* Per-predicate fact export.
 
-   The flat-store dispatch loop (ROADMAP item 1) wants a static table
-   it can consult without re-running the analysis: per predicate, the
-   call-time instantiation and binding conditionality of every
-   argument, whether every dispatch chain is determinacy-certified,
-   and which arguments are certified uninitialized outputs.  This
-   module renders {!Dom.pred_fact} lists as JSON. *)
+   The flat-store dispatch loop (the ROADMAP item "An emulator step
+   that allocates nothing and inlines its cell and memory operations")
+   wants a static table it can consult without re-running the
+   analysis: per predicate, the call-time instantiation and binding
+   conditionality of every argument, whether every dispatch chain is
+   determinacy-certified, and which arguments are certified
+   uninitialized outputs.  This module renders {!Dom.pred_fact} lists
+   as JSON. *)
 
 let json_of_fact (f : Dom.pred_fact) =
   let module J = Obs.Json in

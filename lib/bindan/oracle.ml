@@ -75,9 +75,7 @@ let site_of_pair (base : Wam.Instr.t) (bind : Wam.Instr.t) =
       (match bind with
       | Wam.Instr.Get_structure (_, _, Wam.Instr.Uncond)
       | Wam.Instr.Get_list (_, Wam.Instr.Uncond)
-      | Wam.Instr.Get_constant (_, _, true)
-      | Wam.Instr.Get_integer (_, _, true)
-      | Wam.Instr.Get_nil (_, true) ->
+      | Wam.Instr.Get_constant (_, _, true) ->
         Ok K_uninit_get
       | Wam.Instr.Get_structure (_, _, Wam.Instr.Rigid) -> Ok K_rigid_struct
       | Wam.Instr.Get_list (_, Wam.Instr.Rigid) -> Ok K_rigid_list

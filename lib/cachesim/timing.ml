@@ -14,7 +14,7 @@
    total time T, bus words B, per-word service S and n PEs:
 
      rho(T)   = B * S / T                     (bus utilization)
-     R(T)     = S + rho*S / (2*(1 - rho))     (M/D/1 response)
+     R(T)     = S + rho*S / (2*(1 - rho))     (M/D/1 response, Queueing.Mg1)
      T        = rounds*cpi + (B/n) * (R(T) + miss_penalty)
 
    The right-hand side decreases in T, so the unique fixed point is
@@ -41,9 +41,8 @@ let estimate ~rounds ~n_pes (stats : Metrics.t) =
   let service = 1.0 /. bus_words_per_cycle in
   let per_pe = bus_words /. float_of_int (max n_pes 1) in
   let response t =
-    let rho = bus_words *. service /. t in
-    if rho >= 1.0 then infinity
-    else service +. (rho *. service /. (2.0 *. (1.0 -. rho)))
+    Queueing.Mg1.mean_response
+      (Queueing.Mg1.make ~lambda:(bus_words /. t) ~service ())
   in
   let rhs t = ideal +. (per_pe *. (response t +. miss_penalty)) in
   (* bisection: lo just above bus saturation, hi safely past the root *)

@@ -116,8 +116,7 @@ let step st (i : Wam.Instr.t) =
     write_reg st (X a) Free
   | Put_value (r, a) -> write_reg st (X a) (read_reg st r)
   | Put_unsafe_value (n, a) -> write_reg st (X a) (read_reg st (Y n))
-  | Put_constant (_, a) | Put_integer (_, a) | Put_nil a ->
-    write_reg st (X a) Ground
+  | Put_constant (_, a) -> write_reg st (X a) Ground
   | Put_structure (_, a) | Put_list a ->
     write_reg st (X a) Any;
     st.sm <- Sw
@@ -129,8 +128,7 @@ let step st (i : Wam.Instr.t) =
     in
     write_reg st r g;
     write_reg st (X a) g
-  | Get_constant (_, a, _) | Get_integer (_, a, _) | Get_nil (a, _) ->
-    write_reg st (X a) Ground
+  | Get_constant (_, a, _) -> write_reg st (X a) Ground
   | Get_structure (_, a, Plain) | Get_list (a, Plain) ->
     if read_reg st (X a) = Ground then st.sm <- Sg
     else begin
@@ -150,7 +148,7 @@ let step st (i : Wam.Instr.t) =
   | Unify_value r | Unify_local_value r ->
     if st.sm = Sg then write_reg st r Ground
     else if read_reg st r <> Ground then write_reg st r Any
-  | Unify_constant _ | Unify_integer _ | Unify_nil | Unify_void _ -> ()
+  | Unify_constant _ | Unify_void _ -> ()
   | Allocate n -> st.y <- Array.make (max n 1) Any
   | Deallocate -> Array.fill st.y 0 (Array.length st.y) Any
   | Call _ -> degrade_after_call st
@@ -168,7 +166,7 @@ let step st (i : Wam.Instr.t) =
     kill_x st;
     Array.fill st.y 0 (Array.length st.y) Any
   | Try _ | Retry _ | Trust _ | Switch_on_term _ | Switch_on_constant _
-  | Switch_on_integer _ | Switch_on_structure _ | Neck_cut | Cut_to _
+  | Switch_on_structure _ | Neck_cut | Cut_to _
   | Check_ground _ | Check_indep _ | Check_size _ | Alloc_parcall _
   | Push_goal _ ->
     ()
@@ -187,7 +185,6 @@ let targets code ~entry ~stop =
     | Wam.Instr.Switch_on_term { var_l; con_l; int_l; lis_l; str_l } ->
       List.iter (add dispatch) [ var_l; con_l; int_l; lis_l; str_l ]
     | Wam.Instr.Switch_on_constant (tbl, d)
-    | Wam.Instr.Switch_on_integer (tbl, d)
     | Wam.Instr.Switch_on_structure (tbl, d) ->
       Array.iter (fun (_, l) -> add dispatch l) tbl;
       add dispatch d

@@ -112,9 +112,7 @@ let of_instr ?(ctx = conservative) ?(shallow = false) ~arity (i : Instr.t) =
       (* read the slot, deref; globalization adds a heap cell, a stack
          binding and possibly a trail entry *)
       [ e Env_pvar both 1 3; e Heap both 0 2; e Trail writes 0 1 ]
-    | Instr.Put_constant _ | Instr.Put_integer _ | Instr.Put_nil _
-    | Instr.Put_list _ ->
-      []
+    | Instr.Put_constant _ | Instr.Put_list _ -> []
     | Instr.Put_structure _ -> [ e Heap writes 1 1 ]
     (* get group: ground argument => pure read-mode matching *)
     | Instr.Get_variable (r, _) -> slot r writes
@@ -129,9 +127,7 @@ let of_instr ?(ctx = conservative) ?(shallow = false) ~arity (i : Instr.t) =
       [ e Heap (binds g) 0 10; e Pdl both 0 4 ]
       @ pvar r (binds g) ~y:1 ~x:3
       @ trail ((not g) && cert <> Instr.Uncond) 0 1
-    | Instr.Get_constant (_, a, false)
-    | Instr.Get_integer (_, a, false)
-    | Instr.Get_nil (a, false) ->
+    | Instr.Get_constant (_, a, false) ->
       let g = ctx.ground (Instr.X a) in
       [ e Heap (binds g) 0 2; e Env_pvar (binds g) 0 2 ] @ trail (not g) 0 1
     | Instr.Get_structure (_, a, Instr.Plain) ->
@@ -149,10 +145,7 @@ let of_instr ?(ctx = conservative) ?(shallow = false) ~arity (i : Instr.t) =
     | Instr.Get_structure (_, _, Instr.Uncond) ->
       (* functor push + cell overwrite *)
       [ e Heap writes 2 2; e Env_pvar writes 0 1 ]
-    | Instr.Get_list (_, Instr.Uncond)
-    | Instr.Get_constant (_, _, true)
-    | Instr.Get_integer (_, _, true)
-    | Instr.Get_nil (_, true) ->
+    | Instr.Get_list (_, Instr.Uncond) | Instr.Get_constant (_, _, true) ->
       (* one direct overwrite of the certified-free cell *)
       [ e Heap writes 0 1; e Env_pvar writes 0 1 ]
     (* unify group: a ground structure being read never binds its own
@@ -171,7 +164,7 @@ let of_instr ?(ctx = conservative) ?(shallow = false) ~arity (i : Instr.t) =
       [ e Heap (binds g) 1 4; e Pdl both 0 2 ]
       @ pvar r (binds g) ~y:3 ~x:2
       @ trail (not g) 0 1
-    | Instr.Unify_constant _ | Instr.Unify_integer _ | Instr.Unify_nil ->
+    | Instr.Unify_constant _ ->
       let g = ctx.struct_ground in
       [ e Heap (binds g) 1 3; e Env_pvar (binds g) 0 2 ] @ trail (not g) 0 1
     | Instr.Unify_void n ->
@@ -197,8 +190,7 @@ let of_instr ?(ctx = conservative) ?(shallow = false) ~arity (i : Instr.t) =
     | Instr.Trust (_, Instr.Shallow) ->
       []
     (* indexing *)
-    | Instr.Switch_on_term _ | Instr.Switch_on_constant _
-    | Instr.Switch_on_integer _ ->
+    | Instr.Switch_on_term _ | Instr.Switch_on_constant _ ->
       [ e Heap reads 0 1; e Env_pvar reads 0 1 ]
     | Instr.Switch_on_structure _ -> [ e Heap reads 0 2; e Env_pvar reads 0 1 ]
     (* cut *)
@@ -251,11 +243,9 @@ let may entries area op =
 
 let may_fail (i : Instr.t) =
   match i with
-  | Instr.Get_value _ | Instr.Get_constant _ | Instr.Get_integer _
-  | Instr.Get_nil _ | Instr.Get_structure _ | Instr.Get_list _
-  | Instr.Unify_value _ | Instr.Unify_local_value _ | Instr.Unify_constant _
-  | Instr.Unify_integer _ | Instr.Unify_nil | Instr.Switch_on_term _
-  | Instr.Switch_on_constant _ | Instr.Switch_on_integer _
+  | Instr.Get_value _ | Instr.Get_constant _ | Instr.Get_structure _
+  | Instr.Get_list _ | Instr.Unify_value _ | Instr.Unify_local_value _
+  | Instr.Unify_constant _ | Instr.Switch_on_term _ | Instr.Switch_on_constant _
   | Instr.Switch_on_structure _ | Instr.Par_join ->
     true
   | Instr.Builtin (b, _, _) -> begin

@@ -71,15 +71,20 @@ let iter_entries t f = Hashtbl.iter f t.entries
 
 let trace_addr addr = Layout.code_base + addr
 
-(* Disassembly listing, for debugging and documentation. *)
+(* Disassembly listing, for debugging and documentation: one
+   instruction per line in its own vertical box, a predicate's block
+   after a blank line and its name. *)
 let pp symbols fmt t =
   let block_starts = Hashtbl.create 64 in
   Vec.iter (fun (addr, fid) -> Hashtbl.replace block_starts addr fid) t.blocks;
+  Format.pp_open_vbox fmt 0;
   Vec.iteri
     (fun addr i ->
+      if addr > 0 then Format.pp_print_cut fmt ();
       (match Hashtbl.find_opt block_starts addr with
       | Some fid ->
         Format.fprintf fmt "@,%s:@," (Symbols.spec_string symbols fid)
       | None -> ());
-      Format.fprintf fmt "  %4d  %a@," addr Instr.pp i)
-    t.instrs
+      Format.fprintf fmt "  %4d  %a" addr Instr.pp i)
+    t.instrs;
+  Format.pp_close_box fmt ()

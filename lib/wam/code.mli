@@ -49,4 +49,5 @@ val trace_addr : int -> int
 (** Code-region address of an instruction, for trace records. *)
 
 val pp : Symbols.t -> Format.formatter -> t -> unit
-(** Disassembly listing. *)
+(** Disassembly listing in a vertical box of its own: one instruction
+    per line, each predicate's block headed by its [name/arity]. *)

@@ -21,10 +21,15 @@ exception Error of string
 
 let error fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
 
-(* An integer constant must survive the cell encoding. *)
-let int_const n =
-  if not (Cell.fits n) then error "integer %d does not fit a cell" n;
-  n
+(* A constant's tagged cell, the operand of the constant instructions
+   and a switch_on_constant key.  An integer must survive the cell
+   encoding. *)
+let constant symbols = function
+  | Prolog.Term.Int n ->
+    if not (Cell.fits n) then error "integer %d does not fit a cell" n;
+    Cell.num n
+  | Prolog.Term.Atom a -> Cell.con (Symbols.atom symbols a)
+  | Prolog.Term.Var _ | Prolog.Term.Struct _ -> error "not a constant"
 
 (* ------------------------------------------------------------------ *)
 (* Variable classification.                                           *)
@@ -201,10 +206,8 @@ let compile_head ctx ?bind head =
       if is_void ctx v then emit (Instr.Unify_void 1)
       else if first_occ v then emit (Instr.Unify_variable (reg_of ctx v))
       else emit (Instr.Unify_local_value (reg_of ctx v))
-    | Prolog.Term.Int n -> emit (Instr.Unify_integer (int_const n))
-    | Prolog.Term.Atom "[]" -> emit Instr.Unify_nil
-    | Prolog.Term.Atom a ->
-      emit (Instr.Unify_constant (Symbols.atom ctx.symbols a))
+    | Prolog.Term.Int _ | Prolog.Term.Atom _ ->
+      emit (Instr.Unify_constant (constant ctx.symbols t))
     | Prolog.Term.Struct _ ->
       let t_reg = alloc_temp ctx in
       emit (Instr.Unify_variable (Instr.X t_reg));
@@ -233,10 +236,8 @@ let compile_head ctx ?bind head =
             | Cert_none | Cert_uninit -> Instr.Plain
           in
           emit (Instr.Get_value (reg_of ctx v, into, value_cert))
-    | Prolog.Term.Int n -> emit (Instr.Get_integer (int_const n, into, uncond))
-    | Prolog.Term.Atom "[]" -> emit (Instr.Get_nil (into, uncond))
-    | Prolog.Term.Atom a ->
-      emit (Instr.Get_constant (Symbols.atom ctx.symbols a, into, uncond))
+    | Prolog.Term.Int _ | Prolog.Term.Atom _ ->
+      emit (Instr.Get_constant (constant ctx.symbols t, into, uncond))
     | Prolog.Term.Struct (".", [ h; tl ]) ->
       emit (Instr.Get_list (into, term_cert));
       unify_arg h;
@@ -303,10 +304,8 @@ and prepare_unify_arg ctx seen t =
       (Instr.Unify_variable (reg_of ctx v), [])
     end
     else (Instr.Unify_local_value (reg_of ctx v), [])
-  | Prolog.Term.Int n -> (Instr.Unify_integer (int_const n), [])
-  | Prolog.Term.Atom "[]" -> (Instr.Unify_nil, [])
-  | Prolog.Term.Atom a ->
-    (Instr.Unify_constant (Symbols.atom ctx.symbols a), [])
+  | Prolog.Term.Int _ | Prolog.Term.Atom _ ->
+    (Instr.Unify_constant (constant ctx.symbols t), [])
   | Prolog.Term.Struct _ ->
     let reg, scratch = build_struct ctx seen t in
     (Instr.Unify_value (Instr.X reg), scratch)
@@ -336,10 +335,8 @@ let put_args ctx seen ?(uninit = no_uninit) ~last args =
           emit (Instr.Put_unsafe_value (y, into))
         | reg -> emit (Instr.Put_value (reg, into))
       end
-    | Prolog.Term.Int n -> emit (Instr.Put_integer (int_const n, into))
-    | Prolog.Term.Atom "[]" -> emit (Instr.Put_nil into)
-    | Prolog.Term.Atom a ->
-      emit (Instr.Put_constant (Symbols.atom ctx.symbols a, into))
+    | Prolog.Term.Int _ | Prolog.Term.Atom _ ->
+      emit (Instr.Put_constant (constant ctx.symbols t, into))
     | Prolog.Term.Struct _ ->
       let reg, scratch = build_struct ctx seen t in
       emit (Instr.Put_value (Instr.X reg, into));
@@ -776,6 +773,8 @@ type chain_info = {
   ci_clauses : int list;
 }
 
+(* An atom's and an integer's key is its constant cell; they keep
+   apart because switch_on_term sends each kind to its own label. *)
 type first_arg = FA_var | FA_con of int | FA_int of int | FA_lis | FA_str of int
 
 let first_arg_of symbols (clause : Prolog.Database.clause) =
@@ -784,8 +783,8 @@ let first_arg_of symbols (clause : Prolog.Database.clause) =
   | Prolog.Term.Struct (_, arg :: _) -> begin
     match arg with
     | Prolog.Term.Var _ -> FA_var
-    | Prolog.Term.Atom a -> FA_con (Symbols.atom symbols a)
-    | Prolog.Term.Int n -> FA_int n
+    | Prolog.Term.Atom _ -> FA_con (constant symbols arg)
+    | Prolog.Term.Int _ -> FA_int (constant symbols arg)
     | Prolog.Term.Struct (".", [ _; _ ]) -> FA_lis
     | Prolog.Term.Struct (f, args) ->
       FA_str (Symbols.functor_ symbols f (List.length args))
@@ -976,7 +975,7 @@ let compile_predicate ~parallel ?det ?bind ?chains symbols code db alloc key =
       let int_l =
         sub
           (function FA_int n -> Some n | FA_var | FA_con _ | FA_lis | FA_str _ -> None)
-          (fun (g, d) -> Instr.Switch_on_integer (g, d))
+          (fun (g, d) -> Instr.Switch_on_constant (g, d))
           (has (function FA_int _ -> true | _ -> false))
           ~bucket:"int"
       in

@@ -334,17 +334,15 @@ let commits = function
   | Instr.Push_goal _ | Instr.Par_join | Instr.Goal_done ->
     true
   | Instr.Put_variable _ | Instr.Put_value _ | Instr.Put_unsafe_value _
-  | Instr.Put_constant _ | Instr.Put_integer _ | Instr.Put_nil _
-  | Instr.Put_structure _ | Instr.Put_list _ | Instr.Get_variable _
-  | Instr.Get_value _ | Instr.Get_constant _ | Instr.Get_integer _
-  | Instr.Get_nil _ | Instr.Get_structure _ | Instr.Get_list _
-  | Instr.Unify_variable _ | Instr.Unify_value _ | Instr.Unify_local_value _
-  | Instr.Unify_constant _ | Instr.Unify_integer _ | Instr.Unify_nil
+  | Instr.Put_constant _ | Instr.Put_structure _ | Instr.Put_list _
+  | Instr.Get_variable _ | Instr.Get_value _ | Instr.Get_constant _
+  | Instr.Get_structure _ | Instr.Get_list _ | Instr.Unify_variable _
+  | Instr.Unify_value _ | Instr.Unify_local_value _ | Instr.Unify_constant _
   | Instr.Unify_void _ | Instr.Allocate _ | Instr.Deallocate | Instr.Jump _
   | Instr.Try _ | Instr.Retry _ | Instr.Trust _ | Instr.Switch_on_term _
-  | Instr.Switch_on_constant _ | Instr.Switch_on_integer _
-  | Instr.Switch_on_structure _ | Instr.Get_level _ | Instr.Builtin _
-  | Instr.Check_ground _ | Instr.Check_indep _ | Instr.Check_size _ ->
+  | Instr.Switch_on_constant _ | Instr.Switch_on_structure _
+  | Instr.Get_level _ | Instr.Builtin _ | Instr.Check_ground _
+  | Instr.Check_indep _ | Instr.Check_size _ ->
     false
 
 let maybe_commit m (w : worker) instr =
@@ -703,13 +701,12 @@ let rec encode m w env t =
 (* Builtins.  Each returns [true] on success; [false] triggers fail.  *)
 
 let list_of_cells m w cells =
-  let nil = Cell.con m.nil_atom in
   List.fold_right
     (fun c acc ->
       let a = hpush m w c in
       ignore (hpush m w acc);
       Cell.lis a)
-    cells nil
+    cells (Cell.con Symbols.nil)
 
 let exec_builtin m (w : worker) b _arity =
   let a i = w.x.(i) in
@@ -877,7 +874,7 @@ let exec_builtin m (w : worker) b _arity =
       (* Construction: collect the list elements. *)
       let rec elements cell acc =
         match Cell.view (deref m w cell) with
-        | Cell.Con c when c = m.nil_atom -> List.rev acc
+        | Cell.Con c when c = Symbols.nil -> List.rev acc
         | Cell.Lis addr ->
           elements (rd_auto m w (addr + 1)) (rd_auto m w addr :: acc)
         | Cell.Ref _ | Cell.Str _ | Cell.Con _ | Cell.Num _ | Cell.Fun _
@@ -1025,6 +1022,15 @@ let uncond_target m (w : worker) ai =
     -1
   end
 
+(* Match a constant's cell against a cell (get_constant, and
+   unify_constant in read mode): a variable binds to the constant, and
+   any other cell must equal it as a whole word, so an atom never
+   matches the integer with the same payload. *)
+let match_constant m w c cell =
+  let d = deref m w cell in
+  if Cell.is_ref d then bind m w (Cell.payload d) c
+  else if d <> c then fail m w
+
 let step_core m (w : worker) instr =
   match instr with
   (* ---- put ---- *)
@@ -1048,9 +1054,7 @@ let step_core m (w : worker) instr =
     | Cell.Fun _ | Cell.Raw _ ->
       w.x.(ai) <- v
   end
-  | Instr.Put_constant (c, ai) -> w.x.(ai) <- Cell.con c
-  | Instr.Put_integer (n, ai) -> w.x.(ai) <- Cell.num n
-  | Instr.Put_nil ai -> w.x.(ai) <- Cell.con m.nil_atom
+  | Instr.Put_constant (c, ai) -> w.x.(ai) <- c
   | Instr.Put_structure (f, ai) ->
     let a = hpush m w (Cell.fun_ f) in
     w.x.(ai) <- Cell.str a;
@@ -1062,30 +1066,7 @@ let step_core m (w : worker) instr =
   | Instr.Get_variable (r, ai) -> set_reg m w r w.x.(ai)
   | Instr.Get_value (r, ai, Instr.Plain) ->
     if not (unify m w (get_reg m w r) w.x.(ai)) then fail m w
-  | Instr.Get_constant (c, ai, false) -> begin
-    match Cell.view (deref m w w.x.(ai)) with
-    | Cell.Ref a -> bind m w a (Cell.con c)
-    | Cell.Con c' when c' = c -> ()
-    | Cell.Con _ | Cell.Str _ | Cell.Lis _ | Cell.Num _ | Cell.Fun _
-    | Cell.Raw _ ->
-      fail m w
-  end
-  | Instr.Get_integer (n, ai, false) -> begin
-    match Cell.view (deref m w w.x.(ai)) with
-    | Cell.Ref a -> bind m w a (Cell.num n)
-    | Cell.Num n' when n' = n -> ()
-    | Cell.Num _ | Cell.Con _ | Cell.Str _ | Cell.Lis _ | Cell.Fun _
-    | Cell.Raw _ ->
-      fail m w
-  end
-  | Instr.Get_nil (ai, false) -> begin
-    match Cell.view (deref m w w.x.(ai)) with
-    | Cell.Ref a -> bind m w a (Cell.con m.nil_atom)
-    | Cell.Con c when c = m.nil_atom -> ()
-    | Cell.Con _ | Cell.Str _ | Cell.Lis _ | Cell.Num _ | Cell.Fun _
-    | Cell.Raw _ ->
-      fail m w
-  end
+  | Instr.Get_constant (c, ai, false) -> match_constant m w c w.x.(ai)
   | Instr.Get_structure (f, ai, Instr.Plain) -> begin
     match Cell.view (deref m w w.x.(ai)) with
     | Cell.Ref a ->
@@ -1147,40 +1128,11 @@ let step_core m (w : worker) instr =
       if not (unify m w (get_reg m w r) sc) then fail m w
     end
   | Instr.Unify_constant c ->
-    if w.mode_write then ignore (hpush m w (Cell.con c))
+    if w.mode_write then ignore (hpush m w c)
     else begin
       let sc = rd_auto m w w.s in
       w.s <- w.s + 1;
-      match Cell.view (deref m w sc) with
-      | Cell.Ref a -> bind m w a (Cell.con c)
-      | Cell.Con c' when c' = c -> ()
-      | Cell.Con _ | Cell.Str _ | Cell.Lis _ | Cell.Num _ | Cell.Fun _
-      | Cell.Raw _ ->
-        fail m w
-    end
-  | Instr.Unify_integer n ->
-    if w.mode_write then ignore (hpush m w (Cell.num n))
-    else begin
-      let sc = rd_auto m w w.s in
-      w.s <- w.s + 1;
-      match Cell.view (deref m w sc) with
-      | Cell.Ref a -> bind m w a (Cell.num n)
-      | Cell.Num n' when n' = n -> ()
-      | Cell.Num _ | Cell.Con _ | Cell.Str _ | Cell.Lis _ | Cell.Fun _
-      | Cell.Raw _ ->
-        fail m w
-    end
-  | Instr.Unify_nil ->
-    if w.mode_write then ignore (hpush m w (Cell.con m.nil_atom))
-    else begin
-      let sc = rd_auto m w w.s in
-      w.s <- w.s + 1;
-      match Cell.view (deref m w sc) with
-      | Cell.Ref a -> bind m w a (Cell.con m.nil_atom)
-      | Cell.Con c when c = m.nil_atom -> ()
-      | Cell.Con _ | Cell.Str _ | Cell.Lis _ | Cell.Num _ | Cell.Fun _
-      | Cell.Raw _ ->
-        fail m w
+      match_constant m w c sc
     end
   | Instr.Unify_void n ->
     if w.mode_write then
@@ -1275,26 +1227,10 @@ let step_core m (w : worker) instr =
     if target = -1 then fail m w else w.p <- target
   end
   | Instr.Switch_on_constant (tbl, default) -> begin
-    match Cell.view (deref m w w.x.(1)) with
-    | Cell.Con c -> begin
-      match Array.find_opt (fun (k, _) -> k = c) tbl with
-      | Some (_, l) -> w.p <- l
-      | None -> if default = -1 then fail m w else w.p <- default
-    end
-    | Cell.Ref _ | Cell.Str _ | Cell.Lis _ | Cell.Num _ | Cell.Fun _
-    | Cell.Raw _ ->
-      fail m w
-  end
-  | Instr.Switch_on_integer (tbl, default) -> begin
-    match Cell.view (deref m w w.x.(1)) with
-    | Cell.Num n -> begin
-      match Array.find_opt (fun (k, _) -> k = n) tbl with
-      | Some (_, l) -> w.p <- l
-      | None -> if default = -1 then fail m w else w.p <- default
-    end
-    | Cell.Ref _ | Cell.Str _ | Cell.Lis _ | Cell.Con _ | Cell.Fun _
-    | Cell.Raw _ ->
-      fail m w
+    let d = deref m w w.x.(1) in
+    match Array.find_opt (fun (k, _) -> k = d) tbl with
+    | Some (_, l) -> w.p <- l
+    | None -> if default = -1 then fail m w else w.p <- default
   end
   | Instr.Switch_on_structure (tbl, default) -> begin
     match Cell.view (deref m w w.x.(1)) with
@@ -1368,13 +1304,7 @@ let step_core m (w : worker) instr =
     end
   | Instr.Get_constant (c, ai, true) ->
     let a = uncond_target m w ai in
-    if a >= 0 then bind_nt m w a (Cell.con c)
-  | Instr.Get_integer (n, ai, true) ->
-    let a = uncond_target m w ai in
-    if a >= 0 then bind_nt m w a (Cell.num n)
-  | Instr.Get_nil (ai, true) ->
-    let a = uncond_target m w ai in
-    if a >= 0 then bind_nt m w a (Cell.con m.nil_atom)
+    if a >= 0 then bind_nt m w a c
   | Instr.Put_variable (Instr.X n, ai, true) ->
     (* uninitialized output: the self-reference init of the fresh heap
        cell is dead (every consumer reaches it through a certified

@@ -5,7 +5,12 @@
    Statically certified facts (lib/detan, lib/bindan) are attributes
    of the base instructions, not extra opcodes: a [chain] on
    try/retry/trust, a [cert] on the compound/value gets, and an
-   [uncond] flag on the atomic gets, put_variable and builtin.
+   [uncond] flag on get_constant, put_variable and builtin.
+
+   A constant operand (and a switch_on_constant key) is the constant's
+   tagged cell, [Cell.con] of an atom id or [Cell.num] of an integer,
+   so one family of constant instructions serves atoms, integers and
+   [[]] (atom [Symbols.nil]).
 
    Labels are absolute code addresses (patched by the compiler); [-1]
    as a switch target means "fail". *)
@@ -20,26 +25,20 @@ type t =
   | Put_variable of reg * int * bool (* uncond: untraced init *)
   | Put_value of reg * int
   | Put_unsafe_value of int * int (* Y index, A *)
-  | Put_constant of int * int (* atom id, A *)
-  | Put_integer of int * int
-  | Put_nil of int
+  | Put_constant of int * int (* constant cell, A *)
   | Put_structure of int * int (* functor id, A *)
   | Put_list of int
   (* get group: head argument unification *)
   | Get_variable of reg * int
   | Get_value of reg * int * cert
-  | Get_constant of int * int * bool (* uncond *)
-  | Get_integer of int * int * bool
-  | Get_nil of int * bool
+  | Get_constant of int * int * bool (* constant cell, A, uncond *)
   | Get_structure of int * int * cert
   | Get_list of int * cert
   (* unify group: structure arguments, in read or write mode *)
   | Unify_variable of reg
   | Unify_value of reg
   | Unify_local_value of reg
-  | Unify_constant of int
-  | Unify_integer of int
-  | Unify_nil
+  | Unify_constant of int (* constant cell *)
   | Unify_void of int
   (* control *)
   | Allocate of int (* n permanent variables *)
@@ -61,8 +60,7 @@ type t =
       lis_l : int;
       str_l : int;
     }
-  | Switch_on_constant of (int * int) array * int (* table, default *)
-  | Switch_on_integer of (int * int) array * int
+  | Switch_on_constant of (int * int) array * int (* cell keys, default *)
   | Switch_on_structure of (int * int) array * int (* functor id keys *)
   (* cut *)
   | Neck_cut
@@ -92,23 +90,17 @@ let op_put_variable = def "put_variable"
 let op_put_value = def "put_value"
 let op_put_unsafe_value = def "put_unsafe_value"
 let op_put_constant = def "put_constant"
-let op_put_integer = def "put_integer"
-let op_put_nil = def "put_nil"
 let op_put_structure = def "put_structure"
 let op_put_list = def "put_list"
 let op_get_variable = def "get_variable"
 let op_get_value = def "get_value"
 let op_get_constant = def "get_constant"
-let op_get_integer = def "get_integer"
-let op_get_nil = def "get_nil"
 let op_get_structure = def "get_structure"
 let op_get_list = def "get_list"
 let op_unify_variable = def "unify_variable"
 let op_unify_value = def "unify_value"
 let op_unify_local_value = def "unify_local_value"
 let op_unify_constant = def "unify_constant"
-let op_unify_integer = def "unify_integer"
-let op_unify_nil = def "unify_nil"
 let op_unify_void = def "unify_void"
 let op_allocate = def "allocate"
 let op_deallocate = def "deallocate"
@@ -122,7 +114,6 @@ let op_retry = def "retry"
 let op_trust = def "trust"
 let op_switch_on_term = def "switch_on_term"
 let op_switch_on_constant = def "switch_on_constant"
-let op_switch_on_integer = def "switch_on_integer"
 let op_switch_on_structure = def "switch_on_structure"
 let op_neck_cut = def "neck_cut"
 let op_get_level = def "get_level"
@@ -144,23 +135,17 @@ let opcode = function
   | Put_value _ -> op_put_value
   | Put_unsafe_value _ -> op_put_unsafe_value
   | Put_constant _ -> op_put_constant
-  | Put_integer _ -> op_put_integer
-  | Put_nil _ -> op_put_nil
   | Put_structure _ -> op_put_structure
   | Put_list _ -> op_put_list
   | Get_variable _ -> op_get_variable
   | Get_value _ -> op_get_value
   | Get_constant _ -> op_get_constant
-  | Get_integer _ -> op_get_integer
-  | Get_nil _ -> op_get_nil
   | Get_structure _ -> op_get_structure
   | Get_list _ -> op_get_list
   | Unify_variable _ -> op_unify_variable
   | Unify_value _ -> op_unify_value
   | Unify_local_value _ -> op_unify_local_value
   | Unify_constant _ -> op_unify_constant
-  | Unify_integer _ -> op_unify_integer
-  | Unify_nil -> op_unify_nil
   | Unify_void _ -> op_unify_void
   | Allocate _ -> op_allocate
   | Deallocate -> op_deallocate
@@ -174,7 +159,6 @@ let opcode = function
   | Trust _ -> op_trust
   | Switch_on_term _ -> op_switch_on_term
   | Switch_on_constant _ -> op_switch_on_constant
-  | Switch_on_integer _ -> op_switch_on_integer
   | Switch_on_structure _ -> op_switch_on_structure
   | Neck_cut -> op_neck_cut
   | Get_level _ -> op_get_level
@@ -192,8 +176,6 @@ let plain = function
   | Put_variable (r, a, _) -> Put_variable (r, a, false)
   | Get_value (r, a, _) -> Get_value (r, a, Plain)
   | Get_constant (c, a, _) -> Get_constant (c, a, false)
-  | Get_integer (n, a, _) -> Get_integer (n, a, false)
-  | Get_nil (a, _) -> Get_nil (a, false)
   | Get_structure (f, a, _) -> Get_structure (f, a, Plain)
   | Get_list (a, _) -> Get_list (a, Plain)
   | Try (l, _) -> Try (l, Deep)
@@ -210,13 +192,9 @@ let max_reg = function
     max (x_index r) a
   | Put_unsafe_value (_, a)
   | Put_constant (_, a)
-  | Put_integer (_, a)
-  | Put_nil a
   | Put_structure (_, a)
   | Put_list a
   | Get_constant (_, a, _)
-  | Get_integer (_, a, _)
-  | Get_nil (a, _)
   | Get_structure (_, a, _)
   | Get_list (a, _)
   | Builtin (_, a, _)
@@ -228,11 +206,10 @@ let max_reg = function
     x_index r
   | Check_indep (r1, r2, _) -> max (x_index r1) (x_index r2)
   | Switch_on_term _ -> 1
-  | Unify_constant _ | Unify_integer _ | Unify_nil | Unify_void _
-  | Allocate _ | Deallocate | Call _ | Execute _ | Proceed | Jump _ | Halt_ok
-  | Try _ | Retry _ | Trust _ | Switch_on_constant _ | Switch_on_integer _
-  | Switch_on_structure _ | Neck_cut | Get_level _ | Cut_to _
-  | Alloc_parcall _ | Par_join | Goal_done ->
+  | Unify_constant _ | Unify_void _ | Allocate _ | Deallocate | Call _
+  | Execute _ | Proceed | Jump _ | Halt_ok | Try _ | Retry _ | Trust _
+  | Switch_on_constant _ | Switch_on_structure _ | Neck_cut | Get_level _
+  | Cut_to _ | Alloc_parcall _ | Par_join | Goal_done ->
     0
 
 let pp_reg fmt = function
@@ -249,12 +226,21 @@ let attribute = function
   | Get_structure (_, _, Uncond)
   | Get_list (_, Uncond)
   | Get_constant (_, _, true)
-  | Get_integer (_, _, true)
-  | Get_nil (_, true)
   | Put_variable (_, _, true)
   | Builtin (_, _, true) ->
     " [uncond]"
   | _ -> ""
+
+(* A constant cell: an atom as its id, an integer as [#n]. *)
+let constant c =
+  let n = Cell.payload c in
+  if c = Cell.num n then Printf.sprintf "#%d" n else string_of_int n
+
+let pp_switch fmt name key tbl d =
+  Format.fprintf fmt "%s [%s] else:%d" name
+    (String.concat "; "
+       (Array.to_list (Array.map (fun (k, l) -> key k ^ "->" ^ string_of_int l) tbl)))
+    d
 
 let pp fmt i =
   let name = opcode_name (opcode i) in
@@ -263,16 +249,15 @@ let pp fmt i =
   | Get_value (r, a, _) ->
     Format.fprintf fmt "%s %a, A%d" name pp_reg r a
   | Put_unsafe_value (y, a) -> Format.fprintf fmt "%s Y%d, A%d" name y a
-  | Put_constant (c, a) | Put_integer (c, a) | Put_structure (c, a)
-  | Get_constant (c, a, _) | Get_integer (c, a, _) | Get_structure (c, a, _) ->
-    Format.fprintf fmt "%s %d, A%d" name c a
-  | Put_nil a | Put_list a | Get_nil (a, _) | Get_list (a, _) ->
-    Format.fprintf fmt "%s A%d" name a
+  | Put_constant (c, a) | Get_constant (c, a, _) ->
+    Format.fprintf fmt "%s %s, A%d" name (constant c) a
+  | Put_structure (f, a) | Get_structure (f, a, _) ->
+    Format.fprintf fmt "%s %d, A%d" name f a
+  | Put_list a | Get_list (a, _) -> Format.fprintf fmt "%s A%d" name a
   | Unify_variable r | Unify_value r | Unify_local_value r ->
     Format.fprintf fmt "%s %a" name pp_reg r
-  | Unify_constant c | Unify_integer c -> Format.fprintf fmt "%s %d" name c
-  | Unify_nil | Deallocate | Proceed | Halt_ok | Neck_cut | Par_join
-  | Goal_done ->
+  | Unify_constant c -> Format.fprintf fmt "%s %s" name (constant c)
+  | Deallocate | Proceed | Halt_ok | Neck_cut | Par_join | Goal_done ->
     Format.pp_print_string fmt name
   | Unify_void n | Allocate n | Call n | Execute n | Jump n | Try (n, _)
   | Retry (n, _) | Trust (n, _) | Get_level n | Cut_to n ->
@@ -282,14 +267,8 @@ let pp fmt i =
   | Switch_on_term { var_l; con_l; int_l; lis_l; str_l } ->
     Format.fprintf fmt "%s v:%d c:%d i:%d l:%d s:%d" name var_l con_l int_l
       lis_l str_l
-  | Switch_on_constant (tbl, d)
-  | Switch_on_integer (tbl, d)
-  | Switch_on_structure (tbl, d) ->
-    Format.fprintf fmt "%s [%s] else:%d" name
-      (String.concat "; "
-         (Array.to_list
-            (Array.map (fun (k, l) -> Printf.sprintf "%d->%d" k l) tbl)))
-      d
+  | Switch_on_constant (tbl, d) -> pp_switch fmt name constant tbl d
+  | Switch_on_structure (tbl, d) -> pp_switch fmt name string_of_int tbl d
   | Builtin (b, _, _) -> Format.fprintf fmt "%s %s" name (Builtin.name b)
   | Check_ground (r, l) -> Format.fprintf fmt "%s %a, else:%d" name pp_reg r l
   | Check_indep (r1, r2, l) ->

@@ -1,6 +1,12 @@
 (** The RAP-WAM instruction set: the standard WAM repertoire plus the
     parallel extensions.  Labels are absolute code addresses; [-1] as a
-    switch target means "fail". *)
+    switch target means "fail".
+
+    A constant is its tagged cell ({!Cell.con} of an atom id or
+    {!Cell.num} of an integer), as an operand of the constant
+    instructions and as a [Switch_on_constant] key; [[]] is the atom
+    {!Symbols.nil}.  Cells are compared as whole words, so an atom never
+    matches the integer with the same payload. *)
 
 type reg =
   | X of int  (** temporary/argument register (no memory traffic) *)
@@ -50,19 +56,15 @@ type t =
   | Put_unsafe_value of int * int
       (** like [Put_value Y] but globalizes a still-unbound environment
           variable before the environment is deallocated (LCO) *)
-  | Put_constant of int * int  (** atom id, A_i *)
-  | Put_integer of int * int
-  | Put_nil of int
+  | Put_constant of int * int  (** constant cell, A_i *)
   | Put_structure of int * int  (** functor id, A_i; enters write mode *)
   | Put_list of int
   (* get group: head argument unification *)
   | Get_variable of reg * int
   | Get_value of reg * int * cert
   | Get_constant of int * int * bool
-      (** atom id, A_i, [uncond]: with the flag the argument is
+      (** constant cell, A_i, [uncond]: with the flag the argument is
           certified free and unconditional, as for [Uncond] *)
-  | Get_integer of int * int * bool
-  | Get_nil of int * bool
   | Get_structure of int * int * cert
       (** read mode on a matching structure, write mode on a variable *)
   | Get_list of int * cert
@@ -72,9 +74,7 @@ type t =
   | Unify_local_value of reg
       (** like [Unify_value] but globalizes unbound stack variables in
           write mode *)
-  | Unify_constant of int
-  | Unify_integer of int
-  | Unify_nil
+  | Unify_constant of int  (** constant cell *)
   | Unify_void of int  (** skip (read) or create (write) n cells *)
   (* control *)
   | Allocate of int  (** push an environment with n permanent slots *)
@@ -101,9 +101,9 @@ type t =
       str_l : int;
     }  (** dispatch on the dereferenced first argument's tag *)
   | Switch_on_constant of (int * int) array * int
-      (** (atom id, label) table plus a default (variable-headed
-          clauses) *)
-  | Switch_on_integer of (int * int) array * int
+      (** (constant cell, label) table plus a default (variable-headed
+          clauses); [Switch_on_term]'s constant and integer labels each
+          lead to one *)
   | Switch_on_structure of (int * int) array * int
   (* cut *)
   | Neck_cut  (** discard choice points newer than B0 *)
@@ -154,4 +154,5 @@ val plain : t -> t
 
 val pp : Format.formatter -> t -> unit
 (** Mnemonic and operands, then a non-default attribute as a suffix
-    ([ [shallow]], [ [rigid]], [ [uncond]]). *)
+    ([ [shallow]], [ [rigid]], [ [uncond]]).  A constant prints as its
+    atom id, or as [#n] when it is the integer [n]. *)

@@ -140,7 +140,6 @@ type t = {
   mutable deref_skipped : int; (* deref loops skipped (rigid, uncond reads) *)
   mutable halted : bool;
   mutable failed : bool;
-  nil_atom : int;
 }
 
 exception Runtime_error of string
@@ -250,7 +249,6 @@ let create ?(sink = Trace.Sink.null) ~n_workers ~code ~symbols () =
     deref_skipped = 0;
     halted = false;
     failed = false;
-    nil_atom = Symbols.atom symbols "[]";
   }
 
 (* An address at or above which the run wrote nothing of the page

@@ -128,7 +128,6 @@ type t = {
       (** deref loops skipped by rigid/uninit-certified reads *)
   mutable halted : bool;
   mutable failed : bool;
-  nil_atom : int;
 }
 
 exception Runtime_error of string
@@ -147,7 +146,8 @@ val create :
 (** A machine whose memory reads 0 everywhere and whose workers,
     registers and counters hold their initial values.  It is built on
     the storage of a {!release}d machine with [n_workers] workers when
-    one is idle.
+    one is idle.  It interns nothing into [symbols]: the one atom the
+    machine itself builds, [[]], is {!Symbols.nil} in every table.
     @raise Invalid_argument unless [1 <= n_workers <= max_workers]. *)
 
 val release : t -> unit

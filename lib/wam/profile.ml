@@ -148,9 +148,7 @@ let count_fetch t (c : counters) idx =
       c.deref_skipped <- c.deref_skipped + 1
     | Instr.Get_structure (_, _, Instr.Uncond)
     | Instr.Get_list (_, Instr.Uncond)
-    | Instr.Get_constant (_, _, true)
-    | Instr.Get_integer (_, _, true)
-    | Instr.Get_nil (_, true) ->
+    | Instr.Get_constant (_, _, true) ->
       c.deref_skipped <- c.deref_skipped + 1;
       c.trail_elided <- c.trail_elided + 1
     | Instr.Builtin (_, _, true)

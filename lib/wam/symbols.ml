@@ -2,7 +2,8 @@
 
    Atom ids index the atom-name table; a functor id uniquely encodes a
    (name, arity) pair.  Predicates are identified by the functor id of
-   their head. *)
+   their head.  [[]] is interned first, so it is atom 0 of every
+   table. *)
 
 type t = {
   atoms : (string, int) Hashtbl.t;
@@ -11,13 +12,20 @@ type t = {
   functor_defs : (int * int) Vec.t; (* functor id -> (atom id, arity) *)
 }
 
+let nil = 0
+
 let create () =
-  {
-    atoms = Hashtbl.create 256;
-    atom_names = Vec.create ~dummy:"";
-    functors = Hashtbl.create 256;
-    functor_defs = Vec.create ~dummy:(0, 0);
-  }
+  let t =
+    {
+      atoms = Hashtbl.create 256;
+      atom_names = Vec.create ~dummy:"";
+      functors = Hashtbl.create 256;
+      functor_defs = Vec.create ~dummy:(0, 0);
+    }
+  in
+  Hashtbl.add t.atoms "[]" nil;
+  Vec.add t.atom_names "[]";
+  t
 
 let copy t =
   {

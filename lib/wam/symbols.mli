@@ -7,6 +7,10 @@
 type t
 
 val create : unit -> t
+(** A table holding only {!nil}. *)
+
+val nil : int
+(** The atom id of [[]]: 0 in every table. *)
 
 val copy : t -> t
 (** An independent table with the same ids: interning into the copy

@@ -261,10 +261,7 @@ let check symbols code =
       let st = exit_struct st in
       use_y st y;
       next (def_x st a)
-    | Instr.Put_constant (_, a)
-    | Instr.Put_integer (_, a)
-    | Instr.Put_nil a ->
-      next (def_x (exit_struct st) a)
+    | Instr.Put_constant (_, a) -> next (def_x (exit_struct st) a)
     | Instr.Put_structure (_, a) | Instr.Put_list a ->
       next { (def_x st a) with in_struct = true }
     (* ---- get group ---- *)
@@ -277,9 +274,7 @@ let check symbols code =
       use_reg st r;
       use_x st a;
       next st
-    | Instr.Get_constant (_, a, _)
-    | Instr.Get_integer (_, a, _)
-    | Instr.Get_nil (a, _) ->
+    | Instr.Get_constant (_, a, _) ->
       let st = exit_struct st in
       use_x st a;
       next st
@@ -294,8 +289,7 @@ let check symbols code =
       need_struct st;
       use_reg st r;
       next st
-    | Instr.Unify_constant _ | Instr.Unify_integer _ | Instr.Unify_nil
-    | Instr.Unify_void _ ->
+    | Instr.Unify_constant _ | Instr.Unify_void _ ->
       need_struct st;
       next st
     (* ---- control ---- *)
@@ -399,9 +393,7 @@ let check symbols code =
       List.filter_map
         (fun l -> if l = -1 then None else Some (l, st))
         [ var_l; con_l; int_l; lis_l; str_l ]
-    | Instr.Switch_on_constant (tbl, d)
-    | Instr.Switch_on_integer (tbl, d)
-    | Instr.Switch_on_structure (tbl, d) ->
+    | Instr.Switch_on_constant (tbl, d) | Instr.Switch_on_structure (tbl, d) ->
       let st = exit_struct st in
       use_x st 1;
       let targets = d :: List.map snd (Array.to_list tbl) in

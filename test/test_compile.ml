@@ -179,18 +179,36 @@ let contains haystack needle =
   let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
   go 0
 
+(* The listing prints one instruction per line, in address order,
+   with no box of the caller's around it. *)
 let test_listing_renders () =
   let prog = compile "append([], L, L). append([H|T], L, [H|R]) :- append(T, L, R)." in
   let s = Format.asprintf "%a" Wam.Program.pp_listing prog in
   Alcotest.(check bool) "has label" true (contains s "append/3");
-  Alcotest.(check bool) "has get_list" true (contains s "get_list")
+  Alcotest.(check bool) "has get_list" true (contains s "get_list");
+  let instr_lines =
+    List.filter
+      (fun l -> l <> "" && l.[String.length l - 1] <> ':')
+      (String.split_on_char '\n' s)
+  in
+  Alcotest.(check int) "one line per instruction"
+    (Wam.Code.length prog.Wam.Program.code)
+    (List.length instr_lines);
+  List.iteri
+    (fun addr l ->
+      let i = Wam.Code.fetch prog.Wam.Program.code addr in
+      Alcotest.(check string) "the line is its instruction"
+        (Format.asprintf "  %4d  %a" addr Wam.Instr.pp i)
+        l)
+    instr_lines
 
-(* One opcode table: 47 distinct mnemonics, no numbering past the end,
+(* One opcode table: 40 distinct mnemonics, no numbering past the end,
    and every attribute value visible in the listing (the default ones
-   print nothing). *)
+   print nothing).  A constant operand prints an atom as its id and an
+   integer as #n. *)
 let test_opcode_table () =
   let open Wam.Instr in
-  Alcotest.(check int) "opcode count" 47 opcode_count;
+  Alcotest.(check int) "opcode count" 40 opcode_count;
   let names = List.init opcode_count opcode_name in
   Alcotest.(check int) "unique names" opcode_count
     (List.length (List.sort_uniq compare names));
@@ -205,8 +223,8 @@ let test_opcode_table () =
       (Get_structure (3, 1, Plain), "get_structure 3, A1");
       (Get_list (2, Rigid), "get_list A2 [rigid]");
       (Get_value (Y 0, 2, Uncond), "get_value Y0, A2 [uncond]");
-      (Get_nil (1, false), "get_nil A1");
-      (Get_integer (5, 1, true), "get_integer 5, A1 [uncond]");
+      (Get_constant (Wam.Cell.con Wam.Symbols.nil, 1, false), "get_constant 0, A1");
+      (Get_constant (Wam.Cell.num 5, 1, true), "get_constant #5, A1 [uncond]");
       (Put_variable (X 4, 2, true), "put_variable X4, A2 [uncond]");
       (Builtin (Wam.Builtin.Is, 2, true), "builtin is/2 [uncond]");
     ]

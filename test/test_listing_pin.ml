@@ -34,7 +34,7 @@ let with_query image query =
   Wam.Program.with_query image ~query:(Prolog.Parser.term_of_string query)
 
 let digest (p : Wam.Program.t) =
-  let listing = Format.asprintf "@[<v>%a@]" Wam.Program.pp_listing p in
+  let listing = Format.asprintf "%a" Wam.Program.pp_listing p in
   Digest.to_hex (Digest.string (listing ^ "\n" ^ symbols_text p.Wam.Program.symbols))
 
 (* Builtin arms are emitted after every predicate, query included. *)
@@ -65,283 +65,283 @@ let keyed (label, _, queries) = List.mapi (fun i q -> (Printf.sprintf "%s/%d" la
 (* key -> (sequential digest, parallel digest) *)
 let expected =
   [
-    ("hot/0", "4df43e12db573c4e702965d344bbc437", "24f48d0953a5529474da6115129c92d1");
-    ("hot/1", "d89fbbc6b02691a475eae73323c3de89", "c51859f0ad782a0abef11b9f6045d618");
-    ("hot/2", "f26cec2d8f6d90edca535614ad91b82d", "43255bd2bb106a728a5d7f48af1ac97b");
-    ("hot/3", "00f67a030eb2b9036f366d6267705b24", "c527d2a023be12937a0dc920b42db22f");
-    ("hot/4", "fd43420de37d2895e67ad69e101c87f1", "307c672573f2f44c110bccbd51f43138");
-    ("hot/5", "38e85ef48c0e6fe95990d40a25217f95", "399b38d3db46fbdd6169a68ae61c20b4");
-    ("hot/6", "ba5542cdd99c0557810bae0b518930b5", "067d9c679ff54f268681c620ffef0ad3");
-    ("hot/7", "5ef0567aa9a2d92f3207ab442130d6d3", "5593f4e62f00dea1ff49a50ebced2fe5");
-    ("hot/8", "ce7e088312816025b53629121b5e9d7d", "37f2a7bdb89a3c0219bcd8b8a3893090");
-    ("hot/9", "86487f2e5ae2fce3d5cd5a4586051094", "018b9d6985de41cb845e97f9f1f7542d");
-    ("hot/10", "db9805f3adbfdf67ff4b51940cc6a057", "167a04fc885a0df95567cd154a73f744");
-    ("hot/11", "06e419c4e2001c4b5f8520681da7de83", "1ed974bbc510bc0fa5f820b6a5604e13");
-    ("hot/12", "6e361f49bc2ede2bdda1a495f7898ebb", "a07d64a97f1175d43411b99a7f47f0eb");
-    ("hot/13", "fe0dbf4a8eac54691f5dc78df98303c0", "5dfc956e5c14a0d0b6e85902e84b9839");
-    ("hot/14", "4837c6c7cb3bd8a30e5a85f9c1d661ef", "fe33c383db59713f6c12cde2c3372240");
-    ("hot/15", "32cbac2e0a528786fcccf85b59b23a44", "eb441581b8757b83c9dbbdeaf5e04a25");
-    ("hot/16", "252acc54ed3fd1477dda8786731d0e42", "4c0307cd57542ccb1d6ad1f7c58112b1");
-    ("hot/17", "4fec2ba60ff0d37ec798838b32cbe7b4", "7186a54ca8d7b57088f0f4a76782c75e");
-    ("hot/18", "07248fd0d6787a185953dc2ffaa53bcd", "f2e29093f9b43c845c6082dbdcbe2d03");
-    ("hot/19", "647db117f491ab8293b73d09adbb30ef", "390d24894f295fd447fc144162382a14");
-    ("hot/20", "448c1bc377eaef67130bb386824900fa", "7ba526a130f5d00e83eeb7005cddb19e");
-    ("hot/21", "102ad12a77f9f65866f353f5df106964", "962aae4dd9de3f50f1674ad531826de0");
-    ("hot/22", "8b4fdd3af642ed4eb0b265af9a06e22f", "0be1981311405a44013c5c794e36183e");
-    ("hot/23", "c5aef78bec6cff092720cd990936aa75", "6e64d7f75b3a7a12cfce175ad1de81fd");
-    ("hot/24", "1ea9a3e3e289500b2d3ca26add52d475", "1d41ec7b1c6a2732fc8623487287c030");
-    ("hot/25", "1cfc9f36516dbc502c75d48fb9bdf39c", "ad9ef2a2815be46e86d533bfc6cc5338");
-    ("hot/26", "9acd93d0e73c11459bd89a44c8e6a051", "6f1acecef215f3e3d2b3c3f2529e5642");
-    ("hot/27", "4f2a2e3d3cca7b8a1100f990cdaf33f8", "151309304f302e22c33132f23c739f34");
-    ("hot/28", "55ab7f325adf8c6a82a8f7ee419c8ca9", "a3f2ad45b8d9772996f615ecbda55fd9");
-    ("hot/29", "bdfbdaa8d62e78d056d26ec9dc8b056f", "7ca29a852b0a59003c49bbf7c216ae0c");
-    ("hot/30", "e65c7408b503edf86f7677d0e66c17cd", "00b6249de3501e2a9abadf53557ca60f");
-    ("hot/31", "91e265b147c683092f285a3792abf611", "8813e80769620031bd0a8f017b9f85e0");
-    ("hot/32", "ada62132fe4daf3932460985fe0792c7", "c4bb0d89af4f6f288fa91db1a887fb03");
-    ("hot/33", "f5e2ea801196f2f5e1ec3876d7ede20f", "9644d01bc971edbbd08b4ce20cf56c84");
-    ("hot/34", "c920fcf8bae4e327cc9c6a43fb392807", "20917f830f05b1eff33b6dfb29c1b395");
-    ("hot/35", "2719b519e58d7d9df548efd08adac5af", "847e23142764d684d0088ad42e9ed360");
-    ("hot/36", "affdcb34a81d2dcb3c8e3741799daa98", "5d5565a3745f00472187b681f5b8891a");
-    ("hot/37", "e4f513181ed8738244fd4210d03a50ea", "62b0b34b6fc2a67af92a1c4cd90d6d1f");
-    ("hot/38", "bdd2436687b67b2219945f02f016e3e0", "2bb6e5e4a28a6fe26c4e0299c7514411");
-    ("hot/39", "020aeaf296782f2335e3c39601e34b6a", "2420e80c2e64f309ba1e7aa1cc29f6bf");
-    ("hot/40", "b854f0eb2da1484afa62f694d8a357fa", "48d9b478f68ca7fa3a15d3211e4da8a9");
-    ("hot/41", "bb608d90e17272c86a6e638e2d9a6bf4", "a322843feeb305c9b7786a4c3364fe0f");
-    ("hot/42", "508ce24c191e0a9d1640918338ce0d4d", "fd0cb098c37f124a96cc92d6a8a54158");
-    ("hot/43", "871814afdd229509a436eb4a9dc171ec", "afa5db37200eeeeee90198022d7873a8");
-    ("hot/44", "e1ad390e1acd2a2431486ee2ffee9ce0", "5bfc991adfa7c50657b200fdb20de881");
-    ("hot/45", "3c1b9a6ed2a9e843251c8e0434edf787", "fdeeef5626695c74b34dc9ac88820ef0");
-    ("hot/46", "63f3224fcaaed59fabea715ed72ebae0", "bece8c3cd70135286515e618a61b77ca");
-    ("hot/47", "2b14b88c3380f21bc62aa4873faef7b0", "7a5a5c30131c994bc174ad6bb630e5b5");
-    ("hot/48", "7c19f2daabfe20093b270b648709b6df", "77e3daedd4a09ed06da2a3edb3a7cb37");
-    ("hot/49", "bee5a302d341bc1710d942bdb2b9f47d", "25f0a6c493519da2e4f93f5b5a4ca58e");
-    ("hot/50", "924feb6e5ebddb9b0802d6ff5ffc603c", "b9cdbd058caf72ba5a3975f54e997604");
-    ("hot/51", "bc85e96bcaa2acff7075adad21059fd9", "9dbfb7531fb9023b1ad3365eca94ae8a");
-    ("hot/52", "f482adcb9283f3658956eaad6971ef81", "6578bf7bfeca8c19c302bfea5f8b2752");
-    ("hot/53", "7f21b9bd6e4c95e6c6c04abdedbeccc3", "a30575b2ad70aa3ff07c8cc058c920c5");
-    ("hot/54", "d50410c944cab542e36f2c4161bd7206", "38d25d9c5fbe82a112398c6a662bf8fe");
-    ("hot/55", "26a34f08c07f261687f5ed043e91efc6", "4cb2e2f03e036f13d32881886b36dd6b");
-    ("hot/56", "f0bbd1712ed1f0dcf740a37f8ffffe71", "1596dd337bbcfef1e290a625bca88c6d");
-    ("hot/57", "2d4572589c6411238baf899b32999130", "120b5505097696e81b94276bfa1a64c1");
-    ("hot/58", "a200cb1bb1254a1d57dc654d53f3cb3d", "99e764f1a1159c8bfe13582db1fada54");
-    ("hot/59", "88a39a92f3ee5195fb2c3318062aa346", "6ab79bad248114e7c884facfe0276929");
-    ("hot/60", "5010d525da87dfc429aac233ba331746", "253ff4b9d24a9d31de1045506225f944");
-    ("hot/61", "5ec3c6e1bd168cf8cd18cbb7fe064865", "6c102a8e6813e1136937b41b3a4115f8");
-    ("hot/62", "ac399cb7f2c7596f1491425e474dcab4", "02337742b4777bce86a7319d75d67447");
-    ("hot/63", "4d65f4e3b3eb1e42e58c6ac12d5e1046", "67144d421428281c84cd4e2d8dc40823");
-    ("hot/64", "f26e8962481c30b4b172e28f3aec5c44", "6f334352cd100e17e47cc26aab13e6c8");
-    ("hot/65", "90d952249649518704c160597a054728", "989a8a2e6e34576405ab576df6edd409");
-    ("hot/66", "0cfe6710fb8593e05424a30694c6b6c9", "aec61b5a42bca91a4cc7ee1f084f1ba5");
-    ("hot/67", "dfff1cae91d5d328a316434071dfef24", "659f02470ab8b0e1132e84d79dc3b1ca");
-    ("hot/68", "8ed21a416ae07f1ba51c9c76d187c86a", "81aa183f7daef121f1f9fecbe4f44bc9");
-    ("hot/69", "5d04a7aa7422b18a816ac79c142db3cf", "f0f974f41ed091310bafc6e341f31199");
-    ("hot/70", "30ea3fdb344d501d649cd79a7e3184ea", "c7f7d87ff5c97f35a17fd2ae52d6db25");
-    ("hot/71", "70cefb911143c29ee5a33d65eead035d", "ceba3578248d069e7129fb2114b561a7");
-    ("churn/0", "4df43e12db573c4e702965d344bbc437", "24f48d0953a5529474da6115129c92d1");
-    ("churn/1", "d89fbbc6b02691a475eae73323c3de89", "c51859f0ad782a0abef11b9f6045d618");
-    ("churn/2", "f26cec2d8f6d90edca535614ad91b82d", "43255bd2bb106a728a5d7f48af1ac97b");
-    ("churn/3", "00f67a030eb2b9036f366d6267705b24", "c527d2a023be12937a0dc920b42db22f");
-    ("churn/4", "fd43420de37d2895e67ad69e101c87f1", "307c672573f2f44c110bccbd51f43138");
-    ("churn/5", "38e85ef48c0e6fe95990d40a25217f95", "399b38d3db46fbdd6169a68ae61c20b4");
-    ("churn/6", "ba5542cdd99c0557810bae0b518930b5", "067d9c679ff54f268681c620ffef0ad3");
-    ("churn/7", "5ef0567aa9a2d92f3207ab442130d6d3", "5593f4e62f00dea1ff49a50ebced2fe5");
-    ("churn/8", "ce7e088312816025b53629121b5e9d7d", "37f2a7bdb89a3c0219bcd8b8a3893090");
-    ("churn/9", "86487f2e5ae2fce3d5cd5a4586051094", "018b9d6985de41cb845e97f9f1f7542d");
-    ("churn/10", "db9805f3adbfdf67ff4b51940cc6a057", "167a04fc885a0df95567cd154a73f744");
-    ("churn/11", "06e419c4e2001c4b5f8520681da7de83", "1ed974bbc510bc0fa5f820b6a5604e13");
-    ("churn/12", "6e361f49bc2ede2bdda1a495f7898ebb", "a07d64a97f1175d43411b99a7f47f0eb");
-    ("churn/13", "fe0dbf4a8eac54691f5dc78df98303c0", "5dfc956e5c14a0d0b6e85902e84b9839");
-    ("churn/14", "4837c6c7cb3bd8a30e5a85f9c1d661ef", "fe33c383db59713f6c12cde2c3372240");
-    ("churn/15", "32cbac2e0a528786fcccf85b59b23a44", "eb441581b8757b83c9dbbdeaf5e04a25");
-    ("churn/16", "252acc54ed3fd1477dda8786731d0e42", "4c0307cd57542ccb1d6ad1f7c58112b1");
-    ("churn/17", "4fec2ba60ff0d37ec798838b32cbe7b4", "7186a54ca8d7b57088f0f4a76782c75e");
-    ("churn/18", "07248fd0d6787a185953dc2ffaa53bcd", "f2e29093f9b43c845c6082dbdcbe2d03");
-    ("churn/19", "647db117f491ab8293b73d09adbb30ef", "390d24894f295fd447fc144162382a14");
-    ("churn/20", "448c1bc377eaef67130bb386824900fa", "7ba526a130f5d00e83eeb7005cddb19e");
-    ("churn/21", "102ad12a77f9f65866f353f5df106964", "962aae4dd9de3f50f1674ad531826de0");
-    ("churn/22", "8b4fdd3af642ed4eb0b265af9a06e22f", "0be1981311405a44013c5c794e36183e");
-    ("churn/23", "c5aef78bec6cff092720cd990936aa75", "6e64d7f75b3a7a12cfce175ad1de81fd");
-    ("churn/24", "1ea9a3e3e289500b2d3ca26add52d475", "1d41ec7b1c6a2732fc8623487287c030");
-    ("churn/25", "1cfc9f36516dbc502c75d48fb9bdf39c", "ad9ef2a2815be46e86d533bfc6cc5338");
-    ("churn/26", "9acd93d0e73c11459bd89a44c8e6a051", "6f1acecef215f3e3d2b3c3f2529e5642");
-    ("churn/27", "4f2a2e3d3cca7b8a1100f990cdaf33f8", "151309304f302e22c33132f23c739f34");
-    ("churn/28", "55ab7f325adf8c6a82a8f7ee419c8ca9", "a3f2ad45b8d9772996f615ecbda55fd9");
-    ("churn/29", "bdfbdaa8d62e78d056d26ec9dc8b056f", "7ca29a852b0a59003c49bbf7c216ae0c");
-    ("churn/30", "e65c7408b503edf86f7677d0e66c17cd", "00b6249de3501e2a9abadf53557ca60f");
-    ("churn/31", "91e265b147c683092f285a3792abf611", "8813e80769620031bd0a8f017b9f85e0");
-    ("churn/32", "ada62132fe4daf3932460985fe0792c7", "c4bb0d89af4f6f288fa91db1a887fb03");
-    ("churn/33", "f5e2ea801196f2f5e1ec3876d7ede20f", "9644d01bc971edbbd08b4ce20cf56c84");
-    ("churn/34", "c920fcf8bae4e327cc9c6a43fb392807", "20917f830f05b1eff33b6dfb29c1b395");
-    ("churn/35", "2719b519e58d7d9df548efd08adac5af", "847e23142764d684d0088ad42e9ed360");
-    ("churn/36", "affdcb34a81d2dcb3c8e3741799daa98", "5d5565a3745f00472187b681f5b8891a");
-    ("churn/37", "e4f513181ed8738244fd4210d03a50ea", "62b0b34b6fc2a67af92a1c4cd90d6d1f");
-    ("churn/38", "bdd2436687b67b2219945f02f016e3e0", "2bb6e5e4a28a6fe26c4e0299c7514411");
-    ("churn/39", "020aeaf296782f2335e3c39601e34b6a", "2420e80c2e64f309ba1e7aa1cc29f6bf");
-    ("churn/40", "b854f0eb2da1484afa62f694d8a357fa", "48d9b478f68ca7fa3a15d3211e4da8a9");
-    ("churn/41", "bb608d90e17272c86a6e638e2d9a6bf4", "a322843feeb305c9b7786a4c3364fe0f");
-    ("churn/42", "508ce24c191e0a9d1640918338ce0d4d", "fd0cb098c37f124a96cc92d6a8a54158");
-    ("churn/43", "871814afdd229509a436eb4a9dc171ec", "afa5db37200eeeeee90198022d7873a8");
-    ("churn/44", "e1ad390e1acd2a2431486ee2ffee9ce0", "5bfc991adfa7c50657b200fdb20de881");
-    ("churn/45", "3c1b9a6ed2a9e843251c8e0434edf787", "fdeeef5626695c74b34dc9ac88820ef0");
-    ("churn/46", "63f3224fcaaed59fabea715ed72ebae0", "bece8c3cd70135286515e618a61b77ca");
-    ("churn/47", "2b14b88c3380f21bc62aa4873faef7b0", "7a5a5c30131c994bc174ad6bb630e5b5");
-    ("churn/48", "7c19f2daabfe20093b270b648709b6df", "77e3daedd4a09ed06da2a3edb3a7cb37");
-    ("churn/49", "bee5a302d341bc1710d942bdb2b9f47d", "25f0a6c493519da2e4f93f5b5a4ca58e");
-    ("churn/50", "b6240fc05c7cd5dbb67fd724a354247b", "02ae6d14305c0e4b1635a858a775fb97");
-    ("churn/51", "63c5122e216a0f869e5429e0a12e8476", "1ce7668772975e2025fed6fc10667833");
-    ("churn/52", "924feb6e5ebddb9b0802d6ff5ffc603c", "b9cdbd058caf72ba5a3975f54e997604");
-    ("churn/53", "bc85e96bcaa2acff7075adad21059fd9", "9dbfb7531fb9023b1ad3365eca94ae8a");
-    ("churn/54", "0c3e1fa15cdfaf6331045797c18989c7", "1606af5b8cf4f79e439abc375182a07f");
-    ("churn/55", "4f0bf5a1abe4c5e2bbfc82c31740a1f8", "df9b5c6f007c820ee1207ab067e2874c");
-    ("churn/56", "f482adcb9283f3658956eaad6971ef81", "6578bf7bfeca8c19c302bfea5f8b2752");
-    ("churn/57", "7f21b9bd6e4c95e6c6c04abdedbeccc3", "a30575b2ad70aa3ff07c8cc058c920c5");
-    ("churn/58", "356a6fb1e126df6df0f7d6b6ef433fa1", "cec9916e50f132b6bbd9866de0093c5d");
-    ("churn/59", "f395e955f62043b5e38cd3ba9ba55971", "d7f97944b09a7b0e915f7f4f94ca1a7c");
-    ("churn/60", "d50410c944cab542e36f2c4161bd7206", "38d25d9c5fbe82a112398c6a662bf8fe");
-    ("churn/61", "26a34f08c07f261687f5ed043e91efc6", "4cb2e2f03e036f13d32881886b36dd6b");
-    ("churn/62", "83b245f9b65cf06fc6d6223d516a5122", "d5c47aaafa1d8136e70dd738e751d22c");
-    ("churn/63", "3e118fc710dd3ace22bd61f4374b5853", "43029c90c8b76e5fe62cf675d8095812");
-    ("churn/64", "f0bbd1712ed1f0dcf740a37f8ffffe71", "1596dd337bbcfef1e290a625bca88c6d");
-    ("churn/65", "2d4572589c6411238baf899b32999130", "120b5505097696e81b94276bfa1a64c1");
-    ("churn/66", "2740517b6d009bbcb70a76cfb172ae43", "782893eb5ec33110b42faacb9a8fc803");
-    ("churn/67", "9decc1186e9a153317218900921e426c", "805c06642887536f3280177437a23184");
-    ("churn/68", "a200cb1bb1254a1d57dc654d53f3cb3d", "99e764f1a1159c8bfe13582db1fada54");
-    ("churn/69", "88a39a92f3ee5195fb2c3318062aa346", "6ab79bad248114e7c884facfe0276929");
-    ("churn/70", "b495a60a46278eea775827d06bf31b1c", "c1e2422ceca77445fdafe957b5adfcf6");
-    ("churn/71", "3944df1a731f66f35fc5dd99c774b09b", "5e43fa6b47951a3d14fddf7908d2c44b");
-    ("churn/72", "5010d525da87dfc429aac233ba331746", "253ff4b9d24a9d31de1045506225f944");
-    ("churn/73", "5ec3c6e1bd168cf8cd18cbb7fe064865", "6c102a8e6813e1136937b41b3a4115f8");
-    ("churn/74", "eab500ea8c9fb0b37ead4f4f4d47e9a2", "3d0f7d1dcaa274ad993576058b680795");
-    ("churn/75", "1bd4a9d866e6ff610f840e0ad6de348f", "21b2e88ad9b3e92a18fc50edbe7e759b");
-    ("churn/76", "ac399cb7f2c7596f1491425e474dcab4", "02337742b4777bce86a7319d75d67447");
-    ("churn/77", "4d65f4e3b3eb1e42e58c6ac12d5e1046", "67144d421428281c84cd4e2d8dc40823");
-    ("churn/78", "8af2bab63f8a6dc978c5dfb71341ab44", "1f979b0b0418ef730886727b5315c64d");
-    ("churn/79", "5f6e145ea6724e546697e75c9c1cd4b5", "9268987ed4b78ba3fbf7b8821715302f");
-    ("churn/80", "f26e8962481c30b4b172e28f3aec5c44", "6f334352cd100e17e47cc26aab13e6c8");
-    ("churn/81", "90d952249649518704c160597a054728", "989a8a2e6e34576405ab576df6edd409");
-    ("churn/82", "d724118cc39664d46800a303d0673820", "8c5509b9dae8063261418fc71fb90eae");
-    ("churn/83", "0b98d1c30866b7bd3fc1003bf397432e", "e7215fc40d08108b1ec682da4e03e53e");
-    ("churn/84", "0cfe6710fb8593e05424a30694c6b6c9", "aec61b5a42bca91a4cc7ee1f084f1ba5");
-    ("churn/85", "dfff1cae91d5d328a316434071dfef24", "659f02470ab8b0e1132e84d79dc3b1ca");
-    ("churn/86", "5b037e3d66959d7b638c23617e410e99", "9e9ba07df8f20f6242b8a239cba38e13");
-    ("churn/87", "84aaddb7c0a0dbf8b6ec83a376060bc3", "30305f937efd64d8d1963214ff8d30bd");
-    ("churn/88", "8ed21a416ae07f1ba51c9c76d187c86a", "81aa183f7daef121f1f9fecbe4f44bc9");
-    ("churn/89", "5d04a7aa7422b18a816ac79c142db3cf", "f0f974f41ed091310bafc6e341f31199");
-    ("churn/90", "3b29d0acfc5ae1bd3d19e6f6ac2ddaff", "6667e72f3ee7e18605ecf404f6b75873");
-    ("churn/91", "7fc1f6b63b1a2c98ddd4239dd38ad03b", "e87236d94618698971cc96176b0c2574");
-    ("churn/92", "30ea3fdb344d501d649cd79a7e3184ea", "c7f7d87ff5c97f35a17fd2ae52d6db25");
-    ("churn/93", "70cefb911143c29ee5a33d65eead035d", "ceba3578248d069e7129fb2114b561a7");
-    ("churn/94", "dae0cac77c21abf39b790f4b0c79161e", "cc60d4463d7f22d48c84ac241fa9315a");
-    ("churn/95", "8fd458b54bd8e5eed5c9e79c600bd552", "398935283ea29d030dfb50babb2ab767");
-    ("churn/96", "6f1d2fae32e67d05938769dab141bb52", "6171a7d6baf6f167be085d5d0352094b");
-    ("churn/97", "b3eb9bbee67f81f0dac814f0b8475b96", "5a638c6d6cd82413f68291b2d76737bd");
-    ("churn/98", "fb947c70417a497ced8e1e984183eff2", "c8c9350e302e30ae59aa9d70d58a7677");
-    ("churn/99", "6a00970de34ebd192770c97cc5058347", "d580d6399cea16f1278def8e050d7aae");
-    ("churn/100", "96fe91e5093e62edb8de57b1fb218333", "7e1fd42d5403f7973ba1f7a5004cfcda");
-    ("churn/101", "28db5f454d1b87557f2fbd3f3b9003b6", "fae60b4306529fb66f047a1e8c517132");
-    ("churn/102", "860f9304dd11cd7bbe5f78794b23aea5", "595b2fd281b47f70ca88153231f26663");
-    ("churn/103", "4b7e05e2b6bba0bd7afa2f6ad01acddd", "4d7f0ec072c2c97c3928ba9f03e89cc8");
-    ("churn/104", "6e14e1bcfa44a03dac67021dda0ae7d2", "6fc84394de085f452fff861c3831eb86");
-    ("churn/105", "47e46ab5b54bfe3333802719def46963", "8445a706b6a9d92b936b4d7ea6d68ed6");
-    ("churn/106", "5cb8aa2d6fd26a98becfc5b51510a751", "edecdc0f5d445c05bb417c8d387b837d");
-    ("churn/107", "78cd1330bd1a11ab70cc13d10c6f783f", "1390c98d8b748e191127a65dcecc8634");
-    ("churn/108", "60d350e30bba4a33c7a295774275d69a", "12fa2b3eea908af9035e2112089fe11b");
-    ("churn/109", "50b3f24757deaaa8775f459d700d052f", "9b0a0a5057bb3827bc1390f1b6022fb8");
-    ("churn/110", "f962e5dc388187c679baf63276186634", "02637e1a17cd123b2cf37da02245238b");
-    ("churn/111", "26947c28a1c6a3732ceda485012ca6f4", "543cd77eee9f874016cc2ba7c718db0f");
-    ("churn/112", "d9e38d73679828334c3460e0d84783b4", "d70db4187c0f74fcde529f254d133ffe");
-    ("churn/113", "22d6b147fc2c467df3df2844894322e6", "481062ea74c5c55b43091b764306595d");
-    ("churn/114", "9bae53f50e24e8ac9ccadb7da9c6f69d", "d4a6809bd2e985e855970a0d5601d771");
-    ("churn/115", "51e5c38ea23025a04dc6725db2536319", "d76e41429d524d7335b462bdd20b72a0");
-    ("churn/116", "59e48f213fddd1f04109acb3ac6fcf1f", "39a19bbafcf43cfdb933883ebcec83bb");
-    ("churn/117", "46e6767d8ecc0cb526cab258dd77c640", "9929a661d7faaa132a8dc24c18d27cd1");
-    ("churn/118", "36ad33d15be385afe494a930facea192", "e76f0750141bcf0a98877a66b0ef7aae");
-    ("churn/119", "29f6ddae33144b311327925e00d044ac", "229e30a77c0d4fce355730d98026414d");
-    ("churn/120", "ea899bb54fc27baa2e08892e32e30d5c", "4772af4e858888008a7c3b01a61a343a");
-    ("churn/121", "9d3beff84f1e65f720457a4a0999d989", "8e6eecb6da717c298ee36bfdead123ec");
-    ("churn/122", "a3f2c5a2cc72c465f645642f6f9dd497", "45286282b2e4e589d3a8cf14187e3b47");
-    ("churn/123", "2b79eb731865d254777f68b543cc2407", "b79bb073c4f7a6adfeae462c70e7fedb");
-    ("churn/124", "3d377ce42754a8e184553d88b630e128", "fe54ebec95c885f3997d8ecb16a03fcc");
-    ("churn/125", "14773b16f95b35de2993b8c0b1bb5a73", "f7140f36a2199d77cdbbfa880881e742");
-    ("churn/126", "aa26169a9aad77a616cf50b9a608a235", "1b49fdf2a5fb6e728606087c2fdc8b87");
-    ("churn/127", "b5e6d1039c23ad53e773160573f20077", "2bccf01bd1f1b6f7e386676c2678d458");
-    ("churn/128", "9dca58cf100deea1270701e81e6f7f37", "75d8ab937e331d67a782e4d7facfb639");
-    ("churn/129", "08861f96c5a1220b4b063bb434ecdbca", "c0f92c2839ee871259855bbeb412a4ca");
-    ("churn/130", "6f293603fb69c05574e929f6980a4a71", "9ad9c4e768f949f48ce684253e73e715");
-    ("churn/131", "5cba833aff6be6e80e74f4e5c5ce912d", "f4637934569ad79094c2b814e4707e15");
-    ("churn/132", "e11e907a9f6314c9702c6902180c9eae", "b9690eedf79fcdb91c8309a8d20a540c");
-    ("churn/133", "794c877663e37efea256a412fb28d6d3", "846a0bcba71257e93fff011519746f44");
-    ("churn/134", "5a534c6fe25121cf38fdb2ff05c7dc90", "9eb4efa00475a2c3c6dfcbfc95afbc25");
-    ("churn/135", "ccef31841b2ccad57b589812918ca21f", "ce05dd3a8ce80eb8b623a2b2745b9bc3");
-    ("churn/136", "da18586939b430f00345aea1ac02a230", "5c48fbe40ed173dad8dd63da0dd44b33");
-    ("churn/137", "50b80f7968ae61563682359a19f2d35a", "5ab7c2d047a42c512a4336b231b63a4c");
-    ("churn/138", "4fb7e6ff30d0a017bf9264a1c26bf10d", "b2c22675c3f146276a66dd040448f87f");
-    ("churn/139", "a20f231bb9b4f4cbd22d2604784a0969", "819e0af866b3f48519ca7ecc0c973c14");
-    ("churn/140", "79a01f389fa9668e4c5b50759ceee350", "591a73882c3cd9c955c655827cc80b19");
-    ("churn/141", "9e6eabfede7365a82ce2583d0470b7bf", "a4ed3f94179d5757d36bfce346b8a811");
-    ("churn/142", "c0847eb26fc9bfb7396cea551d5bf598", "5127993585bab772001844f0302b4fca");
-    ("churn/143", "d835161652de3011ed13cbeeab431115", "090f4729b53b7083ff3dbfe863404822");
-    ("churn/144", "c7a7c8b8319f072db9084215db289cb9", "8592fcf6ff9de2926134d40669c8948d");
-    ("churn/145", "67fd71709d4f921db1eb2c02784bede2", "a8a1207b488cd7464d3c946a6a1ae131");
-    ("churn/146", "8d0447f665b36000377bb5af580b5628", "b41c80d13df3ae6c1a305682a76f7ae3");
-    ("churn/147", "721e9bf61592d0b0f2abd1f3111a04d2", "aa1c5ba836bf68f23c12b3f1b713553e");
-    ("churn/148", "b44837b608762feeaee45fa8deafa5b8", "89a81563f537e5f19dfb6de27f5222f0");
-    ("churn/149", "1856db62c211ce887b2f5435967bb79f", "4cef9c99274f3eee1dcdbeecc46701ee");
-    ("churn/150", "6a30d90729bcee8f53f33014e6e0c0f5", "b2460862df1bdafa23ac6f76207f5945");
-    ("churn/151", "eab1099c38d8d29367abd098b529845e", "ca6e3b756a99b6b26ba8fb4e98fe18e4");
-    ("churn/152", "0735243a6a570c9f38fe6c87e85a25a3", "13ad0c96261a961fdc93eab48d3b6027");
-    ("churn/153", "5aa83fa29db9a87da0cfa9ec990874e5", "d3891bf916c16bc7b1f3d4a95865dbee");
-    ("churn/154", "1073b4f3dc06ff4b0a779cf23fe4abcf", "d78397326bc5bbf85c650b7b0df4bea8");
-    ("churn/155", "9b448b5c2f960a1ce6108247fe26558f", "9aa067a95da63a435a64951529660a0e");
-    ("churn/156", "636c4aafdc41997b89e521210bd0f9cb", "694af995a833e83254b6e42120ed813e");
-    ("churn/157", "59ab99e7d80230592580a64d47f86f2c", "03e189f76b40beef3e8187fa5a6b3e3a");
-    ("churn/158", "3c1356959e8304224e885c373776a30d", "d898bef01dc66a9a902ecd43d5c2452a");
-    ("churn/159", "677e6ede4191fd31b23d38d9336a25a0", "7ee002d6575af8493a1e8644989a26be");
-    ("churn/160", "a427edbf0ad5c757110e13feff0fd786", "f2542ecfa4c45c8111749ffecdfde4b0");
-    ("churn/161", "1e1a6525a86b522c808dfd7a2d779482", "9e5ff04778735c691c0a1a30990b617f");
-    ("churn/162", "05253c426708191ae5ce9c41d01323bb", "0f71c04a52e51777ed7f9dcc0d316df8");
-    ("churn/163", "842c83bcd65cc3b3c82a28ff7478ae97", "56a287556f62dbaa4dcb4ed26717ae5b");
-    ("churn/164", "dbb3e75afdfa5910dab1852e5193c63c", "77275b0f3dd7c1954549ae584f451d46");
-    ("churn/165", "bc105487a735b4eb5d0ce870db016e6b", "441a6cf92e4f609b9ea5d8de3f300e90");
-    ("churn/166", "da348edee15220665ac2ebe1933408c7", "b4cfc84f8c39dfe6a9779a7f75c24259");
-    ("churn/167", "11ec40cb5a080bc3f25ae1e3f67f6a11", "f0e1d2a52abba2856a7c998067cce674");
-    ("churn/168", "09260a09fa21c0256403d23471293273", "019cd930300e8e20b4522fc547b53155");
-    ("churn/169", "99e62e1e928c4302bff7a7e415a8d233", "a87f5237aa221285362e07c86eb58413");
-    ("churn/170", "9931f9b0fe2491c062cf891bfa460ed4", "7922486bc962b1aaf6937337c9b2969a");
-    ("churn/171", "d2268b176b774e66ee87fa0ce3501c56", "eca580c7ddb3956ad89a792992a41b02");
-    ("churn/172", "52dd9bead07b6b1f894f111304b2cd8b", "3f380b9a4cc06824f8ba0ac15c6e293f");
-    ("churn/173", "6942e07681f8f682f6825f779ee62085", "354780ab925a8c958d62576a886d67c8");
-    ("churn/174", "7507fb7313c16fd0de2f0ff0574d9a8f", "22b0bc0ada6cccbcb045fbb3fc80d9d2");
-    ("churn/175", "ee44c7bdc2f826155bc8ab93a6534a4e", "9901c513402c1eb700d61a6ce0826507");
-    ("churn/176", "863d686c6c3497fb73401d03c2f3a83e", "668d80a10a11ceb6376e4f12bcc475c8");
-    ("churn/177", "ce347800076de06966c18a5721989da4", "93791f87b0f3b97e43d39f49e81c8e63");
-    ("churn/178", "e944fe2994e165bc9cf7ffa9f08587c8", "6d6dd1743e6ddec2a88d6d03ac96f5db");
-    ("churn/179", "9276eb7a555b4739197651de7632c28b", "6685294ef403a36f8ba79230d08f2763");
-    ("churn/180", "cc3056468a4f1cb4f21a1fe3d48f4abe", "c7685bd99873b095f5223a5780d21173");
-    ("churn/181", "c55cbfc646e4a63d1aaf57ad57ff6749", "e5d716f30c17b73187dd03a5fa231e52");
-    ("churn/182", "6a09bb6efb094c8c164913b71e72bfa2", "f262d927f52f5ba68f33a86ec0e98669");
-    ("churn/183", "dc5689c816fc851e8b16dd0d27c56e4e", "908e8c930d06a199d6e6ab250694f40f");
-    ("churn/184", "4ecca82364a6058b332c5c3de043fddb", "5dde2d9a3621e5d6660aa7be5498ca7b");
-    ("churn/185", "da8aa79f5df097580f66d832a4e2807b", "a36847f95a296d3325baf6e0d7292275");
-    ("churn/186", "729be19cbf6ae8ad4f5334791974ea1e", "a8113170c343c3199ef86d3c21a84f8e");
-    ("churn/187", "a79903628253d861399bdc6c9cab676d", "a4022f62ce6c75d169e17e466d670af1");
-    ("churn/188", "c79a17a90c024d52ecd00230de68150c", "a085301f1a0f4943bc895db8d2f7608f");
-    ("churn/189", "7d37abc9c3091846d555789d544f0190", "30f3d793a599ae8984b9da3fd6ef7e32");
-    ("churn/190", "73857a70c919b6b8b0060ce802a0d414", "5e6b4a09769a5e23f58945916cf6bce3");
-    ("churn/191", "b529d7ecfae93fc2ba4a981fa7e6fba3", "8e6c773a0f4f600003c1f369856f5fda");
-    ("churn/192", "35d397fd1852bfb1507344c7819344e5", "4b1275ffa55d847f0c82f361f9fa3de9");
-    ("churn/193", "210a7add22cc736a82ffe9e8ee7c8c4a", "6b0ad15f56dbd6d28c8161c9b9f44892");
-    ("churn/194", "9f34c986c222adf28f8f2d22340abe0e", "fd3bf367a2f084e2bda36d43ccbd4028");
-    ("churn/195", "308207150945cdee37ee13f0410d84f9", "cebf490d3b4cc6e119a3b41a9dfcf845");
-    ("churn/196", "2a1da66ef2c2fc067df04e100d9b348d", "d3169755e71c8d79e885c2c759813e58");
-    ("churn/197", "2af244b68738525dc026ea5f21be8a41", "96319c466e9ede3dab4ae327a51feee2");
-    ("churn/198", "617372a52373adef89ebefb9236a1ee7", "f26cd389ba5dacd5a60c83aa0dc8351c");
-    ("churn/199", "8cf725180fd69a4302f3947064ee1ec9", "905aaac7f9732336f43dbf05b8b9eb76");
-    ("arms/0", "8150dbc64a441df437dc3c41ce47d067", "4b60b973fb79e8a55cd24bea53156f2e");
-    ("arms/1", "1ec0eeac2fb9488976910ef4e6d5a171", "ecfb31109d1d718760c4045887df3eee");
-    ("arms/2", "7301efa39a5c735301980404c4d3620a", "1ea82bb7b42cf3a144b908a7ae9902cd");
-    ("arms/3", "04ef23a17ca2f42174927aaf7a5e640d", "3789b03101deb6fa88e09acd396ac903");
-    ("arms/4", "918bce534e3cdae6b75ece2c83c80dcf", "a70303df8743acb0222c165677e90f17");
+    ("hot/0", "ef0100f42682b53d573548bec88e6a43", "dfa9ece4b0d880015ec001604abbaa5e");
+    ("hot/1", "7cd3e0d8eb3c3275c6bc64651880d280", "54867a8e322a2662bb59d0af98d4497e");
+    ("hot/2", "a3c4f9a65780e04a58b70b27c1579ce3", "5b1049231b2c5691d05899d8d904945e");
+    ("hot/3", "12fa0d7a4a3057c626cb4b3fbf0e5428", "def7c6dcd19b52dea35d4852d448d148");
+    ("hot/4", "aac41939bffc429d5ddcc3b4b785dbe3", "36439fe001ef55843ed1609f4040003e");
+    ("hot/5", "49b6a8ceb0ca036d05bbad01f27f513b", "5d93bf62beffe38eb14fafd5e88c9bc1");
+    ("hot/6", "577ecb53317c229e22dfe1da09481e8c", "559003326c9c2e4b0c088d511425c5e9");
+    ("hot/7", "fffae9d3c1d4dbf556c8b07d482c2b38", "af2fe8c0745177d5430a13b355790d65");
+    ("hot/8", "2e38e1bbe1c11f2285d6ef4f0482c95a", "594fc84f2aa0f1e74642c75dacd7d28f");
+    ("hot/9", "bd5798ffade30819a23b5336cfa83c9a", "47202a73826558cb89f50a89edf8755f");
+    ("hot/10", "a96a09c952411a0915fb45617c394b0c", "38f6677c470055c0ce42f0e87a25715f");
+    ("hot/11", "168c7e03677c3c826f85de6c57350248", "d6bcd07c8a7113dc523763c133405547");
+    ("hot/12", "be402430ba327b97669ec2b8f7be8361", "bab2e9214fc178ade76a54d7f9cc12fe");
+    ("hot/13", "4d77de775d090e3c033ed03ef48f5458", "f313be311a188432cb453018bce89b49");
+    ("hot/14", "c8ee332a0b15ab20931191f8cce227ef", "6e57905cd006769094695dbbad53c978");
+    ("hot/15", "95ba4319692ebfdf787a4e151e5af069", "2526a421f29faed7a4509c17bd31b739");
+    ("hot/16", "871260f8339432dc7e669e06e4ed8ced", "692b198989a5c7e63fb945af897f6a67");
+    ("hot/17", "651872848353622fe29197657daf0f0f", "77d2ceb9f39b7209f0c9cb560c294acb");
+    ("hot/18", "07b02c95dd16dbc18c0fdb05f6966450", "9f0650373bc21ed86119229812abf3ba");
+    ("hot/19", "279ccc41cd2ac1b79e03a6c6b87f6dab", "b47f5708acb4921de046d8a7f87823db");
+    ("hot/20", "9e483d46376b5356fcfd187b3d7ba060", "a80f8aec755874c45def7774c26afea1");
+    ("hot/21", "2dec1c13af44985d8c67aa1149b7b74f", "42b6624d69abc3fb46e1d8fd24912e94");
+    ("hot/22", "16b99c44b910d132c82415468fdef0d4", "f338630cd03154ccf01e01f5c22d4ea3");
+    ("hot/23", "4fd03029dcae652b84471da193273df0", "6102d19a332dd1ec6ca3b49cdeec6fe0");
+    ("hot/24", "3b320b123c712db3574ea2bb56e8a265", "966e30155b1aaff1246316cd101937c1");
+    ("hot/25", "f907aa279eed214302e446e09a765a8e", "93ac52860d28bdf3066ca42ffec4140b");
+    ("hot/26", "73033e8d007c6e679dd3f76020def530", "71439011e7472bb03d77ecbe41206456");
+    ("hot/27", "3523d66c394f537d10a61306b794bcda", "b9b6d9f03bd9c4ec3b378afadc167c37");
+    ("hot/28", "dbaa8c1da3f59bc8332ff9b8ed38e0e6", "a7fd69621b9d1c98b4245cfdc8a1827d");
+    ("hot/29", "3f9604a2c193db172e3c9b4ea0cf0735", "c4a4b40578317f6c30b013c85fd7820e");
+    ("hot/30", "b68e1f996b02869ef316aec61004b41b", "fa0029483d9f94e6542972f464efa4fb");
+    ("hot/31", "9a4a458daba957fc70adf2cf5ccf9ef7", "175d8b5947b7b96c677060fae6fb1b9b");
+    ("hot/32", "67b8ddf2f081900e73ad2a420ff68ecc", "a1a9c22b81f7b7226b38070664d5c14c");
+    ("hot/33", "38459a08a2921b32e37451bd71114ecc", "e3c394b72b451330204f887292f5e47e");
+    ("hot/34", "70f2274746897677eaa64cffaa7b21d4", "d0e35213de00292734defe50ab34efba");
+    ("hot/35", "a173318a7a9bba703a640ebc25b5d1aa", "7ab585a24d3aa613ada9a4cf8a4dcaf5");
+    ("hot/36", "8f694c4f589d87cc44365bb39137a5d9", "a7f9b46e26d55c64575137e82649723d");
+    ("hot/37", "aa1ef8c2ba8a03e828653e50a51ead27", "bc63879b6f3e9d67bab58837bb569db5");
+    ("hot/38", "e159727088454f1c4a3946e8dab2dc16", "8647e5bb3e1845a32d1edc177654af01");
+    ("hot/39", "8fded4b9260fe63679beea4111c197aa", "cec13d3e60299311fdee1d0d0466cd97");
+    ("hot/40", "c3ae2d582d480befa1a256626bda8d89", "cf7571bca8b5d29441fd8d2d594e6ec9");
+    ("hot/41", "1f8736e682cd9e51213019e8c13898dc", "cab5f7d7d8f8677ad98b47ae5ab40926");
+    ("hot/42", "18357ce09c2a3e4fd954d0786bd665f2", "a340f07e2c2bf17985da5ab1a4eec832");
+    ("hot/43", "85dba9e3cf3a46ea8f153e983a8a0190", "3a44439ab1b8a01791fde26b85262549");
+    ("hot/44", "57c303618a15757d45a6f378065da678", "329e6f247acbaef432f0e4ffd07b4a3d");
+    ("hot/45", "15b9e7be061d624bf12f03bb2d937154", "1203b29efa97af38d4a8e360fa4a4c63");
+    ("hot/46", "1733e9f8a8306ad24abe51db10318a20", "91d4bae0b32932ea6be1d76b17ec54a6");
+    ("hot/47", "dd3d718759f46d89c227b6b84a37e569", "30c06df67c9b3e200a5345adad70ab10");
+    ("hot/48", "39ed9b89f904e36fbac58ea27d79379d", "4f5d92be3e3b03a933502f9e878d7ac3");
+    ("hot/49", "b83c545a84e056a01ed1cde8fbb7d474", "e9b27a1ab12196f52a748b296daf4f8b");
+    ("hot/50", "77baf044865b073eab049797e9201161", "ce8241af5410e44ff18f5f736f3626df");
+    ("hot/51", "860d54f914d8fd45a6d2d6c50756d030", "cc8bff16f51ad252df778bc044a4f280");
+    ("hot/52", "9152b1feb3e67e5888f1b0e6b5fe64b3", "c01e073e1b42b560ae0f087dface5f41");
+    ("hot/53", "712c5905d0123c48c952338e3db25a1a", "316027ebf561b7b6dce54dd5d8ad6472");
+    ("hot/54", "32690c4962ccb6ef052241fa8ffebcda", "873500bcd972f072f4675b3aa3ae3c32");
+    ("hot/55", "a6dcdaa0e8f4f9e54f40872894cb9bd3", "fb1772a9158f161aaf799aecd05dea30");
+    ("hot/56", "3c7e68040b9405ce321bf6a37053ce6a", "17da03da2da8b1b742ad5df549bfe06d");
+    ("hot/57", "f773b2d1e42e94152b0a918603484e12", "89212bec8bc069502304c8fbc78fc9d4");
+    ("hot/58", "29252930e82602901fc2718528a36eed", "876d0ef793541c9e4f5b6ac00b2e5bc8");
+    ("hot/59", "ecf1ae0fd525796c0b0ec67a4c031c60", "249229d59271192396ab66b742860faf");
+    ("hot/60", "6e705bf4be621a63541c459c8400017e", "189f9f25666ad9b067135e7d20dd846f");
+    ("hot/61", "6eb239aee4a969bbd56f1030d34638f5", "e796ce891d4f6f86f01be4f59193d6ac");
+    ("hot/62", "d22be78e05e176e75a2666765e9adbcb", "527f17183b026a04652af64e46af4afc");
+    ("hot/63", "8e2f3a80c707403c92942919afdaf7e6", "be13c8274c846b8a92f755a5b09e019b");
+    ("hot/64", "9398dd787a7fc1b2cc29efbd68064bd1", "c77554c454a5ac9a56de825525820c77");
+    ("hot/65", "195814e85f4cc0c8ef32367ce9be0da6", "852bdff77469f58c4e83ac4635db576f");
+    ("hot/66", "30815819ad87c5ac2ef9cc4a81150297", "86d15a4eebabfcdfaf1f32f27548b170");
+    ("hot/67", "5f67da25150b55c6d139c207223f43d4", "0dddc0e2dbd087c22a94f4d4973acf00");
+    ("hot/68", "e9bb79da5d4abfffcb60c8b28f5c3ae7", "3dc4adf68839b8ea8ef39bc79f855e07");
+    ("hot/69", "ca2566cd60b00d0092d81986632a9720", "0b5f8f1b2a4ca8672bf4483f6473cfc7");
+    ("hot/70", "94ff83af5a561f764ef4ed699bd6038c", "883410f79d95a9c6e711a50a6215bde7");
+    ("hot/71", "afb954f67f1368de39da7c4c25cf1870", "b530d022ece64ad9a26a01340ddf7b34");
+    ("churn/0", "ef0100f42682b53d573548bec88e6a43", "dfa9ece4b0d880015ec001604abbaa5e");
+    ("churn/1", "7cd3e0d8eb3c3275c6bc64651880d280", "54867a8e322a2662bb59d0af98d4497e");
+    ("churn/2", "a3c4f9a65780e04a58b70b27c1579ce3", "5b1049231b2c5691d05899d8d904945e");
+    ("churn/3", "12fa0d7a4a3057c626cb4b3fbf0e5428", "def7c6dcd19b52dea35d4852d448d148");
+    ("churn/4", "aac41939bffc429d5ddcc3b4b785dbe3", "36439fe001ef55843ed1609f4040003e");
+    ("churn/5", "49b6a8ceb0ca036d05bbad01f27f513b", "5d93bf62beffe38eb14fafd5e88c9bc1");
+    ("churn/6", "577ecb53317c229e22dfe1da09481e8c", "559003326c9c2e4b0c088d511425c5e9");
+    ("churn/7", "fffae9d3c1d4dbf556c8b07d482c2b38", "af2fe8c0745177d5430a13b355790d65");
+    ("churn/8", "2e38e1bbe1c11f2285d6ef4f0482c95a", "594fc84f2aa0f1e74642c75dacd7d28f");
+    ("churn/9", "bd5798ffade30819a23b5336cfa83c9a", "47202a73826558cb89f50a89edf8755f");
+    ("churn/10", "a96a09c952411a0915fb45617c394b0c", "38f6677c470055c0ce42f0e87a25715f");
+    ("churn/11", "168c7e03677c3c826f85de6c57350248", "d6bcd07c8a7113dc523763c133405547");
+    ("churn/12", "be402430ba327b97669ec2b8f7be8361", "bab2e9214fc178ade76a54d7f9cc12fe");
+    ("churn/13", "4d77de775d090e3c033ed03ef48f5458", "f313be311a188432cb453018bce89b49");
+    ("churn/14", "c8ee332a0b15ab20931191f8cce227ef", "6e57905cd006769094695dbbad53c978");
+    ("churn/15", "95ba4319692ebfdf787a4e151e5af069", "2526a421f29faed7a4509c17bd31b739");
+    ("churn/16", "871260f8339432dc7e669e06e4ed8ced", "692b198989a5c7e63fb945af897f6a67");
+    ("churn/17", "651872848353622fe29197657daf0f0f", "77d2ceb9f39b7209f0c9cb560c294acb");
+    ("churn/18", "07b02c95dd16dbc18c0fdb05f6966450", "9f0650373bc21ed86119229812abf3ba");
+    ("churn/19", "279ccc41cd2ac1b79e03a6c6b87f6dab", "b47f5708acb4921de046d8a7f87823db");
+    ("churn/20", "9e483d46376b5356fcfd187b3d7ba060", "a80f8aec755874c45def7774c26afea1");
+    ("churn/21", "2dec1c13af44985d8c67aa1149b7b74f", "42b6624d69abc3fb46e1d8fd24912e94");
+    ("churn/22", "16b99c44b910d132c82415468fdef0d4", "f338630cd03154ccf01e01f5c22d4ea3");
+    ("churn/23", "4fd03029dcae652b84471da193273df0", "6102d19a332dd1ec6ca3b49cdeec6fe0");
+    ("churn/24", "3b320b123c712db3574ea2bb56e8a265", "966e30155b1aaff1246316cd101937c1");
+    ("churn/25", "f907aa279eed214302e446e09a765a8e", "93ac52860d28bdf3066ca42ffec4140b");
+    ("churn/26", "73033e8d007c6e679dd3f76020def530", "71439011e7472bb03d77ecbe41206456");
+    ("churn/27", "3523d66c394f537d10a61306b794bcda", "b9b6d9f03bd9c4ec3b378afadc167c37");
+    ("churn/28", "dbaa8c1da3f59bc8332ff9b8ed38e0e6", "a7fd69621b9d1c98b4245cfdc8a1827d");
+    ("churn/29", "3f9604a2c193db172e3c9b4ea0cf0735", "c4a4b40578317f6c30b013c85fd7820e");
+    ("churn/30", "b68e1f996b02869ef316aec61004b41b", "fa0029483d9f94e6542972f464efa4fb");
+    ("churn/31", "9a4a458daba957fc70adf2cf5ccf9ef7", "175d8b5947b7b96c677060fae6fb1b9b");
+    ("churn/32", "67b8ddf2f081900e73ad2a420ff68ecc", "a1a9c22b81f7b7226b38070664d5c14c");
+    ("churn/33", "38459a08a2921b32e37451bd71114ecc", "e3c394b72b451330204f887292f5e47e");
+    ("churn/34", "70f2274746897677eaa64cffaa7b21d4", "d0e35213de00292734defe50ab34efba");
+    ("churn/35", "a173318a7a9bba703a640ebc25b5d1aa", "7ab585a24d3aa613ada9a4cf8a4dcaf5");
+    ("churn/36", "8f694c4f589d87cc44365bb39137a5d9", "a7f9b46e26d55c64575137e82649723d");
+    ("churn/37", "aa1ef8c2ba8a03e828653e50a51ead27", "bc63879b6f3e9d67bab58837bb569db5");
+    ("churn/38", "e159727088454f1c4a3946e8dab2dc16", "8647e5bb3e1845a32d1edc177654af01");
+    ("churn/39", "8fded4b9260fe63679beea4111c197aa", "cec13d3e60299311fdee1d0d0466cd97");
+    ("churn/40", "c3ae2d582d480befa1a256626bda8d89", "cf7571bca8b5d29441fd8d2d594e6ec9");
+    ("churn/41", "1f8736e682cd9e51213019e8c13898dc", "cab5f7d7d8f8677ad98b47ae5ab40926");
+    ("churn/42", "18357ce09c2a3e4fd954d0786bd665f2", "a340f07e2c2bf17985da5ab1a4eec832");
+    ("churn/43", "85dba9e3cf3a46ea8f153e983a8a0190", "3a44439ab1b8a01791fde26b85262549");
+    ("churn/44", "57c303618a15757d45a6f378065da678", "329e6f247acbaef432f0e4ffd07b4a3d");
+    ("churn/45", "15b9e7be061d624bf12f03bb2d937154", "1203b29efa97af38d4a8e360fa4a4c63");
+    ("churn/46", "1733e9f8a8306ad24abe51db10318a20", "91d4bae0b32932ea6be1d76b17ec54a6");
+    ("churn/47", "dd3d718759f46d89c227b6b84a37e569", "30c06df67c9b3e200a5345adad70ab10");
+    ("churn/48", "39ed9b89f904e36fbac58ea27d79379d", "4f5d92be3e3b03a933502f9e878d7ac3");
+    ("churn/49", "b83c545a84e056a01ed1cde8fbb7d474", "e9b27a1ab12196f52a748b296daf4f8b");
+    ("churn/50", "79f10a4b35e195e5d0b99385cf1283f3", "c0ad8ea8bc8f32edfee1a10f5cfe365a");
+    ("churn/51", "efa465d3274cdf7e6a9cf14efda42473", "c31cf75800a3cc857600a83b09abc6e8");
+    ("churn/52", "77baf044865b073eab049797e9201161", "ce8241af5410e44ff18f5f736f3626df");
+    ("churn/53", "860d54f914d8fd45a6d2d6c50756d030", "cc8bff16f51ad252df778bc044a4f280");
+    ("churn/54", "34ea67e8253c9e2c36045cf7f23e150c", "17fd5233bf4a892cd296c2f2c2a7d971");
+    ("churn/55", "df542a42c29c7444e375fb6c3a614e7c", "f844fc30b98e441bcf6c73cdd2c14492");
+    ("churn/56", "9152b1feb3e67e5888f1b0e6b5fe64b3", "c01e073e1b42b560ae0f087dface5f41");
+    ("churn/57", "712c5905d0123c48c952338e3db25a1a", "316027ebf561b7b6dce54dd5d8ad6472");
+    ("churn/58", "8e450ceed2742716e61eac01b7934218", "77006d66ef339ced2c3f39a748eaf913");
+    ("churn/59", "d12bb76eb3923a3d0c169f36c74984e6", "2342863b952c555d9441941b1f8ea616");
+    ("churn/60", "32690c4962ccb6ef052241fa8ffebcda", "873500bcd972f072f4675b3aa3ae3c32");
+    ("churn/61", "a6dcdaa0e8f4f9e54f40872894cb9bd3", "fb1772a9158f161aaf799aecd05dea30");
+    ("churn/62", "02434c94f1ad1315d9992ed918216e4e", "65fd730f42a933f4e58aa75a78c996a1");
+    ("churn/63", "b093fb96490e7b38fc1d3722042fb1bb", "d4687494326eb2635996880af743e306");
+    ("churn/64", "3c7e68040b9405ce321bf6a37053ce6a", "17da03da2da8b1b742ad5df549bfe06d");
+    ("churn/65", "f773b2d1e42e94152b0a918603484e12", "89212bec8bc069502304c8fbc78fc9d4");
+    ("churn/66", "30fe69088d3ea5dff9ab22901b3080d6", "9b56a89b08a47e2b0b410bdb7dbb7516");
+    ("churn/67", "9020b15a0ec93e2d42d8adacbf5b83a2", "0bf99565430745af1951698d00c598de");
+    ("churn/68", "29252930e82602901fc2718528a36eed", "876d0ef793541c9e4f5b6ac00b2e5bc8");
+    ("churn/69", "ecf1ae0fd525796c0b0ec67a4c031c60", "249229d59271192396ab66b742860faf");
+    ("churn/70", "1c868665aa240192daba52c66e5fbd83", "c0fb0f3358a64ef3c4cb3d6357a757a6");
+    ("churn/71", "5cbbc89e583391d87f7caf52ee0466ee", "3697337168c67e664e9df084d70e2990");
+    ("churn/72", "6e705bf4be621a63541c459c8400017e", "189f9f25666ad9b067135e7d20dd846f");
+    ("churn/73", "6eb239aee4a969bbd56f1030d34638f5", "e796ce891d4f6f86f01be4f59193d6ac");
+    ("churn/74", "0e47a6ada8e275450245169578fcd42a", "084572a7126d626d918523f14f4ba198");
+    ("churn/75", "4a431849d98c95e66f9e492b291bfa07", "ae23158adde4237671996b7f20e3a5e5");
+    ("churn/76", "d22be78e05e176e75a2666765e9adbcb", "527f17183b026a04652af64e46af4afc");
+    ("churn/77", "8e2f3a80c707403c92942919afdaf7e6", "be13c8274c846b8a92f755a5b09e019b");
+    ("churn/78", "ce446ec1f48e5225e30ce56501bacca2", "9f97be653c9430ced9dd441e6a17af53");
+    ("churn/79", "4e00540d0533cade8f1f50580a206786", "97449b0d983ed8543773b323b1608d27");
+    ("churn/80", "9398dd787a7fc1b2cc29efbd68064bd1", "c77554c454a5ac9a56de825525820c77");
+    ("churn/81", "195814e85f4cc0c8ef32367ce9be0da6", "852bdff77469f58c4e83ac4635db576f");
+    ("churn/82", "ebc8202d74f42a67e2e8d881ff557c71", "c18f7530a75ca597b691b7d2ff924a2a");
+    ("churn/83", "5dab4580f39845dd8b2656721dcef4ad", "809dcfb29b34b9d94808ba6b427be5b3");
+    ("churn/84", "30815819ad87c5ac2ef9cc4a81150297", "86d15a4eebabfcdfaf1f32f27548b170");
+    ("churn/85", "5f67da25150b55c6d139c207223f43d4", "0dddc0e2dbd087c22a94f4d4973acf00");
+    ("churn/86", "b5a3fb2ae6717f2c90828125e3ccea83", "4649dcbc63a3b1983435209b34bf4fb4");
+    ("churn/87", "ac36242368cce065c2df3096c0dec445", "f7290a0e3f2c0085ca38f9c0cb901b8a");
+    ("churn/88", "e9bb79da5d4abfffcb60c8b28f5c3ae7", "3dc4adf68839b8ea8ef39bc79f855e07");
+    ("churn/89", "ca2566cd60b00d0092d81986632a9720", "0b5f8f1b2a4ca8672bf4483f6473cfc7");
+    ("churn/90", "2ba81ba83c73997134db188b965edba8", "90e4bc905268e59debb8d684edffbab6");
+    ("churn/91", "fd0cd0e03ced6c4b2d8ee2aae5401fc6", "1ce9c5b3a47eaa84c8ecbeb199466836");
+    ("churn/92", "94ff83af5a561f764ef4ed699bd6038c", "883410f79d95a9c6e711a50a6215bde7");
+    ("churn/93", "afb954f67f1368de39da7c4c25cf1870", "b530d022ece64ad9a26a01340ddf7b34");
+    ("churn/94", "728204eb3474db85e15112f24a7f2e5b", "990b1bbe6b425027d13a0fccabdd849c");
+    ("churn/95", "da1774e27aa6e7f16ec5e0d1369f12e2", "54a053a4f6df7abfcebfd30dd8df42a6");
+    ("churn/96", "bcfac16ee7a964333831f20820e1407a", "8eae2da9a4884819d04319b70863a7ce");
+    ("churn/97", "8021e68cd7e2f7e8eb9d185a4b4a138e", "e48fd282b5f28de5842678c301281bdc");
+    ("churn/98", "ae06fef62f13a3af510f5c8c76133d51", "fa8e080ed04a6cc7eac2c20f48df58d3");
+    ("churn/99", "8483dc29ac11dce1e2f7d370f51a237a", "54929b11554871e5f4e53b82d85e8454");
+    ("churn/100", "0ad161d324570bdb62509f96df08e225", "46ea0889f05f8db9fd67ce512c83dd04");
+    ("churn/101", "c6e94964f6d065a204846ed12cbe7a88", "bd1292704ed8a4ce415c4009fda35e4b");
+    ("churn/102", "755759030e2b0c4aabc52070b6ab8d30", "a927c9ea9edcb48fea27a6afa03b865e");
+    ("churn/103", "37e9836db8f7fa9065628128a61087ea", "459df0ec430feea5f907f63d8a977183");
+    ("churn/104", "a0b9e9c684c496047def31ddd3ea7002", "ab89d1c400feb304515ccca9986d29f2");
+    ("churn/105", "d1b10fb6d81965ca7612e44c87be062b", "306812a600d1284896a47d66250f26e8");
+    ("churn/106", "dbace6b65ba66864902218a12673b5f5", "b0ee67e81a09180bb30facd92efb69e6");
+    ("churn/107", "51153b6f80c250221f34b78922cec625", "24d635360f2e1d69afb09d806346481f");
+    ("churn/108", "8d010cd9678929ccf13785a9396ccbd3", "1830691e9aca771118ab3c8139cdd63b");
+    ("churn/109", "b1eb292a703068c96a08ca7be5358fa1", "f1cf87e62863e0ee99371f753b5013ac");
+    ("churn/110", "6e4ccfdd630ce496bf3bf6d20fd9de93", "18fa054273fd6c6d33f0125b42f4d6ae");
+    ("churn/111", "c42a96d241135980e72b5a44ce2ee28f", "6089e44b4342577df330fe1185ca2885");
+    ("churn/112", "5690e49247ec4212565074ce7f8279e5", "88b5c7f350ce91fbf9c527e256c9afed");
+    ("churn/113", "f8a9c22e2902b9c5959f5f9d5c5c7229", "a5665a70f299e3ff03cb007c19199ff5");
+    ("churn/114", "6f7675c1f2b4f273592429921221d0bb", "e49ae91022139c77a3f8ac150ffa4c7b");
+    ("churn/115", "6ad358726f61b903291e40f6319d58de", "0c0815945d7e5ed90f729400313220a4");
+    ("churn/116", "e2197d52ac0ecb1eb662d4fa3527787f", "d49019053ec50b8a56f3069a91cfbf73");
+    ("churn/117", "bacb3a25bae5b1ddbf661e866481d218", "4b7ec6052c8986168ecbe66fe1f5614e");
+    ("churn/118", "912b3355daa095ca80d8904f8653af63", "7cb1862723412ae865f15064d5ebc1d5");
+    ("churn/119", "a321a33cd4ea6658a5406535d82dad7a", "b8975aa53da891e80f3e273aea49dae8");
+    ("churn/120", "d5b0d01804cb4335f5098093c9b36d9d", "04538812fbec1972bcbf7d6987d4436c");
+    ("churn/121", "8288be3266a16435e49579b914e0b7ce", "9843757da9fd0dd3834e8e39cecf3af4");
+    ("churn/122", "df1c7b96cc7933327243617ec340227b", "ef314c9960e2e26c318935674964f895");
+    ("churn/123", "7635106235457602e24a2d0c87e18f56", "bf916c0b06b646dc2c3c2bf6db1feafb");
+    ("churn/124", "bd6307c42ae3be9ac8151f5250ac294b", "393a3b8a9ad9c0ecd43b7fb131ff2752");
+    ("churn/125", "2b9161aa1ef31a384732017cf788cfe8", "5a45981263547f9c88933d1a06830fea");
+    ("churn/126", "f1ee992c0d4967f75ae28af318e98682", "dc8c25d2a64cf3871b3ddfadfd1fb6df");
+    ("churn/127", "a0e2f2a2965859c29a96d2ba171bfdbd", "9f74deba50efb83bacf71fb75ade0a5d");
+    ("churn/128", "7d74fdc8460011c900f8712916f46330", "65d67d41629f0f24a95e087f88c0cb1a");
+    ("churn/129", "5c0ced9c96033ed1542ea9c9eb8fc7b7", "fd5fcff7703c0678f46399bc62ca8cf6");
+    ("churn/130", "2eaadcd06ed1361c045a525416207e47", "594832c145ea8d9c42f5f476a1953758");
+    ("churn/131", "31a1561dae7ecb117f301c7d807cfaf0", "716b2e229937136e19486582de086d86");
+    ("churn/132", "fc8c30aca80472ac75889b44189b2b01", "af35bbd314c40328517ab5988d9cc987");
+    ("churn/133", "f6cd79b31da56114287e249a0aa3e8ab", "229898f0f25102c8901643a6e88c0c1f");
+    ("churn/134", "d9b44362566dbeb8e4b828fff4600076", "51d81ea65f1e69de8d01645a166cb476");
+    ("churn/135", "907b023e392bc981761b2df0ec0a3997", "caef649bb0f94b3df6160caaa66de0ad");
+    ("churn/136", "e203d9b4d8312c4f4b389c714d9294ef", "2901ad1dec6f53558d3d3dd31254d295");
+    ("churn/137", "ee1494c138e933d8185b71e0d0cbc50d", "3d440ba25d4dada0073371bd3c421840");
+    ("churn/138", "14f2c908b3397b85fa7a1ba229416f18", "d4e645415db06132382cb82110275e3a");
+    ("churn/139", "670437440e460332c683416c2bb5ea11", "1f7d13dc1e86dd5d8ea8e5a122bd2a27");
+    ("churn/140", "ba9125e397fc1760330eed52a4f24121", "37c7452add4f3933818f48fe829de3f1");
+    ("churn/141", "3b9acaa160a496d890f88ee8c313ab90", "62413a31bfa5c70953007a444bde5246");
+    ("churn/142", "5629f754a19da3d86715e84d736b88b0", "a2442c44ceab129d2b6d0dfafc7b9828");
+    ("churn/143", "f4800e4c75cf44f68659f38a7efd150e", "c87201dd18c77ec3b1ebe53231aa5a95");
+    ("churn/144", "90402170caee9f55841f8d5559ce071f", "11844eb62e1199620ea5e088a428c753");
+    ("churn/145", "eae5e2041e18b60b96953cdd9790e64e", "275677c836332caf7fa709bf08d1e5c3");
+    ("churn/146", "c12f32354548eea185c75c19782033ae", "6dce3235dd8adc369eb0c4ee27e68596");
+    ("churn/147", "47825c5aa087d8eb7902d4db023326d5", "998bbbe44d75c8c8941c39d983b3f9df");
+    ("churn/148", "bdb0abbf9dfff1a467c50f14ba5bd254", "7b06ac83e23d82b94f253cce3c45f9e6");
+    ("churn/149", "1b0b6ba622ebe5f2dbde5cfadfc292d4", "294ef8b6fd2082468140b3900e82cd6d");
+    ("churn/150", "93d2a20e5d0e37e95a64be66778b9fcf", "c1d956618a233fed18fed7ec16ddb8a4");
+    ("churn/151", "d9f8378c44d5b81ade89301396991805", "60ba549eeb720de5c2b9dbdf7c85ded4");
+    ("churn/152", "ad41aae714e95407497721c7a75b945c", "076f1093d4bc7a83280e65296b3095af");
+    ("churn/153", "5ca8eccabfc82d542f9381234caae97f", "b9a78839f1b7a6fff4a2a3f00ee1dba3");
+    ("churn/154", "fe9183bd953c6e7acfcbd73225f7142b", "89056d57f15827f3df44df9ef5493813");
+    ("churn/155", "621f71f88c77797be9817ac00b9491a9", "69c7294cf0ead1897903ec5cabeca79f");
+    ("churn/156", "d5a7cdfec04549484cd1cdd62875e52a", "4eb466ea814f4e39aca9f8d537630973");
+    ("churn/157", "a2083ae99e2971f38607ddce5a7c8e5d", "0bf3a632a2555c97c64572613c35d656");
+    ("churn/158", "b1c22594d5496d8c691642a216b46cc3", "c398eea5b01603ee671014cd5908bf13");
+    ("churn/159", "3109bc88e2321a6de1d1f8773942314a", "d06667117423fdf90506c53856173785");
+    ("churn/160", "e383cb324ca28db17702aec389baa202", "cda457cee7a53e6589a5481b507763eb");
+    ("churn/161", "8f33b0e7b886930656a8a7f1a9fb8f4c", "84c38d6fb7761fd3cc30825c860090e3");
+    ("churn/162", "4ce36e5b1478e3a6b1164c6ecd10689f", "e0eacbc9ac746e953840a7724391cb9f");
+    ("churn/163", "0019677fa5908e11896a4101737983fe", "46079d2dc29cbd5d36f098fb9118a38a");
+    ("churn/164", "0aa199bc604ca9f8acd65d28fb829fac", "254975d791116c5a202affec004e139f");
+    ("churn/165", "c61c05ee41c00aa2f6664977c81d7778", "bf51c7ea4e399284101067d7771952bf");
+    ("churn/166", "7d3a7f69cafdfd21116c38c15262e297", "e0c986f7ae786b78204436079ff4cb7a");
+    ("churn/167", "43858f2defe796bc24ab352997953d6a", "ae58f1ef9a2970d925a434b3c50d08aa");
+    ("churn/168", "52fa68e0dc7b48f19ff88162dae45c97", "f7a37f2bf03904f61f341b363edd9439");
+    ("churn/169", "0cf51caf1e71cacc457ef81ccbf532f0", "93d161687558fb6d900052e16c2b1a82");
+    ("churn/170", "183cec89915fffa1f9d6be7befa8e078", "016ac94e6ba40b9bc9bf2af660ee4177");
+    ("churn/171", "197a577d64773325d3b02d92a2a380e9", "11ae2e106159fb67d65a56f678651ba7");
+    ("churn/172", "c1652fa0b1ab607ca39a52737bfa7fe9", "9b9487f837ad75506753b6e33daa8eb1");
+    ("churn/173", "c22d05d8cea7ebe1120c8edab2fd547c", "90dccabdf89937a18149f66f60208759");
+    ("churn/174", "b9b9c11a0663d9fb9f831cca9ee81365", "2368096706653cfb0a2035b075895480");
+    ("churn/175", "c227def851c7181b4e8c8c177967a890", "71b33ea191335b269d11ef62ee7fa8da");
+    ("churn/176", "cdd9cb70ae99c405e1a0ee76f3f39a67", "efcfe65c38b637ef29fd0c19db26c8cc");
+    ("churn/177", "1e8c557311c97172cf5a4af58f57e8dc", "3b6ce843225c8a41488cbd9ffd373227");
+    ("churn/178", "9db31042cb343f0e99c6f4238519ac42", "c0ccbc46e64a476c2b06284f28ec43d6");
+    ("churn/179", "41be6f1c205ce9d8def8cdf3b434e105", "ab252eda95847ff03eb451d0f944f01a");
+    ("churn/180", "0b62d9999c6730f0937fa9a553c932a8", "72a3734b76f4a84996520427a96de000");
+    ("churn/181", "af1569e6da17e45277e9c5f46882d3b9", "8de30b11cdc50085d57f60bad3f1c950");
+    ("churn/182", "62fccbbb4381f27841533c5c54704a89", "74de7b39afb1e052e0d54462406b340a");
+    ("churn/183", "007efd92b30513648f499aa1c1c23959", "cd5afdc835caf035bc75cd2784ce4828");
+    ("churn/184", "fe5f6cfd990834e354a47c4cf65a67ef", "3f66d2e6ea79b3ba3905c6e16713e598");
+    ("churn/185", "23ed08dbef39a9c44c30dbcbbbdd301e", "1771086caac9cfdf0ed4e3a089d247d6");
+    ("churn/186", "e7213084b68e3a5f9a7a27aab960a335", "cb7efd59591e6faaef838774e43835b9");
+    ("churn/187", "4c7c187958f6fd86361aac507f858bd5", "5d7dc9a34e8ed34af7d189b862eda904");
+    ("churn/188", "b9072905cedda9bc828914a748f4e4e5", "59a18ce909267b1471457f2a6d69994d");
+    ("churn/189", "e8d0771cd79f4c108ea51fcc73451839", "5b628610ebc902d0dc686b15fe9b61d9");
+    ("churn/190", "6307b213ef73d0ead6121f120efb92e4", "4596daf6de427040ad08f1782bd29a6f");
+    ("churn/191", "db85f2f05bd771e28feaebe57f5cd9fa", "db78312103c7c68f76f9d9cddcb237f9");
+    ("churn/192", "ab3f5961844491a92ddeb8d469785aab", "c466671c3b64bd20a32747158a3ad4b4");
+    ("churn/193", "0820fe0e87df90f8e0f3c3a71f24a738", "d16c55cd7c0c163a61ba875690e58d02");
+    ("churn/194", "577753604f2f3dda1c2d6108f0bdc2e0", "465c6434523d2d092fac39d1b9ffadde");
+    ("churn/195", "d97c9f9747132455074203e98bc5648d", "4a37074e0bf66c2f0790541d5603e607");
+    ("churn/196", "2f38f765f5612742f55074c9e23d1497", "efb146885501c424a9900b60061ff8ab");
+    ("churn/197", "50b850b923fdde660da2c99500ea5b9b", "0e602009d54ec6c3fb427abd9e394ae8");
+    ("churn/198", "1cf3de8b9ceaeb20e6b8d552e74e1e6d", "a4a326f495e06a078ac6316a1b0c264a");
+    ("churn/199", "b5432b0c4ae215cd68a0c03b09a1706c", "ce464a980311c290aaa3e9cdb7c28466");
+    ("arms/0", "857fdf3407832aceb1900dfbda893bbc", "35f908cf9b8e86a8748f0f00a1a1e071");
+    ("arms/1", "35756ae67c76aad6b038279cb51b4bbf", "14ae338a0a89d97d2b02115a7a038a60");
+    ("arms/2", "98f9a2d6469cf96309150230a54f4607", "30311ee31b90baba58fb502c95816cd5");
+    ("arms/3", "b83a1525101e8ae97428aa59842eff93", "227904ced9e861ca6d5a2144bcf67a25");
+    ("arms/4", "a2b816e501ea755c329949a291ee3149", "cab1fff4b48eb52c7374457df3d99386");
   ]
 
 let check ~what got =

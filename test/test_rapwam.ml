@@ -48,6 +48,42 @@ let test_deep_parcall_matches_seq () =
         (answer_str ~n ~src:deriv_src query "D"))
     [ 1; 2; 3; 4; 8 ]
 
+(* [[]] is atom 0, so its cell and the integer 0's share a payload:
+   every match must compare whole cells.  p and q fail on the get
+   path, r on the unify path, s through a put into a get; k answers
+   through switch_on_term and a constant switch.  Each engine gives
+   each answer: the WAM and RAP-WAM at 1 and 4 PEs. *)
+let constants_src =
+  "p(0). q([]). r(f(0)). s :- t(0). t([]).\n\
+   k(0, int). k([], nil). k(a, atom).\n"
+
+let test_constant_kinds () =
+  let engines =
+    ("WAM", fun query -> fst (Wam.Seq.solve ~src:constants_src ~query ()))
+    :: List.map
+         (fun n -> (Printf.sprintf "%d PEs" n, fun query -> fst (psolve ~n ~src:constants_src query ())))
+         [ 1; 4 ]
+  in
+  let check query want =
+    List.iter
+      (fun (engine, run) ->
+        let got =
+          match run query with
+          | Wam.Seq.Failure -> "no"
+          | Wam.Seq.Success bindings -> (
+            match List.assoc_opt "X" bindings with
+            | Some t -> Prolog.Pretty.to_string t
+            | None -> "yes")
+        in
+        Alcotest.(check string) (Printf.sprintf "%s on the %s" query engine) want got)
+      engines
+  in
+  List.iter (fun q -> check q "yes") [ "p(0)"; "q([])"; "r(f(0))"; "t([])" ];
+  List.iter (fun q -> check q "no") [ "p([])"; "q(0)"; "r(f([]))"; "s" ];
+  check "k([], X)" "nil";
+  check "k(0, X)" "int";
+  check "k(a, X)" "atom"
+
 let fib_src =
   "fib(0, 1).\n\
    fib(1, 1).\n\
@@ -565,6 +601,7 @@ let suite =
     Alcotest.test_case "parcall 1 PE" `Quick test_unconditional_parcall_1pe;
     Alcotest.test_case "parcall 4 PEs" `Quick test_unconditional_parcall_4pe;
     Alcotest.test_case "deep parcall = seq" `Quick test_deep_parcall_matches_seq;
+    Alcotest.test_case "a constant matches only its own kind" `Quick test_constant_kinds;
     Alcotest.test_case "parallel fib" `Quick test_fib_parallel;
     Alcotest.test_case "goals stolen" `Quick test_goals_get_stolen;
     Alcotest.test_case "no-steal policy" `Quick test_no_steal_policy_still_correct;

@@ -32,6 +32,9 @@ let entry symbols code name arity =
 
 let emit code i = ignore (Wam.Code.emit code i)
 
+(* The constant [[]]. *)
+let nil = Wam.Cell.con Wam.Symbols.nil
+
 (* ---- clean fixtures: the verifier must be able to pass ---- *)
 
 let test_clean_handmade () =
@@ -39,7 +42,7 @@ let test_clean_handmade () =
     fixture (fun symbols code ->
         let open Wam.Instr in
         ignore (entry symbols code "p" 1);
-        emit code (Get_nil (1, false));
+        emit code (Get_constant (nil, 1, false));
         emit code Proceed)
   in
   check_clean "fact p(nil)" diags
@@ -58,7 +61,7 @@ let test_clean_env_roundtrip () =
         emit code Deallocate;
         emit code (Execute q);
         ignore (entry symbols code "q" 1);
-        emit code (Get_nil (1, false));
+        emit code (Get_constant (nil, 1, false));
         emit code Proceed)
   in
   check_clean "allocate/call/deallocate" diags
@@ -285,7 +288,7 @@ let test_stray_unify () =
         let open Wam.Instr in
         ignore (entry symbols code "p" 0);
         (* no get_structure/put_structure opened a unify context *)
-        emit code Unify_nil;
+        emit code (Unify_constant nil);
         emit code Proceed)
   in
   check_has "stray-unify" diags
@@ -297,7 +300,7 @@ let test_unreachable () =
         ignore (entry symbols code "p" 0);
         emit code Proceed;
         (* dead code after the clause, no entry points here *)
-        emit code (Get_nil (1, false)))
+        emit code (Get_constant (nil, 1, false)))
   in
   check_has "unreachable" diags
 
@@ -308,7 +311,7 @@ let test_trail_discipline_clean () =
         ignore (entry symbols code "p" 1);
         emit code (Allocate 1);
         emit code (Get_level 0);
-        emit code (Get_nil (1, false));
+        emit code (Get_constant (nil, 1, false));
         emit code (Cut_to 0);
         emit code Deallocate;
         emit code Proceed)
@@ -351,7 +354,7 @@ let test_trail_discipline_partial_path () =
         ignore (entry symbols code "p" 1);
         emit code (Allocate 1);
         (* the level is saved on only one of the two paths to the cut *)
-        let sw = Wam.Code.emit code (Get_nil (1, false)) in
+        let sw = Wam.Code.emit code (Get_constant (nil, 1, false)) in
         ignore sw;
         let branch = Wam.Code.emit code (Jump 0) in
         emit code (Get_level 0);
