@@ -7,7 +7,7 @@
    unchanged; type tests that entail groundness strengthen it. *)
 
 type result =
-  | Applied of Absdom.t  (* builtin; state after a successful call *)
+  | Applied of Prolog.Absdom.t  (* builtin; state after a successful call *)
   | Fails  (* cannot succeed: the rest of the clause is unreachable *)
   | Not_builtin
 
@@ -15,15 +15,15 @@ let vars = Prolog.Term.vars
 
 let apply st name args =
   match (name, args) with
-  | "=", [ a; b ] -> Applied (Absdom.unify st a b)
+  | "=", [ a; b ] -> Applied (Prolog.Absdom.unify st a b)
   | ("fail" | "false"), [] -> Fails
   | ("true" | "!" | "nl" | "halt"), [] -> Applied st
   | "is", [ a; b ] ->
-    Applied (Absdom.set_ground st (vars a @ vars b))
+    Applied (Prolog.Absdom.set_ground st (vars a @ vars b))
   | ("<" | ">" | "=<" | ">=" | "=:=" | "=\\="), [ a; b ] ->
-    Applied (Absdom.set_ground st (vars a @ vars b))
+    Applied (Prolog.Absdom.set_ground st (vars a @ vars b))
   | ("atomic" | "atom" | "integer" | "ground"), [ a ] ->
-    Applied (Absdom.set_ground st (vars a))
+    Applied (Prolog.Absdom.set_ground st (vars a))
   | ("var" | "nonvar" | "compound"), [ _ ] -> Applied st
   | ("\\=" | "==" | "\\==" | "@<" | "@>" | "@=<" | "@>=" | "indep"), [ _; _ ]
     ->
@@ -32,5 +32,5 @@ let apply st name args =
   | ("functor" | "arg"), [ _; _; _ ] | "=..", [ _; _ ] ->
     (* structure builders: conservatively alias everything they touch *)
     let vs = List.concat_map vars args in
-    Applied (Absdom.link_all (Absdom.make_any st vs) vs)
+    Applied (Prolog.Absdom.link_all (Prolog.Absdom.make_any st vs) vs)
   | _ -> Not_builtin

@@ -78,17 +78,17 @@ let exec_goal t ~caller st g =
   | Prolog.Term.Var v ->
     (* meta-call: pre-scan already switched to open-world seeding;
        locally the called term may become anything *)
-    Some (Absdom.link_all (Absdom.make_any st [ v ]) [ v ])
+    Some (Prolog.Absdom.link_all (Prolog.Absdom.make_any st [ v ]) [ v ])
   | Prolog.Term.Int _ -> None
   | Prolog.Term.Atom name | Prolog.Term.Struct (name, _) ->
     let args = Prolog.Term.args g in
     let arity = List.length args in
     if Prolog.Database.has_predicate t.db (name, arity) then begin
       let callee = (name, arity) in
-      contribute t ~caller ~callee (Absdom.project st args);
+      contribute t ~caller ~callee (Prolog.Absdom.project st args);
       match Hashtbl.find_opt t.succ callee with
       | None -> None
-      | Some sp -> Some (Absdom.apply_success st args sp)
+      | Some sp -> Some (Prolog.Absdom.apply_success st args sp)
     end
     else begin
       match Builtins.apply st name args with
@@ -123,7 +123,7 @@ let exec_items t ~caller st items =
 let join_opt a b =
   match (a, b) with
   | None, x | x, None -> x
-  | Some s1, Some s2 -> Some (Absdom.join s1 s2)
+  | Some s1, Some s2 -> Some (Prolog.Absdom.join s1 s2)
 
 let rec exec_term t ~caller st_opt g =
   match st_opt with
@@ -189,11 +189,11 @@ let process_pred t ((_, arity) as key) =
         List.fold_left
           (fun acc (clause : Prolog.Database.clause) ->
             let args = Prolog.Term.args clause.Prolog.Database.head in
-            let st0 = Absdom.seed_head cp args in
+            let st0 = Prolog.Absdom.seed_head cp args in
             match exec_items t ~caller:key st0 clause.Prolog.Database.body with
             | None -> acc
             | Some st_end ->
-              let sp = Absdom.project st_end args in
+              let sp = Prolog.Absdom.project st_end args in
               (match acc with
               | None -> Some sp
               | Some old -> Some (Prolog.Abspat.join old sp)))
@@ -222,7 +222,7 @@ let process_entry t key =
   | None -> ()
   | Some term ->
     t.iterations <- t.iterations + 1;
-    ignore (exec_term t ~caller:key (Some Absdom.empty) term)
+    ignore (exec_term t ~caller:key (Some Prolog.Absdom.empty) term)
 
 (* ------------------------------------------------------------------ *)
 (* Seeding.                                                           *)

@@ -163,7 +163,9 @@ let set_slot_exec sim w pf slot =
 (* Goal lifecycle.                                                    *)
 
 (* A goal the parent pops from its own goal stack runs as a plain call
-   (no marker): the cheap local path. *)
+   (no marker): the cheap local path.  It starts under its own backtrack
+   barrier, so its failure checks it in as failed instead of
+   backtracking into the choice points the CGE's inline goal left. *)
 let start_local_goal sim (w : Machine.worker) (goal : Goal_frame.goal)
     ~resume =
   let m = sim.m in
@@ -171,8 +173,15 @@ let start_local_goal sim (w : Machine.worker) (goal : Goal_frame.goal)
   set_slot_exec sim w goal.pf goal.slot;
   w.exec_stack <-
     Machine.Local_goal
-      { parcall = goal.pf; slot = goal.slot; resume; entry_b = w.b }
+      {
+        parcall = goal.pf;
+        slot = goal.slot;
+        resume;
+        entry_b = w.b;
+        barrier = w.barrier;
+      }
     :: w.exec_stack;
+  w.barrier <- w.b;
   for i = 0 to goal.arity - 1 do
     w.x.(i + 1) <- goal.args.(i)
   done;
@@ -225,8 +234,9 @@ let goal_done sim (w : Machine.worker) =
   match w.exec_stack with
   | [] | Machine.Parcall_pending _ :: _ ->
     Machine.runtime_error "goal_done outside a parallel goal (PE %d)" w.id
-  | Machine.Local_goal { parcall; slot; resume; entry_b } :: rest ->
+  | Machine.Local_goal { parcall; slot; resume; entry_b; barrier } :: rest ->
     w.exec_stack <- rest;
+    w.barrier <- barrier;
     check_in sim w parcall ~failed:false ~slot;
     (* commit: cut the local goal's leftover choice points so its
        alternatives match the committed remote goals *)
@@ -265,10 +275,12 @@ let total_failure sim (w : Machine.worker) =
       (Parcall.locked_update m w pf ~off:Parcall.off_status (fun _ -> 1));
     w.p <- Parcall.join_addr m w pf;
     w.status <- Machine.Running
-  | Machine.Local_goal { parcall; slot; resume; entry_b = _ } :: rest ->
+  | Machine.Local_goal { parcall; slot; resume; entry_b = _; barrier } :: rest
+    ->
     (* a locally-run pushed goal failed: its bindings are undone by the
        parent's recovery untrail (same trail); just check in *)
     w.exec_stack <- rest;
+    w.barrier <- barrier;
     check_in sim w parcall ~failed:true ~slot;
     w.p <- resume;
     w.status <- Machine.Running

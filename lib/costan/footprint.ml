@@ -127,7 +127,7 @@ let selection ~arity clauses : t =
       (* a choice point may be pushed, restored after a failed clause
          (arguments re-read), updated by retry, and discarded by trust
          or a cut -- up to three passes over its words *)
-      let words = arity + 9 in
+      let words = Wam.Exec.choice_point_words arity in
       add_area fp Trace.Area.Choice_point (itv 0 ((3 * words) + 10));
       add_area fp Trace.Area.Trail (itv 0 4)
     end;

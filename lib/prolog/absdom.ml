@@ -2,23 +2,18 @@
    sharing.  Purely functional so branch joins and fixpoint snapshots
    are cheap to reason about.
 
-   Soundness notes mirrored from the annotator:
+   Soundness notes:
    - grounding a variable severs every sharing pair through it;
    - linking u-v (an abstract binding that may connect their terms)
      star-closes over the current neighbors of both sides: anything
      sharing u may afterwards share anything sharing v;
    - Var = t links the variable to t's variables but not t's variables
-     to each other (they occupy disjoint subterms of t). *)
+     to each other (they occupy disjoint subterms of t).
+
+   Every variable of a pair is in [any]: each operation that removes a
+   variable from [any] also drops its pairs. *)
 
 module SS = Set.Make (String)
-
-module PS = Set.Make (struct
-  type t = string * string
-
-  let compare = compare
-end)
-
-type gfa = Prolog.Abspat.gfa
 
 type t = {
   ground : SS.t;
@@ -31,9 +26,9 @@ let empty = { ground = SS.empty; any = SS.empty; share = [] }
 let norm x y : string * string = if x <= y then (x, y) else (y, x)
 
 let gfa_of t v =
-  if SS.mem v t.ground then Prolog.Abspat.Ground
-  else if SS.mem v t.any then Prolog.Abspat.Any
-  else Prolog.Abspat.Free
+  if SS.mem v t.ground then Abspat.Ground
+  else if SS.mem v t.any then Abspat.Any
+  else Abspat.Free
 
 let set_ground t vs =
   let g = List.fold_left (fun acc v -> SS.add v acc) t.ground vs in
@@ -57,9 +52,16 @@ let neighbors t v =
       if x = v then y :: acc else if y = v then x :: acc else acc)
     [ v ] t.share
 
-let may_share t x y =
-  x = y
-  || List.mem (norm x y) t.share
+let may_share t x y = x = y || List.mem (norm x y) t.share
+
+let set_free t v =
+  if SS.mem v t.ground then t
+  else
+    {
+      t with
+      any = SS.remove v t.any;
+      share = List.filter (fun (x, y) -> x <> v && y <> v) t.share;
+    }
 
 let link t u v =
   if u = v || SS.mem u t.ground || SS.mem v t.ground then t
@@ -86,19 +88,19 @@ let link_all t vs =
   go t vs
 
 let term_ground t tm =
-  List.for_all (fun v -> SS.mem v t.ground) (Prolog.Term.vars tm)
+  List.for_all (fun v -> SS.mem v t.ground) (Term.vars tm)
 
 let unify t a b =
-  if term_ground t a then set_ground t (Prolog.Term.vars b)
-  else if term_ground t b then set_ground t (Prolog.Term.vars a)
+  if term_ground t a then set_ground t (Term.vars b)
+  else if term_ground t b then set_ground t (Term.vars a)
   else begin
     match (a, b) with
-    | Prolog.Term.Var x, _ ->
-      List.fold_left (fun t v -> link t x v) t (Prolog.Term.vars b)
-    | _, Prolog.Term.Var y ->
-      List.fold_left (fun t v -> link t y v) t (Prolog.Term.vars a)
+    | Term.Var x, _ ->
+      List.fold_left (fun t v -> link t x v) t (Term.vars b)
+    | _, Term.Var y ->
+      List.fold_left (fun t v -> link t y v) t (Term.vars a)
     | _, _ ->
-      let va = Prolog.Term.vars a and vb = Prolog.Term.vars b in
+      let va = Term.vars a and vb = Term.vars b in
       List.fold_left
         (fun t u -> List.fold_left (fun t v -> link t u v) t vb)
         t va
@@ -125,26 +127,25 @@ let join a b =
 
 let rec count_var v tm =
   match tm with
-  | Prolog.Term.Var w -> if v = w then 1 else 0
-  | Prolog.Term.Atom _ | Prolog.Term.Int _ -> 0
-  | Prolog.Term.Struct (_, args) ->
+  | Term.Var w -> if v = w then 1 else 0
+  | Term.Atom _ | Term.Int _ -> 0
+  | Term.Struct (_, args) ->
     List.fold_left (fun n a -> n + count_var v a) 0 args
 
 let project t args =
-  let arg_vars = Array.of_list (List.map Prolog.Term.vars args) in
+  let arg_vars = Array.of_list (List.map Term.vars args) in
   let n = Array.length arg_vars in
   let gfa_arg arg =
-    if term_ground t arg then Prolog.Abspat.Ground
+    if term_ground t arg then Abspat.Ground
     else begin
       match arg with
-      | Prolog.Term.Var v when gfa_of t v = Prolog.Abspat.Free ->
-        Prolog.Abspat.Free
-      | _ -> Prolog.Abspat.Any
+      | Term.Var v when gfa_of t v = Abspat.Free -> Abspat.Free
+      | _ -> Abspat.Any
     end
   in
   let args_arr = Array.of_list args in
   let pat_args = Array.map gfa_arg args_arr in
-  let nonground v = gfa_of t v <> Prolog.Abspat.Ground in
+  let nonground v = gfa_of t v <> Abspat.Ground in
   let share = ref [] in
   for i = 0 to n - 1 do
     (* internal aliasing: a repeated non-ground variable inside one
@@ -167,17 +168,17 @@ let project t args =
       then share := (i, j) :: !share
     done
   done;
-  { Prolog.Abspat.args = pat_args; share = List.sort compare !share }
+  { Abspat.args = pat_args; share = List.sort compare !share }
 
-let apply_positional t args (pat : Prolog.Abspat.pattern) =
-  let arg_vars = Array.of_list (List.map Prolog.Term.vars args) in
+let apply_success t args (pat : Abspat.pattern) =
+  let arg_vars = Array.of_list (List.map Term.vars args) in
   let t = ref t in
   Array.iteri
     (fun i vs ->
-      match pat.Prolog.Abspat.args.(i) with
-      | Prolog.Abspat.Ground -> t := set_ground !t vs
-      | Prolog.Abspat.Free -> ()
-      | Prolog.Abspat.Any -> t := make_any !t vs)
+      match pat.Abspat.args.(i) with
+      | Abspat.Ground -> t := set_ground !t vs
+      | Abspat.Free -> ()
+      | Abspat.Any -> t := make_any !t vs)
     arg_vars;
   List.iter
     (fun (i, j) ->
@@ -186,27 +187,25 @@ let apply_positional t args (pat : Prolog.Abspat.pattern) =
         List.iter
           (fun u -> List.iter (fun v -> t := link !t u v) arg_vars.(j))
           arg_vars.(i))
-    pat.Prolog.Abspat.share;
+    pat.Abspat.share;
   !t
 
-let apply_success t args pat = apply_positional t args pat
+let repeated args =
+  let seen = Hashtbl.create 8 in
+  List.concat_map
+    (fun arg ->
+      List.filter
+        (fun v ->
+          Hashtbl.mem seen v
+          || begin
+            Hashtbl.add seen v ();
+            false
+          end)
+        (Term.vars arg))
+    args
 
 let seed_head pat args =
   (* a head variable repeated across argument positions aliases the
-     corresponding caller terms with each other; apply_positional only
-     weakens it per-position, which is sound because the repeat makes
-     it Any in each *)
-  let t = apply_positional empty args pat in
-  (* same variable in two positions: it is certainly not fresh unless
-     every position asserts freeness of a distinct variable *)
-  let seen = Hashtbl.create 8 in
-  let repeated = ref [] in
-  List.iter
-    (fun arg ->
-      List.iter
-        (fun v ->
-          if Hashtbl.mem seen v then repeated := v :: !repeated
-          else Hashtbl.add seen v ())
-        (List.sort_uniq compare (Prolog.Term.vars arg)))
-    args;
-  make_any t !repeated
+     corresponding caller terms with each other; apply_success only
+     weakens it per-position, and a Free position would leave it fresh *)
+  make_any (apply_success empty args pat) (repeated args)

@@ -5,21 +5,22 @@
     relation among the remaining variables -- a Pos-style groundness
     component plus pair-sharing with freeness, in the &-Prolog
     tradition.  A variable absent from both sets is fresh, hence free
-    and unaliased (the same convention as the annotator). *)
+    and unaliased.
 
-module SS : Set.S with type elt = string
+    One domain serves both halves of the CGE generation: the global
+    fixpoint ([lib/analysis]) and the annotator ({!Annotate}), which
+    is why it lives here, next to {!Abspat}. *)
 
-type gfa = Prolog.Abspat.gfa
-
-type t = {
-  ground : SS.t;  (** definitely ground *)
-  any : SS.t;  (** possibly aliased / partially instantiated *)
-  share : (string * string) list;
-      (** normalized may-share pairs among [any] variables (sorted) *)
-}
+type t
 
 val empty : t
 (** Every variable fresh (free, unaliased). *)
+
+val gfa_of : t -> string -> Abspat.gfa
+
+val may_share : t -> string -> string -> bool
+(** The two variables may be bound to terms that share a variable
+    (every variable shares with itself). *)
 
 val set_ground : t -> string list -> t
 (** Grounding also severs all sharing through those variables. *)
@@ -27,22 +28,31 @@ val set_ground : t -> string list -> t
 val make_any : t -> string list -> t
 (** Weaken to unknown (ground variables stay ground). *)
 
-val link_all : t -> string list -> t
+val set_free : t -> string -> t
+(** Strengthen to free and unaliased, severing its sharing (a ground
+    variable stays ground). *)
 
-val unify : t -> Prolog.Term.t -> Prolog.Term.t -> t
+val link_all : t -> string list -> t
+(** Any two of the variables may now share. *)
+
+val unify : t -> Term.t -> Term.t -> t
 (** Abstract effect of [A = B]. *)
 
 val join : t -> t -> t
 
-val project : t -> Prolog.Term.t list -> Prolog.Abspat.pattern
+val project : t -> Term.t list -> Abspat.pattern
 (** Call-site projection of goal arguments onto a positional pattern:
     groundness/freeness per position, sharing between positions
     (including [(i, i)] for internal aliasing such as a repeated
     variable in one argument). *)
 
-val apply_success : t -> Prolog.Term.t list -> Prolog.Abspat.pattern -> t
+val apply_success : t -> Term.t list -> Abspat.pattern -> t
 (** Instantiate a callee success pattern back at the call site. *)
 
-val seed_head : Prolog.Abspat.pattern -> Prolog.Term.t list -> t
+val repeated : Term.t list -> string list
+(** The variables that occur in more than one of the arguments. *)
+
+val seed_head : Abspat.pattern -> Term.t list -> t
 (** Clause entry state implied by a call pattern over the head
-    arguments. *)
+    arguments.  A variable of {!repeated} is unknown: the call may
+    pass terms that share in its positions. *)

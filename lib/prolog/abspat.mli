@@ -5,7 +5,8 @@
     structure.  Patterns are produced by the global analysis
     ([lib/analysis]) and consumed by {!Annotate}, which uses them to
     discharge run-time [ground/1]/[indep/2] checks; keeping the type
-    here avoids a dependency cycle between the two libraries.
+    here, with {!Absdom}, the domain both run on, avoids a dependency
+    cycle between the two libraries.
 
     A table entry for a predicate means the predicate was reached by
     the analysis from its entry set; the entry's call pattern is the

@@ -8,31 +8,29 @@
    parallel groups, inserting ground/indep run-time checks exactly
    where the analysis is inconclusive.
 
-   The local part seeds per-clause abstract states from `:- mode`
-   directives.  When the caller also supplies the global analysis
-   results ([?patterns], computed by lib/analysis), clause entry states
-   are seeded from the inferred interprocedural call patterns, goal
-   effects use inferred success patterns, and possible aliasing is
-   tracked as an explicit pair-sharing relation instead of the
-   worst-case "all unknowns alias" assumption -- so checks that local
-   analysis would emit are discharged statically, and groups that the
-   local analysis abandons (more than [max_checks] checks) become
-   unconditionally parallel.
+   Both parts run on one abstract domain, {!Absdom}, the one the global
+   fixpoint (lib/analysis) uses.  The local part seeds per-clause
+   abstract states from `:- mode` directives.  When the caller also
+   supplies the global analysis results ([?patterns]), clause entry
+   states are seeded from the inferred interprocedural call patterns,
+   goal effects use inferred success patterns, and the domain's
+   pair-sharing relation replaces the worst-case "all unknowns alias"
+   assumption -- so checks that local analysis would emit are
+   discharged statically, and groups that the local analysis abandons
+   (more than [max_checks] checks) become unconditionally parallel.
 
-   Abstract state per variable:
-     G  definitely ground
-     F  definitely free and unaliased (first occurrence of an output)
-     A  unknown (possibly aliased, possibly partially instantiated)
+   Abstract state per variable ({!Abspat.gfa}):
+     Ground  definitely ground
+     Free    definitely free and unaliased (an output's first occurrence)
+     Any     unknown (possibly aliased, possibly partially instantiated)
 
-   Two goals can run in parallel when every variable they share is G
-   (strict goal independence); a shared A variable yields a ground/1
-   check, and a pair of possibly-aliased variables yields an indep/2
-   check.  F variables are freshly introduced and cannot alias one
-   another, so distinct F variables are independent.  If a group would
-   need more than [max_checks] run-time checks the goals are left
-   sequential (checks would eat the parallel gain). *)
-
-type abs = G | F | A
+   Two goals can run in parallel when every variable they share is
+   ground (strict goal independence); a shared unknown variable yields
+   a ground/1 check, and a pair of possibly-aliased variables yields an
+   indep/2 check.  Free variables are freshly introduced and cannot
+   alias one another, so distinct free variables are independent.  If
+   a group would need more than [max_checks] run-time checks the goals
+   are left sequential (checks would eat the parallel gain). *)
 
 type decision = Independent | Conditional of Cge.check list | Dependent
 
@@ -55,154 +53,68 @@ type verdict = Keep | Small | Guard of Term.t * int
 (* ------------------------------------------------------------------ *)
 (* Abstract state.                                                    *)
 
-(* [pairs] is the may-share relation among A variables, kept only in
-   precise (pattern-driven) mode; without patterns every pair of A
-   variables is assumed to possibly share, which is exactly the
-   historical behavior. *)
-type state = {
-  tbl : (string, abs) Hashtbl.t;
-  pairs : (string * string, unit) Hashtbl.t;
-  precise : bool;
-}
+(* One clause's abstract substitution.  The may-share pairs are
+   consulted only in precise (pattern-driven) mode; without patterns
+   every pair of unknown variables is assumed to possibly share. *)
+type state = { mutable dom : Absdom.t; precise : bool }
 
-let make_state ~precise () =
-  { tbl = Hashtbl.create 16; pairs = Hashtbl.create 16; precise }
-
-let copy_state st =
-  { tbl = Hashtbl.copy st.tbl; pairs = Hashtbl.copy st.pairs;
-    precise = st.precise }
-
-(* A variable with no entry has never been mentioned: it is fresh,
-   hence free and unaliased. *)
-let get (st : state) v =
-  match Hashtbl.find_opt st.tbl v with Some a -> a | None -> F
-
-let norm_pair x y : string * string = if x <= y then (x, y) else (y, x)
-
-let drop_pairs st v =
-  Hashtbl.iter
-    (fun ((x, y) as p) () -> if x = v || y = v then Hashtbl.remove st.pairs p)
-    (Hashtbl.copy st.pairs)
-
-(* Ground is stable: no later goal can unbind a ground variable. *)
-let set (st : state) v a =
-  match Hashtbl.find_opt st.tbl v with
-  | Some G -> ()
-  | Some _ | None ->
-    Hashtbl.replace st.tbl v a;
-    if a = G && st.precise then drop_pairs st v
-
-let paired st x y = Hashtbl.mem st.pairs (norm_pair x y)
-
-(* May x and y share structure?  Without sharing info, any two
-   non-ground variables may (unless both are fresh F). *)
-let may_share st x y = (not st.precise) || paired st x y
-
-(* Star-closure linking: binding x against y also connects everything
-   already sharing with x to everything already sharing with y. *)
-let neighbors st v =
-  Hashtbl.fold
-    (fun (x, y) () acc ->
-      if x = v then y :: acc else if y = v then x :: acc else acc)
-    st.pairs [ v ]
-
-let link st u v =
-  if u <> v && get st u <> G && get st v <> G then begin
-    let nu = neighbors st u and nv = neighbors st v in
-    set st u A;
-    set st v A;
-    List.iter
-      (fun x ->
-        List.iter
-          (fun y ->
-            if x <> y && get st x <> G && get st y <> G then begin
-              Hashtbl.replace st.pairs (norm_pair x y) ();
-              set st x A;
-              set st y A
-            end)
-          nv)
-      nu
-  end
-
-let link_all st vars =
-  let rec go = function
-    | [] -> ()
-    | v :: rest ->
-      List.iter (fun w -> link st v w) rest;
-      go rest
-  in
-  go vars
-
-let term_ground st t = List.for_all (fun v -> get st v = G) (Term.vars t)
-
-(* Smash a set of variables to unknown; in precise mode they may now
-   all alias one another (and, transitively, their old neighbors). *)
-let smash st vars =
-  List.iter (fun v -> set st v A) vars;
-  if st.precise then link_all st vars
+(* Smash a set of variables to unknown: they may now all alias one
+   another (and, transitively, their old neighbors). *)
+let smash dom vars = Absdom.link_all (Absdom.make_any dom vars) vars
 
 (* ------------------------------------------------------------------ *)
 (* Entry seeding.                                                     *)
 
-(* Mode-directive seeding (the local analysis).  [strengthen] makes it
-   refine an existing pattern-derived state instead of defining one. *)
-let seed_from_modes ?(strengthen = false) modes head st =
-  let args = Term.args head in
-  let arg_modes =
-    match
-      Option.bind (Term.functor_of head) (fun (name, arity) ->
-          Modes.lookup modes ~name ~arity)
-    with
-    | Some ms -> ms
-    | None -> List.map (fun _ -> Modes.Unknown) args
-  in
-  List.iter2
-    (fun arg m ->
-      match m with
-      | Modes.Ground_in -> List.iter (fun v -> set st v G) (Term.vars arg)
-      | Modes.Free_in_ground_out -> begin
-        match arg with
-        | Term.Var v ->
-          if strengthen then begin
-            if get st v <> G then begin
-              Hashtbl.replace st.tbl v F;
-              if st.precise then drop_pairs st v
-            end
-          end
-          else if not (Hashtbl.mem st.tbl v) then set st v F
-        | Term.Atom _ | Term.Int _ | Term.Struct _ ->
-          if not strengthen then
-            List.iter
-              (fun v -> if not (Hashtbl.mem st.tbl v) then set st v A)
-              (Term.vars arg)
-      end
-      | Modes.Unknown ->
-        if not strengthen then
-          List.iter
-            (fun v -> if not (Hashtbl.mem st.tbl v) then set st v A)
-            (Term.vars arg))
-    args arg_modes
+(* The head's declared modes, [?] where there is no directive. *)
+let head_modes modes head =
+  match
+    Option.bind (Term.functor_of head) (fun (name, arity) ->
+        Modes.lookup modes ~name ~arity)
+  with
+  | Some ms -> ms
+  | None -> List.map (fun _ -> Modes.Unknown) (Term.args head)
 
-(* Pattern seeding (the global analysis): groundness/freeness per
-   argument plus the may-share pairs among argument positions. *)
-let seed_from_pattern (pat : Abspat.pattern) head st =
-  let args = Term.args head in
-  let arg_vars = Array.of_list (List.map Term.vars args) in
-  List.iteri
-    (fun i arg ->
-      match pat.Abspat.args.(i) with
-      | Abspat.Ground -> List.iter (fun v -> set st v G) (Term.vars arg)
-      | Abspat.Free -> () (* unbound and unaliased: the F default *)
-      | Abspat.Any -> List.iter (fun v -> set st v A) (Term.vars arg))
-    args;
-  List.iter
-    (fun (i, j) ->
-      if i = j then link_all st arg_vars.(i)
-      else
-        List.iter
-          (fun u -> List.iter (fun v -> link st u v) arg_vars.(j))
-          arg_vars.(i))
-    pat.Abspat.share
+(* The local analysis: seed from the `:- mode` directive alone.  A
+   variable keeps the state of its first mention, but a [+] position
+   grounds it wherever it occurs.  An [Absdom.t] cannot tell a
+   variable a [-] position declared free from one never mentioned, so
+   the mentions are kept here. *)
+let seed_from_modes modes head =
+  let mentioned = Hashtbl.create 8 in
+  let mention v = Hashtbl.replace mentioned v () in
+  let first v =
+    (not (Hashtbl.mem mentioned v))
+    && begin
+      mention v;
+      true
+    end
+  in
+  List.fold_left2
+    (fun dom arg m ->
+      match (m, arg) with
+      | Modes.Ground_in, _ ->
+        let vs = Term.vars arg in
+        List.iter mention vs;
+        Absdom.set_ground dom vs
+      | Modes.Free_in_ground_out, Term.Var v ->
+        mention v;
+        dom
+      | (Modes.Free_in_ground_out | Modes.Unknown), _ ->
+        Absdom.make_any dom (List.filter first (Term.vars arg)))
+    Absdom.empty (Term.args head) (head_modes modes head)
+
+(* A mode directive also refines a pattern-derived state: [+] grounds
+   its variables, [-] frees its variable unless it is [repeated]. *)
+let strengthen ~repeated modes head dom =
+  List.fold_left2
+    (fun dom arg m ->
+      match (m, arg) with
+      | Modes.Ground_in, _ -> Absdom.set_ground dom (Term.vars arg)
+      | Modes.Free_in_ground_out, Term.Var v when not (List.mem v repeated)
+        ->
+        Absdom.set_free dom v
+      | (Modes.Free_in_ground_out | Modes.Unknown), _ -> dom)
+    dom (Term.args head) (head_modes modes head)
 
 (* The inferred patterns of the predicate a head or goal names. *)
 let find_entry patterns g =
@@ -210,12 +122,18 @@ let find_entry patterns g =
   | Some pats, Some (name, arity) -> Abspat.find pats ~name ~arity
   | _ -> None
 
-let seed_from_head ?patterns modes head st =
+(* A clause's entry state: from the inferred call pattern (the global
+   analysis) when there is one, else from the modes alone.  Either way
+   a variable repeated across the head's arguments is unknown, as in
+   [Absdom.seed_head]: a call may pass terms that share in those
+   positions (e(A, B, B) against e(X, X, Z) aliases X with Z). *)
+let entry_state ?patterns modes head =
+  let args = Term.args head in
+  let repeated = Absdom.repeated args in
   match find_entry patterns head with
   | Some e ->
-    seed_from_pattern e.Abspat.call head st;
-    seed_from_modes ~strengthen:true modes head st
-  | None -> seed_from_modes modes head st
+    strengthen ~repeated modes head (Absdom.seed_head e.Abspat.call args)
+  | None -> Absdom.make_any (seed_from_modes modes head) repeated
 
 (* ------------------------------------------------------------------ *)
 (* Success effect of one goal.                                        *)
@@ -228,68 +146,31 @@ let goal_modes modes g =
     | Some ms -> Some ms
     | None -> Modes.lookup modes ~name ~arity)
 
-(* Apply an inferred success pattern at a call site. *)
-let apply_success st args (pat : Abspat.pattern) =
-  let arg_vars = Array.of_list (List.map Term.vars args) in
-  Array.iteri
-    (fun i vs ->
-      match pat.Abspat.args.(i) with
-      | Abspat.Ground -> List.iter (fun v -> set st v G) vs
-      | Abspat.Free -> ()
-      | Abspat.Any -> List.iter (fun v -> set st v A) vs)
-    arg_vars;
-  List.iter
-    (fun (i, j) ->
-      if i = j then link_all st arg_vars.(i)
-      else
-        List.iter
-          (fun u -> List.iter (fun v -> link st u v) arg_vars.(j))
-          arg_vars.(i))
-    pat.Abspat.share
-
 let apply_effect ?patterns modes st g =
-  match g with
-  | Term.Struct ("=", [ a; b ]) ->
-    (* unification: groundness flows across; otherwise the two sides
-       may now alias *)
-    if term_ground st a then List.iter (fun v -> set st v G) (Term.vars b)
-    else if term_ground st b then
-      List.iter (fun v -> set st v G) (Term.vars a)
-    else if not st.precise then
-      List.iter (fun v -> set st v A) (Term.vars a @ Term.vars b)
-    else begin
-      (* Var = t connects the variable to t's variables but not t's
-         variables to each other (they occupy disjoint subterms) *)
-      match (a, b) with
-      | Term.Var x, _ -> List.iter (fun v -> link st x v) (Term.vars b)
-      | _, Term.Var y -> List.iter (fun v -> link st y v) (Term.vars a)
-      | _, _ ->
-        List.iter
-          (fun u -> List.iter (fun v -> link st u v) (Term.vars b))
-          (Term.vars a)
-    end
-  | _ -> begin
-    let args = Term.args g in
-    match find_entry patterns g with
-    | Some e -> apply_success st args e.Abspat.success
-    | None -> begin
-      match goal_modes modes g with
-      | Some ms ->
-        let unknown_vars = ref [] in
-        List.iter2
-          (fun arg m ->
+  let args = Term.args g in
+  st.dom <-
+    (match (g, find_entry patterns g, goal_modes modes g) with
+    | Term.Struct ("=", [ a; b ]), _, _ ->
+      (* groundness flows across; otherwise the two sides may now
+         alias, and without sharing information both are unknown *)
+      let dom = Absdom.unify st.dom a b in
+      if st.precise then dom
+      else Absdom.make_any dom (Term.vars a @ Term.vars b)
+    | _, Some e, _ -> Absdom.apply_success st.dom args e.Abspat.success
+    | _, None, Some ms ->
+      let dom, unknown =
+        List.fold_left2
+          (fun (dom, unknown) arg m ->
             match m with
             | Modes.Ground_in | Modes.Free_in_ground_out ->
-              List.iter (fun v -> set st v G) (Term.vars arg)
-            | Modes.Unknown ->
-              unknown_vars := !unknown_vars @ Term.vars arg)
-          args ms;
-        smash st !unknown_vars
-      | None ->
-        (* unknown predicate: everything it touches may be aliased *)
-        smash st (List.concat_map Term.vars args)
-    end
-  end
+              (Absdom.set_ground dom (Term.vars arg), unknown)
+            | Modes.Unknown -> (dom, unknown @ Term.vars arg))
+          (st.dom, []) args ms
+      in
+      smash dom unknown
+    | _, None, None ->
+      (* unknown predicate: everything it touches may be aliased *)
+      smash st.dom (List.concat_map Term.vars args))
 
 (* ------------------------------------------------------------------ *)
 (* Pairwise independence at a given state.                            *)
@@ -306,7 +187,7 @@ let dedup_checks checks =
       end)
     checks
 
-let pair_decision st g h =
+let pair_decision ~precise dom g h =
   let vg = Term.vars (Term.Struct ("$", Term.args g)) in
   let vh = Term.vars (Term.Struct ("$", Term.args h)) in
   let shared = List.filter (fun v -> List.mem v vh) vg in
@@ -315,16 +196,17 @@ let pair_decision st g h =
   (* shared variables: ground is enough *)
   List.iter
     (fun v ->
-      match get st v with
-      | G -> ()
-      | F -> dependent := true (* a free variable both would bind/read *)
-      | A -> checks := Cge.Ground (Term.Var v) :: !checks)
+      match Absdom.gfa_of dom v with
+      | Abspat.Ground -> ()
+      | Abspat.Free ->
+        dependent := true (* a free variable both would bind/read *)
+      | Abspat.Any -> checks := Cge.Ground (Term.Var v) :: !checks)
     shared;
-  (* distinct possibly-aliased pairs: indep/2 checks.  F variables are
-     fresh and unaliased, so only A-A pairs matter; with sharing info
-     an A-A pair needs a check only when the analysis could not rule
-     the aliasing out. *)
-  let a_vars vs = List.filter (fun v -> get st v = A) vs in
+  (* distinct possibly-aliased pairs: indep/2 checks.  Free variables
+     are fresh and unaliased, so only pairs of unknowns matter; with
+     sharing info such a pair needs a check only when the analysis
+     could not rule the aliasing out. *)
+  let unknown vs = List.filter (fun v -> Absdom.gfa_of dom v = Abspat.Any) vs in
   List.iter
     (fun x ->
       List.iter
@@ -333,10 +215,10 @@ let pair_decision st g h =
             x <> y
             && (not (List.mem y shared))
             && (not (List.mem x shared))
-            && may_share st x y
+            && ((not precise) || Absdom.may_share dom x y)
           then checks := Cge.Indep (Term.Var x, Term.Var y) :: !checks)
-        (a_vars vh))
-    (a_vars vg);
+        (unknown vh))
+    (unknown vg);
   if !dependent then Dependent
   else begin
     match dedup_checks (List.rev !checks) with
@@ -359,7 +241,7 @@ let parallelizable db g =
 type group = {
   mutable goals : Term.t list; (* reverse order *)
   mutable checks : Cge.check list;
-  entry : state; (* snapshot at group start *)
+  entry : Absdom.t; (* state at group start *)
 }
 
 type counters = {
@@ -443,13 +325,14 @@ let annotate_body ?patterns ?granularity modes db st counters body =
         else begin
           match !group with
           | None ->
-            let entry = copy_state st in
-            group := Some { goals = [ g ]; checks = []; entry }
+            group := Some { goals = [ g ]; checks = []; entry = st.dom }
           | Some grp -> begin
             (* g joins if compatible with every member, judged at the
                group-entry state *)
             let decisions =
-              List.map (fun h -> pair_decision grp.entry g h) grp.goals
+              List.map
+                (fun h -> pair_decision ~precise:st.precise grp.entry g h)
+                grp.goals
             in
             let combined =
               List.fold_left
@@ -471,8 +354,7 @@ let annotate_body ?patterns ?granularity modes db st counters body =
             | Conditional _ | Dependent ->
               counters.c_abandoned <- counters.c_abandoned + 1;
               flush ();
-              let entry = copy_state st in
-              group := Some { goals = [ g ]; checks = []; entry }
+              group := Some { goals = [ g ]; checks = []; entry = st.dom }
           end
         end)
     body;
@@ -503,9 +385,14 @@ let database_stats ?patterns ?granularity db =
       in
       List.iter
         (fun (clause : Database.clause) ->
-          let st = make_state ~precise:(clause_patterns <> None) () in
-          seed_from_head ?patterns:clause_patterns modes clause.Database.head
-            st;
+          let st =
+            {
+              dom =
+                entry_state ?patterns:clause_patterns modes
+                  clause.Database.head;
+              precise = clause_patterns <> None;
+            }
+          in
           let body =
             annotate_body ?patterns:clause_patterns ?granularity modes db st
               counters clause.Database.body

@@ -13,8 +13,7 @@
     inferred call patterns, applies inferred success patterns at call
     sites, and tracks possible aliasing pairwise -- discharging checks
     the local analysis would emit and parallelizing groups it would
-    abandon.  Without [?patterns] the behavior is exactly the
-    historical local analysis.
+    abandon.  Both parts run on one domain, {!Absdom}.
 
     The abstract state per variable is: ground, free-and-unaliased
     (fresh), or unknown/aliased.  Two goals are strictly independent

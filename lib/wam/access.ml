@@ -13,9 +13,9 @@
      - general unification keeps the current pair in registers, so
        flat terms touch the PDL not at all; nested pairs push/pop two
        words at a time;
-     - a choice point is [arity + 9] words; an environment's control
-       part is 3 words written, 2 read on deallocate; permanent
-       variables live at Env_pvar addresses.
+     - a choice point is [Exec.choice_point_words arity] words; an
+       environment's control part is 3 words written, 2 read on
+       deallocate; permanent variables live at Env_pvar addresses.
 
    Failure-path effects (choice-point restore, trail replay, binding
    resets) are shared by all failing instructions and listed
@@ -177,7 +177,8 @@ let of_instr ?(ctx = conservative) ?(shallow = false) ~arity (i : Instr.t) =
       []
     (* choice *)
     | Instr.Try (_, Instr.Deep) ->
-      [ e Choice_point writes (arity + 9) (arity + 9) ]
+      let words = Exec.choice_point_words arity in
+      [ e Choice_point writes words words ]
     | Instr.Retry (_, Instr.Deep) -> [ e Choice_point both 2 2 ]
     | Instr.Trust (_, Instr.Deep) ->
       (* the popped frame's size and predecessor; the predecessor's

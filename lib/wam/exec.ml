@@ -23,7 +23,10 @@ exception No_more_choices of worker
    query failure for the root context, goal failure inside a parallel
    goal. *)
 
-let cp_extra = 9
+(* A choice point holds its arity, the saved argument registers, and E,
+   CP, B, the next alternative, TR, H, B0 and the local-stack top
+   ([push_choice_point]). *)
+let choice_point_words arity = arity + 9
 
 (* ------------------------------------------------------------------ *)
 (* Memory access helpers (pe = issuing worker).                       *)
@@ -383,7 +386,7 @@ let fail m (w : worker) =
     let saved_lst = Cell.payload (f (n + 8)) in
     w.lst <- saved_lst;
     w.prot_lst <- max saved_lst w.par_prot;
-    w.cst <- b + n + cp_extra;
+    w.cst <- b + choice_point_words n;
     w.p <- next_alt
   end
 
@@ -917,7 +920,7 @@ let exec_builtin m (w : worker) b _arity =
 let push_choice_point m (w : worker) ~next_alt =
   let n = w.nargs in
   let base = w.cst in
-  if base + n + cp_extra > Layout.control_limit w.id then
+  if base + choice_point_words n > Layout.control_limit w.id then
     runtime_error "control stack overflow (PE %d)" w.id;
   let cp_wr off cell = wr m w ~area:Trace.Area.Choice_point (base + off) cell in
   cp_wr 0 (Cell.raw n);
@@ -933,7 +936,7 @@ let push_choice_point m (w : worker) ~next_alt =
   cp_wr (n + 7) (Cell.raw w.b0);
   cp_wr (n + 8) (Cell.raw w.lst);
   w.b <- base;
-  w.cst <- base + n + cp_extra;
+  w.cst <- base + choice_point_words n;
   w.hb <- w.h;
   w.prot_lst <- w.lst;
   note_high_water w
@@ -949,7 +952,7 @@ let cut_to_level m (w : worker) target =
     end
     else begin
       let n = Cell.payload (rd m w ~area:Trace.Area.Choice_point target) in
-      w.cst <- target + n + cp_extra;
+      w.cst <- target + choice_point_words n;
       w.prot_lst <-
         max
           (Cell.payload (rd m w ~area:Trace.Area.Choice_point (target + n + 8)))
@@ -1030,6 +1033,15 @@ let match_constant m w c cell =
   let d = deref m w cell in
   if Cell.is_ref d then bind m w (Cell.payload d) c
   else if d <> c then fail m w
+
+(* The label a switch table gives [key] (its first match from entry
+   [i] on), else [default]: a loop that allocates nothing. *)
+let rec switch_label (tbl : (int * int) array) key default i =
+  if i = Array.length tbl then default
+  else begin
+    let k, l = tbl.(i) in
+    if k = key then l else switch_label tbl key default (i + 1)
+  end
 
 let step_core m (w : worker) instr =
   match instr with
@@ -1226,20 +1238,14 @@ let step_core m (w : worker) instr =
     in
     if target = -1 then fail m w else w.p <- target
   end
-  | Instr.Switch_on_constant (tbl, default) -> begin
-    let d = deref m w w.x.(1) in
-    match Array.find_opt (fun (k, _) -> k = d) tbl with
-    | Some (_, l) -> w.p <- l
-    | None -> if default = -1 then fail m w else w.p <- default
-  end
+  | Instr.Switch_on_constant (tbl, default) ->
+    let l = switch_label tbl (deref m w w.x.(1)) default 0 in
+    if l = -1 then fail m w else w.p <- l
   | Instr.Switch_on_structure (tbl, default) -> begin
     match Cell.view (deref m w w.x.(1)) with
-    | Cell.Str a -> begin
-      let fid = functor_cell m w a in
-      match Array.find_opt (fun (k, _) -> k = fid) tbl with
-      | Some (_, l) -> w.p <- l
-      | None -> if default = -1 then fail m w else w.p <- default
-    end
+    | Cell.Str a ->
+      let l = switch_label tbl (functor_cell m w a) default 0 in
+      if l = -1 then fail m w else w.p <- l
     | Cell.Ref _ | Cell.Con _ | Cell.Lis _ | Cell.Num _ | Cell.Fun _
     | Cell.Raw _ ->
       fail m w

@@ -47,6 +47,10 @@ val encode :
 
 (** {1 Control} *)
 
+val choice_point_words : int -> int
+(** The words of a choice point that saves this many argument
+    registers. *)
+
 val fail : Machine.t -> Machine.worker -> unit
 (** Backtrack to the newest choice point — or, when the worker's
     shallow frame is active, restore its snapshot and continue at the

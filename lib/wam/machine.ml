@@ -37,7 +37,13 @@ type goal_ctx = {
      Section_ctx      a (stolen) goal run under an input marker       *)
 type exec_entry =
   | Parcall_pending of int (* parcall frame address *)
-  | Local_goal of { parcall : int; slot : int; resume : int; entry_b : int }
+  | Local_goal of {
+      parcall : int;
+      slot : int;
+      resume : int;
+      entry_b : int;
+      barrier : int; (* the enclosing context's barrier, restored at the end *)
+    }
   | Section_ctx of goal_ctx
 
 (* Worker-private shallow frame for determinacy-certified chains

@@ -28,7 +28,13 @@ type goal_ctx = {
     (No_more_choices) dispatches on the top entry. *)
 type exec_entry =
   | Parcall_pending of int
-  | Local_goal of { parcall : int; slot : int; resume : int; entry_b : int }
+  | Local_goal of {
+      parcall : int;
+      slot : int;
+      resume : int;
+      entry_b : int;
+      barrier : int;  (** the enclosing context's, restored at the end *)
+    }
   | Section_ctx of goal_ctx
 
 (** Worker-private shallow frame for determinacy-certified chains

@@ -168,6 +168,201 @@ let test_annotated_source_reparses () =
     (Prolog.Database.clause_count annotated)
     (Prolog.Database.clause_count db2)
 
+(* A call e(A, B, B) against e(X, X, Z) aliases X with Z: a head
+   variable repeated across argument positions is never fresh, whatever
+   the mode of its first position says.  Both the local and the global
+   annotation check indep(Z, X), and the annotated program gives the
+   WAM's answer at 1 and 4 PEs. *)
+let test_repeated_head_variable () =
+  let src =
+    ":- mode e(-, ?, ?).\ne(X, X, Z) :- q(X), r(Z).\nq(a). q(c). r(c).\n"
+  in
+  let query = "e(A, B, B)" in
+  let db = Prolog.Database.of_string src in
+  let patterns =
+    Analysis.Summary.patterns
+      (Analysis.Analyze.database
+         ~entries:[ Analysis.Analyze.entry_of_string query ]
+         db)
+  in
+  let answer = function
+    | Wam.Seq.Failure -> "no"
+    | Wam.Seq.Success b ->
+      String.concat ", "
+        (List.map (fun (v, t) -> v ^ " = " ^ Prolog.Pretty.to_string t) b)
+  in
+  let seq, _ = Wam.Seq.solve ~src ~query () in
+  Alcotest.(check string) "the WAM's answer" "A = c, B = c" (answer seq);
+  List.iter
+    (fun (label, annotated) ->
+      (match clause_body annotated ("e", 3) 0 with
+      | [ Prolog.Cge.Par
+            {
+              checks =
+                [ Prolog.Cge.Indep (Prolog.Term.Var "Z", Prolog.Term.Var "X") ];
+              _;
+            } ] ->
+        ()
+      | _ -> Alcotest.failf "%s: expected (indep(Z,X) | q(X) & r(Z))" label);
+      List.iter
+        (fun n ->
+          let prog =
+            Wam.Program.of_database ~parallel:true annotated ~query ()
+          in
+          let sim = Rapwam.Sim.create ~n_workers:n prog in
+          Alcotest.(check string)
+            (Printf.sprintf "%s at %d PEs" label n)
+            (answer seq)
+            (answer (Rapwam.Sim.run_prepared sim prog)))
+        [ 1; 4 ])
+    [
+      ("local", Prolog.Annotate.database db);
+      ("global", Prolog.Annotate.database ~patterns db);
+    ]
+
+(* ---- pins: the annotator's printed output on the nine benchmarks ---- *)
+
+(* Eight configurations per benchmark, in this order: as written, then
+   after [Database.sequentialize]; within each, local, local with
+   cost-based granularity control at 150 data references, global (the
+   analysis entered at the benchmark's query), global with granularity
+   control. *)
+let pin_configs =
+  List.concat_map
+    (fun sequential ->
+      List.concat_map
+        (fun global ->
+          List.map (fun granularity -> (sequential, global, granularity))
+            [ false; true ])
+        [ false; true ])
+    [ false; true ]
+
+let annotation_digest (b : Benchlib.Programs.benchmark)
+    (sequential, global, granularity) =
+  let db = Prolog.Database.of_string b.Benchlib.Programs.src in
+  let db = if sequential then Prolog.Database.sequentialize db else db in
+  let patterns =
+    if global then
+      Some
+        (Analysis.Summary.patterns
+           (Analysis.Analyze.database
+              ~entries:
+                [ Analysis.Analyze.entry_of_string b.Benchlib.Programs.query ]
+              db))
+    else None
+  in
+  let granularity =
+    if granularity then
+      Some
+        (Costan.Analyze.annotator (Costan.Analyze.analyze db) ~threshold:150)
+    else None
+  in
+  let text =
+    Format.asprintf "%a" Prolog.Annotate.pp_database
+      (Prolog.Annotate.database ?patterns ?granularity db)
+  in
+  Digest.to_hex (Digest.string text)
+
+(* benchmark -> the eight digests, in [pin_configs] order *)
+let annotation_pins =
+  [
+    ("deriv",
+     [ "1ae920f9d4166ed43eef7dc2a59f66e8";
+       "d27f1d872c84028f05dc3892fdfee8df";
+       "1ae920f9d4166ed43eef7dc2a59f66e8";
+       "d27f1d872c84028f05dc3892fdfee8df";
+       "4648b96e355a7c0adc6e1b64e05045fa";
+       "a7ab5ea9ba900b357a337a67be38898b";
+       "e01406766c90e7e3710d2e5533cffabf";
+       "87ba311449bbdf4a48506ee49cd85207" ]);
+    ("tak",
+     [ "a948e75cca74becd966f9763980398e1";
+       "a948e75cca74becd966f9763980398e1";
+       "a948e75cca74becd966f9763980398e1";
+       "a948e75cca74becd966f9763980398e1";
+       "a948e75cca74becd966f9763980398e1";
+       "a948e75cca74becd966f9763980398e1";
+       "a948e75cca74becd966f9763980398e1";
+       "a948e75cca74becd966f9763980398e1" ]);
+    ("qsort",
+     [ "dd26e92976ccf9daab1d63b9da30e74c";
+       "dd26e92976ccf9daab1d63b9da30e74c";
+       "dd26e92976ccf9daab1d63b9da30e74c";
+       "dd26e92976ccf9daab1d63b9da30e74c";
+       "0dfe383703866a40095d94b9b30100bb";
+       "0dfe383703866a40095d94b9b30100bb";
+       "0dfe383703866a40095d94b9b30100bb";
+       "0dfe383703866a40095d94b9b30100bb" ]);
+    ("matrix",
+     [ "93330dd4e5b64e30a1f7a7e71a093349";
+       "93330dd4e5b64e30a1f7a7e71a093349";
+       "602fcced9435f36fb09b793d0480a29c";
+       "602fcced9435f36fb09b793d0480a29c";
+       "83e7583ac766ed2cb5aacd03ca9eeea6";
+       "83e7583ac766ed2cb5aacd03ca9eeea6";
+       "602fcced9435f36fb09b793d0480a29c";
+       "602fcced9435f36fb09b793d0480a29c" ]);
+    ("nrev",
+     [ "489385f8e4d0abbf6bed558c86236a48";
+       "489385f8e4d0abbf6bed558c86236a48";
+       "489385f8e4d0abbf6bed558c86236a48";
+       "489385f8e4d0abbf6bed558c86236a48";
+       "489385f8e4d0abbf6bed558c86236a48";
+       "489385f8e4d0abbf6bed558c86236a48";
+       "489385f8e4d0abbf6bed558c86236a48";
+       "489385f8e4d0abbf6bed558c86236a48" ]);
+    ("queens",
+     [ "b681602c029f36446846c229756774f9";
+       "b681602c029f36446846c229756774f9";
+       "605f7d47dc7a75467d8e17a601064287";
+       "605f7d47dc7a75467d8e17a601064287";
+       "b681602c029f36446846c229756774f9";
+       "b681602c029f36446846c229756774f9";
+       "605f7d47dc7a75467d8e17a601064287";
+       "605f7d47dc7a75467d8e17a601064287" ]);
+    ("query",
+     [ "44c85d1db5594154defb627a7aca2293";
+       "44c85d1db5594154defb627a7aca2293";
+       "b34cb084c92128022735b5f68155c55a";
+       "b34cb084c92128022735b5f68155c55a";
+       "44c85d1db5594154defb627a7aca2293";
+       "44c85d1db5594154defb627a7aca2293";
+       "b34cb084c92128022735b5f68155c55a";
+       "b34cb084c92128022735b5f68155c55a" ]);
+    ("primes",
+     [ "80cab24d4d325fb8aa852755d308ce4a";
+       "80cab24d4d325fb8aa852755d308ce4a";
+       "80cab24d4d325fb8aa852755d308ce4a";
+       "80cab24d4d325fb8aa852755d308ce4a";
+       "80cab24d4d325fb8aa852755d308ce4a";
+       "80cab24d4d325fb8aa852755d308ce4a";
+       "80cab24d4d325fb8aa852755d308ce4a";
+       "80cab24d4d325fb8aa852755d308ce4a" ]);
+    ("serialise",
+     [ "54b1fa0f5061e76c6b3b32caede1a75c";
+       "54b1fa0f5061e76c6b3b32caede1a75c";
+       "5d76de338d4c575a275305dfb30af223";
+       "5d76de338d4c575a275305dfb30af223";
+       "54b1fa0f5061e76c6b3b32caede1a75c";
+       "54b1fa0f5061e76c6b3b32caede1a75c";
+       "5d76de338d4c575a275305dfb30af223";
+       "5d76de338d4c575a275305dfb30af223" ]);
+  ]
+
+let test_annotation_pins () =
+  let benches =
+    Benchlib.Inputs.small_benchmarks () @ Benchlib.Large.population ()
+  in
+  Alcotest.(check int) "nine benchmarks" 9 (List.length benches);
+  List.iter
+    (fun (b : Benchlib.Programs.benchmark) ->
+      let name = b.Benchlib.Programs.name in
+      let got = List.map (annotation_digest b) pin_configs in
+      match List.assoc_opt name annotation_pins with
+      | None -> Alcotest.failf "%s: no pin" name
+      | Some want -> Alcotest.(check (list string)) name want got)
+    benches
+
 let suite =
   [
     Alcotest.test_case "fib unconditional" `Quick test_fib_unconditional;
@@ -193,4 +388,8 @@ let suite =
       test_conditional_fallback_correct;
     Alcotest.test_case "annotated source reparses" `Quick
       test_annotated_source_reparses;
+    Alcotest.test_case "repeated head variable -> indep" `Quick
+      test_repeated_head_variable;
+    Alcotest.test_case "pins on the nine benchmarks" `Quick
+      test_annotation_pins;
   ]

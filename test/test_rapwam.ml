@@ -238,6 +238,61 @@ let test_failing_parcall_beside_nested () =
       | Wam.Seq.Success _, _ -> Alcotest.failf "p(A) succeeded on %d PEs" n)
     [ 2; 4 ]
 
+(* A pushed goal its parent runs itself starts under its own backtrack
+   barrier.  When r fails it must check in as failed: backtracking on
+   into the inline goal's alternative q(c) would return to the join
+   with r's slot never checked in (a deadlock at 1 PE or with stealing
+   off).  Two and three arms and a nested CGE, each failing and
+   succeeding, on the WAM and at 1/2/4/8 PEs under each steal policy
+   and with stealing off. *)
+let local_goal_src =
+  "p(X, Z) :- (q(X) & r(Z)).\n\
+   p3(X, Y, Z) :- (q(X) & q(Y) & r(Z)).\n\
+   pn(X, Z) :- (q(X) & s(Z)).\n\
+   s(Z) :- (q(_) & r(Z)).\n\
+   q(a). q(c).\n\
+   r(d).\n"
+
+let answer_text = function
+  | Wam.Seq.Failure -> "no"
+  | Wam.Seq.Success bindings ->
+    String.concat ", "
+      (List.map
+         (fun (v, t) -> v ^ " = " ^ Prolog.Pretty.to_string t)
+         bindings)
+
+let test_local_goal_failure () =
+  let src = local_goal_src in
+  let policies =
+    [ ("oldest", Rapwam.Sim.Steal_oldest, true);
+      ("newest", Rapwam.Sim.Steal_newest, true);
+      ("off", Rapwam.Sim.Steal_oldest, false) ]
+  in
+  List.iter
+    (fun (query, want) ->
+      let seq, _ = Wam.Seq.solve ~src ~query () in
+      Alcotest.(check string) (query ^ " on the WAM") want (answer_text seq);
+      List.iter
+        (fun n ->
+          List.iter
+            (fun (label, steal, allow_steal) ->
+              let got =
+                match
+                  Rapwam.Sim.solve ~n_workers:n ~steal ~allow_steal
+                    ~max_rounds:100_000 ~src ~query ()
+                with
+                | result, _ -> answer_text result
+                | exception Wam.Machine.Runtime_error msg -> msg
+              in
+              Alcotest.(check string)
+                (Printf.sprintf "%s at %d PEs, steal %s" query n label)
+                want got)
+            policies)
+        [ 1; 2; 4; 8 ])
+    [ ("p(A, e)", "no"); ("p(A, d)", "A = a"); ("p3(A, B, e)", "no");
+      ("p3(A, B, d)", "A = a, B = a"); ("pn(A, e)", "no");
+      ("pn(A, d)", "A = a") ]
+
 (* The four programs above are the only fixed ones whose runs send
    unwind messages (each trace holds 16 Message-area references).
    Their packed traces and scheduler counters (rounds, idle cycles,
@@ -616,6 +671,8 @@ let suite =
       test_unwind_clears_remote_bindings;
     Alcotest.test_case "failing parcall beside nested parcalls" `Quick
       test_failing_parcall_beside_nested;
+    Alcotest.test_case "a failing local goal checks in as failed" `Quick
+      test_local_goal_failure;
     Alcotest.test_case "3-way parcall" `Quick test_three_way_parcall;
     Alcotest.test_case "nested parcalls" `Quick test_nested_parcalls_mixed_with_seq;
     Alcotest.test_case "1-PE work ~ WAM" `Quick test_work_one_pe_close_to_wam;
