@@ -749,9 +749,7 @@ let ablation_granularity _setup =
   in
   List.iter
     (fun threshold ->
-      let stats =
-        Trace.Areastats.create ~pe_of_addr:Wam.Layout.pe_of_addr ()
-      in
+      let stats = Trace.Areastats.create () in
       let prog =
         Wam.Program.prepare ~parallel:true ~src:(granularity_src threshold)
           ~query:(Printf.sprintf "fib(%d, F)" input) ()

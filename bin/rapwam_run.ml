@@ -58,9 +58,7 @@ let run_cmd src_path query pes sequential stats listing disasm_only prelude
     Format.printf "%a@." Wam.Program.pp_listing prog;
     if disasm_only then exit 0
   end;
-  let area_stats =
-    Trace.Areastats.create ~pe_of_addr:Wam.Layout.pe_of_addr ()
-  in
+  let area_stats = Trace.Areastats.create () in
   let sink = Trace.Areastats.sink area_stats in
   let profiler =
     if profile then

@@ -34,15 +34,18 @@ type result = {
   trail_words : int;
 }
 
+(* The buffer a run's trace goes to, the sink the machine writes and
+   how the area counts are read once the run is over.  A retained
+   trace counts its own words, so the machine writes straight into the
+   buffer; without one, only the counts are kept. *)
 let collectors ~keep_trace =
-  let stats = Trace.Areastats.create ~pe_of_addr:Wam.Layout.pe_of_addr () in
   let buf = Trace.Sink.Buffer_sink.create ~capacity:(1 lsl 16) () in
-  let sink =
-    if keep_trace then
-      Trace.Sink.tee (Trace.Areastats.sink stats) (Trace.Sink.buffer buf)
-    else Trace.Areastats.sink stats
-  in
-  (stats, buf, sink)
+  if keep_trace then
+    (buf, Trace.Sink.buffer buf, fun () -> Trace.Areastats.of_buffer buf)
+  else begin
+    let stats = Trace.Areastats.create () in
+    (buf, Trace.Areastats.sink stats, fun () -> stats)
+  end
 
 let answer_of var result =
   match result with
@@ -53,6 +56,7 @@ let sum_high_water m f =
   Array.fold_left (fun acc w -> acc + f w) 0 m.Wam.Machine.workers
 
 let of_machine bench ~n_pes ~succeeded ~answer ~rounds m stats buf =
+  let stats = stats () in
   {
     bench;
     n_pes;
@@ -99,7 +103,7 @@ let prepare ~parallel ?det ?bind ?chains ?transform
 (* Sequential WAM run (the paper's baseline). *)
 let run_wam ?(keep_trace = true) (bench : Programs.benchmark) =
   let prog = prepare ~parallel:false bench in
-  let stats, buf, sink = collectors ~keep_trace in
+  let buf, sink, stats = collectors ~keep_trace in
   let result, m = Wam.Seq.run ~sink prog in
   let succeeded, answer = answer_of bench.Programs.answer_var result in
   of_machine bench ~n_pes:0 ~succeeded ~answer ~rounds:m.Wam.Machine.steps m
@@ -109,7 +113,7 @@ let run_wam ?(keep_trace = true) (bench : Programs.benchmark) =
 let run_rapwam ?(keep_trace = true) ?det ?bind ?steal ?allow_steal ?transform
     ~n_pes (bench : Programs.benchmark) =
   let prog = prepare ~parallel:true ?det ?bind ?transform bench in
-  let stats, buf, sink = collectors ~keep_trace in
+  let buf, sink, stats = collectors ~keep_trace in
   let sim = Rapwam.Sim.create ~sink ?steal ?allow_steal ~n_workers:n_pes prog in
   let result = Rapwam.Sim.run_prepared sim prog in
   let succeeded, answer = answer_of bench.Programs.answer_var result in

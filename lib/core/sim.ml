@@ -560,10 +560,10 @@ let step_running sim (w : Machine.worker) =
     w.exec_stack <- Machine.Parcall_pending pf :: w.exec_stack
   | Instr.Push_goal (slot, fid, arity) -> begin
     match Code.entry m.Machine.code fid with
-    | None ->
+    | -1 ->
       Machine.runtime_error "undefined parallel goal %s"
         (Symbols.spec_string m.Machine.symbols fid)
-    | Some entry ->
+    | entry ->
       Goal_frame.push m w ~pf:w.pf ~slot ~entry ~arity;
       wake_idle sim
   end

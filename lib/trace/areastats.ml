@@ -1,65 +1,47 @@
 (* Aggregate per-area reference statistics.
 
-   Tracks read/write counts by area and the local/remote split (a
-   reference is remote when the address lies in another PE's stack-set
-   region; the region size is supplied by the memory layout). *)
+   One count per slot, a word's low six bits ([Ref_record.slots]): an
+   access of area [a] lands in slot [2a] (read) or [2a + 1] (write), a
+   sync word in slot [2 * tag] (32-41).  Recording a word is one
+   increment; the queries sum slots.  A [Sink.Buffer_sink] keeps the
+   same counts for the words it retains ([of_buffer]). *)
 
-type t = {
-  reads : int array; (* indexed by Area.to_int *)
-  writes : int array;
-  mutable local : int;
-  mutable remote : int;
-  mutable total : int;
-  mutable syncs : int; (* sync events seen; not counted as references *)
-  pe_of_addr : int -> int;
-}
+type t = int array
 
-let create ~pe_of_addr () =
-  {
-    reads = Array.make Area.count 0;
-    writes = Array.make Area.count 0;
-    local = 0;
-    remote = 0;
-    total = 0;
-    syncs = 0;
-    pe_of_addr;
-  }
+let create () = Array.make Ref_record.slots 0
 
-(* One packed word: an access is counted by area and direction and
-   split local/remote; a sync word is only counted. *)
+(* The slot is below [Ref_record.slots], so the count needs no bounds
+   check. *)
 let record t word =
-  let tag = (word lsr Ref_record.tag_shift) land Ref_record.tag_mask in
-  if tag >= Ref_record.sync_tag_base then t.syncs <- t.syncs + 1
-  else begin
-    if word land Ref_record.write_bit <> 0 then
-      t.writes.(tag) <- t.writes.(tag) + 1
-    else t.reads.(tag) <- t.reads.(tag) + 1;
-    (* Code is a shared region owned by no PE; count it as local (it
-       is read-only and always cacheable without coherency cost). *)
-    if
-      tag = Area.to_int Area.Code
-      || t.pe_of_addr (word lsr Ref_record.addr_bits_shift)
-         = (word lsr Ref_record.pe_shift) land Ref_record.pe_mask
-    then t.local <- t.local + 1
-    else t.remote <- t.remote + 1;
-    t.total <- t.total + 1
-  end
+  let slot = word land (Ref_record.slots - 1) in
+  Array.unsafe_set t slot (Array.unsafe_get t slot + 1)
 
 let sink t : Sink.t = { Sink.emit_word = (fun w -> record t w) }
 
-let syncs t = t.syncs
-let reads t area = t.reads.(Area.to_int area)
-let writes t area = t.writes.(Area.to_int area)
-let refs t area = reads t area + writes t area
-let total t = t.total
-let local t = t.local
-let remote t = t.remote
+let of_buffer = Sink.Buffer_sink.counts
 
-let total_reads t = Array.fold_left ( + ) 0 t.reads
-let total_writes t = Array.fold_left ( + ) 0 t.writes
+let reads t area = t.(2 * Area.to_int area)
+let writes t area = t.((2 * Area.to_int area) + 1)
+let refs t area = reads t area + writes t area
+
+(* Sum of every [step]th slot in [lo, hi). *)
+let sum t lo hi step =
+  let n = ref 0 in
+  let i = ref lo in
+  while !i < hi do
+    n := !n + t.(!i);
+    i := !i + step
+  done;
+  !n
+
+let access_slots = 2 * Area.count
+let total t = sum t 0 access_slots 1
+let total_reads t = sum t 0 access_slots 2
+let total_writes t = sum t 1 access_slots 2
+let syncs t = sum t (2 * Ref_record.sync_tag_base) Ref_record.slots 1
 
 (* Data references exclude instruction fetches. *)
-let data_refs t = t.total - refs t Area.Code
+let data_refs t = total t - refs t Area.Code
 
 let pp fmt t =
   Format.fprintf fmt "@[<v>%-18s %10s %10s@," "area" "reads" "writes";

@@ -1,17 +1,18 @@
-(** Aggregate per-area reference statistics: read/write counts by
-    area and the local/remote split (a reference is remote when its
-    address lies in another PE's stack-set region). *)
+(** Aggregate per-area reference statistics: read and write counts by
+    area, and the sync words seen.  A count is one increment per word,
+    in the word's slot ({!Ref_record.slots}); every query sums slots. *)
 
 type t
 
-val create : pe_of_addr:(int -> int) -> unit -> t
-(** [pe_of_addr] maps an address to its owning PE (see
-    {!Wam.Layout.pe_of_addr}); the shared code region maps to [-1]. *)
+val create : unit -> t
 
 val sink : t -> Sink.t
-(** A sink that records into [t]: it reads each word's area,
-    direction, PE and address with shifts, and counts sync words
-    apart. *)
+(** A sink that records into [t]. *)
+
+val of_buffer : Sink.Buffer_sink.t -> t
+(** The counts of the words a buffer holds, which it kept as it
+    appended them: a run traced into a buffer needs no second sink
+    beside it for its statistics. *)
 
 (** {1 Queries} *)
 
@@ -27,8 +28,5 @@ val syncs : t -> int
 val data_refs : t -> int
 (** All references except instruction fetches (the paper's
     "references"). *)
-
-val local : t -> int
-val remote : t -> int
 
 val pp : Format.formatter -> t -> unit

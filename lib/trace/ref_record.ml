@@ -30,6 +30,9 @@ let pe_mask = 0xff
 let addr_bits_shift = 14
 let max_pe = pe_mask
 
+(* Everything below the PE field: the tag and the write bit. *)
+let slots = 1 lsl pe_shift
+
 let pack { pe; addr; area; op } =
   assert (pe >= 0 && pe <= max_pe);
   assert (addr >= 0);

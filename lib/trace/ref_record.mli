@@ -44,6 +44,12 @@ val max_pe : int
 val addr_bits_shift : int
 (** Bit offset of the address field in the packed word. *)
 
+val slots : int
+(** Values of a word's low six bits, [tag * 2 + write] (64): what
+    kind of word it is.  An access of area [a] lands in slot [2a]
+    (read) or [2a + 1] (write), a sync word in slots 32-41.
+    {!Areastats} and {!Sink.Buffer_sink} count words by slot. *)
+
 val pack : t -> int
 val unpack : int -> t
 

@@ -2,13 +2,21 @@
 
    The abstract machine emits every reference, and every explicit
    synchronization event, as one packed word ([Ref_record]'s layout)
-   to a sink.  [buffer] retains the words for the cache simulators;
-   [tee] feeds two sinks; [null] drops everything; aggregate sinks
-   ([Areastats]) read the fields they need with shifts.  Sync words
-   share the packing, and consumers that only understand accesses
-   skip them with [Ref_record.is_sync_word]. *)
+   to a sink.  [buffer] retains the words for the cache simulators
+   and counts them by slot as it goes; [tee] feeds two sinks; [null]
+   drops everything; aggregate sinks ([Areastats]) read the fields
+   they need with shifts.  Sync words share the packing, and
+   consumers that only understand accesses skip them with
+   [Ref_record.is_sync_word].
 
-type t = { emit_word : int -> unit } [@@unboxed]
+   A sink is a boxed record holding one closure, not an [@@unboxed]
+   one: unboxed, [Buffer_sink.sink] and [tee] were functions of two
+   arguments that the compiler uncurried, so every sink they built was
+   a partial application and every word went through a [caml_curry]
+   trampoline.  Boxed, each is a closure of one argument, called
+   directly, for one more load per word. *)
+
+type t = { emit_word : int -> unit }
 
 let emit t r = t.emit_word (Ref_record.pack r)
 let emit_sync t s = t.emit_word (Ref_record.pack_sync s)
@@ -52,6 +60,7 @@ module Buffer_sink = struct
     mutable last : int array; (* dir.(n_chunks - 1) *)
     mutable len : int;
     mutable limit : int;
+    counts : int array; (* retained words per slot (Ref_record.slots) *)
   }
 
   let create ?(capacity = 4096) () =
@@ -62,6 +71,7 @@ module Buffer_sink = struct
       last = first;
       len = 0;
       limit = Array.length first;
+      counts = Array.make Ref_record.slots 0;
     }
 
   let length b = b.len
@@ -89,13 +99,19 @@ module Buffer_sink = struct
     end;
     b.limit <- ((b.n_chunks - 1) lsl chunk_bits) + Array.length b.last
 
+  (* Append a word and count it in its slot, its low six bits (always
+     below [Ref_record.slots], so the count needs no bounds check). *)
   let push b word =
     let len = b.len in
     if len = b.limit then grow b;
     b.last.(len land chunk_mask) <- word;
-    b.len <- len + 1
+    b.len <- len + 1;
+    let slot = word land (Ref_record.slots - 1) in
+    Array.unsafe_set b.counts slot (Array.unsafe_get b.counts slot + 1)
 
   let sink b : sink = { emit_word = (fun w -> push b w) }
+
+  let counts b = Array.copy b.counts
 
   let get b i =
     if i < 0 || i >= b.len then invalid_arg "Buffer_sink.get";
@@ -128,9 +144,12 @@ module Buffer_sink = struct
   let iter_entries f b =
     iter_packed (fun word -> f (Ref_record.unpack_entry word)) b
 
+  (* Sync words fill the slots from [2 * sync_tag_base] up. *)
   let n_syncs b =
     let n = ref 0 in
-    iter_packed (fun word -> if Ref_record.is_sync_word word then incr n) b;
+    for slot = 2 * Ref_record.sync_tag_base to Ref_record.slots - 1 do
+      n := !n + b.counts.(slot)
+    done;
     !n
 end
 

@@ -8,8 +8,12 @@
     the words ({!Buffer_sink}) for the cache simulators.  Nothing on
     the emit path builds a {!Ref_record.t}. *)
 
-type t = { emit_word : int -> unit } [@@unboxed]
-(** [emit_word w] takes one packed word: an access or a sync event. *)
+type t = { emit_word : int -> unit }
+(** [emit_word w] takes one packed word: an access or a sync event.
+    The record is boxed on purpose: each sink is one closure of one
+    argument, so a word costs one direct call (an [[@@unboxed]]
+    record made [Buffer_sink.sink] and {!tee} partial applications,
+    called through a currying trampoline). *)
 
 val emit : t -> Ref_record.t -> unit
 (** Pack an access and emit it. *)
@@ -36,6 +40,11 @@ val data_only : t -> t
     size, so a small trace stays small; past it, growing allocates a
     new chunk and copies no retained word (the directory, an array of
     chunk pointers, doubles).
+
+    Each append also counts the word in its slot
+    ({!Ref_record.slots}), so a buffer knows its per-area reads and
+    writes and its sync words without a second sink beside it
+    ({!Areastats.of_buffer}).
 
     Domain-safety: a buffer is single-writer — all {!emit}s must
     happen on one domain — but once writing is done (and published by
@@ -75,7 +84,12 @@ module Buffer_sink : sig
   (** Visit accesses and sync events, decoded, in emission order. *)
 
   val n_syncs : t -> int
-  (** How many of the retained words are sync events. *)
+  (** How many of the retained words are sync events (read off the
+      counts, not the words). *)
+
+  val counts : t -> int array
+  (** A copy of the per-slot counts of the retained words: entry [s]
+      is how many have [s] as their low six bits. *)
 end
 
 val buffer : Buffer_sink.t -> t

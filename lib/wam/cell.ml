@@ -13,15 +13,6 @@
      Fun f   functor word (interned name/arity id); heads Str blocks
      Raw n   machine control word (saved registers, counters, sizes)   *)
 
-type view =
-  | Ref of int
-  | Str of int
-  | Lis of int
-  | Con of int
-  | Num of int
-  | Fun of int
-  | Raw of int
-
 let tag_ref = 0
 let tag_str = 1
 let tag_lis = 2
@@ -42,17 +33,6 @@ let raw n = make tag_raw n
 
 let tag w = w land 7
 let payload w = w asr 3
-
-let view w =
-  match w land 7 with
-  | 0 -> Ref (w asr 3)
-  | 1 -> Str (w asr 3)
-  | 2 -> Lis (w asr 3)
-  | 3 -> Con (w asr 3)
-  | 4 -> Num (w asr 3)
-  | 5 -> Fun (w asr 3)
-  | 6 -> Raw (w asr 3)
-  | t -> invalid_arg (Printf.sprintf "Cell.view: tag %d" t)
 
 let is_ref w = tag w = tag_ref
 let fits n = (n lsl 3) asr 3 = n

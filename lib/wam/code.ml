@@ -65,7 +65,12 @@ let set_entry t fid ~arity addr =
 
 let regs t = t.regs
 
-let entry t fid = Hashtbl.find_opt t.entries fid
+(* -1 for none: a call looks its callee up here, and an option would
+   allocate on every call. *)
+let entry t fid =
+  match Hashtbl.find t.entries fid with
+  | addr -> addr
+  | exception Not_found -> -1
 
 let iter_entries t f = Hashtbl.iter f t.entries
 

@@ -33,7 +33,9 @@ val length : t -> int
 val set_entry : t -> int -> arity:int -> int -> unit
 (** Bind a predicate (functor id, of [arity]) to its entry address. *)
 
-val entry : t -> int -> int option
+val entry : t -> int -> int
+(** The entry address of a predicate (functor id), or [-1] when it has
+    none. *)
 
 val regs : t -> int
 (** The highest register index an instruction names or an entry's

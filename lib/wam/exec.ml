@@ -2,10 +2,11 @@
    unification, arithmetic, builtins, backtracking and the sequential
    instruction semantics.
 
-   All memory accesses go through [Memory] and are traced.  The
-   parallel instructions (alloc_parcall, push_goal, par_join,
-   goal_done) are not handled here; the RAP-WAM simulator intercepts
-   them before delegating to [step_core].
+   Every memory access is traced, as [Memory] traces it, through the
+   inlined memory path below.  The parallel instructions
+   (alloc_parcall, push_goal, par_join, goal_done) are not handled
+   here; the RAP-WAM simulator intercepts them before delegating to
+   [step_core].
 
    Choice-point frame layout (base B, n = saved arity):
      B+0          nargs
@@ -29,37 +30,157 @@ exception No_more_choices of worker
 let choice_point_words arity = arity + 9
 
 (* ------------------------------------------------------------------ *)
-(* Memory access helpers (pe = issuing worker).                       *)
+(* The memory path, inlined.                                          *)
 
-let rd m (w : worker) ~area addr = Memory.read m.mem ~pe:w.id ~area addr
-let wr m (w : worker) ~area addr cell = Memory.write m.mem ~pe:w.id ~area addr cell
-let rd_auto m (w : worker) addr = Memory.read_auto m.mem ~pe:w.id addr
-let wr_auto m (w : worker) addr cell = Memory.write_auto m.mem ~pe:w.id addr cell
+(* The dev profile compiles every library module [-opaque], so each
+   call from here into [Cell], [Memory] or [Layout] is a real call, and
+   a step makes several: it tests cells, reads and writes memory and
+   classifies addresses.  Exec keeps its own inlinable copies of those
+   few operations, built on the layouts the three interfaces document
+   and on constants read off them once, at start-up.  Every other layer
+   goes through [Cell], [Memory] and [Layout]; the trace pins hold
+   these copies to them word for word. *)
 
-let fetch_traced m (w : worker) =
-  (* Instruction fetch: one code-region read, packed here as
-     [Memory.read] packs its words. *)
+(* Cells: the tag in the low three bits, the payload above them. *)
+let tag_ref = Cell.ref_ 0
+let tag_str = Cell.str 0
+let tag_lis = Cell.lis 0
+let tag_con = Cell.con 0
+let tag_num = Cell.num 0
+let tag_fun = Cell.fun_ 0
+let tag_raw = Cell.raw 0
+
+let[@inline] tag c = c land 7
+let[@inline] payload c = c asr 3
+let[@inline] is_ref c = c land 7 = tag_ref
+let[@inline] ref_ a = (a lsl 3) lor tag_ref
+let[@inline] str a = (a lsl 3) lor tag_str
+let[@inline] lis a = (a lsl 3) lor tag_lis
+let[@inline] fun_ f = (f lsl 3) lor tag_fun
+let[@inline] raw n = (n lsl 3) lor tag_raw
+let[@inline] con c = (c lsl 3) lor tag_con
+let[@inline] num n = (n lsl 3) lor tag_num
+
+(* Addresses: [Layout]'s area boundaries inside a PE's region. *)
+let region_mask = Layout.region_words - 1
+let region_bits = Layout.region_bits
+let code_base = Layout.code_base
+let local_off = Layout.local_base 0
+let control_off = Layout.control_base 0
+let trail_off = Layout.trail_base 0
+let pdl_off = Layout.pdl_base 0
+let goal_off = Layout.goal_base 0
+let msg_off = Layout.msg_base 0
+
+(* Where an area of the worker's stack set ends: [Layout.heap_limit]
+   and the others, at the same offset in every PE's region. *)
+let heap_end = Layout.heap_limit 0
+let local_end = Layout.local_limit 0
+let control_end = Layout.control_limit 0
+let trail_end = Layout.trail_limit 0
+let pdl_end = Layout.pdl_limit 0
+let[@inline] limit (w : worker) area_end = (w.id lsl region_bits) + area_end
+
+(* [Layout.pe_of_addr]: the owning PE, -1 for the code region. *)
+let[@inline] pe_of_addr addr =
+  if addr >= code_base then -1 else addr lsr region_bits
+
+let[@inline] is_heap_addr addr =
+  addr < code_base && addr land region_mask < local_off
+
+let[@inline] is_local_stack_addr addr =
+  addr < code_base
+  &&
+  let off = addr land region_mask in
+  off >= local_off && off < control_off
+
+(* [Layout.area_of_addr], as the area's tag ([Trace.Area.to_int]). *)
+let[@inline] area_tag addr =
+  if addr >= code_base then Trace.Area.to_int Trace.Area.Code
+  else begin
+    let off = addr land region_mask in
+    if off < local_off then Trace.Area.to_int Trace.Area.Heap
+    else if off < control_off then Trace.Area.to_int Trace.Area.Env_pvar
+    else if off < trail_off then Trace.Area.to_int Trace.Area.Choice_point
+    else if off < pdl_off then Trace.Area.to_int Trace.Area.Trail
+    else if off < goal_off then Trace.Area.to_int Trace.Area.Pdl
+    else if off < msg_off then Trace.Area.to_int Trace.Area.Goal_frame
+    else Trace.Area.to_int Trace.Area.Message
+  end
+
+(* Memory: [Memory.peek], and the store of [Memory.poke] into a page
+   written before; a first write to a page goes through [Memory.poke]
+   itself, which allocates the page. *)
+let page_bits = Memory.page_bits
+let page_mask = (1 lsl page_bits) - 1
+
+let[@inline] peek m addr =
+  let pages = m.mem.Memory.pages in
+  let idx = addr lsr page_bits in
+  if idx < Array.length pages then
+    Array.unsafe_get (Array.unsafe_get pages idx) (addr land page_mask)
+  else 0
+
+let[@inline] poke m addr cell =
+  let mem = m.mem in
+  let idx = addr lsr page_bits in
+  if idx < Array.length mem.Memory.pages then begin
+    let page = Array.unsafe_get mem.Memory.pages idx in
+    if page != Memory.zero_page then
+      Array.unsafe_set page (addr land page_mask) cell
+    else Memory.poke mem addr cell
+  end
+  else Memory.poke mem addr cell
+
+(* [Memory.read]/[write]: one packed word to the sink, then the access
+   (the address's sign checked first, whatever the sink). *)
+let negative_address addr =
+  invalid_arg (Printf.sprintf "Memory: negative address %d" addr)
+
+let[@inline] emit m (w : worker) area addr rw =
+  if addr < 0 then negative_address addr;
   m.mem.Memory.sink.Trace.Sink.emit_word
-    ((Code.trace_addr w.p lsl Trace.Ref_record.addr_bits_shift)
+    ((addr lsl Trace.Ref_record.addr_bits_shift)
     lor (w.id lsl Trace.Ref_record.pe_shift)
-    lor (Trace.Area.to_int Trace.Area.Code lsl Trace.Ref_record.tag_shift));
+    lor (area lsl Trace.Ref_record.tag_shift)
+    lor rw)
+
+let[@inline] rd m w ~area addr =
+  emit m w (Trace.Area.to_int area) addr 0;
+  peek m addr
+
+let[@inline] wr m w ~area addr cell =
+  emit m w (Trace.Area.to_int area) addr Trace.Ref_record.write_bit;
+  poke m addr cell
+
+let[@inline] rd_auto m w addr =
+  emit m w (area_tag addr) addr 0;
+  peek m addr
+
+let[@inline] wr_auto m w addr cell =
+  emit m w (area_tag addr) addr Trace.Ref_record.write_bit;
+  poke m addr cell
+
+(* Instruction fetch: one code-region read. *)
+let fetch_traced m (w : worker) =
+  emit m w (Trace.Area.to_int Trace.Area.Code) (Code.trace_addr w.p) 0;
   Code.fetch m.code w.p
 
 (* ------------------------------------------------------------------ *)
 (* Dereferencing, trailing, binding.                                  *)
 
 let rec deref m w cell =
-  if Cell.is_ref cell then begin
-    let a = Cell.payload cell in
+  if is_ref cell then begin
+    let a = payload cell in
     let v = rd_auto m w a in
     if v = cell then cell else deref m w v
   end
   else cell
 
 let trail_push m (w : worker) addr =
-  if w.tr >= Layout.trail_limit w.id then
+  if w.tr >= limit w trail_end then
     runtime_error "trail overflow (PE %d)" w.id;
-  wr m w ~area:Trace.Area.Trail w.tr (Cell.raw addr);
+  wr m w ~area:Trace.Area.Trail w.tr (raw addr);
   w.tr <- w.tr + 1;
   if w.tr > w.max_tr then w.max_tr <- w.tr
 
@@ -68,9 +189,9 @@ let trail_push m (w : worker) addr =
    protection floor) need no trail entry; everything else -- older
    cells and every cross-PE binding -- is trailed. *)
 let must_trail (w : worker) addr =
-  if Layout.pe_of_addr addr <> w.id then true
-  else if Layout.is_heap_addr addr then addr < w.hb
-  else if Layout.is_local_stack_addr addr then addr < w.prot_lst
+  if pe_of_addr addr <> w.id then true
+  else if is_heap_addr addr then addr < w.hb
+  else if is_local_stack_addr addr then addr < w.prot_lst
   else true
 
 (* Shallow analogue of the trail condition, against the shallow
@@ -80,9 +201,9 @@ let must_trail (w : worker) addr =
    so the log is a superset of what the trail would have recorded. *)
 let shallow_protects (w : worker) addr =
   let sh = w.shallow in
-  if Layout.pe_of_addr addr <> w.id then true
-  else if Layout.is_heap_addr addr then addr < sh.sh_h
-  else if Layout.is_local_stack_addr addr then addr < sh.sh_lst
+  if pe_of_addr addr <> w.id then true
+  else if is_heap_addr addr then addr < sh.sh_h
+  else if is_local_stack_addr addr then addr < sh.sh_lst
   else true
 
 (* Unconditional bind (lib/bindan): the certificate says no live
@@ -113,18 +234,18 @@ let bind m w addr cell =
    (stack cells die first); between same-kind cells the younger (higher
    address) points at the older. *)
 let bind_vars m w a1 a2 =
-  let s1 = Layout.is_local_stack_addr a1 in
-  let s2 = Layout.is_local_stack_addr a2 in
-  if s1 && not s2 then bind m w a1 (Cell.ref_ a2)
-  else if s2 && not s1 then bind m w a2 (Cell.ref_ a1)
-  else if a1 < a2 then bind m w a2 (Cell.ref_ a1)
-  else bind m w a1 (Cell.ref_ a2)
+  let s1 = is_local_stack_addr a1 in
+  let s2 = is_local_stack_addr a2 in
+  if s1 && not s2 then bind m w a1 (ref_ a2)
+  else if s2 && not s1 then bind m w a2 (ref_ a1)
+  else if a1 < a2 then bind m w a2 (ref_ a1)
+  else bind m w a1 (ref_ a2)
 
 (* ------------------------------------------------------------------ *)
 (* Heap allocation.                                                   *)
 
 let hpush m (w : worker) cell =
-  if w.h >= Layout.heap_limit w.id then
+  if w.h >= limit w heap_end then
     runtime_error "heap overflow (PE %d)" w.id;
   wr m w ~area:Trace.Area.Heap w.h cell;
   let a = w.h in
@@ -134,7 +255,7 @@ let hpush m (w : worker) cell =
 
 let fresh_heap_var m w =
   let a = w.h in
-  ignore (hpush m w (Cell.ref_ a));
+  ignore (hpush m w (ref_ a));
   a
 
 (* ------------------------------------------------------------------ *)
@@ -142,8 +263,8 @@ let fresh_heap_var m w =
 
 (* Untraced dereference: reads through [Memory.peek]. *)
 let rec peek_deref m c =
-  if Cell.is_ref c then begin
-    let v = Memory.peek m.mem (Cell.payload c) in
+  if is_ref c then begin
+    let v = peek m (payload c) in
     if v = c then c else peek_deref m v
   end
   else c
@@ -158,16 +279,15 @@ let cyclic m cell =
   let on_path = Hashtbl.create 64 in
   let exception Cycle in
   let rec term cell =
-    match Cell.view (peek_deref m cell) with
-    | Cell.Lis a -> args a 0 1
-    | Cell.Str a -> begin
-      match Cell.view (Memory.peek m.mem a) with
-      | Cell.Fun fid -> args a 1 (Symbols.functor_arity m.symbols fid)
-      | Cell.Ref _ | Cell.Str _ | Cell.Lis _ | Cell.Con _ | Cell.Num _
-      | Cell.Raw _ ->
-        ()
+    let d = peek_deref m cell in
+    let t = tag d in
+    if t = tag_lis then args (payload d) 0 1
+    else if t = tag_str then begin
+      let a = payload d in
+      let f = peek m a in
+      if tag f = tag_fun then
+        args a 1 (Symbols.functor_arity m.symbols (payload f))
     end
-    | Cell.Ref _ | Cell.Con _ | Cell.Num _ | Cell.Fun _ | Cell.Raw _ -> ()
   and args a lo hi =
     match Hashtbl.find_opt on_path a with
     | Some true -> raise Cycle
@@ -175,7 +295,7 @@ let cyclic m cell =
     | None ->
       Hashtbl.replace on_path a true;
       for i = lo to hi do
-        term (Memory.peek m.mem (a + i))
+        term (peek m (a + i))
       done;
       Hashtbl.replace on_path a false
   in
@@ -205,17 +325,11 @@ let[@inline] visit m what r1 r2 n =
 (* Unification (PDL-based).                                           *)
 
 let pdl_push m (w : worker) c1 c2 =
-  if w.pdl + 2 > Layout.pdl_limit w.id then
+  if w.pdl + 2 > limit w pdl_end then
     runtime_error "PDL overflow (PE %d)" w.id;
   wr m w ~area:Trace.Area.Pdl w.pdl c1;
   wr m w ~area:Trace.Area.Pdl (w.pdl + 1) c2;
   w.pdl <- w.pdl + 2
-
-let pdl_pop m (w : worker) =
-  w.pdl <- w.pdl - 2;
-  let c1 = rd m w ~area:Trace.Area.Pdl w.pdl in
-  let c2 = rd m w ~area:Trace.Area.Pdl (w.pdl + 1) in
-  (c1, c2)
 
 (* General unification.  The current pair is kept in registers (as in
    real WAM implementations); the PDL holds only the extra sub-pairs of
@@ -229,7 +343,10 @@ let rec unify_next m (w : worker) base r1 r2 n ok =
   end
   else if w.pdl = base then true
   else begin
-    let c1, c2 = pdl_pop m w in
+    (* pop a pair *)
+    w.pdl <- w.pdl - 2;
+    let c1 = rd m w ~area:Trace.Area.Pdl w.pdl in
+    let c2 = rd m w ~area:Trace.Area.Pdl (w.pdl + 1) in
     unify_pair m w base r1 r2 n c1 c2
   end
 
@@ -239,30 +356,30 @@ and unify_pair m w base r1 r2 n c1 c2 =
   let d2 = deref m w c2 in
   if d1 = d2 then unify_next m w base r1 r2 n true
   else begin
-    match (Cell.view d1, Cell.view d2) with
-    | Cell.Ref a1, Cell.Ref a2 ->
-      bind_vars m w a1 a2;
+    let t1 = tag d1 and t2 = tag d2 in
+    if t1 = tag_ref then begin
+      if t2 = tag_ref then bind_vars m w (payload d1) (payload d2)
+      else bind m w (payload d1) d2;
       unify_next m w base r1 r2 n true
-    | ( Cell.Ref a,
-        ( Cell.Str _ | Cell.Lis _ | Cell.Con _ | Cell.Num _ | Cell.Fun _
-        | Cell.Raw _ ) ) ->
-      bind m w a d2;
+    end
+    else if t2 = tag_ref then begin
+      bind m w (payload d2) d1;
       unify_next m w base r1 r2 n true
-    | ( ( Cell.Str _ | Cell.Lis _ | Cell.Con _ | Cell.Num _ | Cell.Fun _
-        | Cell.Raw _ ),
-        Cell.Ref a ) ->
-      bind m w a d1;
-      unify_next m w base r1 r2 n true
-    | Cell.Lis a1, Cell.Lis a2 ->
+    end
+    else if t1 <> t2 then unify_next m w base r1 r2 n false
+    else if t1 = tag_lis then begin
       (* tails go to the PDL; continue with the heads *)
+      let a1 = payload d1 and a2 = payload d2 in
       pdl_push m w (rd_auto m w (a1 + 1)) (rd_auto m w (a2 + 1));
       unify_pair m w base r1 r2 n (rd_auto m w a1) (rd_auto m w a2)
-    | Cell.Str a1, Cell.Str a2 ->
+    end
+    else if t1 = tag_str then begin
+      let a1 = payload d1 and a2 = payload d2 in
       let f1 = rd_auto m w a1 in
       let f2 = rd_auto m w a2 in
       if f1 <> f2 then unify_next m w base r1 r2 n false
       else begin
-        let arity = Symbols.functor_arity m.symbols (Cell.payload f1) in
+        let arity = Symbols.functor_arity m.symbols (payload f1) in
         if arity = 0 then unify_next m w base r1 r2 n true
         else begin
           for i = 2 to arity do
@@ -273,10 +390,8 @@ and unify_pair m w base r1 r2 n c1 c2 =
             (rd_auto m w (a2 + 1))
         end
       end
-    | ( ( Cell.Str _ | Cell.Lis _ | Cell.Con _ | Cell.Num _ | Cell.Fun _
-        | Cell.Raw _ ),
-        _ ) ->
-      unify_next m w base r1 r2 n false
+    end
+    else unify_next m w base r1 r2 n false
   end
 
 let unify m (w : worker) c1 c2 = unify_pair m w w.pdl c1 c2 0 c1 c2
@@ -288,8 +403,8 @@ let untrail_to m (w : worker) saved_tr =
   while w.tr > saved_tr do
     w.tr <- w.tr - 1;
     let entry = rd m w ~area:Trace.Area.Trail w.tr in
-    let a = Cell.payload entry in
-    wr_auto m w a (Cell.ref_ a)
+    let a = payload entry in
+    wr_auto m w a (ref_ a)
   done
 
 (* Shallow fail: restore the register snapshot, reset the logged
@@ -299,9 +414,9 @@ let untrail_to m (w : worker) saved_tr =
    [sh_alt] updates or deactivates it). *)
 let shallow_fail m (w : worker) =
   let sh = w.shallow in
-  List.iter (fun a -> wr_auto m w a (Cell.ref_ a)) sh.sh_log;
+  List.iter (fun a -> wr_auto m w a (ref_ a)) sh.sh_log;
   sh.sh_log <- [];
-  List.iter (fun a -> wr_auto m w a (Cell.ref_ a)) sh.sh_nt_log;
+  List.iter (fun a -> wr_auto m w a (ref_ a)) sh.sh_nt_log;
   sh.sh_nt_log <- [];
   let n = sh.sh_nargs in
   for i = 1 to n do
@@ -357,33 +472,35 @@ let maybe_commit m (w : worker) instr =
 let abandon_shallow m (w : worker) =
   let sh = w.shallow in
   if sh.sh_active then begin
-    List.iter (fun a -> wr_auto m w a (Cell.ref_ a)) sh.sh_log;
+    List.iter (fun a -> wr_auto m w a (ref_ a)) sh.sh_log;
     sh.sh_log <- [];
-    List.iter (fun a -> wr_auto m w a (Cell.ref_ a)) sh.sh_nt_log;
+    List.iter (fun a -> wr_auto m w a (ref_ a)) sh.sh_nt_log;
     sh.sh_nt_log <- [];
     sh.sh_active <- false
   end
+
+(* Word [off] of the choice point at [b]. *)
+let[@inline] cp_rd m w b off = rd m w ~area:Trace.Area.Choice_point (b + off)
 
 let fail m (w : worker) =
   if w.shallow.sh_active then shallow_fail m w
   else if w.b = -1 || w.b <= w.barrier then raise (No_more_choices w)
   else begin
     let b = w.b in
-    let f off = rd m w ~area:Trace.Area.Choice_point (b + off) in
-    let n = Cell.payload (f 0) in
+    let n = payload (cp_rd m w b 0) in
     for i = 1 to n do
-      w.x.(i) <- f i
+      w.x.(i) <- cp_rd m w b i
     done;
     w.nargs <- n;
-    w.e <- Cell.payload (f (n + 1));
-    w.cp <- Cell.payload (f (n + 2));
-    let next_alt = Cell.payload (f (n + 4)) in
-    untrail_to m w (Cell.payload (f (n + 5)));
-    let saved_h = Cell.payload (f (n + 6)) in
+    w.e <- payload (cp_rd m w b (n + 1));
+    w.cp <- payload (cp_rd m w b (n + 2));
+    let next_alt = payload (cp_rd m w b (n + 4)) in
+    untrail_to m w (payload (cp_rd m w b (n + 5)));
+    let saved_h = payload (cp_rd m w b (n + 6)) in
     w.h <- saved_h;
     w.hb <- max saved_h w.par_hb;
-    w.b0 <- Cell.payload (f (n + 7));
-    let saved_lst = Cell.payload (f (n + 8)) in
+    w.b0 <- payload (cp_rd m w b (n + 7));
+    let saved_lst = payload (cp_rd m w b (n + 8)) in
     w.lst <- saved_lst;
     w.prot_lst <- max saved_lst w.par_prot;
     w.cst <- b + choice_point_words n;
@@ -406,11 +523,9 @@ let set_reg m (w : worker) r cell =
 (* Term predicates and arithmetic.                                    *)
 
 let functor_cell m w addr =
-  match Cell.view (rd_auto m w addr) with
-  | Cell.Fun fid -> fid
-  | Cell.Ref _ | Cell.Str _ | Cell.Lis _ | Cell.Con _ | Cell.Num _
-  | Cell.Raw _ ->
-    runtime_error "corrupt structure at address %d" addr
+  let f = rd_auto m w addr in
+  if tag f = tag_fun then payload f
+  else runtime_error "corrupt structure at address %d" addr
 
 (* The term walks below return the visit count [n] (see [visit]) while
    the walk goes on, and a negative value once its answer is known. *)
@@ -418,16 +533,21 @@ let functor_cell m w addr =
 (* Ground walk: -1 at the first unbound variable. *)
 let rec ground_walk m w r n cell =
   let n = visit m "ground/1" r r n in
-  match Cell.view (deref m w cell) with
-  | Cell.Ref _ -> -1
-  | Cell.Con _ | Cell.Num _ -> n
-  | Cell.Lis a ->
+  let d = deref m w cell in
+  let t = tag d in
+  if t = tag_ref then -1
+  else if t = tag_con || t = tag_num then n
+  else if t = tag_lis then begin
+    let a = payload d in
     let n = ground_walk m w r n (rd_auto m w a) in
     if n < 0 then n else ground_walk m w r n (rd_auto m w (a + 1))
-  | Cell.Str a ->
+  end
+  else if t = tag_str then begin
+    let a = payload d in
     let fid = functor_cell m w a in
     ground_args m w r n a 1 (Symbols.functor_arity m.symbols fid)
-  | Cell.Fun _ | Cell.Raw _ -> runtime_error "is_ground: raw cell"
+  end
+  else runtime_error "is_ground: raw cell"
 
 and ground_args m w r n a i arity =
   if n < 0 || i > arity then n
@@ -445,22 +565,29 @@ let rec vars_walk m w r1 r2 tbl ~stop n cell =
   if n < 0 then n
   else begin
     let n = visit m "indep/2" r1 r2 n in
-    match Cell.view (deref m w cell) with
-    | Cell.Ref a ->
+    let d = deref m w cell in
+    let t = tag d in
+    if t = tag_ref then begin
+      let a = payload d in
       if not stop then begin
         Hashtbl.replace tbl a ();
         n
       end
       else if Hashtbl.mem tbl a then -1
       else n
-    | Cell.Con _ | Cell.Num _ -> n
-    | Cell.Lis a ->
+    end
+    else if t = tag_con || t = tag_num then n
+    else if t = tag_lis then begin
+      let a = payload d in
       let n = vars_walk m w r1 r2 tbl ~stop n (rd_auto m w a) in
       vars_walk m w r1 r2 tbl ~stop n (rd_auto m w (a + 1))
-    | Cell.Str a ->
+    end
+    else if t = tag_str then begin
+      let a = payload d in
       let fid = functor_cell m w a in
       vars_args m w r1 r2 tbl ~stop n a 1 (Symbols.functor_arity m.symbols fid)
-    | Cell.Fun _ | Cell.Raw _ -> runtime_error "independent: raw cell"
+    end
+    else runtime_error "independent: raw cell"
   end
 
 and vars_args m w r1 r2 tbl ~stop n a i arity =
@@ -485,17 +612,22 @@ let size_at_least m w cell k =
   let rec go cell =
     incr count;
     if !count >= k then raise Enough;
-    match Cell.view (deref m w cell) with
-    | Cell.Ref _ | Cell.Con _ | Cell.Num _ -> ()
-    | Cell.Lis a ->
+    let d = deref m w cell in
+    let t = tag d in
+    if t = tag_lis then begin
+      let a = payload d in
       go (rd_auto m w a);
       go (rd_auto m w (a + 1))
-    | Cell.Str a ->
+    end
+    else if t = tag_str then begin
+      let a = payload d in
       let fid = functor_cell m w a in
       for i = 1 to Symbols.functor_arity m.symbols fid do
         go (rd_auto m w (a + i))
       done
-    | Cell.Fun _ | Cell.Raw _ -> runtime_error "size_at_least: raw cell"
+    end
+    else if t = tag_fun || t = tag_raw then
+      runtime_error "size_at_least: raw cell"
   in
   k <= 0
   ||
@@ -518,52 +650,46 @@ let rec compare_walk m w r1 r2 n c1 c2 =
   if d1 = d2 then n
   else begin
     let rank c =
-      match Cell.view c with
-      | Cell.Ref _ -> 0
-      | Cell.Num _ -> 1
-      | Cell.Con _ -> 2
-      | Cell.Lis _ | Cell.Str _ -> 3
-      | Cell.Fun _ | Cell.Raw _ -> runtime_error "compare: raw cell"
+      let t = tag c in
+      if t = tag_ref then 0
+      else if t = tag_num then 1
+      else if t = tag_con then 2
+      else if t = tag_lis || t = tag_str then 3
+      else runtime_error "compare: raw cell"
     in
     let k1 = rank d1 and k2 = rank d2 in
     if k1 <> k2 then order (compare k1 k2) n
+    else if k1 < 2 then
+      (* two variables by address, two integers by value *)
+      order (compare (payload d1) (payload d2)) n
+    else if k1 = 2 then
+      order
+        (compare
+           (Symbols.atom_name m.symbols (payload d1))
+           (Symbols.atom_name m.symbols (payload d2)))
+        n
     else begin
-      match (Cell.view d1, Cell.view d2) with
-      | Cell.Ref a1, Cell.Ref a2 -> order (compare a1 a2) n
-      | Cell.Num i1, Cell.Num i2 -> order (compare i1 i2) n
-      | Cell.Con a1, Cell.Con a2 ->
-        order
-          (compare
-             (Symbols.atom_name m.symbols a1)
-             (Symbols.atom_name m.symbols a2))
-          n
-      | (Cell.Lis _ | Cell.Str _), (Cell.Lis _ | Cell.Str _) ->
-        let spec c =
-          match Cell.view c with
-          | Cell.Lis a -> (2, ".", a, true)
-          | Cell.Str a ->
-            let fid = functor_cell m w a in
-            ( Symbols.functor_arity m.symbols fid,
-              Symbols.functor_name m.symbols fid,
-              a,
-              false )
-          | Cell.Ref _ | Cell.Con _ | Cell.Num _ | Cell.Fun _ | Cell.Raw _ ->
-            assert false
-        in
-        let n1, f1, a1, l1 = spec d1 in
-        let n2, f2, a2, l2 = spec d2 in
-        if n1 <> n2 then order (compare n1 n2) n
-        else if f1 <> f2 then order (compare f1 f2) n
+      let spec c =
+        let a = payload c in
+        if tag c = tag_lis then (2, ".", a, true)
         else begin
-          (* argument base: list pairs start at a, structures at a+1 *)
-          let base1 = if l1 then a1 - 1 else a1 in
-          let base2 = if l2 then a2 - 1 else a2 in
-          compare_args m w r1 r2 n base1 base2 1 n1
+          let fid = functor_cell m w a in
+          ( Symbols.functor_arity m.symbols fid,
+            Symbols.functor_name m.symbols fid,
+            a,
+            false )
         end
-      | ( ( Cell.Ref _ | Cell.Num _ | Cell.Con _ | Cell.Lis _ | Cell.Str _
-          | Cell.Fun _ | Cell.Raw _ ),
-          _ ) ->
-        assert false
+      in
+      let n1, f1, a1, l1 = spec d1 in
+      let n2, f2, a2, l2 = spec d2 in
+      if n1 <> n2 then order (compare n1 n2) n
+      else if f1 <> f2 then order (compare f1 f2) n
+      else begin
+        (* argument base: list pairs start at a, structures at a+1 *)
+        let base1 = if l1 then a1 - 1 else a1 in
+        let base2 = if l2 then a2 - 1 else a2 in
+        compare_args m w r1 r2 n base1 base2 1 n1
+      end
     end
   end
 
@@ -599,47 +725,52 @@ let shift_left x s =
   end
 
 let rec eval_arith m w cell =
-  match Cell.view (deref m w cell) with
-  | Cell.Num n -> n
-  | Cell.Str a ->
-    let r = eval_struct m w a in
+  let d = deref m w cell in
+  let t = tag d in
+  if t = tag_num then payload d
+  else if t = tag_str then begin
+    let r = eval_struct m w (payload d) in
     if Cell.fits r then r else overflow ()
-  | Cell.Con c ->
-    runtime_error "not evaluable: %s/0" (Symbols.atom_name m.symbols c)
-  | Cell.Ref _ -> runtime_error "is/2: argument insufficiently instantiated"
-  | Cell.Lis _ -> runtime_error "is/2: list is not evaluable"
-  | Cell.Fun _ | Cell.Raw _ -> runtime_error "eval: raw cell"
+  end
+  else if t = tag_con then
+    runtime_error "not evaluable: %s/0" (Symbols.atom_name m.symbols (payload d))
+  else if t = tag_ref then
+    runtime_error "is/2: argument insufficiently instantiated"
+  else if t = tag_lis then runtime_error "is/2: list is not evaluable"
+  else runtime_error "eval: raw cell"
+
+(* Argument [i] of the expression at [a], evaluated. *)
+and arg m w a i = eval_arith m w (rd_auto m w (a + i))
 
 and eval_struct m w a =
   let fid = functor_cell m w a in
   let name = Symbols.functor_name m.symbols fid in
   let arity = Symbols.functor_arity m.symbols fid in
-  let arg i = eval_arith m w (rd_auto m w (a + i)) in
   match (name, arity) with
-  | "+", 2 -> arg 1 + arg 2
-  | "-", 2 -> arg 1 - arg 2
-  | "*", 2 -> mul (arg 1) (arg 2)
+  | "+", 2 -> arg m w a 1 + arg m w a 2
+  | "-", 2 -> arg m w a 1 - arg m w a 2
+  | "*", 2 -> mul (arg m w a 1) (arg m w a 2)
   | "//", 2 | "/", 2 ->
-    let d = arg 2 in
-    if d = 0 then runtime_error "zero divisor" else arg 1 / d
+    let d = arg m w a 2 in
+    if d = 0 then runtime_error "zero divisor" else arg m w a 1 / d
   | "mod", 2 ->
-    let d = arg 2 in
+    let d = arg m w a 2 in
     if d = 0 then runtime_error "zero divisor"
     else begin
-      let r = arg 1 mod d in
+      let r = arg m w a 1 mod d in
       if (r < 0 && d > 0) || (r > 0 && d < 0) then r + d else r
     end
-  | "rem", 2 -> arg 1 mod arg 2
-  | "min", 2 -> min (arg 1) (arg 2)
-  | "max", 2 -> max (arg 1) (arg 2)
-  | ">>", 2 -> arg 1 asr arg 2
-  | "<<", 2 -> shift_left (arg 1) (arg 2)
-  | "/\\", 2 -> arg 1 land arg 2
-  | "\\/", 2 -> arg 1 lor arg 2
-  | "-", 1 -> -arg 1
-  | "+", 1 -> arg 1
-  | "abs", 1 -> abs (arg 1)
-  | "sign", 1 -> compare (arg 1) 0
+  | "rem", 2 -> arg m w a 1 mod arg m w a 2
+  | "min", 2 -> min (arg m w a 1) (arg m w a 2)
+  | "max", 2 -> max (arg m w a 1) (arg m w a 2)
+  | ">>", 2 -> arg m w a 1 asr arg m w a 2
+  | "<<", 2 -> shift_left (arg m w a 1) (arg m w a 2)
+  | "/\\", 2 -> arg m w a 1 land arg m w a 2
+  | "\\/", 2 -> arg m w a 1 lor arg m w a 2
+  | "-", 1 -> -arg m w a 1
+  | "+", 1 -> arg m w a 1
+  | "abs", 1 -> abs (arg m w a 1)
+  | "sign", 1 -> compare (arg m w a 1) 0
   | _, _ -> runtime_error "not evaluable: %s/%d" name arity
 
 (* ------------------------------------------------------------------ *)
@@ -650,26 +781,23 @@ and eval_struct m w a =
 let decode m _w cell =
   if cyclic m cell then runtime_error "decode: cyclic term";
   let rec decode cell =
-    match Cell.view (peek_deref m cell) with
-    | Cell.Ref a -> Prolog.Term.Var (Printf.sprintf "_%d" a)
-    | Cell.Num n -> Prolog.Term.Int n
-    | Cell.Con c -> Prolog.Term.Atom (Symbols.atom_name m.symbols c)
-    | Cell.Lis a ->
+    let d = peek_deref m cell in
+    let t = tag d and a = payload d in
+    if t = tag_ref then Prolog.Term.Var (Printf.sprintf "_%d" a)
+    else if t = tag_num then Prolog.Term.Int a
+    else if t = tag_con then Prolog.Term.Atom (Symbols.atom_name m.symbols a)
+    else if t = tag_lis then
+      Prolog.Term.Struct (".", [ decode (peek m a); decode (peek m (a + 1)) ])
+    else if t = tag_str then begin
+      let f = peek m a in
+      if tag f <> tag_fun then runtime_error "decode: corrupt structure";
+      let fid = payload f in
+      let name = Symbols.functor_name m.symbols fid in
+      let arity = Symbols.functor_arity m.symbols fid in
       Prolog.Term.Struct
-        ( ".",
-          [ decode (Memory.peek m.mem a); decode (Memory.peek m.mem (a + 1)) ] )
-    | Cell.Str a -> begin
-      match Cell.view (Memory.peek m.mem a) with
-      | Cell.Fun fid ->
-        let name = Symbols.functor_name m.symbols fid in
-        let arity = Symbols.functor_arity m.symbols fid in
-        Prolog.Term.Struct
-          (name, List.init arity (fun i -> decode (Memory.peek m.mem (a + 1 + i))))
-      | Cell.Ref _ | Cell.Str _ | Cell.Lis _ | Cell.Con _ | Cell.Num _
-      | Cell.Raw _ ->
-        runtime_error "decode: corrupt structure"
+        (name, List.init arity (fun i -> decode (peek m (a + 1 + i))))
     end
-    | Cell.Fun _ | Cell.Raw _ -> runtime_error "decode: raw cell"
+    else runtime_error "decode: raw cell"
   in
   decode cell
 
@@ -677,28 +805,28 @@ let decode m _w cell =
    variables share bindings through [env] (name -> heap address). *)
 let rec encode m w env t =
   match t with
-  | Prolog.Term.Int n -> Cell.num n
-  | Prolog.Term.Atom a -> Cell.con (Symbols.atom m.symbols a)
+  | Prolog.Term.Int n -> num n
+  | Prolog.Term.Atom a -> con (Symbols.atom m.symbols a)
   | Prolog.Term.Var v -> begin
     match Hashtbl.find_opt env v with
-    | Some a -> Cell.ref_ a
+    | Some a -> ref_ a
     | None ->
       let a = fresh_heap_var m w in
       Hashtbl.add env v a;
-      Cell.ref_ a
+      ref_ a
   end
   | Prolog.Term.Struct (".", [ hd; tl ]) ->
     let c_hd = encode m w env hd in
     let c_tl = encode m w env tl in
     let a = hpush m w c_hd in
     ignore (hpush m w c_tl);
-    Cell.lis a
+    lis a
   | Prolog.Term.Struct (f, args) ->
     let cells = List.map (encode m w env) args in
     let fid = Symbols.functor_ m.symbols f (List.length args) in
-    let a = hpush m w (Cell.fun_ fid) in
+    let a = hpush m w (fun_ fid) in
     List.iter (fun c -> ignore (hpush m w c)) cells;
-    Cell.str a
+    str a
 
 (* ------------------------------------------------------------------ *)
 (* Builtins.  Each returns [true] on success; [false] triggers fail.  *)
@@ -708,8 +836,8 @@ let list_of_cells m w cells =
     (fun c acc ->
       let a = hpush m w c in
       ignore (hpush m w acc);
-      Cell.lis a)
-    cells (Cell.con Symbols.nil)
+      lis a)
+    cells (con Symbols.nil)
 
 let exec_builtin m (w : worker) b _arity =
   let a i = w.x.(i) in
@@ -719,7 +847,7 @@ let exec_builtin m (w : worker) b _arity =
   | Builtin.Unify -> unify m w (a 1) (a 2)
   | Builtin.Is ->
     let v = eval_arith m w (a 2) in
-    unify m w (a 1) (Cell.num v)
+    unify m w (a 1) (num v)
   | Builtin.Lt -> eval_arith m w (a 1) < eval_arith m w (a 2)
   | Builtin.Gt -> eval_arith m w (a 1) > eval_arith m w (a 2)
   | Builtin.Le -> eval_arith m w (a 1) <= eval_arith m w (a 2)
@@ -749,7 +877,7 @@ let exec_builtin m (w : worker) b _arity =
         if log != saved_log then
           match log with
           | addr :: rest ->
-            wr_auto m w addr (Cell.ref_ addr);
+            wr_auto m w addr (ref_ addr);
             undo rest
           | [] -> ()
       in
@@ -767,32 +895,16 @@ let exec_builtin m (w : worker) b _arity =
   | Builtin.Term_gt -> compare_terms m w (a 1) (a 2) > 0
   | Builtin.Term_le -> compare_terms m w (a 1) (a 2) <= 0
   | Builtin.Term_ge -> compare_terms m w (a 1) (a 2) >= 0
-  | Builtin.Var_p -> Cell.is_ref (deref m w (a 1))
-  | Builtin.Nonvar_p -> not (Cell.is_ref (deref m w (a 1)))
-  | Builtin.Atom_p -> begin
-    match Cell.view (deref m w (a 1)) with
-    | Cell.Con _ -> true
-    | Cell.Ref _ | Cell.Str _ | Cell.Lis _ | Cell.Num _ | Cell.Fun _
-    | Cell.Raw _ ->
-      false
-  end
-  | Builtin.Integer_p -> begin
-    match Cell.view (deref m w (a 1)) with
-    | Cell.Num _ -> true
-    | Cell.Ref _ | Cell.Str _ | Cell.Lis _ | Cell.Con _ | Cell.Fun _
-    | Cell.Raw _ ->
-      false
-  end
-  | Builtin.Atomic_p -> begin
-    match Cell.view (deref m w (a 1)) with
-    | Cell.Con _ | Cell.Num _ -> true
-    | Cell.Ref _ | Cell.Str _ | Cell.Lis _ | Cell.Fun _ | Cell.Raw _ -> false
-  end
-  | Builtin.Compound_p -> begin
-    match Cell.view (deref m w (a 1)) with
-    | Cell.Str _ | Cell.Lis _ -> true
-    | Cell.Ref _ | Cell.Con _ | Cell.Num _ | Cell.Fun _ | Cell.Raw _ -> false
-  end
+  | Builtin.Var_p -> is_ref (deref m w (a 1))
+  | Builtin.Nonvar_p -> not (is_ref (deref m w (a 1)))
+  | Builtin.Atom_p -> tag (deref m w (a 1)) = tag_con
+  | Builtin.Integer_p -> tag (deref m w (a 1)) = tag_num
+  | Builtin.Atomic_p ->
+    let t = tag (deref m w (a 1)) in
+    t = tag_con || t = tag_num
+  | Builtin.Compound_p ->
+    let t = tag (deref m w (a 1)) in
+    t = tag_str || t = tag_lis
   | Builtin.Ground_p -> is_ground m w (a 1)
   | Builtin.Indep_p -> independent m w (a 1) (a 2)
   | Builtin.Write_t | Builtin.Print_t ->
@@ -805,140 +917,152 @@ let exec_builtin m (w : worker) b _arity =
     m.halted <- true;
     w.status <- Halted;
     true
-  | Builtin.Functor_b -> begin
-    match Cell.view (deref m w (a 1)) with
-    | Cell.Con c ->
-      unify m w (a 2) (Cell.con c) && unify m w (a 3) (Cell.num 0)
-    | Cell.Num n ->
-      unify m w (a 2) (Cell.num n) && unify m w (a 3) (Cell.num 0)
-    | Cell.Lis _ ->
-      unify m w (a 2) (Cell.con (Symbols.atom m.symbols "."))
-      && unify m w (a 3) (Cell.num 2)
-    | Cell.Str addr ->
-      let fid = functor_cell m w addr in
+  | Builtin.Functor_b ->
+    let d = deref m w (a 1) in
+    let t = tag d in
+    if t = tag_con || t = tag_num then
+      unify m w (a 2) d && unify m w (a 3) (num 0)
+    else if t = tag_lis then
+      unify m w (a 2) (con (Symbols.atom m.symbols "."))
+      && unify m w (a 3) (num 2)
+    else if t = tag_str then begin
+      let fid = functor_cell m w (payload d) in
       let aid, arity = Symbols.functor_def m.symbols fid in
-      unify m w (a 2) (Cell.con aid) && unify m w (a 3) (Cell.num arity)
-    | Cell.Ref _ -> begin
+      unify m w (a 2) (con aid) && unify m w (a 3) (num arity)
+    end
+    else if t = tag_ref then begin
       (* Construction mode. *)
-      match (Cell.view (deref m w (a 2)), Cell.view (deref m w (a 3))) with
-      | Cell.Con c, Cell.Num 0 -> unify m w (a 1) (Cell.con c)
-      | Cell.Num n, Cell.Num 0 -> unify m w (a 1) (Cell.num n)
-      | Cell.Con c, Cell.Num n when n > 0 ->
-        let name = Symbols.atom_name m.symbols c in
+      let name_c = deref m w (a 2) in
+      let arity_c = deref m w (a 3) in
+      let nt = tag name_c and n = payload arity_c in
+      if tag arity_c <> tag_num then
+        runtime_error "functor/3: bad construction arguments"
+      else if n = 0 && (nt = tag_con || nt = tag_num) then
+        unify m w (a 1) name_c
+      else if n > 0 && nt = tag_con then begin
+        let name = Symbols.atom_name m.symbols (payload name_c) in
         if name = "." && n = 2 then begin
           let addr = fresh_heap_var m w in
           ignore (fresh_heap_var m w);
-          unify m w (a 1) (Cell.lis addr)
+          unify m w (a 1) (lis addr)
         end
         else begin
           let fid = Symbols.functor_ m.symbols name n in
-          let addr = hpush m w (Cell.fun_ fid) in
+          let addr = hpush m w (fun_ fid) in
           for _ = 1 to n do
             ignore (fresh_heap_var m w)
           done;
-          unify m w (a 1) (Cell.str addr)
+          unify m w (a 1) (str addr)
         end
-      | _, _ -> runtime_error "functor/3: bad construction arguments"
+      end
+      else runtime_error "functor/3: bad construction arguments"
     end
-    | Cell.Fun _ | Cell.Raw _ -> runtime_error "functor/3: raw cell"
-  end
-  | Builtin.Arg_b -> begin
-    match (Cell.view (deref m w (a 1)), Cell.view (deref m w (a 2))) with
-    | Cell.Num n, Cell.Str addr ->
+    else runtime_error "functor/3: raw cell"
+  | Builtin.Arg_b ->
+    let d1 = deref m w (a 1) in
+    let d2 = deref m w (a 2) in
+    let n = payload d1 and addr = payload d2 in
+    if tag d1 = tag_num && tag d2 = tag_str then begin
       let fid = functor_cell m w addr in
       let arity = Symbols.functor_arity m.symbols fid in
-      if n >= 1 && n <= arity then
-        unify m w (a 3) (rd_auto m w (addr + n))
+      if n >= 1 && n <= arity then unify m w (a 3) (rd_auto m w (addr + n))
       else false
-    | Cell.Num n, Cell.Lis addr ->
+    end
+    else if tag d1 = tag_num && tag d2 = tag_lis then begin
       if n = 1 then unify m w (a 3) (rd_auto m w addr)
       else if n = 2 then unify m w (a 3) (rd_auto m w (addr + 1))
       else false
-    | _, _ -> runtime_error "arg/3: bad arguments"
-  end
-  | Builtin.Univ -> begin
-    match Cell.view (deref m w (a 1)) with
-    | Cell.Con _ | Cell.Num _ ->
+    end
+    else runtime_error "arg/3: bad arguments"
+  | Builtin.Univ ->
+    let d = deref m w (a 1) in
+    let t = tag d and addr = payload d in
+    if t = tag_con || t = tag_num then
       unify m w (a 2) (list_of_cells m w [ deref m w (a 1) ])
-    | Cell.Lis addr ->
+    else if t = tag_lis then
       unify m w (a 2)
         (list_of_cells m w
            [
-             Cell.con (Symbols.atom m.symbols ".");
+             con (Symbols.atom m.symbols ".");
              rd_auto m w addr;
              rd_auto m w (addr + 1);
            ])
-    | Cell.Str addr ->
+    else if t = tag_str then begin
       let fid = functor_cell m w addr in
       let aid, arity = Symbols.functor_def m.symbols fid in
       let args = List.init arity (fun i -> rd_auto m w (addr + 1 + i)) in
-      unify m w (a 2) (list_of_cells m w (Cell.con aid :: args))
-    | Cell.Ref _ -> begin
+      unify m w (a 2) (list_of_cells m w (con aid :: args))
+    end
+    else if t = tag_ref then begin
       (* Construction: collect the list elements. *)
       let rec elements cell acc =
-        match Cell.view (deref m w cell) with
-        | Cell.Con c when c = Symbols.nil -> List.rev acc
-        | Cell.Lis addr ->
+        let d = deref m w cell in
+        let addr = payload d in
+        if tag d = tag_con && addr = Symbols.nil then List.rev acc
+        else if tag d = tag_lis then
           elements (rd_auto m w (addr + 1)) (rd_auto m w addr :: acc)
-        | Cell.Ref _ | Cell.Str _ | Cell.Con _ | Cell.Num _ | Cell.Fun _
-        | Cell.Raw _ ->
-          runtime_error "=../2: second argument must be a proper list"
+        else runtime_error "=../2: second argument must be a proper list"
       in
       match elements (a 2) [] with
       | [] -> runtime_error "=../2: empty list"
       | [ single ] -> unify m w (a 1) (deref m w single)
-      | head :: args -> begin
-        match Cell.view (deref m w head) with
-        | Cell.Con c ->
-          let name = Symbols.atom_name m.symbols c in
-          let n = List.length args in
-          if name = "." && n = 2 then begin
-            match args with
-            | [ hd; tl ] ->
-              let addr = hpush m w hd in
-              ignore (hpush m w tl);
-              unify m w (a 1) (Cell.lis addr)
-            | _ -> assert false
-          end
-          else begin
-            let fid = Symbols.functor_ m.symbols name n in
-            let addr = hpush m w (Cell.fun_ fid) in
-            List.iter (fun c -> ignore (hpush m w c)) args;
-            unify m w (a 1) (Cell.str addr)
-          end
-        | Cell.Ref _ | Cell.Str _ | Cell.Lis _ | Cell.Num _ | Cell.Fun _
-        | Cell.Raw _ ->
-          runtime_error "=../2: list head must be an atom"
-      end
+      | head :: args ->
+        let h = deref m w head in
+        if tag h <> tag_con then
+          runtime_error "=../2: list head must be an atom";
+        let name = Symbols.atom_name m.symbols (payload h) in
+        let n = List.length args in
+        if name = "." && n = 2 then begin
+          match args with
+          | [ hd; tl ] ->
+            let addr = hpush m w hd in
+            ignore (hpush m w tl);
+            unify m w (a 1) (lis addr)
+          | _ -> assert false
+        end
+        else begin
+          let fid = Symbols.functor_ m.symbols name n in
+          let addr = hpush m w (fun_ fid) in
+          List.iter (fun c -> ignore (hpush m w c)) args;
+          unify m w (a 1) (str addr)
+        end
     end
-    | Cell.Fun _ | Cell.Raw _ -> runtime_error "=../2: raw cell"
-  end
+    else runtime_error "=../2: raw cell"
 
 (* ------------------------------------------------------------------ *)
 (* Choice points.                                                     *)
 
+(* Write word [off] of the choice point at [b]. *)
+let[@inline] cp_wr m w b off cell =
+  wr m w ~area:Trace.Area.Choice_point (b + off) cell
+
+(* The local-stack top a new choice point saves and protects is the
+   higher of the top and the protection already in force: after a
+   [deallocate] the top can lie below an environment an older live
+   choice point resumes in, and protecting only up to the top would
+   let the next [allocate] overwrite it. *)
 let push_choice_point m (w : worker) ~next_alt =
   let n = w.nargs in
   let base = w.cst in
-  if base + choice_point_words n > Layout.control_limit w.id then
+  if base + choice_point_words n > limit w control_end then
     runtime_error "control stack overflow (PE %d)" w.id;
-  let cp_wr off cell = wr m w ~area:Trace.Area.Choice_point (base + off) cell in
-  cp_wr 0 (Cell.raw n);
+  let lst = max w.lst w.prot_lst in
+  cp_wr m w base 0 (raw n);
   for i = 1 to n do
-    cp_wr i w.x.(i)
+    cp_wr m w base i w.x.(i)
   done;
-  cp_wr (n + 1) (Cell.raw w.e);
-  cp_wr (n + 2) (Cell.raw w.cp);
-  cp_wr (n + 3) (Cell.raw w.b);
-  cp_wr (n + 4) (Cell.raw next_alt);
-  cp_wr (n + 5) (Cell.raw w.tr);
-  cp_wr (n + 6) (Cell.raw w.h);
-  cp_wr (n + 7) (Cell.raw w.b0);
-  cp_wr (n + 8) (Cell.raw w.lst);
+  cp_wr m w base (n + 1) (raw w.e);
+  cp_wr m w base (n + 2) (raw w.cp);
+  cp_wr m w base (n + 3) (raw w.b);
+  cp_wr m w base (n + 4) (raw next_alt);
+  cp_wr m w base (n + 5) (raw w.tr);
+  cp_wr m w base (n + 6) (raw w.h);
+  cp_wr m w base (n + 7) (raw w.b0);
+  cp_wr m w base (n + 8) (raw lst);
   w.b <- base;
   w.cst <- base + choice_point_words n;
   w.hb <- w.h;
-  w.prot_lst <- w.lst;
+  w.prot_lst <- lst;
   note_high_water w
 
 (* Discard choice points down to [target] (a saved B value or -1),
@@ -951,11 +1075,11 @@ let cut_to_level m (w : worker) target =
       w.prot_lst <- max w.lst_floor w.par_prot
     end
     else begin
-      let n = Cell.payload (rd m w ~area:Trace.Area.Choice_point target) in
+      let n = payload (rd m w ~area:Trace.Area.Choice_point target) in
       w.cst <- target + choice_point_words n;
       w.prot_lst <-
         max
-          (Cell.payload (rd m w ~area:Trace.Area.Choice_point (target + n + 8)))
+          (payload (rd m w ~area:Trace.Area.Choice_point (target + n + 8)))
           w.par_prot
     end
   end
@@ -965,18 +1089,18 @@ let cut_to_level m (w : worker) target =
 
 let allocate_env m (w : worker) n =
   let base = max w.lst w.prot_lst in
-  if base + 3 + n > Layout.local_limit w.id then
+  if base + 3 + n > limit w local_end then
     runtime_error "local stack overflow (PE %d)" w.id;
-  wr m w ~area:Trace.Area.Env_control base (Cell.raw w.e);
-  wr m w ~area:Trace.Area.Env_control (base + 1) (Cell.raw w.cp);
-  wr m w ~area:Trace.Area.Env_control (base + 2) (Cell.raw n);
+  wr m w ~area:Trace.Area.Env_control base (raw w.e);
+  wr m w ~area:Trace.Area.Env_control (base + 1) (raw w.cp);
+  wr m w ~area:Trace.Area.Env_control (base + 2) (raw n);
   w.e <- base;
   w.lst <- base + 3 + n;
   note_high_water w
 
 let deallocate_env m (w : worker) =
-  w.cp <- Cell.payload (rd m w ~area:Trace.Area.Env_control (w.e + 1));
-  let ce = Cell.payload (rd m w ~area:Trace.Area.Env_control w.e) in
+  w.cp <- payload (rd m w ~area:Trace.Area.Env_control (w.e + 1));
+  let ce = payload (rd m w ~area:Trace.Area.Env_control w.e) in
   w.lst <- w.e;
   w.e <- ce
 
@@ -992,26 +1116,13 @@ exception Parallel_instr of Instr.t
 let call_entry m (w : worker) fid ~tail =
   m.inferences <- m.inferences + 1;
   match Code.entry m.code fid with
-  | None ->
+  | -1 ->
     runtime_error "undefined predicate %s" (Symbols.spec_string m.symbols fid)
-  | Some entry ->
+  | entry ->
     if not tail then w.cp <- w.p;
     w.nargs <- Symbols.functor_arity m.symbols fid;
     w.b0 <- w.b;
     w.p <- entry
-
-(* Run [f] with trailing elided: the certificate says every binding it
-   makes is unconditional, so [bind] skips the trail for this one
-   instruction. *)
-let untrailed (w : worker) f =
-  w.no_trail <- true;
-  match f () with
-  | ok ->
-    w.no_trail <- false;
-    ok
-  | exception e ->
-    w.no_trail <- false;
-    raise e
 
 (* The cell an [Uncond] get overwrites: the register holds a Ref to an
    unbound depth-0 cell, so no deref read.  A non-Ref contradicts the
@@ -1019,11 +1130,20 @@ let untrailed (w : worker) f =
 let uncond_target m (w : worker) ai =
   m.deref_skipped <- m.deref_skipped + 1;
   let c = w.x.(ai) in
-  if Cell.is_ref c then Cell.payload c
+  if is_ref c then payload c
   else begin
     fail m w;
     -1
   end
+
+(* Read mode into the structure at [sa], whose functor cell must be
+   [f]'s. *)
+let read_structure m w sa f =
+  if rd_auto m w sa = fun_ f then begin
+    w.s <- sa + 1;
+    w.mode_write <- false
+  end
+  else fail m w
 
 (* Match a constant's cell against a cell (get_constant, and
    unify_constant in read mode): a variable binds to the constant, and
@@ -1031,7 +1151,7 @@ let uncond_target m (w : worker) ai =
    matches the integer with the same payload. *)
 let match_constant m w c cell =
   let d = deref m w cell in
-  if Cell.is_ref d then bind m w (Cell.payload d) c
+  if is_ref d then bind m w (payload d) c
   else if d <> c then fail m w
 
 (* The label a switch table gives [key] (its first match from entry
@@ -1048,68 +1168,61 @@ let step_core m (w : worker) instr =
   (* ---- put ---- *)
   | Instr.Put_variable (Instr.X n, ai, false) ->
     let a = fresh_heap_var m w in
-    w.x.(n) <- Cell.ref_ a;
-    w.x.(ai) <- Cell.ref_ a
+    w.x.(n) <- ref_ a;
+    w.x.(ai) <- ref_ a
   | Instr.Put_variable (Instr.Y n, ai, false) ->
     let addr = w.e + 3 + n in
-    wr m w ~area:Trace.Area.Env_pvar addr (Cell.ref_ addr);
-    w.x.(ai) <- Cell.ref_ addr
+    wr m w ~area:Trace.Area.Env_pvar addr (ref_ addr);
+    w.x.(ai) <- ref_ addr
   | Instr.Put_value (r, ai) -> w.x.(ai) <- get_reg m w r
-  | Instr.Put_unsafe_value (y, ai) -> begin
+  | Instr.Put_unsafe_value (y, ai) ->
     let v = deref m w (rd m w ~area:Trace.Area.Env_pvar (w.e + 3 + y)) in
-    match Cell.view v with
-    | Cell.Ref a when Layout.is_local_stack_addr a ->
+    if is_ref v && is_local_stack_addr (payload v) then begin
       let ha = fresh_heap_var m w in
-      bind m w a (Cell.ref_ ha);
-      w.x.(ai) <- Cell.ref_ ha
-    | Cell.Ref _ | Cell.Str _ | Cell.Lis _ | Cell.Con _ | Cell.Num _
-    | Cell.Fun _ | Cell.Raw _ ->
-      w.x.(ai) <- v
-  end
+      bind m w (payload v) (ref_ ha);
+      w.x.(ai) <- ref_ ha
+    end
+    else w.x.(ai) <- v
   | Instr.Put_constant (c, ai) -> w.x.(ai) <- c
   | Instr.Put_structure (f, ai) ->
-    let a = hpush m w (Cell.fun_ f) in
-    w.x.(ai) <- Cell.str a;
+    let a = hpush m w (fun_ f) in
+    w.x.(ai) <- str a;
     w.mode_write <- true
   | Instr.Put_list ai ->
-    w.x.(ai) <- Cell.lis w.h;
+    w.x.(ai) <- lis w.h;
     w.mode_write <- true
   (* ---- get ---- *)
   | Instr.Get_variable (r, ai) -> set_reg m w r w.x.(ai)
   | Instr.Get_value (r, ai, Instr.Plain) ->
     if not (unify m w (get_reg m w r) w.x.(ai)) then fail m w
   | Instr.Get_constant (c, ai, false) -> match_constant m w c w.x.(ai)
-  | Instr.Get_structure (f, ai, Instr.Plain) -> begin
-    match Cell.view (deref m w w.x.(ai)) with
-    | Cell.Ref a ->
-      let sa = hpush m w (Cell.fun_ f) in
-      bind m w a (Cell.str sa);
+  | Instr.Get_structure (f, ai, Instr.Plain) ->
+    let d = deref m w w.x.(ai) in
+    let t = tag d in
+    if t = tag_ref then begin
+      let sa = hpush m w (fun_ f) in
+      bind m w (payload d) (str sa);
       w.mode_write <- true
-    | Cell.Str sa ->
-      if rd_auto m w sa = Cell.fun_ f then begin
-        w.s <- sa + 1;
-        w.mode_write <- false
-      end
-      else fail m w
-    | Cell.Con _ | Cell.Lis _ | Cell.Num _ | Cell.Fun _ | Cell.Raw _ ->
-      fail m w
-  end
-  | Instr.Get_list (ai, Instr.Plain) -> begin
-    match Cell.view (deref m w w.x.(ai)) with
-    | Cell.Ref a ->
-      bind m w a (Cell.lis w.h);
+    end
+    else if t = tag_str then read_structure m w (payload d) f
+    else fail m w
+  | Instr.Get_list (ai, Instr.Plain) ->
+    let d = deref m w w.x.(ai) in
+    let t = tag d in
+    if t = tag_ref then begin
+      bind m w (payload d) (lis w.h);
       w.mode_write <- true
-    | Cell.Lis la ->
-      w.s <- la;
+    end
+    else if t = tag_lis then begin
+      w.s <- payload d;
       w.mode_write <- false
-    | Cell.Con _ | Cell.Str _ | Cell.Num _ | Cell.Fun _ | Cell.Raw _ ->
-      fail m w
-  end
+    end
+    else fail m w
   (* ---- unify ---- *)
   | Instr.Unify_variable r ->
     if w.mode_write then begin
       let a = fresh_heap_var m w in
-      set_reg m w r (Cell.ref_ a)
+      set_reg m w r (ref_ a)
     end
     else begin
       set_reg m w r (rd_auto m w w.s);
@@ -1125,14 +1238,12 @@ let step_core m (w : worker) instr =
   | Instr.Unify_local_value r ->
     if w.mode_write then begin
       let v = deref m w (get_reg m w r) in
-      match Cell.view v with
-      | Cell.Ref a when Layout.is_local_stack_addr a ->
+      if is_ref v && is_local_stack_addr (payload v) then begin
         let ha = fresh_heap_var m w in
-        bind m w a (Cell.ref_ ha);
-        set_reg m w r (Cell.ref_ ha)
-      | Cell.Ref _ | Cell.Str _ | Cell.Lis _ | Cell.Con _ | Cell.Num _
-      | Cell.Fun _ | Cell.Raw _ ->
-        ignore (hpush m w v)
+        bind m w (payload v) (ref_ ha);
+        set_reg m w r (ref_ ha)
+      end
+      else ignore (hpush m w v)
     end
     else begin
       let sc = rd_auto m w w.s in
@@ -1168,27 +1279,27 @@ let step_core m (w : worker) instr =
     push_choice_point m w ~next_alt:w.p;
     w.p <- l
   | Instr.Retry (l, Instr.Deep) ->
-    let n = Cell.payload (rd m w ~area:Trace.Area.Choice_point w.b) in
-    wr m w ~area:Trace.Area.Choice_point (w.b + n + 4) (Cell.raw w.p);
+    let n = payload (rd m w ~area:Trace.Area.Choice_point w.b) in
+    wr m w ~area:Trace.Area.Choice_point (w.b + n + 4) (raw w.p);
     w.p <- l
   | Instr.Trust (l, Instr.Deep) ->
     let b = w.b in
-    let n = Cell.payload (rd m w ~area:Trace.Area.Choice_point b) in
-    let prev = Cell.payload (rd m w ~area:Trace.Area.Choice_point (b + n + 3)) in
+    let n = payload (rd m w ~area:Trace.Area.Choice_point b) in
+    let prev = payload (rd m w ~area:Trace.Area.Choice_point (b + n + 3)) in
     w.b <- prev;
     if prev = -1 || prev < w.cst_floor then begin
       w.prot_lst <- max w.lst_floor w.par_prot
       (* hb keeps its (conservative) value: over-trailing is safe *)
     end
     else begin
-      let pn = Cell.payload (rd m w ~area:Trace.Area.Choice_point prev) in
+      let pn = payload (rd m w ~area:Trace.Area.Choice_point prev) in
       w.hb <-
         max
-          (Cell.payload (rd m w ~area:Trace.Area.Choice_point (prev + pn + 6)))
+          (payload (rd m w ~area:Trace.Area.Choice_point (prev + pn + 6)))
           w.par_hb;
       w.prot_lst <-
         max
-          (Cell.payload (rd m w ~area:Trace.Area.Choice_point (prev + pn + 8)))
+          (payload (rd m w ~area:Trace.Area.Choice_point (prev + pn + 8)))
           w.par_prot
     end;
     w.cst <- b;
@@ -1224,88 +1335,84 @@ let step_core m (w : worker) instr =
     w.shallow.sh_nt_log <- [];
     w.p <- l
   (* ---- indexing ---- *)
-  | Instr.Switch_on_term { var_l; con_l; int_l; lis_l; str_l } -> begin
+  | Instr.Switch_on_term { var_l; con_l; int_l; lis_l; str_l } ->
     let d = deref m w w.x.(1) in
     w.x.(1) <- d;
+    let t = tag d in
     let target =
-      match Cell.view d with
-      | Cell.Ref _ -> var_l
-      | Cell.Con _ -> con_l
-      | Cell.Num _ -> int_l
-      | Cell.Lis _ -> lis_l
-      | Cell.Str _ -> str_l
-      | Cell.Fun _ | Cell.Raw _ -> runtime_error "switch: raw cell"
+      if t = tag_ref then var_l
+      else if t = tag_con then con_l
+      else if t = tag_num then int_l
+      else if t = tag_lis then lis_l
+      else if t = tag_str then str_l
+      else runtime_error "switch: raw cell"
     in
     if target = -1 then fail m w else w.p <- target
-  end
   | Instr.Switch_on_constant (tbl, default) ->
     let l = switch_label tbl (deref m w w.x.(1)) default 0 in
     if l = -1 then fail m w else w.p <- l
-  | Instr.Switch_on_structure (tbl, default) -> begin
-    match Cell.view (deref m w w.x.(1)) with
-    | Cell.Str a ->
-      let l = switch_label tbl (functor_cell m w a) default 0 in
+  | Instr.Switch_on_structure (tbl, default) ->
+    let d = deref m w w.x.(1) in
+    if tag d <> tag_str then fail m w
+    else begin
+      let l = switch_label tbl (functor_cell m w (payload d)) default 0 in
       if l = -1 then fail m w else w.p <- l
-    | Cell.Ref _ | Cell.Con _ | Cell.Lis _ | Cell.Num _ | Cell.Fun _
-    | Cell.Raw _ ->
-      fail m w
-  end
+    end
   (* ---- cut ---- *)
   | Instr.Neck_cut -> cut_to_level m w w.b0
   | Instr.Get_level y ->
-    wr m w ~area:Trace.Area.Env_pvar (w.e + 3 + y) (Cell.raw w.b0)
+    wr m w ~area:Trace.Area.Env_pvar (w.e + 3 + y) (raw w.b0)
   | Instr.Cut_to y ->
     let target =
-      Cell.payload (rd m w ~area:Trace.Area.Env_pvar (w.e + 3 + y))
+      payload (rd m w ~area:Trace.Area.Env_pvar (w.e + 3 + y))
     in
     cut_to_level m w target
   (* ---- escapes ---- *)
   | Instr.Builtin (b, arity, false) ->
     if not (exec_builtin m w b arity) then fail m w
   | Instr.Builtin (b, arity, true) ->
-    if not (untrailed w (fun () -> exec_builtin m w b arity)) then fail m w
+    (* trailing elided: the certificate says every binding the builtin
+       makes is unconditional, so [bind] skips the trail for this one
+       instruction.  A runtime error ends the run, and a machine whose
+       run raised is never reused, so the flag needs no handler. *)
+    w.no_trail <- true;
+    let ok = exec_builtin m w b arity in
+    w.no_trail <- false;
+    if not ok then fail m w
   (* ---- binding-certified attributes (lib/bindan) ---- *)
-  | Instr.Get_structure (f, ai, Instr.Rigid) -> begin
+  | Instr.Get_structure (f, ai, Instr.Rigid) ->
     m.deref_skipped <- m.deref_skipped + 1;
-    match Cell.view w.x.(ai) with
-    | Cell.Str sa ->
-      if rd_auto m w sa = Cell.fun_ f then begin
-        w.s <- sa + 1;
-        w.mode_write <- false
-      end
-      else fail m w
-    | Cell.Ref _ | Cell.Con _ | Cell.Lis _ | Cell.Num _ | Cell.Fun _
-    | Cell.Raw _ ->
-      fail m w
-  end
-  | Instr.Get_list (ai, Instr.Rigid) -> begin
+    let c = w.x.(ai) in
+    if tag c = tag_str then read_structure m w (payload c) f else fail m w
+  | Instr.Get_list (ai, Instr.Rigid) ->
     m.deref_skipped <- m.deref_skipped + 1;
-    match Cell.view w.x.(ai) with
-    | Cell.Lis la ->
-      w.s <- la;
+    let c = w.x.(ai) in
+    if tag c = tag_lis then begin
+      w.s <- payload c;
       w.mode_write <- false
-    | Cell.Ref _ | Cell.Con _ | Cell.Str _ | Cell.Num _ | Cell.Fun _
-    | Cell.Raw _ ->
-      fail m w
-  end
+    end
+    else fail m w
   | Instr.Get_value (r, ai, Instr.Rigid) ->
     m.deref_skipped <- m.deref_skipped + 1;
-    if Cell.is_ref w.x.(ai) then fail m w
+    if is_ref w.x.(ai) then fail m w
     else if not (unify m w (get_reg m w r) w.x.(ai)) then fail m w
   | Instr.Get_value (r, ai, Instr.Uncond) ->
-    if not (untrailed w (fun () -> unify m w (get_reg m w r) w.x.(ai))) then
-      fail m w
+    (* trailing elided, as for an uncond builtin *)
+    w.no_trail <- true;
+    let ok = unify m w (get_reg m w r) w.x.(ai) in
+    w.no_trail <- false;
+    if not ok then fail m w
   | Instr.Get_structure (f, ai, Instr.Uncond) ->
     let a = uncond_target m w ai in
     if a >= 0 then begin
-      let sa = hpush m w (Cell.fun_ f) in
-      bind_nt m w a (Cell.str sa);
+      let sa = hpush m w (fun_ f) in
+      bind_nt m w a (str sa);
       w.mode_write <- true
     end
   | Instr.Get_list (ai, Instr.Uncond) ->
     let a = uncond_target m w ai in
     if a >= 0 then begin
-      bind_nt m w a (Cell.lis w.h);
+      bind_nt m w a (lis w.h);
       w.mode_write <- true
     end
   | Instr.Get_constant (c, ai, true) ->
@@ -1317,18 +1424,18 @@ let step_core m (w : worker) instr =
        Uncond overwrite before any read), so the cell is allocated with
        an untraced store -- the heap write the baseline put_variable
        pays is the reference the attribute deletes *)
-    if w.h >= Layout.heap_limit w.id then
+    if w.h >= limit w heap_end then
       runtime_error "heap overflow (PE %d)" w.id;
     let a = w.h in
-    Memory.poke m.mem a (Cell.ref_ a);
+    poke m a (ref_ a);
     w.h <- w.h + 1;
     if w.h > w.max_h then w.max_h <- w.h;
-    w.x.(n) <- Cell.ref_ a;
-    w.x.(ai) <- Cell.ref_ a
+    w.x.(n) <- ref_ a;
+    w.x.(ai) <- ref_ a
   | Instr.Put_variable (Instr.Y n, ai, true) ->
     let addr = w.e + 3 + n in
-    Memory.poke m.mem addr (Cell.ref_ addr);
-    w.x.(ai) <- Cell.ref_ addr
+    poke m addr (ref_ addr);
+    w.x.(ai) <- ref_ addr
   (* ---- CGE checks ---- *)
   | Instr.Check_ground (r, l) ->
     if not (is_ground m w (get_reg m w r)) then w.p <- l

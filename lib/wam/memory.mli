@@ -16,6 +16,16 @@ type t = {
   sink : Trace.Sink.t;
 }
 
+val page_bits : int
+(** A page holds [2^page_bits] words; word [a] is at offset
+    [a land (2^page_bits - 1)] of page [pages.(a lsr page_bits)]. *)
+
+val zero_page : int array
+(** The all-zero page that every [pages] entry not yet written is
+    ([==]) and that nothing may write.  [Exec], which inlines
+    {!read} and {!write}, stores straight into a page that is not this
+    one and leaves a first write to {!poke}. *)
+
 val create : ?sink:Trace.Sink.t -> ?reuse:t -> unit -> t
 (** A memory that reads 0 at every address.  [reuse], a memory that
     was {!clear}ed and is not used again, hands over its page

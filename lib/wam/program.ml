@@ -124,9 +124,9 @@ let prepare ?parallel ?det ?bind ?chains ~src ~query () =
     ~query ()
 
 let entry t =
-  match Code.entry t.code t.query_fid with
-  | Some addr -> addr
-  | None -> invalid_arg "Program.entry: query was not compiled"
+  let addr = Code.entry t.code t.query_fid in
+  if addr < 0 then invalid_arg "Program.entry: query was not compiled";
+  addr
 
 let arity t = List.length t.query_vars
 

@@ -330,7 +330,7 @@ let check symbols code =
       let st = exit_struct st in
       let arity = Symbols.functor_arity symbols fid in
       use_args st arity;
-      if Code.entry code fid = None then
+      if Code.entry code fid < 0 then
         report "undefined-predicate" "call to %s with no code entry"
           (Symbols.spec_string symbols fid);
       (* the callee clobbers the X bank; Y slots survive *)
@@ -339,7 +339,7 @@ let check symbols code =
       let st = exit_struct st in
       let arity = Symbols.functor_arity symbols fid in
       use_args st arity;
-      if Code.entry code fid = None then
+      if Code.entry code fid < 0 then
         report "undefined-predicate" "execute of %s with no code entry"
           (Symbols.spec_string symbols fid);
       (match st.env with
@@ -484,7 +484,7 @@ let check symbols code =
       if Symbols.functor_arity symbols fid <> arity then
         report "bad-parcall" "push_goal arity %d disagrees with %s" arity
           (Symbols.spec_string symbols fid);
-      if Code.entry code fid = None then
+      if Code.entry code fid < 0 then
         report "undefined-predicate" "pushed goal %s has no code entry"
           (Symbols.spec_string symbols fid);
       (match st.parcall with

@@ -10,8 +10,8 @@ let instructions prog name arity =
     Wam.Symbols.functor_ prog.Wam.Program.symbols name arity
   in
   match Wam.Code.entry prog.Wam.Program.code fid with
-  | None -> Alcotest.failf "no entry for %s/%d" name arity
-  | Some entry ->
+  | -1 -> Alcotest.failf "no entry for %s/%d" name arity
+  | entry ->
     (* read instructions until the next predicate would plausibly start;
        for tests we just take a window *)
     List.init 40 (fun i ->

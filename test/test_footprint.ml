@@ -229,9 +229,7 @@ let test_profile_sums () =
     (fun (b : Benchlib.Programs.benchmark) ->
       List.iter
         (fun (label, _, (prog : Wam.Program.t), run) ->
-          let stats =
-            Trace.Areastats.create ~pe_of_addr:Wam.Layout.pe_of_addr ()
-          in
+          let stats = Trace.Areastats.create () in
           let p =
             Wam.Profile.create prog.Wam.Program.symbols prog.Wam.Program.code
           in

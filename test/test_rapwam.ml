@@ -395,9 +395,7 @@ let test_work_one_pe_close_to_wam () =
      (paper, Figure 2: the two curves meet at 1 PE) *)
   let query = "d((x + 1) * (x - 2) + (x * x) * (3 - x), x, D)" in
   let count_refs prog n =
-    let stats =
-      Trace.Areastats.create ~pe_of_addr:Wam.Layout.pe_of_addr ()
-    in
+    let stats = Trace.Areastats.create () in
     let sink = Trace.Areastats.sink stats in
     (if n = 0 then begin
        let _ = Wam.Seq.run ~sink prog in
@@ -651,8 +649,26 @@ let test_published_goal_count () =
         [ 1; 4; 8 ])
     programs
 
+(* A choice point pushed after a [deallocate] keeps the protection an
+   older live choice point set over the local stack: here [t(D)]'s
+   choice point outlives [r]'s environment, and the second [r] call
+   must not reuse it.  The query fails, as [r(g(b), X)] alone does. *)
+let test_choice_point_after_deallocate () =
+  let src = "t(A).\nt(f(1, B)).\nt(E).\nr(g(1), A) :- t(D), t(g(E)).\n" in
+  let query = "r(g(D), 0), r(g(b), X)" in
+  let fails = function Wam.Seq.Failure -> true | Wam.Seq.Success _ -> false in
+  let seq = Wam.Program.prepare ~parallel:false ~src ~query () in
+  Alcotest.(check bool) "the WAM answers no" true (fails (fst (Wam.Seq.run seq)));
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) (Printf.sprintf "%d PEs answer no" n) true
+        (fails (fst (psolve ~n ~src query ()))))
+    [ 1; 2; 4; 8 ]
+
 let suite =
   [
+    Alcotest.test_case "a choice point after deallocate keeps the protection"
+      `Quick test_choice_point_after_deallocate;
     Alcotest.test_case "parcall 1 PE" `Quick test_unconditional_parcall_1pe;
     Alcotest.test_case "parcall 4 PEs" `Quick test_unconditional_parcall_4pe;
     Alcotest.test_case "deep parcall = seq" `Quick test_deep_parcall_matches_seq;

@@ -199,9 +199,9 @@ let test_tee_and_filter () =
     (Trace.Sink.Buffer_sink.length b2)
 
 let test_areastats () =
-  let st = Trace.Areastats.create ~pe_of_addr:Wam.Layout.pe_of_addr () in
+  let st = Trace.Areastats.create () in
   let sink = Trace.Areastats.sink st in
-  (* PE 0 touching its own heap, then PE 1 touching PE 0's heap *)
+  (* PE 0 writing its own heap, PE 1 reading it, PE 0 fetching code *)
   Trace.Sink.emit sink
     { Trace.Ref_record.pe = 0; addr = Wam.Layout.heap_base 0;
       area = Trace.Area.Heap; op = Trace.Ref_record.Write };
@@ -214,8 +214,6 @@ let test_areastats () =
   Alcotest.(check int) "total" 3 (Trace.Areastats.total st);
   Alcotest.(check int) "heap refs" 2 (Trace.Areastats.refs st Trace.Area.Heap);
   Alcotest.(check int) "writes" 1 (Trace.Areastats.total_writes st);
-  Alcotest.(check int) "remote" 1 (Trace.Areastats.remote st);
-  Alcotest.(check int) "local" 2 (Trace.Areastats.local st);
   Alcotest.(check int) "data refs" 2 (Trace.Areastats.data_refs st)
 
 let test_layout_regions () =
@@ -345,8 +343,106 @@ let test_tracefile_legacy_v2 () =
           (path ^ ": unsupported trace version 2") msg
       | _ -> Alcotest.fail "a version-2 trace was read")
 
+(* A buffer's own per-slot counts equal a recount of the words it
+   holds, decoded: per-area reads and writes, [total], [data_refs] and
+   [syncs], over accesses in every area, both directions and PEs
+   0-255, and sync words of every kind.  An [Areastats] sink fed the
+   same words agrees. *)
+let prop_counts_recount =
+  let kinds = Trace.Ref_record.[| Acquire; Release; Publish; Steal; Join |] in
+  QCheck.Test.make ~count:300 ~name:"buffer and Areastats counts equal a recount"
+    QCheck.(
+      list
+        (quad
+           (int_bound (Trace.Area.count + Array.length kinds - 1))
+           bool (int_bound 255) (int_bound 1_000_000)))
+    (fun specs ->
+      let module R = Trace.Ref_record in
+      let module S = Trace.Areastats in
+      let buf = Trace.Sink.Buffer_sink.create ~capacity:1 () in
+      let online = S.create () in
+      let sink = Trace.Sink.tee (Trace.Sink.buffer buf) (S.sink online) in
+      List.iter
+        (fun (k, write, pe, addr) ->
+          if k < Trace.Area.count then
+            Trace.Sink.emit sink
+              { R.pe; addr; area = Trace.Area.of_int k;
+                op = (if write then R.Write else R.Read) }
+          else
+            Trace.Sink.emit_sync sink
+              { R.spe = pe; saddr = addr; kind = kinds.(k - Trace.Area.count) })
+        specs;
+      let reads = Array.make Trace.Area.count 0 in
+      let writes = Array.make Trace.Area.count 0 in
+      let syncs = ref 0 in
+      Trace.Sink.Buffer_sink.iter_entries
+        (function
+          | R.Access r ->
+            let a = Trace.Area.to_int r.R.area in
+            if r.R.op = R.Write then writes.(a) <- writes.(a) + 1
+            else reads.(a) <- reads.(a) + 1
+          | R.Sync _ -> incr syncs)
+        buf;
+      let total = Array.fold_left ( + ) 0 reads + Array.fold_left ( + ) 0 writes in
+      let code = Trace.Area.to_int Trace.Area.Code in
+      let agrees st =
+        List.for_all
+          (fun a ->
+            S.reads st a = reads.(Trace.Area.to_int a)
+            && S.writes st a = writes.(Trace.Area.to_int a))
+          Trace.Area.all
+        && S.total st = total
+        && S.data_refs st = total - reads.(code) - writes.(code)
+        && S.syncs st = !syncs
+      in
+      agrees (S.of_buffer buf) && agrees online
+      && Trace.Sink.Buffer_sink.n_syncs buf = !syncs)
+
+(* [Runner]'s area counts, read off the run's buffer, equal an online
+   count of the same run: the four benchmarks (quick inputs) on the WAM
+   and at 1/4/8 PEs, each rerun into an [Areastats] sink teed beside a
+   buffer, as the runner collected them before buffers counted. *)
+let test_runner_counts_online () =
+  List.iter
+    (fun (b : Benchlib.Programs.benchmark) ->
+      let seq = Benchlib.Runner.prepare ~parallel:false b in
+      let par = Benchlib.Runner.prepare ~parallel:true b in
+      List.iter
+        (fun (config, (r : Benchlib.Runner.result), rerun) ->
+          let online = Trace.Areastats.create () in
+          let buf = Trace.Sink.Buffer_sink.create () in
+          rerun (Trace.Sink.tee (Trace.Areastats.sink online) (Trace.Sink.buffer buf));
+          let name what = Printf.sprintf "%s/%s %s" b.Benchlib.Programs.name config what in
+          List.iter
+            (fun a ->
+              Alcotest.(check int) (name (Trace.Area.slug a ^ " reads"))
+                (Trace.Areastats.reads online a) (Trace.Areastats.reads r.area_stats a);
+              Alcotest.(check int) (name (Trace.Area.slug a ^ " writes"))
+                (Trace.Areastats.writes online a) (Trace.Areastats.writes r.area_stats a))
+            Trace.Area.all;
+          Alcotest.(check int) (name "syncs") (Trace.Areastats.syncs online)
+            (Trace.Areastats.syncs r.area_stats);
+          Alcotest.(check int) (name "length") (Trace.Sink.Buffer_sink.length buf)
+            (Trace.Sink.Buffer_sink.length r.trace))
+        (( "wam",
+           Benchlib.Runner.run_wam b,
+           fun sink -> ignore (Wam.Seq.run ~sink seq) )
+        :: List.map
+             (fun n ->
+               ( Printf.sprintf "rapwam-%dpe" n,
+                 Benchlib.Runner.run_rapwam ~n_pes:n b,
+                 fun sink -> ignore (Rapwam.Sim.run ~sink ~n_workers:n par) ))
+             [ 1; 4; 8 ]))
+    (List.filter
+       (fun (b : Benchlib.Programs.benchmark) ->
+         List.mem b.Benchlib.Programs.name [ "deriv"; "qsort"; "tak"; "matrix" ])
+       (Benchlib.Inputs.small_benchmarks ()))
+
 let suite =
   [
+    QCheck_alcotest.to_alcotest prop_counts_recount;
+    Alcotest.test_case "runner area counts equal an online count" `Quick
+      test_runner_counts_online;
     Alcotest.test_case "pack roundtrip" `Quick test_pack_roundtrip;
     Alcotest.test_case "area int roundtrip" `Quick test_area_int_roundtrip;
     Alcotest.test_case "table 1 locality" `Quick test_table1_locality;

@@ -229,8 +229,8 @@ let test_pins_on_released () =
 
 (* The emit path allocates almost nothing per reference: each plain
    configuration, its program compiled beforehand, runs into a
-   Buffer_sink and allocates under 2 minor-heap words per word it
-   emits (the machine's own setup and the answer included).  Memory
+   Buffer_sink and allocates under 1.6 minor-heap words per word it
+   emits (at most 0.79 measured, deriv at 8 PEs; the WAM runs 0.19) (the machine's own setup and the answer included).  Memory
    packs each word without checking its PE, because no machine has a
    PE the word's PE field cannot hold. *)
 let test_emit_allocation () =
@@ -252,7 +252,7 @@ let test_emit_allocation () =
           let per_word =
             words /. float_of_int (Trace.Sink.Buffer_sink.length buf)
           in
-          if not (per_word < 2.0) then
+          if not (per_word < 1.6) then
             Alcotest.failf "%s/%s: %.2f minor words per emitted word" name
               config per_word)
         [

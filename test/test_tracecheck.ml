@@ -81,7 +81,7 @@ let test_buffer_sink_syncs () =
   Alcotest.(check int) "entries decode kinds" 2 n_sync_entries
 
 let test_areastats_ignores_syncs () =
-  let st = Trace.Areastats.create ~pe_of_addr:Wam.Layout.pe_of_addr () in
+  let st = Trace.Areastats.create () in
   let sink = Trace.Areastats.sink st in
   Trace.Sink.emit sink (acc 0 (Wam.Layout.heap_base 0) Trace.Area.Heap R.Write);
   Trace.Sink.emit_sync sink { R.spe = 0; saddr = 1; kind = R.Release };
