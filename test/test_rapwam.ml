@@ -667,8 +667,6 @@ let test_choice_point_after_deallocate () =
 
 let suite =
   [
-    Alcotest.test_case "a choice point after deallocate keeps the protection"
-      `Quick test_choice_point_after_deallocate;
     Alcotest.test_case "parcall 1 PE" `Quick test_unconditional_parcall_1pe;
     Alcotest.test_case "parcall 4 PEs" `Quick test_unconditional_parcall_4pe;
     Alcotest.test_case "deep parcall = seq" `Quick test_deep_parcall_matches_seq;
@@ -702,4 +700,6 @@ let suite =
       test_published_goal_count;
     Alcotest.test_case "the unwind runs match their pins" `Quick test_unwind_pins;
     Alcotest.test_case "cycles are settled on every exit" `Quick test_exit_counters;
+    Alcotest.test_case "a choice point after deallocate keeps the protection"
+      `Quick test_choice_point_after_deallocate;
   ]

@@ -440,9 +440,6 @@ let test_runner_counts_online () =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest prop_counts_recount;
-    Alcotest.test_case "runner area counts equal an online count" `Quick
-      test_runner_counts_online;
     Alcotest.test_case "pack roundtrip" `Quick test_pack_roundtrip;
     Alcotest.test_case "area int roundtrip" `Quick test_area_int_roundtrip;
     Alcotest.test_case "table 1 locality" `Quick test_table1_locality;
@@ -460,4 +457,7 @@ let suite =
       test_buffer_sink_model;
     Alcotest.test_case "buffer sink growth copies no word past a chunk" `Quick
       test_buffer_sink_allocation;
+    QCheck_alcotest.to_alcotest prop_counts_recount;
+    Alcotest.test_case "runner area counts equal an online count" `Quick
+      test_runner_counts_online;
   ]
