@@ -144,12 +144,11 @@ module Buffer_sink = struct
   let iter_entries f b =
     iter_packed (fun word -> f (Ref_record.unpack_entry word)) b
 
-  (* Sync words fill the slots from [2 * sync_tag_base] up. *)
+  (* Scans the words, not [counts]: a caller comparing the counts with
+     the length less the syncs then checks one against the other. *)
   let n_syncs b =
     let n = ref 0 in
-    for slot = 2 * Ref_record.sync_tag_base to Ref_record.slots - 1 do
-      n := !n + b.counts.(slot)
-    done;
+    iter_packed (fun word -> if Ref_record.is_sync_word word then incr n) b;
     !n
 end
 

@@ -84,8 +84,8 @@ module Buffer_sink : sig
   (** Visit accesses and sync events, decoded, in emission order. *)
 
   val n_syncs : t -> int
-  (** How many of the retained words are sync events (read off the
-      counts, not the words). *)
+  (** How many of the retained words are sync events, found by
+      scanning the words (not read off {!counts}). *)
 
   val counts : t -> int array
   (** A copy of the per-slot counts of the retained words: entry [s]

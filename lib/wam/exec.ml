@@ -61,16 +61,28 @@ let[@inline] raw n = (n lsl 3) lor tag_raw
 let[@inline] con c = (c lsl 3) lor tag_con
 let[@inline] num n = (n lsl 3) lor tag_num
 
-(* Addresses: [Layout]'s area boundaries inside a PE's region. *)
+(* Addresses.  Every area boundary inside a PE's region is a multiple
+   of 64K words, so an address's area is an entry of a 64-entry table
+   indexed by its offset's top six bits, filled from
+   [Layout.area_of_addr]: [Layout] alone decides where each area lies
+   and in which order.  The table is checked at start-up against
+   [Layout.area_of_addr] at both ends of every 64K block. *)
 let region_mask = Layout.region_words - 1
 let region_bits = Layout.region_bits
 let code_base = Layout.code_base
-let local_off = Layout.local_base 0
-let control_off = Layout.control_base 0
-let trail_off = Layout.trail_base 0
-let pdl_off = Layout.pdl_base 0
-let goal_off = Layout.goal_base 0
-let msg_off = Layout.msg_base 0
+let block_bits = 16
+let code_tag = Trace.Area.to_int Trace.Area.Code
+let heap_tag = Trace.Area.to_int Trace.Area.Heap
+let local_tag = Trace.Area.to_int Trace.Area.Env_pvar
+
+let area_table =
+  let tag a = Trace.Area.to_int (Layout.area_of_addr a) in
+  Array.init (Layout.region_words lsr block_bits) (fun i ->
+      let first = i lsl block_bits in
+      let t = tag first in
+      if tag (first + (1 lsl block_bits) - 1) <> t then
+        failwith "Exec: an area boundary is not a multiple of 64K words";
+      t)
 
 (* Where an area of the worker's stack set ends: [Layout.heap_limit]
    and the others, at the same offset in every PE's region. *)
@@ -85,28 +97,19 @@ let[@inline] limit (w : worker) area_end = (w.id lsl region_bits) + area_end
 let[@inline] pe_of_addr addr =
   if addr >= code_base then -1 else addr lsr region_bits
 
+(* The area of a stack-set address (below [code_base]). *)
+let[@inline] stack_area_tag addr =
+  Array.unsafe_get area_table ((addr land region_mask) lsr block_bits)
+
 let[@inline] is_heap_addr addr =
-  addr < code_base && addr land region_mask < local_off
+  addr < code_base && stack_area_tag addr = heap_tag
 
 let[@inline] is_local_stack_addr addr =
-  addr < code_base
-  &&
-  let off = addr land region_mask in
-  off >= local_off && off < control_off
+  addr < code_base && stack_area_tag addr = local_tag
 
 (* [Layout.area_of_addr], as the area's tag ([Trace.Area.to_int]). *)
 let[@inline] area_tag addr =
-  if addr >= code_base then Trace.Area.to_int Trace.Area.Code
-  else begin
-    let off = addr land region_mask in
-    if off < local_off then Trace.Area.to_int Trace.Area.Heap
-    else if off < control_off then Trace.Area.to_int Trace.Area.Env_pvar
-    else if off < trail_off then Trace.Area.to_int Trace.Area.Choice_point
-    else if off < pdl_off then Trace.Area.to_int Trace.Area.Trail
-    else if off < goal_off then Trace.Area.to_int Trace.Area.Pdl
-    else if off < msg_off then Trace.Area.to_int Trace.Area.Goal_frame
-    else Trace.Area.to_int Trace.Area.Message
-  end
+  if addr >= code_base then code_tag else stack_area_tag addr
 
 (* Memory: [Memory.peek], and the store of [Memory.poke] into a page
    written before; a first write to a page goes through [Memory.poke]

@@ -13,7 +13,11 @@
      2M                    Trail           256K
      2M+256K               PDL             64K
      2M+320K               Goal stack      64K
-     2M+384K               Message buffer  64K                            *)
+     2M+384K               Message buffer  64K
+
+   Every boundary is a multiple of 64K words: [Exec] classifies an
+   address by a table of the region's 64K blocks, filled from
+   [area_of_addr] and checked against it when the program starts. *)
 
 let region_bits = 22
 let region_words = 1 lsl region_bits
@@ -74,9 +78,6 @@ let area_of_addr addr : Trace.Area.t =
     else if off < msg_off then Trace.Area.Goal_frame
     else Trace.Area.Message
   end
-
-let is_heap_addr addr =
-  addr < code_base && offset_of_addr addr < local_off
 
 let is_local_stack_addr addr =
   addr < code_base

@@ -47,5 +47,4 @@ val area_of_addr : int -> Trace.Area.t
 (** Default area classification by address, used for generic term-cell
     accesses (explicit control accesses pass their own tags). *)
 
-val is_heap_addr : int -> bool
 val is_local_stack_addr : int -> bool

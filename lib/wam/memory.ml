@@ -126,7 +126,5 @@ let sync t ~pe ~kind addr =
     lor (R.sync_tag kind lsl R.tag_shift))
 
 (* Generic term-cell access with the area derived from the address. *)
-let read_auto t ~pe addr = read t ~pe ~area:(Layout.area_of_addr addr) addr
-
 let write_auto t ~pe addr word =
   write t ~pe ~area:(Layout.area_of_addr addr) addr word

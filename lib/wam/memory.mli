@@ -53,10 +53,8 @@ val sync : t -> pe:int -> kind:Trace.Ref_record.sync_kind -> int -> unit
     access is performed.  The address names the word the
     happens-before edge hangs off (a lock word, a published frame). *)
 
-val read_auto : t -> pe:int -> int -> int
-(** Like {!read} with the area derived from the address. *)
-
 val write_auto : t -> pe:int -> int -> int -> unit
+(** Like {!write} with the area derived from the address. *)
 
 val peek : t -> int -> int
 (** Untraced read. *)
